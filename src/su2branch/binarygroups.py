@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +145,18 @@ class FiniteGroup:
 
     def representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.classes)
+
+    @cached_property
+    def class_orders(self) -> tuple[int, ...]:
+        """Element order of each class, read off the multiplication table."""
+        out = []
+        for rep in self.representatives():
+            k, x = 1, rep
+            while x != 0:
+                x = self.mult[x][rep]
+                k += 1
+            out.append(k)
+        return tuple(out)
 
 
 def build_group(dtype: DiagramType | str, params: BranchParams | None = None) -> FiniteGroup:
@@ -490,16 +503,34 @@ def _match_nodes(
 
 def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node: int) -> int:
     """Multiplicity of the node's irreducible in the level-n restriction,
-    by the character inner product; rounds within tolerance or aborts."""
+    by the character inner product; rounds within tolerance or aborts.
+
+    Safe for any n: at +-identity chi_n is the integer (+-1)^n (n + 1),
+    and there the irreducible takes the integer value +-dim, so that
+    part of the sum is exact.  Any other element of order m has
+    eigenvalues zeta^(+-1) with zeta^m = 1, hence chi_(n+m) = chi_n, and
+    the Chebyshev step runs on n mod m only, so float error does not
+    grow with n.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     sizes = group.class_sizes
     row = table.character_for_node(node)
-    total = 0j
-    for c in range(len(sizes)):
-        total += sizes[c] * _char_from_trace(table._traces[c], n) * row[c].conjugate()
-    val = total / group.order
+    what = f"{group.dtype} multiplicity at n={n}, node={node}"
+    central = 0
+    rest = 0j
+    for c, rep in enumerate(group.representatives()):
+        if rep in (0, group.minus_identity):
+            sign = -1 if rep == group.minus_identity and n % 2 else 1
+            central += sign * (n + 1) * _round_int(row[c].real, f"{what}: central value")
+        else:
+            chi = _char_from_trace(table._traces[c], n % group.class_orders[c])
+            rest += sizes[c] * chi * row[c].conjugate()
+    whole, part = divmod(central, group.order)
+    val = (part + rest) / group.order
     if abs(val.imag) >= CHAR_EPS:
         raise ConsistencyError(f"{group.dtype}: complex multiplicity at n={n}, node={node}")
-    m = _round_int(val.real, f"{group.dtype} multiplicity at n={n}, node={node}")
+    m = whole + _round_int(val.real, what)
     if m < 0:
         raise ConsistencyError(f"{group.dtype}: negative multiplicity at n={n}, node={node}")
     return m

@@ -11,11 +11,23 @@ read off the roots that pair strictly positively with the highest root
 (the Heisenberg subsystem): each such root phi contributes t^(n(phi))
 to the node of its Coxeter orbit.  The affine node has z_0 = 1 + t^h,
 the classical invariant-series numerator.
+
+A single multiplicity is read from a closed form.  The coefficient of
+t^N in 1 / ((1 - t^a)(1 - t^b)) is count(N), the number of pairs
+(i, j) >= 0 with a*i + b*j = N (:func:`~.seriescalc.pair_counter`), so
+the coefficient of t^n in m(t)_i is
+
+    sum of z_e * count(n - e) over the nonzero terms z_e t^e of z(t)_i,
+
+a few terms per node whatever n is.  The dense series
+(:func:`branching_series`) serves whole ranges of levels.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coxeter import (
     Bipartition,
@@ -33,8 +45,10 @@ from .seriescalc import (
     coefficient,
     degree,
     eval_at_one,
+    pair_counter,
     poly,
     series_div_geom,
+    sparse_items,
 )
 
 
@@ -187,12 +201,11 @@ def branching_series(params: BranchParams, z: Poly, order: int) -> tuple[int, ..
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Branching:
     """Everything derived from one diagram type, bundled.
 
-    Build once with :meth:`build`; multiplicity queries grow the cached
-    series on demand.
+    Build once with :meth:`build`; nothing changes after construction.
     """
 
     rs: RootSystem
@@ -202,7 +215,6 @@ class Branching:
     params: BranchParams
     heisenberg: HeisenbergSubsystem
     zpolys: dict[int, Poly]
-    _series: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, dtype: DiagramType | str) -> "Branching":
@@ -254,18 +266,33 @@ class Branching:
         return node
 
     def series(self, node: int, order: int) -> tuple[int, ...]:
-        cached = self._series.get(node)
-        if cached is None or len(cached) <= order:
-            cached = branching_series(self.params, self.zpolys[node], max(order, 200))
-            self._series[node] = cached
-        return cached[: order + 1]
+        """Multiplicities of the node at levels 0..order (dense expansion)."""
+        return branching_series(self.params, self.zpolys[node], order)
+
+    @cached_property
+    def _count(self) -> Callable[[int], int]:
+        return pair_counter(self.params.a, self.params.b)
+
+    @cached_property
+    def _terms(self) -> dict[int, list[tuple[int, int]]]:
+        return {i: sparse_items(z) for i, z in self.zpolys.items()}
 
     def multiplicity(self, n: int, node: int) -> int:
-        """Coefficient of t^n in m(t) for the given extended node."""
+        """Coefficient of t^n in m(t) for the given extended node.
+
+        Closed form, exact for any n >= 0: the sum of z_e * count(n - e)
+        over the nonzero numerator terms.
+        """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return self.series(node, n)[n]
+        count = self._count
+        return sum(c * count(n - e) for e, c in self._terms[node])
 
     def vector(self, n: int) -> tuple[int, ...]:
         """Multiplicities at level n across all extended nodes (0..rank)."""
-        return tuple(self.multiplicity(n, i) for i in range(self.rs.rank + 1))
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        count = self._count
+        return tuple(
+            sum(c * count(n - e) for e, c in self._terms[i]) for i in range(self.rs.rank + 1)
+        )

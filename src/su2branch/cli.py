@@ -27,8 +27,11 @@ def _envelope(dtype: DiagramType, **fields) -> dict:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -78,6 +81,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.order < 0:
+        raise ValueError("--order must be nonnegative")
     types = (str(DiagramType.parse(args.type)),) if args.type else verify.ACCEPTED_TYPES
     checks = verify.run_all(types, series_order=args.order)
     if args.json:

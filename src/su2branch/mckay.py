@@ -76,13 +76,13 @@ def recursion_oracle(graph: McKayGraph, order: int) -> list[MultiplicityVector]:
     if order < 0:
         raise ValueError("order must be nonnegative")
     size = graph.size
-    adj = graph.adjacency
     marks = graph.marks_ext
+    nbrs = [tuple((j, c) for j, c in enumerate(row) if c) for row in graph.adjacency]
 
     def check(v: MultiplicityVector, n: int) -> MultiplicityVector:
-        if any(c < 0 for c in v):
+        if min(v) < 0:
             raise ConsistencyError(f"{graph.dtype}: negative multiplicity at level {n}: {v}")
-        total = sum(marks[i] * v[i] for i in range(size))
+        total = sum(m * c for m, c in zip(marks, v))
         if total != n + 1:
             raise ConsistencyError(
                 f"{graph.dtype}: dimension sum {total} != {n + 1} at level {n}"
@@ -93,11 +93,11 @@ def recursion_oracle(graph: McKayGraph, order: int) -> list[MultiplicityVector]:
     if order == 0:
         return out
     prev = out[0]
-    cur = check(tuple(adj[0]), 1)
+    cur = check(graph.adjacency[0], 1)
     out.append(cur)
     for n in range(1, order):
         nxt = tuple(
-            sum(adj[i][j] * cur[j] for j in range(size)) - prev[i] for i in range(size)
+            sum(c * cur[j] for j, c in row) - p for row, p in zip(nbrs, prev)
         )
         prev, cur = cur, check(nxt, n + 1)
         out.append(cur)

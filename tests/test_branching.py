@@ -2,10 +2,15 @@
 
 import pytest
 
+from su2branch.binarygroups import oracle_multiplicity
 from su2branch.branching import special_z_closed_form
+from su2branch.mckay import recursion_oracle
 from su2branch.seriescalc import eval_at_one, sparse_items
+from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle
+from conftest import bundle, graph_for, group_for, table_for
+
+HUGE_LEVELS = (10**6, 10**18 + 1)
 
 
 @pytest.mark.parametrize(
@@ -132,6 +137,49 @@ def test_dimension_sum_rule(name):
     for n in range(50):
         vec = b.vector(n)
         assert sum(m * v for m, v in zip(marks, vec)) == n + 1
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_closed_form_matches_series_and_recursion(name):
+    b = bundle(name)
+    order = 2000
+    rec = recursion_oracle(graph_for(name), order)
+    for i in range(b.rs.rank + 1):
+        series = b.series(i, order)
+        for n in range(order + 1):
+            assert b.multiplicity(n, i) == series[n] == rec[n][i], (n, i)
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_huge_levels_sum_rule_and_parity(name):
+    b = bundle(name)
+    marks = (1,) + b.rs.marks
+    for n in HUGE_LEVELS:
+        vec = b.vector(n)
+        assert sum(m * v for m, v in zip(marks, vec)) == n + 1
+        for i, v in enumerate(vec):
+            if n % 2 != b.node_parity(i) % 2:
+                assert v == 0, (n, i)
+
+
+def test_negative_level_rejected():
+    b = bundle("E8")
+    with pytest.raises(ValueError):
+        b.multiplicity(-1, 0)
+    with pytest.raises(ValueError):
+        b.vector(-1)
+
+
+@pytest.mark.parametrize(
+    "name,n", [("A13", 5815), ("A13", 7843)] + [(t, 10**6) for t in ACCEPTED_TYPES]
+)
+def test_character_oracle_matches_closed_form(name, n):
+    # Regression: a running float Chebyshev recursion drifted past the
+    # rounding tolerance on A13 from n = 5815 on.
+    group, table = group_for(name), table_for(name)
+    size = graph_for(name).size
+    got = tuple(oracle_multiplicity(group, table, n, i) for i in range(size))
+    assert got == bundle(name).vector(n)
 
 
 def test_series_lazy_growth():

@@ -152,3 +152,25 @@ def test_bad_node_exits_2(capsys):
     code, _, err = run(capsys, "series", "--type", "A3", "--node", "17")
     assert code == 2
     assert "usage error" in err
+
+
+def test_series_negative_order_exits_2(capsys):
+    code, out, err = run(capsys, "series", "--type", "A3", "--node", "0", "--order", "-3")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_verify_negative_order_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--type", "A3", "--order", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1
+
+
+def test_out_to_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "marks.json"
+    code, out, err = run(capsys, "mckay", "--type", "A3", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1

@@ -9,6 +9,7 @@ from su2branch.seriescalc import (
     degree,
     eval_at_one,
     monomial,
+    pair_counter,
     poly,
     poly_add,
     poly_mul,
@@ -70,6 +71,16 @@ def test_series_rejects_bad_args():
         series_div_geom((1,), 0, 2, 5)
     with pytest.raises(ValueError):
         series_div_geom((1,), 2, 2, -1)
+    with pytest.raises(ValueError):
+        pair_counter(0, 2)
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 7), (2, 2), (3, 5), (4, 10), (6, 8), (12, 20)])
+def test_pair_counter_matches_dense_series(a, b):
+    count = pair_counter(a, b)
+    series = series_div_geom((1,), a, b, 300)
+    assert [count(n) for n in range(301)] == list(series)
+    assert count(-1) == count(-a) == 0
 
 
 def _roundtrip(z, a, b, order):
