@@ -286,25 +286,44 @@ def _round_int(value: float, what: str) -> int:
     return int(out)
 
 
+def _chebyshev_period(trace: float, m: int) -> list[float]:
+    """chi_0 .. chi_(m-1) at an element of order m with this trace.
+
+    Its eigenvalues are zeta^(+-1) with zeta^m = 1, so chi_(n+m) = chi_n
+    and chi_n is entry n mod m; the float error is that of < m steps.
+    """
+    return [_char_from_trace(trace, k) for k in range(m)]
+
+
 def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
     """Invariant dimensions by direct group averaging of SU(2) traces.
 
     Independent of the character table: sums chi_n over every element
-    and divides by the order, rounding within tolerance.
+    and divides by the order, rounding within tolerance.  The two
+    central elements add the integer (n + 1) (1 + (-1)^n).  Every other
+    element adds chi_(n mod m) (:func:`_chebyshev_period`), so their sum
+    depends on n only modulo the exponent of the group and is formed
+    once per residue; any order is safe.
     """
-    traces = [e.trace for e in group.elements]
-    prev = [1.0] * group.order
-    cur = list(traces)
+    periods = [
+        _chebyshev_period(e.trace, group.class_orders[group.class_of[i]])
+        for i, e in enumerate(group.elements)
+        if i not in (0, group.minus_identity)
+    ]
+    rest = [
+        sum([p[r % len(p)] for p in periods])
+        for r in range(min(math.lcm(*group.class_orders), order + 1))
+    ]
     out = []
     for n in range(order + 1):
-        vals = prev if n == 0 else cur
-        avg = sum(vals) / group.order
-        m = _round_int(avg, f"{group.dtype} invariant dimension at n={n}")
+        whole, part = divmod(0 if n % 2 else 2 * (n + 1), group.order)
+        m = whole + _round_int(
+            (part + rest[n % len(rest)]) / group.order,
+            f"{group.dtype} invariant dimension at n={n}",
+        )
         if m < 0:
             raise ConsistencyError(f"{group.dtype}: negative invariant dimension at n={n}")
         out.append(m)
-        if n >= 1:
-            prev, cur = cur, [traces[i] * cur[i] - prev[i] for i in range(group.order)]
     return tuple(out)
 
 
@@ -501,39 +520,75 @@ def _match_nodes(
     return tuple(assign[node] for node in range(size))
 
 
+def _noncentral_classes(group: FiniteGroup) -> list[int]:
+    """Every class but those of +identity (class 0) and -identity."""
+    minus = group.class_of[group.minus_identity]
+    return [c for c in range(len(group.classes)) if c not in (0, minus)]
+
+
+def _central_values(group: FiniteGroup, table: CharacterTable, node: int) -> tuple[int, int]:
+    """The node's character at +identity and -identity: +dim and +-dim."""
+    row = table.character_for_node(node)
+    what = f"{group.dtype} central value at node={node}"
+    minus = group.class_of[group.minus_identity]
+    return _round_int(row[0].real, what), _round_int(row[minus].real, what)
+
+
+def _noncentral_sum(
+    group: FiniteGroup, table: CharacterTable, node: int, chis: list[float]
+) -> complex:
+    """Sum of |c| chi_n(c) conj(chi_node(c)) over the non-central classes,
+    given chi_n on them in :func:`_noncentral_classes` order."""
+    row = table.character_for_node(node)
+    sizes = group.class_sizes
+    return sum(
+        [sizes[c] * x * row[c].conjugate() for c, x in zip(_noncentral_classes(group), chis)]
+    )
+
+
+def _round_multiplicity(
+    group: FiniteGroup, n: int, node: int, central: tuple[int, int], rest: complex
+) -> int:
+    """<chi_n, chi_node> from the central values and the non-central sum.
+
+    At +-identity chi_n is the integer (+-1)^n (n + 1), so that part is
+    exact and only its remainder mod |F*| meets the floats; the total
+    rounds within tolerance or aborts.
+    """
+    plus, minus = central
+    order = group.order
+    whole, part = divmod((n + 1) * (plus - minus if n % 2 else plus + minus), order)
+    val = (part + rest) / order
+    m = round(val.real)
+    if abs(val.real - m) >= CHAR_EPS or abs(val.imag) >= CHAR_EPS:
+        raise ConsistencyError(
+            f"{group.dtype} multiplicity at n={n}, node={node}: {val!r} is not within "
+            f"{CHAR_EPS} of an integer"
+        )
+    m += whole
+    if m < 0:
+        raise ConsistencyError(f"{group.dtype}: negative multiplicity at n={n}, node={node}")
+    return m
+
+
 def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node: int) -> int:
     """Multiplicity of the node's irreducible in the level-n restriction,
     by the character inner product; rounds within tolerance or aborts.
 
-    Safe for any n: at +-identity chi_n is the integer (+-1)^n (n + 1),
-    and there the irreducible takes the integer value +-dim, so that
-    part of the sum is exact.  Any other element of order m has
+    Safe for any n: the +-identity classes are exact integers
+    (:func:`_round_multiplicity`), and any other element of order m has
     eigenvalues zeta^(+-1) with zeta^m = 1, hence chi_(n+m) = chi_n, and
     the Chebyshev step runs on n mod m only, so float error does not
     grow with n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    sizes = group.class_sizes
-    row = table.character_for_node(node)
-    what = f"{group.dtype} multiplicity at n={n}, node={node}"
-    central = 0
-    rest = 0j
-    for c, rep in enumerate(group.representatives()):
-        if rep in (0, group.minus_identity):
-            sign = -1 if rep == group.minus_identity and n % 2 else 1
-            central += sign * (n + 1) * _round_int(row[c].real, f"{what}: central value")
-        else:
-            chi = _char_from_trace(table._traces[c], n % group.class_orders[c])
-            rest += sizes[c] * chi * row[c].conjugate()
-    whole, part = divmod(central, group.order)
-    val = (part + rest) / group.order
-    if abs(val.imag) >= CHAR_EPS:
-        raise ConsistencyError(f"{group.dtype}: complex multiplicity at n={n}, node={node}")
-    m = whole + _round_int(val.real, what)
-    if m < 0:
-        raise ConsistencyError(f"{group.dtype}: negative multiplicity at n={n}, node={node}")
-    return m
+    chis = [
+        _char_from_trace(table._traces[c], n % group.class_orders[c])
+        for c in _noncentral_classes(group)
+    ]
+    rest = _noncentral_sum(group, table, node, chis)
+    return _round_multiplicity(group, n, node, _central_values(group, table, node), rest)
 
 
 def character_multiplicities(
@@ -541,37 +596,25 @@ def character_multiplicities(
 ) -> list[tuple[int, ...]]:
     """Multiplicity vectors over extended nodes for n = 0..order.
 
-    Same inner product as :func:`oracle_multiplicity`, evaluated with a
-    single running recursion over the class traces.
+    Same inner product as :func:`oracle_multiplicity`.  Its non-central
+    sum depends on n only modulo the exponent of the group, so it is
+    formed once per residue from one period of chi_n per class
+    (:func:`_chebyshev_period`); any order is safe.
     """
-    sizes = group.class_sizes
-    r = len(sizes)
-    traces = table._traces
-    num_nodes = len(table.node_map)
-    weights = [
-        [sizes[c] * table.character_for_node(node)[c].conjugate() for c in range(r)]
-        for node in range(num_nodes)
+    periods = [
+        _chebyshev_period(table._traces[c], group.class_orders[c])
+        for c in _noncentral_classes(group)
     ]
-    prev = [1.0] * r
-    cur = list(traces)
-    out = []
-    for n in range(order + 1):
-        vals = prev if n == 0 else cur
-        vec = []
-        for node in range(num_nodes):
-            total = sum(vals[c] * weights[node][c] for c in range(r))
-            total /= group.order
-            if abs(total.imag) >= CHAR_EPS:
-                raise ConsistencyError(
-                    f"{group.dtype}: complex multiplicity at n={n}, node={node}"
-                )
-            m = _round_int(total.real, f"{group.dtype} multiplicity at n={n}, node={node}")
-            if m < 0:
-                raise ConsistencyError(
-                    f"{group.dtype}: negative multiplicity at n={n}, node={node}"
-                )
-            vec.append(m)
-        out.append(tuple(vec))
-        if n >= 1:
-            prev, cur = cur, [traces[c] * cur[c] - prev[c] for c in range(r)]
-    return out
+    nodes = range(len(table.node_map))
+    central = [_central_values(group, table, node) for node in nodes]
+    rest = [
+        [_noncentral_sum(group, table, node, [p[r % len(p)] for p in periods]) for node in nodes]
+        for r in range(min(math.lcm(*group.class_orders), order + 1))
+    ]
+    return [
+        tuple(
+            _round_multiplicity(group, n, node, central[node], rest[n % len(rest)][node])
+            for node in nodes
+        )
+        for n in range(order + 1)
+    ]

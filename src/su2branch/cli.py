@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import binarygroups, mckay, verify
@@ -96,10 +97,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_branch(args: argparse.Namespace) -> int:
-    bundle = Branching.build(args.type)
     n = args.n
     if n < 0:
         raise ValueError("--n must be nonnegative")
+    bundle = Branching.build(args.type)
     size = bundle.rs.rank + 1
     if args.oracle == "coxeter":
         vec = bundle.vector(n)
@@ -333,6 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
         return args.fn(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

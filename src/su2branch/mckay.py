@@ -7,10 +7,17 @@ matrix A.  Since the SU(2) irreducibles obey pi_n (x) pi_1 = pi_(n+1)
 (+) pi_(n-1), the restriction multiplicities satisfy the integer
 recursion v_(n+1) = A v_n - v_(n-1) from v_0 = e_0.  This gives a
 branching oracle that never touches the Coxeter element.
+
+The eigenvalues of A are 2 cos(2 pi k / m) for the element orders m,
+so v_n is a degree-1 quasi-polynomial in n.  :func:`recursion_oracle`
+runs the recursion only until it certifies a period P in exact
+integers (P <= 60 for every accepted type) and returns a read-only
+sequence view whose level n costs O(size) for any n.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
@@ -65,40 +72,100 @@ def extended_graph(rs: RootSystem) -> McKayGraph:
     )
 
 
-def recursion_oracle(graph: McKayGraph, order: int) -> list[MultiplicityVector]:
+class RecursionLevels(Sequence):
+    """Read-only view of the levels v_0 .. v_order of the tensor recursion.
+
+    Behaves like ``range``: ``len`` is order + 1, negative indices and
+    slices work, an index past ``order`` raises ``IndexError``, and it
+    compares equal, element by element, to any sequence of the same
+    vectors.  Level n is extrapolated from a certified period P:
+
+        v_(r+kP) = v_r + k * (v_(r+P) - v_r)    for 0 <= r < P,
+
+    so it costs O(size) for any n.  Every level returned is checked for
+    negative entries and for the dimension sum n + 1.
+    """
+
+    def __init__(self, graph: McKayGraph, order: int, block: list[MultiplicityVector]) -> None:
+        self.graph = graph
+        self.order = order
+        self.period = len(block) // 2
+        self._base = block[: self.period]
+        self._step = [
+            tuple(b - a for a, b in zip(block[r], block[r + self.period]))
+            for r in range(self.period)
+        ]
+
+    def __len__(self) -> int:
+        return self.order + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[n] for n in range(self.order + 1)[index]]
+        n = range(self.order + 1)[index]
+        k, r = divmod(n, self.period)
+        v = tuple(a + k * d for a, d in zip(self._base[r], self._step[r]))
+        return _check_level(self.graph, v, n)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self.order + 1 == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _check_level(graph: McKayGraph, v: MultiplicityVector, n: int) -> MultiplicityVector:
+    """A negative entry or a dimension sum (sum of marks_ext[i] * v[i])
+    other than n + 1 means the graph is not the McKay graph of anything."""
+    if min(v) < 0:
+        raise ConsistencyError(f"{graph.dtype}: negative multiplicity at level {n}: {v}")
+    total = sum([m * c for m, c in zip(graph.marks_ext, v)])
+    if total != n + 1:
+        raise ConsistencyError(f"{graph.dtype}: dimension sum {total} != {n + 1} at level {n}")
+    return v
+
+
+def recursion_oracle(graph: McKayGraph, order: int) -> RecursionLevels:
     """Multiplicity vectors v_0 .. v_order from the tensor recursion.
 
-    v_0 is the unit vector at the affine node, v_1 = A v_0, and
-    v_(n+1) = A v_n - v_(n-1).  A negative entry or a broken dimension
-    sum (sum of marks_ext[i] * v_n[i] must be n + 1) aborts: both would
-    mean the graph is not the McKay graph of anything.
+    v_0 is the unit vector at the affine node and v_(n+1) = A v_n -
+    v_(n-1) with v_(-1) = 0.  The recursion runs only until it certifies
+    a period: the first P with w_0 = w_1 = 0, where
+    w_n = v_(n+2P) - 2 v_(n+P) + v_n.  Proof that v_(n+P) - v_n then has
+    period P:
+
+    1. w is a sum of shifts of v, so it obeys the same recursion as v.
+    2. A second-order recursion that starts from w_0 = w_1 = 0 stays 0.
+    3. w_n = 0 says (v_(n+2P) - v_(n+P)) = (v_(n+P) - v_n) for every n.
+
+    Hence v_(r+kP) = v_r + k (v_(r+P) - v_r) exactly, and the returned
+    :class:`RecursionLevels` keeps only v_0 .. v_(2P-1).  Building it
+    costs O(P * edges); each level then costs O(size).
+
+    For the McKay graph of F*, chi_n is periodic in n with period the
+    element order at every class but +-identity, where it is (+-1)^n
+    (n + 1), so P = exponent of F* passes.  It divides |F*|, which is at
+    most 4 * size^2 (|F*| = size, 4 (size - 3), 24, 48, 120 for types
+    A, D, E6, E7, E8).  A graph that certifies no period up to that
+    bound is not a McKay graph and aborts, as does any computed level
+    with a negative entry or a wrong dimension sum.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     size = graph.size
-    marks = graph.marks_ext
+    cap = 4 * size * size
     nbrs = [tuple((j, c) for j, c in enumerate(row) if c) for row in graph.adjacency]
-
-    def check(v: MultiplicityVector, n: int) -> MultiplicityVector:
-        if min(v) < 0:
-            raise ConsistencyError(f"{graph.dtype}: negative multiplicity at level {n}: {v}")
-        total = sum(m * c for m, c in zip(marks, v))
-        if total != n + 1:
-            raise ConsistencyError(
-                f"{graph.dtype}: dimension sum {total} != {n + 1} at level {n}"
-            )
-        return v
-
-    out = [check(tuple(int(i == 0) for i in range(size)), 0)]
-    if order == 0:
-        return out
-    prev = out[0]
-    cur = check(graph.adjacency[0], 1)
-    out.append(cur)
-    for n in range(1, order):
-        nxt = tuple(
-            sum(c * cur[j] for j, c in row) - p for row, p in zip(nbrs, prev)
-        )
-        prev, cur = cur, check(nxt, n + 1)
-        out.append(cur)
-    return out
+    levels = [_check_level(graph, tuple(int(i == 0) for i in range(size)), 0)]
+    prev = (0,) * size
+    for period in range(1, cap + 1):
+        while len(levels) < 2 * period + 2:
+            cur = levels[-1]
+            nxt = tuple([sum([c * cur[j] for j, c in row]) - p for row, p in zip(nbrs, prev)])
+            prev = cur
+            levels.append(_check_level(graph, nxt, len(levels)))
+        if all(
+            levels[n + 2 * period][i] - 2 * levels[n + period][i] + levels[n][i] == 0
+            for n in (0, 1)
+            for i in range(size)
+        ):
+            return RecursionLevels(graph, order, levels[: 2 * period])
+    raise ConsistencyError(f"{graph.dtype}: tensor recursion has no period up to {cap}")

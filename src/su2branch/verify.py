@@ -5,8 +5,8 @@ root counts, the bipartition, orbit sizes and exponent bijections, the
 longest-element behavior of sigma^g, the Heisenberg cardinalities, the
 numerator coefficient bounds and the special-node closed form, the E8
 golden numerators, the parameter table, and the three-way multiplicity
-agreement (orbit series vs. tensor recursion vs. character theory, plus
-the plain Molien average for the affine node).
+agreement (orbit series vs. tensor recursion vs. character theory, dense
+and at n = 10^18 + 1, plus the plain Molien average for the affine node).
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ GOLDEN_E8_Z: dict[tuple[int, int], dict[int, int]] = {
     (2, 6): {7: 1, 13: 1, 17: 1, 23: 1},
     (3, 5): {6: 1, 10: 1, 14: 1, 16: 1, 20: 1, 24: 1},
 }
+
+
+#: The level at which the three oracles are compared beyond the dense sweep.
+HUGE_LEVEL = 10**18 + 1
 
 
 @dataclass(frozen=True)
@@ -414,7 +418,7 @@ def run_type_checks(
     record("character table", check_character_table)
 
     def check_triple_oracle() -> tuple[bool, str]:
-        rec = mckay.recursion_oracle(graph, series_order)
+        rec = list(mckay.recursion_oracle(graph, series_order))
         series = [bundle.series(i, series_order) for i in range(graph.size)]
         for n in range(series_order + 1):
             for i in range(graph.size):
@@ -437,6 +441,19 @@ def run_type_checks(
         )
 
     record("triple oracle", check_triple_oracle)
+
+    def check_huge_level() -> tuple[bool, str]:
+        n = HUGE_LEVEL
+        cox = bundle.vector(n)
+        rec = mckay.recursion_oracle(graph, n)[n]
+        chars = tuple(
+            binarygroups.oracle_multiplicity(group, table, n, i) for i in range(graph.size)
+        )
+        if not cox == rec == chars:
+            return False, f"coxeter {cox}, recursion {rec}, characters {chars} at n={n}"
+        return True, f"coxeter == recursion == characters at n={n}"
+
+    record("huge-level triple oracle", check_huge_level)
 
     def check_molien() -> tuple[bool, str]:
         avg = binarygroups.molien_series(group, char_order)

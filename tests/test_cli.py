@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from su2branch import verify
+from su2branch.branching import Branching
 from su2branch.cli import main
 
 
@@ -174,3 +176,43 @@ def test_out_to_missing_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error") and err.count("\n") == 1
+
+
+def _forbid_work(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(Branching, "build", boom)
+    monkeypatch.setattr(verify, "run_all", boom)
+
+
+def test_branch_negative_n_exits_2_before_build(monkeypatch, capsys):
+    _forbid_work(monkeypatch)
+    code, out, err = run(capsys, "branch", "--type", "E8", "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --n must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table"],
+        ["verify"],
+        ["branch", "--type", "E8", "--n", "5"],
+        ["zpoly", "--type", "E8", "--all"],
+        ["series", "--type", "A3", "--node", "0"],
+        ["orbits", "--type", "A3"],
+        ["mckay", "--type", "A3"],
+        ["group", "--type", "E6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_to_missing_directory_exits_2_before_work(tmp_path, monkeypatch, capsys, argv):
+    _forbid_work(monkeypatch)
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and err.count("\n") == 1
+    assert not path.parent.exists()
