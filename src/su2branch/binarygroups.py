@@ -29,13 +29,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .branching import BranchParams, branch_params
 from .errors import ConsistencyError
 from .mckay import McKayGraph
-from .rootsys import DiagramType, build_root_system
+from .rootsys import DiagramType
+
+if TYPE_CHECKING:
+    from .branching import BranchParams
 
 #: Decimal places used to deduplicate quaternion coordinates.
 DEDUP_DECIMALS = 9
@@ -159,7 +162,7 @@ class FiniteGroup:
         return tuple(out)
 
 
-def build_group(dtype: DiagramType | str, params: BranchParams | None = None) -> FiniteGroup:
+def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     """Close the generators and compute tables and conjugacy classes.
 
     The expected order comes from the denominator exponents (a*b/2);
@@ -169,8 +172,6 @@ def build_group(dtype: DiagramType | str, params: BranchParams | None = None) ->
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
-    if params is None:
-        params = branch_params(build_root_system(dtype))
     expected = params.order_fstar
 
     gens = generators(dtype)
@@ -259,16 +260,10 @@ def conjugacy_classes(
     return tuple(classes), tuple(class_of_list)
 
 
-def su2_character(g: GroupElement, n: int) -> float:
-    """Trace of the (n+1)-dimensional SU(2) representation at ``g``.
-
-    chi_0 = 1, chi_1 = trace, chi_(k+1) = trace * chi_k - chi_(k-1);
-    a polynomial in the trace, so exact at +-identity.
-    """
-    return _char_from_trace(g.trace, n)
-
-
 def _char_from_trace(trace: float, n: int) -> float:
+    """Trace of the (n+1)-dimensional SU(2) representation at an element
+    with this trace: chi_0 = 1, chi_1 = trace, chi_(k+1) = trace * chi_k
+    - chi_(k-1); a polynomial in the trace, so exact at +-identity."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     prev, cur = 1.0, trace

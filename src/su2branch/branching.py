@@ -20,7 +20,7 @@ the coefficient of t^n in m(t)_i is
     sum of z_e * count(n - e) over the nonzero terms z_e t^e of z(t)_i,
 
 a few terms per node whatever n is.  The dense series
-(:func:`branching_series`) serves whole ranges of levels.
+(:meth:`Branching.series`) serves whole ranges of levels.
 """
 
 from __future__ import annotations
@@ -38,18 +38,9 @@ from .coxeter import (
     orbit_table,
     special_index,
 )
-from .errors import ConsistencyError
+from .invariants import enforce
 from .rootsys import DiagramType, Root, RootSystem, build_root_system
-from .seriescalc import (
-    Poly,
-    coefficient,
-    degree,
-    eval_at_one,
-    pair_counter,
-    poly,
-    series_div_geom,
-    sparse_items,
-)
+from .seriescalc import Poly, pair_counter, poly, series_div_geom, sparse_items
 
 
 @dataclass(frozen=True)
@@ -75,11 +66,7 @@ def branch_params(rs: RootSystem) -> BranchParams:
     h = rs.coxeter_number
     a = 2 * rs.mark(i_star)
     b = h + 2 - a
-    if a > b or a % 2 or b % 2:
-        raise ConsistencyError(f"{rs.dtype}: bad denominator exponents a={a}, b={b}")
     ab = a * b
-    if ab % 4:
-        raise ConsistencyError(f"{rs.dtype}: a*b = {ab} is not divisible by 4")
     return BranchParams(
         a=a, b=b, h=h, g=h // 2, special=i_star, order_f=ab // 4, order_fstar=ab // 2
     )
@@ -98,33 +85,14 @@ class HeisenbergSubsystem:
 
 
 def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsystem:
-    psi = rs.highest_root
-    members = [r for r in rs.positive_roots if rs.inner(psi, r) > 0]
-    h = rs.coxeter_number
-    if len(members) != 2 * h - 3:
-        raise ConsistencyError(
-            f"{rs.dtype}: Heisenberg subsystem has {len(members)} roots, expected {2 * h - 3}"
-        )
+    pairs = [rs.pair_with_simple(rs.highest_root, i) for i in rs.nodes]
+    members = [r for r in rs.positive_roots if sum([p * x for p, x in zip(pairs, r)]) > 0]
     slices: dict[int, list[Root]] = {i: [] for i in rs.nodes}
     for r in members:
         slices[table.orbit_node[rs.index_of(r)]].append(r)
     return HeisenbergSubsystem(
         roots=tuple(members), slices={i: tuple(v) for i, v in slices.items()}
     )
-
-
-def special_z_closed_form(params: BranchParams) -> Poly:
-    """The special-node numerator in closed form.
-
-    t^(g-a+2) + t^(g-a+4) + ... + t^(g-2) + 2 t^g + t^(g+2) + ... + t^(g+a-2);
-    for a = 2 this collapses to the single middle term 2 t^g.
-    """
-    g, a = params.g, params.a
-    coeffs = [0] * (g + a - 1)
-    for e in range(g - a + 2, g + a - 1, 2):
-        coeffs[e] = 1
-    coeffs[g] = 2
-    return poly(coeffs)
 
 
 def z_polynomial(
@@ -137,68 +105,21 @@ def z_polynomial(
     """Numerator polynomial for one extended-diagram node.
 
     Node 0 gets 1 + t^h.  A non-special node i collects t^(n(phi)) over
-    its Heisenberg slice; all coefficients are 0/1 and sum to twice the
-    node's mark.  The special node gets 2 t^g plus the non-highest-root
-    terms of its slice, and must agree with the closed form, which is
-    checked here along with every coefficient bound.
+    its Heisenberg slice.  The special node gets 2 t^g plus the
+    non-highest-root terms of its slice; its closed form and every
+    coefficient bound are registry entries (:mod:`.invariants`).
     """
     h = rs.coxeter_number
     if node == 0:
         return poly([1] + [0] * (h - 1) + [1])
     rs._check_node(node)
-
-    exps = [table.exponent[rs.index_of(r)] for r in hs.slices[node]]
-    if node != params.special:
-        coeffs = [0] * h
-        for e in exps:
-            coeffs[e] += 1
-        z = poly(coeffs)
-        if any(c not in (0, 1) for c in z):
-            raise ConsistencyError(f"{rs.dtype}: node {node} numerator has a coefficient > 1")
-        if eval_at_one(z) != 2 * rs.mark(node):
-            raise ConsistencyError(
-                f"{rs.dtype}: node {node} numerator sums to {eval_at_one(z)}, "
-                f"expected {2 * rs.mark(node)}"
-            )
-    else:
-        psi_exp = table.exponent[rs.index_of(rs.highest_root)]
-        if psi_exp != params.g:
-            raise ConsistencyError(
-                f"{rs.dtype}: highest root has exponent {psi_exp}, expected g = {params.g}"
-            )
-        coeffs = [0] * h
-        coeffs[params.g] = 2
-        for r in hs.slices[node]:
-            if r == rs.highest_root:
-                continue
+    coeffs = [0] * (h + 1)
+    for r in hs.slices[node]:
+        if node != params.special or r != rs.highest_root:
             coeffs[table.exponent[rs.index_of(r)]] += 1
-        z = poly(coeffs)
-        if coefficient(z, params.g) != 2 or any(
-            c not in (0, 1) for e, c in enumerate(z) if e != params.g
-        ):
-            raise ConsistencyError(f"{rs.dtype}: special-node coefficient bounds violated")
-        if eval_at_one(z) != params.a:
-            raise ConsistencyError(
-                f"{rs.dtype}: special numerator sums to {eval_at_one(z)}, expected a = {params.a}"
-            )
-        if z != special_z_closed_form(params):
-            raise ConsistencyError(
-                f"{rs.dtype}: special numerator disagrees with its closed form"
-            )
-    if degree(z) >= h:
-        raise ConsistencyError(f"{rs.dtype}: node {node} numerator has degree >= h")
-    side = table.parity[rs.index_of(hs.slices[node][0])]
-    if any(c and e % 2 != side % 2 for e, c in enumerate(z)):
-        raise ConsistencyError(f"{rs.dtype}: node {node} numerator breaks exponent parity")
-    return z
-
-
-def branching_series(params: BranchParams, z: Poly, order: int) -> tuple[int, ...]:
-    """Multiplicity series z / ((1-t^a)(1-t^b)) up to ``order``."""
-    out = series_div_geom(z, params.a, params.b, order)
-    if any(c < 0 for c in out):
-        raise ConsistencyError("branching series produced a negative coefficient")
-    return out
+    if node == params.special:
+        coeffs[params.g] += 2
+    return poly(coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +127,9 @@ class Branching:
     """Everything derived from one diagram type, bundled.
 
     Build once with :meth:`build`; nothing changes after construction.
+    Constructing one runs the registry's enforced entries
+    (:func:`~.invariants.enforce`) and raises ``ConsistencyError`` at
+    the first that fails.
     """
 
     rs: RootSystem
@@ -215,6 +139,9 @@ class Branching:
     params: BranchParams
     heisenberg: HeisenbergSubsystem
     zpolys: dict[int, Poly]
+
+    def __post_init__(self) -> None:
+        enforce(self)
 
     @classmethod
     def build(cls, dtype: DiagramType | str) -> "Branching":
@@ -266,8 +193,9 @@ class Branching:
         return node
 
     def series(self, node: int, order: int) -> tuple[int, ...]:
-        """Multiplicities of the node at levels 0..order (dense expansion)."""
-        return branching_series(self.params, self.zpolys[node], order)
+        """Multiplicities of the node at levels 0..order (dense expansion);
+        nonnegative, as the enforced numerators are."""
+        return series_div_geom(self.zpolys[node], self.params.a, self.params.b, order)
 
     @cached_property
     def _count(self) -> Callable[[int], int]:

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import binarygroups, mckay, verify
+from . import binarygroups, invariants, mckay, verify
 from .branching import Branching
 from .errors import ConsistencyError
 from .rootsys import NODE_CONVENTION, DiagramType
@@ -48,7 +48,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         dtype = DiagramType.parse(name)
         bundle = Branching.build(dtype)
         p = bundle.params
-        want = verify.expected_params(dtype)
+        want = invariants.expected_params(dtype)
         ok = (p.a, p.b, p.h, p.g) == want
         mismatch = mismatch or not ok
         rows.append(
@@ -324,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="group order, class sizes, character dims")
     add_common(p)
-    p.add_argument("--stats", action="store_true", help="accepted for compatibility")
     p.set_defaults(fn=cmd_group)
 
     return parser
@@ -336,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
+        if args.out and os.path.isdir(args.out):
+            raise ValueError(f"cannot write --out {args.out}: it is a directory")
         return args.fn(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConsistencyError
 from .rootsys import Root, RootSystem
 
 Perm = tuple[int, ...]
@@ -81,37 +80,17 @@ def bipartition(rs: RootSystem) -> Bipartition:
                     nxt.append(j)
         frontier = nxt
 
-    hot = rs.affine_attachment()
-    hot_colors = {color[i] for i in hot}
-    if len(hot_colors) != 1:
-        raise ConsistencyError(
-            f"{rs.dtype}: nodes meeting the highest root fall in both color classes"
-        )
-    c1 = hot_colors.pop()
+    c1 = color[rs.affine_attachment()[0]]
     part1 = tuple(sorted(i for i in rs.nodes if color[i] == c1))
     part2 = tuple(sorted(i for i in rs.nodes if color[i] != c1))
     return Bipartition(part1, part2)
 
 
 def special_index(rs: RootSystem) -> int:
-    """The branch node (types D, E) or the path midpoint (type A).
-
-    The returned node lands in part 2 of the bipartition exactly when
-    h/2 is even; this is asserted.
-    """
+    """The branch node (types D, E) or the path midpoint (type A)."""
     if rs.dtype.family == "A":
-        i_star = (rs.rank + 1) // 2
-    else:
-        branches = [i for i in rs.nodes if len(rs.neighbors(i)) == 3]
-        if len(branches) != 1:
-            raise ConsistencyError(f"{rs.dtype}: expected exactly one branch node")
-        i_star = branches[0]
-    g = rs.coxeter_number // 2
-    side = bipartition(rs).side(i_star)
-    if (side == 2) != (g % 2 == 0):
-        raise ConsistencyError(
-            f"{rs.dtype}: special node {i_star} sits on side {side} but g = {g}"
-        )
+        return (rs.rank + 1) // 2
+    (i_star,) = (i for i in rs.nodes if len(rs.neighbors(i)) == 3)
     return i_star
 
 
@@ -138,28 +117,12 @@ def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
 
 
 def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
-    """Build tau_1, tau_2 and sigma = tau_2 tau_1; sigma has order h."""
-    n = len(rs.roots)
+    """Build tau_1, tau_2 and sigma = tau_2 tau_1, which has order h."""
     tau1 = _class_involution(rs, bp.part1)
     tau2 = _class_involution(rs, bp.part2)
-    for name, tau in (("tau1", tau1), ("tau2", tau2)):
-        if perm_compose(tau, tau) != perm_identity(n):
-            raise ConsistencyError(f"{rs.dtype}: {name} is not an involution")
     sigma = perm_compose(tau2, tau1)
-
-    h = rs.coxeter_number
-    power = sigma
-    order = 1
-    ident = perm_identity(n)
-    while power != ident:
-        power = perm_compose(sigma, power)
-        order += 1
-        if order > h:
-            raise ConsistencyError(f"{rs.dtype}: sigma order exceeds h = {h}")
-    if order != h:
-        raise ConsistencyError(f"{rs.dtype}: sigma has order {order}, expected h = {h}")
     return CoxeterAction(
-        order=h, tau1=tau1, tau2=tau2, sigma=sigma, sigma_inv=perm_inverse(sigma)
+        order=rs.coxeter_number, tau1=tau1, tau2=tau2, sigma=sigma, sigma_inv=perm_inverse(sigma)
     )
 
 
@@ -188,79 +151,32 @@ def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTab
     sigma inverse), so position m in the walk satisfies sigma^m(root) =
     beta_i.  The exponent is n = 2m + 1 on side 1 and n = 2m on side 2;
     over the positive part of each orbit, (n-1)/2 runs bijectively over
-    {0..g-1} on side 1 and n/2 over {1..g} on side 2.  Any violation of
-    the orbit-size, uniqueness or bijection properties raises.
+    {0..g-1} on side 1 and n/2 over {1..g} on side 2 (registry entries
+    "orbit partition" and "orbit exponents").  A walk stops after h + 1
+    roots, so a wrong orbit shows as a wrong size there.
     """
-    h = rs.coxeter_number
-    g = h // 2
-    num_pos = rs.num_positive
-
+    h, num_pos = rs.coxeter_number, rs.num_positive
     betas: list[Root] = []
     for i in rs.nodes:
         alpha = rs.simple_root(i)
         betas.append(alpha if bp.side(i) == 1 else tuple(-c for c in alpha))
-    beta_indices = {rs.index_of(b) for b in betas}
 
     orbits: list[tuple[int, ...]] = []
     orbit_node: dict[int, int] = {}
     parity: dict[int, int] = {}
     exponent: dict[int, int] = {}
-    covered: set[int] = set()
-
     for i in rs.nodes:
         k = bp.side(i)
         start = rs.index_of(betas[i - 1])
-        walk: list[int] = []
-        cur = start
-        while True:
+        walk = [start]
+        while len(walk) <= h and (cur := cox.sigma_inv[walk[-1]]) != start:
             walk.append(cur)
-            cur = cox.sigma_inv[cur]
-            if cur == start:
-                break
-            if len(walk) > h:
-                raise ConsistencyError(
-                    f"{rs.dtype}: orbit of beta_{i} exceeds {h} elements"
-                )
-        if len(walk) != h:
-            raise ConsistencyError(
-                f"{rs.dtype}: orbit of beta_{i} has {len(walk)} elements, expected {h}"
-            )
-        if len(set(walk) & beta_indices) != 1:
-            raise ConsistencyError(
-                f"{rs.dtype}: orbit of beta_{i} meets the signed simple roots "
-                f"{len(set(walk) & beta_indices)} times"
-            )
-        if set(walk) & covered:
-            raise ConsistencyError(f"{rs.dtype}: orbit of beta_{i} overlaps another orbit")
-        covered.update(walk)
-
-        steps = []
         for m, idx in enumerate(walk):
             orbit_node[idx] = i
             if idx < num_pos:
-                n = 2 * m + 1 if k == 1 else 2 * m
-                if not 1 <= n <= h:
-                    raise ConsistencyError(
-                        f"{rs.dtype}: root {rs.root_at(idx)} got exponent {n} outside [1, {h}]"
-                    )
                 parity[idx] = k
-                exponent[idx] = n
-                steps.append(m)
-        if len(steps) != g:
-            raise ConsistencyError(
-                f"{rs.dtype}: orbit of beta_{i} has {len(steps)} positive roots, expected {g}"
-            )
-        expected = set(range(g)) if k == 1 else set(range(1, g + 1))
-        if set(steps) != expected:
-            raise ConsistencyError(
-                f"{rs.dtype}: exponent map on orbit of beta_{i} is not a bijection"
-            )
+                exponent[idx] = 2 * m + 1 if k == 1 else 2 * m
         orbits.append(tuple(walk))
-
-    if len(covered) != len(rs.roots):
-        raise ConsistencyError(
-            f"{rs.dtype}: orbits cover {len(covered)} of {len(rs.roots)} roots"
-        )
     return OrbitTable(
         signed_simples=tuple(betas),
         orbits=tuple(orbits),
@@ -268,83 +184,3 @@ def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTab
         parity=parity,
         exponent=exponent,
     )
-
-
-def longest_element_checks(
-    rs: RootSystem, cox: CoxeterAction, bp: Bipartition, table: OrbitTable
-) -> list[tuple[str, bool, str]]:
-    """Assertions about sigma^g acting as the longest Weyl element.
-
-    Returns (name, passed, detail) triples; callers decide how to report.
-    """
-    h = rs.coxeter_number
-    g = h // 2
-    num_pos = rs.num_positive
-    kappa = perm_power(cox.sigma, g)
-    results: list[tuple[str, bool, str]] = []
-
-    bad = [rs.root_at(x) for x in range(num_pos) if kappa[x] < num_pos]
-    results.append(
-        (
-            "sigma^g sends every positive root to a negative root",
-            not bad,
-            f"{num_pos - len(bad)}/{num_pos} positive roots negated"
-            + (f"; offenders {bad[:3]}" if bad else ""),
-        )
-    )
-
-    for kk, part in ((1, bp.part1), (2, bp.part2)):
-        want = {rs.negation(rs.index_of(rs.simple_root(i))) for i in part}
-        got = {kappa[rs.index_of(rs.simple_root(i))] for i in part}
-        results.append(
-            (
-                f"sigma^g negates color class {kk} setwise",
-                got == want,
-                f"{len(part)} simple roots checked",
-            )
-        )
-
-    i_star = special_index(rs)
-    a_star = rs.index_of(rs.simple_root(i_star))
-    ok = kappa[a_star] == rs.negation(a_star)
-    results.append(
-        (
-            "sigma^g negates the special simple root",
-            ok,
-            f"node {i_star}" + ("" if ok else f"; image {rs.root_at(kappa[a_star])}"),
-        )
-    )
-
-    psi_idx = rs.index_of(rs.highest_root)
-    beta_star_idx = rs.index_of(table.signed_simples[i_star - 1])
-    steps = (g - 1) // 2 if g % 2 == 1 else g // 2
-    reached = perm_power(cox.sigma, steps)[psi_idx]
-    results.append(
-        (
-            "highest root reaches the signed special root in (g-1)/2 or g/2 steps",
-            reached == beta_star_idx,
-            f"g = {g}, steps = {steps}"
-            + ("" if reached == beta_star_idx else f"; landed on {rs.root_at(reached)}"),
-        )
-    )
-    results.append(
-        (
-            "highest root and special root share an orbit",
-            table.orbit_node[psi_idx] == i_star,
-            f"orbit of highest root: node {table.orbit_node[psi_idx]}",
-        )
-    )
-
-    ident = perm_identity(len(rs.roots))
-    results.append(
-        (
-            "sigma^2g is the identity",
-            perm_power(kappa, 2) == ident,
-            f"2g = {2 * g}",
-        )
-    )
-    commutes = perm_compose(kappa, cox.tau1) == perm_compose(cox.tau1, kappa) and (
-        perm_compose(kappa, cox.tau2) == perm_compose(cox.tau2, kappa)
-    )
-    results.append(("sigma^g commutes with tau1 and tau2", commutes, "both factors"))
-    return results

@@ -1,0 +1,566 @@
+"""The invariant registry: every structural identity, stated once.
+
+:data:`INVARIANTS` is one ordered tuple of entries.  Each entry has the
+name verify reports it under, the build stage whose output it checks,
+and a predicate over the built objects (:class:`Built`) that returns
+``(passed, detail)``.  The registry is walked in two places:
+
+* **Construction enforces.**  Constructing a :class:`~.branching.Branching`
+  runs the ``enforced`` entries (root counts, bipartition, special node
+  side, coxeter order, orbit partition and exponents, Heisenberg
+  subsystem, numerator polynomials, branch parameters, extended graph) through :func:`enforce`, which raises
+  :class:`~.errors.ConsistencyError` with ``dtype``, ``stage`` and
+  ``invariant`` set at the first one that fails.  The stage functions in
+  ``rootsys``, ``coxeter``, ``branching`` and ``mckay.extended_graph``
+  only build.
+* **Verify reports.**  :func:`~.verify.run_type_checks` evaluates every
+  entry for the type in the same order, one PASS/FAIL line each; the
+  audit-only entries (Cartan pairing, closure reachability, reflections,
+  the sigma^g lines, golden E8, group sanity, character table and the
+  cross-oracle checks) run only there.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+from . import binarygroups, mckay
+from .coxeter import perm_compose, perm_identity, perm_power
+from .errors import ConsistencyError
+from .rootsys import DiagramType
+from .seriescalc import Poly, eval_at_one, poly, poly_str, sparse_items
+
+if TYPE_CHECKING:
+    from .branching import Branching, BranchParams
+
+#: E8 numerator polynomials keyed by (mark, distance to the affine
+#: attachment point), as exponent -> coefficient maps.
+GOLDEN_E8_Z: dict[tuple[int, int], dict[int, int]] = {
+    (2, 0): {1: 1, 11: 1, 19: 1, 29: 1},
+    (3, 1): {2: 1, 10: 1, 12: 1, 18: 1, 20: 1, 28: 1},
+    (4, 2): {3: 1, 9: 1, 11: 1, 13: 1, 17: 1, 19: 1, 21: 1, 27: 1},
+    (5, 3): {4: 1, 8: 1, 10: 1, 12: 1, 14: 1, 16: 1, 18: 1, 20: 1, 22: 1, 26: 1},
+    (6, 4): {5: 1, 7: 1, 9: 1, 11: 1, 13: 1, 15: 2, 17: 1, 19: 1, 21: 1, 23: 1, 25: 1},
+    (4, 5): {6: 1, 8: 1, 12: 1, 14: 1, 16: 1, 18: 1, 22: 1, 24: 1},
+    (2, 6): {7: 1, 13: 1, 17: 1, 23: 1},
+    (3, 5): {6: 1, 10: 1, 14: 1, 16: 1, 20: 1, 24: 1},
+}
+
+#: The level at which the three oracles are compared beyond the dense sweep.
+HUGE_LEVEL = 10**18 + 1
+
+
+def expected_params(dtype: DiagramType) -> tuple[int, int, int, int]:
+    """Closed-form (a, b, h, g) per family."""
+    r = dtype.rank
+    if dtype.family == "A":
+        n = (r + 1) // 2
+        return (2, 2 * n, 2 * n, n)
+    if dtype.family == "D":
+        n = r - 2
+        return (4, 2 * n, 2 * n + 2, n + 1)
+    return {6: (6, 8, 12, 6), 7: (8, 12, 18, 9), 8: (12, 20, 30, 15)}[r]
+
+
+def special_z_closed_form(params: BranchParams) -> Poly:
+    """The special-node numerator in closed form.
+
+    t^(g-a+2) + t^(g-a+4) + ... + t^(g-2) + 2 t^g + t^(g+2) + ... + t^(g+a-2);
+    for a = 2 this collapses to the single middle term 2 t^g.
+    """
+    g, a = params.g, params.a
+    coeffs = [0] * (g + a - 1)
+    for e in range(g - a + 2, g + a - 1, 2):
+        coeffs[e] = 1
+    coeffs[g] = 2
+    return poly(coeffs)
+
+
+@dataclass(eq=False)
+class Built:
+    """The objects one diagram type is built into, as the predicates read them.
+
+    Derived objects are built on first use, so the enforced entries, which
+    read only the bundle and the McKay graph, never build the group; the
+    oracle entries run to the given depths.
+    """
+
+    bundle: Branching
+    series_order: int = 200
+    char_order: int = 60
+
+    @cached_property
+    def graph(self) -> mckay.McKayGraph:
+        return mckay.extended_graph(self.bundle.rs)
+
+    @cached_property
+    def group(self) -> binarygroups.FiniteGroup:
+        return binarygroups.build_group(self.bundle.dtype, self.bundle.params)
+
+    @cached_property
+    def table(self) -> binarygroups.CharacterTable:
+        return binarygroups.character_table(self.group, self.graph)
+
+    @cached_property
+    def kappa(self) -> tuple[int, ...]:
+        """sigma^g, which should act as the longest Weyl element."""
+        return perm_power(self.bundle.cox.sigma, self.bundle.rs.coxeter_number // 2)
+
+
+Result = tuple[bool, str]
+
+
+@dataclass(frozen=True)
+class Invariant:
+    """One registry entry; ``only`` restricts it to one diagram type."""
+
+    name: str
+    stage: str
+    predicate: Callable[[Built], Result]
+    enforced: bool = False
+    only: str | None = None
+
+    def evaluate(self, built: Built) -> Result:
+        try:
+            return self.predicate(built)
+        except Exception as exc:  # noqa: BLE001 - a predicate that crashes has failed
+            return False, f"exception: {exc}"
+
+
+def _root_counts(c: Built) -> Result:
+    rs = c.bundle.rs
+    rank, h, num_pos, psi = rs.rank, rs.coxeter_number, rs.num_positive, rs.highest_root
+    ok = (
+        num_pos == h // 2 * rank
+        and len(rs.roots) == h * rank
+        and rank * (h + 1) == len(rs.roots) + rank
+        and h % 2 == 0
+        and h == expected_params(rs.dtype)[2]
+        # the highest root is unique, maximal and has positive marks
+        and (num_pos == 1 or sum(rs.roots[num_pos - 2]) < sum(psi))
+        and not any(rs.is_root(tuple(m + (j == i) for j, m in enumerate(psi))) for i in range(rank))
+        and min(psi) >= 1
+    )
+    return ok, f"{num_pos} positive roots, h = {h}"
+
+
+def _cartan_pairing(c: Built) -> Result:
+    rs = c.bundle.rs
+    cartan, rank = rs.cartan, rs.rank
+    for i in range(rank):
+        if cartan[i][i] != 2:
+            return False, f"diagonal entry {cartan[i][i]} at node {i + 1}"
+        for j in range(rank):
+            if cartan[i][j] != cartan[j][i] or (i != j and cartan[i][j] not in (0, -1)):
+                return False, f"bad entry at ({i + 1}, {j + 1})"
+    images = [
+        tuple(sum(cartan[i][j] * r[j] for j in range(rank)) for i in range(rank))
+        for r in rs.roots
+    ]
+    for p, rp in enumerate(rs.roots):
+        for q in range(p, len(rs.roots)):
+            val = sum(rp[i] * images[q][i] for i in range(rank))
+            if not -2 <= val <= 2:
+                return False, f"pairing {val} between roots {p} and {q}"
+            if q == p and val != 2:
+                return False, f"root {rp} has squared length {val}"
+    return True, f"all {len(rs.roots)}^2 pairings within [-2, 2], lengths 2"
+
+
+def _reachability(c: Built) -> Result:
+    rs = c.bundle.rs
+    for r in rs.positive_roots:
+        if sum(r) == 1:
+            continue
+        if not any(
+            r[i - 1] > 0 and rs.is_root(tuple(x - int(j == i - 1) for j, x in enumerate(r)))
+            for i in rs.nodes
+        ):
+            return False, f"{r} has no simple-root predecessor"
+    return True, "every positive root steps down to a simple root"
+
+
+def _reflections(c: Built) -> Result:
+    rs = c.bundle.rs
+    for i in rs.nodes:
+        images = [rs.reflect(i, r) for r in rs.roots]
+        if sorted(images) != sorted(rs.roots):
+            return False, f"reflection {i} does not permute the roots"
+        if any(rs.reflect(i, s) != r for r, s in zip(rs.roots, images)):
+            return False, f"reflection {i} is not an involution"
+    return True, f"{rs.rank} reflections permute all {len(rs.roots)} roots"
+
+
+def _bipartition(c: Built) -> Result:
+    rs, bp = c.bundle.rs, c.bundle.bp
+    for part in (bp.part1, bp.part2):
+        for i in part:
+            for j in part:
+                if i < j and rs.inner(rs.simple_root(i), rs.simple_root(j)) != 0:
+                    return False, f"nodes {i}, {j} share a side but are adjacent"
+    if any(rs.pair_with_simple(rs.highest_root, i) != 0 for i in bp.part2):
+        return False, "side 2 is not orthogonal to the highest root"
+    if set(bp.part1) | set(bp.part2) != set(rs.nodes) or set(bp.part1) & set(bp.part2):
+        return False, "parts do not partition the nodes"
+    for i, j in ((i, j) for i in rs.nodes for j in rs.neighbors(i)):
+        if bp.side(i) == bp.side(j):
+            return False, f"edge ({i}, {j}) inside one side"
+    return True, f"sides {list(bp.part1)} | {list(bp.part2)}"
+
+
+def _special_side(c: Built) -> Result:
+    b = c.bundle
+    g, special = b.rs.coxeter_number // 2, b.params.special
+    side = b.bp.side(special)
+    return (side == 2) == (g % 2 == 0), f"special node {special} on side {side}, g = {g}"
+
+
+def _coxeter_order(c: Built) -> Result:
+    cox, h = c.bundle.cox, c.bundle.rs.coxeter_number
+    ident = perm_identity(len(cox.sigma))
+    if perm_compose(cox.tau1, cox.tau1) != ident or perm_compose(cox.tau2, cox.tau2) != ident:
+        return False, "a color-class involution fails to square to one"
+    power = cox.sigma
+    for k in range(1, h):
+        if power == ident:
+            return False, f"sigma has order {k} < h"
+        power = perm_compose(cox.sigma, power)
+    return power == ident, f"sigma has order exactly {h}"
+
+
+def _orbit_partition(c: Built) -> Result:
+    rs, table = c.bundle.rs, c.bundle.table
+    h, num_pos = rs.coxeter_number, rs.num_positive
+    betas = {rs.index_of(beta) for beta in table.signed_simples}
+    seen: set[int] = set()
+    for i in rs.nodes:
+        orbit = table.orbits[i - 1]
+        if len(orbit) != h or len(set(orbit)) != h:
+            return False, f"orbit {i} has size {len(orbit)}"
+        if set(orbit) & seen:
+            return False, f"orbit {i} overlaps a previous orbit"
+        if len(set(orbit) & betas) != 1:
+            return False, f"orbit {i} meets the signed simple roots {len(set(orbit) & betas)} times"
+        seen.update(orbit)
+        positives = [x for x in orbit if x < num_pos]
+        if len(positives) != h // 2:
+            return False, f"orbit {i} has {len(positives)} positive roots"
+    ok = len(seen) == len(rs.roots)
+    return ok, f"{rs.rank} disjoint orbits of size {h} cover {len(rs.roots)} roots"
+
+
+def _orbit_exponents(c: Built) -> Result:
+    rs, bp, table = c.bundle.rs, c.bundle.bp, c.bundle.table
+    h = rs.coxeter_number
+    g = h // 2
+    for i in rs.nodes:
+        k = bp.side(i)
+        halves = set()
+        for x in table.orbits[i - 1]:
+            if x >= rs.num_positive:
+                continue
+            n = table.exponent[x]
+            if n % 2 != k % 2 or not 1 <= n <= h:
+                return False, f"exponent {n} bad for side {k}"
+            halves.add((n - 1) // 2 if k == 1 else n // 2)
+        if halves != (set(range(g)) if k == 1 else set(range(1, g + 1))):
+            return False, f"orbit {i} exponent map is not a bijection"
+        if k == 1 and table.exponent[rs.index_of(table.signed_simples[i - 1])] != 1:
+            return False, f"beta_{i} does not have exponent 1"
+    psi_n = table.exponent[rs.index_of(rs.highest_root)]
+    return psi_n == g, f"bijections hold; highest root has exponent {psi_n} = g"
+
+
+def _negates_positives(c: Built) -> Result:
+    rs = c.bundle.rs
+    num_pos = rs.num_positive
+    bad = [rs.root_at(x) for x in range(num_pos) if c.kappa[x] < num_pos]
+    offenders = f"; offenders {bad[:3]}" if bad else ""
+    return not bad, f"{num_pos - len(bad)}/{num_pos} positive roots negated{offenders}"
+
+
+def _negates_class(k: int) -> Callable[[Built], Result]:
+    def predicate(c: Built) -> Result:
+        rs = c.bundle.rs
+        part = c.bundle.bp.part1 if k == 1 else c.bundle.bp.part2
+        simples = [rs.index_of(rs.simple_root(i)) for i in part]
+        ok = {c.kappa[x] for x in simples} == {rs.negation(x) for x in simples}
+        return ok, f"{len(part)} simple roots checked"
+
+    return predicate
+
+
+def _negates_special(c: Built) -> Result:
+    rs, special = c.bundle.rs, c.bundle.params.special
+    alpha = rs.index_of(rs.simple_root(special))
+    ok = c.kappa[alpha] == rs.negation(alpha)
+    return ok, f"node {special}" + ("" if ok else f"; image {rs.root_at(c.kappa[alpha])}")
+
+
+def _reaches_special(c: Built) -> Result:
+    rs, table, special = c.bundle.rs, c.bundle.table, c.bundle.params.special
+    g = rs.coxeter_number // 2
+    steps = (g - 1) // 2 if g % 2 == 1 else g // 2
+    reached = perm_power(c.bundle.cox.sigma, steps)[rs.index_of(rs.highest_root)]
+    ok = reached == rs.index_of(table.signed_simples[special - 1])
+    return ok, f"g = {g}, steps = {steps}" + ("" if ok else f"; landed on {rs.root_at(reached)}")
+
+
+def _shares_orbit(c: Built) -> Result:
+    rs = c.bundle.rs
+    node = c.bundle.table.orbit_node[rs.index_of(rs.highest_root)]
+    return node == c.bundle.params.special, f"orbit of highest root: node {node}"
+
+
+def _kappa_involution(c: Built) -> Result:
+    g = c.bundle.rs.coxeter_number // 2
+    return perm_compose(c.kappa, c.kappa) == perm_identity(len(c.kappa)), f"2g = {2 * g}"
+
+
+def _kappa_commutes(c: Built) -> Result:
+    kappa, cox = c.kappa, c.bundle.cox
+    ok = all(perm_compose(kappa, tau) == perm_compose(tau, kappa) for tau in (cox.tau1, cox.tau2))
+    return ok, "both factors"
+
+
+#: sigma^g as the longest Weyl element; audit-only.
+LONGEST_ELEMENT: tuple[Invariant, ...] = tuple(
+    Invariant(name, "coxeter_element", predicate)
+    for name, predicate in (
+        ("sigma^g sends every positive root to a negative root", _negates_positives),
+        ("sigma^g negates color class 1 setwise", _negates_class(1)),
+        ("sigma^g negates color class 2 setwise", _negates_class(2)),
+        ("sigma^g negates the special simple root", _negates_special),
+        (
+            "highest root reaches the signed special root in (g-1)/2 or g/2 steps",
+            _reaches_special,
+        ),
+        ("highest root and special root share an orbit", _shares_orbit),
+        ("sigma^2g is the identity", _kappa_involution),
+        ("sigma^g commutes with tau1 and tau2", _kappa_commutes),
+    )
+)
+
+
+def _heisenberg(c: Built) -> Result:
+    b = c.bundle
+    hs, h = b.heisenberg, b.rs.coxeter_number
+    if len(hs.roots) != 2 * h - 3:
+        return False, f"{len(hs.roots)} roots, expected {2 * h - 3}"
+    if any(any(x < 0 for x in r) for r in hs.roots):
+        return False, "subsystem contains a negative root"
+    if sorted(sum(hs.slices.values(), ())) != sorted(hs.roots):
+        return False, "slices do not partition the subsystem"
+    for i in b.rs.nodes:
+        want = 2 * b.rs.mark(i) if i != b.params.special else b.params.a - 1
+        if len(hs.slices[i]) != want:
+            return False, f"slice {i} has {len(hs.slices[i])} roots, expected {want}"
+    return True, f"{2 * h - 3} roots, slice sizes as required"
+
+
+def _numerators(c: Built) -> Result:
+    """Degree < h, value at 1, exponent parity and 0/1 coefficients (2 at
+    most on the special node) per node; the special numerator equals its
+    closed form (so it is symmetric about t^g) and node 0 has 1 + t^h."""
+    b = c.bundle
+    h, special = b.rs.coxeter_number, b.params.special
+    for i in b.rs.nodes:
+        z = b.zpolys[i]
+        if len(z) > h:
+            return False, f"numerator {i} has degree >= h"
+        want = b.params.a if i == special else 2 * b.rs.mark(i)
+        if eval_at_one(z) != want:
+            return False, f"numerator {i} sums to {eval_at_one(z)}"
+        side = b.bp.side(i)
+        if any(x and e % 2 != side % 2 for e, x in enumerate(z)):
+            return False, f"numerator {i} breaks exponent parity"
+        bound = 2 if i == special else 1
+        if any(x < 0 or x > bound for x in z):
+            return False, f"numerator {i} violates coefficient bounds"
+    z_star = b.zpolys[special]
+    if z_star != special_z_closed_form(b.params):
+        return False, "special numerator disagrees with its closed form"
+    if sparse_items(b.zpolys[0]) != [(0, 1), (h, 1)]:
+        return False, "affine numerator is not 1 + t^h"
+    return True, f"{b.rs.rank + 1} numerators within bounds; special node has {poly_str(z_star)}"
+
+
+def _golden_e8(c: Built) -> Result:
+    for i in c.bundle.rs.nodes:
+        if dict(sparse_items(c.bundle.zpolys[i])) != GOLDEN_E8_Z[c.bundle.node_label(i)]:
+            return False, f"node {i} differs from the golden numerator"
+    return True, "8/8 golden numerators match exactly"
+
+
+def _branch_parameters(c: Built) -> Result:
+    """The closed form (a, b, h, g), which has a <= b, both even and
+    4 | ab; "group sanity" confirms |F*| = a * b / 2 on the built group."""
+    p = c.bundle.params
+    got, want = (p.a, p.b, p.h, p.g), expected_params(c.bundle.dtype)
+    if got != want:
+        return False, f"computed {got}, closed form {want}"
+    if p.b != p.h + 2 - p.a:
+        return False, "b != h + 2 - a"
+    return True, f"(a, b, h, g) = {want}; |F*| = {p.order_fstar}"
+
+
+def _group_sanity(c: Built) -> Result:
+    group, p = c.group, c.bundle.params
+    n = group.order
+    if p.a * p.b != 2 * n:
+        return False, f"a*b = {p.a * p.b} but group order is {n}"
+    state = 12345
+    for _ in range(200):
+        state = (state * 1103515245 + 12345) % (2**31)
+        x = state % n
+        state = (state * 1103515245 + 12345) % (2**31)
+        y = state % n
+        state = (state * 1103515245 + 12345) % (2**31)
+        z = state % n
+        if group.mult[group.mult[x][y]][z] != group.mult[x][group.mult[y][z]]:
+            return False, f"associativity fails at ({x}, {y}, {z})"
+    for x in range(n):
+        if group.mult[x][group.inverse[x]] != 0 or group.mult[group.inverse[x]][x] != 0:
+            return False, f"inverse fails at {x}"
+    return True, f"order {n}; associativity sampled, inverses total"
+
+
+def _extended_graph(c: Built) -> Result:
+    """Symmetric; the affine row is the attachment (so no node pairs
+    negatively with the highest root); the extended marks span the
+    kernel of 2 - A."""
+    graph, rs = c.graph, c.bundle.rs
+    adj = graph.adjacency
+    for i in range(graph.size):
+        for j in range(graph.size):
+            if adj[i][j] != adj[j][i]:
+                return False, f"adjacency not symmetric at ({i}, {j})"
+    hot = rs.affine_attachment()
+    row0 = tuple(j for j in range(1, graph.size) if adj[0][j])
+    if row0 != hot:
+        return False, f"affine row {row0} != attachment {hot}"
+    for i in range(graph.size):
+        if sum((2 * (i == j) - adj[i][j]) * graph.marks_ext[j] for j in range(graph.size)):
+            return False, f"extended Cartan kernel fails at node {i}"
+    return True, f"size {graph.size}; marks {list(graph.marks_ext)}"
+
+
+def _character_table(c: Built) -> Result:
+    group, table, graph = c.group, c.table, c.graph
+    r = len(group.classes)
+    sizes = group.class_sizes
+    for c1 in range(r):
+        for c2 in range(r):
+            val = sum(table.rows[p][c1] * table.rows[p][c2].conjugate() for p in range(r))
+            want = group.order / sizes[c1] if c1 == c2 else 0.0
+            if abs(val - want) > 1e-5:
+                return False, f"column orthogonality fails at ({c1}, {c2})"
+    minus_class = group.class_of[group.minus_identity]
+    for node in range(graph.size):
+        row = table.character_for_node(node)
+        sign = -1 if node != 0 and c.bundle.bp.side(node) == 1 else 1
+        if abs(row[minus_class] - sign * graph.marks_ext[node]) > 1e-6:
+            return False, f"central value at node {node} is {row[minus_class]}"
+    dims = tuple(table.dims[table.node_map[i]] for i in range(graph.size))
+    return dims == graph.marks_ext, f"{r} irreducibles; dims match marks; central signs match sides"
+
+
+def _triple_oracle(c: Built) -> Result:
+    order, char_order, size = c.series_order, c.char_order, c.graph.size
+    rec = list(mckay.recursion_oracle(c.graph, order))
+    series = [c.bundle.series(i, order) for i in range(size)]
+    for n in range(order + 1):
+        for i in range(size):
+            if series[i][n] != rec[n][i]:
+                return False, f"series {series[i][n]} != recursion {rec[n][i]} at n={n}, node {i}"
+    chars = binarygroups.character_multiplicities(c.group, c.table, char_order)
+    for n in range(char_order + 1):
+        for i in range(size):
+            if chars[n][i] != rec[n][i]:
+                got = chars[n][i]
+                return False, f"characters {got} != recursion {rec[n][i]} at n={n}, node {i}"
+    return True, f"series == recursion to n={order}; == characters to n={char_order}"
+
+
+def _huge_level(c: Built) -> Result:
+    n = HUGE_LEVEL
+    cox = c.bundle.vector(n)
+    rec = mckay.recursion_oracle(c.graph, n)[n]
+    chars = tuple(
+        binarygroups.oracle_multiplicity(c.group, c.table, n, i) for i in range(c.graph.size)
+    )
+    if not cox == rec == chars:
+        return False, f"coxeter {cox}, recursion {rec}, characters {chars} at n={n}"
+    return True, f"coxeter == recursion == characters at n={n}"
+
+
+def _molien(c: Built) -> Result:
+    ok = binarygroups.molien_series(c.group, c.char_order) == c.bundle.series(0, c.char_order)
+    return ok, f"group average matches invariant series to n={c.char_order}"
+
+
+def _sum_rule(c: Built) -> Result:
+    marks = c.graph.marks_ext
+    for n in range(c.series_order + 1):
+        if sum(m * v for m, v in zip(marks, c.bundle.vector(n))) != n + 1:
+            return False, f"dimension sum fails at n={n}"
+    return True, f"sum of mark * multiplicity is n + 1 up to n={c.series_order}"
+
+
+def _parity_vanishing(c: Built) -> Result:
+    for i in range(c.graph.size):
+        k = c.bundle.node_parity(i)
+        for n, x in enumerate(c.bundle.series(i, c.series_order)):
+            if x and n % 2 != k % 2:
+                return False, f"node {i} has multiplicity {x} at parity-breaking n={n}"
+    return True, f"multiplicities vanish off-parity up to n={c.series_order}"
+
+
+#: Every structural identity, in report order.
+INVARIANTS: tuple[Invariant, ...] = (
+    Invariant("root counts", "build_root_system", _root_counts, enforced=True),
+    Invariant("cartan pairing", "build_root_system", _cartan_pairing),
+    Invariant("closure reachability", "build_root_system", _reachability),
+    Invariant("reflections", "build_root_system", _reflections),
+    Invariant("bipartition", "bipartition", _bipartition, enforced=True),
+    Invariant("special node side", "special_index", _special_side, enforced=True),
+    Invariant("coxeter order", "coxeter_element", _coxeter_order, enforced=True),
+    Invariant("orbit partition", "orbit_table", _orbit_partition, enforced=True),
+    Invariant("orbit exponents", "orbit_table", _orbit_exponents, enforced=True),
+    *LONGEST_ELEMENT,
+    Invariant("heisenberg subsystem", "heisenberg_subsystem", _heisenberg, enforced=True),
+    Invariant("numerator polynomials", "z_polynomial", _numerators, enforced=True),
+    Invariant("golden E8 numerators", "z_polynomial", _golden_e8, only="E8"),
+    Invariant("branch parameters", "branch_params", _branch_parameters, enforced=True),
+    Invariant("group sanity", "build_group", _group_sanity),
+    Invariant("extended graph", "extended_graph", _extended_graph, enforced=True),
+    Invariant("character table", "character_table", _character_table),
+    Invariant("triple oracle", "oracles", _triple_oracle),
+    Invariant("huge-level triple oracle", "oracles", _huge_level),
+    Invariant("molien average", "oracles", _molien),
+    Invariant("dimension sum rule", "oracles", _sum_rule),
+    Invariant("parity vanishing", "oracles", _parity_vanishing),
+)
+
+
+def registry(dtype: DiagramType | str) -> tuple[Invariant, ...]:
+    """The entries that apply to one diagram type, in report order."""
+    return tuple(inv for inv in INVARIANTS if inv.only in (None, str(dtype)))
+
+
+def enforce(bundle: Branching) -> None:
+    """Evaluate the enforced entries in order; raise at the first failure."""
+    built = Built(bundle)
+    for inv in INVARIANTS:
+        if inv.enforced:
+            passed, detail = inv.evaluate(built)
+            if not passed:
+                raise ConsistencyError(
+                    f"{bundle.dtype} {inv.name}: {detail}",
+                    dtype=str(bundle.dtype),
+                    stage=inv.stage,
+                    invariant=inv.name,
+                )

@@ -16,9 +16,6 @@ from collections.abc import Callable, Iterable
 
 Poly = tuple[int, ...]
 
-ZERO: Poly = ()
-ONE: Poly = (1,)
-
 
 def poly(coeffs: Iterable[int]) -> Poly:
     """Normalize a coefficient sequence (trim trailing zeros)."""
@@ -26,48 +23,6 @@ def poly(coeffs: Iterable[int]) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def monomial(exponent: int, coeff: int = 1) -> Poly:
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    if coeff == 0:
-        return ZERO
-    return (0,) * exponent + (coeff,)
-
-
-def degree(p: Poly) -> int:
-    """Degree of ``p``; -1 for the zero polynomial."""
-    return len(p) - 1
-
-
-def coefficient(p: Poly, exponent: int) -> int:
-    return p[exponent] if 0 <= exponent < len(p) else 0
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly(out)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ZERO
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly(out)
-
-
-def poly_truncate(p: Poly, order: int) -> tuple[int, ...]:
-    """Coefficients of ``p`` up to ``order`` inclusive, zero padded."""
-    return tuple(coefficient(p, n) for n in range(order + 1))
 
 
 def eval_at_one(p: Poly) -> int:

@@ -10,22 +10,29 @@ criterion either way.
 import random
 
 from su2branch.binarygroups import character_multiplicities, molien_series
-from su2branch.branching import special_z_closed_form
-from su2branch.coxeter import longest_element_checks, perm_power
+from su2branch.coxeter import perm_power
+from su2branch.invariants import (
+    GOLDEN_E8_Z,
+    LONGEST_ELEMENT,
+    Built,
+    expected_params,
+    special_z_closed_form,
+)
 from su2branch.mckay import recursion_oracle
-from su2branch.seriescalc import (
+from su2branch.seriescalc import poly, series_div_geom, sparse_items
+from su2branch.verify import ACCEPTED_TYPES, run_all
+from su2branch.cli import main
+
+from conftest import (
+    bundle,
+    graph_for,
+    group_for,
     monomial,
-    poly,
     poly_add,
     poly_mul,
     poly_truncate,
-    series_div_geom,
-    sparse_items,
+    table_for,
 )
-from su2branch.verify import ACCEPTED_TYPES, GOLDEN_E8_Z, expected_params, run_all
-from su2branch.cli import main
-
-from conftest import bundle, graph_for, group_for, table_for
 
 SERIES_ORDER = 200
 CHAR_ORDER = 60
@@ -92,10 +99,10 @@ def test_criterion_3_orbit_structure():
 def test_criterion_4_longest_element_suite():
     for name in ACCEPTED_TYPES:
         b = bundle(name)
-        for check_name, passed, detail in longest_element_checks(
-            b.rs, b.cox, b.bp, b.table
-        ):
-            assert passed, f"{name} {check_name}: {detail}"
+        built = Built(b)
+        for inv in LONGEST_ELEMENT:
+            passed, detail = inv.evaluate(built)
+            assert passed, f"{name} {inv.name}: {detail}"
         g = b.rs.coxeter_number // 2
         kappa = perm_power(b.cox.sigma, g)
         assert all(kappa[x] >= b.rs.num_positive for x in range(b.rs.num_positive)), name

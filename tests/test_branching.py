@@ -3,7 +3,7 @@
 import pytest
 
 from su2branch.binarygroups import oracle_multiplicity
-from su2branch.branching import special_z_closed_form
+from su2branch.invariants import special_z_closed_form
 from su2branch.mckay import recursion_oracle
 from su2branch.seriescalc import eval_at_one, sparse_items
 from su2branch.verify import ACCEPTED_TYPES

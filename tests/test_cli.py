@@ -127,7 +127,7 @@ def test_mckay_json(capsys):
 
 
 def test_group_json(capsys):
-    code, out, _ = run(capsys, "group", "--type", "E6", "--stats", "--json")
+    code, out, _ = run(capsys, "group", "--type", "E6", "--json")
     rec = json.loads(out)
     assert code == 0
     assert rec["order"] == 24
@@ -194,7 +194,8 @@ def test_branch_negative_n_exits_2_before_build(monkeypatch, capsys):
     assert err == "usage error: --n must be nonnegative\n"
 
 
-@pytest.mark.parametrize(
+#: One command line per subcommand, for the up-front ``--out`` checks.
+EVERY_SUBCOMMAND = pytest.mark.parametrize(
     "argv",
     [
         ["table"],
@@ -208,6 +209,9 @@ def test_branch_negative_n_exits_2_before_build(monkeypatch, capsys):
     ],
     ids=lambda argv: argv[0],
 )
+
+
+@EVERY_SUBCOMMAND
 def test_out_to_missing_directory_exits_2_before_work(tmp_path, monkeypatch, capsys, argv):
     _forbid_work(monkeypatch)
     path = tmp_path / "missing" / "x.txt"
@@ -216,3 +220,13 @@ def test_out_to_missing_directory_exits_2_before_work(tmp_path, monkeypatch, cap
     assert out == ""
     assert err.startswith("usage error") and err.count("\n") == 1
     assert not path.parent.exists()
+
+
+@EVERY_SUBCOMMAND
+def test_out_to_existing_directory_exits_2_before_work(tmp_path, monkeypatch, capsys, argv):
+    _forbid_work(monkeypatch)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: cannot write --out {tmp_path}: it is a directory\n"
+    assert not any(tmp_path.iterdir())

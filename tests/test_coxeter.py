@@ -2,12 +2,8 @@
 
 import pytest
 
-from su2branch.coxeter import (
-    longest_element_checks,
-    perm_identity,
-    perm_power,
-    special_index,
-)
+from su2branch.coxeter import perm_identity, perm_power, special_index
+from su2branch.invariants import LONGEST_ELEMENT, Built
 
 from conftest import bundle
 
@@ -127,11 +123,11 @@ def test_special_index_marks():
 
 @pytest.mark.parametrize("name", ["A3", "A7", "D5", "D8", "E6", "E7", "E8"])
 def test_longest_element_suite(name):
-    b = bundle(name)
-    results = longest_element_checks(b.rs, b.cox, b.bp, b.table)
-    assert results, "no checks ran"
-    for check_name, passed, detail in results:
-        assert passed, f"{name} {check_name}: {detail}"
+    built = Built(bundle(name))
+    assert len(LONGEST_ELEMENT) == 8
+    for inv in LONGEST_ELEMENT:
+        passed, detail = inv.evaluate(built)
+        assert passed, f"{name} {inv.name}: {detail}"
 
 
 def test_sigma_g_negates_positives_a3():

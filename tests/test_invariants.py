@@ -1,0 +1,111 @@
+"""The invariant registry: enforced at construction, reported by verify."""
+
+from pathlib import Path
+
+import pytest
+
+from su2branch import binarygroups, branching
+from su2branch.branching import Branching
+from su2branch.cli import main
+from su2branch.errors import ConsistencyError
+from su2branch.invariants import INVARIANTS, registry
+from su2branch.verify import ACCEPTED_TYPES, run_type_checks
+
+from conftest import bundle
+
+FIXTURES = Path(__file__).with_name("fixtures")
+
+ENFORCED = (
+    "root counts",
+    "bipartition",
+    "special node side",
+    "coxeter order",
+    "orbit partition",
+    "orbit exponents",
+    "heisenberg subsystem",
+    "numerator polynomials",
+    "branch parameters",
+    "extended graph",
+)
+
+
+def _bump(z):
+    """The numerator with one more t^1 term."""
+    return (z[0], z[1] + 1) + z[2:]
+
+
+def test_registry_names_are_unique_and_enforced_as_documented():
+    names = [inv.name for inv in INVARIANTS]
+    assert len(names) == len(set(names))
+    assert tuple(inv.name for inv in INVARIANTS if inv.enforced) == ENFORCED
+
+
+def test_construction_never_builds_the_group(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("an enforced entry built the group")
+
+    monkeypatch.setattr(binarygroups, "build_group", boom)
+    assert Branching.build("E8").params.order_fstar == 120
+
+
+def test_corrupted_numerator_fails_construction():
+    b = bundle("E8")
+    zpolys = dict(b.zpolys)
+    zpolys[7] = _bump(zpolys[7])
+    with pytest.raises(ConsistencyError) as info:
+        Branching(
+            rs=b.rs,
+            bp=b.bp,
+            cox=b.cox,
+            table=b.table,
+            params=b.params,
+            heisenberg=b.heisenberg,
+            zpolys=zpolys,
+        )
+    err = info.value
+    assert err.invariant == "numerator polynomials"
+    assert err.dtype == "E8"
+    assert err.stage == "z_polynomial"
+    assert str(err) == "E8 numerator polynomials: numerator 7 sums to 5"
+
+
+def test_broken_stage_is_reported_under_its_invariant(monkeypatch, capsys):
+    build_z = branching.z_polynomial
+
+    def corrupted(rs, table, hs, params, node):
+        z = build_z(rs, table, hs, params, node)
+        return _bump(z) if node == 7 else z
+
+    monkeypatch.setattr(branching, "z_polynomial", corrupted)
+    checks = run_type_checks("E8")
+    assert [(c.name, c.passed) for c in checks] == [("E8 numerator polynomials", False)]
+    assert "numerator 7 sums to 5" in checks[0].detail
+    assert main(["verify", "--type", "E8"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL  E8 numerator polynomials")
+
+
+def test_failed_audit_entry_is_one_fail_line(monkeypatch):
+    monkeypatch.setattr(binarygroups, "molien_series", lambda group, order: (0,) * (order + 1))
+    checks = run_type_checks("D4", series_order=20, char_order=10)
+    assert [c.name for c in checks if not c.passed] == ["D4 molien average"]
+    assert len(checks) == len(registry("D4"))
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_reported_names_are_the_registry(name):
+    checks = run_type_checks(name, series_order=20, char_order=10)
+    assert [c.name for c in checks] == [f"{name} {inv.name}" for inv in registry(name)]
+    assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize(
+    "argv,fixture",
+    [
+        (["verify", "--type", "E8"], "verify_E8.txt"),
+        (["verify", "--type", "D4", "--json"], "verify_D4.json"),
+    ],
+)
+def test_verify_report_is_pinned(capsys, argv, fixture):
+    # Reports generated before the checks moved into the registry.
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (FIXTURES / fixture).read_text()

@@ -5,19 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from su2branch.seriescalc import (
-    ZERO,
-    degree,
     eval_at_one,
-    monomial,
     pair_counter,
     poly,
-    poly_add,
-    poly_mul,
     poly_str,
-    poly_truncate,
     series_div_geom,
     sparse_items,
 )
+
+from conftest import ZERO, degree, monomial, poly_add, poly_mul, poly_truncate
 
 small_polys = st.lists(st.integers(-9, 9), max_size=12).map(poly)
 
