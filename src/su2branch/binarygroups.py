@@ -14,6 +14,14 @@ the class-sum structure constants (integer matrices), with a seeded
 random linear combination, and are matched to extended-diagram nodes by
 the tensor-with-defining-representation adjacency.
 
+The character oracles and the Molien average share one inner product
+<chi_n, chi>.  At +-identity chi_n is the integer (+-1)^n (n + 1); at an
+element of order m it repeats with period m, so the rest of the sum
+depends on n only modulo the group exponent E.  :func:`character_table`
+forms that rest once for each residue r = 0..E-1 and each node (the
+residue table), so a level is a lookup plus exact integer arithmetic
+for any n.
+
 Generator conventions (exact coordinates, fixed for reproducibility):
 
 * cyclic of order 2n       : r_n = (cos(pi/n), sin(pi/n), 0, 0)
@@ -77,14 +85,6 @@ class GroupElement:
 
     def norm_sq(self) -> float:
         return self.w**2 + self.x**2 + self.y**2 + self.z**2
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.w + self.x * 1j, self.y + self.z * 1j],
-                [-self.y + self.z * 1j, self.w - self.x * 1j],
-            ]
-        )
 
     def key(self) -> tuple[float, float, float, float]:
         return (
@@ -167,8 +167,9 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
 
     The expected order comes from the denominator exponents (a*b/2);
     overshooting it during closure aborts, as does any product that
-    escapes the closed set, a class count different from rank + 1, or a
-    non-singleton class at +-identity.
+    escapes the closed set or a non-central -identity.  A closure that
+    stops short is returned as is: the registry's "group sanity" entry
+    compares the order with a*b/2.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
@@ -196,8 +197,6 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
                     nxt.append(p)
         frontier = nxt
     n = len(elements)
-    if n != expected:
-        raise ConsistencyError(f"{dtype}: closure has {n} elements, expected {expected}")
 
     def lookup(p: GroupElement) -> int:
         try:
@@ -234,8 +233,9 @@ def conjugacy_classes(
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Partition element indices into conjugation orbits.
 
-    The class count must be rank + 1 and the classes of +-identity must
-    be singletons; anything else aborts.
+    The classes of +-identity must be singletons; anything else aborts.
+    The class count is checked against the extended diagram by
+    :func:`character_table`.
     """
     n = len(inverse)
     class_of_list = [-1] * n
@@ -250,10 +250,6 @@ def conjugacy_classes(
             class_of_list[m] = cid
         classes.append(members)
 
-    if len(classes) != dtype.rank + 1:
-        raise ConsistencyError(
-            f"{dtype}: {len(classes)} conjugacy classes, expected {dtype.rank + 1}"
-        )
     for special in (0, minus_identity):
         if len(classes[class_of_list[special]]) != 1:
             raise ConsistencyError(f"{dtype}: central element has a non-singleton class")
@@ -274,52 +270,82 @@ def _char_from_trace(trace: float, n: int) -> float:
     return cur
 
 
-def _round_int(value: float, what: str) -> int:
-    out = round(value)
-    if abs(value - out) >= CHAR_EPS:
+def _round_int(value: complex, what: str) -> int:
+    """The integer within :data:`CHAR_EPS` of ``value``, or abort."""
+    out = round(value.real)
+    if abs(value.real - out) >= CHAR_EPS or abs(value.imag) >= CHAR_EPS:
         raise ConsistencyError(f"{what} = {value!r} is not within {CHAR_EPS} of an integer")
-    return int(out)
+    return out
 
 
-def _chebyshev_period(trace: float, m: int) -> list[float]:
-    """chi_0 .. chi_(m-1) at an element of order m with this trace.
+def _residue_sums(
+    group: FiniteGroup, points: list[tuple[float, int]], weights: list[list[complex]]
+) -> tuple[tuple[complex, ...], ...]:
+    """The non-central part of a character inner product with chi_n, for every n.
 
-    Its eigenvalues are zeta^(+-1) with zeta^m = 1, so chi_(n+m) = chi_n
-    and chi_n is entry n mod m; the float error is that of < m steps.
+    ``points`` are the (trace, order m) of the non-central elements or
+    class representatives summed over, ``weights[p]`` the weight of point
+    p in each column.  An element of order m has eigenvalues zeta^(+-1)
+    with zeta^m = 1, so chi_(n+m) = chi_n there and the sum depends on n
+    only modulo the group exponent E (the lcm of the element orders).
+    Entry ``[r][k]`` is sum_p weights[p][k] chi_(r mod m_p)(p) for
+    r = 0..E-1; each chi takes fewer than m Chebyshev steps, so the float
+    error does not grow with n.
     """
-    return [_char_from_trace(trace, k) for k in range(m)]
+    periods = [[_char_from_trace(trace, k) for k in range(m)] for trace, m in points]
+    chis = [[p[r % len(p)] for p in periods] for r in range(math.lcm(*group.class_orders))]
+    return tuple(map(tuple, (np.array(chis) @ np.array(weights)).tolist()))
+
+
+def _round_multiplicity(
+    group: FiniteGroup, n: int, central: tuple[int, int], rest: complex, node: int | None
+) -> int:
+    """<chi_n, chi> from chi's integer values at +identity and -identity
+    and the non-central sum ``rest`` (:func:`_residue_sums`).
+
+    At +-identity chi_n is the integer (+-1)^n (n + 1), so that part is
+    exact and only its remainder mod |F*| meets the floats; the total
+    rounds within tolerance to a nonnegative integer or aborts.  ``node``
+    names chi in the error; None is the trivial character of the Molien
+    average.
+    """
+    plus, minus = central
+    order = group.order
+    whole, part = divmod((n + 1) * (plus - minus if n % 2 else plus + minus), order)
+    val = (part + rest) / order
+    m = round(val.real)
+    # Not _round_int: the range oracle calls this per level and node, and
+    # formatting the message eagerly doubled its time.
+    if abs(val.real - m) >= CHAR_EPS or abs(val.imag) >= CHAR_EPS or whole + m < 0:
+        what = "invariant dimension" if node is None else f"multiplicity of node {node}"
+        raise ConsistencyError(
+            f"{group.dtype} {what} at n={n}: {whole} + {val!r} is not a nonnegative "
+            f"integer within {CHAR_EPS}"
+        )
+    return whole + m
 
 
 def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
     """Invariant dimensions by direct group averaging of SU(2) traces.
 
-    Independent of the character table: sums chi_n over every element
-    and divides by the order, rounding within tolerance.  The two
-    central elements add the integer (n + 1) (1 + (-1)^n).  Every other
-    element adds chi_(n mod m) (:func:`_chebyshev_period`), so their sum
-    depends on n only modulo the exponent of the group and is formed
-    once per residue; any order is safe.
+    Independent of the character table: the average of chi_n over every
+    element is <chi_n, 1>, with the trivial character's (1, 1) at
+    +-identity and weight 1 on each other element (:func:`_residue_sums`);
+    any order is safe.
     """
-    periods = [
-        _chebyshev_period(e.trace, group.class_orders[group.class_of[i]])
-        for i, e in enumerate(group.elements)
-        if i not in (0, group.minus_identity)
-    ]
-    rest = [
-        sum([p[r % len(p)] for p in periods])
-        for r in range(min(math.lcm(*group.class_orders), order + 1))
-    ]
-    out = []
-    for n in range(order + 1):
-        whole, part = divmod(0 if n % 2 else 2 * (n + 1), group.order)
-        m = whole + _round_int(
-            (part + rest[n % len(rest)]) / group.order,
-            f"{group.dtype} invariant dimension at n={n}",
-        )
-        if m < 0:
-            raise ConsistencyError(f"{group.dtype}: negative invariant dimension at n={n}")
-        out.append(m)
-    return tuple(out)
+    rest = _residue_sums(
+        group,
+        [
+            (e.trace, group.class_orders[group.class_of[i]])
+            for i, e in enumerate(group.elements)
+            if i not in (0, group.minus_identity)
+        ],
+        [[1.0]] * (group.order - 2),
+    )
+    return tuple(
+        _round_multiplicity(group, n, (1, 1), rest[n % len(rest)][0], None)
+        for n in range(order + 1)
+    )
 
 
 @dataclass(eq=False)
@@ -327,14 +353,19 @@ class CharacterTable:
     """Irreducible characters by conjugacy class, tied to diagram nodes.
 
     ``rows[r][c]`` is the value of irreducible r on class c; ``node_map``
-    sends each extended-diagram node to its row.
+    sends each extended-diagram node to its row.  The character oracles
+    read only ``central[node]``, the node's character at +identity and
+    -identity as integers (dim, +-dim), and ``residues[r][node]``, the
+    non-central sum of <chi_n, chi_node> for every n = r modulo the group
+    exponent (:func:`_residue_sums`).
     """
 
     group: FiniteGroup
     rows: tuple[tuple[complex, ...], ...]
     dims: tuple[int, ...]
     node_map: tuple[int, ...]
-    _traces: tuple[float, ...] = field(repr=False, default=())
+    central: tuple[tuple[int, int], ...] = field(repr=False)
+    residues: tuple[tuple[complex, ...], ...] = field(repr=False)
 
     def character_for_node(self, node: int) -> tuple[complex, ...]:
         return self.rows[self.node_map[node]]
@@ -365,6 +396,8 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
     trivial character at node 0, equal dimensions and marks, and the
     tensor adjacency; choices left open by diagram automorphisms are
     resolved deterministically and do not affect any multiplicity.
+    The table also carries what the character oracles read: each node's
+    integer values at +-identity and the residue table.
     """
     r = len(group.classes)
     if r != graph.size:
@@ -434,11 +467,6 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
         raise ConsistencyError(
             f"{group.dtype}: character rows not orthonormal (error {gram_err:.2e})"
         )
-    if sorted(dims) != sorted(graph.marks_ext):
-        raise ConsistencyError(
-            f"{group.dtype}: character degrees {sorted(dims)} do not match marks "
-            f"{sorted(graph.marks_ext)}"
-        )
 
     traces = tuple(group.elements[rep].trace for rep in reps)
     tensor = [[0] * r for _ in range(r)]
@@ -451,9 +479,7 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
                 )
                 / group.order
             )
-            tensor[p][q] = _round_int(val.real, f"{group.dtype} tensor multiplicity")
-            if abs(val.imag) >= CHAR_EPS:
-                raise ConsistencyError(f"{group.dtype}: complex tensor multiplicity")
+            tensor[p][q] = _round_int(val, f"{group.dtype} tensor multiplicity")
 
     trivial = [
         idx
@@ -464,12 +490,23 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
         raise ConsistencyError(f"{group.dtype}: trivial character not unique")
 
     node_map = _match_nodes(graph, tensor, dims, trivial[0])
+    node_rows = [rows[row] for row in node_map]
+    minus = group.class_of[group.minus_identity]
+    noncentral = [c for c in range(r) if c not in (0, minus)]
+    what = f"{group.dtype} central value"
     return CharacterTable(
         group=group,
         rows=tuple(rows),
         dims=tuple(dims),
         node_map=node_map,
-        _traces=traces,
+        central=tuple(
+            (_round_int(row[0], what), _round_int(row[minus], what)) for row in node_rows
+        ),
+        residues=_residue_sums(
+            group,
+            [(traces[c], group.class_orders[c]) for c in noncentral],
+            [[sizes[c] * row[c].conjugate() for row in node_rows] for c in noncentral],
+        ),
     )
 
 
@@ -515,101 +552,24 @@ def _match_nodes(
     return tuple(assign[node] for node in range(size))
 
 
-def _noncentral_classes(group: FiniteGroup) -> list[int]:
-    """Every class but those of +identity (class 0) and -identity."""
-    minus = group.class_of[group.minus_identity]
-    return [c for c in range(len(group.classes)) if c not in (0, minus)]
-
-
-def _central_values(group: FiniteGroup, table: CharacterTable, node: int) -> tuple[int, int]:
-    """The node's character at +identity and -identity: +dim and +-dim."""
-    row = table.character_for_node(node)
-    what = f"{group.dtype} central value at node={node}"
-    minus = group.class_of[group.minus_identity]
-    return _round_int(row[0].real, what), _round_int(row[minus].real, what)
-
-
-def _noncentral_sum(
-    group: FiniteGroup, table: CharacterTable, node: int, chis: list[float]
-) -> complex:
-    """Sum of |c| chi_n(c) conj(chi_node(c)) over the non-central classes,
-    given chi_n on them in :func:`_noncentral_classes` order."""
-    row = table.character_for_node(node)
-    sizes = group.class_sizes
-    return sum(
-        [sizes[c] * x * row[c].conjugate() for c, x in zip(_noncentral_classes(group), chis)]
-    )
-
-
-def _round_multiplicity(
-    group: FiniteGroup, n: int, node: int, central: tuple[int, int], rest: complex
-) -> int:
-    """<chi_n, chi_node> from the central values and the non-central sum.
-
-    At +-identity chi_n is the integer (+-1)^n (n + 1), so that part is
-    exact and only its remainder mod |F*| meets the floats; the total
-    rounds within tolerance or aborts.
-    """
-    plus, minus = central
-    order = group.order
-    whole, part = divmod((n + 1) * (plus - minus if n % 2 else plus + minus), order)
-    val = (part + rest) / order
-    m = round(val.real)
-    if abs(val.real - m) >= CHAR_EPS or abs(val.imag) >= CHAR_EPS:
-        raise ConsistencyError(
-            f"{group.dtype} multiplicity at n={n}, node={node}: {val!r} is not within "
-            f"{CHAR_EPS} of an integer"
-        )
-    m += whole
-    if m < 0:
-        raise ConsistencyError(f"{group.dtype}: negative multiplicity at n={n}, node={node}")
-    return m
-
-
 def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node: int) -> int:
     """Multiplicity of the node's irreducible in the level-n restriction,
     by the character inner product; rounds within tolerance or aborts.
 
-    Safe for any n: the +-identity classes are exact integers
-    (:func:`_round_multiplicity`), and any other element of order m has
-    eigenvalues zeta^(+-1) with zeta^m = 1, hence chi_(n+m) = chi_n, and
-    the Chebyshev step runs on n mod m only, so float error does not
-    grow with n.
+    Safe for any n in O(1): the +-identity part is exact and the rest is
+    the table's residue entry for n modulo the group exponent
+    (:func:`_round_multiplicity`).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    chis = [
-        _char_from_trace(table._traces[c], n % group.class_orders[c])
-        for c in _noncentral_classes(group)
-    ]
-    rest = _noncentral_sum(group, table, node, chis)
-    return _round_multiplicity(group, n, node, _central_values(group, table, node), rest)
+    rest = table.residues[n % len(table.residues)][node]
+    return _round_multiplicity(group, n, table.central[node], rest, node)
 
 
 def character_multiplicities(
     group: FiniteGroup, table: CharacterTable, order: int
 ) -> list[tuple[int, ...]]:
-    """Multiplicity vectors over extended nodes for n = 0..order.
-
-    Same inner product as :func:`oracle_multiplicity`.  Its non-central
-    sum depends on n only modulo the exponent of the group, so it is
-    formed once per residue from one period of chi_n per class
-    (:func:`_chebyshev_period`); any order is safe.
-    """
-    periods = [
-        _chebyshev_period(table._traces[c], group.class_orders[c])
-        for c in _noncentral_classes(group)
-    ]
+    """Multiplicity vectors over extended nodes for n = 0..order, by
+    :func:`oracle_multiplicity` at every level and node."""
     nodes = range(len(table.node_map))
-    central = [_central_values(group, table, node) for node in nodes]
-    rest = [
-        [_noncentral_sum(group, table, node, [p[r % len(p)] for p in periods]) for node in nodes]
-        for r in range(min(math.lcm(*group.class_orders), order + 1))
-    ]
-    return [
-        tuple(
-            _round_multiplicity(group, n, node, central[node], rest[n % len(rest)][node])
-            for node in nodes
-        )
-        for n in range(order + 1)
-    ]
+    return [tuple(oracle_multiplicity(group, table, n, i) for i in nodes) for n in range(order + 1)]

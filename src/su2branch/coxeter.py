@@ -36,8 +36,9 @@ def perm_inverse(p: Perm) -> Perm:
 
 
 def perm_power(p: Perm, k: int) -> Perm:
+    """p^k for k >= 0, by repeated squaring."""
     if k < 0:
-        return perm_power(perm_inverse(p), -k)
+        raise ValueError("k must be nonnegative")
     out = perm_identity(len(p))
     base = p
     while k:
@@ -69,17 +70,7 @@ class Bipartition:
 
 def bipartition(rs: RootSystem) -> Bipartition:
     """Two-color the diagram; the class meeting the highest root is part 1."""
-    color = {1: 0}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in rs.neighbors(i):
-                if j not in color:
-                    color[j] = 1 - color[i]
-                    nxt.append(j)
-        frontier = nxt
-
+    color = {i: d % 2 for i, d in rs.distances_from((1,)).items()}
     c1 = color[rs.affine_attachment()[0]]
     part1 = tuple(sorted(i for i in rs.nodes if color[i] == c1))
     part2 = tuple(sorted(i for i in rs.nodes if color[i] != c1))
@@ -96,9 +87,9 @@ def special_index(rs: RootSystem) -> int:
 
 @dataclass(frozen=True, eq=False)
 class CoxeterAction:
-    """sigma = tau_2 tau_1 acting on the full root list, plus its factors."""
+    """sigma = tau_2 tau_1 acting on the full root list, plus its factors;
+    its order is ``rs.coxeter_number`` (registry entry "coxeter order")."""
 
-    order: int
     tau1: Perm
     tau2: Perm
     sigma: Perm
@@ -121,9 +112,7 @@ def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
     tau1 = _class_involution(rs, bp.part1)
     tau2 = _class_involution(rs, bp.part2)
     sigma = perm_compose(tau2, tau1)
-    return CoxeterAction(
-        order=rs.coxeter_number, tau1=tau1, tau2=tau2, sigma=sigma, sigma_inv=perm_inverse(sigma)
-    )
+    return CoxeterAction(tau1=tau1, tau2=tau2, sigma=sigma, sigma_inv=perm_inverse(sigma))
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,13 +79,33 @@ def special_z_closed_form(params: BranchParams) -> Poly:
     return poly(coeffs)
 
 
+def _built_once(build: Callable[[Built], object]) -> property:
+    """A property that runs ``build`` on first read and keeps its value,
+    or the exception it raised, which every later read raises again."""
+    key = f"_{build.__name__}_outcome"
+
+    def get(self: Built) -> object:
+        if key not in self.__dict__:
+            try:
+                self.__dict__[key] = (build(self), None)
+            except Exception as exc:  # noqa: BLE001 - kept for the entries that read it
+                self.__dict__[key] = (None, exc)
+        value, exc = self.__dict__[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    return property(get)
+
+
 @dataclass(eq=False)
 class Built:
     """The objects one diagram type is built into, as the predicates read them.
 
     Derived objects are built on first use, so the enforced entries, which
     read only the bundle and the McKay graph, never build the group; the
-    oracle entries run to the given depths.
+    group and its character table are built at most once even when that
+    fails.  The oracle entries run to the given depths.
     """
 
     bundle: Branching
@@ -96,11 +116,11 @@ class Built:
     def graph(self) -> mckay.McKayGraph:
         return mckay.extended_graph(self.bundle.rs)
 
-    @cached_property
+    @_built_once
     def group(self) -> binarygroups.FiniteGroup:
         return binarygroups.build_group(self.bundle.dtype, self.bundle.params)
 
-    @cached_property
+    @_built_once
     def table(self) -> binarygroups.CharacterTable:
         return binarygroups.character_table(self.group, self.graph)
 

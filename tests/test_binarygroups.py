@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from su2branch import binarygroups
 from su2branch.binarygroups import (
     GroupElement,
     IDENTITY,
@@ -15,6 +16,7 @@ from su2branch.binarygroups import (
     _char_from_trace,
     oracle_multiplicity,
 )
+from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import bundle, graph_for, group_for, table_for
 
@@ -27,6 +29,11 @@ def test_group_orders(name, order):
     assert group_for(name).order == order
 
 
+def _matrix(q):
+    """The special-unitary matrix the quaternion stands for."""
+    return np.array([[q.w + q.x * 1j, q.y + q.z * 1j], [-q.y + q.z * 1j, q.w - q.x * 1j]])
+
+
 def test_quaternion_matrix_homomorphism():
     rng = random.Random(7)
     for _ in range(20):
@@ -36,10 +43,10 @@ def test_quaternion_matrix_homomorphism():
         n2 = math.sqrt(sum(c * c for c in v2))
         q1 = GroupElement(*[c / n1 for c in v1])
         q2 = GroupElement(*[c / n2 for c in v2])
-        assert np.allclose((q1 * q2).matrix(), q1.matrix() @ q2.matrix())
-        assert abs(np.linalg.det(q1.matrix()) - 1.0) < 1e-12
-        assert np.allclose(q1.matrix() @ q1.matrix().conj().T, np.eye(2))
-        assert abs(np.trace(q1.matrix()).real - q1.trace) < 1e-12
+        assert np.allclose(_matrix(q1 * q2), _matrix(q1) @ _matrix(q2))
+        assert abs(np.linalg.det(_matrix(q1)) - 1.0) < 1e-12
+        assert np.allclose(_matrix(q1) @ _matrix(q1).conj().T, np.eye(2))
+        assert abs(np.trace(_matrix(q1)).real - q1.trace) < 1e-12
 
 
 def test_minus_identity_central():
@@ -150,6 +157,48 @@ def test_character_vectors_match_recursion(name):
     vecs = character_multiplicities(group_for(name), table_for(name), 40)
     rec = recursion_oracle(graph_for(name), 40)
     assert vecs == rec
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_range_oracle_is_the_point_oracle(name):
+    group, t = group_for(name), table_for(name)
+    top = 2 * math.lcm(*group.class_orders) + 2
+    vecs = character_multiplicities(group, t, top)
+    assert len(vecs) == top + 1
+    for n, vec in enumerate(vecs):
+        for i, m in enumerate(vec):
+            assert m == oracle_multiplicity(group, t, n, i)
+
+
+@pytest.mark.parametrize("name", ["A5", "D6", "E8"])
+def test_residue_table_is_the_class_sum(name):
+    # Reference: the plain loop over classes, with chi_r unreduced.
+    group, t = group_for(name), table_for(name)
+    minus = group.class_of[group.minus_identity]
+    traces = [group.elements[rep].trace for rep in group.representatives()]
+    assert len(t.residues) == math.lcm(*group.class_orders)
+    for r, sums in enumerate(t.residues):
+        for node, got in enumerate(sums):
+            row = t.character_for_node(node)
+            want = sum(
+                group.class_sizes[c] * _char_from_trace(traces[c], r) * row[c].conjugate()
+                for c in range(len(group.classes))
+                if c not in (0, minus)
+            )
+            assert abs(got - want) < 1e-8
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_point_oracle_runs_no_chebyshev_step(monkeypatch, name):
+    group, t = group_for(name), table_for(name)
+
+    def boom(trace, n):
+        raise AssertionError("Chebyshev step after the table was built")
+
+    monkeypatch.setattr(binarygroups, "_char_from_trace", boom)
+    n = 10**18 + 1
+    vec = tuple(oracle_multiplicity(group, t, n, i) for i in range(graph_for(name).size))
+    assert sum(m * d for m, d in zip(vec, graph_for(name).marks_ext)) == n + 1
 
 
 def test_molien_matches_character_path():

@@ -38,7 +38,7 @@ def test_tau1_negates_own_simples():
 def test_sigma_order_a3():
     b = bundle("A3")
     assert len(b.rs.roots) == 12
-    assert b.cox.order == 4
+    assert b.rs.coxeter_number == 4
     assert perm_power(b.cox.sigma, 4) == perm_identity(12)
     for k in (1, 2, 3):
         assert perm_power(b.cox.sigma, k) != perm_identity(12)

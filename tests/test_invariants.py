@@ -84,6 +84,40 @@ def test_broken_stage_is_reported_under_its_invariant(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("FAIL  E8 numerator polynomials")
 
 
+def test_short_group_closure_is_reported_by_group_sanity(monkeypatch):
+    # One generator closes to the cyclic group of order 4, not the 120 of E8.
+    monkeypatch.setattr(binarygroups, "generators", lambda dtype: (binarygroups.I_UNIT,))
+    checks = {c.name: c for c in run_type_checks("E8")}
+    sanity = checks["E8 group sanity"]
+    assert not sanity.passed
+    assert sanity.detail == "a*b = 240 but group order is 4"
+
+
+TABLE_READERS = ["character table", "triple oracle", "huge-level triple oracle"]
+
+
+@pytest.mark.parametrize(
+    "stage,failing",
+    [
+        ("build_group", ["group sanity", *TABLE_READERS, "molien average"]),
+        ("character_table", TABLE_READERS),
+    ],
+)
+def test_failed_group_build_runs_once(monkeypatch, stage, failing):
+    calls = []
+
+    def boom(*args):
+        calls.append(args)
+        raise ConsistencyError("boom")
+
+    monkeypatch.setattr(binarygroups, stage, boom)
+    checks = run_type_checks("E8", series_order=20, char_order=10)
+    assert len(calls) == 1
+    assert [(c.name, c.detail) for c in checks if not c.passed] == [
+        (f"E8 {name}", "exception: boom") for name in failing
+    ]
+
+
 def test_failed_audit_entry_is_one_fail_line(monkeypatch):
     monkeypatch.setattr(binarygroups, "molien_series", lambda group, order: (0,) * (order + 1))
     checks = run_type_checks("D4", series_order=20, char_order=10)
