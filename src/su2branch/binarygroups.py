@@ -279,22 +279,31 @@ def _round_int(value: complex, what: str) -> int:
 
 
 def _residue_sums(
-    group: FiniteGroup, points: list[tuple[float, int]], weights: list[list[complex]]
+    group: FiniteGroup,
+    points: list[tuple[float, int]],
+    weights: list[list[complex]],
+    columns: int,
 ) -> tuple[tuple[complex, ...], ...]:
     """The non-central part of a character inner product with chi_n, for every n.
 
     ``points`` are the (trace, order m) of the non-central elements or
     class representatives summed over, ``weights[p]`` the weight of point
-    p in each column.  An element of order m has eigenvalues zeta^(+-1)
-    with zeta^m = 1, so chi_(n+m) = chi_n there and the sum depends on n
-    only modulo the group exponent E (the lcm of the element orders).
+    p in each of the ``columns`` columns.  An element of order m has
+    eigenvalues zeta^(+-1) with zeta^m = 1, so chi_(n+m) = chi_n there
+    and the sum depends on n only modulo the group exponent E (the lcm of
+    the element orders).
     Entry ``[r][k]`` is sum_p weights[p][k] chi_(r mod m_p)(p) for
     r = 0..E-1; each chi takes fewer than m Chebyshev steps, so the float
-    error does not grow with n.
+    error does not grow with n.  With no points (A1, whose group is
+    +-identity) every entry is 0.
     """
+    exponent = math.lcm(*group.class_orders)
     periods = [[_char_from_trace(trace, k) for k in range(m)] for trace, m in points]
-    chis = [[p[r % len(p)] for p in periods] for r in range(math.lcm(*group.class_orders))]
-    return tuple(map(tuple, (np.array(chis) @ np.array(weights)).tolist()))
+    chis = [[p[r % len(p)] for p in periods] for r in range(exponent)]
+    sums = np.array(chis, dtype=float).reshape(exponent, len(points)) @ np.array(
+        weights, dtype=complex
+    ).reshape(len(points), columns)
+    return tuple(map(tuple, sums.tolist()))
 
 
 def _round_multiplicity(
@@ -341,6 +350,7 @@ def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
             if i not in (0, group.minus_identity)
         ],
         [[1.0]] * (group.order - 2),
+        1,
     )
     return tuple(
         _round_multiplicity(group, n, (1, 1), rest[n % len(rest)][0], None)
@@ -506,6 +516,7 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
             group,
             [(traces[c], group.class_orders[c]) for c in noncentral],
             [[sizes[c] * row[c].conjugate() for row in node_rows] for c in noncentral],
+            len(node_rows),
         ),
     )
 

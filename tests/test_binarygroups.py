@@ -201,6 +201,18 @@ def test_point_oracle_runs_no_chebyshev_step(monkeypatch, name):
     assert sum(m * d for m, d in zip(vec, graph_for(name).marks_ext)) == n + 1
 
 
+def test_a1_has_no_noncentral_points():
+    # A1's group is +-identity: every residue sum is empty and must read 0.
+    from su2branch.mckay import recursion_oracle
+
+    group, t = group_for("A1"), table_for("A1")
+    assert group.order == 2
+    assert t.residues == ((0j, 0j), (0j, 0j))
+    rec = recursion_oracle(graph_for("A1"), 40)
+    assert character_multiplicities(group, t, 40) == rec
+    assert list(molien_series(group, 40)) == [vec[0] for vec in rec]
+
+
 def test_molien_matches_character_path():
     group = group_for("D6")
     t = table_for("D6")

@@ -135,6 +135,14 @@ def test_group_json(capsys):
     assert sum(rec["class_sizes"]) == 24
 
 
+def test_group_a1(capsys):
+    code, out, _ = run(capsys, "group", "--type", "A1", "--json")
+    rec = json.loads(out)
+    assert code == 0
+    assert rec["order"] == 2
+    assert rec["character_dims"] == [1, 1]
+
+
 def test_out_writes_file(tmp_path, capsys):
     path = tmp_path / "marks.json"
     code, out, _ = run(capsys, "mckay", "--type", "E8", "--json", "--out", str(path))
