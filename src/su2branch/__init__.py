@@ -6,6 +6,7 @@ quaternionic character theory."""
 from .branching import Branching, BranchParams, branch_params
 from .coxeter import bipartition, coxeter_element, orbit_table, special_index
 from .errors import ConsistencyError
+from .invariants import Session
 from .mckay import extended_graph, recursion_oracle
 from .rootsys import NODE_CONVENTION, DiagramType, RootSystem, build_root_system
 from .verify import ACCEPTED_TYPES, run_all, run_type_checks
@@ -20,6 +21,7 @@ __all__ = [
     "DiagramType",
     "NODE_CONVENTION",
     "RootSystem",
+    "Session",
     "bipartition",
     "branch_params",
     "build_root_system",

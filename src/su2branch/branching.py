@@ -206,18 +206,14 @@ class Branching:
         return {i: sparse_items(z) for i, z in self.zpolys.items()}
 
     def multiplicity(self, n: int, node: int) -> int:
-        """Coefficient of t^n in m(t) for the given extended node.
-
-        Closed form, exact for any n >= 0: the sum of z_e * count(n - e)
-        over the nonzero numerator terms.
-        """
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        count = self._count
-        return sum(c * count(n - e) for e, c in self._terms[node])
+        """Coefficient of t^n in m(t) for the given extended node."""
+        if not 0 <= node <= self.rs.rank:
+            raise ValueError(f"node index {node} out of range for {self.dtype}")
+        return self.vector(n)[node]
 
     def vector(self, n: int) -> tuple[int, ...]:
-        """Multiplicities at level n across all extended nodes (0..rank)."""
+        """Multiplicities at level n across all extended nodes (0..rank), exact
+        for any n >= 0: per node, z_e * count(n - e) summed over its terms."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         count = self._count

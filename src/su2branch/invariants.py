@@ -1,8 +1,9 @@
-"""The invariant registry: every structural identity, stated once.
+"""The per-type :class:`Session` and the invariant registry: every
+structural identity, stated once.
 
 :data:`INVARIANTS` is one ordered tuple of entries.  Each entry has the
 name verify reports it under, the build stage whose output it checks,
-and a predicate over the built objects (:class:`Built`) that returns
+and a predicate over the type's :class:`Session` that returns
 ``(passed, detail)``.  The registry is walked in two places:
 
 * **Construction enforces.**  Constructing a :class:`~.branching.Branching`
@@ -52,6 +53,9 @@ GOLDEN_E8_Z: dict[tuple[int, int], dict[int, int]] = {
 #: The level at which the three oracles are compared beyond the dense sweep.
 HUGE_LEVEL = 10**18 + 1
 
+#: The three independent routes to a multiplicity vector, by name.
+ORACLES = ("coxeter", "recursion", "characters")
+
 
 def expected_params(dtype: DiagramType) -> tuple[int, int, int, int]:
     """Closed-form (a, b, h, g) per family."""
@@ -79,12 +83,12 @@ def special_z_closed_form(params: BranchParams) -> Poly:
     return poly(coeffs)
 
 
-def _built_once(build: Callable[[Built], object]) -> property:
+def _built_once(build: Callable[[Session], object]) -> property:
     """A property that runs ``build`` on first read and keeps its value,
     or the exception it raised, which every later read raises again."""
     key = f"_{build.__name__}_outcome"
 
-    def get(self: Built) -> object:
+    def get(self: Session) -> object:
         if key not in self.__dict__:
             try:
                 self.__dict__[key] = (build(self), None)
@@ -99,8 +103,8 @@ def _built_once(build: Callable[[Built], object]) -> property:
 
 
 @dataclass(eq=False)
-class Built:
-    """The objects one diagram type is built into, as the predicates read them.
+class Session:
+    """One diagram type's objects, as ``Session(Branching.build(dtype))``.
 
     Derived objects are built on first use, so the enforced entries, which
     read only the bundle and the McKay graph, never build the group; the
@@ -129,6 +133,17 @@ class Built:
         """sigma^g, which should act as the longest Weyl element."""
         return perm_power(self.bundle.cox.sigma, self.bundle.rs.coxeter_number // 2)
 
+    def vector(self, n: int, oracle: str) -> tuple[int, ...]:
+        """Multiplicities at level n by the named oracle; only the characters build the group."""
+        if oracle == "coxeter":
+            return self.bundle.vector(n)
+        if oracle == "recursion":
+            return mckay.recursion_oracle(self.graph, n)[n]
+        if oracle == "characters":
+            group, table, nodes = self.group, self.table, range(self.graph.size)
+            return tuple(binarygroups.oracle_multiplicity(group, table, n, i) for i in nodes)
+        raise ValueError(f"unknown oracle {oracle!r}: expected one of {', '.join(ORACLES)}")
+
 
 Result = tuple[bool, str]
 
@@ -139,18 +154,18 @@ class Invariant:
 
     name: str
     stage: str
-    predicate: Callable[[Built], Result]
+    predicate: Callable[[Session], Result]
     enforced: bool = False
     only: str | None = None
 
-    def evaluate(self, built: Built) -> Result:
+    def evaluate(self, session: Session) -> Result:
         try:
-            return self.predicate(built)
+            return self.predicate(session)
         except Exception as exc:  # noqa: BLE001 - a predicate that crashes has failed
             return False, f"exception: {exc}"
 
 
-def _root_counts(c: Built) -> Result:
+def _root_counts(c: Session) -> Result:
     rs = c.bundle.rs
     rank, h, num_pos, psi = rs.rank, rs.coxeter_number, rs.num_positive, rs.highest_root
     ok = (
@@ -167,7 +182,7 @@ def _root_counts(c: Built) -> Result:
     return ok, f"{num_pos} positive roots, h = {h}"
 
 
-def _cartan_pairing(c: Built) -> Result:
+def _cartan_pairing(c: Session) -> Result:
     rs = c.bundle.rs
     cartan, rank = rs.cartan, rs.rank
     for i in range(rank):
@@ -190,7 +205,7 @@ def _cartan_pairing(c: Built) -> Result:
     return True, f"all {len(rs.roots)}^2 pairings within [-2, 2], lengths 2"
 
 
-def _reachability(c: Built) -> Result:
+def _reachability(c: Session) -> Result:
     rs = c.bundle.rs
     for r in rs.positive_roots:
         if sum(r) == 1:
@@ -203,7 +218,7 @@ def _reachability(c: Built) -> Result:
     return True, "every positive root steps down to a simple root"
 
 
-def _reflections(c: Built) -> Result:
+def _reflections(c: Session) -> Result:
     rs = c.bundle.rs
     for i in rs.nodes:
         images = [rs.reflect(i, r) for r in rs.roots]
@@ -214,7 +229,7 @@ def _reflections(c: Built) -> Result:
     return True, f"{rs.rank} reflections permute all {len(rs.roots)} roots"
 
 
-def _bipartition(c: Built) -> Result:
+def _bipartition(c: Session) -> Result:
     rs, bp = c.bundle.rs, c.bundle.bp
     for part in (bp.part1, bp.part2):
         for i in part:
@@ -231,14 +246,14 @@ def _bipartition(c: Built) -> Result:
     return True, f"sides {list(bp.part1)} | {list(bp.part2)}"
 
 
-def _special_side(c: Built) -> Result:
+def _special_side(c: Session) -> Result:
     b = c.bundle
     g, special = b.rs.coxeter_number // 2, b.params.special
     side = b.bp.side(special)
     return (side == 2) == (g % 2 == 0), f"special node {special} on side {side}, g = {g}"
 
 
-def _coxeter_order(c: Built) -> Result:
+def _coxeter_order(c: Session) -> Result:
     cox, h = c.bundle.cox, c.bundle.rs.coxeter_number
     ident = perm_identity(len(cox.sigma))
     if perm_compose(cox.tau1, cox.tau1) != ident or perm_compose(cox.tau2, cox.tau2) != ident:
@@ -251,7 +266,7 @@ def _coxeter_order(c: Built) -> Result:
     return power == ident, f"sigma has order exactly {h}"
 
 
-def _orbit_partition(c: Built) -> Result:
+def _orbit_partition(c: Session) -> Result:
     rs, table = c.bundle.rs, c.bundle.table
     h, num_pos = rs.coxeter_number, rs.num_positive
     betas = {rs.index_of(beta) for beta in table.signed_simples}
@@ -272,7 +287,7 @@ def _orbit_partition(c: Built) -> Result:
     return ok, f"{rs.rank} disjoint orbits of size {h} cover {len(rs.roots)} roots"
 
 
-def _orbit_exponents(c: Built) -> Result:
+def _orbit_exponents(c: Session) -> Result:
     rs, bp, table = c.bundle.rs, c.bundle.bp, c.bundle.table
     h = rs.coxeter_number
     g = h // 2
@@ -294,7 +309,7 @@ def _orbit_exponents(c: Built) -> Result:
     return psi_n == g, f"bijections hold; highest root has exponent {psi_n} = g"
 
 
-def _negates_positives(c: Built) -> Result:
+def _negates_positives(c: Session) -> Result:
     rs = c.bundle.rs
     num_pos = rs.num_positive
     bad = [rs.root_at(x) for x in range(num_pos) if c.kappa[x] < num_pos]
@@ -302,8 +317,8 @@ def _negates_positives(c: Built) -> Result:
     return not bad, f"{num_pos - len(bad)}/{num_pos} positive roots negated{offenders}"
 
 
-def _negates_class(k: int) -> Callable[[Built], Result]:
-    def predicate(c: Built) -> Result:
+def _negates_class(k: int) -> Callable[[Session], Result]:
+    def predicate(c: Session) -> Result:
         rs = c.bundle.rs
         part = c.bundle.bp.part1 if k == 1 else c.bundle.bp.part2
         simples = [rs.index_of(rs.simple_root(i)) for i in part]
@@ -313,14 +328,14 @@ def _negates_class(k: int) -> Callable[[Built], Result]:
     return predicate
 
 
-def _negates_special(c: Built) -> Result:
+def _negates_special(c: Session) -> Result:
     rs, special = c.bundle.rs, c.bundle.params.special
     alpha = rs.index_of(rs.simple_root(special))
     ok = c.kappa[alpha] == rs.negation(alpha)
     return ok, f"node {special}" + ("" if ok else f"; image {rs.root_at(c.kappa[alpha])}")
 
 
-def _reaches_special(c: Built) -> Result:
+def _reaches_special(c: Session) -> Result:
     rs, table, special = c.bundle.rs, c.bundle.table, c.bundle.params.special
     g = rs.coxeter_number // 2
     steps = (g - 1) // 2 if g % 2 == 1 else g // 2
@@ -329,18 +344,18 @@ def _reaches_special(c: Built) -> Result:
     return ok, f"g = {g}, steps = {steps}" + ("" if ok else f"; landed on {rs.root_at(reached)}")
 
 
-def _shares_orbit(c: Built) -> Result:
+def _shares_orbit(c: Session) -> Result:
     rs = c.bundle.rs
     node = c.bundle.table.orbit_node[rs.index_of(rs.highest_root)]
     return node == c.bundle.params.special, f"orbit of highest root: node {node}"
 
 
-def _kappa_involution(c: Built) -> Result:
+def _kappa_involution(c: Session) -> Result:
     g = c.bundle.rs.coxeter_number // 2
     return perm_compose(c.kappa, c.kappa) == perm_identity(len(c.kappa)), f"2g = {2 * g}"
 
 
-def _kappa_commutes(c: Built) -> Result:
+def _kappa_commutes(c: Session) -> Result:
     kappa, cox = c.kappa, c.bundle.cox
     ok = all(perm_compose(kappa, tau) == perm_compose(tau, kappa) for tau in (cox.tau1, cox.tau2))
     return ok, "both factors"
@@ -365,7 +380,7 @@ LONGEST_ELEMENT: tuple[Invariant, ...] = tuple(
 )
 
 
-def _heisenberg(c: Built) -> Result:
+def _heisenberg(c: Session) -> Result:
     b = c.bundle
     hs, h = b.heisenberg, b.rs.coxeter_number
     if len(hs.roots) != 2 * h - 3:
@@ -381,7 +396,7 @@ def _heisenberg(c: Built) -> Result:
     return True, f"{2 * h - 3} roots, slice sizes as required"
 
 
-def _numerators(c: Built) -> Result:
+def _numerators(c: Session) -> Result:
     """Degree < h, value at 1, exponent parity and 0/1 coefficients (2 at
     most on the special node) per node; the special numerator equals its
     closed form (so it is symmetric about t^g) and node 0 has 1 + t^h."""
@@ -408,14 +423,14 @@ def _numerators(c: Built) -> Result:
     return True, f"{b.rs.rank + 1} numerators within bounds; special node has {poly_str(z_star)}"
 
 
-def _golden_e8(c: Built) -> Result:
+def _golden_e8(c: Session) -> Result:
     for i in c.bundle.rs.nodes:
         if dict(sparse_items(c.bundle.zpolys[i])) != GOLDEN_E8_Z[c.bundle.node_label(i)]:
             return False, f"node {i} differs from the golden numerator"
     return True, "8/8 golden numerators match exactly"
 
 
-def _branch_parameters(c: Built) -> Result:
+def _branch_parameters(c: Session) -> Result:
     """The closed form (a, b, h, g), which has a <= b, both even and
     4 | ab; "group sanity" confirms |F*| = a * b / 2 on the built group."""
     p = c.bundle.params
@@ -427,7 +442,7 @@ def _branch_parameters(c: Built) -> Result:
     return True, f"(a, b, h, g) = {want}; |F*| = {p.order_fstar}"
 
 
-def _group_sanity(c: Built) -> Result:
+def _group_sanity(c: Session) -> Result:
     group, p = c.group, c.bundle.params
     n = group.order
     if p.a * p.b != 2 * n:
@@ -448,7 +463,7 @@ def _group_sanity(c: Built) -> Result:
     return True, f"order {n}; associativity sampled, inverses total"
 
 
-def _extended_graph(c: Built) -> Result:
+def _extended_graph(c: Session) -> Result:
     """Symmetric; the affine row is the attachment (so no node pairs
     negatively with the highest root); the extended marks span the
     kernel of 2 - A."""
@@ -468,7 +483,7 @@ def _extended_graph(c: Built) -> Result:
     return True, f"size {graph.size}; marks {list(graph.marks_ext)}"
 
 
-def _character_table(c: Built) -> Result:
+def _character_table(c: Session) -> Result:
     group, table, graph = c.group, c.table, c.graph
     r = len(group.classes)
     sizes = group.class_sizes
@@ -488,7 +503,7 @@ def _character_table(c: Built) -> Result:
     return dims == graph.marks_ext, f"{r} irreducibles; dims match marks; central signs match sides"
 
 
-def _triple_oracle(c: Built) -> Result:
+def _triple_oracle(c: Session) -> Result:
     order, char_order, size = c.series_order, c.char_order, c.graph.size
     rec = list(mckay.recursion_oracle(c.graph, order))
     series = [c.bundle.series(i, order) for i in range(size)]
@@ -505,24 +520,20 @@ def _triple_oracle(c: Built) -> Result:
     return True, f"series == recursion to n={order}; == characters to n={char_order}"
 
 
-def _huge_level(c: Built) -> Result:
+def _huge_level(c: Session) -> Result:
     n = HUGE_LEVEL
-    cox = c.bundle.vector(n)
-    rec = mckay.recursion_oracle(c.graph, n)[n]
-    chars = tuple(
-        binarygroups.oracle_multiplicity(c.group, c.table, n, i) for i in range(c.graph.size)
-    )
+    cox, rec, chars = (c.vector(n, oracle) for oracle in ORACLES)
     if not cox == rec == chars:
         return False, f"coxeter {cox}, recursion {rec}, characters {chars} at n={n}"
     return True, f"coxeter == recursion == characters at n={n}"
 
 
-def _molien(c: Built) -> Result:
+def _molien(c: Session) -> Result:
     ok = binarygroups.molien_series(c.group, c.char_order) == c.bundle.series(0, c.char_order)
     return ok, f"group average matches invariant series to n={c.char_order}"
 
 
-def _sum_rule(c: Built) -> Result:
+def _sum_rule(c: Session) -> Result:
     marks = c.graph.marks_ext
     for n in range(c.series_order + 1):
         if sum(m * v for m, v in zip(marks, c.bundle.vector(n))) != n + 1:
@@ -530,7 +541,7 @@ def _sum_rule(c: Built) -> Result:
     return True, f"sum of mark * multiplicity is n + 1 up to n={c.series_order}"
 
 
-def _parity_vanishing(c: Built) -> Result:
+def _parity_vanishing(c: Session) -> Result:
     for i in range(c.graph.size):
         k = c.bundle.node_parity(i)
         for n, x in enumerate(c.bundle.series(i, c.series_order)):
@@ -573,10 +584,10 @@ def registry(dtype: DiagramType | str) -> tuple[Invariant, ...]:
 
 def enforce(bundle: Branching) -> None:
     """Evaluate the enforced entries in order; raise at the first failure."""
-    built = Built(bundle)
+    session = Session(bundle)
     for inv in INVARIANTS:
         if inv.enforced:
-            passed, detail = inv.evaluate(built)
+            passed, detail = inv.evaluate(session)
             if not passed:
                 raise ConsistencyError(
                     f"{bundle.dtype} {inv.name}: {detail}",

@@ -9,21 +9,23 @@ recursion v_(n+1) = A v_n - v_(n-1) from v_0 = e_0.  This gives a
 branching oracle that never touches the Coxeter element.
 
 The eigenvalues of A are 2 cos(2 pi k / m) for the element orders m,
-so v_n is a degree-1 quasi-polynomial in n.  :func:`recursion_oracle`
-runs the recursion only until it certifies a period P in exact
-integers (P <= 60 for every accepted type) and returns a read-only
-sequence view whose level n costs O(size) for any n.
+so v_n is a degree-1 quasi-polynomial in n.  Each graph certifies a
+period P of the recursion once, in exact integers (P <= 60 for every
+accepted type), and :func:`recursion_oracle` returns a read-only
+sequence view over it whose level n costs O(size) for any n.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConsistencyError
 from .rootsys import DiagramType, RootSystem
 
 MultiplicityVector = tuple[int, ...]
+Levels = tuple[MultiplicityVector, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +38,51 @@ class McKayGraph:
     size: int
     adjacency: tuple[tuple[int, ...], ...]
     marks_ext: tuple[int, ...]
+
+    @cached_property
+    def certificate(self) -> tuple[Levels, Levels]:
+        """The certified period of the tensor recursion, as ``(base, step)``:
+        base[r] = v_r and step[r] = v_(r+P) - v_r for 0 <= r < P.
+
+        The recursion runs only until it certifies a period: the first P
+        with w_0 = w_1 = 0, where w_n = v_(n+2P) - 2 v_(n+P) + v_n.  Proof
+        that v_(n+P) - v_n then has period P:
+
+        1. w is a sum of shifts of v, so it obeys the same recursion as v.
+        2. A second-order recursion that starts from w_0 = w_1 = 0 stays 0.
+        3. w_n = 0 says (v_(n+2P) - v_(n+P)) = (v_(n+P) - v_n) for every n.
+
+        Hence v_(r+kP) = v_r + k (v_(r+P) - v_r) exactly.  It costs
+        O(P * edges), once per graph.
+
+        For the McKay graph of F*, chi_n is periodic in n with period the
+        element order at every class but +-identity, where it is (+-1)^n
+        (n + 1), so P = exponent of F* passes.  It divides |F*|, which is at
+        most 4 * size^2 (|F*| = size, 4 (size - 3), 24, 48, 120 for types
+        A, D, E6, E7, E8).  A graph that certifies no period up to that
+        bound is not a McKay graph and aborts, as does any computed level
+        with a negative entry or a wrong dimension sum.
+        """
+        size = self.size
+        cap = 4 * size * size
+        nbrs = [tuple((j, c) for j, c in enumerate(row) if c) for row in self.adjacency]
+        levels = [_check_level(self, tuple(int(i == 0) for i in range(size)), 0)]
+        prev = (0,) * size
+        for period in range(1, cap + 1):
+            while len(levels) < 2 * period + 2:
+                cur = levels[-1]
+                nxt = tuple([sum([c * cur[j] for j, c in row]) - p for row, p in zip(nbrs, prev)])
+                prev = cur
+                levels.append(_check_level(self, nxt, len(levels)))
+            if all(
+                levels[n + 2 * period][i] - 2 * levels[n + period][i] + levels[n][i] == 0
+                for n in (0, 1)
+                for i in range(size)
+            ):
+                base = tuple(levels[:period])
+                step = (tuple(b - a for a, b in zip(u, w)) for u, w in zip(base, levels[period:]))
+                return base, tuple(step)
+        raise _failure(self, f"tensor recursion has no period up to {cap}")
 
 
 def extended_graph(rs: RootSystem) -> McKayGraph:
@@ -68,23 +115,15 @@ class RecursionLevels(Sequence):
     Behaves like ``range``: ``len`` is order + 1, negative indices and
     slices work, an index past ``order`` raises ``IndexError``, and it
     compares equal, element by element, to any sequence of the same
-    vectors.  Level n is extrapolated from a certified period P:
-
-        v_(r+kP) = v_r + k * (v_(r+P) - v_r)    for 0 <= r < P,
-
-    so it costs O(size) for any n.  Every level returned is checked for
-    negative entries and for the dimension sum n + 1.
+    vectors.  Level n is read off ``graph.certificate`` in O(size) for any
+    n and checked for negative entries and for the dimension sum n + 1.
     """
 
-    def __init__(self, graph: McKayGraph, order: int, block: list[MultiplicityVector]) -> None:
+    def __init__(self, graph: McKayGraph, order: int) -> None:
         self.graph = graph
         self.order = order
-        self.period = len(block) // 2
-        self._base = block[: self.period]
-        self._step = [
-            tuple(b - a for a, b in zip(block[r], block[r + self.period]))
-            for r in range(self.period)
-        ]
+        self._base, self._step = graph.certificate
+        self.period = len(self._base)
 
     def __len__(self) -> int:
         return self.order + 1
@@ -107,55 +146,21 @@ def _check_level(graph: McKayGraph, v: MultiplicityVector, n: int) -> Multiplici
     """A negative entry or a dimension sum (sum of marks_ext[i] * v[i])
     other than n + 1 means the graph is not the McKay graph of anything."""
     if min(v) < 0:
-        raise ConsistencyError(f"{graph.dtype}: negative multiplicity at level {n}: {v}")
+        raise _failure(graph, f"negative multiplicity at level {n}: {v}")
     total = sum([m * c for m, c in zip(graph.marks_ext, v)])
     if total != n + 1:
-        raise ConsistencyError(f"{graph.dtype}: dimension sum {total} != {n + 1} at level {n}")
+        raise _failure(graph, f"dimension sum {total} != {n + 1} at level {n}")
     return v
 
 
+def _failure(graph: McKayGraph, problem: str) -> ConsistencyError:
+    return ConsistencyError(f"{graph.dtype}: {problem}", dtype=str(graph.dtype), stage="oracles")
+
+
 def recursion_oracle(graph: McKayGraph, order: int) -> RecursionLevels:
-    """Multiplicity vectors v_0 .. v_order from the tensor recursion.
-
-    v_0 is the unit vector at the affine node and v_(n+1) = A v_n -
-    v_(n-1) with v_(-1) = 0.  The recursion runs only until it certifies
-    a period: the first P with w_0 = w_1 = 0, where
-    w_n = v_(n+2P) - 2 v_(n+P) + v_n.  Proof that v_(n+P) - v_n then has
-    period P:
-
-    1. w is a sum of shifts of v, so it obeys the same recursion as v.
-    2. A second-order recursion that starts from w_0 = w_1 = 0 stays 0.
-    3. w_n = 0 says (v_(n+2P) - v_(n+P)) = (v_(n+P) - v_n) for every n.
-
-    Hence v_(r+kP) = v_r + k (v_(r+P) - v_r) exactly, and the returned
-    :class:`RecursionLevels` keeps only v_0 .. v_(2P-1).  Building it
-    costs O(P * edges); each level then costs O(size).
-
-    For the McKay graph of F*, chi_n is periodic in n with period the
-    element order at every class but +-identity, where it is (+-1)^n
-    (n + 1), so P = exponent of F* passes.  It divides |F*|, which is at
-    most 4 * size^2 (|F*| = size, 4 (size - 3), 24, 48, 120 for types
-    A, D, E6, E7, E8).  A graph that certifies no period up to that
-    bound is not a McKay graph and aborts, as does any computed level
-    with a negative entry or a wrong dimension sum.
-    """
+    """Multiplicity vectors v_0 .. v_order from the tensor recursion, as a
+    window over ``graph.certificate``: the first call on a graph certifies
+    its period, later calls cost O(1)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    size = graph.size
-    cap = 4 * size * size
-    nbrs = [tuple((j, c) for j, c in enumerate(row) if c) for row in graph.adjacency]
-    levels = [_check_level(graph, tuple(int(i == 0) for i in range(size)), 0)]
-    prev = (0,) * size
-    for period in range(1, cap + 1):
-        while len(levels) < 2 * period + 2:
-            cur = levels[-1]
-            nxt = tuple([sum([c * cur[j] for j, c in row]) - p for row, p in zip(nbrs, prev)])
-            prev = cur
-            levels.append(_check_level(graph, nxt, len(levels)))
-        if all(
-            levels[n + 2 * period][i] - 2 * levels[n + period][i] + levels[n][i] == 0
-            for n in (0, 1)
-            for i in range(size)
-        ):
-            return RecursionLevels(graph, order, levels[: 2 * period])
-    raise ConsistencyError(f"{graph.dtype}: tensor recursion has no period up to {cap}")
+    return RecursionLevels(graph, order)

@@ -9,8 +9,9 @@ coefficient bounds and the special-node closed form, the E8 golden
 numerators, the parameter table, and the three-way multiplicity
 agreement (orbit series vs. tensor recursion vs. character theory,
 dense and at n = 10^18 + 1, plus the plain Molien average for the
-affine node).  The structural entries already ran when the bundle was
-constructed; if one failed there, the report is that entry's FAIL line.
+affine node), all read from one :class:`~.invariants.Session`.  The
+structural entries already ran when the bundle was constructed; if one
+failed there, the report is that entry's FAIL line.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branching import Branching
-from .invariants import Built, registry
+from .invariants import Session, registry
 from .rootsys import DiagramType
 
 #: Diagram types the verification and acceptance sweeps run over.
@@ -67,12 +68,11 @@ def run_type_checks(
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
     try:
-        bundle = Branching.build(dtype)
+        session = Session(Branching.build(dtype), series_order=series_order, char_order=char_order)
     except Exception as exc:  # noqa: BLE001 - report the failed entry or stage
         name = getattr(exc, "invariant", None) or "construction"
         return [Check(f"{dtype} {name}", False, f"exception: {exc}")]
-    built = Built(bundle, series_order=series_order, char_order=char_order)
-    return [Check(f"{dtype} {inv.name}", *inv.evaluate(built)) for inv in registry(dtype)]
+    return [Check(f"{dtype} {inv.name}", *inv.evaluate(session)) for inv in registry(dtype)]
 
 
 def run_all(

@@ -1,33 +1,31 @@
-"""Shared cached builders so each diagram type is constructed once per run,
-and polynomial helpers used only by tests."""
+"""One cached session per diagram type, so each type is constructed once
+per run, and polynomial helpers used only by tests."""
 
 from functools import lru_cache
 
-from su2branch.binarygroups import build_group, character_table
-from su2branch.branching import Branching
-from su2branch.mckay import extended_graph
+from su2branch import Branching, Session
 from su2branch.seriescalc import poly
 
 
 @lru_cache(maxsize=None)
+def session(type_str: str) -> Session:
+    return Session(Branching.build(type_str))
+
+
 def bundle(type_str: str) -> Branching:
-    return Branching.build(type_str)
+    return session(type_str).bundle
 
 
-@lru_cache(maxsize=None)
 def graph_for(type_str: str):
-    return extended_graph(bundle(type_str).rs)
+    return session(type_str).graph
 
 
-@lru_cache(maxsize=None)
 def group_for(type_str: str):
-    b = bundle(type_str)
-    return build_group(b.dtype, b.params)
+    return session(type_str).group
 
 
-@lru_cache(maxsize=None)
 def table_for(type_str: str):
-    return character_table(group_for(type_str), graph_for(type_str))
+    return session(type_str).table
 
 
 # Polynomial helpers the tests use to multiply a series back by its

@@ -14,7 +14,7 @@ from su2branch.coxeter import perm_power
 from su2branch.invariants import (
     GOLDEN_E8_Z,
     LONGEST_ELEMENT,
-    Built,
+    Session,
     expected_params,
     special_z_closed_form,
 )
@@ -99,9 +99,9 @@ def test_criterion_3_orbit_structure():
 def test_criterion_4_longest_element_suite():
     for name in ACCEPTED_TYPES:
         b = bundle(name)
-        built = Built(b)
+        session = Session(b)
         for inv in LONGEST_ELEMENT:
-            passed, detail = inv.evaluate(built)
+            passed, detail = inv.evaluate(session)
             assert passed, f"{name} {inv.name}: {detail}"
         g = b.rs.coxeter_number // 2
         kappa = perm_power(b.cox.sigma, g)

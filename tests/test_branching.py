@@ -170,6 +170,12 @@ def test_negative_level_rejected():
         b.vector(-1)
 
 
+@pytest.mark.parametrize("node", [-1, 9])
+def test_multiplicity_rejects_a_node_out_of_range(node):
+    with pytest.raises(ValueError, match="out of range"):
+        bundle("E8").multiplicity(5, node)
+
+
 @pytest.mark.parametrize(
     "name,n", [("A13", 5815), ("A13", 7843)] + [(t, 10**6) for t in ACCEPTED_TYPES]
 )

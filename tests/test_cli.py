@@ -7,6 +7,7 @@ import pytest
 from su2branch import verify
 from su2branch.branching import Branching
 from su2branch.cli import main
+from su2branch.invariants import ORACLES
 
 
 def run(capsys, *argv):
@@ -67,6 +68,17 @@ def test_branch_oracles_agree(capsys, oracle):
     code, out, _ = run(capsys, "branch", "--type", "D5", "--n", "12", "--json", "--oracle", oracle)
     assert code == 0
     assert json.loads(out)["multiplicities"] == [3, 2, 0, 4, 0, 0]
+
+
+def test_a1_branch_agrees_across_oracles(capsys):
+    # A1 is accepted but not swept: F* = {+-1}, and -1 acts as -1 on pi_5
+    answers = []
+    for oracle in ORACLES:
+        argv = ["branch", "--type", "A1", "--n", "5", "--json", "--oracle", oracle]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        answers.append(json.loads(out)["multiplicities"])
+    assert answers == [[0, 6]] * len(ORACLES)
 
 
 def test_zpoly_all_json(capsys):

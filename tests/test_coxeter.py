@@ -3,7 +3,7 @@
 import pytest
 
 from su2branch.coxeter import perm_identity, perm_power, special_index
-from su2branch.invariants import LONGEST_ELEMENT, Built
+from su2branch.invariants import LONGEST_ELEMENT, Session
 
 from conftest import bundle
 
@@ -123,10 +123,10 @@ def test_special_index_marks():
 
 @pytest.mark.parametrize("name", ["A3", "A7", "D5", "D8", "E6", "E7", "E8"])
 def test_longest_element_suite(name):
-    built = Built(bundle(name))
+    session = Session(bundle(name))
     assert len(LONGEST_ELEMENT) == 8
     for inv in LONGEST_ELEMENT:
-        passed, detail = inv.evaluate(built)
+        passed, detail = inv.evaluate(session)
         assert passed, f"{name} {inv.name}: {detail}"
 
 

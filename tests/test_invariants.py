@@ -8,7 +8,7 @@ from su2branch import binarygroups, branching
 from su2branch.branching import Branching
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
-from su2branch.invariants import INVARIANTS, registry
+from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Session, registry
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
 from conftest import bundle
@@ -40,12 +40,28 @@ def test_registry_names_are_unique_and_enforced_as_documented():
     assert tuple(inv.name for inv in INVARIANTS if inv.enforced) == ENFORCED
 
 
-def test_construction_never_builds_the_group(monkeypatch):
+def _forbid_group_build(monkeypatch):
     def boom(*args, **kwargs):
-        raise AssertionError("an enforced entry built the group")
+        raise AssertionError("the group was built")
 
     monkeypatch.setattr(binarygroups, "build_group", boom)
+
+
+def test_construction_never_builds_the_group(monkeypatch):
+    _forbid_group_build(monkeypatch)
     assert Branching.build("E8").params.order_fstar == 120
+
+
+def test_coxeter_and_recursion_never_build_the_group(monkeypatch):
+    _forbid_group_build(monkeypatch)
+    session = Session(Branching.build("E7"))
+    for n in (0, 17, HUGE_LEVEL):
+        assert session.vector(n, "coxeter") == session.vector(n, "recursion")
+
+
+def test_unknown_oracle_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown oracle 'bogus'"):
+        Session(bundle("A3")).vector(5, "bogus")
 
 
 def test_corrupted_numerator_fails_construction():

@@ -7,7 +7,7 @@ import pytest
 from su2branch.binarygroups import character_multiplicities, molien_series, oracle_multiplicity
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
-from su2branch.mckay import McKayGraph, recursion_oracle
+from su2branch.mckay import McKayGraph, extended_graph, recursion_oracle
 from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import bundle, graph_for, group_for, table_for
@@ -149,16 +149,25 @@ def test_doctored_adjacency_fails_a_level_check():
     adj = [list(row) for row in g.adjacency]
     adj[1][3] = adj[3][1] = 1  # close a triangle: not an extended Dynkin diagram
     doctored = McKayGraph(g.dtype, g.size, tuple(map(tuple, adj)), g.marks_ext)
-    with pytest.raises(ConsistencyError, match="dimension sum"):
+    with pytest.raises(ConsistencyError, match="dimension sum") as info:
         recursion_oracle(doctored, 10)
+    assert (info.value.dtype, info.value.stage) == ("E8", "oracles")
+
+
+def test_calls_on_one_graph_share_one_certificate():
+    g = extended_graph(bundle("D7").rs)  # a fresh graph: nothing certified yet
+    first, second = recursion_oracle(g, 10), recursion_oracle(g, 10**6)
+    assert first._base is second._base and first._step is second._step
+    assert first.period == second.period == PERIODS["D7"]
 
 
 def test_aperiodic_recursion_hits_the_period_cap():
     # Node 0 obeys v_(n+1) = 2 v_n - v_(n-1), so the dimension sum holds at
     # every level, while node 1 grows like 2.6^n: no period exists.
     g = McKayGraph(graph_for("A3").dtype, 2, ((2, 0), (1, 3)), (1, 0))
-    with pytest.raises(ConsistencyError, match="no period up to 16"):
+    with pytest.raises(ConsistencyError, match="no period up to 16") as info:
         recursion_oracle(g, 10**6)
+    assert (info.value.dtype, info.value.stage) == ("A3", "oracles")
 
 
 def test_cli_recursion_matches_coxeter_at_huge_level(capsys):
