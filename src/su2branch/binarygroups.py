@@ -7,20 +7,28 @@ A quaternion (w, x, y, z) stands for the special-unitary matrix
 
 so the trace is 2w and the inverse is the conjugate.  Groups are closed
 by breadth-first multiplication from fixed generators, deduplicating on
-coordinates rounded to 9 decimals; all the exact coordinate values that
-occur are far from rounding midpoints, so double precision has ample
-headroom.  Character tables come from simultaneous diagonalization of
-the class-sum structure constants (integer matrices), with a seeded
-random linear combination, and are matched to extended-diagram nodes by
-the tensor-with-defining-representation adjacency.
+coordinates rounded to :data:`DEDUP_DECIMALS`; all the exact coordinate
+values that occur are far from rounding midpoints, so double precision
+has ample headroom.
+
+Characters are exact, in F_p (Dixon's modular method): p and the
+residue standing for each class's eigenvalue are fixed once per group
+(:attr:`FiniteGroup.roots_mod_p`), every character identity holds mod p,
+and each integer the oracles need lifts from its residue.  The central
+characters are the common eigenvectors of the class-sum structure
+constants; rows are matched to extended-diagram nodes by the tensor-with-
+defining-representation adjacency.
 
 The character oracles and the Molien average share one inner product
 <chi_n, chi>.  At +-identity chi_n is the integer (+-1)^n (n + 1); at an
-element of order m it repeats with period m, so the rest of the sum
-depends on n only modulo the group exponent E.  :func:`character_table`
-forms that rest once for each residue r = 0..E-1 and each node (the
-residue table), so a level is a lookup plus exact integer arithmetic
-for any n.
+element of order m it has period m in n, so the rest of the sum depends
+on n only modulo E.  :func:`character_table` forms that rest once for
+each residue r = 0..E-1 and each node (the residue table, in integers),
+so a level is a lookup plus exact integer arithmetic for any n.
+
+Two float uses remain, both classifications with a wide margin: the
+closure dedup at :data:`DEDUP_DECIMALS` and each class's rotation index
+(:data:`ROTATION_GAP`).
 
 Generator conventions (exact coordinates, fixed for reproducibility):
 
@@ -35,11 +43,11 @@ Generator conventions (exact coordinates, fixed for reproducibility):
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import ConsistencyError
 from .mckay import McKayGraph
@@ -50,8 +58,10 @@ if TYPE_CHECKING:
 
 #: Decimal places used to deduplicate quaternion coordinates.
 DEDUP_DECIMALS = 9
-#: Tolerance for rounding character sums to integers.
-CHAR_EPS = 1e-6
+#: Largest distance of m * angle / (2 pi) from an integer rotation index.
+ROTATION_GAP = 1e-6
+#: Largest irreducible degree of a binary polyhedral group (E8 has 6).
+MAX_DEGREE = 6
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _EIG_SEED = 20240801
@@ -78,10 +88,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.w, -self.x, -self.y, -self.z)
-
-    @property
-    def trace(self) -> float:
-        return 2.0 * self.w
 
     def norm_sq(self) -> float:
         return self.w**2 + self.x**2 + self.y**2 + self.z**2
@@ -161,6 +167,34 @@ class FiniteGroup:
             out.append(k)
         return tuple(out)
 
+    @cached_property
+    def class_inverse(self) -> tuple[int, ...]:
+        """The class of the inverses of each class, where chi is conjugated."""
+        return tuple(self.class_of[self.inverse[rep]] for rep in self.representatives())
+
+    @cached_property
+    def roots_mod_p(self) -> tuple[int, tuple[int, ...]]:
+        """The prime p and, per class, zeta = omega^(k E/m) mod p.
+
+        p is the smallest prime p = 1 (mod E) above 2 |F*| E MAX_DEGREE, and
+        omega has exact order E in F_p^*.  A class of order m has eigenvalues
+        exp(+-2 pi i k/m); k, read from w = cos(2 pi k/m), must lie within
+        ROTATION_GAP of an integer prime to m.
+        """
+        e = math.lcm(*self.class_orders)
+        p = 2 * self.order * e * MAX_DEGREE + 1
+        while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            p += e
+        powers = (pow(a, (p - 1) // e, p) for a in range(2, p))
+        omega = next(w for w in powers if all(pow(w, d, p) != 1 for d in range(1, e) if e % d == 0))
+        zetas = []
+        for c, (rep, m) in enumerate(zip(self.representatives(), self.class_orders)):
+            turns = m * math.acos(max(-1.0, min(1.0, self.elements[rep].w))) / (2 * math.pi)
+            if abs(turns - round(turns)) > ROTATION_GAP or math.gcd(round(turns), m) != 1:
+                raise _failure(self.dtype, "build_group", f"class {c} of order {m}: index {turns}")
+            zetas.append(pow(omega, e // m * round(turns), p))
+        return p, tuple(zetas)
+
 
 def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     """Close the generators and compute tables and conjugacy classes.
@@ -185,12 +219,12 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
             for gen in gens:
                 p = a * gen
                 if abs(p.norm_sq() - 1.0) > 1e-9:
-                    raise ConsistencyError(f"{dtype}: closure drifted off the unit sphere")
+                    raise _failure(dtype, "build_group", "closure drifted off the unit sphere")
                 k = p.key()
                 if k not in index:
                     if len(elements) >= expected:
-                        raise ConsistencyError(
-                            f"{dtype}: closure exceeds the expected order {expected}"
+                        raise _failure(
+                            dtype, "build_group", f"closure exceeds the expected order {expected}"
                         )
                     index[k] = len(elements)
                     elements.append(p)
@@ -202,7 +236,7 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
         try:
             return index[p.key()]
         except KeyError:
-            raise ConsistencyError(f"{dtype}: product escaped the closed set") from None
+            raise _failure(dtype, "build_group", "product escaped the closed set") from None
 
     mult = tuple(
         tuple(lookup(elements[i] * elements[j]) for j in range(n)) for i in range(n)
@@ -211,7 +245,7 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     minus_identity = lookup(MINUS_IDENTITY)
     for g in range(n):
         if mult[minus_identity][g] != mult[g][minus_identity]:
-            raise ConsistencyError(f"{dtype}: -identity is not central")
+            raise _failure(dtype, "build_group", "-identity is not central")
 
     classes, class_of = conjugacy_classes(dtype, mult, inverse, minus_identity)
     return FiniteGroup(
@@ -252,86 +286,72 @@ def conjugacy_classes(
 
     for special in (0, minus_identity):
         if len(classes[class_of_list[special]]) != 1:
-            raise ConsistencyError(f"{dtype}: central element has a non-singleton class")
+            raise _failure(dtype, "build_group", "central element has a non-singleton class")
     return tuple(classes), tuple(class_of_list)
 
 
-def _char_from_trace(trace: float, n: int) -> float:
-    """Trace of the (n+1)-dimensional SU(2) representation at an element
-    with this trace: chi_0 = 1, chi_1 = trace, chi_(k+1) = trace * chi_k
-    - chi_(k-1); a polynomial in the trace, so exact at +-identity."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev, cur = 1.0, trace
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, trace * cur - prev
-    return cur
+def _failure(dtype: DiagramType, stage: str, problem: str) -> ConsistencyError:
+    return ConsistencyError(f"{dtype}: {problem}", dtype=str(dtype), stage=stage)
 
 
-def _round_int(value: complex, what: str) -> int:
-    """The integer within :data:`CHAR_EPS` of ``value``, or abort."""
-    out = round(value.real)
-    if abs(value.real - out) >= CHAR_EPS or abs(value.imag) >= CHAR_EPS:
-        raise ConsistencyError(f"{what} = {value!r} is not within {CHAR_EPS} of an integer")
-    return out
+def _lift(x: int, p: int) -> int:
+    """The integer in (-p/2, p/2) congruent to x mod p."""
+    return (x + p // 2) % p - p // 2
+
+
+def _su2_character(zeta: int, n: int, p: int) -> int:
+    """chi_n mod p at an element with eigenvalues zeta^(+-1) != +-1, in
+    O(log n): (zeta^(n+1) - zeta^-(n+1)) / (zeta - zeta^-1)."""
+    return (pow(zeta, n + 1, p) - pow(zeta, -n - 1, p)) * pow(zeta - pow(zeta, -1, p), -1, p) % p
 
 
 def _residue_sums(
-    group: FiniteGroup,
-    points: list[tuple[float, int]],
-    weights: list[list[complex]],
-    columns: int,
-) -> tuple[tuple[complex, ...], ...]:
-    """The non-central part of a character inner product with chi_n, for every n.
+    group: FiniteGroup, weights: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """The non-central part of |F*| <chi_n, chi>, for every n, in integers.
 
-    ``points`` are the (trace, order m) of the non-central elements or
-    class representatives summed over, ``weights[p]`` the weight of point
-    p in each of the ``columns`` columns.  An element of order m has
-    eigenvalues zeta^(+-1) with zeta^m = 1, so chi_(n+m) = chi_n there
-    and the sum depends on n only modulo the group exponent E (the lcm of
-    the element orders).
-    Entry ``[r][k]`` is sum_p weights[p][k] chi_(r mod m_p)(p) for
-    r = 0..E-1; each chi takes fewer than m Chebyshev steps, so the float
-    error does not grow with n.  With no points (A1, whose group is
-    +-identity) every entry is 0.
+    ``weights[c]`` is class c's weight in each column, mod p.  Entry
+    ``[r][k]`` is sum_c weights[c][k] chi_r(c) over the non-central
+    classes c, for r = 0..E-1; chi_n has period m_c at a class of order
+    m_c, so this covers every n.  As |chi_r| <= E and a weight is at most
+    |C| MAX_DEGREE, the sum is below p/2 in absolute value and lifts
+    exactly.  With no non-central class (A1) every entry is 0.
     """
-    exponent = math.lcm(*group.class_orders)
-    periods = [[_char_from_trace(trace, k) for k in range(m)] for trace, m in points]
-    chis = [[p[r % len(p)] for p in periods] for r in range(exponent)]
-    sums = np.array(chis, dtype=float).reshape(exponent, len(points)) @ np.array(
-        weights, dtype=complex
-    ).reshape(len(points), columns)
-    return tuple(map(tuple, sums.tolist()))
+    minus = group.class_of[group.minus_identity]
+    noncentral = [c for c in range(len(group.classes)) if c not in (0, minus)]
+    p, zetas = group.roots_mod_p
+    orders = group.class_orders
+    periods = [[_su2_character(zetas[c], k, p) for k in range(orders[c])] for c in noncentral]
+    e = math.lcm(*orders)
+    columns = [[weights[c][k] for c in noncentral] for k in range(len(weights[0]))]
+    half = [
+        tuple(_lift(sum(map(int.__mul__, chis, col)), p) for col in columns)
+        for chis in ([chi[r % len(chi)] for chi in periods] for r in range(e // 2))
+    ]
+    # chi_(E-2-r) = -chi_r and chi_(E-1) = 0 at a non-central class
+    negated = [tuple(-x for x in half[e - 2 - r]) for r in range(e // 2, e - 1)]
+    return tuple(half + negated + [(0,) * len(columns)])
 
 
-def _round_multiplicity(
-    group: FiniteGroup, n: int, central: tuple[int, int], rest: complex, node: int | None
+def _multiplicity(
+    group: FiniteGroup, n: int, central: tuple[int, int], rest: int, node: int | None
 ) -> int:
     """<chi_n, chi> from chi's integer values at +identity and -identity
     and the non-central sum ``rest`` (:func:`_residue_sums`).
 
-    At +-identity chi_n is the integer (+-1)^n (n + 1), so that part is
-    exact and only its remainder mod |F*| meets the floats; the total
-    rounds within tolerance to a nonnegative integer or aborts.  ``node``
+    At +-identity chi_n is the integer (+-1)^n (n + 1), so the total is
+    exact; it must be |F*| times a nonnegative integer, or abort.  ``node``
     names chi in the error; None is the trivial character of the Molien
     average.
     """
     plus, minus = central
-    order = group.order
-    whole, part = divmod((n + 1) * (plus - minus if n % 2 else plus + minus), order)
-    val = (part + rest) / order
-    m = round(val.real)
-    # Not _round_int: the range oracle calls this per level and node, and
-    # formatting the message eagerly doubled its time.
-    if abs(val.real - m) >= CHAR_EPS or abs(val.imag) >= CHAR_EPS or whole + m < 0:
+    total = (n + 1) * (plus - minus if n % 2 else plus + minus) + rest
+    m, part = divmod(total, group.order)
+    if part or m < 0:
         what = "invariant dimension" if node is None else f"multiplicity of node {node}"
-        raise ConsistencyError(
-            f"{group.dtype} {what} at n={n}: {whole} + {val!r} is not a nonnegative "
-            f"integer within {CHAR_EPS}"
-        )
-    return whole + m
+        problem = f"{what} at n={n} is {total}/{group.order}, not a nonnegative integer"
+        raise _failure(group.dtype, "oracles", problem)
+    return m
 
 
 def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
@@ -342,19 +362,9 @@ def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
     +-identity and weight 1 on each other element (:func:`_residue_sums`);
     any order is safe.
     """
-    rest = _residue_sums(
-        group,
-        [
-            (e.trace, group.class_orders[group.class_of[i]])
-            for i, e in enumerate(group.elements)
-            if i not in (0, group.minus_identity)
-        ],
-        [[1.0]] * (group.order - 2),
-        1,
-    )
+    rest = _residue_sums(group, [(size,) for size in group.class_sizes])
     return tuple(
-        _round_multiplicity(group, n, (1, 1), rest[n % len(rest)][0], None)
-        for n in range(order + 1)
+        _multiplicity(group, n, (1, 1), rest[n % len(rest)][0], None) for n in range(order + 1)
     )
 
 
@@ -362,167 +372,185 @@ def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
 class CharacterTable:
     """Irreducible characters by conjugacy class, tied to diagram nodes.
 
-    ``rows[r][c]`` is the value of irreducible r on class c; ``node_map``
-    sends each extended-diagram node to its row.  The character oracles
-    read only ``central[node]``, the node's character at +identity and
-    -identity as integers (dim, +-dim), and ``residues[r][node]``, the
-    non-central sum of <chi_n, chi_node> for every n = r modulo the group
-    exponent (:func:`_residue_sums`).
+    ``rows[r][c]`` is the value of irreducible r on class c, mod the p of
+    ``group.roots_mod_p``; ``node_map`` sends each extended-diagram node to
+    its row.  The character oracles read only ``central[node]``, the
+    node's character at +identity and -identity as integers (dim, +-dim),
+    and ``residues[r][node]``, the non-central sum of |F*| <chi_n,
+    chi_node> for every n = r modulo the group exponent
+    (:func:`_residue_sums`).
     """
 
     group: FiniteGroup
-    rows: tuple[tuple[complex, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     dims: tuple[int, ...]
     node_map: tuple[int, ...]
     central: tuple[tuple[int, int], ...] = field(repr=False)
-    residues: tuple[tuple[complex, ...], ...] = field(repr=False)
-
-    def character_for_node(self, node: int) -> tuple[complex, ...]:
-        return self.rows[self.node_map[node]]
+    residues: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
-def _class_structure_matrices(group: FiniteGroup) -> list[list[list[int]]]:
-    classes = group.classes
-    reps = group.representatives()
-    r = len(classes)
-    out = []
-    for ci in range(r):
-        m = [[0] * r for _ in range(r)]
-        for k, zk in enumerate(reps):
-            for x in classes[ci]:
-                y = group.mult[group.inverse[x]][zk]
-                m[group.class_of[y]][k] += 1
-        out.append(m)
-    return out
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over F_p of polynomials as coefficient lists,
+    constant term first; ``b`` has a nonzero leading coefficient."""
+    a, lead, q = [x % p for x in a], pow(b[-1], -1, p), []
+    for i in reversed(range(len(a) - len(b) + 1)):
+        q.append(a[i + len(b) - 1] * lead % p)
+        a[i : i + len(b)] = [(x - q[-1] * y) % p for x, y in zip(a[i : i + len(b)], b)]
+    return q[::-1], _trim(a[: len(b) - 1])
+
+
+def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """base^e modulo the monic f of degree n > deg base over F_p, with w
+    bits per coefficient packed into an integer (Kronecker substitution):
+    a product is one multiplication, and x^(n+j) folds back as x^(n+j) mod f."""
+    n = len(f) - 1
+    w = (2 * n * p * p).bit_length()
+    low, mask = (1 << (w * n)) - 1, (1 << w) - 1
+    folds, power = [], [-c % p for c in f[:n]]
+    for _ in range(n - 1):
+        folds.append(sum(c << (w * i) for i, c in enumerate(power)))
+        power = [(a - power[-1] * c) % p for a, c in zip([0] + power[:-1], f)]
+    out, packed = 1, sum(c << (w * i) for i, c in enumerate(base))
+    for bit in bin(e)[2:]:
+        for factor in (out, packed) if bit == "1" else (out,):
+            prod = out * factor
+            high = (((prod >> (w * j)) & mask) % p * fold for j, fold in enumerate(folds, n))
+            prod = (prod & low) + sum(high)
+            out = sum(((prod >> (w * i)) & mask) % p << (w * i) for i in range(n))
+    return [(out >> (w * i)) & mask for i in range(n)]
+
+
+def _roots(f: list[int], p: int, rng: random.Random) -> list[int]:
+    """The roots of the monic f over F_p when it is a product of distinct
+    linear factors (otherwise fewer), by Cantor-Zassenhaus:
+    gcd(f, (x + a)^((p-1)/2) - 1) splits such an f for about half of all a."""
+    if len(f) == 2:
+        return [-f[0] % p]
+    for _ in range(64):
+        h = _poly_powmod([rng.randrange(p), 1], (p - 1) // 2, f, p)
+        g, rem = f, _trim([(h[0] - 1) % p] + h[1:])
+        while rem:
+            g, rem = rem, _poly_divmod(g, rem, p)[1]
+        if 1 < len(g) < len(f):
+            g = [x * pow(g[-1], -1, p) % p for x in g]
+            return _roots(g, p, rng) + _roots(_poly_divmod(f, g, p)[0], p, rng)
+    return []
+
+
+def _solve(columns: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
+    """c with sum_i c_i columns[i] = rhs over F_p, or None if the columns
+    are dependent."""
+    n, rows = len(columns), [[*row, b] for row, b in zip(zip(*columns), rhs)]
+    for i in range(n):
+        k = next((k for k in range(i, n) if rows[k][i]), None)
+        if k is None:
+            return None
+        rows[i], rows[k] = rows[k], rows[i]
+        lead = pow(rows[i][i], -1, p)
+        rows[i] = [x * lead % p for x in rows[i]]
+        for j in range(n):
+            if j != i:
+                rows[j] = [(a - rows[j][i] * b) % p for a, b in zip(rows[j], rows[i])]
+    return [row[n] for row in rows]
+
+
+def _central_characters(group: FiniteGroup) -> list[list[int]]:
+    """Each irreducible chi's central character |C| chi(C) / chi(1) mod p.
+
+    These are the common eigenvectors w_chi, 1 at the identity class, of
+    the class-sum matrices M_C[j][k] = #{x in C : x^-1 z_k in class j}
+    (z_k represents class k).  e_0 = sum_chi (chi(1)^2 / |F*|) w_chi is
+    cyclic for a seeded random combination M of them whose r eigenvalues
+    are distinct; then the Krylov basis K = [e_0, ..., M^(r-1) e_0] gives
+    M's characteristic polynomial f, and the eigenvector of its root
+    lambda is K times the coefficients of f / (x - lambda).
+    """
+    p, _ = group.roots_mod_p
+    r, reps = len(group.classes), group.representatives()
+    rng = random.Random(_EIG_SEED)
+    for _ in range(32):
+        coeffs = [rng.randrange(p) for _ in range(r)]
+        combo = [[0] * r for _ in range(r)]
+        for x, cls in enumerate(group.class_of):
+            row = group.mult[group.inverse[x]]
+            for k, z in enumerate(reps):
+                combo[group.class_of[row[z]]][k] += coeffs[cls]
+        krylov = [[int(i == 0) for i in range(r)]]
+        for _ in range(r):
+            krylov.append([sum(map(int.__mul__, row, krylov[-1])) % p for row in combo])
+        solution = _solve(krylov[:r], krylov[r], p)
+        f = [-c % p for c in solution or ()] + [1]
+        roots = _roots(f, p, rng) if solution else []
+        if len(roots) == r:
+            columns = list(zip(*reversed(krylov[:r])))
+            qs = [list(accumulate(f[:0:-1], lambda q, c, t=t: (q * t + c) % p)) for t in roots]
+            vectors = [[sum(map(int.__mul__, q, col)) for col in columns] for q in qs]
+            return [[x * pow(v[0], -1, p) % p for x in v] for v in vectors]
+    raise _failure(group.dtype, "character_table", "class-sum diagonalization failed")
 
 
 def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
-    """Compute all irreducible characters and match them to nodes.
+    """Compute all irreducible characters mod p and match them to nodes.
 
-    Rows are recovered as common eigenvectors of the class-sum matrices
-    (one random seeded combination, verified against every matrix and
-    retried on degeneracy), normalized so the identity value is the
-    positive integer dimension.  The node matching is forced by the
-    trivial character at node 0, equal dimensions and marks, and the
-    tensor adjacency; choices left open by diagram automorphisms are
-    resolved deterministically and do not affect any multiplicity.
-    The table also carries what the character oracles read: each node's
-    integer values at +-identity and the residue table.
+    A central character w (:func:`_central_characters`) gives the row
+    d w_C / |C|, with d^2 = |F*| / sum_C w_C w_(C^-1) / |C| lifted over
+    1..MAX_DEGREE.  The node matching is forced by the trivial character
+    at node 0, equal dimensions and marks, and the tensor adjacency;
+    choices left open by diagram automorphisms are resolved
+    deterministically and do not affect any multiplicity.  The table also
+    carries each node's integer values at +-identity and the residue table.
     """
     r = len(group.classes)
     if r != graph.size:
-        raise ConsistencyError(
-            f"{group.dtype}: {r} classes but {graph.size} extended nodes"
+        raise _failure(
+            group.dtype, "character_table", f"{r} classes but {graph.size} extended nodes"
         )
-    sizes = group.class_sizes
-    reps = group.representatives()
-    mats = [np.array(m, dtype=float) for m in _class_structure_matrices(group)]
+    p, zetas = group.roots_mod_p
+    sizes, inverse, order = group.class_sizes, group.class_inverse, group.order
+    per_size = [pow(size, -1, p) for size in sizes]
+    rows_dims = []
+    for w in _central_characters(group):
+        u = [x * y % p for x, y in zip(w, per_size)]
+        weight = sum(size * u[c] * u[inverse[c]] for c, size in enumerate(sizes))
+        d = next((d for d in range(1, MAX_DEGREE + 1) if (d * d * weight - order) % p == 0), 0)
+        if not d:
+            raise _failure(group.dtype, "character_table", f"a degree is not in 1..{MAX_DEGREE}")
+        rows_dims.append((d, tuple(d * x % p for x in u)))
+    dims, rows = zip(*sorted(rows_dims))
 
-    rng = np.random.default_rng(_EIG_SEED)
-    rows_raw: list[np.ndarray] | None = None
-    for _ in range(32):
-        combo = sum(c * m for c, m in zip(rng.standard_normal(r), mats))
-        _, vecs = np.linalg.eig(combo)
-        candidates = []
-        good = True
-        for c in range(r):
-            v = vecs[:, c]
-            if abs(v[0]) < 1e-10:
-                good = False
-                break
-            v = v / v[0]
-            for m in mats:
-                image = m @ v
-                if np.max(np.abs(image - image[0] * v)) > 1e-6 * (1.0 + np.max(np.abs(v))):
-                    good = False
-                    break
-            if not good:
-                break
-            candidates.append(v)
-        if good:
-            rows_raw = candidates
-            break
-    if rows_raw is None:
-        raise ConsistencyError(f"{group.dtype}: class-sum diagonalization failed")
-
-    rows: list[tuple[complex, ...]] = []
-    dims: list[int] = []
-    for v in rows_raw:
-        weight = sum(abs(v[j]) ** 2 / sizes[j] for j in range(r))
-        d = _round_int(math.sqrt(group.order / weight), f"{group.dtype} character degree")
-        if d < 1:
-            raise ConsistencyError(f"{group.dtype}: nonpositive character degree")
-        rows.append(tuple(complex(d * v[j] / sizes[j]) for j in range(r)))
-        dims.append(d)
-
-    order = sorted(
-        range(r),
-        key=lambda idx: (
-            dims[idx],
-            tuple((round(c.real, 6), round(c.imag, 6)) for c in rows[idx]),
-        ),
-    )
-    rows = [rows[idx] for idx in order]
-    dims = [dims[idx] for idx in order]
-
-    gram_err = 0.0
-    for p in range(r):
-        for q in range(r):
-            val = (
-                sum(sizes[c] * rows[p][c] * rows[q][c].conjugate() for c in range(r))
-                / group.order
-            )
-            gram_err = max(gram_err, abs(val - (1.0 if p == q else 0.0)))
-    if gram_err > CHAR_EPS:
-        raise ConsistencyError(
-            f"{group.dtype}: character rows not orthonormal (error {gram_err:.2e})"
-        )
-
-    traces = tuple(group.elements[rep].trace for rep in reps)
-    tensor = [[0] * r for _ in range(r)]
-    for p in range(r):
-        for q in range(r):
-            val = (
-                sum(
-                    sizes[c] * rows[p][c] * traces[c] * rows[q][c].conjugate()
-                    for c in range(r)
-                )
-                / group.order
-            )
-            tensor[p][q] = _round_int(val, f"{group.dtype} tensor multiplicity")
-
-    trivial = [
-        idx
-        for idx in range(r)
-        if dims[idx] == 1 and max(abs(c - 1.0) for c in rows[idx]) < CHAR_EPS
+    scale = pow(order, -1, p)
+    defining = [(z + pow(z, -1, p)) * size * scale for z, size in zip(zetas, sizes)]
+    conj = [[row[i] for i in inverse] for row in rows]
+    tensor = [
+        [_lift(sum(map(int.__mul__, chi, row)), p) for row in conj]
+        for chi in ([x * y for x, y in zip(defining, row)] for row in rows)
     ]
+    trivial = [idx for idx, row in enumerate(rows) if row == (1,) * r]
     if len(trivial) != 1:
-        raise ConsistencyError(f"{group.dtype}: trivial character not unique")
+        raise _failure(group.dtype, "character_table", "trivial character not unique")
 
     node_map = _match_nodes(graph, tensor, dims, trivial[0])
-    node_rows = [rows[row] for row in node_map]
     minus = group.class_of[group.minus_identity]
-    noncentral = [c for c in range(r) if c not in (0, minus)]
-    what = f"{group.dtype} central value"
     return CharacterTable(
         group=group,
-        rows=tuple(rows),
-        dims=tuple(dims),
+        rows=rows,
+        dims=dims,
         node_map=node_map,
-        central=tuple(
-            (_round_int(row[0], what), _round_int(row[minus], what)) for row in node_rows
-        ),
+        central=tuple((rows[row][0], _lift(rows[row][minus], p)) for row in node_map),
         residues=_residue_sums(
-            group,
-            [(traces[c], group.class_orders[c]) for c in noncentral],
-            [[sizes[c] * row[c].conjugate() for row in node_rows] for c in noncentral],
-            len(node_rows),
+            group, [tuple(size * conj[row][c] for row in node_map) for c, size in enumerate(sizes)]
         ),
     )
 
 
 def _match_nodes(
-    graph: McKayGraph, tensor: list[list[int]], dims: list[int], trivial_row: int
+    graph: McKayGraph, tensor: list[list[int]], dims: tuple[int, ...], trivial_row: int
 ) -> tuple[int, ...]:
     size = graph.size
     adj = graph.adjacency
@@ -535,7 +563,7 @@ def _match_nodes(
                 seen.add(j)
                 bfs.append(j)
     if len(bfs) != size:
-        raise ConsistencyError(f"{graph.dtype}: extended diagram is not connected")
+        raise _failure(graph.dtype, "character_table", "extended diagram is not connected")
 
     assign: dict[int, int] = {0: trivial_row}
     used = {trivial_row}
@@ -557,24 +585,26 @@ def _match_nodes(
         return False
 
     if dims[trivial_row] != graph.marks_ext[0] or not backtrack(1):
-        raise ConsistencyError(
-            f"{graph.dtype}: tensor adjacency does not match the extended diagram"
+        raise _failure(
+            graph.dtype, "character_table", "tensor adjacency does not match the extended diagram"
         )
     return tuple(assign[node] for node in range(size))
 
 
 def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node: int) -> int:
     """Multiplicity of the node's irreducible in the level-n restriction,
-    by the character inner product; rounds within tolerance or aborts.
+    by the character inner product in exact integers, or abort.
 
     Safe for any n in O(1): the +-identity part is exact and the rest is
     the table's residue entry for n modulo the group exponent
-    (:func:`_round_multiplicity`).
+    (:func:`_multiplicity`).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if not 0 <= node < len(table.central):
+        raise ValueError(f"node index {node} out of range for {group.dtype}")
     rest = table.residues[n % len(table.residues)][node]
-    return _round_multiplicity(group, n, table.central[node], rest, node)
+    return _multiplicity(group, n, table.central[node], rest, node)
 
 
 def character_multiplicities(

@@ -135,6 +135,8 @@ class Session:
 
     def vector(self, n: int, oracle: str) -> tuple[int, ...]:
         """Multiplicities at level n by the named oracle; only the characters build the group."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         if oracle == "coxeter":
             return self.bundle.vector(n)
         if oracle == "recursion":
@@ -486,19 +488,17 @@ def _extended_graph(c: Session) -> Result:
 def _character_table(c: Session) -> Result:
     group, table, graph = c.group, c.table, c.graph
     r = len(group.classes)
-    sizes = group.class_sizes
+    p, _ = group.roots_mod_p
+    sizes, inverse = group.class_sizes, group.class_inverse
     for c1 in range(r):
         for c2 in range(r):
-            val = sum(table.rows[p][c1] * table.rows[p][c2].conjugate() for p in range(r))
-            want = group.order / sizes[c1] if c1 == c2 else 0.0
-            if abs(val - want) > 1e-5:
+            val = sum(row[c1] * row[inverse[c2]] for row in table.rows) * sizes[c1]
+            if (val - (group.order if c1 == c2 else 0)) % p:
                 return False, f"column orthogonality fails at ({c1}, {c2})"
-    minus_class = group.class_of[group.minus_identity]
-    for node in range(graph.size):
-        row = table.character_for_node(node)
+    for node, (_, at_minus) in enumerate(table.central):
         sign = -1 if node != 0 and c.bundle.bp.side(node) == 1 else 1
-        if abs(row[minus_class] - sign * graph.marks_ext[node]) > 1e-6:
-            return False, f"central value at node {node} is {row[minus_class]}"
+        if at_minus != sign * graph.marks_ext[node]:
+            return False, f"central value at node {node} is {at_minus}"
     dims = tuple(table.dims[table.node_map[i]] for i in range(graph.size))
     return dims == graph.marks_ext, f"{r} irreducibles; dims match marks; central signs match sides"
 

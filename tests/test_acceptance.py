@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
-Every criterion is exact integer equality except the character-theoretic
-path, where sums are rounded to integers with residual below 1e-6 (the
-rounding itself aborts inside the library if the residual is larger).
+Every criterion is exact integer equality; the character-theoretic path
+computes in F_p and lifts each sum exactly (the library aborts if a
+lifted sum is not a nonnegative integer multiplicity).
 Each test prints one PASS line on success; pytest -v shows one line per
 criterion either way.
 """

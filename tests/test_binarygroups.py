@@ -1,24 +1,29 @@
 """Quaternion groups, conjugacy classes, character tables, multiplicities."""
 
+import dataclasses
 import math
 import random
 
-import numpy as np
 import pytest
 
 from su2branch import binarygroups
 from su2branch.binarygroups import (
     GroupElement,
-    IDENTITY,
     MINUS_IDENTITY,
     character_multiplicities,
     molien_series,
-    _char_from_trace,
+    _su2_character,
     oracle_multiplicity,
 )
+from su2branch.errors import ConsistencyError
+from su2branch.invariants import HUGE_LEVEL
+from su2branch.mckay import recursion_oracle
 from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import bundle, graph_for, group_for, table_for
+
+#: Every type the character route accepts: A1 is not in ACCEPTED_TYPES.
+CHARACTER_TYPES = (*ACCEPTED_TYPES, "A1")
 
 
 @pytest.mark.parametrize(
@@ -31,7 +36,15 @@ def test_group_orders(name, order):
 
 def _matrix(q):
     """The special-unitary matrix the quaternion stands for."""
-    return np.array([[q.w + q.x * 1j, q.y + q.z * 1j], [-q.y + q.z * 1j, q.w - q.x * 1j]])
+    return [[complex(q.w, q.x), complex(q.y, q.z)], [complex(-q.y, q.z), complex(q.w, -q.x)]]
+
+
+def _matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def _close(a, b):
+    return all(abs(a[i][j] - b[i][j]) < 1e-12 for i in range(2) for j in range(2))
 
 
 def test_quaternion_matrix_homomorphism():
@@ -43,10 +56,12 @@ def test_quaternion_matrix_homomorphism():
         n2 = math.sqrt(sum(c * c for c in v2))
         q1 = GroupElement(*[c / n1 for c in v1])
         q2 = GroupElement(*[c / n2 for c in v2])
-        assert np.allclose(_matrix(q1 * q2), _matrix(q1) @ _matrix(q2))
-        assert abs(np.linalg.det(_matrix(q1)) - 1.0) < 1e-12
-        assert np.allclose(_matrix(q1) @ _matrix(q1).conj().T, np.eye(2))
-        assert abs(np.trace(_matrix(q1)).real - q1.trace) < 1e-12
+        m1 = _matrix(q1)
+        assert _close(_matrix(q1 * q2), _matmul(m1, _matrix(q2)))
+        assert abs(m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0] - 1.0) < 1e-12
+        adjoint = [[m1[j][i].conjugate() for j in range(2)] for i in range(2)]
+        assert _close(_matmul(m1, adjoint), [[1, 0], [0, 1]])
+        assert abs((m1[0][0] + m1[1][1]).real - 2 * q1.w) < 1e-12
 
 
 def test_minus_identity_central():
@@ -65,13 +80,39 @@ def test_class_counts(name, classes):
     assert len(g.classes[g.class_of[g.minus_identity]]) == 1
 
 
+@pytest.mark.parametrize("name,prime", [("A1", 53), ("E8", 86461)])
+def test_prime_and_root_orders(name, prime):
+    group = group_for(name)
+    p, zetas = group.roots_mod_p
+    exponent = math.lcm(*group.class_orders)
+    assert p == prime and p % exponent == 1
+    assert 2 * group.order * exponent * binarygroups.MAX_DEGREE < p
+    for zeta, m in zip(zetas, group.class_orders):
+        # zeta has exact order m, the order of the class's elements
+        assert [k for k in range(1, m + 1) if pow(zeta, k, p) == 1] == [m]
+
+
+def _noncentral_roots(group):
+    """(zeta, order) of every non-central class."""
+    minus = group.class_of[group.minus_identity]
+    pairs = zip(group.roots_mod_p[1], group.class_orders)
+    return [pair for c, pair in enumerate(pairs) if c not in (0, minus)]
+
+
 def test_su2_characters():
-    assert _char_from_trace(IDENTITY.trace, 5) == 6.0
-    assert _char_from_trace(MINUS_IDENTITY.trace, 5) == -6.0
-    assert _char_from_trace(MINUS_IDENTITY.trace, 4) == 5.0
-    q = GroupElement(0.5, 0.5, 0.5, 0.5)
-    assert abs(_char_from_trace(q.trace, 2) - (q.trace**2 - 1)) < 1e-12
-    assert _char_from_trace(q.trace, 0) == 1.0
+    # The closed form against the Chebyshev recursion chi_(n+1) = t chi_n -
+    # chi_(n-1), t = zeta + zeta^-1, exactly mod p, at every non-central class.
+    for name in ("E6", "E8", "A13", "D7"):
+        p, _ = group_for(name).roots_mod_p
+        for zeta, m in _noncentral_roots(group_for(name)):
+            t = (zeta + pow(zeta, -1, p)) % p
+            prev, cur = 1, t
+            assert _su2_character(zeta, 0, p) == 1
+            for n in range(1, 3 * m):
+                assert _su2_character(zeta, n, p) == cur
+                prev, cur = cur, (t * cur - prev) % p
+            huge = _su2_character(zeta, HUGE_LEVEL, p)
+            assert huge == _su2_character(zeta, HUGE_LEVEL % m, p)
 
 
 def test_e8_character_dims():
@@ -79,7 +120,7 @@ def test_e8_character_dims():
     assert sorted(t.dims) == [1, 2, 2, 3, 3, 4, 4, 5, 6]
 
 
-@pytest.mark.parametrize("name", ["A3", "A7", "D4", "D7", "E6", "E7", "E8"])
+@pytest.mark.parametrize("name", ["A1", "A3", "A7", "D4", "D7", "E6", "E7", "E8"])
 def test_dims_match_marks(name, ):
     t = table_for(name)
     g = graph_for(name)
@@ -88,49 +129,44 @@ def test_dims_match_marks(name, ):
 
 def test_trivial_character_at_node_zero():
     t = table_for("D5")
-    row = t.character_for_node(0)
-    assert max(abs(c - 1.0) for c in row) < 1e-9
+    assert t.rows[t.node_map[0]] == (1,) * len(group_for("D5").classes)
 
 
 def test_defining_representation_row():
     # Tensoring the trivial character with the defining 2-dim rep gives the
     # affine row of the adjacency: the characters at the attachment nodes,
-    # weighted by attachment multiplicity, must sum to the trace.
-    for name in ("A5", "D6", "E7"):
-        t = table_for(name)
-        g = graph_for(name)
-        group = group_for(name)
-        traces = [group.elements[c[0]].trace for c in group.classes]
-        for cls in range(len(group.classes)):
-            total = sum(
-                g.adjacency[0][i] * t.character_for_node(i)[cls] for i in range(g.size)
-            )
-            assert abs(total - traces[cls]) < 1e-8
+    # weighted by attachment multiplicity, must sum to the trace
+    # zeta + zeta^-1, exactly mod p.
+    for name in ("A1", "A5", "D6", "E7"):
+        t, g, group = table_for(name), graph_for(name), group_for(name)
+        p, zetas = group.roots_mod_p
+        for cls, zeta in enumerate(zetas):
+            total = sum(g.adjacency[0][i] * t.rows[t.node_map[i]][cls] for i in range(g.size))
+            assert (total - zeta - pow(zeta, -1, p)) % p == 0
 
 
 def test_character_row_orthonormality():
-    t = table_for("E6")
-    group = group_for("E6")
-    sizes = group.class_sizes
-    r = len(sizes)
-    for p in range(r):
-        for q in range(r):
-            val = sum(
-                sizes[c] * t.rows[p][c] * t.rows[q][c].conjugate() for c in range(r)
-            ) / group.order
-            assert abs(val - (1.0 if p == q else 0.0)) < 1e-8
+    for name in ("A1", "A13", "D12", "E6", "E8"):
+        t, group = table_for(name), group_for(name)
+        p, _ = group.roots_mod_p
+        sizes, inverse = group.class_sizes, group.class_inverse
+        r = len(sizes)
+        for a in range(r):
+            for b in range(r):
+                val = sum(sizes[c] * t.rows[a][c] * t.rows[b][inverse[c]] for c in range(r))
+                assert (val - (group.order if a == b else 0)) % p == 0
 
 
 def test_central_parity_signs():
-    b = bundle("E7")
-    t = table_for("E7")
-    group = group_for("E7")
-    g = graph_for("E7")
-    minus_class = group.class_of[group.minus_identity]
-    for node in range(g.size):
-        d = g.marks_ext[node]
-        sign = -1 if node != 0 and b.bp.side(node) == 1 else 1
-        assert abs(t.character_for_node(node)[minus_class] - sign * d) < 1e-8
+    for name in ("A1", "E7"):
+        b, t, group, g = bundle(name), table_for(name), group_for(name), graph_for(name)
+        p, _ = group.roots_mod_p
+        minus_class = group.class_of[group.minus_identity]
+        for node in range(g.size):
+            d = g.marks_ext[node]
+            sign = -1 if node != 0 and b.bp.side(node) == 1 else 1
+            assert (t.rows[t.node_map[node]][minus_class] - sign * d) % p == 0
+            assert t.central[node] == (d, sign * d)
 
 
 def test_oracle_multiplicity_basics():
@@ -142,6 +178,13 @@ def test_oracle_multiplicity_basics():
             assert oracle_multiplicity(group, t, 0, i) == 0
 
 
+@pytest.mark.parametrize("node", [-1, 9])
+def test_oracle_multiplicity_rejects_a_node_out_of_range(node):
+    # E8 has nodes 0..8; -1 must not read node 8's entry.
+    with pytest.raises(ValueError, match=f"node index {node} out of range for E8"):
+        oracle_multiplicity(group_for("E8"), table_for("E8"), 6, node)
+
+
 def test_e8_invariants_match_series_via_characters():
     group = group_for("E8")
     t = table_for("E8")
@@ -150,16 +193,18 @@ def test_e8_invariants_match_series_via_characters():
         assert oracle_multiplicity(group, t, n, 0) == series[n]
 
 
-@pytest.mark.parametrize("name", ["A5", "D5", "E6"])
+@pytest.mark.parametrize("name", CHARACTER_TYPES)
 def test_character_vectors_match_recursion(name):
-    from su2branch.mckay import recursion_oracle
+    # Dense past two periods of the residue table, and at a huge level.
+    group, t = group_for(name), table_for(name)
+    top = 2 * math.lcm(*group.class_orders) + 2
+    rec = recursion_oracle(graph_for(name), HUGE_LEVEL)
+    assert character_multiplicities(group, t, top) == rec[: top + 1]
+    nodes = range(graph_for(name).size)
+    assert tuple(oracle_multiplicity(group, t, HUGE_LEVEL, i) for i in nodes) == rec[HUGE_LEVEL]
 
-    vecs = character_multiplicities(group_for(name), table_for(name), 40)
-    rec = recursion_oracle(graph_for(name), 40)
-    assert vecs == rec
 
-
-@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+@pytest.mark.parametrize("name", CHARACTER_TYPES)
 def test_range_oracle_is_the_point_oracle(name):
     group, t = group_for(name), table_for(name)
     top = 2 * math.lcm(*group.class_orders) + 2
@@ -170,32 +215,35 @@ def test_range_oracle_is_the_point_oracle(name):
             assert m == oracle_multiplicity(group, t, n, i)
 
 
-@pytest.mark.parametrize("name", ["A5", "D6", "E8"])
+@pytest.mark.parametrize("name", CHARACTER_TYPES)
 def test_residue_table_is_the_class_sum(name):
-    # Reference: the plain loop over classes, with chi_r unreduced.
+    # Reference: the plain loop over classes, with chi_r unreduced, lifted
+    # from (-p/2, p/2).
     group, t = group_for(name), table_for(name)
+    p, zetas = group.roots_mod_p
     minus = group.class_of[group.minus_identity]
-    traces = [group.elements[rep].trace for rep in group.representatives()]
+    inverse = group.class_inverse
     assert len(t.residues) == math.lcm(*group.class_orders)
     for r, sums in enumerate(t.residues):
         for node, got in enumerate(sums):
-            row = t.character_for_node(node)
+            row = t.rows[t.node_map[node]]
             want = sum(
-                group.class_sizes[c] * _char_from_trace(traces[c], r) * row[c].conjugate()
+                group.class_sizes[c] * _su2_character(zetas[c], r, p) * row[inverse[c]]
                 for c in range(len(group.classes))
                 if c not in (0, minus)
             )
-            assert abs(got - want) < 1e-8
+            assert got == (want + p // 2) % p - p // 2
+            assert abs(got) < p // 2
 
 
-@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+@pytest.mark.parametrize("name", CHARACTER_TYPES)
 def test_point_oracle_runs_no_chebyshev_step(monkeypatch, name):
     group, t = group_for(name), table_for(name)
 
-    def boom(trace, n):
-        raise AssertionError("Chebyshev step after the table was built")
+    def boom(zeta, n, p):
+        raise AssertionError("per-class character evaluated after the table was built")
 
-    monkeypatch.setattr(binarygroups, "_char_from_trace", boom)
+    monkeypatch.setattr(binarygroups, "_su2_character", boom)
     n = 10**18 + 1
     vec = tuple(oracle_multiplicity(group, t, n, i) for i in range(graph_for(name).size))
     assert sum(m * d for m, d in zip(vec, graph_for(name).marks_ext)) == n + 1
@@ -203,11 +251,9 @@ def test_point_oracle_runs_no_chebyshev_step(monkeypatch, name):
 
 def test_a1_has_no_noncentral_points():
     # A1's group is +-identity: every residue sum is empty and must read 0.
-    from su2branch.mckay import recursion_oracle
-
     group, t = group_for("A1"), table_for("A1")
     assert group.order == 2
-    assert t.residues == ((0j, 0j), (0j, 0j))
+    assert t.residues == ((0, 0), (0, 0))
     rec = recursion_oracle(graph_for("A1"), 40)
     assert character_multiplicities(group, t, 40) == rec
     assert list(molien_series(group, 40)) == [vec[0] for vec in rec]
@@ -219,6 +265,30 @@ def test_molien_matches_character_path():
     avg = molien_series(group, 40)
     for n in range(41):
         assert avg[n] == oracle_multiplicity(group, t, n, 0)
+
+
+def test_a_sum_that_does_not_divide_aborts_with_its_stage():
+    # Off by one in one residue entry: |F*| no longer divides the total.
+    group, t = group_for("E8"), table_for("E8")
+    broken = dataclasses.replace(t, residues=((t.residues[0][0] + 1,) + t.residues[0][1:],))
+    with pytest.raises(ConsistencyError) as info:
+        oracle_multiplicity(group, broken, 0, 0)
+    err = info.value
+    assert (err.dtype, err.stage, err.invariant) == ("E8", "oracles", None)
+    assert str(err) == "E8: multiplicity of node 0 at n=0 is 121/120, not a nonnegative integer"
+
+
+def test_a_class_with_no_integer_rotation_index_aborts():
+    # Nudge one class representative's w: its angle is no longer 2 pi k/m.
+    group = group_for("E6")
+    rep = group.classes[2][0]
+    q = group.elements[rep]
+    elements = list(group.elements)
+    elements[rep] = GroupElement(q.w + 1e-3, q.x, q.y, q.z)
+    bent = dataclasses.replace(group, elements=tuple(elements))
+    with pytest.raises(ConsistencyError, match="class 2 of order .*: index") as info:
+        bent.roots_mod_p
+    assert (info.value.dtype, info.value.stage) == ("E6", "build_group")
 
 
 def test_group_associativity_sampled():

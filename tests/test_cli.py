@@ -1,6 +1,10 @@
 """CLI behavior: exit codes, JSON schemas, determinism, node specs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +254,12 @@ def test_out_to_existing_directory_exits_2_before_work(tmp_path, monkeypatch, ca
     assert out == ""
     assert err == f"usage error: cannot write --out {tmp_path}: it is a directory\n"
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_import_leaves_numpy_out():
+    # Every route is pure Python: a cold start pays for no numpy import.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, su2branch.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "False\n")

@@ -59,6 +59,13 @@ def test_coxeter_and_recursion_never_build_the_group(monkeypatch):
         assert session.vector(n, "coxeter") == session.vector(n, "recursion")
 
 
+@pytest.mark.parametrize("oracle", ["characters", "recursion", "coxeter"])
+def test_negative_level_is_rejected_before_any_build(monkeypatch, oracle):
+    _forbid_group_build(monkeypatch)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        Session(Branching.build("E8")).vector(-1, oracle)
+
+
 def test_unknown_oracle_is_a_value_error():
     with pytest.raises(ValueError, match="unknown oracle 'bogus'"):
         Session(bundle("A3")).vector(5, "bogus")
@@ -107,6 +114,13 @@ def test_short_group_closure_is_reported_by_group_sanity(monkeypatch):
     sanity = checks["E8 group sanity"]
     assert not sanity.passed
     assert sanity.detail == "a*b = 240 but group order is 4"
+    # The abelian group of order 4 has 4 classes; the table's raise names its stage.
+    problem = "E8: 4 classes but 9 extended nodes"
+    assert checks["E8 character table"].detail == f"exception: {problem}"
+    with pytest.raises(ConsistencyError) as info:
+        Session(bundle("E8")).table
+    err = info.value
+    assert (str(err), err.dtype, err.stage, err.invariant) == (problem, "E8", "character_table", None)
 
 
 TABLE_READERS = ["character table", "triple oracle", "huge-level triple oracle"]
