@@ -9,7 +9,9 @@ so the trace is 2w and the inverse is the conjugate.  Groups are closed
 by breadth-first multiplication from fixed generators, deduplicating on
 coordinates rounded to :data:`DEDUP_DECIMALS`; all the exact coordinate
 values that occur are far from rounding midpoints, so double precision
-has ample headroom.
+has ample headroom.  Only the n * |gens| closure products are formed in
+floats: the multiplication table is filled in exact indices from the
+generator word of each element (:func:`build_group`).
 
 Characters are exact, in F_p (Dixon's modular method): p and the
 residue standing for each class's eigenvalue are fixed once per group
@@ -27,8 +29,8 @@ each residue r = 0..E-1 and each node (the residue table, in integers),
 so a level is a lookup plus exact integer arithmetic for any n.
 
 Two float uses remain, both classifications with a wide margin: the
-closure dedup at :data:`DEDUP_DECIMALS` and each class's rotation index
-(:data:`ROTATION_GAP`).
+dedup of the closure products at :data:`DEDUP_DECIMALS` and each class's
+rotation index (:data:`ROTATION_GAP`).
 
 Generator conventions (exact coordinates, fixed for reproducibility):
 
@@ -56,7 +58,7 @@ from .rootsys import DiagramType
 if TYPE_CHECKING:
     from .branching import BranchParams
 
-#: Decimal places used to deduplicate quaternion coordinates.
+#: Decimal places used to deduplicate the closure products' coordinates.
 DEDUP_DECIMALS = 9
 #: Largest distance of m * angle / (2 pi) from an integer rotation index.
 ROTATION_GAP = 1e-6
@@ -199,11 +201,17 @@ class FiniteGroup:
 def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     """Close the generators and compute tables and conjugacy classes.
 
-    The expected order comes from the denominator exponents (a*b/2);
-    overshooting it during closure aborts, as does any product that
-    escapes the closed set or a non-central -identity.  A closure that
-    stops short is returned as is: the registry's "group sanity" entry
-    compares the order with a*b/2.
+    The breadth-first closure records, for every element i and generator
+    k, the index ``right[k][i]`` of ``elements[i] * gens[k]``, and for
+    every new element j its parent (i, k) with ``elements[j] =
+    elements[i] * gens[k]``.  The table is then filled from these words
+    in exact indices: ``mult[i][j] = right[k][mult[i][i_j]]`` for j's
+    parent (i_j, k), so only the n * |gens| closure products are ever
+    formed in floats.  The expected order comes from the denominator
+    exponents (a*b/2); overshooting it during closure aborts, as does a
+    product off the unit sphere or a non-central -identity.  A closure
+    that stops short is returned as is: the registry's "group sanity"
+    entry compares the order with a*b/2.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
@@ -212,37 +220,36 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     gens = generators(dtype)
     elements: list[GroupElement] = [IDENTITY]
     index: dict[tuple[float, float, float, float], int] = {IDENTITY.key(): 0}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gen in gens:
-                p = a * gen
-                if abs(p.norm_sq() - 1.0) > 1e-9:
-                    raise _failure(dtype, "build_group", "closure drifted off the unit sphere")
-                k = p.key()
-                if k not in index:
-                    if len(elements) >= expected:
-                        raise _failure(
-                            dtype, "build_group", f"closure exceeds the expected order {expected}"
-                        )
-                    index[k] = len(elements)
-                    elements.append(p)
-                    nxt.append(p)
-        frontier = nxt
+    right: list[list[int]] = [[] for _ in gens]
+    parents: list[tuple[int, int]] = [(0, 0)]
+    for i, a in enumerate(elements):  # grows while it is walked: breadth first
+        for k, gen in enumerate(gens):
+            p = a * gen
+            if abs(p.norm_sq() - 1.0) > 1e-9:
+                raise _failure(dtype, "build_group", "closure drifted off the unit sphere")
+            key = p.key()
+            if key not in index:
+                if len(elements) >= expected:
+                    raise _failure(
+                        dtype, "build_group", f"closure exceeds the expected order {expected}"
+                    )
+                index[key] = len(elements)
+                elements.append(p)
+                parents.append((i, k))
+            right[k].append(index[key])
     n = len(elements)
 
-    def lookup(p: GroupElement) -> int:
-        try:
-            return index[p.key()]
-        except KeyError:
-            raise _failure(dtype, "build_group", "product escaped the closed set") from None
+    def row(i: int) -> tuple[int, ...]:
+        out = [i]
+        for parent, k in parents[1:]:
+            out.append(right[k][out[parent]])
+        return tuple(out)
 
-    mult = tuple(
-        tuple(lookup(elements[i] * elements[j]) for j in range(n)) for i in range(n)
-    )
-    inverse = tuple(lookup(e.inverse()) for e in elements)
-    minus_identity = lookup(MINUS_IDENTITY)
+    mult = tuple(row(i) for i in range(n))
+    inverse = tuple(line.index(0) for line in mult)
+    minus_identity = index.get(MINUS_IDENTITY.key())
+    if minus_identity is None:
+        raise _failure(dtype, "build_group", "-identity is not in the closure")
     for g in range(n):
         if mult[minus_identity][g] != mult[g][minus_identity]:
             raise _failure(dtype, "build_group", "-identity is not central")
@@ -426,12 +433,43 @@ def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     return [(out >> (w * i)) & mask for i in range(n)]
 
 
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p, or None if a is not a
+    square, by Tonelli-Shanks (p - 1 = q 2^s with q odd)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p  # the least i with t^(2^i) = 1
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, root = i, b * b % p, t * b * b % p, root * b % p
+    return root
+
+
 def _roots(f: list[int], p: int, rng: random.Random) -> list[int]:
     """The roots of the monic f over F_p when it is a product of distinct
-    linear factors (otherwise fewer), by Cantor-Zassenhaus:
-    gcd(f, (x + a)^((p-1)/2) - 1) splits such an f for about half of all a."""
+    linear factors (otherwise fewer).  A quadratic x^2 + b x + c splits in
+    closed form, (-b +- sqrt(b^2 - 4c)) / 2; higher degrees by Cantor-
+    Zassenhaus: gcd(f, (x + a)^((p-1)/2) - 1) splits such an f for about
+    half of all a."""
     if len(f) == 2:
         return [-f[0] % p]
+    if len(f) == 3:
+        c, b, _ = f
+        root = _sqrt_mod(b * b - 4 * c, p)
+        if not root:  # a repeated root, or none in F_p
+            return []
+        half = pow(2, -1, p)
+        return [(-b + root) * half % p, (-b - root) * half % p]
     for _ in range(64):
         h = _poly_powmod([rng.randrange(p), 1], (p - 1) // 2, f, p)
         g, rem = f, _trim([(h[0] - 1) % p] + h[1:])

@@ -96,14 +96,14 @@ class CoxeterAction:
     sigma_inv: Perm
 
 
-def _reflection_perm(rs: RootSystem, i: int) -> Perm:
-    return tuple(rs.index_of(rs.reflect(i, r)) for r in rs.roots)
-
-
 def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
     out = perm_identity(len(rs.roots))
     for i in nodes:  # ascending; factors commute, order fixed for reproducibility
-        out = perm_compose(_reflection_perm(rs, i), out)
+        perm = rs.reflections[i - 1]
+        if None in perm:  # an image off the root set, named as index_of would
+            image = rs.reflect(i, rs.roots[perm.index(None)])
+            raise ValueError(f"{image} is not a root of {rs.dtype}")
+        out = perm_compose(perm, out)
     return out
 
 

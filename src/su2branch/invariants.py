@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING
 
 from . import binarygroups, mckay
@@ -185,26 +186,45 @@ def _root_counts(c: Session) -> Result:
 
 
 def _cartan_pairing(c: Session) -> Result:
+    """Every pairing (r_p, r_q), q >= p, lies in [-2, 2] and (r_p, r_p) = 2.
+
+    Row p is screened at once: with column i of the Cartan images packed
+    as one int, images[q][i] in byte field q, sum_i r_p[i] col_i plus 0x80
+    per field has the bytes (r_p, r_q) + 0x80, as long as no pairing can
+    leave (-126, 126), which the bound max |r|_1 * max |image| on the data
+    decides.  The rows the screen flags, or all rows when the bound fails,
+    go through the per-pair loop, which gives the detail.
+    """
     rs = c.bundle.rs
-    cartan, rank = rs.cartan, rs.rank
+    cartan, rank, roots = rs.cartan, rs.rank, rs.roots
     for i in range(rank):
         if cartan[i][i] != 2:
             return False, f"diagonal entry {cartan[i][i]} at node {i + 1}"
         for j in range(rank):
             if cartan[i][j] != cartan[j][i] or (i != j and cartan[i][j] not in (0, -1)):
                 return False, f"bad entry at ({i + 1}, {j + 1})"
-    images = [
-        tuple(sum(cartan[i][j] * r[j] for j in range(rank)) for i in range(rank))
-        for r in rs.roots
-    ]
-    for p, rp in enumerate(rs.roots):
-        for q in range(p, len(rs.roots)):
-            val = sum(rp[i] * images[q][i] for i in range(rank))
+    images = [tuple(sum(map(mul, row, r)) for row in cartan) for r in roots]
+
+    flagged = range(len(roots))
+    if max(sum(map(abs, r)) for r in roots) * max(max(map(abs, im)) for im in images) < 126:
+        columns = [sum(im[i] << 8 * q for q, im in enumerate(images)) for i in range(rank)]
+        offset = int.from_bytes(b"\x80" * len(roots), "little")
+
+        def clean(p: int) -> bool:
+            packed = (sum(map(mul, roots[p], columns)) + offset) >> 8 * p
+            fields = packed.to_bytes(len(roots) - p, "little")
+            return fields[0] == 0x80 + 2 and 0x80 - 2 <= min(fields) and max(fields) <= 0x80 + 2
+
+        flagged = [p for p in flagged if not clean(p)]
+    for p in flagged:
+        rp = roots[p]
+        for q in range(p, len(roots)):
+            val = sum(map(mul, rp, images[q]))
             if not -2 <= val <= 2:
                 return False, f"pairing {val} between roots {p} and {q}"
             if q == p and val != 2:
                 return False, f"root {rp} has squared length {val}"
-    return True, f"all {len(rs.roots)}^2 pairings within [-2, 2], lengths 2"
+    return True, f"all {len(roots)}^2 pairings within [-2, 2], lengths 2"
 
 
 def _reachability(c: Session) -> Result:
@@ -222,11 +242,11 @@ def _reachability(c: Session) -> Result:
 
 def _reflections(c: Session) -> Result:
     rs = c.bundle.rs
-    for i in rs.nodes:
-        images = [rs.reflect(i, r) for r in rs.roots]
-        if sorted(images) != sorted(rs.roots):
+    every = set(range(len(rs.roots)))
+    for i, perm in enumerate(rs.reflections, 1):
+        if len(perm) != len(every) or set(perm) != every:
             return False, f"reflection {i} does not permute the roots"
-        if any(rs.reflect(i, s) != r for r, s in zip(rs.roots, images)):
+        if any(perm[x] != k for k, x in enumerate(perm)):
             return False, f"reflection {i} is not an involution"
     return True, f"{rs.rank} reflections permute all {len(rs.roots)} roots"
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 
 #: Version tag for the node-numbering convention, carried by JSON output.
 NODE_CONVENTION = "v1"
@@ -152,6 +154,21 @@ class RootSystem:
         out[i - 1] -= c
         return tuple(out)
 
+    @cached_property
+    def reflections(self) -> tuple[tuple[int | None, ...], ...]:
+        """Each simple reflection as an index map of the root list, built once.
+
+        ``reflections[i - 1][k]`` is the index of :meth:`reflect` (i, root k),
+        or None where that image is not a root, which only a corrupted
+        system has: the registry entry "reflections" reports it and
+        :func:`~.coxeter.coxeter_element` refuses it.
+        """
+        out = []
+        for i, row in enumerate(self.cartan):
+            images = (r[:i] + (r[i] - sum(map(mul, row, r)),) + r[i + 1 :] for r in self.roots)
+            out.append(tuple(map(self._index.get, images)))
+        return tuple(out)
+
     def is_root(self, x: Root) -> bool:
         return x in self._index
 
@@ -217,8 +234,7 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
     cartan = cartan_matrix(dtype)
 
     def pair(x: Root, i: int) -> int:
-        row = cartan[i]
-        return sum(row[j] * x[j] for j in range(rank))
+        return sum(map(mul, cartan[i], x))
 
     simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     pos: set[Root] = set(simples)

@@ -304,3 +304,50 @@ def test_inverses_total():
     for x in range(g.order):
         assert g.mult[x][g.inverse[x]] == 0
         assert g.mult[g.inverse[x]][x] == 0
+
+
+@pytest.mark.parametrize("name", CHARACTER_TYPES)
+def test_table_is_the_float_product(name):
+    # The all-pairs float products the closure no longer forms, looked up by key.
+    g = group_for(name)
+    index = {e.key(): i for i, e in enumerate(g.elements)}
+    assert len(index) == g.order
+    for i, a in enumerate(g.elements):
+        assert g.mult[i] == tuple(index[(a * b).key()] for b in g.elements)
+        assert g.inverse[i] == index[a.inverse().key()]
+    assert g.minus_identity == index[MINUS_IDENTITY.key()]
+
+
+def test_closure_forms_one_product_per_element_and_generator(monkeypatch):
+    product, calls = GroupElement.__mul__, []
+
+    def counted(self, other):
+        calls.append(None)
+        return product(self, other)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counted)
+    group = binarygroups.build_group("E8", bundle("E8").params)
+    assert group.order == 120
+    assert 0 < len(calls) <= group.order * len(binarygroups.generators(group.dtype))
+
+
+@pytest.mark.parametrize("p", [53, 7681, 65537, 86461])
+def test_sqrt_mod_finds_a_root_of_every_square(p):
+    # 7681 - 1 = 15 * 2^9 and 65537 - 1 = 2^16 take several Tonelli-Shanks rounds.
+    rng = random.Random(p)
+    for a in (0, 1, p - 1, *(rng.randrange(p) for _ in range(200))):
+        root = binarygroups._sqrt_mod(a, p)
+        if pow(a, (p - 1) // 2, p) == p - 1:
+            assert root is None
+        else:
+            assert root * root % p == a
+
+
+def test_quadratic_factors_split_in_closed_form():
+    p, rng = 86461, random.Random(7)
+    for _ in range(50):
+        u, v = rng.randrange(p), rng.randrange(p)
+        f = [u * v % p, -(u + v) % p, 1]  # (x - u)(x - v)
+        assert sorted(binarygroups._roots(f, p, rng)) == sorted({u, v} if u != v else ())
+    non_residue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    assert binarygroups._roots([-non_residue % p, 0, 1], p, rng) == []

@@ -1,9 +1,18 @@
 """Bipartition, Coxeter element order, orbits, exponents, longest element."""
 
+import dataclasses
+
 import pytest
 
-from su2branch.coxeter import perm_identity, perm_power, special_index
+from su2branch.coxeter import (
+    bipartition,
+    coxeter_element,
+    perm_identity,
+    perm_power,
+    special_index,
+)
 from su2branch.invariants import LONGEST_ELEMENT, Session
+from su2branch.rootsys import build_root_system
 
 from conftest import bundle
 
@@ -135,3 +144,28 @@ def test_sigma_g_negates_positives_a3():
     kappa = perm_power(b.cox.sigma, 2)
     for idx in range(b.rs.num_positive):
         assert kappa[idx] >= b.rs.num_positive
+
+
+def test_a_reflection_off_the_root_set_is_refused():
+    # A3 without its highest root: s_1 sends (0, 1, 1) to the missing (1, 1, 1).
+    rs = build_root_system("A3")
+    dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
+    roots = tuple(r for r in rs.roots if r not in dropped)
+    bad = dataclasses.replace(
+        rs,
+        roots=roots,
+        num_positive=rs.num_positive - 1,
+        _index={r: k for k, r in enumerate(roots)},
+    )
+    bp = bipartition(bad)
+    # The message index_of gives for the first image off the root set.
+    image = next(
+        image
+        for i in (*bp.part1, *bp.part2)
+        for image in (bad.reflect(i, r) for r in bad.roots)
+        if not bad.is_root(image)
+    )
+    assert None in bad.reflections[0]
+    with pytest.raises(ValueError) as info:
+        coxeter_element(bad, bp)
+    assert str(info.value) == f"{image} is not a root of A3"

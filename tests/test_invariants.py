@@ -1,6 +1,8 @@
 """The invariant registry: enforced at construction, reported by verify."""
 
+import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +11,7 @@ from su2branch.branching import Branching
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Session, registry
+from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
 from conftest import bundle
@@ -167,9 +170,101 @@ def test_reported_names_are_the_registry(name):
     [
         (["verify", "--type", "E8"], "verify_E8.txt"),
         (["verify", "--type", "D4", "--json"], "verify_D4.json"),
+        (["verify"], "verify_all.txt"),
     ],
 )
 def test_verify_report_is_pinned(capsys, argv, fixture):
-    # Reports generated before the checks moved into the registry.
+    # The E8 and D4 reports predate the invariant registry; the full report
+    # predates the exact-index group closure and the packed audits.
     assert main(argv) == 0
     assert capsys.readouterr().out == (FIXTURES / fixture).read_text()
+
+
+def _audit(name, rs):
+    """One registry entry evaluated on a root system alone."""
+    (inv,) = (inv for inv in INVARIANTS if inv.name == name)
+    return inv.evaluate(SimpleNamespace(bundle=SimpleNamespace(rs=rs)))
+
+
+def _pairing_detail_by_loop(rs):
+    """The first "cartan pairing" miss of the plain per-pair loop, or None."""
+    cartan, rank = rs.cartan, rs.rank
+    images = [
+        tuple(sum(cartan[i][j] * r[j] for j in range(rank)) for i in range(rank))
+        for r in rs.roots
+    ]
+    for p, rp in enumerate(rs.roots):
+        for q in range(p, len(rs.roots)):
+            val = sum(rp[i] * images[q][i] for i in range(rank))
+            if not -2 <= val <= 2:
+                return f"pairing {val} between roots {p} and {q}"
+            if q == p and val != 2:
+                return f"root {rp} has squared length {val}"
+    return None
+
+
+def _scaled(rs, root, scale):
+    roots = list(rs.roots)
+    roots[root] = tuple(scale * x for x in roots[root])
+    return dataclasses.replace(rs, roots=tuple(roots))
+
+
+@pytest.mark.parametrize(
+    "name,root,scale",
+    # E8 root 119 is the highest root: its |r|_1 = 29 scaled by 2 or 3
+    # exceeds the packed row's bound, the others stay within it.
+    [("E8", 0, 2), ("E8", 200, 2), ("E8", 119, 2), ("E8", 119, 3), ("A3", 11, -3)],
+)
+def test_corrupted_pairing_detail_is_the_loops(name, root, scale):
+    bad = _scaled(build_root_system(name), root, scale)
+    detail = _pairing_detail_by_loop(bad)
+    assert detail is not None
+    assert _audit("cartan pairing", bad) == (False, detail)
+
+
+def test_every_scaled_d5_root_gives_the_loops_detail():
+    rs = build_root_system("D5")
+    for root in range(len(rs.roots)):
+        for scale in (2, -3, 0):
+            bad = _scaled(rs, root, scale)
+            assert _audit("cartan pairing", bad) == (False, _pairing_detail_by_loop(bad))
+
+
+def _with_reflection(name, node, change):
+    """A fresh root system whose reflection table has node's entry changed."""
+    rs = build_root_system(name)
+    table = list(rs.reflections)
+    perm = list(table[node - 1])
+    change(perm)
+    table[node - 1] = tuple(perm)
+    vars(rs)["reflections"] = tuple(table)
+    return rs
+
+
+def _repeat(perm):
+    perm[0] = perm[1]
+
+
+def _drop(perm):
+    perm[0] = None
+
+
+def _three_cycle(perm):
+    a, b, c = [k for k, x in enumerate(perm) if x == k][:3]
+    perm[a], perm[b], perm[c] = b, c, a
+
+
+@pytest.mark.parametrize(
+    "change,detail",
+    [
+        (_repeat, "reflection 2 does not permute the roots"),
+        (_drop, "reflection 2 does not permute the roots"),
+        (_three_cycle, "reflection 2 is not an involution"),
+    ],
+)
+def test_bad_reflection_entry_is_reported(change, detail):
+    assert _audit("reflections", _with_reflection("D4", 2, change)) == (False, detail)
+    assert _audit("reflections", build_root_system("D4")) == (
+        True,
+        "4 reflections permute all 24 roots",
+    )

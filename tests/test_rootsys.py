@@ -3,6 +3,7 @@
 import pytest
 
 from su2branch.rootsys import DiagramType, build_root_system
+from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import bundle
 
@@ -79,6 +80,13 @@ def test_reflection_involution_permutes_roots():
         images = [rs.reflect(i, r) for r in rs.roots]
         assert sorted(images) == sorted(rs.roots)
         assert all(rs.reflect(i, s) == r for r, s in zip(rs.roots, images))
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_reflection_table_is_reflect(name):
+    rs = rs_for(name)
+    for i in rs.nodes:
+        assert rs.reflections[i - 1] == tuple(rs.index_of(rs.reflect(i, r)) for r in rs.roots)
 
 
 def test_highest_root_marks():
