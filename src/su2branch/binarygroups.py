@@ -254,7 +254,7 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
         if mult[minus_identity][g] != mult[g][minus_identity]:
             raise _failure(dtype, "build_group", "-identity is not central")
 
-    classes, class_of = conjugacy_classes(dtype, mult, inverse, minus_identity)
+    classes, class_of = conjugacy_classes(mult, inverse)
     return FiniteGroup(
         dtype=dtype,
         elements=tuple(elements),
@@ -267,14 +267,10 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
 
 
 def conjugacy_classes(
-    dtype: DiagramType,
-    mult: tuple[tuple[int, ...], ...],
-    inverse: tuple[int, ...],
-    minus_identity: int,
+    mult: tuple[tuple[int, ...], ...], inverse: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Partition element indices into conjugation orbits.
 
-    The classes of +-identity must be singletons; anything else aborts.
     The class count is checked against the extended diagram by
     :func:`character_table`.
     """
@@ -290,10 +286,6 @@ def conjugacy_classes(
         for m in members:
             class_of_list[m] = cid
         classes.append(members)
-
-    for special in (0, minus_identity):
-        if len(classes[class_of_list[special]]) != 1:
-            raise _failure(dtype, "build_group", "central element has a non-singleton class")
     return tuple(classes), tuple(class_of_list)
 
 

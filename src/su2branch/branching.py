@@ -168,8 +168,11 @@ class Branching:
         """(mark, distance to the affine attachment point); (1, -1) for node 0."""
         if node == 0:
             return (1, -1)
-        dist = self.rs.distances_from(self.rs.affine_attachment())
-        return (self.rs.mark(node), dist[node])
+        return (self.rs.mark(node), self._attachment_distances[node])
+
+    @cached_property
+    def _attachment_distances(self) -> dict[int, int]:
+        return self.rs.distances_from(self.rs.affine_attachment())
 
     def resolve_node(self, spec: str) -> int:
         """Node from a canonical index or a 'mark,distance' pair."""

@@ -80,7 +80,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     types = (str(DiagramType.parse(args.type)),) if args.type else verify.ACCEPTED_TYPES
-    checks = verify.run_all(types, series_order=args.order)
+    checks = verify.run_all(types, order=args.order)
     if args.json:
         payload = [
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
@@ -217,11 +217,8 @@ def cmd_mckay(args: argparse.Namespace) -> int:
         for i, row in enumerate(graph.adjacency):
             lines.append(f"{i:>3}  " + " ".join(str(v) for v in row))
         lines.append("marks  " + " ".join(str(m) for m in graph.marks_ext))
-        labels = " ".join(
-            f"{i}:({bundle.node_label(i)[0]},{bundle.node_label(i)[1]})"
-            for i in range(graph.size)
-        )
-        lines.append("labels " + labels)
+        labels = ("{}:({},{})".format(i, *bundle.node_label(i)) for i in range(graph.size))
+        lines.append("labels " + " ".join(labels))
         _emit("\n".join(lines), args.out)
     return 0
 
@@ -272,7 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full cross-validation suite")
     p.add_argument("--type", help="restrict to one diagram type")
-    p.add_argument("--order", type=int, default=200, help="series depth (default 200)")
+    p.add_argument(
+        "--order", type=int, default=200, help="depth of every range check (default 200)"
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_verify)

@@ -24,7 +24,7 @@ and a predicate over the type's :class:`Session` that returns
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING
@@ -110,12 +110,12 @@ class Session:
     Derived objects are built on first use, so the enforced entries, which
     read only the bundle and the McKay graph, never build the group; the
     group and its character table are built at most once even when that
-    fails.  The oracle entries run to the given depths.
+    fails.  The range entries read :meth:`levels`, to the one depth ``order``.
     """
 
     bundle: Branching
-    series_order: int = 200
-    char_order: int = 60
+    order: int = 200
+    _levels: dict[str, list] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def graph(self) -> mckay.McKayGraph:
@@ -138,13 +138,32 @@ class Session:
         """Multiplicities at level n by the named oracle; only the characters build the group."""
         if n < 0:
             raise ValueError("n must be nonnegative")
+        _check_oracle(oracle)
         if oracle == "coxeter":
             return self.bundle.vector(n)
         if oracle == "recursion":
             return mckay.recursion_oracle(self.graph, n)[n]
-        if oracle == "characters":
-            group, table, nodes = self.group, self.table, range(self.graph.size)
-            return tuple(binarygroups.oracle_multiplicity(group, table, n, i) for i in nodes)
+        group, table, nodes = self.group, self.table, range(self.graph.size)
+        return tuple(binarygroups.oracle_multiplicity(group, table, n, i) for i in nodes)
+
+    def levels(self, oracle: str) -> list[tuple[int, ...]]:
+        """Multiplicity vectors at levels 0..order by the named oracle, each
+        from the route's own range API, expanded once per oracle."""
+        _check_oracle(oracle)
+        if oracle not in self._levels:
+            if oracle == "coxeter":
+                nodes = range(self.bundle.rs.rank + 1)
+                out = list(zip(*(self.bundle.series(i, self.order) for i in nodes)))
+            elif oracle == "recursion":
+                out = list(mckay.recursion_oracle(self.graph, self.order))
+            else:
+                out = binarygroups.character_multiplicities(self.group, self.table, self.order)
+            self._levels[oracle] = out
+        return self._levels[oracle]
+
+
+def _check_oracle(oracle: str) -> None:
+    if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}: expected one of {', '.join(ORACLES)}")
 
 
@@ -516,7 +535,7 @@ def _character_table(c: Session) -> Result:
             if (val - (group.order if c1 == c2 else 0)) % p:
                 return False, f"column orthogonality fails at ({c1}, {c2})"
     for node, (_, at_minus) in enumerate(table.central):
-        sign = -1 if node != 0 and c.bundle.bp.side(node) == 1 else 1
+        sign = -1 if c.bundle.node_parity(node) == 1 else 1
         if at_minus != sign * graph.marks_ext[node]:
             return False, f"central value at node {node} is {at_minus}"
     dims = tuple(table.dims[table.node_map[i]] for i in range(graph.size))
@@ -524,20 +543,14 @@ def _character_table(c: Session) -> Result:
 
 
 def _triple_oracle(c: Session) -> Result:
-    order, char_order, size = c.series_order, c.char_order, c.graph.size
-    rec = list(mckay.recursion_oracle(c.graph, order))
-    series = [c.bundle.series(i, order) for i in range(size)]
-    for n in range(order + 1):
-        for i in range(size):
-            if series[i][n] != rec[n][i]:
-                return False, f"series {series[i][n]} != recursion {rec[n][i]} at n={n}, node {i}"
-    chars = binarygroups.character_multiplicities(c.group, c.table, char_order)
-    for n in range(char_order + 1):
-        for i in range(size):
-            if chars[n][i] != rec[n][i]:
-                got = chars[n][i]
-                return False, f"characters {got} != recursion {rec[n][i]} at n={n}, node {i}"
-    return True, f"series == recursion to n={order}; == characters to n={char_order}"
+    cox, rec, chars = (c.levels(oracle) for oracle in ORACLES)
+    for n, (s, r, ch) in enumerate(zip(cox, rec, chars)):
+        for i in range(c.graph.size):
+            if s[i] != r[i]:
+                return False, f"series {s[i]} != recursion {r[i]} at n={n}, node {i}"
+            if ch[i] != r[i]:
+                return False, f"characters {ch[i]} != recursion {r[i]} at n={n}, node {i}"
+    return True, f"series == recursion to n={c.order}; == characters to n={c.order}"
 
 
 def _huge_level(c: Session) -> Result:
@@ -549,25 +562,25 @@ def _huge_level(c: Session) -> Result:
 
 
 def _molien(c: Session) -> Result:
-    ok = binarygroups.molien_series(c.group, c.char_order) == c.bundle.series(0, c.char_order)
-    return ok, f"group average matches invariant series to n={c.char_order}"
+    ok = binarygroups.molien_series(c.group, c.order) == tuple(v[0] for v in c.levels("coxeter"))
+    return ok, f"group average matches invariant series to n={c.order}"
 
 
 def _sum_rule(c: Session) -> Result:
     marks = c.graph.marks_ext
-    for n in range(c.series_order + 1):
-        if sum(m * v for m, v in zip(marks, c.bundle.vector(n))) != n + 1:
+    for n, v in enumerate(c.levels("coxeter")):
+        if sum(map(mul, marks, v)) != n + 1:
             return False, f"dimension sum fails at n={n}"
-    return True, f"sum of mark * multiplicity is n + 1 up to n={c.series_order}"
+    return True, f"sum of mark * multiplicity is n + 1 up to n={c.order}"
 
 
 def _parity_vanishing(c: Session) -> Result:
     for i in range(c.graph.size):
         k = c.bundle.node_parity(i)
-        for n, x in enumerate(c.bundle.series(i, c.series_order)):
-            if x and n % 2 != k % 2:
-                return False, f"node {i} has multiplicity {x} at parity-breaking n={n}"
-    return True, f"multiplicities vanish off-parity up to n={c.series_order}"
+        for n, v in enumerate(c.levels("coxeter")):
+            if v[i] and n % 2 != k % 2:
+                return False, f"node {i} has multiplicity {v[i]} at parity-breaking n={n}"
+    return True, f"multiplicities vanish off-parity up to n={c.order}"
 
 
 #: Every structural identity, in report order.

@@ -8,10 +8,11 @@ behavior of sigma^g, the Heisenberg cardinalities, the numerator
 coefficient bounds and the special-node closed form, the E8 golden
 numerators, the parameter table, and the three-way multiplicity
 agreement (orbit series vs. tensor recursion vs. character theory,
-dense and at n = 10^18 + 1, plus the plain Molien average for the
-affine node), all read from one :class:`~.invariants.Session`.  The
-structural entries already ran when the bundle was constructed; if one
-failed there, the report is that entry's FAIL line.
+at every level 0..order and at n = 10^18 + 1, plus the plain Molien
+average for the affine node), all read from one
+:class:`~.invariants.Session`, whose one ``order`` every range check
+runs to.  The structural entries already ran when the bundle was
+constructed; if one failed there, the report is that entry's FAIL line.
 """
 
 from __future__ import annotations
@@ -61,29 +62,21 @@ def rotation_group_name(dtype: DiagramType) -> str:
     return {6: "Alt_4", 7: "Sym_4", 8: "Alt_5"}[dtype.rank]
 
 
-def run_type_checks(
-    dtype: DiagramType | str, series_order: int = 200, char_order: int = 60
-) -> list[Check]:
-    """All checks for one diagram type; never raises, reports instead."""
+def run_type_checks(dtype: DiagramType | str, order: int = 200) -> list[Check]:
+    """All checks for one diagram type, every range check to the one depth
+    ``order``; never raises, reports instead."""
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
     try:
-        session = Session(Branching.build(dtype), series_order=series_order, char_order=char_order)
+        session = Session(Branching.build(dtype), order=order)
     except Exception as exc:  # noqa: BLE001 - report the failed entry or stage
         name = getattr(exc, "invariant", None) or "construction"
         return [Check(f"{dtype} {name}", False, f"exception: {exc}")]
     return [Check(f"{dtype} {inv.name}", *inv.evaluate(session)) for inv in registry(dtype)]
 
 
-def run_all(
-    types: tuple[str, ...] = ACCEPTED_TYPES,
-    series_order: int = 200,
-    char_order: int = 60,
-) -> list[Check]:
-    out: list[Check] = []
-    for t in types:
-        out.extend(run_type_checks(t, series_order=series_order, char_order=char_order))
-    return out
+def run_all(types: tuple[str, ...] = ACCEPTED_TYPES, order: int = 200) -> list[Check]:
+    return [check for t in types for check in run_type_checks(t, order=order)]
 
 
 def format_report(checks: list[Check]) -> str:

@@ -35,7 +35,7 @@ from conftest import (
 )
 
 SERIES_ORDER = 200
-CHAR_ORDER = 60
+CHAR_ORDER = SERIES_ORDER
 
 # Golden E8 numerators, keyed by (mark, distance to the affine attachment
 # point); single coefficient 2 at t^15 for the mark-6 node, all else 0/1.
@@ -208,7 +208,7 @@ def test_criterion_9_property_suite(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "FAIL" not in out1
-    assert all(c.passed for c in run_all(series_order=80, char_order=30))
+    assert all(c.passed for c in run_all(order=80))
     print(
         "ACCEPTANCE 9 PASS: 100 round-trips, nonnegative recursion, deterministic verify"
     )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,12 @@ def test_verify_single_type(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("checks passed")
+    code, out, _ = run(capsys, "verify", "--type", "D4", "--order", "20")
+    assert code == 0
+    ranged = ("triple oracle", "molien average", "dimension sum rule", "parity vanishing")
+    details = [line for line in out.splitlines() if any(f"D4 {name} " in line for name in ranged)]
+    assert len(details) == len(ranged)
+    assert all(re.findall(r"n=(\d+)", line) in (["20"], ["20", "20"]) for line in details)
 
 
 def test_verify_rejects_excluded_type(capsys):

@@ -144,7 +144,7 @@ def test_failed_group_build_runs_once(monkeypatch, stage, failing):
         raise ConsistencyError("boom")
 
     monkeypatch.setattr(binarygroups, stage, boom)
-    checks = run_type_checks("E8", series_order=20, char_order=10)
+    checks = run_type_checks("E8", order=20)
     assert len(calls) == 1
     assert [(c.name, c.detail) for c in checks if not c.passed] == [
         (f"E8 {name}", "exception: boom") for name in failing
@@ -153,14 +153,62 @@ def test_failed_group_build_runs_once(monkeypatch, stage, failing):
 
 def test_failed_audit_entry_is_one_fail_line(monkeypatch):
     monkeypatch.setattr(binarygroups, "molien_series", lambda group, order: (0,) * (order + 1))
-    checks = run_type_checks("D4", series_order=20, char_order=10)
+    checks = run_type_checks("D4", order=20)
     assert [c.name for c in checks if not c.passed] == ["D4 molien average"]
     assert len(checks) == len(registry("D4"))
 
 
+def test_characters_are_checked_at_the_full_depth(monkeypatch):
+    real = binarygroups.character_multiplicities
+
+    def wrong(group, table, order):
+        out = real(group, table, order)
+        out[137] = (1,) + out[137][1:]
+        return out
+
+    monkeypatch.setattr(binarygroups, "character_multiplicities", wrong)
+    checks = run_type_checks("D4")
+    assert [(c.name, c.detail) for c in checks if not c.passed] == [
+        ("D4 triple oracle", "characters 1 != recursion 0 at n=137, node 0")
+    ]
+
+
+def test_molien_average_is_checked_at_the_full_depth(monkeypatch):
+    real = binarygroups.molien_series
+
+    def wrong(group, order):
+        out = list(real(group, order))
+        out[61] += 1
+        return tuple(out)
+
+    monkeypatch.setattr(binarygroups, "molien_series", wrong)
+    checks = run_type_checks("D4")
+    assert [(c.name, c.detail) for c in checks if not c.passed] == [
+        ("D4 molien average", "group average matches invariant series to n=200")
+    ]
+
+
+def test_range_entries_expand_each_route_once(monkeypatch):
+    calls = {"vector": [], "characters": []}
+    vector, chars = Branching.vector, binarygroups.character_multiplicities
+
+    def counted_vector(self, n):
+        calls["vector"].append(n)
+        return vector(self, n)
+
+    def counted_chars(*args):
+        calls["characters"].append(args[2])
+        return chars(*args)
+
+    monkeypatch.setattr(Branching, "vector", counted_vector)
+    monkeypatch.setattr(binarygroups, "character_multiplicities", counted_chars)
+    assert all(c.passed for c in run_type_checks("E8"))
+    assert calls == {"vector": [HUGE_LEVEL], "characters": [200]}
+
+
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)
 def test_reported_names_are_the_registry(name):
-    checks = run_type_checks(name, series_order=20, char_order=10)
+    checks = run_type_checks(name, order=20)
     assert [c.name for c in checks] == [f"{name} {inv.name}" for inv in registry(name)]
     assert all(c.passed for c in checks)
 
