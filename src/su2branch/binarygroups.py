@@ -88,9 +88,6 @@ class GroupElement:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.w, -self.x, -self.y, -self.z)
-
     def norm_sq(self) -> float:
         return self.w**2 + self.x**2 + self.y**2 + self.z**2
 
@@ -361,6 +358,8 @@ def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
     +-identity and weight 1 on each other element (:func:`_residue_sums`);
     any order is safe.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     rest = _residue_sums(group, [(size,) for size in group.class_sizes])
     return tuple(
         _multiplicity(group, n, (1, 1), rest[n % len(rest)][0], None) for n in range(order + 1)
@@ -642,5 +641,7 @@ def character_multiplicities(
 ) -> list[tuple[int, ...]]:
     """Multiplicity vectors over extended nodes for n = 0..order, by
     :func:`oracle_multiplicity` at every level and node."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     nodes = range(len(table.node_map))
     return [tuple(oracle_multiplicity(group, table, n, i) for i in nodes) for n in range(order + 1)]

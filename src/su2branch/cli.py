@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: table, verify, branch, zpoly, series, orbits, mckay,
-group.  Output is aligned text by default, JSON with --json, written to
-stdout unless --out is given.  Exit codes: 0 success, 1 internal check
-failure, 2 usage error.
+group.  Each ``cmd_*`` computes its result once and returns a JSON
+document and the text lines; ``verify`` also returns its status.
+:func:`main` alone picks the format (aligned text by default, JSON with
+--json), writes it to stdout or --out, and sets the exit code: 0
+success, 1 internal check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,231 +24,133 @@ from .seriescalc import poly_str, sparse_items
 
 
 def _envelope(dtype: DiagramType, **fields) -> dict:
-    out = {"type": str(dtype), "convention": NODE_CONVENTION}
-    out.update(fields)
-    return out
+    return {"type": str(dtype), "convention": NODE_CONVENTION, **fields}
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from None
-    else:
-        print(text)
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2)
-
-
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple:
     rows = []
+    lines = [f"{'F':<8}{'type':<6}{'a':>4}{'b':>4}{'h':>4}{'g':>4}{'|F|':>6}{'|F*|':>6}  status"]
     for name in verify.ACCEPTED_TYPES:
         dtype = DiagramType.parse(name)
         p = Branching.build(dtype).params
-        rows.append(
-            {
-                "type": str(dtype),
-                "convention": NODE_CONVENTION,
-                "F": verify.rotation_group_name(dtype),
-                "a": p.a,
-                "b": p.b,
-                "h": p.h,
-                "g": p.g,
-                "order_F": p.order_f,
-                "order_Fstar": p.order_fstar,
-                "matches_closed_form": True,  # Branching.build enforces it
-            }
+        row = _envelope(
+            dtype,
+            F=verify.rotation_group_name(dtype),
+            a=p.a,
+            b=p.b,
+            h=p.h,
+            g=p.g,
+            order_F=p.order_f,
+            order_Fstar=p.order_fstar,
+            matches_closed_form=True,  # Branching.build enforces it
         )
-    if args.json:
-        _emit(_dump(rows), args.out)
-    else:
-        lines = [
-            f"{'F':<8}{'type':<6}{'a':>4}{'b':>4}{'h':>4}{'g':>4}{'|F|':>6}{'|F*|':>6}  status"
-        ]
-        for r in rows:
-            lines.append(
-                f"{r['F']:<8}{r['type']:<6}{r['a']:>4}{r['b']:>4}{r['h']:>4}"
-                f"{r['g']:>4}{r['order_F']:>6}{r['order_Fstar']:>6}  ok"
-            )
-        _emit("\n".join(lines), args.out)
-    return 0
+        rows.append(row)
+        lines.append(
+            f"{row['F']:<8}{row['type']:<6}{p.a:>4}{p.b:>4}{p.h:>4}"
+            f"{p.g:>4}{p.order_f:>6}{p.order_fstar:>6}  ok"
+        )
+    return rows, lines
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        raise ValueError("--order must be nonnegative")
-    types = (str(DiagramType.parse(args.type)),) if args.type else verify.ACCEPTED_TYPES
+def cmd_verify(args: argparse.Namespace) -> tuple:
+    types = (args.type,) if args.type else verify.ACCEPTED_TYPES
     checks = verify.run_all(types, order=args.order)
-    if args.json:
-        payload = [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ]
-        _emit(_dump({"checks": payload, "all_pass": all(c.passed for c in checks)}), args.out)
-    else:
-        _emit(verify.format_report(checks), args.out)
-    return 0 if all(c.passed for c in checks) else 1
+    all_pass = all(c.passed for c in checks)
+    doc = {"checks": [vars(c) for c in checks], "all_pass": all_pass}
+    return doc, [verify.format_report(checks)], 0 if all_pass else 1
 
 
-def cmd_branch(args: argparse.Namespace) -> int:
-    n = args.n
-    if n < 0:
+def cmd_branch(args: argparse.Namespace) -> tuple:
+    if args.n < 0:
         raise ValueError("--n must be nonnegative")
     session = Session(Branching.build(args.type))
-    bundle, vec = session.bundle, session.vector(n, args.oracle)
-    if args.json:
-        _emit(
-            _dump(
-                _envelope(
-                    bundle.dtype, n=n, oracle=args.oracle, multiplicities=list(vec)
-                )
-            ),
-            args.out,
-        )
-    else:
-        lines = [f"{bundle.dtype}  n = {n}  oracle = {args.oracle}"]
-        lines.append(f"{'node':>4} {'mark':>4} {'dist':>4} {'mult':>6}")
-        for i, mult in enumerate(vec):
-            mark, dist = bundle.node_label(i)
-            lines.append(f"{i:>4} {mark:>4} {dist:>4} {mult:>6}")
-        _emit("\n".join(lines), args.out)
-    return 0
+    bundle, vec = session.bundle, session.vector(args.n, args.oracle)
+    doc = _envelope(bundle.dtype, n=args.n, oracle=args.oracle, multiplicities=list(vec))
+    lines = [f"{bundle.dtype}  n = {args.n}  oracle = {args.oracle}"]
+    lines.append(f"{'node':>4} {'mark':>4} {'dist':>4} {'mult':>6}")
+    for i, mult in enumerate(vec):
+        mark, dist = bundle.node_label(i)
+        lines.append(f"{i:>4} {mark:>4} {dist:>4} {mult:>6}")
+    return doc, lines
 
 
-def _zpoly_record(bundle: Branching, node: int) -> dict:
-    mark, dist = bundle.node_label(node)
-    return _envelope(
-        bundle.dtype,
-        node=node,
-        mark=mark,
-        distance=dist,
-        coeffs=list(bundle.zpolys[node]),
-    )
-
-
-def cmd_zpoly(args: argparse.Namespace) -> int:
+def cmd_zpoly(args: argparse.Namespace) -> tuple:
     bundle = Branching.build(args.type)
-    if args.all:
-        nodes = list(range(bundle.rs.rank + 1))
-    elif args.node is not None:
-        nodes = [bundle.resolve_node(args.node)]
-    else:
+    if not args.all and args.node is None:
         raise ValueError("zpoly requires --node or --all")
-    if args.json:
-        records = [_zpoly_record(bundle, i) for i in nodes]
-        _emit(_dump(records if args.all else records[0]), args.out)
-    else:
-        lines = []
-        for i in nodes:
-            mark, dist = bundle.node_label(i)
-            z = bundle.zpolys[i]
-            pairs = " ".join(f"{e}:{c}" for e, c in sparse_items(z))
-            lines.append(f"node {i} (mark {mark}, dist {dist}): {pairs}")
-            lines.append(f"    {poly_str(z)}")
-        _emit("\n".join(lines), args.out)
-    return 0
+    nodes = range(bundle.rs.rank + 1) if args.all else [bundle.resolve_node(args.node)]
+    records, lines = [], []
+    for i in nodes:
+        mark, dist = bundle.node_label(i)
+        z = bundle.zpolys[i]
+        records.append(_envelope(bundle.dtype, node=i, mark=mark, distance=dist, coeffs=list(z)))
+        pairs = " ".join(f"{e}:{c}" for e, c in sparse_items(z))
+        lines.append(f"node {i} (mark {mark}, dist {dist}): {pairs}")
+        lines.append(f"    {poly_str(z)}")
+    return (records if args.all else records[0]), lines
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: argparse.Namespace) -> tuple:
     bundle = Branching.build(args.type)
     if args.node is None:
         raise ValueError("series requires --node")
     node = bundle.resolve_node(args.node)
     coeffs = bundle.series(node, args.order)
     mark, dist = bundle.node_label(node)
-    if args.json:
-        _emit(
-            _dump(
-                _envelope(
-                    bundle.dtype, node=node, mark=mark, distance=dist, coeffs=list(coeffs)
-                )
-            ),
-            args.out,
-        )
-    else:
-        lines = [f"{bundle.dtype} node {node} (mark {mark}, dist {dist}) to order {args.order}"]
-        lines.append(" ".join(str(c) for c in coeffs))
-        _emit("\n".join(lines), args.out)
-    return 0
+    doc = _envelope(bundle.dtype, node=node, mark=mark, distance=dist, coeffs=list(coeffs))
+    return doc, [
+        f"{bundle.dtype} node {node} (mark {mark}, dist {dist}) to order {args.order}",
+        " ".join(str(c) for c in coeffs),
+    ]
 
 
-def cmd_orbits(args: argparse.Namespace) -> int:
+def cmd_orbits(args: argparse.Namespace) -> tuple:
     bundle = Branching.build(args.type)
-    rs = bundle.rs
-    records = []
-    for idx in range(rs.num_positive):
-        records.append(
-            _envelope(
-                bundle.dtype,
-                root=list(rs.root_at(idx)),
-                orbit=bundle.table.orbit_node[idx],
-                k=bundle.table.parity[idx],
-                n=bundle.table.exponent[idx],
-            )
+    rs, table = bundle.rs, bundle.table
+    records = [
+        _envelope(
+            bundle.dtype,
+            root=list(rs.root_at(idx)),
+            orbit=table.orbit_node[idx],
+            k=table.parity[idx],
+            n=table.exponent[idx],
         )
-    if args.json:
-        _emit(_dump(records), args.out)
-    else:
-        width = max(len(str(r["root"])) for r in records)
-        lines = [f"{'root':<{width}}  {'orbit':>5} {'k':>2} {'n':>3}"]
-        for r in records:
-            lines.append(f"{str(r['root']):<{width}}  {r['orbit']:>5} {r['k']:>2} {r['n']:>3}")
-        _emit("\n".join(lines), args.out)
-    return 0
+        for idx in range(rs.num_positive)
+    ]
+    width = max(len(str(r["root"])) for r in records)
+    lines = [f"{'root':<{width}}  {'orbit':>5} {'k':>2} {'n':>3}"]
+    for r in records:
+        lines.append(f"{str(r['root']):<{width}}  {r['orbit']:>5} {r['k']:>2} {r['n']:>3}")
+    return records, lines
 
 
-def cmd_mckay(args: argparse.Namespace) -> int:
+def cmd_mckay(args: argparse.Namespace) -> tuple:
     session = Session(Branching.build(args.type))
     bundle, graph = session.bundle, session.graph
-    if args.json:
-        _emit(
-            _dump(
-                _envelope(
-                    bundle.dtype,
-                    adjacency=[list(row) for row in graph.adjacency],
-                    marks=list(graph.marks_ext),
-                )
-            ),
-            args.out,
-        )
-    else:
-        lines = [f"{bundle.dtype} extended diagram ({graph.size} nodes)"]
-        for i, row in enumerate(graph.adjacency):
-            lines.append(f"{i:>3}  " + " ".join(str(v) for v in row))
-        lines.append("marks  " + " ".join(str(m) for m in graph.marks_ext))
-        labels = ("{}:({},{})".format(i, *bundle.node_label(i)) for i in range(graph.size))
-        lines.append("labels " + " ".join(labels))
-        _emit("\n".join(lines), args.out)
-    return 0
+    adjacency = [list(row) for row in graph.adjacency]
+    marks = list(graph.marks_ext)
+    doc = _envelope(bundle.dtype, adjacency=adjacency, marks=marks)
+    lines = [f"{bundle.dtype} extended diagram ({graph.size} nodes)"]
+    for i, row in enumerate(adjacency):
+        lines.append(f"{i:>3}  " + " ".join(str(v) for v in row))
+    lines.append("marks  " + " ".join(str(m) for m in marks))
+    labels = ("{}:({},{})".format(i, *bundle.node_label(i)) for i in range(graph.size))
+    lines.append("labels " + " ".join(labels))
+    return doc, lines
 
 
-def cmd_group(args: argparse.Namespace) -> int:
+def cmd_group(args: argparse.Namespace) -> tuple:
     session = Session(Branching.build(args.type))
     bundle, group, table = session.bundle, session.group, session.table
+    sizes = list(group.class_sizes)
     dims = [table.dims[table.node_map[i]] for i in range(session.graph.size)]
-    if args.json:
-        _emit(
-            _dump(
-                _envelope(
-                    bundle.dtype,
-                    order=group.order,
-                    class_sizes=list(group.class_sizes),
-                    character_dims=dims,
-                )
-            ),
-            args.out,
-        )
-    else:
-        lines = [
-            f"{bundle.dtype}  |F*| = {group.order}  ({verify.rotation_group_name(bundle.dtype)} cover)",
-            "class sizes: " + " ".join(str(s) for s in group.class_sizes),
-            "character dims by node: " + " ".join(str(d) for d in dims),
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0
+    doc = _envelope(bundle.dtype, order=group.order, class_sizes=sizes, character_dims=dims)
+    cover = verify.rotation_group_name(bundle.dtype)
+    return doc, [
+        f"{bundle.dtype}  |F*| = {group.order}  ({cover} cover)",
+        "class sizes: " + " ".join(str(s) for s in sizes),
+        "character dims by node: " + " ".join(str(d) for d in dims),
+    ]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -257,27 +161,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_type: bool = True) -> None:
-        if with_type:
-            p.add_argument("--type", required=True, help="diagram type, e.g. A7, D5, E8")
+    def command(name, fn, help, type_help="diagram type, e.g. A7, D5, E8", type_required=True):
+        """A subparser with --type (unless ``type_help`` is None), --json and --out."""
+        p = sub.add_parser(name, help=help)
+        if type_help:
+            p.add_argument("--type", required=type_required, help=type_help)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("table", help="parameter table for all accepted types")
-    add_common(p, with_type=False)
-    p.set_defaults(fn=cmd_table)
+    command("table", cmd_table, "parameter table for all accepted types", type_help=None)
 
-    p = sub.add_parser("verify", help="run the full cross-validation suite")
-    p.add_argument("--type", help="restrict to one diagram type")
+    p = command(
+        "verify",
+        cmd_verify,
+        "run the full cross-validation suite",
+        type_help="restrict to one diagram type",
+        type_required=False,
+    )
     p.add_argument(
         "--order", type=int, default=200, help="depth of every range check (default 200)"
     )
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("branch", help="one multiplicity vector")
-    add_common(p)
+    p = command("branch", cmd_branch, "one multiplicity vector")
     p.add_argument("--n", type=int, required=True, help="SU(2) level (dimension - 1)")
     p.add_argument(
         "--oracle",
@@ -285,44 +192,39 @@ def _build_parser() -> argparse.ArgumentParser:
         default=ORACLES[0],
         help=f"computation path (default {ORACLES[0]})",
     )
-    p.set_defaults(fn=cmd_branch)
 
-    p = sub.add_parser("zpoly", help="numerator polynomials")
-    add_common(p)
+    p = command("zpoly", cmd_zpoly, "numerator polynomials")
     p.add_argument("--node", help="canonical index or 'mark,distance'")
     p.add_argument("--all", action="store_true", help="all nodes 0..rank")
-    p.set_defaults(fn=cmd_zpoly)
 
-    p = sub.add_parser("series", help="multiplicity series for one node")
-    add_common(p)
+    p = command("series", cmd_series, "multiplicity series for one node")
     p.add_argument("--node", help="canonical index or 'mark,distance'")
     p.add_argument("--order", type=int, default=200, help="series depth (default 200)")
-    p.set_defaults(fn=cmd_series)
 
-    p = sub.add_parser("orbits", help="orbit label, parity and exponent per positive root")
-    add_common(p)
-    p.set_defaults(fn=cmd_orbits)
-
-    p = sub.add_parser("mckay", help="extended adjacency matrix and marks")
-    add_common(p)
-    p.set_defaults(fn=cmd_mckay)
-
-    p = sub.add_parser("group", help="group order, class sizes, character dims")
-    add_common(p)
-    p.set_defaults(fn=cmd_group)
-
+    command("orbits", cmd_orbits, "orbit label, parity and exponent per positive root")
+    command("mckay", cmd_mckay, "extended adjacency matrix and marks")
+    command("group", cmd_group, "group order, class sizes, character dims")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
         if args.out and os.path.isdir(args.out):
             raise ValueError(f"cannot write --out {args.out}: it is a directory")
-        return args.fn(args)
+        doc, lines, *status = args.fn(args)
+        text = json.dumps(doc, indent=2) if args.json else "\n".join(lines)
+        if not args.out:
+            print(text)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+        return status[0] if status else 0
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

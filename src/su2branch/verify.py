@@ -64,7 +64,10 @@ def rotation_group_name(dtype: DiagramType) -> str:
 
 def run_type_checks(dtype: DiagramType | str, order: int = 200) -> list[Check]:
     """All checks for one diagram type, every range check to the one depth
-    ``order``; never raises, reports instead."""
+    ``order``.  A failed build is reported, never raised; a negative
+    ``order`` or an unknown type is a usage error, raised before any build."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
     try:

@@ -39,6 +39,11 @@ def _matrix(q):
     return [[complex(q.w, q.x), complex(q.y, q.z)], [complex(-q.y, q.z), complex(q.w, -q.x)]]
 
 
+def _inverse(q):
+    """The conjugate quaternion, which is the inverse of a unit quaternion."""
+    return GroupElement(q.w, -q.x, -q.y, -q.z)
+
+
 def _matmul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
 
@@ -185,6 +190,19 @@ def test_oracle_multiplicity_rejects_a_node_out_of_range(node):
         oracle_multiplicity(group_for("E8"), table_for("E8"), 6, node)
 
 
+@pytest.mark.parametrize(
+    "expand",
+    [
+        lambda name: character_multiplicities(group_for(name), table_for(name), -1),
+        lambda name: molien_series(group_for(name), -1),
+    ],
+    ids=["character_multiplicities", "molien_series"],
+)
+def test_negative_order_is_a_value_error(expand):
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        expand("D4")
+
+
 def test_e8_invariants_match_series_via_characters():
     group = group_for("E8")
     t = table_for("E8")
@@ -314,7 +332,7 @@ def test_table_is_the_float_product(name):
     assert len(index) == g.order
     for i, a in enumerate(g.elements):
         assert g.mult[i] == tuple(index[(a * b).key()] for b in g.elements)
-        assert g.inverse[i] == index[a.inverse().key()]
+        assert g.inverse[i] == index[_inverse(a).key()]
     assert g.minus_identity == index[MINUS_IDENTITY.key()]
 
 

@@ -15,6 +15,13 @@ from su2branch.cli import main
 from su2branch.invariants import ORACLES
 
 
+FIXTURES = Path(__file__).with_name("fixtures")
+
+#: stdout, stderr and exit code per command line: every subcommand but
+#: verify (pinned in verify_*), in text and --json, on D4 and A1.
+CLI_OUTPUTS = json.loads((FIXTURES / "cli_outputs.json").read_text())
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -207,6 +214,20 @@ def test_out_to_missing_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_failure_exits_2(capsys):
+    code, out, err = run(capsys, "mckay", "--type", "A3", "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: cannot write --out /dev/full: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", sorted(CLI_OUTPUTS))
+def test_output_matches_fixture(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert {"stdout": out, "stderr": err, "exit": code} == CLI_OUTPUTS[command]
 
 
 def _forbid_work(monkeypatch):

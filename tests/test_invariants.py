@@ -12,7 +12,7 @@ from su2branch.cli import main
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Session, registry
 from su2branch.rootsys import build_root_system
-from su2branch.verify import ACCEPTED_TYPES, run_type_checks
+from su2branch.verify import ACCEPTED_TYPES, run_all, run_type_checks
 
 from conftest import bundle
 
@@ -67,6 +67,18 @@ def test_negative_level_is_rejected_before_any_build(monkeypatch, oracle):
     _forbid_group_build(monkeypatch)
     with pytest.raises(ValueError, match="n must be nonnegative"):
         Session(Branching.build("E8")).vector(-1, oracle)
+
+
+@pytest.mark.parametrize(
+    "run", [lambda: run_type_checks("D4", order=-1), lambda: run_all(("D4",), order=-1)]
+)
+def test_negative_order_is_rejected_before_any_build(monkeypatch, run):
+    def boom(*args, **kwargs):
+        raise AssertionError("a bundle was built")
+
+    monkeypatch.setattr(Branching, "build", boom)
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        run()
 
 
 def test_unknown_oracle_is_a_value_error():
