@@ -25,8 +25,12 @@ The character oracles and the Molien average share one inner product
 <chi_n, chi>.  At +-identity chi_n is the integer (+-1)^n (n + 1); at an
 element of order m it has period m in n, so the rest of the sum depends
 on n only modulo E.  :func:`character_table` forms that rest once for
-each residue r = 0..E-1 and each node (the residue table, in integers),
-so a level is a lookup plus exact integer arithmetic for any n.
+each residue r = 0..E-1 and each node (the residue table, in integers).
+E is even, so n = r (mod E) keeps the parity of n, and the total grows
+by exactly E (chi(1) +- chi(-1)) per E levels: one period table
+(:func:`_period_table`) holds each node's multiplicity at r = 0..E-1
+and that growth divided by |F*|, both checked once to be nonnegative
+integers, so a level is base[r] + k step[r] for any n, checked no more.
 
 Two float uses remain, both classifications with a wide margin: the
 dedup of the closure products at :data:`DEDUP_DECIMALS` and each class's
@@ -54,6 +58,7 @@ from typing import TYPE_CHECKING
 from .errors import ConsistencyError
 from .mckay import McKayGraph
 from .rootsys import DiagramType
+from .seriescalc import PeriodTable, iter_levels
 
 if TYPE_CHECKING:
     from .branching import BranchParams
@@ -350,20 +355,58 @@ def _multiplicity(
     return m
 
 
+def _period_table(
+    group: FiniteGroup,
+    central: tuple[tuple[int, int], ...],
+    residues: tuple[tuple[int, ...], ...],
+    names: tuple[int | None, ...],
+) -> PeriodTable:
+    """The multiplicities of the characters with the given values at
+    +-identity (``central``) and non-central sums (``residues``, period
+    E), as a period table of period E, proved once.
+
+    base[r] is :func:`_multiplicity` at n = r < E, with its check.  E is
+    even (the exponent of a group holding -identity), so n = r + kE has
+    the parity of r and the total grows by kE c, c = chi(1) + chi(-1) for
+    even r and chi(1) - chi(-1) for odd r: step[r] = E c / |F*|, which must
+    be a nonnegative integer, or abort.  Then every level is base[r] +
+    k step[r] and is a nonnegative integer.  ``names`` labels the columns
+    in errors as in :func:`_multiplicity`.
+    """
+    e = len(residues)
+    base = tuple(
+        tuple(_multiplicity(group, r, c, rest, name) for c, rest, name in zip(central, row, names))
+        for r, row in enumerate(residues)
+    )
+    steps: tuple[list[int], list[int]] = ([], [])
+    for (plus, minus), name in zip(central, names):
+        for parity, growth in enumerate((e * (plus + minus), e * (plus - minus))):
+            m, part = divmod(growth, group.order)
+            if part or m < 0:
+                what = "invariant dimension" if name is None else f"multiplicity of node {name}"
+                problem = (
+                    f"{what} grows by {growth}/{group.order} per {e} levels at "
+                    f"{('even', 'odd')[parity]} n, not a nonnegative integer"
+                )
+                raise _failure(group.dtype, "oracles", problem)
+            steps[parity].append(m)
+    return base, tuple(tuple(steps[r % 2]) for r in range(e))
+
+
 def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
     """Invariant dimensions by direct group averaging of SU(2) traces.
 
     Independent of the character table: the average of chi_n over every
     element is <chi_n, 1>, with the trivial character's (1, 1) at
-    +-identity and weight 1 on each other element (:func:`_residue_sums`);
-    any order is safe.
+    +-identity and weight 1 on each other element (:func:`_residue_sums`),
+    read from its own period table (:func:`_period_table`); any order is
+    safe.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     rest = _residue_sums(group, [(size,) for size in group.class_sizes])
-    return tuple(
-        _multiplicity(group, n, (1, 1), rest[n % len(rest)][0], None) for n in range(order + 1)
-    )
+    table = _period_table(group, ((1, 1),), rest, (None,))
+    return tuple(v[0] for v in iter_levels(table, order))
 
 
 @dataclass(eq=False)
@@ -376,7 +419,8 @@ class CharacterTable:
     node's character at +identity and -identity as integers (dim, +-dim),
     and ``residues[r][node]``, the non-central sum of |F*| <chi_n,
     chi_node> for every n = r modulo the group exponent
-    (:func:`_residue_sums`).
+    (:func:`_residue_sums`).  Both feed ``periods``, the proved period
+    table every level is read from (:func:`_period_table`).
     """
 
     group: FiniteGroup
@@ -385,6 +429,11 @@ class CharacterTable:
     node_map: tuple[int, ...]
     central: tuple[tuple[int, int], ...] = field(repr=False)
     residues: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def periods(self) -> PeriodTable:
+        nodes = tuple(range(len(self.central)))
+        return _period_table(self.group, self.central, self.residues, nodes)
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -533,7 +582,8 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
     at node 0, equal dimensions and marks, and the tensor adjacency;
     choices left open by diagram automorphisms are resolved
     deterministically and do not affect any multiplicity.  The table also
-    carries each node's integer values at +-identity and the residue table.
+    carries each node's integer values at +-identity and the residue table,
+    and its period table is built and proved here.
     """
     r = len(group.classes)
     if r != graph.size:
@@ -566,7 +616,7 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
 
     node_map = _match_nodes(graph, tensor, dims, trivial[0])
     minus = group.class_of[group.minus_identity]
-    return CharacterTable(
+    table = CharacterTable(
         group=group,
         rows=rows,
         dims=dims,
@@ -576,6 +626,8 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
             group, [tuple(size * conj[row][c] for row in node_map) for c, size in enumerate(sizes)]
         ),
     )
+    table.periods  # noqa: B018 - proved once, here, rather than at the first level read
+    return table
 
 
 def _match_nodes(
@@ -622,26 +674,25 @@ def _match_nodes(
 
 def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node: int) -> int:
     """Multiplicity of the node's irreducible in the level-n restriction,
-    by the character inner product in exact integers, or abort.
+    by the character inner product in exact integers.
 
-    Safe for any n in O(1): the +-identity part is exact and the rest is
-    the table's residue entry for n modulo the group exponent
-    (:func:`_multiplicity`).
+    Safe for any n in O(1): the node's entry of the table's proved period
+    table (:func:`_period_table`), base[r] + k step[r] for n = kE + r.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 <= node < len(table.central):
         raise ValueError(f"node index {node} out of range for {group.dtype}")
-    rest = table.residues[n % len(table.residues)][node]
-    return _multiplicity(group, n, table.central[node], rest, node)
+    base, step = table.periods
+    k, r = divmod(n, len(base))
+    return base[r][node] + k * step[r][node]
 
 
 def character_multiplicities(
     group: FiniteGroup, table: CharacterTable, order: int
 ) -> list[tuple[int, ...]]:
-    """Multiplicity vectors over extended nodes for n = 0..order, by
-    :func:`oracle_multiplicity` at every level and node."""
+    """Multiplicity vectors over extended nodes for n = 0..order, read in
+    turn from the table's period table."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    nodes = range(len(table.node_map))
-    return [tuple(oracle_multiplicity(group, table, n, i) for i in nodes) for n in range(order + 1)]
+    return list(iter_levels(table.periods, order))

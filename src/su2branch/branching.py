@@ -12,20 +12,25 @@ read off the roots that pair strictly positively with the highest root
 to the node of its Coxeter orbit.  The affine node has z_0 = 1 + t^h,
 the classical invariant-series numerator.
 
-A single multiplicity is read from a closed form.  The coefficient of
-t^N in 1 / ((1 - t^a)(1 - t^b)) is count(N), the number of pairs
-(i, j) >= 0 with a*i + b*j = N (:func:`~.seriescalc.pair_counter`), so
-the coefficient of t^n in m(t)_i is
+Every level is read from one period table, built and proved when the
+bundle is constructed.  With L = lcm(a, b), both (1 - t^L)/(1 - t^a) and
+(1 - t^L)/(1 - t^b) are polynomials, so
 
-    sum of z_e * count(n - e) over the nonzero terms z_e t^e of z(t)_i,
+    m(t)_i (1 - t^L)^2 = z(t)_i [(1 - t^L)/(1 - t^a)] [(1 - t^L)/(1 - t^b)]
 
-a few terms per node whatever n is.  The dense series
-(:meth:`Branching.series`) serves whole ranges of levels.
+has degree deg z_i + 2L - (h + 2) <= 2L - 2, since the enforced
+"numerator polynomials" entry keeps deg z_i <= h.  Its coefficients
+from t^(2L) on vanish: s[n + 2L] - 2 s[n + L] + s[n] = 0 for every
+n >= 0, where s is the node's series.  So the dense series to 2L - 1
+gives base[r] = s[r] and step[r] = s[r + L] - s[r] for r < L, and level
+kL + r is base[r] + k step[r] (:func:`~.seriescalc.read_level`), exact
+for any n.  The dense series (:meth:`Branching.series`) also serves
+whole ranges of levels.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,7 +45,7 @@ from .coxeter import (
 )
 from .invariants import enforce
 from .rootsys import DiagramType, Root, RootSystem, build_root_system
-from .seriescalc import Poly, pair_counter, poly, series_div_geom, sparse_items
+from .seriescalc import PeriodTable, Poly, period_table, poly, read_level, series_div_geom
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,8 @@ class Branching:
     Build once with :meth:`build`; nothing changes after construction.
     Constructing one runs the registry's enforced entries
     (:func:`~.invariants.enforce`) and raises ``ConsistencyError`` at
-    the first that fails.
+    the first that fails; then it builds ``periods``, the period table
+    every level is read from (module docstring).
     """
 
     rs: RootSystem
@@ -139,9 +145,13 @@ class Branching:
     params: BranchParams
     heisenberg: HeisenbergSubsystem
     zpolys: dict[int, Poly]
+    periods: PeriodTable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         enforce(self)
+        period = math.lcm(self.params.a, self.params.b)
+        columns = (self.series(i, 2 * period - 1) for i in range(self.rs.rank + 1))
+        object.__setattr__(self, "periods", period_table(list(zip(*columns)), period))
 
     @classmethod
     def build(cls, dtype: DiagramType | str) -> "Branching":
@@ -200,14 +210,6 @@ class Branching:
         nonnegative, as the enforced numerators are."""
         return series_div_geom(self.zpolys[node], self.params.a, self.params.b, order)
 
-    @cached_property
-    def _count(self) -> Callable[[int], int]:
-        return pair_counter(self.params.a, self.params.b)
-
-    @cached_property
-    def _terms(self) -> dict[int, list[tuple[int, int]]]:
-        return {i: sparse_items(z) for i, z in self.zpolys.items()}
-
     def multiplicity(self, n: int, node: int) -> int:
         """Coefficient of t^n in m(t) for the given extended node."""
         if not 0 <= node <= self.rs.rank:
@@ -216,10 +218,7 @@ class Branching:
 
     def vector(self, n: int) -> tuple[int, ...]:
         """Multiplicities at level n across all extended nodes (0..rank), exact
-        for any n >= 0: per node, z_e * count(n - e) summed over its terms."""
+        for any n >= 0: one read of the period table, O(rank)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        count = self._count
-        return tuple(
-            sum(c * count(n - e) for e, c in self._terms[i]) for i in range(self.rs.rank + 1)
-        )
+        return read_level(self.periods, n)

@@ -22,6 +22,11 @@ from .invariants import ORACLES, Session
 from .rootsys import NODE_CONVENTION, DiagramType
 from .seriescalc import poly_str, sparse_items
 
+#: Largest ``--order`` that ``series`` and ``verify`` accept.  On E8,
+#: ``series`` peaks near 120 MB at the limit and ``verify`` holds about
+#: 1 KB per level (100 MB at 10^5); the library functions take any order.
+MAX_ORDER = 10**6
+
 
 def _envelope(dtype: DiagramType, **fields) -> dict:
     return {"type": str(dtype), "convention": NODE_CONVENTION, **fields}
@@ -52,7 +57,13 @@ def cmd_table(args: argparse.Namespace) -> tuple:
     return rows, lines
 
 
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the limit {MAX_ORDER}")
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple:
+    _check_order(args.order)
     types = (args.type,) if args.type else verify.ACCEPTED_TYPES
     checks = verify.run_all(types, order=args.order)
     all_pass = all(c.passed for c in checks)
@@ -91,6 +102,7 @@ def cmd_zpoly(args: argparse.Namespace) -> tuple:
 
 
 def cmd_series(args: argparse.Namespace) -> tuple:
+    _check_order(args.order)
     bundle = Branching.build(args.type)
     if args.node is None:
         raise ValueError("series requires --node")
@@ -181,7 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type_required=False,
     )
     p.add_argument(
-        "--order", type=int, default=200, help="depth of every range check (default 200)"
+        "--order",
+        type=int,
+        default=200,
+        help=f"depth of every range check (default 200, at most {MAX_ORDER})",
     )
 
     p = command("branch", cmd_branch, "one multiplicity vector")
@@ -199,7 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("series", cmd_series, "multiplicity series for one node")
     p.add_argument("--node", help="canonical index or 'mark,distance'")
-    p.add_argument("--order", type=int, default=200, help="series depth (default 200)")
+    p.add_argument(
+        "--order", type=int, default=200, help=f"series depth (default 200, at most {MAX_ORDER})"
+    )
 
     command("orbits", cmd_orbits, "orbit label, parity and exponent per positive root")
     command("mckay", cmd_mckay, "extended adjacency matrix and marks")

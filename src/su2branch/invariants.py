@@ -545,6 +545,8 @@ def _character_table(c: Session) -> Result:
 def _triple_oracle(c: Session) -> Result:
     cox, rec, chars = (c.levels(oracle) for oracle in ORACLES)
     for n, (s, r, ch) in enumerate(zip(cox, rec, chars)):
+        if s == r == ch:
+            continue
         for i in range(c.graph.size):
             if s[i] != r[i]:
                 return False, f"series {s[i]} != recursion {r[i]} at n={n}, node {i}"

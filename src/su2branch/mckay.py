@@ -11,8 +11,10 @@ branching oracle that never touches the Coxeter element.
 The eigenvalues of A are 2 cos(2 pi k / m) for the element orders m,
 so v_n is a degree-1 quasi-polynomial in n.  Each graph certifies a
 period P of the recursion once, in exact integers (P <= 60 for every
-accepted type), and :func:`recursion_oracle` returns a read-only
-sequence view over it whose level n costs O(size) for any n.
+accepted type), as a period table (:data:`~.seriescalc.PeriodTable`)
+whose base levels and steps it checks once, and :func:`recursion_oracle`
+returns a read-only sequence view over it whose level n costs O(size)
+for any n and checks nothing.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from functools import cached_property
 
 from .errors import ConsistencyError
 from .rootsys import DiagramType, RootSystem
-
-MultiplicityVector = tuple[int, ...]
-Levels = tuple[MultiplicityVector, ...]
+from .seriescalc import PeriodTable, Vector, iter_levels, period_table, read_level
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,7 @@ class McKayGraph:
     marks_ext: tuple[int, ...]
 
     @cached_property
-    def certificate(self) -> tuple[Levels, Levels]:
+    def certificate(self) -> PeriodTable:
         """The certified period of the tensor recursion, as ``(base, step)``:
         base[r] = v_r and step[r] = v_(r+P) - v_r for 0 <= r < P.
 
@@ -62,6 +62,11 @@ class McKayGraph:
         A, D, E6, E7, E8).  A graph that certifies no period up to that
         bound is not a McKay graph and aborts, as does any computed level
         with a negative entry or a wrong dimension sum.
+
+        Each step is then checked once: nonnegative, with dimension sum
+        sum_i marks_ext[i] step[r][i] = P.  With the checked base levels
+        this proves every level: v_(r+kP) = v_r + k step[r] is nonnegative
+        and has dimension sum (r + 1) + kP = n + 1, so no read checks again.
         """
         size = self.size
         cap = 4 * size * size
@@ -79,9 +84,10 @@ class McKayGraph:
                 for n in (0, 1)
                 for i in range(size)
             ):
-                base = tuple(levels[:period])
-                step = (tuple(b - a for a, b in zip(u, w)) for u, w in zip(base, levels[period:]))
-                return base, tuple(step)
+                table = period_table(levels, period)
+                for r, step in enumerate(table[1]):
+                    _check_sum(self, step, period, f"step {r} of period {period}")
+                return table
         raise _failure(self, f"tensor recursion has no period up to {cap}")
 
 
@@ -116,13 +122,14 @@ class RecursionLevels(Sequence):
     slices work, an index past ``order`` raises ``IndexError``, and it
     compares equal, element by element, to any sequence of the same
     vectors.  Level n is read off ``graph.certificate`` in O(size) for any
-    n and checked for negative entries and for the dimension sum n + 1.
+    n; the certificate has already proved it.
     """
 
     def __init__(self, graph: McKayGraph, order: int) -> None:
         self.graph = graph
         self.order = order
-        self._base, self._step = graph.certificate
+        self._table = graph.certificate
+        self._base, self._step = self._table
         self.period = len(self._base)
 
     def __len__(self) -> int:
@@ -131,10 +138,10 @@ class RecursionLevels(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[n] for n in range(self.order + 1)[index]]
-        n = range(self.order + 1)[index]
-        k, r = divmod(n, self.period)
-        v = tuple(a + k * d for a, d in zip(self._base[r], self._step[r]))
-        return _check_level(self.graph, v, n)
+        return read_level(self._table, range(self.order + 1)[index])
+
+    def __iter__(self):
+        return iter_levels(self._table, self.order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -142,14 +149,18 @@ class RecursionLevels(Sequence):
         return self.order + 1 == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def _check_level(graph: McKayGraph, v: MultiplicityVector, n: int) -> MultiplicityVector:
+def _check_level(graph: McKayGraph, v: Vector, n: int) -> Vector:
     """A negative entry or a dimension sum (sum of marks_ext[i] * v[i])
     other than n + 1 means the graph is not the McKay graph of anything."""
+    return _check_sum(graph, v, n + 1, f"level {n}")
+
+
+def _check_sum(graph: McKayGraph, v: Vector, want: int, where: str) -> Vector:
     if min(v) < 0:
-        raise _failure(graph, f"negative multiplicity at level {n}: {v}")
+        raise _failure(graph, f"negative multiplicity at {where}: {v}")
     total = sum([m * c for m, c in zip(graph.marks_ext, v)])
-    if total != n + 1:
-        raise _failure(graph, f"dimension sum {total} != {n + 1} at level {n}")
+    if total != want:
+        raise _failure(graph, f"dimension sum {total} != {want} at {where}")
     return v
 
 

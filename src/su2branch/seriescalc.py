@@ -3,18 +3,25 @@
 A polynomial is a tuple of int coefficients indexed by exponent, with
 trailing zeros removed; the zero polynomial is the empty tuple.  A
 truncated series of order ``N`` is a plain tuple of ``N + 1`` ints.
-Dense storage: every degree in play here is small.  A single
-coefficient of ``1 / ((1 - t^a)(1 - t^b))`` also has a closed form
-(:func:`pair_counter`), so one far-out coefficient of a quotient never
-needs the dense expansion.
+Dense storage: every degree in play here is small.
+
+Each oracle's multiplicity vectors form a degree-1 quasi-polynomial in
+the level n: with a period P, a base ``base[r]`` and a step ``step[r]``
+for r = 0..P-1, level n = k P + r is ``base[r] + k step[r]``
+(:data:`PeriodTable`, read by :func:`read_level` and :func:`iter_levels`).
+Each oracle proves its own table once, where it is built; reading a
+level checks nothing.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable, Iterator, Sequence
+from operator import add
 
 Poly = tuple[int, ...]
+Vector = tuple[int, ...]
+#: ``(base, step)``: level k P + r is base[r] + k step[r], P = len(base).
+PeriodTable = tuple[tuple[Vector, ...], tuple[Vector, ...]]
 
 
 def poly(coeffs: Iterable[int]) -> Poly:
@@ -33,52 +40,52 @@ def eval_at_one(p: Poly) -> int:
 def series_div_geom(z: Poly, a: int, b: int, order: int) -> tuple[int, ...]:
     """Expand ``z / ((1 - t^a)(1 - t^b))`` as a series up to ``order``.
 
-    Uses the recurrence c[n] = z[n] + c[n-a] + c[n-b] - c[n-a-b], with
-    out-of-range terms read as zero.  Exact integer arithmetic.
+    Dividing by 1 - t^a is a running sum with stride a,
+    c[n] += c[n - a] in ascending n; the same with stride b follows.
+    Exact integer arithmetic.
     """
     if a < 1 or b < 1:
         raise ValueError("denominator exponents must be >= 1")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    c = [0] * (order + 1)
-    for n in range(order + 1):
-        v = z[n] if n < len(z) else 0
-        if n >= a:
-            v += c[n - a]
-        if n >= b:
-            v += c[n - b]
-        if n >= a + b:
-            v -= c[n - a - b]
-        c[n] = v
+    c = list(z[: order + 1]) + [0] * (order + 1 - len(z))
+    for n in range(a, order + 1):
+        c[n] += c[n - a]
+    for n in range(b, order + 1):
+        c[n] += c[n - b]
     return tuple(c)
 
 
-def pair_counter(a: int, b: int) -> Callable[[int], int]:
-    """``count(N)``: the number of pairs (i, j) >= 0 with a*i + b*j = N.
+def period_table(levels: Sequence[Vector], period: int) -> PeriodTable:
+    """The table of levels 0..2P-1 for the period P: base[r] = levels[r]
+    and step[r] = levels[r + P] - levels[r].  The caller proves that the
+    steps repeat, i.e. that levels[n + 2P] - 2 levels[n + P] + levels[n]
+    vanishes for every n >= 0."""
+    base = tuple(levels[:period])
+    step = (tuple([y - x for x, y in zip(u, w)]) for u, w in zip(base, levels[period:]))
+    return base, tuple(step)
 
-    That is the coefficient of t^N in ``1 / ((1 - t^a)(1 - t^b))``, in
-    closed form (Popoviciu).  With d = gcd(a, b), a' = a/d, b' = b/d
-    and M = N/d, the solutions have j = j0 (mod a') for
-    j0 = M * b'^(-1) mod a', so there are (M - b'*j0) // (a'*b') + 1 of
-    them when b'*j0 <= M, and none when d does not divide N.  For
-    a' = 1 the inverse is taken mod 1, which makes j0 = 0.  Exact
-    integers, a handful of operations whatever N is.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("denominator exponents must be >= 1")
-    d = math.gcd(a, b)
-    a1, b1 = a // d, b // d
-    inv = pow(b1, -1, a1)
-    period = a1 * b1
 
-    def count(n: int) -> int:
-        if n < 0 or n % d:
-            return 0
-        m = n // d
-        rest = m - b1 * (m * inv % a1)
-        return rest // period + 1 if rest >= 0 else 0
+def read_level(table: PeriodTable, n: int) -> Vector:
+    """Level n >= 0 of a period table, ``base[r] + k step[r]`` for
+    n = k P + r: O(size) for any n, and the stored base itself for n < P."""
+    base, step = table
+    k, r = divmod(n, len(base))
+    if not k:
+        return base[r]
+    return tuple([x + k * d for x, d in zip(base[r], step[r])])
 
-    return count
+
+def iter_levels(table: PeriodTable, order: int) -> Iterator[Vector]:
+    """Levels 0..order of a period table in turn, each the level one
+    period back plus its step: one addition per entry."""
+    base, step = table
+    period, levels = len(base), list(base)
+    for n in range(order + 1):
+        r = n % period
+        if n >= period:
+            levels[r] = tuple(map(add, levels[r], step[r]))
+        yield levels[r]
 
 
 def sparse_items(p: Poly) -> list[tuple[int, int]]:

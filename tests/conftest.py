@@ -1,6 +1,7 @@
 """One cached session per diagram type, so each type is constructed once
-per run, and polynomial helpers used only by tests."""
+per run, and polynomial and counting helpers used only by tests."""
 
+import math
 from functools import lru_cache
 
 from su2branch import Branching, Session
@@ -74,3 +75,27 @@ def poly_mul(p, q):
 def poly_truncate(p, order):
     """Coefficients of ``p`` up to ``order`` inclusive, zero padded."""
     return tuple(coefficient(p, n) for n in range(order + 1))
+
+
+def pair_counter(a, b):
+    """count(N): the number of pairs (i, j) >= 0 with a*i + b*j = N, the
+    coefficient of t^N in 1 / ((1 - t^a)(1 - t^b)), in closed form
+    (Popoviciu); an independent reference for the Coxeter period table.
+
+    With d = gcd(a, b), a' = a/d, b' = b/d and M = N/d, the solutions have
+    j = j0 (mod a') for j0 = M b'^(-1) mod a', so there are
+    (M - b' j0) // (a' b') + 1 of them when b' j0 <= M, and none when d
+    does not divide N.  For a' = 1 the inverse is taken mod 1, so j0 = 0.
+    """
+    d = math.gcd(a, b)
+    a1, b1 = a // d, b // d
+    inv = pow(b1, -1, a1)
+
+    def count(n):
+        if n < 0 or n % d:
+            return 0
+        m = n // d
+        rest = m - b1 * (m * inv % a1)
+        return rest // (a1 * b1) + 1 if rest >= 0 else 0
+
+    return count

@@ -296,6 +296,43 @@ def test_a_sum_that_does_not_divide_aborts_with_its_stage():
     assert str(err) == "E8: multiplicity of node 0 at n=0 is 121/120, not a nonnegative integer"
 
 
+def test_a_step_that_does_not_divide_is_refused():
+    # Node 0 at +identity doctored from 1 to 2, and its residue sums shifted
+    # by -(r + 1) so that every level below E keeps its multiplicity: only
+    # the step E (chi(1) + chi(-1)) / |F*| = 60 * 3 / 120 is wrong.
+    group, t = group_for("E8"), table_for("E8")
+    central = ((2, 1),) + t.central[1:]
+    residues = tuple((row[0] - (r + 1),) + row[1:] for r, row in enumerate(t.residues))
+    broken = dataclasses.replace(t, central=central, residues=residues)
+    with pytest.raises(ConsistencyError) as info:
+        oracle_multiplicity(group, broken, 0, 0)
+    err = info.value
+    assert (err.dtype, err.stage, err.invariant) == ("E8", "oracles", None)
+    assert str(err) == (
+        "E8: multiplicity of node 0 grows by 180/120 per 60 levels at even n, "
+        "not a nonnegative integer"
+    )
+
+
+@pytest.mark.parametrize("name", CHARACTER_TYPES)
+def test_levels_are_read_without_a_check(monkeypatch, name):
+    # character_table proved the period table; no level divides again.
+    group, t = group_for(name), table_for(name)
+    assert "periods" in vars(t)
+
+    def boom(*args):
+        raise AssertionError("a level was checked after the table was proved")
+
+    monkeypatch.setattr(binarygroups, "_multiplicity", boom)
+    top = 3 * len(t.residues)
+    vecs = character_multiplicities(group, t, top)
+    assert vecs == list(recursion_oracle(graph_for(name), top))
+    n = 10**100
+    assert tuple(oracle_multiplicity(group, t, n, i) for i in range(len(t.central))) == (
+        recursion_oracle(graph_for(name), n)[n]
+    )
+
+
 def test_a_class_with_no_integer_rotation_index_aborts():
     # Nudge one class representative's w: its angle is no longer 2 pi k/m.
     group = group_for("E6")

@@ -1,5 +1,7 @@
 """Parameters, Heisenberg subsystem, numerators, multiplicity series."""
 
+import math
+
 import pytest
 
 from su2branch.binarygroups import oracle_multiplicity
@@ -8,7 +10,7 @@ from su2branch.mckay import recursion_oracle
 from su2branch.seriescalc import eval_at_one, sparse_items
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, graph_for, group_for, table_for
+from conftest import bundle, graph_for, group_for, pair_counter, table_for
 
 HUGE_LEVELS = (10**6, 10**18 + 1)
 
@@ -148,6 +150,29 @@ def test_closed_form_matches_series_and_recursion(name):
         series = b.series(i, order)
         for n in range(order + 1):
             assert b.multiplicity(n, i) == series[n] == rec[n][i], (n, i)
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_period_table_matches_popoviciu(name):
+    # Per node, sum z_e * count(n - e) over the numerator's terms.
+    b = bundle(name)
+    period = math.lcm(b.params.a, b.params.b)
+    count = pair_counter(b.params.a, b.params.b)
+    for n in (*range(3 * period + 1), 10**18 + 1, 10**100):
+        want = tuple(
+            sum(c * count(n - e) for e, c in sparse_items(b.zpolys[i]))
+            for i in range(b.rs.rank + 1)
+        )
+        assert b.vector(n) == want, n
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_period_table_matches_the_dense_series(name):
+    b = bundle(name)
+    period = math.lcm(b.params.a, b.params.b)
+    assert len(b.periods[0]) == len(b.periods[1]) == period
+    columns = [b.series(i, 3 * period) for i in range(b.rs.rank + 1)]
+    assert [b.vector(n) for n in range(3 * period + 1)] == list(zip(*columns))
 
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)

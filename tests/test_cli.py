@@ -11,7 +11,7 @@ import pytest
 
 from su2branch import verify
 from su2branch.branching import Branching
-from su2branch.cli import main
+from su2branch.cli import MAX_ORDER, main
 from su2branch.invariants import ORACLES
 
 
@@ -206,6 +206,28 @@ def test_verify_negative_order_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**8])
+@pytest.mark.parametrize(
+    "argv", [["series", "--type", "E8", "--node", "0"], ["verify", "--type", "A3"]]
+)
+def test_order_above_the_limit_exits_2_at_once(monkeypatch, capsys, argv, order):
+    def boom(dtype):
+        raise AssertionError("built a type for an order above the limit")
+
+    monkeypatch.setattr(Branching, "build", boom)
+    code, out, err = run(capsys, *argv, "--order", str(order))
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: order {order} exceeds the limit 1000000\n"
+
+
+def test_order_at_the_limit_is_accepted(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(verify, "run_all", lambda types, order: seen.append(order) or [])
+    code, _, err = run(capsys, "verify", "--order", str(MAX_ORDER))
+    assert (code, err, seen) == (0, "", [MAX_ORDER])
 
 
 def test_out_to_missing_directory_exits_2(tmp_path, capsys):

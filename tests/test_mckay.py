@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from su2branch import mckay
 from su2branch.binarygroups import character_multiplicities, molien_series, oracle_multiplicity
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
@@ -152,6 +153,33 @@ def test_doctored_adjacency_fails_a_level_check():
     with pytest.raises(ConsistencyError, match="dimension sum") as info:
         recursion_oracle(doctored, 10)
     assert (info.value.dtype, info.value.stage) == ("E8", "oracles")
+
+
+def test_a_negative_step_is_refused_at_certification(monkeypatch):
+    # A1's graph with its edge negated: the marks (1, -1) keep every
+    # dimension sum, node 1 reads -2, -4, -6 at the odd levels and the
+    # period is 2.  With the level checks switched off, the one-time step
+    # check alone refuses it.
+    monkeypatch.setattr(mckay, "_check_level", lambda graph, v, n: v)
+    g = McKayGraph(graph_for("A3").dtype, 2, ((0, -2), (-2, 0)), (1, -1))
+    with pytest.raises(ConsistencyError) as info:
+        recursion_oracle(g, 10)
+    assert str(info.value) == "A3: negative multiplicity at step 1 of period 2: (0, -2)"
+    assert (info.value.dtype, info.value.stage) == ("A3", "oracles")
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_levels_are_read_without_a_check(monkeypatch, name):
+    g = extended_graph(bundle(name).rs)  # certified below, with the checks on
+    g.certificate
+
+    def boom(*args):
+        raise AssertionError("a level was checked after certification")
+
+    monkeypatch.setattr(mckay, "_check_sum", boom)
+    top = 3 * PERIODS[name] + 5
+    assert list(recursion_oracle(g, top)) == eager_recursion(g, top)
+    assert recursion_oracle(g, 10**100)[-1] == bundle(name).vector(10**100)
 
 
 def test_calls_on_one_graph_share_one_certificate():
