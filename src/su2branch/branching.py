@@ -44,6 +44,7 @@ from .coxeter import (
     special_index,
 )
 from .invariants import enforce
+from .mckay import McKayGraph, extended_graph
 from .rootsys import DiagramType, Root, RootSystem, build_root_system
 from .seriescalc import PeriodTable, Poly, period_table, poly, read_level, series_div_geom
 
@@ -179,6 +180,13 @@ class Branching:
         if node == 0:
             return (1, -1)
         return (self.rs.mark(node), self._attachment_distances[node])
+
+    @cached_property
+    def graph(self) -> McKayGraph:
+        """The extended diagram, built once per bundle: the enforced
+        "extended graph" entry checks this object, and every
+        :class:`~.invariants.Session` over the bundle reads it."""
+        return extended_graph(self.rs)
 
     @cached_property
     def _attachment_distances(self) -> dict[int, int]:

@@ -25,7 +25,7 @@ def perm_identity(n: int) -> Perm:
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """(p o q)[x] = p[q[x]]: apply q first, then p."""
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def perm_inverse(p: Perm) -> Perm:

@@ -23,6 +23,7 @@ and a predicate over the type's :class:`Session` that returns
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -110,16 +111,18 @@ class Session:
     Derived objects are built on first use, so the enforced entries, which
     read only the bundle and the McKay graph, never build the group; the
     group and its character table are built at most once even when that
-    fails.  The range entries read :meth:`levels`, to the one depth ``order``.
+    fails.  The McKay graph is the bundle's own (``bundle.graph``), the one
+    the enforced "extended graph" entry checked.  The range entries read
+    :meth:`levels`, to the one depth ``order``.
     """
 
     bundle: Branching
     order: int = 200
     _levels: dict[str, list] = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
+    @property
     def graph(self) -> mckay.McKayGraph:
-        return mckay.extended_graph(self.bundle.rs)
+        return self.bundle.graph
 
     @_built_once
     def group(self) -> binarygroups.FiniteGroup:
@@ -275,7 +278,7 @@ def _bipartition(c: Session) -> Result:
     for part in (bp.part1, bp.part2):
         for i in part:
             for j in part:
-                if i < j and rs.inner(rs.simple_root(i), rs.simple_root(j)) != 0:
+                if i < j and rs.cartan[i - 1][j - 1] != 0:  # (alpha_i, alpha_j)
                     return False, f"nodes {i}, {j} share a side but are adjacent"
     if any(rs.pair_with_simple(rs.highest_root, i) != 0 for i in bp.part2):
         return False, "side 2 is not orthogonal to the highest root"
@@ -295,16 +298,26 @@ def _special_side(c: Session) -> Result:
 
 
 def _coxeter_order(c: Session) -> Result:
+    """tau1 and tau2 square to one, and sigma's order, the lcm of its cycle
+    lengths, is h.  A sigma that is not a permutation has no order and
+    fails with the "exactly" detail."""
     cox, h = c.bundle.cox, c.bundle.rs.coxeter_number
     ident = perm_identity(len(cox.sigma))
     if perm_compose(cox.tau1, cox.tau1) != ident or perm_compose(cox.tau2, cox.tau2) != ident:
         return False, "a color-class involution fails to square to one"
-    power = cox.sigma
-    for k in range(1, h):
-        if power == ident:
-            return False, f"sigma has order {k} < h"
-        power = perm_compose(cox.sigma, power)
-    return power == ident, f"sigma has order exactly {h}"
+    order = 0  # none: sigma is not a permutation
+    if sorted(cox.sigma) == list(ident):
+        order, unseen = 1, set(ident)
+        while unseen:
+            x = start = unseen.pop()
+            length = 1
+            while (x := cox.sigma[x]) != start:
+                unseen.remove(x)
+                length += 1
+            order = math.lcm(order, length)
+    if 0 < order < h:
+        return False, f"sigma has order {order} < h"
+    return order == h, f"sigma has order exactly {h}"
 
 
 def _orbit_partition(c: Session) -> Result:

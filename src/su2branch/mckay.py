@@ -136,6 +136,8 @@ class RecursionLevels(Sequence):
         return self.order + 1
 
     def __getitem__(self, index):
+        if type(index) is int and 0 <= index <= self.order:
+            return read_level(self._table, index)
         if isinstance(index, slice):
             return [self[n] for n in range(self.order + 1)[index]]
         return read_level(self._table, range(self.order + 1)[index])

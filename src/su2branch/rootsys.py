@@ -23,7 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from itertools import repeat
+from operator import add, mul, neg
 
 #: Version tag for the node-numbering convention, carried by JSON output.
 NODE_CONVENTION = "v1"
@@ -162,11 +163,25 @@ class RootSystem:
         or None where that image is not a root, which only a corrupted
         system has: the registry entry "reflections" reports it and
         :func:`~.coxeter.coxeter_element` refuses it.
+
+        Node i's pairings (root k, alpha_i) are computed for all roots at
+        once, from the root columns at row i's nonzero Cartan entries.
+        Where a pairing is 0 the image is root k itself, whose entry
+        ``_index.get(root k)`` is looked up once for all nodes; only the
+        nonzero pairings build an image and look it up.
         """
+        roots, find = self.roots, self._index.get
+        columns = tuple(zip(*roots))
+        fixed = tuple(map(find, roots))
         out = []
         for i, row in enumerate(self.cartan):
-            images = (r[:i] + (r[i] - sum(map(mul, row, r)),) + r[i + 1 :] for r in self.roots)
-            out.append(tuple(map(self._index.get, images)))
+            terms = [map(mul, repeat(c), columns[j]) for j, c in enumerate(row) if c]
+            pairings = map(sum, zip(*terms)) if terms else repeat(0)
+            images = [
+                find(r[:i] + (r[i] - p,) + r[i + 1 :]) if p else f
+                for r, p, f in zip(roots, pairings, fixed)
+            ]
+            out.append(tuple(images))
         return tuple(out)
 
     def is_root(self, x: Root) -> bool:
@@ -233,29 +248,24 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
     rank = dtype.rank
     cartan = cartan_matrix(dtype)
 
-    def pair(x: Root, i: int) -> int:
-        return sum(map(mul, cartan[i], x))
-
     simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     pos: set[Root] = set(simples)
-    frontier = list(simples)
+    frontier = list(zip(simples, cartan))
     while frontier:
         nxt = []
-        for r in frontier:
-            for i in range(rank):
-                if pair(r, i) == -1:
-                    s = list(r)
-                    s[i] += 1
-                    t = tuple(s)
+        for r, image in frontier:
+            for i, p in enumerate(image):
+                if p == -1:
+                    t = r[:i] + (r[i] + 1,) + r[i + 1 :]
                     if t not in pos:
                         pos.add(t)
-                        nxt.append(t)
+                        nxt.append((t, tuple(map(add, image, cartan[i]))))
         frontier = nxt
 
     positives = sorted(pos, key=lambda r: (sum(r), r))
     num_positive = len(positives)
     psi = positives[-1]
-    roots = tuple(positives) + tuple(tuple(-c for c in r) for r in positives)
+    roots = tuple(positives) + tuple(tuple(map(neg, r)) for r in positives)
     index = {r: k for k, r in enumerate(roots)}
 
     adjacency: list[list[int]] = [[] for _ in range(rank)]

@@ -1,10 +1,12 @@
 """One cached session per diagram type, so each type is constructed once
-per run, and polynomial and counting helpers used only by tests."""
+per run, and polynomial, counting and root-system helpers used only by
+tests."""
 
 import math
 from functools import lru_cache
 
 from su2branch import Branching, Session
+from su2branch.rootsys import DiagramType, cartan_matrix
 from su2branch.seriescalc import poly
 
 
@@ -99,3 +101,34 @@ def pair_counter(a, b):
         return rest // (a1 * b1) + 1 if rest >= 0 else 0
 
     return count
+
+
+def plain_closure_roots(type_str):
+    """All roots in ``RootSystem.roots`` order, by the plain breadth-first
+    closure that recomputes every pairing (r, alpha_i) from Cartan row i:
+    an independent reference for ``build_root_system``."""
+    dtype = DiagramType.parse(type_str)
+    rank, cartan = dtype.rank, cartan_matrix(dtype)
+    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    pos = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for i in range(rank):
+                if sum(cartan[i][j] * r[j] for j in range(rank)) == -1:
+                    s = list(r)
+                    s[i] += 1
+                    t = tuple(s)
+                    if t not in pos:
+                        pos.add(t)
+                        nxt.append(t)
+        frontier = nxt
+    positives = sorted(pos, key=lambda r: (sum(r), r))
+    return tuple(positives) + tuple(tuple(-c for c in r) for r in positives)
+
+
+def reflect_table(rs):
+    """``rs.reflections`` by definition: the index of every reflected root,
+    or None where the image is not in the system's index."""
+    return tuple(tuple(rs._index.get(rs.reflect(i, r)) for r in rs.roots) for i in rs.nodes)

@@ -6,15 +6,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from su2branch import binarygroups, branching
+from su2branch import binarygroups, branching, mckay
 from su2branch.branching import Branching
+from su2branch.coxeter import Bipartition, perm_compose
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Session, registry
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES, run_all, run_type_checks
 
-from conftest import bundle
+from conftest import bundle, reflect_table
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -328,3 +329,98 @@ def test_bad_reflection_entry_is_reported(change, detail):
         True,
         "4 reflections permute all 24 roots",
     )
+
+
+@pytest.mark.parametrize("name,scales", [("E8", (2, -1, 3)), ("D5", (2, -3, 0))])
+def test_reflection_table_of_a_scaled_system_is_reflect(name, scales):
+    # The scaled root's index entry is gone, so its own entries and the
+    # entries that reflect onto it become None; E8 only every 23rd root.
+    rs = build_root_system(name)
+    step = 23 if name == "E8" else 1
+    for root in range(0, len(rs.roots), step):
+        for scale in scales:
+            bad = _scaled(rs, root, scale)
+            assert bad.reflections == reflect_table(bad)
+
+
+def _rebuilt(b, **changes):
+    """The bundle's constructor run again with some fields replaced, so
+    every enforced entry runs on them."""
+    fields = dict(
+        rs=b.rs,
+        bp=b.bp,
+        cox=b.cox,
+        table=b.table,
+        params=b.params,
+        heisenberg=b.heisenberg,
+        zpolys=b.zpolys,
+    )
+    return Branching(**{**fields, **changes})
+
+
+def _enforced_failure(b, **changes):
+    with pytest.raises(ConsistencyError) as info:
+        _rebuilt(b, **changes)
+    return info.value.invariant, str(info.value)
+
+
+@pytest.mark.parametrize("name", ["A3", "D5", "E8"])
+def test_sigma_squared_fails_coxeter_order_at_half_h(name):
+    b = bundle(name)
+    h, sigma = b.rs.coxeter_number, b.cox.sigma
+    cox = dataclasses.replace(b.cox, sigma=perm_compose(sigma, sigma))
+    assert _enforced_failure(b, cox=cox) == (
+        "coxeter order",
+        f"{name} coxeter order: sigma has order {h // 2} < h",
+    )
+
+
+def test_a_sigma_that_is_not_a_permutation_fails_coxeter_order():
+    b = bundle("E7")
+    sigma = list(b.cox.sigma)
+    sigma[1] = sigma[0]
+    cox = dataclasses.replace(b.cox, sigma=tuple(sigma))
+    assert _enforced_failure(b, cox=cox) == (
+        "coxeter order",
+        "E7 coxeter order: sigma has order exactly 18",
+    )
+
+
+def test_a_tau_that_is_not_an_involution_fails_coxeter_order():
+    b = bundle("D4")
+    cox = dataclasses.replace(b.cox, tau1=b.cox.sigma)
+    assert _enforced_failure(b, cox=cox) == (
+        "coxeter order",
+        "D4 coxeter order: a color-class involution fails to square to one",
+    )
+
+
+def test_adjacent_nodes_on_one_side_fail_the_bipartition():
+    b = bundle("A5")
+    bp = Bipartition(part1=(1, 2, 5), part2=(3, 4))
+    assert _enforced_failure(b, bp=bp) == (
+        "bipartition",
+        "A5 bipartition: nodes 1, 2 share a side but are adjacent",
+    )
+
+
+def test_one_extended_graph_per_bundle(monkeypatch):
+    built = []
+    real = branching.extended_graph
+
+    def counted(rs):
+        built.append(real(rs))
+        return built[-1]
+
+    def boom(rs):
+        raise AssertionError("a second extended graph was built")
+
+    monkeypatch.setattr(branching, "extended_graph", counted)
+    monkeypatch.setattr(mckay, "extended_graph", boom)
+    b = Branching.build("E6")
+    assert built == [b.graph]  # the enforced "extended graph" entry read it
+    session = Session(b, order=20)
+    assert session.graph is b.graph
+    assert all(inv.evaluate(session)[0] for inv in registry("E6"))
+    assert main(["mckay", "--type", "E6"]) == 0
+    assert len(built) == 2  # the CLI built its own bundle, and one graph for it

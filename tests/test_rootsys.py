@@ -1,11 +1,13 @@
 """Root-system construction: counts, pairings, reflections, highest root."""
 
+import dataclasses
+
 import pytest
 
 from su2branch.rootsys import DiagramType, build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle
+from conftest import bundle, plain_closure_roots, reflect_table
 
 
 def rs_for(name):
@@ -122,3 +124,24 @@ def test_roots_negation_layout():
     p = rs.num_positive
     for idx in range(p):
         assert rs.root_at(rs.negation(idx)) == tuple(-c for c in rs.root_at(idx))
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_closure_matches_the_plain_closure(name):
+    rs = build_root_system(name)
+    assert rs.roots == plain_closure_roots(name)
+    assert rs.highest_root == rs.roots[rs.num_positive - 1]
+    assert rs._index == {r: k for k, r in enumerate(rs.roots)}
+
+
+def test_reflection_table_off_the_root_set_is_reflect():
+    # A3 without its highest root: entries whose image is (1, 1, 1) or
+    # its negative are None, every other entry is the reflected root's index.
+    rs = build_root_system("A3")
+    dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
+    roots = tuple(r for r in rs.roots if r not in dropped)
+    bad = dataclasses.replace(
+        rs, roots=roots, num_positive=rs.num_positive - 1, _index={r: k for k, r in enumerate(roots)}
+    )
+    assert bad.reflections == reflect_table(bad)
+    assert sum(row.count(None) for row in bad.reflections) == 4
