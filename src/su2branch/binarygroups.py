@@ -1,25 +1,31 @@
-"""Binary polyhedral subgroups of SU(2) as explicit unit quaternions.
+"""Binary polyhedral subgroups of SU(2), closed exactly in SL(2, F_p).
 
 A quaternion (w, x, y, z) stands for the special-unitary matrix
 
     [[ w + x*i,  y + z*i],
      [-y + z*i,  w - x*i]]
 
-so the trace is 2w and the inverse is the conjugate.  Groups are closed
-by breadth-first multiplication from fixed generators, deduplicating on
-coordinates rounded to :data:`DEDUP_DECIMALS`; all the exact coordinate
-values that occur are far from rounding midpoints, so double precision
-has ample headroom.  Only the n * |gens| closure products are formed in
-floats: the multiplication table is filled in exact indices from the
-generator word of each element (:func:`build_group`).
+so the trace is 2w and the inverse is the conjugate.  Each group is
+closed as these matrices mod one prime p = 1 (mod E), E the group
+exponent (:func:`exponent`).  Such a p splits completely in Q(zeta_E),
+which holds every entry of the generators' matrices below (their
+denominators 2, sqrt(2) and sqrt(5) are prime to p), so reducing them
+mod p is a ring map; on a finite matrix group it is injective, since
+the kernel of reduction at an unramified prime above p > 2 has no
+torsion (Minkowski-Serre).  Any choice of the roots below gives such a
+map, Q(zeta_E) being abelian.  An element is the residue 4-tuple
+(a, b, c, d) of the matrix [[a, b], [c, d]].  The breadth-first closure
+forms only the n * |gens| products; the multiplication table is filled
+in exact indices from the generator word of each element
+(:func:`build_group`).
 
-Characters are exact, in F_p (Dixon's modular method): p and the
-residue standing for each class's eigenvalue are fixed once per group
-(:attr:`FiniteGroup.roots_mod_p`), every character identity holds mod p,
-and each integer the oracles need lifts from its residue.  The central
-characters are the common eigenvectors of the class-sum structure
-constants; rows are matched to extended-diagram nodes by the tensor-with-
-defining-representation adjacency.
+Characters are exact in the same F_p (Dixon's modular method): each
+class's eigenvalue zeta is a root of x^2 - t x + 1, t the trace of its
+representative (:attr:`FiniteGroup.roots_mod_p`), every character
+identity holds mod p, and each integer the oracles need lifts from its
+residue.  The central characters are the common eigenvectors of the
+class-sum structure constants; rows are matched to extended-diagram
+nodes by the tensor-with-defining-representation adjacency.
 
 The character oracles and the Molien average share one inner product
 <chi_n, chi>.  At +-identity chi_n is the integer (+-1)^n (n + 1); at an
@@ -32,18 +38,20 @@ by exactly E (chi(1) +- chi(-1)) per E levels: one period table
 and that growth divided by |F*|, both checked once to be nonnegative
 integers, so a level is base[r] + k step[r] for any n, checked no more.
 
-Two float uses remain, both classifications with a wide margin: the
-dedup of the closure products at :data:`DEDUP_DECIMALS` and each class's
-rotation index (:data:`ROTATION_GAP`).
+Generator conventions, as quaternions (fixed for reproducibility) and
+their matrices mod p, with i a square root of -1, 1/2 the inverse of 2
+and sqrt(2), sqrt(5) square roots mod p:
 
-Generator conventions (exact coordinates, fixed for reproducibility):
-
-* cyclic of order 2n       : r_n = (cos(pi/n), sin(pi/n), 0, 0)
-* binary dihedral, order 4n: r_n and j = (0, 0, 1, 0)
-* binary tetrahedral, 24   : i = (0, 1, 0, 0) and (1, 1, 1, 1)/2
+* cyclic of order 2n       : r_n = (cos(pi/n), sin(pi/n), 0, 0), the
+  matrix diag(zeta, zeta^-1) for a zeta of exact order 2n
+* binary dihedral, order 4n: r_n and j = (0, 0, 1, 0), [[0, 1], [-1, 0]]
+* binary tetrahedral, 24   : i = (0, 1, 0, 0), diag(i, -i), and
+  (1, 1, 1, 1)/2
 * binary octahedral, 48    : the tetrahedral pair and (1, 1, 0, 0)/sqrt(2)
 * binary icosahedral, 120  : i and (phi - 1, phi, 1, 0)/2 with
   phi = (1 + sqrt(5))/2
+
+A and D need no i: 4 need not divide E for A.
 """
 
 from __future__ import annotations
@@ -63,85 +71,76 @@ from .seriescalc import PeriodTable, iter_levels
 if TYPE_CHECKING:
     from .branching import BranchParams
 
-#: Decimal places used to deduplicate the closure products' coordinates.
-DEDUP_DECIMALS = 9
-#: Largest distance of m * angle / (2 pi) from an integer rotation index.
-ROTATION_GAP = 1e-6
 #: Largest irreducible degree of a binary polyhedral group (E8 has 6).
 MAX_DEGREE = 6
 
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 _EIG_SEED = 20240801
 
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A unit quaternion, i.e. an element of SU(2)."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return GroupElement(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
-    def norm_sq(self) -> float:
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
-
-    def key(self) -> tuple[float, float, float, float]:
-        return (
-            round(self.w, DEDUP_DECIMALS) + 0.0,
-            round(self.x, DEDUP_DECIMALS) + 0.0,
-            round(self.y, DEDUP_DECIMALS) + 0.0,
-            round(self.z, DEDUP_DECIMALS) + 0.0,
-        )
+#: A 2x2 matrix over F_p as its entries (a, b, c, d), row by row.
+Matrix = tuple[int, int, int, int]
 
 
-IDENTITY = GroupElement(1.0, 0.0, 0.0, 0.0)
-MINUS_IDENTITY = GroupElement(-1.0, 0.0, 0.0, 0.0)
-I_UNIT = GroupElement(0.0, 1.0, 0.0, 0.0)
-J_UNIT = GroupElement(0.0, 0.0, 1.0, 0.0)
-OMEGA = GroupElement(0.5, 0.5, 0.5, 0.5)
-C_OCT = GroupElement(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0, 0.0)
-S_ICO = GroupElement((_PHI - 1.0) / 2.0, _PHI / 2.0, 0.5, 0.0)
-
-
-def _rotation(n: int) -> GroupElement:
-    return GroupElement(math.cos(math.pi / n), math.sin(math.pi / n), 0.0, 0.0)
-
-
-def generators(dtype: DiagramType) -> tuple[GroupElement, ...]:
-    """Fixed generator list per family (see module docstring)."""
+def exponent(dtype: DiagramType) -> int:
+    """The exponent E (the lcm of the element orders) of the type's group:
+    cyclic of order r + 1 for A_r, binary dihedral of order 4(r - 2) for
+    D_r, and 12, 24, 60 for E6, E7, E8."""
     if dtype.family == "A":
-        return (_rotation((dtype.rank + 1) // 2),)
+        return dtype.rank + 1
     if dtype.family == "D":
-        return (_rotation(dtype.rank - 2), J_UNIT)
+        return math.lcm(2 * (dtype.rank - 2), 4)
+    return {6: 12, 7: 24, 8: 60}[dtype.rank]
+
+
+def _has_order(zeta: int, m: int, p: int) -> bool:
+    """Whether zeta has exact multiplicative order m mod p."""
+    return pow(zeta, m, p) == 1 and all(
+        pow(zeta, m // d, p) != 1 for d in range(2, m + 1) if m % d == 0
+    )
+
+
+def _quaternion(w: int, x: int, y: int, z: int, i: int, p: int) -> Matrix:
+    """The matrix of the quaternion (w, x, y, z) mod p, i a square root of -1."""
+    return ((w + x * i) % p, (y + z * i) % p, (z * i - y) % p, (w - x * i) % p)
+
+
+def _product(a: Matrix, b: Matrix, p: int) -> Matrix:
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+    c0, c1, c2, c3 = a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3
+    return (c0 % p, c1 % p, c2 % p, c3 % p)
+
+
+def generators(dtype: DiagramType, p: int) -> tuple[Matrix, ...]:
+    """Fixed generator list per family, mod p (see module docstring)."""
+    if dtype.family in ("A", "D"):
+        n = (dtype.rank + 1) // 2 if dtype.family == "A" else dtype.rank - 2
+        roots = (pow(a, (p - 1) // (2 * n), p) for a in range(2, p))
+        zeta = next(z for z in roots if _has_order(z, 2 * n, p))
+        r_n = (zeta, 0, 0, pow(zeta, -1, p))
+        return (r_n,) if dtype.family == "A" else (r_n, (0, 1, p - 1, 0))
+    i, half = _sqrt_mod(-1, p), pow(2, -1, p)
+    units = (_quaternion(0, 1, 0, 0, i, p), _quaternion(half, half, half, half, i, p))
     if dtype.rank == 6:
-        return (I_UNIT, OMEGA)
+        return units
     if dtype.rank == 7:
-        return (I_UNIT, OMEGA, C_OCT)
-    return (I_UNIT, S_ICO)
+        c = pow(_sqrt_mod(2, p), -1, p)
+        return (*units, _quaternion(c, c, 0, 0, i, p))
+    phi = (1 + _sqrt_mod(5, p)) * half
+    return (units[0], _quaternion((phi - 1) * half, phi * half, half, 0, i, p))
 
 
 @dataclass(eq=False)
 class FiniteGroup:
     """A closed binary polyhedral group with index-based tables.
 
-    ``elements[0]`` is the identity.  ``classes`` are conjugacy classes
-    as sorted index tuples, ordered by their smallest member, so the
-    identity class is first.
+    ``elements`` are matrices mod ``p`` (:data:`Matrix`), ``elements[0]``
+    the identity.  ``classes`` are conjugacy classes as sorted index
+    tuples, ordered by their smallest member, so the identity class is
+    first.
     """
 
     dtype: DiagramType
-    elements: tuple[GroupElement, ...]
+    p: int
+    elements: tuple[Matrix, ...]
     mult: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
@@ -178,65 +177,64 @@ class FiniteGroup:
 
     @cached_property
     def roots_mod_p(self) -> tuple[int, tuple[int, ...]]:
-        """The prime p and, per class, zeta = omega^(k E/m) mod p.
+        """The prime p and, per class, an eigenvalue zeta mod p.
 
-        p is the smallest prime p = 1 (mod E) above 2 |F*| E MAX_DEGREE, and
-        omega has exact order E in F_p^*.  A class of order m has eigenvalues
-        exp(+-2 pi i k/m); k, read from w = cos(2 pi k/m), must lie within
-        ROTATION_GAP of an integer prime to m.
+        zeta is a root of x^2 - t x + 1, t the trace of the class's
+        representative; either root serves, chi_n being symmetric in zeta
+        and zeta^-1.  It must have the class's exact order m, and m must
+        divide the exponent E, or abort.
         """
-        e = math.lcm(*self.class_orders)
-        p = 2 * self.order * e * MAX_DEGREE + 1
-        while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            p += e
-        powers = (pow(a, (p - 1) // e, p) for a in range(2, p))
-        omega = next(w for w in powers if all(pow(w, d, p) != 1 for d in range(1, e) if e % d == 0))
+        p, e, half = self.p, exponent(self.dtype), pow(2, -1, self.p)
         zetas = []
         for c, (rep, m) in enumerate(zip(self.representatives(), self.class_orders)):
-            turns = m * math.acos(max(-1.0, min(1.0, self.elements[rep].w))) / (2 * math.pi)
-            if abs(turns - round(turns)) > ROTATION_GAP or math.gcd(round(turns), m) != 1:
-                raise _failure(self.dtype, "build_group", f"class {c} of order {m}: index {turns}")
-            zetas.append(pow(omega, e // m * round(turns), p))
+            a, _, _, d = self.elements[rep]
+            t = (a + d) % p
+            root = _sqrt_mod(t * t - 4, p)
+            zeta = None if root is None else (t + root) * half % p
+            if zeta is None or e % m or not _has_order(zeta, m, p):
+                problem = f"class {c}: trace {t} has no eigenvalue of order {m} dividing {e}"
+                raise _failure(self.dtype, "build_group", problem)
+            zetas.append(zeta)
         return p, tuple(zetas)
 
 
 def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
-    """Close the generators and compute tables and conjugacy classes.
+    """Close the generators mod p and compute tables and conjugacy classes.
 
-    The breadth-first closure records, for every element i and generator
-    k, the index ``right[k][i]`` of ``elements[i] * gens[k]``, and for
-    every new element j its parent (i, k) with ``elements[j] =
-    elements[i] * gens[k]``.  The table is then filled from these words
-    in exact indices: ``mult[i][j] = right[k][mult[i][i_j]]`` for j's
-    parent (i_j, k), so only the n * |gens| closure products are ever
-    formed in floats.  The expected order comes from the denominator
-    exponents (a*b/2); overshooting it during closure aborts, as does a
-    product off the unit sphere or a non-central -identity.  A closure
-    that stops short is returned as is: the registry's "group sanity"
-    entry compares the order with a*b/2.
+    p is the smallest prime p = 1 (mod E) above 2 |F*| E MAX_DEGREE, with
+    |F*| = a*b/2 from the denominator exponents.  The breadth-first
+    closure records, for every element i and generator k, the index
+    ``right[k][i]`` of ``elements[i] * gens[k]``, and for every new
+    element j its parent (i, k) with ``elements[j] = elements[i] *
+    gens[k]``.  The table is then filled from these words in exact
+    indices: ``mult[i][j] = right[k][mult[i][i_j]]`` for j's parent
+    (i_j, k), so only the n * |gens| closure products are ever formed.
+    Overshooting |F*| during closure aborts, as does a non-central
+    -identity.  A closure that stops short is returned as is: the
+    registry's "group sanity" entry compares the order with a*b/2.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
-    expected = params.order_fstar
+    expected, e = params.order_fstar, exponent(dtype)
+    p = 2 * expected * e * MAX_DEGREE + 1
+    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += e
 
-    gens = generators(dtype)
-    elements: list[GroupElement] = [IDENTITY]
-    index: dict[tuple[float, float, float, float], int] = {IDENTITY.key(): 0}
+    gens = generators(dtype, p)
+    elements: list[Matrix] = [(1, 0, 0, 1)]
+    index: dict[Matrix, int] = {elements[0]: 0}
     right: list[list[int]] = [[] for _ in gens]
     parents: list[tuple[int, int]] = [(0, 0)]
     for i, a in enumerate(elements):  # grows while it is walked: breadth first
         for k, gen in enumerate(gens):
-            p = a * gen
-            if abs(p.norm_sq() - 1.0) > 1e-9:
-                raise _failure(dtype, "build_group", "closure drifted off the unit sphere")
-            key = p.key()
+            key = _product(a, gen, p)
             if key not in index:
                 if len(elements) >= expected:
                     raise _failure(
                         dtype, "build_group", f"closure exceeds the expected order {expected}"
                     )
                 index[key] = len(elements)
-                elements.append(p)
+                elements.append(key)
                 parents.append((i, k))
             right[k].append(index[key])
     n = len(elements)
@@ -249,7 +247,7 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
 
     mult = tuple(row(i) for i in range(n))
     inverse = tuple(line.index(0) for line in mult)
-    minus_identity = index.get(MINUS_IDENTITY.key())
+    minus_identity = index.get((p - 1, 0, 0, p - 1))
     if minus_identity is None:
         raise _failure(dtype, "build_group", "-identity is not in the closure")
     for g in range(n):
@@ -259,6 +257,7 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     classes, class_of = conjugacy_classes(mult, inverse)
     return FiniteGroup(
         dtype=dtype,
+        p=p,
         elements=tuple(elements),
         mult=mult,
         inverse=inverse,
@@ -323,7 +322,7 @@ def _residue_sums(
     p, zetas = group.roots_mod_p
     orders = group.class_orders
     periods = [[_su2_character(zetas[c], k, p) for k in range(orders[c])] for c in noncentral]
-    e = math.lcm(*orders)
+    e = exponent(group.dtype)
     columns = [[weights[c][k] for c in noncentral] for k in range(len(weights[0]))]
     half = [
         tuple(_lift(sum(map(int.__mul__, chis, col)), p) for col in columns)
@@ -549,7 +548,7 @@ def _central_characters(group: FiniteGroup) -> list[list[int]]:
     M's characteristic polynomial f, and the eigenvector of its root
     lambda is K times the coefficients of f / (x - lambda).
     """
-    p, _ = group.roots_mod_p
+    p = group.p
     r, reps = len(group.classes), group.representatives()
     rng = random.Random(_EIG_SEED)
     for _ in range(32):

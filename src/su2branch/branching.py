@@ -91,7 +91,7 @@ class HeisenbergSubsystem:
 
 
 def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsystem:
-    pairs = [rs.pair_with_simple(rs.highest_root, i) for i in rs.nodes]
+    pairs = rs.highest_root_image
     members = [r for r in rs.positive_roots if sum([p * x for p, x in zip(pairs, r)]) > 0]
     slices: dict[int, list[Root]] = {i: [] for i in rs.nodes}
     for r in members:

@@ -280,7 +280,7 @@ def _bipartition(c: Session) -> Result:
             for j in part:
                 if i < j and rs.cartan[i - 1][j - 1] != 0:  # (alpha_i, alpha_j)
                     return False, f"nodes {i}, {j} share a side but are adjacent"
-    if any(rs.pair_with_simple(rs.highest_root, i) != 0 for i in bp.part2):
+    if any(rs.highest_root_image[i - 1] for i in bp.part2):
         return False, "side 2 is not orthogonal to the highest root"
     if set(bp.part1) | set(bp.part2) != set(rs.nodes) or set(bp.part1) & set(bp.part2):
         return False, "parts do not partition the nodes"
@@ -540,7 +540,7 @@ def _extended_graph(c: Session) -> Result:
 def _character_table(c: Session) -> Result:
     group, table, graph = c.group, c.table, c.graph
     r = len(group.classes)
-    p, _ = group.roots_mod_p
+    p = group.p
     sizes, inverse = group.class_sizes, group.class_inverse
     for c1 in range(r):
         for c2 in range(r):

@@ -104,9 +104,8 @@ def extended_graph(rs: RootSystem) -> McKayGraph:
     for i in rs.nodes:
         for j in rs.neighbors(i):
             adj[i][j] = 1
-    psi = rs.highest_root
-    for i in rs.nodes:
-        adj[0][i] = adj[i][0] = rs.pair_with_simple(psi, i)
+    for i, c in zip(rs.nodes, rs.highest_root_image):
+        adj[0][i] = adj[i][0] = c
     return McKayGraph(
         dtype=rs.dtype,
         size=size,

@@ -130,18 +130,6 @@ class RootSystem:
         self._check_node(i)
         return self.marks[i - 1]
 
-    def inner(self, x: Root, y: Root) -> int:
-        """Cartan pairing; bilinear, symmetric, (alpha, alpha) = 2."""
-        c = self.cartan
-        n = self.rank
-        total = 0
-        for i in range(n):
-            xi = x[i]
-            if xi:
-                row = c[i]
-                total += xi * sum(row[j] * y[j] for j in range(n))
-        return total
-
     def pair_with_simple(self, x: Root, i: int) -> int:
         """(x, alpha_i), i.e. the i-th entry of the Cartan image of x."""
         self._check_node(i)
@@ -154,6 +142,11 @@ class RootSystem:
         out = list(x)
         out[i - 1] -= c
         return tuple(out)
+
+    @cached_property
+    def highest_root_image(self) -> tuple[int, ...]:
+        """The Cartan image of the highest root: (psi, alpha_i) for i = 1 .. rank."""
+        return tuple(self.pair_with_simple(self.highest_root, i) for i in self.nodes)
 
     @cached_property
     def reflections(self) -> tuple[tuple[int | None, ...], ...]:
@@ -212,8 +205,7 @@ class RootSystem:
         extended diagram: both path ends for type A, node 2 for type D,
         one arm end for type E.
         """
-        psi = self.highest_root
-        return tuple(i for i in self.nodes if self.pair_with_simple(psi, i) > 0)
+        return tuple(i for i, c in zip(self.nodes, self.highest_root_image) if c > 0)
 
     def distances_from(self, sources: tuple[int, ...]) -> dict[int, int]:
         """Graph distance from the nearest of ``sources``, per node."""

@@ -128,6 +128,11 @@ def plain_closure_roots(type_str):
     return tuple(positives) + tuple(tuple(-c for c in r) for r in positives)
 
 
+def inner(rs, x, y):
+    """The Cartan pairing x . C . y; bilinear, symmetric, (alpha, alpha) = 2."""
+    return sum(a * c * b for a, row in zip(x, rs.cartan) for c, b in zip(row, y))
+
+
 def reflect_table(rs):
     """``rs.reflections`` by definition: the index of every reflected root,
     or None where the image is not in the system's index."""

@@ -8,9 +8,8 @@ import pytest
 
 from su2branch import binarygroups
 from su2branch.binarygroups import (
-    GroupElement,
-    MINUS_IDENTITY,
     character_multiplicities,
+    exponent,
     molien_series,
     _su2_character,
     oracle_multiplicity,
@@ -34,14 +33,71 @@ def test_group_orders(name, order):
     assert group_for(name).order == order
 
 
+@dataclasses.dataclass(frozen=True)
+class Quaternion:
+    """A quaternion with real (float or integer) coordinates: an
+    independent reference for the groups the library closes mod p."""
+
+    w: float
+    x: float
+    y: float
+    z: float
+
+    def __mul__(self, other):
+        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
+        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
+        return Quaternion(
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )
+
+    def conjugate(self):
+        """The inverse of a unit quaternion."""
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
+
+    def key(self):
+        """Coordinates rounded to 9 decimals, far from every rounding
+        midpoint the exact coordinates of these groups have."""
+        return tuple(round(c, 9) + 0.0 for c in dataclasses.astuple(self))
+
+
+_ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _float_generators(dtype):
+    """The module docstring's generators as float quaternions, in the
+    library's order."""
+    i, omega = Quaternion(0.0, 1.0, 0.0, 0.0), Quaternion(0.5, 0.5, 0.5, 0.5)
+    if dtype.family in ("A", "D"):
+        n = (dtype.rank + 1) // 2 if dtype.family == "A" else dtype.rank - 2
+        r_n = Quaternion(math.cos(math.pi / n), math.sin(math.pi / n), 0.0, 0.0)
+        return (r_n,) if dtype.family == "A" else (r_n, Quaternion(0.0, 0.0, 1.0, 0.0))
+    if dtype.rank == 6:
+        return (i, omega)
+    if dtype.rank == 7:
+        return (i, omega, Quaternion(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0, 0.0))
+    return (i, Quaternion((_PHI - 1.0) / 2.0, _PHI / 2.0, 0.5, 0.0))
+
+
+def _float_closure(dtype):
+    """The float group, closed breadth first as ``build_group`` closes it,
+    and the index of each element's key."""
+    elements, index = [_ONE], {_ONE.key(): 0}
+    for a in elements:
+        for gen in _float_generators(dtype):
+            q = a * gen
+            if q.key() not in index:
+                index[q.key()] = len(elements)
+                elements.append(q)
+    return elements, index
+
+
 def _matrix(q):
     """The special-unitary matrix the quaternion stands for."""
     return [[complex(q.w, q.x), complex(q.y, q.z)], [complex(-q.y, q.z), complex(q.w, -q.x)]]
-
-
-def _inverse(q):
-    """The conjugate quaternion, which is the inverse of a unit quaternion."""
-    return GroupElement(q.w, -q.x, -q.y, -q.z)
 
 
 def _matmul(a, b):
@@ -59,8 +115,8 @@ def test_quaternion_matrix_homomorphism():
         v2 = [rng.gauss(0, 1) for _ in range(4)]
         n1 = math.sqrt(sum(c * c for c in v1))
         n2 = math.sqrt(sum(c * c for c in v2))
-        q1 = GroupElement(*[c / n1 for c in v1])
-        q2 = GroupElement(*[c / n2 for c in v2])
+        q1 = Quaternion(*[c / n1 for c in v1])
+        q2 = Quaternion(*[c / n2 for c in v2])
         m1 = _matrix(q1)
         assert _close(_matrix(q1 * q2), _matmul(m1, _matrix(q2)))
         assert abs(m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0] - 1.0) < 1e-12
@@ -69,10 +125,27 @@ def test_quaternion_matrix_homomorphism():
         assert abs((m1[0][0] + m1[1][1]).real - 2 * q1.w) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_quaternion_matrices_mod_p_multiply_as_quaternions(name):
+    # Integer quaternions: the matrix mod p of a product is the product of the
+    # matrices, and the determinant is the norm.
+    p = group_for(name).p
+    i = binarygroups._sqrt_mod(-1, p)
+    rng = random.Random(p)
+    for _ in range(50):
+        q1, q2 = (Quaternion(*(rng.randrange(-p, p) for _ in range(4))) for _ in range(2))
+        m1, m2 = (binarygroups._quaternion(*dataclasses.astuple(q), i, p) for q in (q1, q2))
+        assert binarygroups._product(m1, m2, p) == binarygroups._quaternion(
+            *dataclasses.astuple(q1 * q2), i, p
+        )
+        a, b, c, d = m1
+        assert (a * d - b * c - sum(x * x for x in dataclasses.astuple(q1))) % p == 0
+
+
 def test_minus_identity_central():
     g = group_for("E7")
     neg = g.minus_identity
-    assert g.elements[neg].key() == MINUS_IDENTITY.key()
+    assert g.elements[neg] == (g.p - 1, 0, 0, g.p - 1)
     assert g.mult[neg][neg] == 0  # (-1)^2 = 1
     assert all(g.mult[neg][x] == g.mult[x][neg] for x in range(g.order))
 
@@ -95,6 +168,12 @@ def test_prime_and_root_orders(name, prime):
     for zeta, m in zip(zetas, group.class_orders):
         # zeta has exact order m, the order of the class's elements
         assert [k for k in range(1, m + 1) if pow(zeta, k, p) == 1] == [m]
+
+
+@pytest.mark.parametrize("name", CHARACTER_TYPES)
+def test_exponent_is_the_lcm_of_the_class_orders(name):
+    group = group_for(name)
+    assert exponent(group.dtype) == math.lcm(*group.class_orders)
 
 
 def _noncentral_roots(group):
@@ -333,17 +412,24 @@ def test_levels_are_read_without_a_check(monkeypatch, name):
     )
 
 
-def test_a_class_with_no_integer_rotation_index_aborts():
-    # Nudge one class representative's w: its angle is no longer 2 pi k/m.
+def test_a_class_with_no_eigenvalue_of_its_order_aborts():
+    # Add 1 to one class representative's top-left entry: the roots of
+    # x^2 - t x + 1 for its new trace t do not have the class's order 6.
     group = group_for("E6")
-    rep = group.classes[2][0]
-    q = group.elements[rep]
+    rep, p = group.classes[2][0], group.p
+    a, b, c, d = group.elements[rep]
     elements = list(group.elements)
-    elements[rep] = GroupElement(q.w + 1e-3, q.x, q.y, q.z)
+    elements[rep] = ((a + 1) % p, b, c, d)
     bent = dataclasses.replace(group, elements=tuple(elements))
-    with pytest.raises(ConsistencyError, match="class 2 of order .*: index") as info:
+    assert group.class_orders[2] == 6
+    t = (a + d + 1) % p
+    with pytest.raises(ConsistencyError) as info:
         bent.roots_mod_p
-    assert (info.value.dtype, info.value.stage) == ("E6", "build_group")
+    err = info.value
+    assert (err.dtype, err.stage) == ("E6", "build_group")
+    assert str(err) == (
+        f"E6: class 2: trace {t} has no eigenvalue of order 6 dividing 12"
+    )
 
 
 def test_group_associativity_sampled():
@@ -363,27 +449,29 @@ def test_inverses_total():
 
 @pytest.mark.parametrize("name", CHARACTER_TYPES)
 def test_table_is_the_float_product(name):
-    # The all-pairs float products the closure no longer forms, looked up by key.
+    # The float quaternion group, closed from the same generators in the same
+    # breadth-first order: every all-pairs product, inverse and -identity,
+    # looked up by key, is the table's entry.
     g = group_for(name)
-    index = {e.key(): i for i, e in enumerate(g.elements)}
-    assert len(index) == g.order
-    for i, a in enumerate(g.elements):
-        assert g.mult[i] == tuple(index[(a * b).key()] for b in g.elements)
-        assert g.inverse[i] == index[_inverse(a).key()]
-    assert g.minus_identity == index[MINUS_IDENTITY.key()]
+    elements, index = _float_closure(g.dtype)
+    assert len(elements) == g.order
+    for i, a in enumerate(elements):
+        assert g.mult[i] == tuple(index[(a * b).key()] for b in elements)
+        assert g.inverse[i] == index[a.conjugate().key()]
+    assert g.minus_identity == index[Quaternion(-1.0, 0.0, 0.0, 0.0).key()]
 
 
 def test_closure_forms_one_product_per_element_and_generator(monkeypatch):
-    product, calls = GroupElement.__mul__, []
+    product, calls = binarygroups._product, []
 
-    def counted(self, other):
+    def counted(a, b, p):
         calls.append(None)
-        return product(self, other)
+        return product(a, b, p)
 
-    monkeypatch.setattr(GroupElement, "__mul__", counted)
+    monkeypatch.setattr(binarygroups, "_product", counted)
     group = binarygroups.build_group("E8", bundle("E8").params)
     assert group.order == 120
-    assert 0 < len(calls) <= group.order * len(binarygroups.generators(group.dtype))
+    assert 0 < len(calls) <= group.order * len(binarygroups.generators(group.dtype, group.p))
 
 
 @pytest.mark.parametrize("p", [53, 7681, 65537, 86461])

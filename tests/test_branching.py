@@ -10,7 +10,7 @@ from su2branch.mckay import recursion_oracle
 from su2branch.seriescalc import eval_at_one, sparse_items
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, graph_for, group_for, pair_counter, table_for
+from conftest import bundle, graph_for, group_for, inner, pair_counter, table_for
 
 HUGE_LEVELS = (10**6, 10**18 + 1)
 
@@ -46,7 +46,7 @@ def test_heisenberg_cardinality():
 def test_heisenberg_contains_highest_root():
     b = bundle("D6")
     assert b.rs.highest_root in b.heisenberg.roots
-    assert b.rs.inner(b.rs.highest_root, b.rs.highest_root) == 2
+    assert inner(b.rs, b.rs.highest_root, b.rs.highest_root) == 2
 
 
 def test_heisenberg_slice_sizes():

@@ -124,8 +124,9 @@ def test_broken_stage_is_reported_under_its_invariant(monkeypatch, capsys):
 
 
 def test_short_group_closure_is_reported_by_group_sanity(monkeypatch):
-    # One generator closes to the cyclic group of order 4, not the 120 of E8.
-    monkeypatch.setattr(binarygroups, "generators", lambda dtype: (binarygroups.I_UNIT,))
+    # One generator, i, closes to the cyclic group of order 4, not the 120 of E8.
+    gens = binarygroups.generators
+    monkeypatch.setattr(binarygroups, "generators", lambda dtype, p: gens(dtype, p)[:1])
     checks = {c.name: c for c in run_type_checks("E8")}
     sanity = checks["E8 group sanity"]
     assert not sanity.passed

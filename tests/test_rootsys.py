@@ -7,7 +7,7 @@ import pytest
 from su2branch.rootsys import DiagramType, build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, plain_closure_roots, reflect_table
+from conftest import bundle, inner, plain_closure_roots, reflect_table
 
 
 def rs_for(name):
@@ -58,10 +58,10 @@ def test_family_coxeter_numbers(name, h):
 def test_inner_products():
     rs = rs_for("A3")
     a1, a2 = rs.simple_root(1), rs.simple_root(2)
-    assert rs.inner(a1, a1) == 2
-    assert rs.inner(a1, a2) == -1
-    assert rs.inner(rs.simple_root(1), rs.simple_root(3)) == 0
-    assert rs.inner(rs.highest_root, rs.highest_root) == 2
+    assert inner(rs, a1, a1) == 2
+    assert inner(rs, a1, a2) == -1
+    assert inner(rs, rs.simple_root(1), rs.simple_root(3)) == 0
+    assert inner(rs, rs.highest_root, rs.highest_root) == 2
 
 
 def test_reflections():
@@ -108,7 +108,7 @@ def test_highest_root_maximal():
 
 def test_pairings_bounded():
     rs = rs_for("D4")
-    vals = {rs.inner(x, y) for x in rs.roots for y in rs.roots}
+    vals = {inner(rs, x, y) for x in rs.roots for y in rs.roots}
     assert vals <= {-2, -1, 0, 1, 2}
 
 
@@ -117,6 +117,22 @@ def test_affine_attachment():
     assert rs_for("D6").affine_attachment() == (2,)
     assert rs_for("E8").affine_attachment() == (7,)
     assert rs_for("E6").affine_attachment() == (6,)
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_highest_root_image_is_its_pairings(name):
+    rs = rs_for(name)
+    want = tuple(inner(rs, rs.highest_root, rs.simple_root(i)) for i in rs.nodes)
+    assert rs.highest_root_image == want
+
+
+def test_a_replaced_highest_root_gets_its_own_image():
+    # dataclasses.replace builds a new instance, so the cached image is not copied.
+    rs = build_root_system("E8")
+    assert rs.highest_root_image == (0, 0, 0, 0, 0, 0, 1, 0)
+    bad = dataclasses.replace(rs, highest_root=rs.simple_root(1))
+    assert bad.highest_root_image == (2, -1, 0, 0, 0, 0, 0, 0)
+    assert bad.affine_attachment() == (1,)
 
 
 def test_roots_negation_layout():
