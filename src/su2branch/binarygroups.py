@@ -185,11 +185,11 @@ class FiniteGroup:
         divide the exponent E, or abort.
         """
         p, e, half = self.p, exponent(self.dtype), pow(2, -1, self.p)
-        zetas = []
+        z, zetas = _non_residue(p), []
         for c, (rep, m) in enumerate(zip(self.representatives(), self.class_orders)):
             a, _, _, d = self.elements[rep]
             t = (a + d) % p
-            root = _sqrt_mod(t * t - 4, p)
+            root = _sqrt_mod(t * t - 4, p, z)
             zeta = None if root is None else (t + root) * half % p
             if zeta is None or e % m or not _has_order(zeta, m, p):
                 problem = f"class {c}: trace {t} has no eigenvalue of order {m} dividing {e}"
@@ -472,9 +472,15 @@ def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     return [(out >> (w * i)) & mask for i in range(n)]
 
 
-def _sqrt_mod(a: int, p: int) -> int | None:
+def _non_residue(p: int) -> int:
+    """The least quadratic non-residue modulo the odd prime p."""
+    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+
+
+def _sqrt_mod(a: int, p: int, z: int | None = None) -> int | None:
     """A square root of a modulo the odd prime p, or None if a is not a
-    square, by Tonelli-Shanks (p - 1 = q 2^s with q odd)."""
+    square, by Tonelli-Shanks (p - 1 = q 2^s with q odd), with z a
+    quadratic non-residue mod p, :func:`_non_residue` when not given."""
     a %= p
     if a == 0:
         return 0
@@ -483,7 +489,7 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    z = _non_residue(p) if z is None else z
     c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 1, t * t % p  # the least i with t^(2^i) = 1

@@ -135,8 +135,9 @@ class Branching:
     Build once with :meth:`build`; nothing changes after construction.
     Constructing one runs the registry's enforced entries
     (:func:`~.invariants.enforce`) and raises ``ConsistencyError`` at
-    the first that fails; then it builds ``periods``, the period table
-    every level is read from (module docstring).
+    the first that fails; their results are kept in ``enforced``, by
+    entry name, for verify to report.  Then it builds ``periods``, the
+    period table every level is read from (module docstring).
     """
 
     rs: RootSystem
@@ -146,10 +147,11 @@ class Branching:
     params: BranchParams
     heisenberg: HeisenbergSubsystem
     zpolys: dict[int, Poly]
+    enforced: dict[str, tuple[bool, str]] = field(init=False, repr=False)
     periods: PeriodTable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        enforce(self)
+        object.__setattr__(self, "enforced", enforce(self))
         period = math.lcm(self.params.a, self.params.b)
         columns = (self.series(i, 2 * period - 1) for i in range(self.rs.rank + 1))
         object.__setattr__(self, "periods", period_table(list(zip(*columns)), period))

@@ -67,7 +67,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
     types = (args.type,) if args.type else verify.ACCEPTED_TYPES
     checks = verify.run_all(types, order=args.order)
     all_pass = all(c.passed for c in checks)
-    doc = {"checks": [vars(c) for c in checks], "all_pass": all_pass}
+    doc = {"checks": [c.record() for c in checks], "all_pass": all_pass}
     return doc, [verify.format_report(checks)], 0 if all_pass else 1
 
 

@@ -9,22 +9,25 @@ and a predicate over the type's :class:`Session` that returns
 * **Construction enforces.**  Constructing a :class:`~.branching.Branching`
   runs the ``enforced`` entries (root counts, bipartition, special node
   side, coxeter order, orbit partition and exponents, Heisenberg
-  subsystem, numerator polynomials, branch parameters, extended graph) through :func:`enforce`, which raises
-  :class:`~.errors.ConsistencyError` with ``dtype``, ``stage`` and
-  ``invariant`` set at the first one that fails.  The stage functions in
+  subsystem, numerator polynomials, branch parameters, extended graph)
+  through :func:`enforce`, which raises :class:`~.errors.ConsistencyError`
+  with ``dtype``, ``stage`` and ``invariant`` set at the first one that
+  fails, and otherwise returns every entry's ``(passed, detail)``, which
+  the bundle keeps as ``Branching.enforced``.  The stage functions in
   ``rootsys``, ``coxeter``, ``branching`` and ``mckay.extended_graph``
   only build.
-* **Verify reports.**  :func:`~.verify.run_type_checks` evaluates every
-  entry for the type in the same order, one PASS/FAIL line each; the
-  audit-only entries (Cartan pairing, closure reachability, reflections,
-  the sigma^g lines, golden E8, group sanity, character table and the
-  cross-oracle checks) run only there.
+* **Verify reports.**  :func:`~.verify.run_type_checks` reports every
+  entry for the type in the same order, one PASS/FAIL line each: the
+  enforced entries with construction's results, which it does not
+  evaluate again, and the audit-only entries (Cartan pairing, closure
+  reachability, reflections, the sigma^g lines, golden E8, group sanity,
+  character table and the cross-oracle checks), which run only there.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING
 from . import binarygroups, mckay
 from .coxeter import perm_compose, perm_identity, perm_power
 from .errors import ConsistencyError
-from .rootsys import DiagramType
+from .rootsys import DiagramType, Root
 from .seriescalc import Poly, eval_at_one, poly, poly_str, sparse_items
 
 if TYPE_CHECKING:
@@ -207,16 +210,28 @@ def _root_counts(c: Session) -> Result:
     return ok, f"{num_pos} positive roots, h = {h}"
 
 
+def _leading_minors(m: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The leading principal minors of the square integer matrix m, by exact
+    fraction-free (Bareiss) elimination, up to the first zero (no pivoting)."""
+    a, prev = [list(row) for row in m], 1
+    for k, row in enumerate(a):
+        yield (pivot := row[k])
+        if not pivot:
+            return
+        for r in a[k + 1 :]:
+            r[k + 1 :] = [(pivot * x - r[k] * y) // prev for x, y in zip(r[k + 1 :], row[k + 1 :])]
+        prev = pivot
+
+
 def _cartan_pairing(c: Session) -> Result:
     """Every pairing (r_p, r_q), q >= p, lies in [-2, 2] and (r_p, r_p) = 2.
 
-    Row p is screened at once: with column i of the Cartan images packed
-    as one int, images[q][i] in byte field q, sum_i r_p[i] col_i plus 0x80
-    per field has the bytes (r_p, r_q) + 0x80, as long as no pairing can
-    leave (-126, 126), which the bound max |r|_1 * max |image| on the data
-    decides.  The rows the screen flags, or all rows when the bound fails,
-    go through the per-pair loop, which gives the detail.
-    """
+    Proved in O(R rank), not walked over all R^2 pairs: when the Cartan
+    matrix C is positive definite (every leading principal minor > 0) and
+    every root has (r, r) = 2 sum_i r_i^2 + 2 sum_{i<j} C_ij r_i r_j = 2,
+    x C y is an inner product and Cauchy-Schwarz gives |(r_p, r_q)| <=
+    sqrt((r_p, r_p)(r_q, r_q)) = 2.  Otherwise (a corrupted system) the
+    plain per-pair loop finds the first miss."""
     rs = c.bundle.rs
     cartan, rank, roots = rs.cartan, rs.rank, rs.roots
     for i in range(rank):
@@ -225,28 +240,26 @@ def _cartan_pairing(c: Session) -> Result:
         for j in range(rank):
             if cartan[i][j] != cartan[j][i] or (i != j and cartan[i][j] not in (0, -1)):
                 return False, f"bad entry at ({i + 1}, {j + 1})"
+    edges = [(i, j) for i in range(rank) for j in range(i) if cartan[i][j]]  # C_ij = -1
+    proved = all(d > 0 for d in _leading_minors(cartan)) and all(
+        len(r) == rank and sum(map(mul, r, r)) - sum(r[i] * r[j] for i, j in edges) == 1
+        for r in roots
+    )
+    miss = None if proved else _pairing_miss(cartan, roots)
+    return not miss, miss or f"all {len(roots)}^2 pairings within [-2, 2], lengths 2"
+
+
+def _pairing_miss(cartan: Sequence[Sequence[int]], roots: Sequence[Root]) -> str | None:
+    """The first pairing outside [-2, 2] or length other than 2, or None."""
     images = [tuple(sum(map(mul, row, r)) for row in cartan) for r in roots]
-
-    flagged = range(len(roots))
-    if max(sum(map(abs, r)) for r in roots) * max(max(map(abs, im)) for im in images) < 126:
-        columns = [sum(im[i] << 8 * q for q, im in enumerate(images)) for i in range(rank)]
-        offset = int.from_bytes(b"\x80" * len(roots), "little")
-
-        def clean(p: int) -> bool:
-            packed = (sum(map(mul, roots[p], columns)) + offset) >> 8 * p
-            fields = packed.to_bytes(len(roots) - p, "little")
-            return fields[0] == 0x80 + 2 and 0x80 - 2 <= min(fields) and max(fields) <= 0x80 + 2
-
-        flagged = [p for p in flagged if not clean(p)]
-    for p in flagged:
-        rp = roots[p]
+    for p, rp in enumerate(roots):
         for q in range(p, len(roots)):
             val = sum(map(mul, rp, images[q]))
             if not -2 <= val <= 2:
-                return False, f"pairing {val} between roots {p} and {q}"
+                return f"pairing {val} between roots {p} and {q}"
             if q == p and val != 2:
-                return False, f"root {rp} has squared length {val}"
-    return True, f"all {len(roots)}^2 pairings within [-2, 2], lengths 2"
+                return f"root {rp} has squared length {val}"
+    return None
 
 
 def _reachability(c: Session) -> Result:
@@ -630,12 +643,13 @@ def registry(dtype: DiagramType | str) -> tuple[Invariant, ...]:
     return tuple(inv for inv in INVARIANTS if inv.only in (None, str(dtype)))
 
 
-def enforce(bundle: Branching) -> None:
-    """Evaluate the enforced entries in order; raise at the first failure."""
-    session = Session(bundle)
+def enforce(bundle: Branching) -> dict[str, Result]:
+    """Evaluate the enforced entries in order; raise at the first failure,
+    else return every entry's ``(passed, detail)`` by name."""
+    session, results = Session(bundle), {}
     for inv in INVARIANTS:
         if inv.enforced:
-            passed, detail = inv.evaluate(session)
+            passed, detail = results[inv.name] = inv.evaluate(session)
             if not passed:
                 raise ConsistencyError(
                     f"{bundle.dtype} {inv.name}: {detail}",
@@ -643,3 +657,4 @@ def enforce(bundle: Branching) -> None:
                     stage=inv.stage,
                     invariant=inv.name,
                 )
+    return results

@@ -1,18 +1,12 @@
 """Cross-validation suite: the invariant registry, reported.
 
-:func:`run_type_checks` builds one diagram type and evaluates every
-entry of :data:`~.invariants.INVARIANTS` that applies to it, in
-registry order, one :class:`Check` per entry: root counts, the
-bipartition, orbit sizes and exponent bijections, the longest-element
-behavior of sigma^g, the Heisenberg cardinalities, the numerator
-coefficient bounds and the special-node closed form, the E8 golden
-numerators, the parameter table, and the three-way multiplicity
-agreement (orbit series vs. tensor recursion vs. character theory,
-at every level 0..order and at n = 10^18 + 1, plus the plain Molien
-average for the affine node), all read from one
+:func:`run_type_checks` builds one diagram type and reports every entry
+of :data:`~.invariants.INVARIANTS` that applies to it, in registry
+order, one :class:`Check` per entry, all read from one
 :class:`~.invariants.Session`, whose one ``order`` every range check
-runs to.  The structural entries already ran when the bundle was
-constructed; if one failed there, the report is that entry's FAIL line.
+runs to.  The enforced entries ran when the bundle was constructed, and
+their results (``Branching.enforced``) are the ones reported; if one
+failed there, the report is that entry's FAIL line.
 """
 
 from __future__ import annotations
@@ -48,9 +42,19 @@ ACCEPTED_TYPES: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class Check:
+    """One report line, with its entry's stage and invariant (for a failed
+    construction, the error's)."""
+
     name: str
     passed: bool
     detail: str
+    stage: str | None = None
+    invariant: str | None = None
+
+    def record(self) -> dict[str, object]:
+        """The JSON record: stage and invariant only on a failure."""
+        fields = ("name", "passed", "detail") + (() if self.passed else ("stage", "invariant"))
+        return {k: getattr(self, k) for k in fields}
 
 
 def rotation_group_name(dtype: DiagramType) -> str:
@@ -73,9 +77,14 @@ def run_type_checks(dtype: DiagramType | str, order: int = 200) -> list[Check]:
     try:
         session = Session(Branching.build(dtype), order=order)
     except Exception as exc:  # noqa: BLE001 - report the failed entry or stage
-        name = getattr(exc, "invariant", None) or "construction"
-        return [Check(f"{dtype} {name}", False, f"exception: {exc}")]
-    return [Check(f"{dtype} {inv.name}", *inv.evaluate(session)) for inv in registry(dtype)]
+        stage, invariant = getattr(exc, "stage", None), getattr(exc, "invariant", None)
+        name = f"{dtype} {invariant or 'construction'}"
+        return [Check(name, False, f"exception: {exc}", stage, invariant)]
+    checks, enforced = [], session.bundle.enforced
+    for inv in registry(dtype):
+        passed, detail = enforced[inv.name] if inv.enforced else inv.evaluate(session)
+        checks.append(Check(f"{dtype} {inv.name}", passed, detail, inv.stage, inv.name))
+    return checks
 
 
 def run_all(types: tuple[str, ...] = ACCEPTED_TYPES, order: int = 200) -> list[Check]:

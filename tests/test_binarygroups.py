@@ -477,13 +477,23 @@ def test_closure_forms_one_product_per_element_and_generator(monkeypatch):
 @pytest.mark.parametrize("p", [53, 7681, 65537, 86461])
 def test_sqrt_mod_finds_a_root_of_every_square(p):
     # 7681 - 1 = 15 * 2^9 and 65537 - 1 = 2^16 take several Tonelli-Shanks rounds.
-    rng = random.Random(p)
+    rng, z = random.Random(p), binarygroups._non_residue(p)
+    assert pow(z, (p - 1) // 2, p) == p - 1
     for a in (0, 1, p - 1, *(rng.randrange(p) for _ in range(200))):
         root = binarygroups._sqrt_mod(a, p)
+        assert binarygroups._sqrt_mod(a, p, z) == root
         if pow(a, (p - 1) // 2, p) == p - 1:
             assert root is None
         else:
             assert root * root % p == a
+
+
+def test_eigenvalues_search_for_one_non_residue_per_group(monkeypatch):
+    group = binarygroups.build_group("E8", bundle("E8").params)
+    calls, search = [], binarygroups._non_residue
+    monkeypatch.setattr(binarygroups, "_non_residue", lambda p: calls.append(p) or search(p))
+    p, _ = group.roots_mod_p
+    assert calls == [p]
 
 
 def test_quadratic_factors_split_in_closed_form():

@@ -1,17 +1,19 @@
 """The invariant registry: enforced at construction, reported by verify."""
 
 import dataclasses
+import json
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from su2branch import binarygroups, branching, mckay
+from su2branch import binarygroups, branching, invariants, mckay
 from su2branch.branching import Branching
 from su2branch.coxeter import Bipartition, perm_compose
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
-from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Session, registry
+from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Invariant, Session, registry
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES, run_all, run_type_checks
 
@@ -172,6 +174,51 @@ def test_failed_audit_entry_is_one_fail_line(monkeypatch):
     assert len(checks) == len(registry("D4"))
 
 
+def test_failed_records_carry_stage_and_invariant(monkeypatch, capsys):
+    monkeypatch.setattr(binarygroups, "molien_series", lambda group, order: (0,) * (order + 1))
+    assert main(["verify", "--type", "D4", "--order", "20", "--json"]) == 1
+    records = json.loads(capsys.readouterr().out)["checks"]
+    failed = [r for r in records if not r["passed"]]
+    assert failed == [
+        {
+            "name": "D4 molien average",
+            "passed": False,
+            "detail": "group average matches invariant series to n=20",
+            "stage": "oracles",
+            "invariant": "molien average",
+        }
+    ]
+    assert all(set(r) == {"name", "passed", "detail"} for r in records if r["passed"])
+
+
+def test_failed_construction_record_carries_the_errors_fields(monkeypatch, capsys):
+    build_z = branching.z_polynomial
+    monkeypatch.setattr(
+        branching,
+        "z_polynomial",
+        lambda rs, table, hs, params, node: _bump(build_z(rs, table, hs, params, node)),
+    )
+    assert main(["verify", "--type", "A3", "--json"]) == 1
+    (record,) = json.loads(capsys.readouterr().out)["checks"]
+    assert (record["name"], record["stage"], record["invariant"]) == (
+        "A3 numerator polynomials",
+        "z_polynomial",
+        "numerator polynomials",
+    )
+
+
+def test_each_entry_is_evaluated_once_per_run(monkeypatch):
+    calls, evaluate = [], Invariant.evaluate
+
+    def counted(self, session):
+        calls.append(self.name)
+        return evaluate(self, session)
+
+    monkeypatch.setattr(Invariant, "evaluate", counted)
+    assert all(c.passed for c in run_type_checks("E8", order=20))
+    assert sorted(calls) == sorted(inv.name for inv in registry("E8"))
+
+
 def test_characters_are_checked_at_the_full_depth(monkeypatch):
     real = binarygroups.character_multiplicities
 
@@ -290,6 +337,87 @@ def test_every_scaled_d5_root_gives_the_loops_detail():
         for scale in (2, -3, 0):
             bad = _scaled(rs, root, scale)
             assert _audit("cartan pairing", bad) == (False, _pairing_detail_by_loop(bad))
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_pairing_bound_is_proved_without_the_loop(monkeypatch, name):
+    def boom(*args):
+        raise AssertionError("the per-pair loop ran")
+
+    rs = build_root_system(name)
+    monkeypatch.setattr(invariants, "_pairing_miss", boom)
+    detail = f"all {len(rs.roots)}^2 pairings within [-2, 2], lengths 2"
+    assert _audit("cartan pairing", rs) == (True, detail)
+
+
+def _sylvester_minors(m):
+    """Each leading principal minor as a Fraction determinant, up to the first zero."""
+    out = []
+    for k in range(1, len(m) + 1):
+        a = [[Fraction(x) for x in row[:k]] for row in m[:k]]
+        det = Fraction(1)
+        for col in range(k):
+            pivot = next((r for r in range(col, k) if a[r][col]), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != col:
+                a[col], a[pivot], det = a[pivot], a[col], -det
+            det *= a[col][col]
+            for r in range(col + 1, k):
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        out.append(det)
+        if not det:
+            break
+    return out
+
+
+THREE_CYCLE = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+STAR = (  # the center and five leaves
+    (2, -1, -1, -1, -1, -1),
+    (-1, 2, 0, 0, 0, 0),
+    (-1, 0, 2, 0, 0, 0),
+    (-1, 0, 0, 2, 0, 0),
+    (-1, 0, 0, 0, 2, 0),
+    (-1, 0, 0, 0, 0, 2),
+)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        *(build_root_system(name).cartan for name in ACCEPTED_TYPES),
+        THREE_CYCLE,  # positive semidefinite and singular: minors 2, 3, 0
+        ((2, -1, 0), (-1, 2, -3), (0, -3, 2)),  # indefinite: minors 2, 3, -12
+        # the affine D4 block is singular, so the minors stop at its 0,
+        # before the indefinite whole
+        STAR,
+    ],
+)
+def test_leading_minors_are_sylvesters(matrix):
+    assert list(invariants._leading_minors(matrix)) == _sylvester_minors(matrix)
+
+
+@pytest.mark.parametrize(
+    "name,cartan,roots",
+    [
+        ("A3", THREE_CYCLE, None),  # semidefinite: (1, 1, 1) has length 0
+        # indefinite: both roots have length 2, yet they pair to 3
+        ("D6", STAR, ((1, 0, 0, 0, 0, 0), (4, 1, 1, 1, 1, 1))),
+    ],
+)
+def test_a_cartan_matrix_that_is_not_positive_definite_falls_through_to_the_loop(
+    monkeypatch, name, cartan, roots
+):
+    rs = build_root_system(name)
+    bad = dataclasses.replace(rs, cartan=cartan, roots=roots or rs.roots)
+    detail = _pairing_detail_by_loop(bad)
+    assert detail is not None
+    calls, loop = [], invariants._pairing_miss
+    monkeypatch.setattr(invariants, "_pairing_miss", lambda *a: calls.append(a) or loop(*a))
+    assert _audit("cartan pairing", bad) == (False, detail)
+    assert len(calls) == 1
 
 
 def _with_reflection(name, node, change):
