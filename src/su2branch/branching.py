@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 
 from .coxeter import (
     Bipartition,
@@ -91,13 +93,16 @@ class HeisenbergSubsystem:
 
 
 def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsystem:
-    pairs = rs.highest_root_image
-    members = [r for r in rs.positive_roots if sum([p * x for p, x in zip(pairs, r)]) > 0]
+    """Members by root index: (r, psi) from the root columns at psi's pairings."""
+    positives = rs.positive_roots
+    psi = zip(rs.highest_root_image, zip(*positives))
+    pairs = map(sum, zip(*[map(mul, repeat(p), column) for p, column in psi if p]))
+    members = [k for k, pair in enumerate(pairs) if pair > 0]
     slices: dict[int, list[Root]] = {i: [] for i in rs.nodes}
-    for r in members:
-        slices[table.orbit_node[rs.index_of(r)]].append(r)
+    for k in members:
+        slices[table.orbit_node[k]].append(positives[k])
     return HeisenbergSubsystem(
-        roots=tuple(members), slices={i: tuple(v) for i, v in slices.items()}
+        tuple(positives[k] for k in members), {i: tuple(v) for i, v in slices.items()}
     )
 
 

@@ -3,16 +3,18 @@
 The diagram is two-colored so that each color class consists of
 pairwise orthogonal simple roots; the products tau_1 and tau_2 of the
 reflections in each class are involutions, and sigma = tau_2 tau_1 is a
-Coxeter element of order h.  Negating the simple roots of the second
-class yields one representative per sigma-orbit, and every positive
-root picks up a well-defined exponent n in [1, h] recording how far
-along its orbit it sits.  Permutations of the root set are stored as
+Coxeter element of order h, each tau read from the root closure's
+pairings (:func:`coxeter_element`).  Negating the simple roots of the
+second class yields one representative per sigma-orbit, and every
+positive root picks up a well-defined exponent n in [1, h] recording how
+far along its orbit it sits.  Permutations of the root set are stored as
 index arrays over the fixed root enumeration of :class:`RootSystem`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 
 from .rootsys import Root, RootSystem
 
@@ -97,18 +99,22 @@ class CoxeterAction:
 
 
 def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
-    out = perm_identity(len(rs.roots))
-    for i in nodes:  # ascending; factors commute, order fixed for reproducibility
-        perm = rs.reflections[i - 1]
-        if None in perm:  # an image off the root set, named as index_of would
-            image = rs.reflect(i, rs.roots[perm.index(None)])
-            raise ValueError(f"{image} is not a root of {rs.dtype}")
-        out = perm_compose(perm, out)
+    columns = list(zip(*rs.roots))
+    for i in nodes:  # root column i minus node i's pairings
+        columns[i - 1] = tuple(map(sub, columns[i - 1], rs.pairings[i - 1]))
+    images = tuple(zip(*columns))
+    out = tuple(map(rs._index.get, images))
+    if None in out:  # an image off the root set, named as index_of would
+        raise ValueError(f"{images[out.index(None)]} is not a root of {rs.dtype}")
     return out
 
 
 def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
-    """Build tau_1, tau_2 and sigma = tau_2 tau_1, which has order h."""
+    """Build tau_1, tau_2 and sigma = tau_2 tau_1, which has order h.
+
+    A class is orthogonal (enforced entry "bipartition"), so its tau is
+    r -> r - sum (r, alpha_i) alpha_i over the class: one pass over
+    ``rs.pairings``, with no reflection table (those are the audit's)."""
     tau1 = _class_involution(rs, bp.part1)
     tau2 = _class_involution(rs, bp.part2)
     sigma = perm_compose(tau2, tau1)

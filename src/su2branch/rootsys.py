@@ -130,52 +130,38 @@ class RootSystem:
         self._check_node(i)
         return self.marks[i - 1]
 
-    def pair_with_simple(self, x: Root, i: int) -> int:
-        """(x, alpha_i), i.e. the i-th entry of the Cartan image of x."""
-        self._check_node(i)
-        row = self.cartan[i - 1]
-        return sum(row[j] * x[j] for j in range(self.rank))
-
-    def reflect(self, i: int, x: Root) -> Root:
-        """Reflection in the hyperplane orthogonal to alpha_i."""
-        c = self.pair_with_simple(x, i)
-        out = list(x)
-        out[i - 1] -= c
-        return tuple(out)
-
     @cached_property
     def highest_root_image(self) -> tuple[int, ...]:
         """The Cartan image of the highest root: (psi, alpha_i) for i = 1 .. rank."""
-        return tuple(self.pair_with_simple(self.highest_root, i) for i in self.nodes)
+        return tuple(sum(map(mul, row, self.highest_root)) for row in self.cartan)
+
+    @cached_property
+    def pairings(self) -> tuple[tuple[int, ...], ...]:
+        """``pairings[i - 1][k]`` = (root k, alpha_i): row i of C times the root
+        columns.  :func:`build_root_system` seeds it from its closure's Cartan
+        images; a ``dataclasses.replace`` copy computes its own."""
+        columns = tuple(zip(*self.roots))
+        return tuple(
+            tuple(map(sum, zip(*[map(mul, repeat(c), col) for c, col in zip(row, columns) if c])))
+            or (0,) * len(self.roots)
+            for row in self.cartan
+        )
 
     @cached_property
     def reflections(self) -> tuple[tuple[int | None, ...], ...]:
-        """Each simple reflection as an index map of the root list, built once.
-
-        ``reflections[i - 1][k]`` is the index of :meth:`reflect` (i, root k),
-        or None where that image is not a root, which only a corrupted
-        system has: the registry entry "reflections" reports it and
-        :func:`~.coxeter.coxeter_element` refuses it.
-
-        Node i's pairings (root k, alpha_i) are computed for all roots at
-        once, from the root columns at row i's nonzero Cartan entries.
-        Where a pairing is 0 the image is root k itself, whose entry
-        ``_index.get(root k)`` is looked up once for all nodes; only the
-        nonzero pairings build an image and look it up.
-        """
+        """Each simple reflection as an index map of the root list, for the
+        "reflections" audit only: ``reflections[i - 1][k]`` indexes root k -
+        (root k, alpha_i) alpha_i (:attr:`pairings`), or is None where that
+        image is not a root, as only in a corrupted system."""
         roots, find = self.roots, self._index.get
-        columns = tuple(zip(*roots))
         fixed = tuple(map(find, roots))
-        out = []
-        for i, row in enumerate(self.cartan):
-            terms = [map(mul, repeat(c), columns[j]) for j, c in enumerate(row) if c]
-            pairings = map(sum, zip(*terms)) if terms else repeat(0)
-            images = [
+        return tuple(
+            tuple(
                 find(r[:i] + (r[i] - p,) + r[i + 1 :]) if p else f
                 for r, p, f in zip(roots, pairings, fixed)
-            ]
-            out.append(tuple(images))
-        return tuple(out)
+            )
+            for i, pairings in enumerate(self.pairings)
+        )
 
     def is_root(self, x: Root) -> bool:
         return x in self._index
@@ -231,9 +217,10 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
 
     Positive roots are generated by breadth-first closure from the
     simple roots: a simple root alpha may be added to a known root r
-    exactly when (r, alpha) = -1.  No Weyl-group enumeration is used.
-    The Coxeter number is read off as h = 2 |positive roots| / rank; the
-    registry entry "root counts" checks it and the highest root.
+    exactly when (r, alpha) = -1, read from r's Cartan image (r + alpha_i
+    has image(r) + row i), which is kept as ``pairings``.  No Weyl-group
+    enumeration is used.  The Coxeter number is h = 2 |positive roots| /
+    rank; the registry entry "root counts" checks it and the highest root.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
@@ -241,8 +228,8 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
     cartan = cartan_matrix(dtype)
 
     simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    pos: set[Root] = set(simples)
-    frontier = list(zip(simples, cartan))
+    pos: dict[Root, tuple[int, ...]] = dict(zip(simples, cartan))  # root -> Cartan image
+    frontier = list(pos.items())
     while frontier:
         nxt = []
         for r, image in frontier:
@@ -250,8 +237,8 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
                 if p == -1:
                     t = r[:i] + (r[i] + 1,) + r[i + 1 :]
                     if t not in pos:
-                        pos.add(t)
-                        nxt.append((t, tuple(map(add, image, cartan[i]))))
+                        pos[t] = tuple(map(add, image, cartan[i]))
+                        nxt.append((t, pos[t]))
         frontier = nxt
 
     positives = sorted(pos, key=lambda r: (sum(r), r))
@@ -265,7 +252,7 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
         adjacency[i - 1].append(j)
         adjacency[j - 1].append(i)
 
-    return RootSystem(
+    rs = RootSystem(
         dtype=dtype,
         cartan=cartan,
         roots=roots,
@@ -276,3 +263,5 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
         _index=index,
         _adjacency=tuple(tuple(sorted(a)) for a in adjacency),
     )
+    vars(rs)["pairings"] = tuple(c + tuple(map(neg, c)) for c in zip(*map(pos.get, positives)))
+    return rs

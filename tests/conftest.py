@@ -133,7 +133,15 @@ def inner(rs, x, y):
     return sum(a * c * b for a, row in zip(x, rs.cartan) for c, b in zip(row, y))
 
 
+def reflect(rs, i, x):
+    """Reflection in the hyperplane orthogonal to alpha_i: x - (x, alpha_i) alpha_i."""
+    rs._check_node(i)
+    out = list(x)
+    out[i - 1] -= sum(c * y for c, y in zip(rs.cartan[i - 1], x))
+    return tuple(out)
+
+
 def reflect_table(rs):
     """``rs.reflections`` by definition: the index of every reflected root,
     or None where the image is not in the system's index."""
-    return tuple(tuple(rs._index.get(rs.reflect(i, r)) for r in rs.roots) for i in rs.nodes)
+    return tuple(tuple(rs._index.get(reflect(rs, i, r)) for r in rs.roots) for i in rs.nodes)

@@ -4,17 +4,20 @@ import dataclasses
 
 import pytest
 
+from su2branch import Branching
 from su2branch.coxeter import (
     bipartition,
     coxeter_element,
+    perm_compose,
     perm_identity,
     perm_power,
     special_index,
 )
 from su2branch.invariants import LONGEST_ELEMENT, Session
 from su2branch.rootsys import build_root_system
+from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle
+from conftest import bundle, reflect, reflect_table
 
 
 def test_a3_bipartition():
@@ -42,6 +45,23 @@ def test_tau1_negates_own_simples():
     for i in b.bp.part1:
         idx = b.rs.index_of(b.rs.simple_root(i))
         assert b.cox.tau1[idx] == b.rs.negation(idx)
+
+
+@pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
+def test_taus_are_the_composed_class_reflections(name):
+    b = bundle(name)
+    table = reflect_table(b.rs)
+    for tau, part in ((b.cox.tau1, b.bp.part1), (b.cox.tau2, b.bp.part2)):
+        want = perm_identity(len(b.rs.roots))
+        for i in part:
+            want = perm_compose(table[i - 1], want)
+        assert tau == want
+
+
+def test_the_build_makes_no_reflection_table():
+    b = Branching.build("E8")
+    assert "pairings" in vars(b.rs)
+    assert "reflections" not in vars(b.rs)
 
 
 def test_sigma_order_a3():
@@ -162,7 +182,7 @@ def test_a_reflection_off_the_root_set_is_refused():
     image = next(
         image
         for i in (*bp.part1, *bp.part2)
-        for image in (bad.reflect(i, r) for r in bad.roots)
+        for image in (reflect(bad, i, r) for r in bad.roots)
         if not bad.is_root(image)
     )
     assert None in bad.reflections[0]

@@ -7,7 +7,7 @@ import pytest
 from su2branch.rootsys import DiagramType, build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, inner, plain_closure_roots, reflect_table
+from conftest import bundle, inner, plain_closure_roots, reflect, reflect_table
 
 
 def rs_for(name):
@@ -67,28 +67,46 @@ def test_inner_products():
 def test_reflections():
     rs = rs_for("A3")
     a1, a2 = rs.simple_root(1), rs.simple_root(2)
-    assert rs.reflect(1, a1) == (-1, 0, 0)
-    assert rs.reflect(1, a2) == (1, 1, 0)
+    assert reflect(rs, 1, a1) == (-1, 0, 0)
+    assert reflect(rs, 1, a2) == (1, 1, 0)
     d4 = rs_for("D4")
     # nodes 3 and 4 are both fork tails: non-adjacent, so fixed
-    assert d4.reflect(3, d4.simple_root(4)) == d4.simple_root(4)
+    assert reflect(d4, 3, d4.simple_root(4)) == d4.simple_root(4)
     with pytest.raises(IndexError):
-        rs.reflect(4, a1)
+        reflect(rs, 4, a1)
 
 
 def test_reflection_involution_permutes_roots():
     rs = rs_for("D5")
     for i in rs.nodes:
-        images = [rs.reflect(i, r) for r in rs.roots]
+        images = [reflect(rs, i, r) for r in rs.roots]
         assert sorted(images) == sorted(rs.roots)
-        assert all(rs.reflect(i, s) == r for r, s in zip(rs.roots, images))
+        assert all(reflect(rs, i, s) == r for r, s in zip(rs.roots, images))
 
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)
 def test_reflection_table_is_reflect(name):
     rs = rs_for(name)
     for i in rs.nodes:
-        assert rs.reflections[i - 1] == tuple(rs.index_of(rs.reflect(i, r)) for r in rs.roots)
+        assert rs.reflections[i - 1] == tuple(rs.index_of(reflect(rs, i, r)) for r in rs.roots)
+
+
+@pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
+def test_seeded_pairings_are_the_definition(name):
+    # dataclasses.replace builds a new instance, so the copy computes its own.
+    rs = build_root_system(name)
+    copy = dataclasses.replace(rs)
+    assert "pairings" in vars(rs) and "pairings" not in vars(copy)
+    assert copy.pairings == tuple(
+        tuple(inner(rs, r, rs.simple_root(i)) for r in rs.roots) for i in rs.nodes
+    )
+    assert rs.pairings == copy.pairings
+
+
+def test_a_system_with_other_roots_computes_its_own_pairings():
+    rs = build_root_system("A3")
+    bad = dataclasses.replace(rs, roots=rs.roots[1:])
+    assert bad.pairings == tuple(row[1:] for row in rs.pairings)
 
 
 def test_highest_root_marks():
