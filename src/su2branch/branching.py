@@ -85,11 +85,12 @@ class HeisenbergSubsystem:
     """Positive roots pairing strictly positively with the highest root.
 
     There are exactly 2h - 3 of them; ``slices`` splits them by the node
-    of their Coxeter orbit.
+    of their Coxeter orbit, and ``indices`` holds the slices' root indices.
     """
 
     roots: tuple[Root, ...]
     slices: dict[int, tuple[Root, ...]] = field(repr=False)
+    indices: dict[int, tuple[int, ...]] = field(repr=False)
 
 
 def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsystem:
@@ -98,11 +99,13 @@ def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsyst
     psi = zip(rs.highest_root_image, zip(*positives))
     pairs = map(sum, zip(*[map(mul, repeat(p), column) for p, column in psi if p]))
     members = [k for k, pair in enumerate(pairs) if pair > 0]
-    slices: dict[int, list[Root]] = {i: [] for i in rs.nodes}
+    indices: dict[int, list[int]] = {i: [] for i in rs.nodes}
     for k in members:
-        slices[table.orbit_node[k]].append(positives[k])
+        indices[table.orbit_node[k]].append(k)
     return HeisenbergSubsystem(
-        tuple(positives[k] for k in members), {i: tuple(v) for i, v in slices.items()}
+        tuple(positives[k] for k in members),
+        {i: tuple(positives[k] for k in ks) for i, ks in indices.items()},
+        {i: tuple(ks) for i, ks in indices.items()},
     )
 
 
@@ -125,9 +128,10 @@ def z_polynomial(
         return poly([1] + [0] * (h - 1) + [1])
     rs._check_node(node)
     coeffs = [0] * (h + 1)
-    for r in hs.slices[node]:
-        if node != params.special or r != rs.highest_root:
-            coeffs[table.exponent[rs.index_of(r)]] += 1
+    psi = rs.index_of(rs.highest_root) if node == params.special else None
+    for k in hs.indices[node]:
+        if k != psi:
+            coeffs[table.exponent[k]] += 1
     if node == params.special:
         coeffs[params.g] += 2
     return poly(coeffs)

@@ -22,9 +22,8 @@ from .invariants import ORACLES, Session
 from .rootsys import NODE_CONVENTION, DiagramType
 from .seriescalc import poly_str, sparse_items
 
-#: Largest ``--order`` that ``series`` and ``verify`` accept.  On E8,
-#: ``series`` peaks near 120 MB at the limit and ``verify`` holds about
-#: 1 KB per level (100 MB at 10^5); the library functions take any order.
+#: Largest ``--order`` that ``series`` accepts; on E8 it peaks near 120 MB
+#: at the limit.  ``Branching.series`` takes any order.
 MAX_ORDER = 10**6
 
 
@@ -57,15 +56,9 @@ def cmd_table(args: argparse.Namespace) -> tuple:
     return rows, lines
 
 
-def _check_order(order: int) -> None:
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} exceeds the limit {MAX_ORDER}")
-
-
 def cmd_verify(args: argparse.Namespace) -> tuple:
-    _check_order(args.order)
     types = (args.type,) if args.type else verify.ACCEPTED_TYPES
-    checks = verify.run_all(types, order=args.order)
+    checks = verify.run_all(types)
     all_pass = all(c.passed for c in checks)
     doc = {"checks": [c.record() for c in checks], "all_pass": all_pass}
     return doc, [verify.format_report(checks)], 0 if all_pass else 1
@@ -102,7 +95,8 @@ def cmd_zpoly(args: argparse.Namespace) -> tuple:
 
 
 def cmd_series(args: argparse.Namespace) -> tuple:
-    _check_order(args.order)
+    if args.order > MAX_ORDER:
+        raise ValueError(f"order {args.order} exceeds the limit {MAX_ORDER}")
     bundle = Branching.build(args.type)
     if args.node is None:
         raise ValueError("series requires --node")
@@ -185,18 +179,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("table", cmd_table, "parameter table for all accepted types", type_help=None)
 
-    p = command(
+    command(
         "verify",
         cmd_verify,
         "run the full cross-validation suite",
         type_help="restrict to one diagram type",
         type_required=False,
-    )
-    p.add_argument(
-        "--order",
-        type=int,
-        default=200,
-        help=f"depth of every range check (default 200, at most {MAX_ORDER})",
     )
 
     p = command("branch", cmd_branch, "one multiplicity vector")

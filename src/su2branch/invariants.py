@@ -22,18 +22,23 @@ and a predicate over the type's :class:`Session` that returns
   evaluate again, and the audit-only entries (Cartan pairing, closure
   reachability, reflections, the sigma^g lines, golden E8, group sanity,
   character table and the cross-oracle checks), which run only there.
+
+The range entries hold for every n: each compares the routes' proved
+period tables (:meth:`Session.periods`) over levels 0..2L-1 (:func:`_read`),
+which rests on the tables' build-time proofs and on their two readers,
+:func:`~.seriescalc.iter_levels` and :func:`~.seriescalc.read_level`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING
 
-from . import binarygroups, mckay
+from . import binarygroups, mckay, seriescalc
 from .coxeter import perm_compose, perm_identity, perm_power
 from .errors import ConsistencyError
 from .rootsys import DiagramType, Root
@@ -115,13 +120,11 @@ class Session:
     read only the bundle and the McKay graph, never build the group; the
     group and its character table are built at most once even when that
     fails.  The McKay graph is the bundle's own (``bundle.graph``), the one
-    the enforced "extended graph" entry checked.  The range entries read
-    :meth:`levels`, to the one depth ``order``.
+    the enforced "extended graph" entry checked.  Every level, by every
+    oracle, is read from the route's own proved table (:meth:`periods`).
     """
 
     bundle: Branching
-    order: int = 200
-    _levels: dict[str, list] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def graph(self) -> mckay.McKayGraph:
@@ -140,37 +143,22 @@ class Session:
         """sigma^g, which should act as the longest Weyl element."""
         return perm_power(self.bundle.cox.sigma, self.bundle.rs.coxeter_number // 2)
 
+    def periods(self, oracle: str) -> seriescalc.PeriodTable:
+        """The period table of the oracle named from :data:`ORACLES`, proved
+        where it was built; only the characters build the group."""
+        if oracle == "coxeter":
+            return self.bundle.periods
+        if oracle == "recursion":
+            return self.graph.certificate
+        if oracle == "characters":
+            return self.table.periods
+        raise ValueError(f"unknown oracle {oracle!r}: expected one of {', '.join(ORACLES)}")
+
     def vector(self, n: int, oracle: str) -> tuple[int, ...]:
-        """Multiplicities at level n by the named oracle; only the characters build the group."""
+        """Multiplicities at level n by the named oracle, for any n >= 0."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        _check_oracle(oracle)
-        if oracle == "coxeter":
-            return self.bundle.vector(n)
-        if oracle == "recursion":
-            return mckay.recursion_oracle(self.graph, n)[n]
-        group, table, nodes = self.group, self.table, range(self.graph.size)
-        return tuple(binarygroups.oracle_multiplicity(group, table, n, i) for i in nodes)
-
-    def levels(self, oracle: str) -> list[tuple[int, ...]]:
-        """Multiplicity vectors at levels 0..order by the named oracle, each
-        from the route's own range API, expanded once per oracle."""
-        _check_oracle(oracle)
-        if oracle not in self._levels:
-            if oracle == "coxeter":
-                nodes = range(self.bundle.rs.rank + 1)
-                out = list(zip(*(self.bundle.series(i, self.order) for i in nodes)))
-            elif oracle == "recursion":
-                out = list(mckay.recursion_oracle(self.graph, self.order))
-            else:
-                out = binarygroups.character_multiplicities(self.group, self.table, self.order)
-            self._levels[oracle] = out
-        return self._levels[oracle]
-
-
-def _check_oracle(oracle: str) -> None:
-    if oracle not in ORACLES:
-        raise ValueError(f"unknown oracle {oracle!r}: expected one of {', '.join(ORACLES)}")
+        return seriescalc.read_level(self.periods(oracle), n)
 
 
 Result = tuple[bool, str]
@@ -568,9 +556,21 @@ def _character_table(c: Session) -> Result:
     return dims == graph.marks_ext, f"{r} irreducibles; dims match marks; central signs match sides"
 
 
+def _read(tables: list[seriescalc.PeriodTable], *periods: int) -> tuple[int, Iterator]:
+    """2L - 1 and the tables' levels 0..2L-1 side by side, L the lcm of
+    their periods and ``periods`` (those of the other side compared).
+
+    Every table's levels form a degree-1 quasi-polynomial in n.  Two such
+    agree at every n >= 0 once they agree at levels 0..2L-1: on each
+    residue class mod L both are affine in k, and two points fix an
+    affine function."""
+    last = 2 * math.lcm(*periods, *(len(base) for base, _ in tables)) - 1
+    return last, zip(*(seriescalc.iter_levels(table, last) for table in tables))
+
+
 def _triple_oracle(c: Session) -> Result:
-    cox, rec, chars = (c.levels(oracle) for oracle in ORACLES)
-    for n, (s, r, ch) in enumerate(zip(cox, rec, chars)):
+    last, levels = _read([c.periods(oracle) for oracle in ORACLES])
+    for n, (s, r, ch) in enumerate(levels):
         if s == r == ch:
             continue
         for i in range(c.graph.size):
@@ -578,7 +578,7 @@ def _triple_oracle(c: Session) -> Result:
                 return False, f"series {s[i]} != recursion {r[i]} at n={n}, node {i}"
             if ch[i] != r[i]:
                 return False, f"characters {ch[i]} != recursion {r[i]} at n={n}, node {i}"
-    return True, f"series == recursion to n={c.order}; == characters to n={c.order}"
+    return True, f"series == recursion == characters for all n (levels 0..{last})"
 
 
 def _huge_level(c: Session) -> Result:
@@ -590,25 +590,30 @@ def _huge_level(c: Session) -> Result:
 
 
 def _molien(c: Session) -> Result:
-    ok = binarygroups.molien_series(c.group, c.order) == tuple(v[0] for v in c.levels("coxeter"))
-    return ok, f"group average matches invariant series to n={c.order}"
+    # Molien's own table has the group's period E; it never reads the character table.
+    last, levels = _read([c.periods("coxeter")], binarygroups.exponent(c.bundle.dtype))
+    for n, (m, (v,)) in enumerate(zip(binarygroups.molien_series(c.group, last), levels)):
+        if m != v[0]:
+            return False, f"group average {m} != invariant series {v[0]} at n={n}"
+    return True, f"group average matches invariant series for all n (levels 0..{last})"
 
 
 def _sum_rule(c: Session) -> Result:
     marks = c.graph.marks_ext
-    for n, v in enumerate(c.levels("coxeter")):
+    last, levels = _read([c.periods("coxeter")])  # n + 1 has period 1
+    for n, (v,) in enumerate(levels):
         if sum(map(mul, marks, v)) != n + 1:
             return False, f"dimension sum fails at n={n}"
-    return True, f"sum of mark * multiplicity is n + 1 up to n={c.order}"
+    return True, f"sum of mark * multiplicity is n + 1 for all n (levels 0..{last})"
 
 
 def _parity_vanishing(c: Session) -> Result:
-    for i in range(c.graph.size):
-        k = c.bundle.node_parity(i)
-        for n, v in enumerate(c.levels("coxeter")):
-            if v[i] and n % 2 != k % 2:
-                return False, f"node {i} has multiplicity {v[i]} at parity-breaking n={n}"
-    return True, f"multiplicities vanish off-parity up to n={c.order}"
+    last, levels = _read([c.periods("coxeter")], 2)  # the parity has period 2
+    for n, (v,) in enumerate(levels):
+        for i, m in enumerate(v):
+            if m and n % 2 != c.bundle.node_parity(i) % 2:
+                return False, f"node {i} has multiplicity {m} at parity-breaking n={n}"
+    return True, f"multiplicities vanish off-parity for all n (levels 0..{last})"
 
 
 #: Every structural identity, in report order.

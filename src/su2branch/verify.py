@@ -3,8 +3,8 @@
 :func:`run_type_checks` builds one diagram type and reports every entry
 of :data:`~.invariants.INVARIANTS` that applies to it, in registry
 order, one :class:`Check` per entry, all read from one
-:class:`~.invariants.Session`, whose one ``order`` every range check
-runs to.  The enforced entries ran when the bundle was constructed, and
+:class:`~.invariants.Session`; every range check holds for all n, with
+no depth to set.  The enforced entries ran when the bundle was built, and
 their results (``Branching.enforced``) are the ones reported; if one
 failed there, the report is that entry's FAIL line.
 """
@@ -66,16 +66,13 @@ def rotation_group_name(dtype: DiagramType) -> str:
     return {6: "Alt_4", 7: "Sym_4", 8: "Alt_5"}[dtype.rank]
 
 
-def run_type_checks(dtype: DiagramType | str, order: int = 200) -> list[Check]:
-    """All checks for one diagram type, every range check to the one depth
-    ``order``.  A failed build is reported, never raised; a negative
-    ``order`` or an unknown type is a usage error, raised before any build."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+def run_type_checks(dtype: DiagramType | str) -> list[Check]:
+    """All checks for one diagram type.  A failed build is reported, never
+    raised; an unknown type is a usage error, raised before any build."""
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
     try:
-        session = Session(Branching.build(dtype), order=order)
+        session = Session(Branching.build(dtype))
     except Exception as exc:  # noqa: BLE001 - report the failed entry or stage
         stage, invariant = getattr(exc, "stage", None), getattr(exc, "invariant", None)
         name = f"{dtype} {invariant or 'construction'}"
@@ -87,8 +84,8 @@ def run_type_checks(dtype: DiagramType | str, order: int = 200) -> list[Check]:
     return checks
 
 
-def run_all(types: tuple[str, ...] = ACCEPTED_TYPES, order: int = 200) -> list[Check]:
-    return [check for t in types for check in run_type_checks(t, order=order)]
+def run_all(types: tuple[str, ...] = ACCEPTED_TYPES) -> list[Check]:
+    return [check for t in types for check in run_type_checks(t)]
 
 
 def format_report(checks: list[Check]) -> str:

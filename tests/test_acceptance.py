@@ -208,7 +208,7 @@ def test_criterion_9_property_suite(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "FAIL" not in out1
-    assert all(c.passed for c in run_all(order=80))
+    assert all(c.passed for c in run_all())
     print(
         "ACCEPTANCE 9 PASS: 100 round-trips, nonnegative recursion, deterministic verify"
     )

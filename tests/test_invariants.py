@@ -8,14 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from su2branch import binarygroups, branching, invariants, mckay
+from su2branch import binarygroups, branching, invariants, mckay, seriescalc
 from su2branch.branching import Branching
 from su2branch.coxeter import Bipartition, perm_compose
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Invariant, Session, registry
 from su2branch.rootsys import build_root_system
-from su2branch.verify import ACCEPTED_TYPES, run_all, run_type_checks
+from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
 from conftest import bundle, reflect_table
 
@@ -70,18 +70,6 @@ def test_negative_level_is_rejected_before_any_build(monkeypatch, oracle):
     _forbid_group_build(monkeypatch)
     with pytest.raises(ValueError, match="n must be nonnegative"):
         Session(Branching.build("E8")).vector(-1, oracle)
-
-
-@pytest.mark.parametrize(
-    "run", [lambda: run_type_checks("D4", order=-1), lambda: run_all(("D4",), order=-1)]
-)
-def test_negative_order_is_rejected_before_any_build(monkeypatch, run):
-    def boom(*args, **kwargs):
-        raise AssertionError("a bundle was built")
-
-    monkeypatch.setattr(Branching, "build", boom)
-    with pytest.raises(ValueError, match="^order must be nonnegative$"):
-        run()
 
 
 def test_unknown_oracle_is_a_value_error():
@@ -160,7 +148,7 @@ def test_failed_group_build_runs_once(monkeypatch, stage, failing):
         raise ConsistencyError("boom")
 
     monkeypatch.setattr(binarygroups, stage, boom)
-    checks = run_type_checks("E8", order=20)
+    checks = run_type_checks("E8")
     assert len(calls) == 1
     assert [(c.name, c.detail) for c in checks if not c.passed] == [
         (f"E8 {name}", "exception: boom") for name in failing
@@ -169,21 +157,21 @@ def test_failed_group_build_runs_once(monkeypatch, stage, failing):
 
 def test_failed_audit_entry_is_one_fail_line(monkeypatch):
     monkeypatch.setattr(binarygroups, "molien_series", lambda group, order: (0,) * (order + 1))
-    checks = run_type_checks("D4", order=20)
+    checks = run_type_checks("D4")
     assert [c.name for c in checks if not c.passed] == ["D4 molien average"]
     assert len(checks) == len(registry("D4"))
 
 
 def test_failed_records_carry_stage_and_invariant(monkeypatch, capsys):
     monkeypatch.setattr(binarygroups, "molien_series", lambda group, order: (0,) * (order + 1))
-    assert main(["verify", "--type", "D4", "--order", "20", "--json"]) == 1
+    assert main(["verify", "--type", "D4", "--json"]) == 1
     records = json.loads(capsys.readouterr().out)["checks"]
     failed = [r for r in records if not r["passed"]]
     assert failed == [
         {
             "name": "D4 molien average",
             "passed": False,
-            "detail": "group average matches invariant series to n=20",
+            "detail": "group average 0 != invariant series 1 at n=0",
             "stage": "oracles",
             "invariant": "molien average",
         }
@@ -215,61 +203,87 @@ def test_each_entry_is_evaluated_once_per_run(monkeypatch):
         return evaluate(self, session)
 
     monkeypatch.setattr(Invariant, "evaluate", counted)
-    assert all(c.passed for c in run_type_checks("E8", order=20))
+    assert all(c.passed for c in run_type_checks("E8"))
     assert sorted(calls) == sorted(inv.name for inv in registry("E8"))
 
 
+def _bump_entry(table, r, node=0, part=1):
+    """The period table with one more at step[r][node] (``part`` 0: base)."""
+    rows = table[part]
+    row = rows[r][:node] + (rows[r][node] + 1,) + rows[r][node + 1 :]
+    bumped = rows[:r] + (row,) + rows[r + 1 :]
+    return (bumped, table[1]) if part == 0 else (table[0], bumped)
+
+
+def _corrupt_group_tables(monkeypatch, molien, r):
+    """Bump step r of Molien's table (``molien``) or of the character table's."""
+    real = binarygroups._period_table
+
+    def corrupted(group, central, residues, names):
+        table = real(group, central, residues, names)
+        return _bump_entry(table, r) if (names == (None,)) == molien else table
+
+    monkeypatch.setattr(binarygroups, "_period_table", corrupted)
+
+
 def test_characters_are_checked_at_the_full_depth(monkeypatch):
-    real = binarygroups.character_multiplicities
-
-    def wrong(group, table, order):
-        out = real(group, table, order)
-        out[137] = (1,) + out[137][1:]
-        return out
-
-    monkeypatch.setattr(binarygroups, "character_multiplicities", wrong)
-    checks = run_type_checks("D4")
-    assert [(c.name, c.detail) for c in checks if not c.passed] == [
-        ("D4 triple oracle", "characters 1 != recursion 0 at n=137, node 0")
-    ]
+    # D4 has 2L = 8: step 1 first shows at n = 1 + 4, below 8.
+    _corrupt_group_tables(monkeypatch, molien=False, r=1)
+    failed = {c.name: c.detail for c in run_type_checks("D4") if not c.passed}
+    assert list(failed) == ["D4 triple oracle", "D4 huge-level triple oracle"]
+    assert failed["D4 triple oracle"] == "characters 1 != recursion 0 at n=5, node 0"
 
 
 def test_molien_average_is_checked_at_the_full_depth(monkeypatch):
-    real = binarygroups.molien_series
-
-    def wrong(group, order):
-        out = list(real(group, order))
-        out[61] += 1
-        return tuple(out)
-
-    monkeypatch.setattr(binarygroups, "molien_series", wrong)
+    _corrupt_group_tables(monkeypatch, molien=True, r=2)
     checks = run_type_checks("D4")
     assert [(c.name, c.detail) for c in checks if not c.passed] == [
-        ("D4 molien average", "group average matches invariant series to n=200")
+        ("D4 molien average", "group average 2 != invariant series 1 at n=6")
     ]
 
 
+@pytest.mark.parametrize("part,level", [(0, 59), (1, 119)])
+@pytest.mark.parametrize("oracle", invariants.ORACLES)
+def test_the_last_residue_is_checked_in_base_and_step(monkeypatch, oracle, part, level):
+    # Every E8 table has period L = 60: base[L - 1] is level L - 1, and
+    # step[L - 1] first shows at level 2L - 1, the last one read.
+    periods = Session.periods
+
+    def corrupted(self, name):
+        table = periods(self, name)
+        return _bump_entry(table, len(table[0]) - 1, node=8, part=part) if name == oracle else table
+
+    monkeypatch.setattr(Session, "periods", corrupted)
+    triple = {c.name: c for c in run_type_checks("E8")}["E8 triple oracle"]
+    assert not triple.passed
+    assert triple.detail.endswith(f"at n={level}, node 8")
+
+
 def test_range_entries_expand_each_route_once(monkeypatch):
-    calls = {"vector": [], "characters": []}
-    vector, chars = Branching.vector, binarygroups.character_multiplicities
+    """Each range entry expands each table it compares once, to 2L - 1,
+    from the route's proved table, never through a route's range API."""
+    reads, iter_levels = [], seriescalc.iter_levels
 
-    def counted_vector(self, n):
-        calls["vector"].append(n)
-        return vector(self, n)
+    def counted(table, order):
+        reads.append((len(table[0]), order))
+        return iter_levels(table, order)
 
-    def counted_chars(*args):
-        calls["characters"].append(args[2])
-        return chars(*args)
+    def boom(*args):
+        raise AssertionError("a range API was called")
 
-    monkeypatch.setattr(Branching, "vector", counted_vector)
-    monkeypatch.setattr(binarygroups, "character_multiplicities", counted_chars)
-    assert all(c.passed for c in run_type_checks("E8"))
-    assert calls == {"vector": [HUGE_LEVEL], "characters": [200]}
+    monkeypatch.setattr(seriescalc, "iter_levels", counted)
+    monkeypatch.setattr(binarygroups, "character_multiplicities", boom)
+    monkeypatch.setattr(mckay, "recursion_oracle", boom)
+    checks = {c.name: c for c in run_type_checks("E6")}
+    assert all(c.passed for c in checks.values())
+    # triple oracle (coxeter, recursion, characters), molien, sum rule, parity
+    assert reads == [(24, 47), (12, 47), (12, 47), (24, 47), (24, 47), (24, 47)]
+    assert checks["E6 triple oracle"].detail.endswith("for all n (levels 0..47)")
 
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)
 def test_reported_names_are_the_registry(name):
-    checks = run_type_checks(name, order=20)
+    checks = run_type_checks(name)
     assert [c.name for c in checks] == [f"{name} {inv.name}" for inv in registry(name)]
     assert all(c.passed for c in checks)
 
@@ -548,7 +562,7 @@ def test_one_extended_graph_per_bundle(monkeypatch):
     monkeypatch.setattr(mckay, "extended_graph", boom)
     b = Branching.build("E6")
     assert built == [b.graph]  # the enforced "extended graph" entry read it
-    session = Session(b, order=20)
+    session = Session(b)
     assert session.graph is b.graph
     assert all(inv.evaluate(session)[0] for inv in registry("E6"))
     assert main(["mckay", "--type", "E6"]) == 0
