@@ -32,11 +32,11 @@ The character oracles and the Molien average share one inner product
 element of order m it has period m in n, so the rest of the sum depends
 on n only modulo E.  :func:`character_table` forms that rest once for
 each residue r = 0..E-1 and each node (the residue table, in integers).
-E is even, so n = r (mod E) keeps the parity of n, and the total grows
-by exactly E (chi(1) +- chi(-1)) per E levels: one period table
-(:func:`_period_table`) holds each node's multiplicity at r = 0..E-1
-and that growth divided by |F*|, both checked once to be nonnegative
-integers, so a level is base[r] + k step[r] for any n, checked no more.
+One period table of period E (:func:`_period_table`) is built from the
+levels 0..2E-1 by :func:`~.seriescalc.period_table`: each level is
+checked once to be a nonnegative integer and each step once to have no
+negative entry, so a level is base[r] + k step[r] for any n, checked no
+more.
 
 Generator conventions, as quaternions (fixed for reproducibility) and
 their matrices mod p, with i a square root of -1, 1/2 the inverse of 2
@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING
 from .errors import ConsistencyError
 from .mckay import McKayGraph
 from .rootsys import DiagramType
-from .seriescalc import PeriodTable, iter_levels
+from .seriescalc import PeriodTable, iter_levels, period_table
 
 if TYPE_CHECKING:
     from .branching import BranchParams
@@ -341,17 +341,21 @@ def _multiplicity(
 
     At +-identity chi_n is the integer (+-1)^n (n + 1), so the total is
     exact; it must be |F*| times a nonnegative integer, or abort.  ``node``
-    names chi in the error; None is the trivial character of the Molien
-    average.
+    names chi in the error (:func:`_column`).
     """
     plus, minus = central
     total = (n + 1) * (plus - minus if n % 2 else plus + minus) + rest
     m, part = divmod(total, group.order)
     if part or m < 0:
-        what = "invariant dimension" if node is None else f"multiplicity of node {node}"
-        problem = f"{what} at n={n} is {total}/{group.order}, not a nonnegative integer"
+        problem = f"{_column(node)} at n={n} is {total}/{group.order}, not a nonnegative integer"
         raise _failure(group.dtype, "oracles", problem)
     return m
+
+
+def _column(node: int | None) -> str:
+    """A character's name in errors; None is the trivial character of the
+    Molien average."""
+    return "invariant dimension" if node is None else f"multiplicity of node {node}"
 
 
 def _period_table(
@@ -364,32 +368,27 @@ def _period_table(
     +-identity (``central``) and non-central sums (``residues``, period
     E), as a period table of period E, proved once.
 
-    base[r] is :func:`_multiplicity` at n = r < E, with its check.  E is
-    even (the exponent of a group holding -identity), so n = r + kE has
-    the parity of r and the total grows by kE c, c = chi(1) + chi(-1) for
-    even r and chi(1) - chi(-1) for odd r: step[r] = E c / |F*|, which must
-    be a nonnegative integer, or abort.  Then every level is base[r] +
-    k step[r] and is a nonnegative integer.  ``names`` labels the columns
-    in errors as in :func:`_multiplicity`.
+    The levels 0..2E-1, each checked by :func:`_multiplicity`, give the
+    table through :func:`~.seriescalc.period_table`.  E is even (the
+    exponent of a group holding -identity), so n = r + kE has the parity
+    of r and the total at n is total(r) + kE c, c = chi(1) +- chi(-1) by
+    that parity: every level is base[r] + k step[r], and step[r], the
+    difference of two checked integers, is an integer.  A negative step
+    entry aborts; then every level is a nonnegative integer.  ``names``
+    labels the columns in errors (:func:`_column`).
     """
     e = len(residues)
-    base = tuple(
-        tuple(_multiplicity(group, r, c, rest, name) for c, rest, name in zip(central, row, names))
-        for r, row in enumerate(residues)
-    )
-    steps: tuple[list[int], list[int]] = ([], [])
-    for (plus, minus), name in zip(central, names):
-        for parity, growth in enumerate((e * (plus + minus), e * (plus - minus))):
-            m, part = divmod(growth, group.order)
-            if part or m < 0:
-                what = "invariant dimension" if name is None else f"multiplicity of node {name}"
-                problem = (
-                    f"{what} grows by {growth}/{group.order} per {e} levels at "
-                    f"{('even', 'odd')[parity]} n, not a nonnegative integer"
-                )
+    levels = [
+        tuple(_multiplicity(group, n, c, rest, name) for c, rest, name in zip(central, row, names))
+        for n, row in enumerate(residues + residues)
+    ]
+    table = period_table(levels, e)
+    for r, step in enumerate(table[1]):
+        for m, name in zip(step, names):
+            if m < 0:
+                problem = f"{_column(name)} has a negative step {m} at residue {r} of period {e}"
                 raise _failure(group.dtype, "oracles", problem)
-            steps[parity].append(m)
-    return base, tuple(tuple(steps[r % 2]) for r in range(e))
+    return table
 
 
 def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
@@ -682,7 +681,9 @@ def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node:
     by the character inner product in exact integers.
 
     Safe for any n in O(1): the node's entry of the table's proved period
-    table (:func:`_period_table`), base[r] + k step[r] for n = kE + r.
+    table (:func:`_period_table`), base[r] + k step[r] for n = kE + r.  It
+    reads that one entry, not a whole level (:func:`~.seriescalc.read_level`),
+    because a point query asks for each node in turn.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -697,7 +698,9 @@ def character_multiplicities(
     group: FiniteGroup, table: CharacterTable, order: int
 ) -> list[tuple[int, ...]]:
     """Multiplicity vectors over extended nodes for n = 0..order, read in
-    turn from the table's period table."""
+    turn from the table's period table.  A list, not a
+    :class:`~.seriescalc.Levels` view: a level sweep indexes it once per
+    level, and a list read is cheaper than a view's."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     return list(iter_levels(table.periods, order))

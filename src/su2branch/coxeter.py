@@ -114,7 +114,7 @@ def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
 
     A class is orthogonal (enforced entry "bipartition"), so its tau is
     r -> r - sum (r, alpha_i) alpha_i over the class: one pass over
-    ``rs.pairings``, with no reflection table (those are the audit's)."""
+    ``rs.pairings``, with no table of the single reflections."""
     tau1 = _class_involution(rs, bp.part1)
     tau2 = _class_involution(rs, bp.part2)
     sigma = perm_compose(tau2, tau1)

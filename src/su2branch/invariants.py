@@ -264,13 +264,18 @@ def _reachability(c: Session) -> Result:
 
 
 def _reflections(c: Session) -> Result:
+    """Each simple reflection s_i(r) = r - (r, alpha_i) alpha_i, read from
+    ``rs.pairings``, sends every root to a root.  s_i is linear and, as
+    (alpha_i, alpha_i) = C_ii = 2 ("cartan pairing"), its own inverse, so
+    it then permutes the finite root set."""
     rs = c.bundle.rs
-    every = set(range(len(rs.roots)))
-    for i, perm in enumerate(rs.reflections, 1):
-        if len(perm) != len(every) or set(perm) != every:
-            return False, f"reflection {i} does not permute the roots"
-        if any(perm[x] != k for k, x in enumerate(perm)):
-            return False, f"reflection {i} is not an involution"
+    for i, pairings in enumerate(rs.pairings):
+        for r, p in zip(rs.roots, pairings):
+            if p and not rs.is_root(image := r[:i] + (r[i] - p,) + r[i + 1 :]):
+                return False, (
+                    f"reflection {i + 1} does not permute the roots: {r} maps to {image}, "
+                    "not a root"
+                )
     return True, f"{rs.rank} reflections permute all {len(rs.roots)} roots"
 
 

@@ -11,21 +11,20 @@ branching oracle that never touches the Coxeter element.
 The eigenvalues of A are 2 cos(2 pi k / m) for the element orders m,
 so v_n is a degree-1 quasi-polynomial in n.  Each graph certifies a
 period P of the recursion once, in exact integers (P <= 60 for every
-accepted type), as a period table (:data:`~.seriescalc.PeriodTable`)
-whose base levels and steps it checks once, and :func:`recursion_oracle`
-returns a read-only sequence view over it whose level n costs O(size)
-for any n and checks nothing.
+accepted type), as a period table (:func:`~.seriescalc.period_table`)
+whose levels and steps it checks once, and :func:`recursion_oracle`
+returns the :class:`~.seriescalc.Levels` view over it, whose level n
+costs O(size) for any n and checks nothing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConsistencyError
 from .rootsys import DiagramType, RootSystem
-from .seriescalc import PeriodTable, Vector, iter_levels, period_table, read_level
+from .seriescalc import Levels, PeriodTable, Vector, period_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +62,12 @@ class McKayGraph:
         bound is not a McKay graph and aborts, as does any computed level
         with a negative entry or a wrong dimension sum.
 
-        Each step is then checked once: nonnegative, with dimension sum
-        sum_i marks_ext[i] step[r][i] = P.  With the checked base levels
-        this proves every level: v_(r+kP) = v_r + k step[r] is nonnegative
-        and has dimension sum (r + 1) + kP = n + 1, so no read checks again.
+        Each step is then checked once to have no negative entry.  Its
+        dimension sum sum_i marks_ext[i] step[r][i] is P, the difference of
+        the checked levels r + P and r, (r + P + 1) - (r + 1).  With the
+        checked base levels this proves every level: v_(r+kP) = v_r +
+        k step[r] is nonnegative and has dimension sum (r + 1) + kP = n + 1,
+        so no read checks again.
         """
         size = self.size
         cap = 4 * size * size
@@ -86,7 +87,9 @@ class McKayGraph:
             ):
                 table = period_table(levels, period)
                 for r, step in enumerate(table[1]):
-                    _check_sum(self, step, period, f"step {r} of period {period}")
+                    if min(step) < 0:
+                        where = f"step {r} of period {period}"
+                        raise _failure(self, f"negative multiplicity at {where}: {step}")
                 return table
         raise _failure(self, f"tensor recursion has no period up to {cap}")
 
@@ -114,54 +117,14 @@ def extended_graph(rs: RootSystem) -> McKayGraph:
     )
 
 
-class RecursionLevels(Sequence):
-    """Read-only view of the levels v_0 .. v_order of the tensor recursion.
-
-    Behaves like ``range``: ``len`` is order + 1, negative indices and
-    slices work, an index past ``order`` raises ``IndexError``, and it
-    compares equal, element by element, to any sequence of the same
-    vectors.  Level n is read off ``graph.certificate`` in O(size) for any
-    n; the certificate has already proved it.
-    """
-
-    def __init__(self, graph: McKayGraph, order: int) -> None:
-        self.graph = graph
-        self.order = order
-        self._table = graph.certificate
-        self._base, self._step = self._table
-        self.period = len(self._base)
-
-    def __len__(self) -> int:
-        return self.order + 1
-
-    def __getitem__(self, index):
-        if type(index) is int and 0 <= index <= self.order:
-            return read_level(self._table, index)
-        if isinstance(index, slice):
-            return [self[n] for n in range(self.order + 1)[index]]
-        return read_level(self._table, range(self.order + 1)[index])
-
-    def __iter__(self):
-        return iter_levels(self._table, self.order)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self.order + 1 == len(other) and all(a == b for a, b in zip(self, other))
-
-
 def _check_level(graph: McKayGraph, v: Vector, n: int) -> Vector:
     """A negative entry or a dimension sum (sum of marks_ext[i] * v[i])
     other than n + 1 means the graph is not the McKay graph of anything."""
-    return _check_sum(graph, v, n + 1, f"level {n}")
-
-
-def _check_sum(graph: McKayGraph, v: Vector, want: int, where: str) -> Vector:
     if min(v) < 0:
-        raise _failure(graph, f"negative multiplicity at {where}: {v}")
+        raise _failure(graph, f"negative multiplicity at level {n}: {v}")
     total = sum([m * c for m, c in zip(graph.marks_ext, v)])
-    if total != want:
-        raise _failure(graph, f"dimension sum {total} != {want} at {where}")
+    if total != n + 1:
+        raise _failure(graph, f"dimension sum {total} != {n + 1} at level {n}")
     return v
 
 
@@ -169,10 +132,10 @@ def _failure(graph: McKayGraph, problem: str) -> ConsistencyError:
     return ConsistencyError(f"{graph.dtype}: {problem}", dtype=str(graph.dtype), stage="oracles")
 
 
-def recursion_oracle(graph: McKayGraph, order: int) -> RecursionLevels:
-    """Multiplicity vectors v_0 .. v_order from the tensor recursion, as a
-    window over ``graph.certificate``: the first call on a graph certifies
-    its period, later calls cost O(1)."""
+def recursion_oracle(graph: McKayGraph, order: int) -> Levels:
+    """Multiplicity vectors v_0 .. v_order from the tensor recursion, as the
+    :class:`~.seriescalc.Levels` view over ``graph.certificate``: the first
+    call on a graph certifies its period, later calls cost O(1)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return RecursionLevels(graph, order)
+    return Levels(graph.certificate, order)

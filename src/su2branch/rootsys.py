@@ -139,28 +139,14 @@ class RootSystem:
     def pairings(self) -> tuple[tuple[int, ...], ...]:
         """``pairings[i - 1][k]`` = (root k, alpha_i): row i of C times the root
         columns.  :func:`build_root_system` seeds it from its closure's Cartan
-        images; a ``dataclasses.replace`` copy computes its own."""
+        images; a ``dataclasses.replace`` copy computes its own.  Every
+        simple reflection r - (r, alpha_i) alpha_i is read from it, by
+        ``coxeter_element`` and the "reflections" audit; none is tabled."""
         columns = tuple(zip(*self.roots))
         return tuple(
             tuple(map(sum, zip(*[map(mul, repeat(c), col) for c, col in zip(row, columns) if c])))
             or (0,) * len(self.roots)
             for row in self.cartan
-        )
-
-    @cached_property
-    def reflections(self) -> tuple[tuple[int | None, ...], ...]:
-        """Each simple reflection as an index map of the root list, for the
-        "reflections" audit only: ``reflections[i - 1][k]`` indexes root k -
-        (root k, alpha_i) alpha_i (:attr:`pairings`), or is None where that
-        image is not a root, as only in a corrupted system."""
-        roots, find = self.roots, self._index.get
-        fixed = tuple(map(find, roots))
-        return tuple(
-            tuple(
-                find(r[:i] + (r[i] - p,) + r[i + 1 :]) if p else f
-                for r, p, f in zip(roots, pairings, fixed)
-            )
-            for i, pairings in enumerate(self.pairings)
         )
 
     def is_root(self, x: Root) -> bool:

@@ -8,9 +8,10 @@ Dense storage: every degree in play here is small.
 Each oracle's multiplicity vectors form a degree-1 quasi-polynomial in
 the level n: with a period P, a base ``base[r]`` and a step ``step[r]``
 for r = 0..P-1, level n = k P + r is ``base[r] + k step[r]``
-(:data:`PeriodTable`, read by :func:`read_level` and :func:`iter_levels`).
-Each oracle proves its own table once, where it is built; reading a
-level checks nothing.
+(:data:`PeriodTable`).  Every route builds its table with
+:func:`period_table` from its levels 0..2P-1 and proves it once, where
+it is built; :func:`read_level`, :func:`iter_levels` and the
+:class:`Levels` view read it and check nothing.
 """
 
 from __future__ import annotations
@@ -86,6 +87,41 @@ def iter_levels(table: PeriodTable, order: int) -> Iterator[Vector]:
         if n >= period:
             levels[r] = tuple(map(add, levels[r], step[r]))
         yield levels[r]
+
+
+class Levels(Sequence):
+    """Read-only view of the levels 0..order of a period table.
+
+    Behaves like ``range``: ``len`` is order + 1, negative indices and
+    slices work, an index past ``order`` raises ``IndexError``, and it
+    compares equal, element by element, to any sequence of the same
+    vectors.  A level costs O(size) for any n (:func:`read_level`),
+    iteration one addition per entry (:func:`iter_levels`); ``period`` is
+    the table's period.
+    """
+
+    def __init__(self, table: PeriodTable, order: int) -> None:
+        self.table = table
+        self.order = order
+        self.period = len(table[0])
+
+    def __len__(self) -> int:
+        return self.order + 1
+
+    def __getitem__(self, index):
+        if type(index) is int and 0 <= index <= self.order:
+            return read_level(self.table, index)
+        if isinstance(index, slice):
+            return [self[n] for n in range(self.order + 1)[index]]
+        return read_level(self.table, range(self.order + 1)[index])
+
+    def __iter__(self) -> Iterator[Vector]:
+        return iter_levels(self.table, self.order)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self.order + 1 == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def sparse_items(p: Poly) -> list[tuple[int, int]]:

@@ -4,8 +4,10 @@ tests."""
 
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 from su2branch import Branching, Session
+from su2branch.invariants import INVARIANTS
 from su2branch.rootsys import DiagramType, cartan_matrix
 from su2branch.seriescalc import poly
 
@@ -141,7 +143,18 @@ def reflect(rs, i, x):
     return tuple(out)
 
 
-def reflect_table(rs):
-    """``rs.reflections`` by definition: the index of every reflected root,
-    or None where the image is not in the system's index."""
-    return tuple(tuple(rs._index.get(reflect(rs, i, r)) for r in rs.roots) for i in rs.nodes)
+def reflection_miss(rs):
+    """The "reflections" audit's failure detail by definition: the first
+    root that a simple reflection sends off the system's index, or None."""
+    for i in rs.nodes:
+        for r in rs.roots:
+            image = reflect(rs, i, r)
+            if image != r and image not in rs._index:
+                return f"reflection {i} does not permute the roots: {r} maps to {image}, not a root"
+    return None
+
+
+def audit(name, rs):
+    """One registry entry evaluated on a root system alone."""
+    (inv,) = (inv for inv in INVARIANTS if inv.name == name)
+    return inv.evaluate(SimpleNamespace(bundle=SimpleNamespace(rs=rs)))

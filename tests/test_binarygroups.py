@@ -377,8 +377,9 @@ def test_a_sum_that_does_not_divide_aborts_with_its_stage():
 
 def test_a_step_that_does_not_divide_is_refused():
     # Node 0 at +identity doctored from 1 to 2, and its residue sums shifted
-    # by -(r + 1) so that every level below E keeps its multiplicity: only
-    # the step E (chi(1) + chi(-1)) / |F*| = 60 * 3 / 120 is wrong.
+    # by -(r + 1) so that every level below E keeps its multiplicity: the
+    # step E (chi(1) + chi(-1)) / |F*| = 60 * 3 / 120 is not an integer, so
+    # level E, the first one past the base, does not divide.
     group, t = group_for("E8"), table_for("E8")
     central = ((2, 1),) + t.central[1:]
     residues = tuple((row[0] - (r + 1),) + row[1:] for r, row in enumerate(t.residues))
@@ -387,10 +388,20 @@ def test_a_step_that_does_not_divide_is_refused():
         oracle_multiplicity(group, broken, 0, 0)
     err = info.value
     assert (err.dtype, err.stage, err.invariant) == ("E8", "oracles", None)
-    assert str(err) == (
-        "E8: multiplicity of node 0 grows by 180/120 per 60 levels at even n, "
-        "not a nonnegative integer"
-    )
+    assert str(err) == "E8: multiplicity of node 0 at n=60 is 300/120, not a nonnegative integer"
+
+
+def test_a_negative_step_is_refused():
+    # A character -1 at +-identity whose even residue sums are 240 + 2 (r + 1)
+    # and odd ones 0: every level 0..2E-1 is a nonnegative integer (2 and 1
+    # at even n, 0 at odd n), but the even steps are -1, so level 3E would
+    # be negative.
+    residues = tuple(((240 + 2 * (r + 1)) if r % 2 == 0 else 0,) for r in range(60))
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._period_table(group_for("E8"), ((-1, -1),), residues, (None,))
+    err = info.value
+    assert (err.dtype, err.stage) == ("E8", "oracles")
+    assert str(err) == "E8: invariant dimension has a negative step -1 at residue 0 of period 60"
 
 
 @pytest.mark.parametrize("name", CHARACTER_TYPES)

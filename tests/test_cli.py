@@ -332,3 +332,18 @@ def test_readme_cli_synopsis_parses():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README's CLI block shows {line.strip()!r}, which the parser rejects")
+
+
+def test_readme_python_examples_run():
+    # README's python blocks, run in order in one namespace as one session
+    # would run them, must work unchanged; a line marked "# True" must be.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+        for line in block.splitlines():
+            code, _, comment = line.partition("#")
+            if comment.strip() == "True":
+                assert eval(code, namespace), line

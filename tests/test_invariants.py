@@ -4,7 +4,6 @@ import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +16,7 @@ from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Invariant, Session, reg
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
-from conftest import bundle, reflect_table
+from conftest import audit, bundle, reflection_miss
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -303,12 +302,6 @@ def test_verify_report_is_pinned(capsys, argv, fixture):
     assert capsys.readouterr().out == (FIXTURES / fixture).read_text()
 
 
-def _audit(name, rs):
-    """One registry entry evaluated on a root system alone."""
-    (inv,) = (inv for inv in INVARIANTS if inv.name == name)
-    return inv.evaluate(SimpleNamespace(bundle=SimpleNamespace(rs=rs)))
-
-
 def _pairing_detail_by_loop(rs):
     """The first "cartan pairing" miss of the plain per-pair loop, or None."""
     cartan, rank = rs.cartan, rs.rank
@@ -342,7 +335,7 @@ def test_corrupted_pairing_detail_is_the_loops(name, root, scale):
     bad = _scaled(build_root_system(name), root, scale)
     detail = _pairing_detail_by_loop(bad)
     assert detail is not None
-    assert _audit("cartan pairing", bad) == (False, detail)
+    assert audit("cartan pairing", bad) == (False, detail)
 
 
 def test_every_scaled_d5_root_gives_the_loops_detail():
@@ -350,7 +343,7 @@ def test_every_scaled_d5_root_gives_the_loops_detail():
     for root in range(len(rs.roots)):
         for scale in (2, -3, 0):
             bad = _scaled(rs, root, scale)
-            assert _audit("cartan pairing", bad) == (False, _pairing_detail_by_loop(bad))
+            assert audit("cartan pairing", bad) == (False, _pairing_detail_by_loop(bad))
 
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)
@@ -361,7 +354,7 @@ def test_pairing_bound_is_proved_without_the_loop(monkeypatch, name):
     rs = build_root_system(name)
     monkeypatch.setattr(invariants, "_pairing_miss", boom)
     detail = f"all {len(rs.roots)}^2 pairings within [-2, 2], lengths 2"
-    assert _audit("cartan pairing", rs) == (True, detail)
+    assert audit("cartan pairing", rs) == (True, detail)
 
 
 def _sylvester_minors(m):
@@ -430,45 +423,47 @@ def test_a_cartan_matrix_that_is_not_positive_definite_falls_through_to_the_loop
     assert detail is not None
     calls, loop = [], invariants._pairing_miss
     monkeypatch.setattr(invariants, "_pairing_miss", lambda *a: calls.append(a) or loop(*a))
-    assert _audit("cartan pairing", bad) == (False, detail)
+    assert audit("cartan pairing", bad) == (False, detail)
     assert len(calls) == 1
 
 
-def _with_reflection(name, node, change):
-    """A fresh root system whose reflection table has node's entry changed."""
+def _with_reflection(name, change):
+    """A fresh root system with its index or pairings changed."""
     rs = build_root_system(name)
-    table = list(rs.reflections)
-    perm = list(table[node - 1])
-    change(perm)
-    table[node - 1] = tuple(perm)
-    vars(rs)["reflections"] = tuple(table)
+    change(rs)
     return rs
 
 
-def _repeat(perm):
-    perm[0] = perm[1]
+def _repeat(rs):
+    # Root 0, alpha_4, takes alpha_2's own pairing 2 with alpha_2.
+    row = list(rs.pairings[1])
+    row[0] = row[rs.index_of(rs.simple_root(2))]
+    vars(rs)["pairings"] = (rs.pairings[0], tuple(row), *rs.pairings[2:])
 
 
-def _drop(perm):
-    perm[0] = None
-
-
-def _three_cycle(perm):
-    a, b, c = [k for k, x in enumerate(perm) if x == k][:3]
-    perm[a], perm[b], perm[c] = b, c, a
+def _drop(rs):
+    # alpha_3 leaves the index: s_1 fixes it, s_2 first maps a root onto it.
+    del rs._index[rs.simple_root(3)]
 
 
 @pytest.mark.parametrize(
     "change,detail",
     [
-        (_repeat, "reflection 2 does not permute the roots"),
-        (_drop, "reflection 2 does not permute the roots"),
-        (_three_cycle, "reflection 2 is not an involution"),
+        (
+            _repeat,
+            "reflection 2 does not permute the roots: (0, 0, 0, 1) maps to (0, -2, 0, 1), "
+            "not a root",
+        ),
+        (
+            _drop,
+            "reflection 2 does not permute the roots: (0, 1, 1, 0) maps to (0, 0, 1, 0), "
+            "not a root",
+        ),
     ],
 )
 def test_bad_reflection_entry_is_reported(change, detail):
-    assert _audit("reflections", _with_reflection("D4", 2, change)) == (False, detail)
-    assert _audit("reflections", build_root_system("D4")) == (
+    assert audit("reflections", _with_reflection("D4", change)) == (False, detail)
+    assert audit("reflections", build_root_system("D4")) == (
         True,
         "4 reflections permute all 24 roots",
     )
@@ -476,14 +471,17 @@ def test_bad_reflection_entry_is_reported(change, detail):
 
 @pytest.mark.parametrize("name,scales", [("E8", (2, -1, 3)), ("D5", (2, -3, 0))])
 def test_reflection_table_of_a_scaled_system_is_reflect(name, scales):
-    # The scaled root's index entry is gone, so its own entries and the
-    # entries that reflect onto it become None; E8 only every 23rd root.
+    # The scaled root is gone from the root list but not from the index, so
+    # the audit fails where reflect first leaves the index, if anywhere;
+    # E8 only every 23rd root.
     rs = build_root_system(name)
     step = 23 if name == "E8" else 1
+    passed = (True, f"{rs.rank} reflections permute all {len(rs.roots)} roots")
     for root in range(0, len(rs.roots), step):
         for scale in scales:
             bad = _scaled(rs, root, scale)
-            assert bad.reflections == reflect_table(bad)
+            miss = reflection_miss(bad)
+            assert audit("reflections", bad) == ((False, miss) if miss else passed)
 
 
 def _rebuilt(b, **changes):

@@ -8,10 +8,12 @@ from su2branch import mckay
 from su2branch.binarygroups import character_multiplicities, molien_series, oracle_multiplicity
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
+from su2branch.invariants import ORACLES
 from su2branch.mckay import McKayGraph, extended_graph, recursion_oracle
+from su2branch.seriescalc import Levels
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, graph_for, group_for, table_for
+from conftest import bundle, graph_for, group_for, session, table_for
 
 #: Minimal certified period of the recursion per type.
 PERIODS = {
@@ -127,10 +129,12 @@ def test_three_oracles_agree_at_huge_levels(name):
         assert rec == tuple(oracle_multiplicity(group, table, n, i) for i in range(g.size))
 
 
-def test_view_behaves_like_range():
-    g = graph_for("D5")
-    levels = recursion_oracle(g, 40)
-    eager = eager_recursion(g, 40)
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_view_behaves_like_range(oracle):
+    # Every route's table (bundle.periods, graph.certificate, table.periods)
+    # through the one view, against the eager recursion.
+    levels = Levels(session("D5").periods(oracle), 40)
+    eager = eager_recursion(graph_for("D5"), 40)
     assert len(levels) == 41
     assert levels[-1] == levels[40] == eager[40]
     assert levels[-41] == eager[0]
@@ -176,7 +180,7 @@ def test_levels_are_read_without_a_check(monkeypatch, name):
     def boom(*args):
         raise AssertionError("a level was checked after certification")
 
-    monkeypatch.setattr(mckay, "_check_sum", boom)
+    monkeypatch.setattr(mckay, "_check_level", boom)
     top = 3 * PERIODS[name] + 5
     assert list(recursion_oracle(g, top)) == eager_recursion(g, top)
     assert recursion_oracle(g, 10**100)[-1] == bundle(name).vector(10**100)
@@ -185,7 +189,7 @@ def test_levels_are_read_without_a_check(monkeypatch, name):
 def test_calls_on_one_graph_share_one_certificate():
     g = extended_graph(bundle("D7").rs)  # a fresh graph: nothing certified yet
     first, second = recursion_oracle(g, 10), recursion_oracle(g, 10**6)
-    assert first._base is second._base and first._step is second._step
+    assert first.table is second.table
     assert first.period == second.period == PERIODS["D7"]
 
 

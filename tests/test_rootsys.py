@@ -7,7 +7,7 @@ import pytest
 from su2branch.rootsys import DiagramType, build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, inner, plain_closure_roots, reflect, reflect_table
+from conftest import audit, bundle, inner, plain_closure_roots, reflect, reflection_miss
 
 
 def rs_for(name):
@@ -86,9 +86,17 @@ def test_reflection_involution_permutes_roots():
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)
 def test_reflection_table_is_reflect(name):
-    rs = rs_for(name)
-    for i in rs.nodes:
-        assert rs.reflections[i - 1] == tuple(rs.index_of(reflect(rs, i, r)) for r in rs.roots)
+    # The "reflections" audit reflects through the pairings: with the
+    # highest root gone from the index it reports reflect's first miss.
+    rs = build_root_system(name)
+    assert audit("reflections", rs) == (
+        True,
+        f"{rs.rank} reflections permute all {len(rs.roots)} roots",
+    )
+    del rs._index[rs.highest_root]
+    miss = reflection_miss(rs)
+    assert miss is not None
+    assert audit("reflections", rs) == (False, miss)
 
 
 @pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
@@ -169,13 +177,14 @@ def test_closure_matches_the_plain_closure(name):
 
 
 def test_reflection_table_off_the_root_set_is_reflect():
-    # A3 without its highest root: entries whose image is (1, 1, 1) or
-    # its negative are None, every other entry is the reflected root's index.
+    # A3 without its highest root: s_1 sends (0, 1, 1) to the missing
+    # (1, 1, 1), the first image off the root set.
     rs = build_root_system("A3")
     dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
     roots = tuple(r for r in rs.roots if r not in dropped)
     bad = dataclasses.replace(
         rs, roots=roots, num_positive=rs.num_positive - 1, _index={r: k for k, r in enumerate(roots)}
     )
-    assert bad.reflections == reflect_table(bad)
-    assert sum(row.count(None) for row in bad.reflections) == 4
+    detail = "reflection 1 does not permute the roots: (0, 1, 1) maps to (1, 1, 1), not a root"
+    assert reflection_miss(bad) == detail
+    assert audit("reflections", bad) == (False, detail)
