@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING
 from .errors import ConsistencyError
 from .mckay import McKayGraph
 from .rootsys import DiagramType
-from .seriescalc import PeriodTable, iter_levels, period_table
+from .seriescalc import PeriodTable, iter_levels, negative_step, period_table
 
 if TYPE_CHECKING:
     from .branching import BranchParams
@@ -383,11 +383,10 @@ def _period_table(
         for n, row in enumerate(residues + residues)
     ]
     table = period_table(levels, e)
-    for r, step in enumerate(table[1]):
-        for m, name in zip(step, names):
-            if m < 0:
-                problem = f"{_column(name)} has a negative step {m} at residue {r} of period {e}"
-                raise _failure(group.dtype, "oracles", problem)
+    if miss := negative_step(table):
+        r, i = miss
+        problem = f"{_column(names[i])} has a negative step {table[1][r][i]} at residue {r}"
+        raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
     return table
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .errors import ConsistencyError
 from .rootsys import DiagramType, RootSystem
-from .seriescalc import Levels, PeriodTable, Vector, period_table
+from .seriescalc import Levels, PeriodTable, Vector, negative_step, period_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +86,9 @@ class McKayGraph:
                 for i in range(size)
             ):
                 table = period_table(levels, period)
-                for r, step in enumerate(table[1]):
-                    if min(step) < 0:
-                        where = f"step {r} of period {period}"
-                        raise _failure(self, f"negative multiplicity at {where}: {step}")
+                if miss := negative_step(table):
+                    where = f"step {miss[0]} of period {period}: {table[1][miss[0]]}"
+                    raise _failure(self, f"negative multiplicity at {where}")
                 return table
         raise _failure(self, f"tensor recursion has no period up to {cap}")
 

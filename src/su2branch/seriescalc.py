@@ -67,6 +67,12 @@ def period_table(levels: Sequence[Vector], period: int) -> PeriodTable:
     return base, tuple(step)
 
 
+def negative_step(table: PeriodTable) -> tuple[int, int] | None:
+    """The first (r, i) with step[r][i] < 0, or None: no level then falls below its base."""
+    pairs = ((r, i) for r, step in enumerate(table[1]) for i, d in enumerate(step) if d < 0)
+    return next(pairs, None)
+
+
 def read_level(table: PeriodTable, n: int) -> Vector:
     """Level n >= 0 of a period table, ``base[r] + k step[r]`` for
     n = k P + r: O(size) for any n, and the stored base itself for n < P."""

@@ -144,8 +144,9 @@ def reflect(rs, i, x):
 
 
 def reflection_miss(rs):
-    """The "reflections" audit's failure detail by definition: the first
-    root that a simple reflection sends off the system's index, or None."""
+    """The "reflections" audit's failure detail by definition, on a system
+    whose index matches its root list: the first root that a simple
+    reflection sends off the index, or None."""
     for i in rs.nodes:
         for r in rs.roots:
             image = reflect(rs, i, r)

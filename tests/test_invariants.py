@@ -16,7 +16,7 @@ from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Invariant, Session, reg
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
-from conftest import audit, bundle, reflection_miss
+from conftest import audit, bundle
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -428,10 +428,8 @@ def test_a_cartan_matrix_that_is_not_positive_definite_falls_through_to_the_loop
 
 
 def _with_reflection(name, change):
-    """A fresh root system with its index or pairings changed."""
-    rs = build_root_system(name)
-    change(rs)
-    return rs
+    """A fresh root system with its index, root list or pairings changed."""
+    return change(build_root_system(name))
 
 
 def _repeat(rs):
@@ -439,11 +437,30 @@ def _repeat(rs):
     row = list(rs.pairings[1])
     row[0] = row[rs.index_of(rs.simple_root(2))]
     vars(rs)["pairings"] = (rs.pairings[0], tuple(row), *rs.pairings[2:])
+    return rs
 
 
 def _drop(rs):
-    # alpha_3 leaves the index: s_1 fixes it, s_2 first maps a root onto it.
-    del rs._index[rs.simple_root(3)]
+    # +-alpha_3 leave the list and the index: s_1 sends no root onto them,
+    # s_2 first maps a root onto alpha_3.
+    gone = {rs.simple_root(3), tuple(-x for x in rs.simple_root(3))}
+    roots = tuple(r for r in rs.roots if r not in gone)
+    index = {r: k for k, r in enumerate(roots)}
+    return dataclasses.replace(rs, roots=roots, num_positive=rs.num_positive - 1, _index=index)
+
+
+def _twice(rs):
+    # Root 2 listed again as root 1, the index built from that list: it
+    # numbers each root once, 23 entries for 24 listed roots.
+    roots = list(rs.roots)
+    roots[1] = roots[2]
+    return dataclasses.replace(rs, roots=tuple(roots), _index={r: k for k, r in enumerate(roots)})
+
+
+def _extra(rs):
+    # 2 alpha_1 is indexed but not listed.
+    rs._index[(2, 0, 0, 0)] = len(rs.roots)
+    return rs
 
 
 @pytest.mark.parametrize(
@@ -459,6 +476,8 @@ def _drop(rs):
             "reflection 2 does not permute the roots: (0, 1, 1, 0) maps to (0, 0, 1, 0), "
             "not a root",
         ),
+        (_twice, "the index does not number the root list in order"),
+        (_extra, "the index does not number the root list in order"),
     ],
 )
 def test_bad_reflection_entry_is_reported(change, detail):
@@ -469,19 +488,29 @@ def test_bad_reflection_entry_is_reported(change, detail):
     )
 
 
+def test_a_root_listed_twice_is_reported():
+    # E8's root 200 replaced by its negative, root 80, with the index as
+    # built: every root the list holds is a root, but one is listed twice
+    # and root 200 is missing, so the reflections do not permute the list.
+    rs = build_root_system("E8")
+    roots = list(rs.roots)
+    roots[200] = tuple(-x for x in roots[200])
+    bad = dataclasses.replace(rs, roots=tuple(roots))
+    assert bad.roots[200] == rs.roots[80]
+    assert audit("reflections", bad) == (False, "the index does not number the root list in order")
+
+
 @pytest.mark.parametrize("name,scales", [("E8", (2, -1, 3)), ("D5", (2, -3, 0))])
 def test_reflection_table_of_a_scaled_system_is_reflect(name, scales):
-    # The scaled root is gone from the root list but not from the index, so
-    # the audit fails where reflect first leaves the index, if anywhere;
-    # E8 only every 23rd root.
+    # The scaled root is in the list but not at its own index entry (a
+    # negated root is indexed at its negative, any other not at all), so
+    # the index does not number the list; E8 only every 23rd root.
     rs = build_root_system(name)
     step = 23 if name == "E8" else 1
-    passed = (True, f"{rs.rank} reflections permute all {len(rs.roots)} roots")
     for root in range(0, len(rs.roots), step):
         for scale in scales:
             bad = _scaled(rs, root, scale)
-            miss = reflection_miss(bad)
-            assert audit("reflections", bad) == ((False, miss) if miss else passed)
+            assert audit("reflections", bad) == (False, "the index does not number the root list in order")
 
 
 def _rebuilt(b, **changes):

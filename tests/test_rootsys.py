@@ -87,16 +87,28 @@ def test_reflection_involution_permutes_roots():
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)
 def test_reflection_table_is_reflect(name):
     # The "reflections" audit reflects through the pairings: with the
-    # highest root gone from the index it reports reflect's first miss.
+    # highest root gone from list and index it reports reflect's first
+    # miss; gone from the index alone, the index's disagreement.
     rs = build_root_system(name)
     assert audit("reflections", rs) == (
         True,
         f"{rs.rank} reflections permute all {len(rs.roots)} roots",
     )
-    del rs._index[rs.highest_root]
-    miss = reflection_miss(rs)
+    bad = _without_highest_root(rs)
+    miss = reflection_miss(bad)
     assert miss is not None
-    assert audit("reflections", rs) == (False, miss)
+    assert audit("reflections", bad) == (False, miss)
+    del rs._index[rs.highest_root]
+    assert audit("reflections", rs) == (False, "the index does not number the root list in order")
+
+
+def _without_highest_root(rs):
+    """The system with +-highest root gone from its list and its index."""
+    dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
+    roots = tuple(r for r in rs.roots if r not in dropped)
+    return dataclasses.replace(
+        rs, roots=roots, num_positive=rs.num_positive - 1, _index={r: k for k, r in enumerate(roots)}
+    )
 
 
 @pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
@@ -179,12 +191,7 @@ def test_closure_matches_the_plain_closure(name):
 def test_reflection_table_off_the_root_set_is_reflect():
     # A3 without its highest root: s_1 sends (0, 1, 1) to the missing
     # (1, 1, 1), the first image off the root set.
-    rs = build_root_system("A3")
-    dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
-    roots = tuple(r for r in rs.roots if r not in dropped)
-    bad = dataclasses.replace(
-        rs, roots=roots, num_positive=rs.num_positive - 1, _index={r: k for k, r in enumerate(roots)}
-    )
+    bad = _without_highest_root(build_root_system("A3"))
     detail = "reflection 1 does not permute the roots: (0, 1, 1) maps to (1, 1, 1), not a root"
     assert reflection_miss(bad) == detail
     assert audit("reflections", bad) == (False, detail)

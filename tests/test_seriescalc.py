@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from su2branch.seriescalc import (
     eval_at_one,
+    negative_step,
+    period_table,
     poly,
     poly_str,
     series_div_geom,
@@ -103,3 +105,12 @@ def test_poly_str():
     assert poly_str((0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2)) == "t + 2*t^15"
     assert poly_str(ZERO) == "0"
     assert poly_str((3,)) == "3"
+
+
+def test_negative_step_is_the_first_in_level_order():
+    # Period 2, two columns: step 0 is (1, 0), step 1 is (0, -1), so the
+    # only negative entry is residue 1, column 1.
+    table = period_table([(1, 0), (2, 3), (2, 0), (2, 2)], 2)
+    assert negative_step(table) == (1, 1)
+    assert negative_step(period_table([(1, 0), (2, 3), (2, 0), (2, 3)], 2)) is None
+    assert negative_step(((), ())) is None
