@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -128,7 +127,6 @@ def generators(dtype: DiagramType, p: int) -> tuple[Matrix, ...]:
     return (units[0], _quaternion((phi - 1) * half, phi * half, half, 0, i, p))
 
 
-@dataclass(eq=False)
 class FiniteGroup:
     """A closed binary polyhedral group with index-based tables.
 
@@ -138,14 +136,14 @@ class FiniteGroup:
     first.
     """
 
-    dtype: DiagramType
-    p: int
-    elements: tuple[Matrix, ...]
-    mult: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    minus_identity: int
+    def __init__(
+        self, dtype: DiagramType, p: int, elements: tuple[Matrix, ...],
+        mult: tuple[tuple[int, ...], ...], inverse: tuple[int, ...],
+        classes: tuple[tuple[int, ...], ...], class_of: tuple[int, ...], minus_identity: int,
+    ) -> None:
+        self.dtype, self.p, self.elements, self.mult = dtype, p, elements, mult
+        self.inverse, self.classes, self.class_of = inverse, classes, class_of
+        self.minus_identity = minus_identity
 
     @property
     def order(self) -> int:
@@ -406,7 +404,6 @@ def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
     return tuple(v[0] for v in iter_levels(table, order))
 
 
-@dataclass(eq=False)
 class CharacterTable:
     """Irreducible characters by conjugacy class, tied to diagram nodes.
 
@@ -420,12 +417,13 @@ class CharacterTable:
     table every level is read from (:func:`_period_table`).
     """
 
-    group: FiniteGroup
-    rows: tuple[tuple[int, ...], ...]
-    dims: tuple[int, ...]
-    node_map: tuple[int, ...]
-    central: tuple[tuple[int, int], ...] = field(repr=False)
-    residues: tuple[tuple[int, ...], ...] = field(repr=False)
+    def __init__(
+        self, group: FiniteGroup, rows: tuple[tuple[int, ...], ...], dims: tuple[int, ...],
+        node_map: tuple[int, ...], central: tuple[tuple[int, int], ...],
+        residues: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.group, self.rows, self.dims, self.node_map = group, rows, dims, node_map
+        self.central, self.residues = central, residues
 
     @cached_property
     def periods(self) -> PeriodTable:

@@ -31,10 +31,10 @@ whole ranges of levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import mul
+from typing import NamedTuple
 
 from .coxeter import (
     Bipartition,
@@ -47,12 +47,11 @@ from .coxeter import (
 )
 from .invariants import enforce
 from .mckay import McKayGraph, extended_graph
-from .rootsys import DiagramType, Root, RootSystem, build_root_system
+from .rootsys import DiagramType, ReadOnly, Root, RootSystem, build_root_system
 from .seriescalc import PeriodTable, Poly, period_table, poly, read_level, series_div_geom
 
 
-@dataclass(frozen=True)
-class BranchParams:
+class BranchParams(NamedTuple):
     """Denominator exponents and the group orders they encode.
 
     a = 2 * mark(special node), b = h + 2 - a, and a * b is twice the
@@ -80,17 +79,15 @@ def branch_params(rs: RootSystem) -> BranchParams:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class HeisenbergSubsystem:
+class HeisenbergSubsystem(ReadOnly):
     """Positive roots pairing strictly positively with the highest root.
 
-    There are exactly 2h - 3 of them; ``slices`` splits them by the node
-    of their Coxeter orbit, and ``indices`` holds the slices' root indices.
+    There are exactly 2h - 3 of them; ``indices`` splits their root indices
+    into slices by the node of their Coxeter orbit.
     """
 
-    roots: tuple[Root, ...]
-    slices: dict[int, tuple[Root, ...]] = field(repr=False)
-    indices: dict[int, tuple[int, ...]] = field(repr=False)
+    def __init__(self, roots: tuple[Root, ...], indices: dict[int, tuple[int, ...]]) -> None:
+        vars(self).update(roots=roots, indices=indices)
 
 
 def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsystem:
@@ -103,9 +100,7 @@ def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsyst
     for k in members:
         indices[table.orbit_node[k]].append(k)
     return HeisenbergSubsystem(
-        tuple(positives[k] for k in members),
-        {i: tuple(positives[k] for k in ks) for i, ks in indices.items()},
-        {i: tuple(ks) for i, ks in indices.items()},
+        tuple(positives[k] for k in members), {i: tuple(ks) for i, ks in indices.items()}
     )
 
 
@@ -137,8 +132,7 @@ def z_polynomial(
     return poly(coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class Branching:
+class Branching(ReadOnly):
     """Everything derived from one diagram type, bundled.
 
     Build once with :meth:`build`; nothing changes after construction.
@@ -149,21 +143,17 @@ class Branching:
     period table every level is read from (module docstring).
     """
 
-    rs: RootSystem
-    bp: Bipartition
-    cox: CoxeterAction
-    table: OrbitTable
-    params: BranchParams
-    heisenberg: HeisenbergSubsystem
-    zpolys: dict[int, Poly]
-    enforced: dict[str, tuple[bool, str]] = field(init=False, repr=False)
-    periods: PeriodTable = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "enforced", enforce(self))
-        period = math.lcm(self.params.a, self.params.b)
-        columns = (self.series(i, 2 * period - 1) for i in range(self.rs.rank + 1))
-        object.__setattr__(self, "periods", period_table(list(zip(*columns)), period))
+    def __init__(
+        self, rs: RootSystem, bp: Bipartition, cox: CoxeterAction, table: OrbitTable,
+        params: BranchParams, heisenberg: HeisenbergSubsystem, zpolys: dict[int, Poly],
+    ) -> None:
+        vars(self).update(
+            rs=rs, bp=bp, cox=cox, table=table, params=params, heisenberg=heisenberg, zpolys=zpolys
+        )
+        vars(self)["enforced"] = enforce(self)
+        period = math.lcm(params.a, params.b)
+        columns = (self.series(i, 2 * period - 1) for i in range(rs.rank + 1))
+        vars(self)["periods"] = period_table(list(zip(*columns)), period)
 
     @classmethod
     def build(cls, dtype: DiagramType | str) -> "Branching":

@@ -13,10 +13,10 @@ index arrays over the fixed root enumeration of :class:`RootSystem`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import sub
+from typing import NamedTuple
 
-from .rootsys import Root, RootSystem
+from .rootsys import ReadOnly, Root, RootSystem
 
 Perm = tuple[int, ...]
 
@@ -51,8 +51,7 @@ def perm_power(p: Perm, k: int) -> Perm:
     return out
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """The unique two-coloring with the highest-root side labeled 1.
 
     Nodes in ``part2`` are orthogonal to the highest root; nodes within
@@ -87,15 +86,12 @@ def special_index(rs: RootSystem) -> int:
     return i_star
 
 
-@dataclass(frozen=True, eq=False)
-class CoxeterAction:
+class CoxeterAction(ReadOnly):
     """sigma = tau_2 tau_1 acting on the full root list, plus its factors;
     its order is ``rs.coxeter_number`` (registry entry "coxeter order")."""
 
-    tau1: Perm
-    tau2: Perm
-    sigma: Perm
-    sigma_inv: Perm
+    def __init__(self, tau1: Perm, tau2: Perm, sigma: Perm, sigma_inv: Perm) -> None:
+        vars(self).update(tau1=tau1, tau2=tau2, sigma=sigma, sigma_inv=sigma_inv)
 
 
 def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
@@ -121,8 +117,7 @@ def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
     return CoxeterAction(tau1=tau1, tau2=tau2, sigma=sigma, sigma_inv=perm_inverse(sigma))
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitTable:
+class OrbitTable(ReadOnly):
     """Orbit membership, parity class and exponent for every root.
 
     ``signed_simples[i-1]`` is beta_i: alpha_i on side 1, -alpha_i on
@@ -132,11 +127,14 @@ class OrbitTable:
     ``exponent`` the exponent n (odd on side 1, even on side 2).
     """
 
-    signed_simples: tuple[Root, ...]
-    orbits: tuple[tuple[int, ...], ...]
-    orbit_node: dict[int, int] = field(repr=False)
-    parity: dict[int, int] = field(repr=False)
-    exponent: dict[int, int] = field(repr=False)
+    def __init__(
+        self, signed_simples: tuple[Root, ...], orbits: tuple[tuple[int, ...], ...],
+        orbit_node: dict[int, int], parity: dict[int, int], exponent: dict[int, int],
+    ) -> None:
+        vars(self).update(
+            signed_simples=signed_simples, orbits=orbits,
+            orbit_node=orbit_node, parity=parity, exponent=exponent,
+        )
 
 
 def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTable:

@@ -33,16 +33,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import binarygroups, mckay, seriescalc
 from .coxeter import perm_compose, perm_identity, perm_power
 from .errors import ConsistencyError
 from .rootsys import DiagramType, Root
-from .seriescalc import Poly, eval_at_one, poly, poly_str, sparse_items
+from .seriescalc import Poly, poly, poly_str, sparse_items
 
 if TYPE_CHECKING:
     from .branching import Branching, BranchParams
@@ -112,7 +111,6 @@ def _built_once(build: Callable[[Session], object]) -> property:
     return property(get)
 
 
-@dataclass(eq=False)
 class Session:
     """One diagram type's objects, as ``Session(Branching.build(dtype))``.
 
@@ -124,7 +122,8 @@ class Session:
     oracle, is read from the route's own proved table (:meth:`periods`).
     """
 
-    bundle: Branching
+    def __init__(self, bundle: Branching) -> None:
+        self.bundle = bundle
 
     @property
     def graph(self) -> mckay.McKayGraph:
@@ -164,8 +163,7 @@ class Session:
 Result = tuple[bool, str]
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(NamedTuple):
     """One registry entry; ``only`` restricts it to one diagram type."""
 
     name: str
@@ -449,12 +447,12 @@ def _heisenberg(c: Session) -> Result:
         return False, f"{len(hs.roots)} roots, expected {2 * h - 3}"
     if any(any(x < 0 for x in r) for r in hs.roots):
         return False, "subsystem contains a negative root"
-    if sorted(sum(hs.slices.values(), ())) != sorted(hs.roots):
+    if sorted(b.rs.roots[k] for ks in hs.indices.values() for k in ks) != sorted(hs.roots):
         return False, "slices do not partition the subsystem"
     for i in b.rs.nodes:
         want = 2 * b.rs.mark(i) if i != b.params.special else b.params.a - 1
-        if len(hs.slices[i]) != want:
-            return False, f"slice {i} has {len(hs.slices[i])} roots, expected {want}"
+        if len(hs.indices[i]) != want:
+            return False, f"slice {i} has {len(hs.indices[i])} roots, expected {want}"
     return True, f"{2 * h - 3} roots, slice sizes as required"
 
 
@@ -469,8 +467,8 @@ def _numerators(c: Session) -> Result:
         if len(z) > h:
             return False, f"numerator {i} has degree >= h"
         want = b.params.a if i == special else 2 * b.rs.mark(i)
-        if eval_at_one(z) != want:
-            return False, f"numerator {i} sums to {eval_at_one(z)}"
+        if sum(z) != want:
+            return False, f"numerator {i} sums to {sum(z)}"
         side = b.bp.side(i)
         if any(x and e % 2 != side % 2 for e, x in enumerate(z)):
             return False, f"numerator {i} breaks exponent parity"

@@ -19,24 +19,23 @@ costs O(size) for any n and checks nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConsistencyError
-from .rootsys import DiagramType, RootSystem
+from .rootsys import DiagramType, ReadOnly, RootSystem
 from .seriescalc import Levels, PeriodTable, Vector, negative_step, period_table
 
 
-@dataclass(frozen=True, eq=False)
-class McKayGraph:
+class McKayGraph(ReadOnly):
     """Extended diagram: node 0 is the affine node, nodes 1..rank as in
     the root system.  ``adjacency`` doubles as the tensor-decomposition
     matrix; ``marks_ext`` is its eigenvector with eigenvalue 2."""
 
-    dtype: DiagramType
-    size: int
-    adjacency: tuple[tuple[int, ...], ...]
-    marks_ext: tuple[int, ...]
+    def __init__(
+        self, dtype: DiagramType, size: int, adjacency: tuple[tuple[int, ...], ...],
+        marks_ext: tuple[int, ...],
+    ) -> None:
+        vars(self).update(dtype=dtype, size=size, adjacency=adjacency, marks_ext=marks_ext)
 
     @cached_property
     def certificate(self) -> PeriodTable:

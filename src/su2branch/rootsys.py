@@ -21,7 +21,6 @@ families handled by this package, so they are rejected up front.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import add, mul, neg
@@ -34,23 +33,43 @@ Root = tuple[int, ...]
 _E_BRANCH = 3
 
 
-@dataclass(frozen=True)
-class DiagramType:
-    """A simply laced diagram: family ``A``, ``D`` or ``E`` plus rank."""
+class ReadOnly:
+    """Base of the immutable records: ``__init__`` fills ``__dict__``, and no
+    attribute is assigned or deleted after; ``cached_property`` still
+    writes to ``__dict__``."""
 
-    family: str
-    rank: int
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
 
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "D", "E"):
-            raise ValueError(f"unknown family {self.family!r}; expected A, D or E")
-        r = self.rank
-        if self.family == "A" and (r < 1 or r % 2 == 0):
+    __delattr__ = __setattr__
+
+
+class DiagramType(ReadOnly):
+    """A simply laced diagram: family ``A``, ``D`` or ``E`` plus rank.
+    Equal types are equal and hash alike."""
+
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in ("A", "D", "E"):
+            raise ValueError(f"unknown family {family!r}; expected A, D or E")
+        r = rank
+        if family == "A" and (r < 1 or r % 2 == 0):
             raise ValueError(f"A{r} is not supported: type A requires odd rank >= 1")
-        if self.family == "D" and r < 4:
+        if family == "D" and r < 4:
             raise ValueError(f"D{r} is not supported: type D requires rank >= 4")
-        if self.family == "E" and r not in (6, 7, 8):
+        if family == "E" and r not in (6, 7, 8):
             raise ValueError(f"E{r} is not supported: type E requires rank 6, 7 or 8")
+        vars(self).update(family=family, rank=rank)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
+
+    def __repr__(self) -> str:
+        return f"DiagramType(family={self.family!r}, rank={self.rank!r})"
 
     @classmethod
     def parse(cls, text: str) -> "DiagramType":
@@ -88,8 +107,7 @@ def cartan_matrix(dtype: DiagramType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(ReadOnly):
     """A built ADE root system.
 
     ``roots`` lists all roots, positive roots first (ordered by height,
@@ -98,15 +116,16 @@ class RootSystem:
     other.  Instances are immutable and safe to share.
     """
 
-    dtype: DiagramType
-    cartan: tuple[tuple[int, ...], ...]
-    roots: tuple[Root, ...]
-    num_positive: int
-    highest_root: Root
-    marks: tuple[int, ...]
-    coxeter_number: int
-    _index: dict[Root, int] = field(repr=False)
-    _adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
+    def __init__(
+        self, dtype: DiagramType, cartan: tuple[tuple[int, ...], ...], roots: tuple[Root, ...],
+        num_positive: int, highest_root: Root, marks: tuple[int, ...], coxeter_number: int,
+        _index: dict[Root, int], _adjacency: tuple[tuple[int, ...], ...],
+    ) -> None:
+        vars(self).update(
+            dtype=dtype, cartan=cartan, roots=roots, num_positive=num_positive,
+            highest_root=highest_root, marks=marks, coxeter_number=coxeter_number,
+            _index=_index, _adjacency=_adjacency,
+        )
 
     @property
     def rank(self) -> int:
@@ -139,9 +158,10 @@ class RootSystem:
     def pairings(self) -> tuple[tuple[int, ...], ...]:
         """``pairings[i - 1][k]`` = (root k, alpha_i): row i of C times the root
         columns.  :func:`build_root_system` seeds it from its closure's Cartan
-        images; a ``dataclasses.replace`` copy computes its own.  Every
-        simple reflection r - (r, alpha_i) alpha_i is read from it, by
-        ``coxeter_element`` and the "reflections" audit; none is tabled."""
+        images; a copy made by running the constructor again (``conftest.replace``)
+        computes its own.  Every simple reflection r - (r, alpha_i) alpha_i is
+        read from it, by ``coxeter_element`` and the "reflections" audit; none
+        is tabled."""
         columns = tuple(zip(*self.roots))
         return tuple(
             tuple(map(sum, zip(*[map(mul, repeat(c), col) for c, col in zip(row, columns) if c])))

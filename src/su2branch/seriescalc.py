@@ -33,11 +33,6 @@ def poly(coeffs: Iterable[int]) -> Poly:
     return tuple(c)
 
 
-def eval_at_one(p: Poly) -> int:
-    """Sum of coefficients."""
-    return sum(p)
-
-
 def series_div_geom(z: Poly, a: int, b: int, order: int) -> tuple[int, ...]:
     """Expand ``z / ((1 - t^a)(1 - t^b))`` as a series up to ``order``.
 

@@ -11,7 +11,7 @@ failed there, the report is that entry's FAIL line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .branching import Branching
 from .invariants import Session, registry
@@ -40,8 +40,7 @@ ACCEPTED_TYPES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One report line, with its entry's stage and invariant (for a failed
     construction, the error's)."""
 

@@ -1,7 +1,8 @@
 """One cached session per diagram type, so each type is constructed once
-per run, and polynomial, counting and root-system helpers used only by
-tests."""
+per run, a copy-with-changes helper for the library's records, and
+polynomial, counting and root-system helpers used only by tests."""
 
+import inspect
 import math
 from functools import lru_cache
 from types import SimpleNamespace
@@ -31,6 +32,15 @@ def group_for(type_str: str):
 
 def table_for(type_str: str):
     return session(type_str).table
+
+
+def replace(obj, **changes):
+    """A copy of ``obj`` with some constructor arguments changed: the
+    constructor runs again on the old values and the changes, so the copy
+    runs its checks and computes its own cached values.  An argument the
+    constructor does not take raises ``TypeError``."""
+    names = inspect.signature(type(obj)).parameters
+    return type(obj)(**{**{name: getattr(obj, name) for name in names}, **changes})
 
 
 # Polynomial helpers the tests use to multiply a series back by its

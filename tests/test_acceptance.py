@@ -117,19 +117,19 @@ def test_criterion_5_heisenberg_cardinalities():
         for i in b.rs.nodes:
             z = b.zpolys[i]
             if i == b.params.special:
-                assert len(b.heisenberg.slices[i]) == b.params.a - 1, name
+                assert len(b.heisenberg.indices[i]) == b.params.a - 1, name
                 assert sum(z) == b.params.a, name
             else:
-                assert len(b.heisenberg.slices[i]) == 2 * b.rs.mark(i), name
+                assert len(b.heisenberg.indices[i]) == 2 * b.rs.mark(i), name
                 assert sum(z) == 2 * b.rs.mark(i), name
         # re-derive the special numerator from the orbit data and compare it
         # against the closed form, independently of the build-time check
         star = b.params.special
         coeffs = [0] * h
         coeffs[b.params.g] = 2
-        for r in b.heisenberg.slices[star]:
-            if r != b.rs.highest_root:
-                coeffs[b.table.exponent[b.rs.index_of(r)]] += 1
+        for k in b.heisenberg.indices[star]:
+            if b.rs.roots[k] != b.rs.highest_root:
+                coeffs[b.table.exponent[k]] += 1
         assert poly(coeffs) == special_z_closed_form(b.params) == b.zpolys[star], name
         padded = tuple(b.zpolys[star]) + (0,) * (2 * b.params.g + 1 - len(b.zpolys[star]))
         assert padded == padded[::-1], name

@@ -19,7 +19,7 @@ from su2branch.invariants import HUGE_LEVEL
 from su2branch.mckay import recursion_oracle
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, graph_for, group_for, table_for
+from conftest import bundle, graph_for, group_for, replace, table_for
 
 #: Every type the character route accepts: A1 is not in ACCEPTED_TYPES.
 CHARACTER_TYPES = (*ACCEPTED_TYPES, "A1")
@@ -367,7 +367,7 @@ def test_molien_matches_character_path():
 def test_a_sum_that_does_not_divide_aborts_with_its_stage():
     # Off by one in one residue entry: |F*| no longer divides the total.
     group, t = group_for("E8"), table_for("E8")
-    broken = dataclasses.replace(t, residues=((t.residues[0][0] + 1,) + t.residues[0][1:],))
+    broken = replace(t, residues=((t.residues[0][0] + 1,) + t.residues[0][1:],))
     with pytest.raises(ConsistencyError) as info:
         oracle_multiplicity(group, broken, 0, 0)
     err = info.value
@@ -383,7 +383,7 @@ def test_a_step_that_does_not_divide_is_refused():
     group, t = group_for("E8"), table_for("E8")
     central = ((2, 1),) + t.central[1:]
     residues = tuple((row[0] - (r + 1),) + row[1:] for r, row in enumerate(t.residues))
-    broken = dataclasses.replace(t, central=central, residues=residues)
+    broken = replace(t, central=central, residues=residues)
     with pytest.raises(ConsistencyError) as info:
         oracle_multiplicity(group, broken, 0, 0)
     err = info.value
@@ -431,7 +431,7 @@ def test_a_class_with_no_eigenvalue_of_its_order_aborts():
     a, b, c, d = group.elements[rep]
     elements = list(group.elements)
     elements[rep] = ((a + 1) % p, b, c, d)
-    bent = dataclasses.replace(group, elements=tuple(elements))
+    bent = replace(group, elements=tuple(elements))
     assert group.class_orders[2] == 6
     t = (a + d + 1) % p
     with pytest.raises(ConsistencyError) as info:

@@ -318,6 +318,17 @@ def test_cli_import_leaves_numpy_out():
     assert (out.returncode, out.stdout) == (0, "False\n")
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # The records are plain classes and NamedTuples, so a cold start neither
+    # imports dataclasses (which pulls in inspect) nor runs its decorators.
+    # -S keeps site's own imports out of the count.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, su2branch.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "[]\n")
+
+
 def test_readme_cli_synopsis_parses():
     # Every line of README's CLI block, with its optional [...] flags in and
     # the first of each a|b|c choice, must parse: no flag it shows is stale.

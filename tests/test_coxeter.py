@@ -1,7 +1,5 @@
 """Bipartition, Coxeter element order, orbits, exponents, longest element."""
 
-import dataclasses
-
 import pytest
 
 from su2branch import Branching
@@ -17,7 +15,7 @@ from su2branch.invariants import LONGEST_ELEMENT, Session
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import audit, bundle, reflect
+from conftest import audit, bundle, reflect, replace
 
 
 def test_a3_bipartition():
@@ -171,7 +169,7 @@ def test_a_reflection_off_the_root_set_is_refused():
     rs = build_root_system("A3")
     dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
     roots = tuple(r for r in rs.roots if r not in dropped)
-    bad = dataclasses.replace(
+    bad = replace(
         rs,
         roots=roots,
         num_positive=rs.num_positive - 1,

@@ -1,6 +1,5 @@
 """The invariant registry: enforced at construction, reported by verify."""
 
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +15,7 @@ from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Invariant, Session, reg
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
-from conftest import audit, bundle
+from conftest import audit, bundle, replace
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -322,7 +321,7 @@ def _pairing_detail_by_loop(rs):
 def _scaled(rs, root, scale):
     roots = list(rs.roots)
     roots[root] = tuple(scale * x for x in roots[root])
-    return dataclasses.replace(rs, roots=tuple(roots))
+    return replace(rs, roots=tuple(roots))
 
 
 @pytest.mark.parametrize(
@@ -418,7 +417,7 @@ def test_a_cartan_matrix_that_is_not_positive_definite_falls_through_to_the_loop
     monkeypatch, name, cartan, roots
 ):
     rs = build_root_system(name)
-    bad = dataclasses.replace(rs, cartan=cartan, roots=roots or rs.roots)
+    bad = replace(rs, cartan=cartan, roots=roots or rs.roots)
     detail = _pairing_detail_by_loop(bad)
     assert detail is not None
     calls, loop = [], invariants._pairing_miss
@@ -446,7 +445,7 @@ def _drop(rs):
     gone = {rs.simple_root(3), tuple(-x for x in rs.simple_root(3))}
     roots = tuple(r for r in rs.roots if r not in gone)
     index = {r: k for k, r in enumerate(roots)}
-    return dataclasses.replace(rs, roots=roots, num_positive=rs.num_positive - 1, _index=index)
+    return replace(rs, roots=roots, num_positive=rs.num_positive - 1, _index=index)
 
 
 def _twice(rs):
@@ -454,7 +453,7 @@ def _twice(rs):
     # numbers each root once, 23 entries for 24 listed roots.
     roots = list(rs.roots)
     roots[1] = roots[2]
-    return dataclasses.replace(rs, roots=tuple(roots), _index={r: k for k, r in enumerate(roots)})
+    return replace(rs, roots=tuple(roots), _index={r: k for k, r in enumerate(roots)})
 
 
 def _extra(rs):
@@ -495,7 +494,7 @@ def test_a_root_listed_twice_is_reported():
     rs = build_root_system("E8")
     roots = list(rs.roots)
     roots[200] = tuple(-x for x in roots[200])
-    bad = dataclasses.replace(rs, roots=tuple(roots))
+    bad = replace(rs, roots=tuple(roots))
     assert bad.roots[200] == rs.roots[80]
     assert audit("reflections", bad) == (False, "the index does not number the root list in order")
 
@@ -513,24 +512,10 @@ def test_reflection_table_of_a_scaled_system_is_reflect(name, scales):
             assert audit("reflections", bad) == (False, "the index does not number the root list in order")
 
 
-def _rebuilt(b, **changes):
-    """The bundle's constructor run again with some fields replaced, so
-    every enforced entry runs on them."""
-    fields = dict(
-        rs=b.rs,
-        bp=b.bp,
-        cox=b.cox,
-        table=b.table,
-        params=b.params,
-        heisenberg=b.heisenberg,
-        zpolys=b.zpolys,
-    )
-    return Branching(**{**fields, **changes})
-
-
 def _enforced_failure(b, **changes):
+    # replace runs the bundle's constructor again, so every enforced entry runs.
     with pytest.raises(ConsistencyError) as info:
-        _rebuilt(b, **changes)
+        replace(b, **changes)
     return info.value.invariant, str(info.value)
 
 
@@ -538,7 +523,7 @@ def _enforced_failure(b, **changes):
 def test_sigma_squared_fails_coxeter_order_at_half_h(name):
     b = bundle(name)
     h, sigma = b.rs.coxeter_number, b.cox.sigma
-    cox = dataclasses.replace(b.cox, sigma=perm_compose(sigma, sigma))
+    cox = replace(b.cox, sigma=perm_compose(sigma, sigma))
     assert _enforced_failure(b, cox=cox) == (
         "coxeter order",
         f"{name} coxeter order: sigma has order {h // 2} < h",
@@ -549,7 +534,7 @@ def test_a_sigma_that_is_not_a_permutation_fails_coxeter_order():
     b = bundle("E7")
     sigma = list(b.cox.sigma)
     sigma[1] = sigma[0]
-    cox = dataclasses.replace(b.cox, sigma=tuple(sigma))
+    cox = replace(b.cox, sigma=tuple(sigma))
     assert _enforced_failure(b, cox=cox) == (
         "coxeter order",
         "E7 coxeter order: sigma has order exactly 18",
@@ -558,7 +543,7 @@ def test_a_sigma_that_is_not_a_permutation_fails_coxeter_order():
 
 def test_a_tau_that_is_not_an_involution_fails_coxeter_order():
     b = bundle("D4")
-    cox = dataclasses.replace(b.cox, tau1=b.cox.sigma)
+    cox = replace(b.cox, tau1=b.cox.sigma)
     assert _enforced_failure(b, cox=cox) == (
         "coxeter order",
         "D4 coxeter order: a color-class involution fails to square to one",

@@ -1,0 +1,71 @@
+"""The library's records, one case each, built from E8: the read-only ones
+refuse assignment and deletion, the value records equal and hash like a
+copy rebuilt by their constructor, and the others equal only themselves."""
+
+import pytest
+
+from su2branch.invariants import registry
+from su2branch.verify import run_type_checks
+
+from conftest import replace, session
+
+
+#: class -> (its E8 instance from a session, one of its fields, read-only, compared by value)
+RECORDS = {
+    "DiagramType": (lambda s: s.bundle.dtype, "rank", True, True),
+    "RootSystem": (lambda s: s.bundle.rs, "roots", True, False),
+    "Bipartition": (lambda s: s.bundle.bp, "part1", True, True),
+    "CoxeterAction": (lambda s: s.bundle.cox, "sigma", True, False),
+    "OrbitTable": (lambda s: s.bundle.table, "exponent", True, False),
+    "BranchParams": (lambda s: s.bundle.params, "a", True, True),
+    "HeisenbergSubsystem": (lambda s: s.bundle.heisenberg, "indices", True, False),
+    "Branching": (lambda s: s.bundle, "zpolys", True, False),
+    "McKayGraph": (lambda s: s.graph, "adjacency", True, False),
+    "FiniteGroup": (lambda s: s.group, "elements", False, False),
+    "CharacterTable": (lambda s: s.table, "rows", False, False),
+    "Session": (lambda s: s, "bundle", False, False),
+    "Invariant": (lambda s: registry("E8")[0], "predicate", True, True),
+    "Check": (lambda s: run_type_checks("E8")[0], "passed", True, True),
+}
+
+
+def _build(name):
+    obj = RECORDS[name][0](session("E8"))
+    assert type(obj).__name__ == name
+    return obj
+
+
+READ_ONLY = [(name, field) for name, (_, field, read_only, _) in RECORDS.items() if read_only]
+BY_VALUE = [(name, field) for name, (_, field, _, by_value) in RECORDS.items() if by_value]
+BY_IDENTITY = [(name, field) for name, (_, field, _, by_value) in RECORDS.items() if not by_value]
+
+
+@pytest.mark.parametrize("name, field", READ_ONLY)
+def test_read_only_records_refuse_assignment_and_deletion(name, field):
+    obj = _build(name)
+    value = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, value)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.unknown_field = value
+    assert getattr(obj, field) is value
+
+
+@pytest.mark.parametrize("name, field", BY_VALUE)
+def test_value_records_equal_and_hash_like_a_rebuilt_copy(name, field):
+    obj = _build(name)
+    copy = replace(obj)
+    assert copy is not obj and type(copy) is type(obj)
+    assert copy == obj and not copy != obj
+    assert hash(copy) == hash(obj)
+
+
+@pytest.mark.parametrize("name, field", BY_IDENTITY)
+def test_identity_records_do_not_equal_a_rebuilt_copy(name, field):
+    obj = _build(name)
+    copy = replace(obj)
+    assert type(copy) is type(obj) and getattr(copy, field) is getattr(obj, field)
+    assert copy != obj and not copy == obj
+    assert obj == obj and hash(obj) == hash(obj)

@@ -1,13 +1,11 @@
 """Root-system construction: counts, pairings, reflections, highest root."""
 
-import dataclasses
-
 import pytest
 
 from su2branch.rootsys import DiagramType, build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import audit, bundle, inner, plain_closure_roots, reflect, reflection_miss
+from conftest import audit, bundle, inner, plain_closure_roots, reflect, reflection_miss, replace
 
 
 def rs_for(name):
@@ -106,16 +104,16 @@ def _without_highest_root(rs):
     """The system with +-highest root gone from its list and its index."""
     dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
     roots = tuple(r for r in rs.roots if r not in dropped)
-    return dataclasses.replace(
+    return replace(
         rs, roots=roots, num_positive=rs.num_positive - 1, _index={r: k for k, r in enumerate(roots)}
     )
 
 
 @pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
 def test_seeded_pairings_are_the_definition(name):
-    # dataclasses.replace builds a new instance, so the copy computes its own.
+    # conftest.replace runs the constructor again, so the copy computes its own.
     rs = build_root_system(name)
-    copy = dataclasses.replace(rs)
+    copy = replace(rs)
     assert "pairings" in vars(rs) and "pairings" not in vars(copy)
     assert copy.pairings == tuple(
         tuple(inner(rs, r, rs.simple_root(i)) for r in rs.roots) for i in rs.nodes
@@ -125,7 +123,7 @@ def test_seeded_pairings_are_the_definition(name):
 
 def test_a_system_with_other_roots_computes_its_own_pairings():
     rs = build_root_system("A3")
-    bad = dataclasses.replace(rs, roots=rs.roots[1:])
+    bad = replace(rs, roots=rs.roots[1:])
     assert bad.pairings == tuple(row[1:] for row in rs.pairings)
 
 
@@ -165,10 +163,10 @@ def test_highest_root_image_is_its_pairings(name):
 
 
 def test_a_replaced_highest_root_gets_its_own_image():
-    # dataclasses.replace builds a new instance, so the cached image is not copied.
+    # conftest.replace runs the constructor again, so the cached image is not copied.
     rs = build_root_system("E8")
     assert rs.highest_root_image == (0, 0, 0, 0, 0, 0, 1, 0)
-    bad = dataclasses.replace(rs, highest_root=rs.simple_root(1))
+    bad = replace(rs, highest_root=rs.simple_root(1))
     assert bad.highest_root_image == (2, -1, 0, 0, 0, 0, 0, 0)
     assert bad.affine_attachment() == (1,)
 

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from su2branch.seriescalc import (
-    eval_at_one,
     negative_step,
     period_table,
     poly,
@@ -41,11 +40,6 @@ def test_denominator_product():
 def test_mul_by_zero():
     assert poly_mul((1, 2, 3), ZERO) == ZERO
     assert poly_mul(ZERO, ZERO) == ZERO
-
-
-def test_eval_at_one():
-    assert eval_at_one((1,) + (0,) * 29 + (1,)) == 2
-    assert eval_at_one(ZERO) == 0
 
 
 def test_series_double_pole():
