@@ -11,7 +11,6 @@ success, 1 internal check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -220,9 +219,20 @@ def main(argv: list[str] | None = None) -> int:
         if args.out and os.path.isdir(args.out):
             raise ValueError(f"cannot write --out {args.out}: it is a directory")
         doc, lines, *status = args.fn(args)
-        text = json.dumps(doc, indent=2) if args.json else "\n".join(lines)
+        if args.json:
+            import json
+            text = json.dumps(doc, indent=2)
+        else:
+            text = "\n".join(lines)
         if not args.out:
-            print(text)
+            try:
+                sys.stdout.write(text + "\n")
+                sys.stdout.flush()
+            except OSError as exc:
+                # the unwritten bytes stay buffered: let the flush at exit drop them
+                with open(os.devnull, "wb") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+                raise ValueError(f"cannot write output: {exc.strerror}") from None
         else:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:

@@ -27,6 +27,7 @@ The range entries hold for every n: each compares the routes' proved
 period tables (:meth:`Session.periods`) over levels 0..2L-1 (:func:`_read`),
 which rests on the tables' build-time proofs and on their two readers,
 :func:`~.seriescalc.iter_levels` and :func:`~.seriescalc.read_level`.
+Only the group entries and the character route import :mod:`~.binarygroups`.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import binarygroups, mckay, seriescalc
+from . import mckay, seriescalc
 from .coxeter import perm_compose, perm_identity, perm_power
 from .errors import ConsistencyError
 from .rootsys import DiagramType, Root
 from .seriescalc import Poly, poly, poly_str, sparse_items
 
 if TYPE_CHECKING:
+    from . import binarygroups
     from .branching import Branching, BranchParams
 
 #: E8 numerator polynomials keyed by (mark, distance to the affine
@@ -114,12 +116,12 @@ def _built_once(build: Callable[[Session], object]) -> property:
 class Session:
     """One diagram type's objects, as ``Session(Branching.build(dtype))``.
 
-    Derived objects are built on first use, so the enforced entries, which
-    read only the bundle and the McKay graph, never build the group; the
-    group and its character table are built at most once even when that
-    fails.  The McKay graph is the bundle's own (``bundle.graph``), the one
-    the enforced "extended graph" entry checked.  Every level, by every
-    oracle, is read from the route's own proved table (:meth:`periods`).
+    Derived objects, and the ``binarygroups`` module, are loaded on first
+    use, so the enforced entries, which read only the bundle and the McKay
+    graph, never build the group; the group and its character table are built
+    at most once even when that fails.  The McKay graph is the bundle's own
+    (``bundle.graph``), the one the enforced "extended graph" entry checked.
+    Each oracle reads its levels from its route's proved table (:meth:`periods`).
     """
 
     def __init__(self, bundle: Branching) -> None:
@@ -131,10 +133,12 @@ class Session:
 
     @_built_once
     def group(self) -> binarygroups.FiniteGroup:
+        from . import binarygroups
         return binarygroups.build_group(self.bundle.dtype, self.bundle.params)
 
     @_built_once
     def table(self) -> binarygroups.CharacterTable:
+        from . import binarygroups
         return binarygroups.character_table(self.group, self.graph)
 
     @cached_property
@@ -595,6 +599,7 @@ def _huge_level(c: Session) -> Result:
 
 
 def _molien(c: Session) -> Result:
+    from . import binarygroups
     # Molien's own table has the group's period E; it never reads the character table.
     last, levels = _read([c.periods("coxeter")], binarygroups.exponent(c.bundle.dtype))
     for n, (m, (v,)) in enumerate(zip(binarygroups.molien_series(c.group, last), levels)):

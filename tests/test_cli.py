@@ -249,6 +249,39 @@ def test_out_write_failure_exits_2(capsys):
     assert err == "usage error: cannot write --out /dev/full: No space left on device\n"
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_with_stdout(stdout, *argv):
+    # Block-buffered stdout, as in a plain shell, so a write can fail at a flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    cmd = [sys.executable, "-m", "su2branch", *argv]
+    return subprocess.run(cmd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_stdout_to_a_closed_pipe_exits_2_with_one_line():
+    # As `su2branch table | true`: the reader is gone before the first write.
+    # The message is the only stderr line: no traceback, and nothing from
+    # the flush at interpreter exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = _run_with_stdout(write_end, "table")
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (2, "usage error: cannot write output: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_stdout_write_failure_exits_2_with_one_line(fmt):
+    with open("/dev/full", "w") as full:
+        out = _run_with_stdout(full, "branch", "--type", "A3", "--n", "2", *fmt)
+    expected = "usage error: cannot write output: No space left on device\n"
+    assert (out.returncode, out.stderr) == (2, expected)
+
+
 @pytest.mark.parametrize("command", sorted(CLI_OUTPUTS))
 def test_output_matches_fixture(capsys, command):
     code, out, err = run(capsys, *command.split())
@@ -327,6 +360,36 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = "import sys, su2branch.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert (out.returncode, out.stdout) == (0, "[]\n")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["branch", "--type", "E8", "--n", "17"], []),
+        (["branch", "--type", "E8", "--n", "17", "--oracle", "recursion"], []),
+        (["mckay", "--type", "A3"], []),
+        (["branch", "--type", "E8", "--n", "17", "--oracle", "characters", "--json"],
+         ["json", "su2branch.binarygroups"]),
+        (["group", "--type", "E6"], ["su2branch.binarygroups"]),
+        (["group", "--type", "E6", "--json"], ["json", "su2branch.binarygroups"]),
+    ],
+)
+def test_only_the_group_routes_load_binarygroups_and_only_json_output_loads_json(argv, loaded):
+    # The paper's route needs no group: binarygroups (a quarter of what a
+    # start compiles) is loaded by the first Session.group, Session.table or
+    # Molien check, and json by --json.  -S keeps site's own imports out.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    code = (
+        "import sys, su2branch\n"
+        f"if {argv!r}:\n"
+        "    from su2branch.cli import main\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(sorted({'json', 'su2branch.binarygroups'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    cmd = [sys.executable, "-S", "-c", code]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, f"{loaded}\n")
 
 
 def test_readme_cli_synopsis_parses():
