@@ -579,10 +579,10 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
 
     A central character w (:func:`_central_characters`) gives the row
     d w_C / |C|, with d^2 = |F*| / sum_C w_C w_(C^-1) / |C| lifted over
-    1..MAX_DEGREE.  The node matching is forced by the trivial character
-    at node 0, equal dimensions and marks, and the tensor adjacency;
-    choices left open by diagram automorphisms are resolved
-    deterministically and do not affect any multiplicity.  The table also
+    1..MAX_DEGREE.  The node matching (:func:`_match_nodes`, no search) is
+    forced by the trivial character at node 0, equal dimensions and marks,
+    and the tensor adjacency; choices left open by diagram automorphisms
+    are resolved deterministically and affect no multiplicity.  The table also
     carries each node's integer values at +-identity and the residue table,
     and its period table is built and proved here.
     """
@@ -634,42 +634,35 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
 def _match_nodes(
     graph: McKayGraph, tensor: list[list[int]], dims: tuple[int, ...], trivial_row: int
 ) -> tuple[int, ...]:
+    """Node 0 takes the trivial row; each later node, breadth first, the
+    first unused row of its mark's dimension whose tensor entries with the
+    rows assigned so far equal its adjacency to their nodes.  No choice is
+    undone, and none needs to be: if the rows so far extend to a matching
+    M and node x takes M(y), y unassigned, then x and y are siblings with
+    equal marks.  A diagram automorphism swaps them and fixes node 0 and
+    every node assigned before them, so M composed with it extends x's
+    choice."""
     size = graph.size
     adj = graph.adjacency
 
     bfs = [0]
-    seen = {0}
     for node in bfs:
         for j in range(size):
-            if adj[node][j] and j not in seen:
-                seen.add(j)
+            if adj[node][j] and j not in bfs:
                 bfs.append(j)
     if len(bfs) != size:
         raise _failure(graph.dtype, "character_table", "extended diagram is not connected")
 
-    assign: dict[int, int] = {0: trivial_row}
-    used = {trivial_row}
-
-    def backtrack(pos: int) -> bool:
-        if pos == size:
-            return True
-        node = bfs[pos]
-        for row in range(size):
-            if row in used or dims[row] != graph.marks_ext[node]:
-                continue
-            if all(tensor[row][assign[m]] == adj[node][m] for m in assign):
-                assign[node] = row
-                used.add(row)
-                if backtrack(pos + 1):
-                    return True
-                del assign[node]
-                used.discard(row)
-        return False
-
-    if dims[trivial_row] != graph.marks_ext[0] or not backtrack(1):
-        raise _failure(
-            graph.dtype, "character_table", "tensor adjacency does not match the extended diagram"
-        )
+    assign: dict[int, int] = {}
+    for node in bfs:
+        for row in range(size) if assign else (trivial_row,):  # node 0: the trivial row
+            if row not in assign.values() and dims[row] == graph.marks_ext[node]:
+                if all(tensor[row][assign[m]] == adj[node][m] for m in assign):
+                    assign[node] = row
+                    break
+        else:
+            problem = "tensor adjacency does not match the extended diagram"
+            raise _failure(graph.dtype, "character_table", problem)
     return tuple(assign[node] for node in range(size))
 
 

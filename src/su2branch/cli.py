@@ -117,7 +117,7 @@ def cmd_orbits(args: argparse.Namespace) -> tuple:
             bundle.dtype,
             root=list(rs.root_at(idx)),
             orbit=table.orbit_node[idx],
-            k=table.parity[idx],
+            k=bundle.bp.side(table.orbit_node[idx]),
             n=table.exponent[idx],
         )
         for idx in range(rs.num_positive)
@@ -214,6 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ValueError("cannot write --out '': the path is empty")
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
         if args.out and os.path.isdir(args.out):

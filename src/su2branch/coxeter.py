@@ -5,9 +5,9 @@ pairwise orthogonal simple roots; the products tau_1 and tau_2 of the
 reflections in each class are involutions, and sigma = tau_2 tau_1 is a
 Coxeter element of order h, each tau read from the root closure's
 pairings (:func:`coxeter_element`).  Negating the simple roots of the
-second class yields one representative per sigma-orbit, and every
-positive root picks up a well-defined exponent n in [1, h] recording how
-far along its orbit it sits.  Permutations of the root set are stored as
+second class yields one representative per sigma-orbit; each orbit is
+walked forward on sigma, and every positive root picks up an exponent n
+in [1, h] recording how far along its orbit it sits.  Permutations are
 index arrays over the fixed root enumeration of :class:`RootSystem`.
 """
 
@@ -28,13 +28,6 @@ def perm_identity(n: int) -> Perm:
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """(p o q)[x] = p[q[x]]: apply q first, then p."""
     return tuple(map(p.__getitem__, q))
-
-
-def perm_inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 def perm_power(p: Perm, k: int) -> Perm:
@@ -87,11 +80,12 @@ def special_index(rs: RootSystem) -> int:
 
 
 class CoxeterAction(ReadOnly):
-    """sigma = tau_2 tau_1 acting on the full root list, plus its factors;
-    its order is ``rs.coxeter_number`` (registry entry "coxeter order")."""
+    """sigma = tau_2 tau_1 acting on the full root list, plus its factors
+    and no inverse; its order is ``rs.coxeter_number`` (registry entry
+    "coxeter order")."""
 
-    def __init__(self, tau1: Perm, tau2: Perm, sigma: Perm, sigma_inv: Perm) -> None:
-        vars(self).update(tau1=tau1, tau2=tau2, sigma=sigma, sigma_inv=sigma_inv)
+    def __init__(self, tau1: Perm, tau2: Perm, sigma: Perm) -> None:
+        vars(self).update(tau1=tau1, tau2=tau2, sigma=sigma)
 
 
 def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
@@ -114,39 +108,39 @@ def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
     tau1 = _class_involution(rs, bp.part1)
     tau2 = _class_involution(rs, bp.part2)
     sigma = perm_compose(tau2, tau1)
-    return CoxeterAction(tau1=tau1, tau2=tau2, sigma=sigma, sigma_inv=perm_inverse(sigma))
+    return CoxeterAction(tau1=tau1, tau2=tau2, sigma=sigma)
 
 
 class OrbitTable(ReadOnly):
-    """Orbit membership, parity class and exponent for every root.
+    """Orbit membership and exponent for every root.
 
     ``signed_simples[i-1]`` is beta_i: alpha_i on side 1, -alpha_i on
     side 2.  ``orbits[i-1][m]`` is the root index sent to beta_i by the
     m-th power of sigma.  For each positive root index: ``orbit_node``
-    gives the node i of its orbit, ``parity`` the side of that node and
-    ``exponent`` the exponent n (odd on side 1, even on side 2).
+    gives the node i of its orbit and ``exponent`` the exponent n, odd
+    when ``bp.side(i)`` is 1 and even when it is 2.
     """
 
     def __init__(
         self, signed_simples: tuple[Root, ...], orbits: tuple[tuple[int, ...], ...],
-        orbit_node: dict[int, int], parity: dict[int, int], exponent: dict[int, int],
+        orbit_node: dict[int, int], exponent: dict[int, int],
     ) -> None:
         vars(self).update(
-            signed_simples=signed_simples, orbits=orbits,
-            orbit_node=orbit_node, parity=parity, exponent=exponent,
+            signed_simples=signed_simples, orbits=orbits, orbit_node=orbit_node, exponent=exponent
         )
 
 
 def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTable:
     """Decompose the roots into sigma-orbits and attach exponents.
 
-    Each orbit is walked backwards from beta_i (repeatedly applying
-    sigma inverse), so position m in the walk satisfies sigma^m(root) =
-    beta_i.  The exponent is n = 2m + 1 on side 1 and n = 2m on side 2;
-    over the positive part of each orbit, (n-1)/2 runs bijectively over
-    {0..g-1} on side 1 and n/2 over {1..g} on side 2 (registry entries
-    "orbit partition" and "orbit exponents").  A walk stops after h + 1
-    roots, so a wrong orbit shows as a wrong size there.
+    Each orbit is walked forward on sigma from beta_i and all but its
+    first entry are then reversed, so on an orbit of size s position m
+    holds sigma^(s-m)(beta_i), the root that sigma^m sends to beta_i.
+    The exponent is n = 2m + 1 on side 1 and n = 2m on side 2; over the
+    positive part of each orbit, (n-1)/2 runs bijectively over {0..g-1}
+    on side 1 and n/2 over {1..g} on side 2 (registry entries "orbit
+    partition" and "orbit exponents").  A walk stops after h + 1 roots,
+    so a wrong orbit shows as a wrong size there.
     """
     h, num_pos = rs.coxeter_number, rs.num_positive
     betas: list[Root] = []
@@ -156,24 +150,19 @@ def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTab
 
     orbits: list[tuple[int, ...]] = []
     orbit_node: dict[int, int] = {}
-    parity: dict[int, int] = {}
     exponent: dict[int, int] = {}
     for i in rs.nodes:
-        k = bp.side(i)
+        odd = bp.side(i) == 1
         start = rs.index_of(betas[i - 1])
         walk = [start]
-        while len(walk) <= h and (cur := cox.sigma_inv[walk[-1]]) != start:
+        while len(walk) <= h and (cur := cox.sigma[walk[-1]]) != start:
             walk.append(cur)
+        walk[1:] = walk[:0:-1]
         for m, idx in enumerate(walk):
             orbit_node[idx] = i
             if idx < num_pos:
-                parity[idx] = k
-                exponent[idx] = 2 * m + 1 if k == 1 else 2 * m
+                exponent[idx] = 2 * m + odd
         orbits.append(tuple(walk))
     return OrbitTable(
-        signed_simples=tuple(betas),
-        orbits=tuple(orbits),
-        orbit_node=orbit_node,
-        parity=parity,
-        exponent=exponent,
+        signed_simples=tuple(betas), orbits=tuple(orbits), orbit_node=orbit_node, exponent=exponent
     )

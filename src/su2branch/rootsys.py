@@ -113,18 +113,17 @@ class RootSystem(ReadOnly):
     ``roots`` lists all roots, positive roots first (ordered by height,
     then lexicographically) and then their negatives in matching order,
     so root ``i`` and root ``i + num_positive`` are negatives of each
-    other.  Instances are immutable and safe to share.
+    other.  ``marks`` is ``highest_root`` and ``neighbors`` reads ``cartan``,
+    so each fact is stored once.  Instances are immutable and safe to share.
     """
 
     def __init__(
         self, dtype: DiagramType, cartan: tuple[tuple[int, ...], ...], roots: tuple[Root, ...],
-        num_positive: int, highest_root: Root, marks: tuple[int, ...], coxeter_number: int,
-        _index: dict[Root, int], _adjacency: tuple[tuple[int, ...], ...],
+        num_positive: int, highest_root: Root, coxeter_number: int, _index: dict[Root, int],
     ) -> None:
         vars(self).update(
             dtype=dtype, cartan=cartan, roots=roots, num_positive=num_positive,
-            highest_root=highest_root, marks=marks, coxeter_number=coxeter_number,
-            _index=_index, _adjacency=_adjacency,
+            highest_root=highest_root, coxeter_number=coxeter_number, _index=_index,
         )
 
     @property
@@ -143,6 +142,11 @@ class RootSystem(ReadOnly):
     def simple_root(self, i: int) -> Root:
         self._check_node(i)
         return tuple(int(j == i - 1) for j in range(self.rank))
+
+    @property
+    def marks(self) -> tuple[int, ...]:
+        """The marks: the highest root's coefficients over the simple roots."""
+        return self.highest_root
 
     def mark(self, i: int) -> int:
         """Coefficient of the simple root ``i`` in the highest root."""
@@ -187,8 +191,9 @@ class RootSystem(ReadOnly):
         return idx + p if idx < p else idx - p
 
     def neighbors(self, i: int) -> tuple[int, ...]:
+        """Nodes joined to node i, ascending: the -1 entries of Cartan row i."""
         self._check_node(i)
-        return self._adjacency[i - 1]
+        return tuple(j for j, c in enumerate(self.cartan[i - 1], 1) if c == -1)
 
     def affine_attachment(self) -> tuple[int, ...]:
         """Nodes pairing strictly positively with the highest root.
@@ -253,21 +258,14 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
     roots = tuple(positives) + tuple(tuple(map(neg, r)) for r in positives)
     index = {r: k for k, r in enumerate(roots)}
 
-    adjacency: list[list[int]] = [[] for _ in range(rank)]
-    for i, j in dynkin_edges(dtype):
-        adjacency[i - 1].append(j)
-        adjacency[j - 1].append(i)
-
     rs = RootSystem(
         dtype=dtype,
         cartan=cartan,
         roots=roots,
         num_positive=num_positive,
         highest_root=psi,
-        marks=psi,
         coxeter_number=2 * num_positive // rank,
         _index=index,
-        _adjacency=tuple(tuple(sorted(a)) for a in adjacency),
     )
     vars(rs)["pairings"] = tuple(c + tuple(map(neg, c)) for c in zip(*map(pos.get, positives)))
     return rs

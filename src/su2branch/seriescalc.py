@@ -69,8 +69,9 @@ def negative_step(table: PeriodTable) -> tuple[int, int] | None:
 
 
 def read_level(table: PeriodTable, n: int) -> Vector:
-    """Level n >= 0 of a period table, ``base[r] + k step[r]`` for
-    n = k P + r: O(size) for any n, and the stored base itself for n < P."""
+    """Level n of a period table, ``base[r] + k step[r]`` for n = k P + r
+    (floor division): O(size) for every integer n, the stored base itself for
+    0 <= n < P, and for n < 0 what chi_(-n-2) = -chi_n gives: minus level -n-2."""
     base, step = table
     k, r = divmod(n, len(base))
     if not k:

@@ -92,7 +92,7 @@ def test_criterion_3_orbit_structure():
             assert halves == (set(range(g)) if k == 1 else set(range(1, g + 1))), name
         assert len(covered) == len(b.rs.roots), name
         for idx, n in b.table.exponent.items():
-            assert n % 2 == b.table.parity[idx] % 2, name
+            assert n % 2 == b.bp.side(b.table.orbit_node[idx]) % 2, name
     print("ACCEPTANCE 3 PASS: orbit partition, positive split, bijections, parity")
 
 

@@ -515,3 +515,44 @@ def test_quadratic_factors_split_in_closed_form():
         assert sorted(binarygroups._roots(f, p, rng)) == sorted({u, v} if u != v else ())
     non_residue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
     assert binarygroups._roots([-non_residue % p, 0, 1], p, rng) == []
+
+
+def _tensor_of(name):
+    """The tensor-with-defining-representation matrix over the table's rows,
+    read back from the matched nodes' adjacency."""
+    graph, table = graph_for(name), table_for(name)
+    tensor = [[0] * graph.size for _ in range(graph.size)]
+    for a, row in enumerate(graph.adjacency):
+        for b, entry in enumerate(row):
+            tensor[table.node_map[a]][table.node_map[b]] = entry
+    return graph, table, tensor
+
+
+@pytest.mark.parametrize("name", CHARACTER_TYPES)
+def test_match_nodes_rebuilds_the_node_map(name):
+    graph, table, tensor = _tensor_of(name)
+    got = binarygroups._match_nodes(graph, tensor, table.dims, table.node_map[0])
+    assert got == table.node_map
+
+
+def test_match_nodes_refuses_a_flipped_tensor_entry():
+    graph, table, tensor = _tensor_of("E8")
+    neighbor = graph.adjacency[0].index(1)  # node 0's one neighbor
+    row, trivial = table.node_map[neighbor], table.node_map[0]
+    tensor[row][trivial] = 1 - tensor[row][trivial]
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._match_nodes(graph, tensor, table.dims, trivial)
+    assert info.value.stage == "character_table"
+    assert str(info.value) == "E8: tensor adjacency does not match the extended diagram"
+
+
+def test_match_nodes_refuses_a_disconnected_diagram():
+    graph, table, tensor = _tensor_of("E8")
+    adjacency = [list(row) for row in graph.adjacency]
+    for j in range(graph.size):  # cut node 0 off
+        adjacency[0][j] = adjacency[j][0] = 0
+    cut = replace(graph, adjacency=tuple(map(tuple, adjacency)))
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._match_nodes(cut, tensor, table.dims, table.node_map[0])
+    assert info.value.stage == "character_table"
+    assert str(info.value) == "E8: extended diagram is not connected"

@@ -342,6 +342,15 @@ def test_out_to_existing_directory_exits_2_before_work(tmp_path, monkeypatch, ca
     assert not any(tmp_path.iterdir())
 
 
+@EVERY_SUBCOMMAND
+def test_empty_out_exits_2_before_work(monkeypatch, capsys, argv):
+    _forbid_work(monkeypatch)
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: cannot write --out '': the path is empty\n"
+
+
 def test_cli_import_leaves_numpy_out():
     # Every route is pure Python: a cold start pays for no numpy import.
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -130,10 +130,19 @@ def test_a3_exponents_hand_computed():
     }
 
 
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_orbit_position_m_is_sent_to_beta_by_sigma_to_the_m(name):
+    b = bundle(name)
+    for i, orbit in enumerate(b.table.orbits, 1):
+        beta = b.rs.index_of(b.table.signed_simples[i - 1])
+        for m, idx in enumerate(orbit):
+            assert perm_power(b.cox.sigma, m)[idx] == beta, (name, i, m)
+
+
 def test_exponent_parity():
     b = bundle("E7")
     for idx, n in b.table.exponent.items():
-        assert n % 2 == b.table.parity[idx] % 2
+        assert n % 2 == b.bp.side(b.table.orbit_node[idx]) % 2
 
 
 @pytest.mark.parametrize("name,node", [("E8", 3), ("A7", 4), ("D5", 3), ("D4", 2), ("E6", 3)])

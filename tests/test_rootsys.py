@@ -2,7 +2,7 @@
 
 import pytest
 
-from su2branch.rootsys import DiagramType, build_root_system
+from su2branch.rootsys import DiagramType, build_root_system, dynkin_edges
 from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import audit, bundle, inner, plain_closure_roots, reflect, reflection_miss, replace
@@ -125,6 +125,15 @@ def test_a_system_with_other_roots_computes_its_own_pairings():
     rs = build_root_system("A3")
     bad = replace(rs, roots=rs.roots[1:])
     assert bad.pairings == tuple(row[1:] for row in rs.pairings)
+
+
+@pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
+def test_neighbors_are_the_dynkin_edges(name):
+    rs = build_root_system(name)
+    edges = dynkin_edges(rs.dtype)
+    for i in rs.nodes:
+        want = sorted({j for e in edges if i in e for j in e} - {i})
+        assert rs.neighbors(i) == tuple(want), (name, i)
 
 
 def test_highest_root_marks():

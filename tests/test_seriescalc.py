@@ -4,16 +4,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from su2branch.invariants import ORACLES
 from su2branch.seriescalc import (
     negative_step,
     period_table,
     poly,
     poly_str,
+    read_level,
     series_div_geom,
     sparse_items,
 )
+from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import ZERO, degree, monomial, pair_counter, poly_add, poly_mul, poly_truncate
+from conftest import (
+    ZERO,
+    degree,
+    monomial,
+    pair_counter,
+    poly_add,
+    poly_mul,
+    poly_truncate,
+    session,
+)
 
 small_polys = st.lists(st.integers(-9, 9), max_size=12).map(poly)
 
@@ -108,3 +120,15 @@ def test_negative_step_is_the_first_in_level_order():
     assert negative_step(table) == (1, 1)
     assert negative_step(period_table([(1, 0), (2, 3), (2, 0), (2, 3)], 2)) is None
     assert negative_step(((), ())) is None
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+@pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
+def test_read_level_keeps_weyl_reciprocity(name, oracle):
+    # chi_(-n-2) = -chi_n, so each route's levels, read for every integer n,
+    # satisfy q(-n-2) = -q(n); n = -1 reads the zero level.  q(n) + q(-n-2)
+    # is affine in k on each residue class, so two periods prove it for all n.
+    table = session(name).periods(oracle)
+    period = len(table[0])
+    for n in range(-1, 2 * period + 3):
+        assert read_level(table, -n - 2) == tuple(-x for x in read_level(table, n)), n
