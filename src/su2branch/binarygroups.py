@@ -33,7 +33,7 @@ element of order m it has period m in n, so the rest of the sum depends
 on n only modulo E.  :func:`character_table` forms that rest once for
 each residue r = 0..E-1 and each node (the residue table, in integers).
 One period table of period E (:func:`_period_table`) is built from the
-levels 0..2E-1 by :func:`~.seriescalc.period_table`: each level is
+levels 0..2E-1 by :meth:`~.seriescalc.PeriodTable.of`: each level is
 checked once to be a nonnegative integer and each step once to have no
 negative entry, so a level is base[r] + k step[r] for any n, checked no
 more.
@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING
 from .errors import ConsistencyError
 from .mckay import McKayGraph
 from .rootsys import DiagramType
-from .seriescalc import PeriodTable, iter_levels, negative_step, period_table
+from .seriescalc import PeriodTable
 
 if TYPE_CHECKING:
     from .branching import BranchParams
@@ -367,7 +367,7 @@ def _period_table(
     E), as a period table of period E, proved once.
 
     The levels 0..2E-1, each checked by :func:`_multiplicity`, give the
-    table through :func:`~.seriescalc.period_table`.  E is even (the
+    table through :meth:`~.seriescalc.PeriodTable.of`.  E is even (the
     exponent of a group holding -identity), so n = r + kE has the parity
     of r and the total at n is total(r) + kE c, c = chi(1) +- chi(-1) by
     that parity: every level is base[r] + k step[r], and step[r], the
@@ -380,10 +380,10 @@ def _period_table(
         tuple(_multiplicity(group, n, c, rest, name) for c, rest, name in zip(central, row, names))
         for n, row in enumerate(residues + residues)
     ]
-    table = period_table(levels, e)
-    if miss := negative_step(table):
+    table = PeriodTable.of(levels, e)
+    if miss := table.negative_step():
         r, i = miss
-        problem = f"{_column(names[i])} has a negative step {table[1][r][i]} at residue {r}"
+        problem = f"{_column(names[i])} has a negative step {table.step[r][i]} at residue {r}"
         raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
     return table
 
@@ -397,11 +397,9 @@ def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
     read from its own period table (:func:`_period_table`); any order is
     safe.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     rest = _residue_sums(group, [(size,) for size in group.class_sizes])
     table = _period_table(group, ((1, 1),), rest, (None,))
-    return tuple(v[0] for v in iter_levels(table, order))
+    return tuple(v[0] for v in table.upto(order))
 
 
 class CharacterTable:
@@ -672,25 +670,22 @@ def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node:
 
     Safe for any n in O(1): the node's entry of the table's proved period
     table (:func:`_period_table`), base[r] + k step[r] for n = kE + r.  It
-    reads that one entry, not a whole level (:func:`~.seriescalc.read_level`),
-    because a point query asks for each node in turn.
+    reads that one entry, not a whole level, because a point query asks
+    for each node in turn.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 <= node < len(table.central):
         raise ValueError(f"node index {node} out of range for {group.dtype}")
-    base, step = table.periods
-    k, r = divmod(n, len(base))
-    return base[r][node] + k * step[r][node]
+    t = table.periods
+    k, r = divmod(n, t.period)
+    return t.base[r][node] + k * t.step[r][node]
 
 
 def character_multiplicities(
     group: FiniteGroup, table: CharacterTable, order: int
 ) -> list[tuple[int, ...]]:
     """Multiplicity vectors over extended nodes for n = 0..order, read in
-    turn from the table's period table.  A list, not a
-    :class:`~.seriescalc.Levels` view: a level sweep indexes it once per
-    level, and a list read is cheaper than a view's."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return list(iter_levels(table.periods, order))
+    turn from the table's period table.  A list, not the table itself: a
+    level sweep indexes it once per level, and a list read is cheaper."""
+    return list(table.periods.upto(order))

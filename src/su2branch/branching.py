@@ -23,8 +23,8 @@ has degree deg z_i + 2L - (h + 2) <= 2L - 2, since the enforced
 from t^(2L) on vanish: s[n + 2L] - 2 s[n + L] + s[n] = 0 for every
 n >= 0, where s is the node's series.  So the dense series to 2L - 1
 gives base[r] = s[r] and step[r] = s[r + L] - s[r] for r < L, and level
-kL + r is base[r] + k step[r] (:func:`~.seriescalc.read_level`), exact
-for any n.  The dense series (:meth:`Branching.series`) also serves
+kL + r is base[r] + k step[r] (:class:`~.seriescalc.PeriodTable`),
+exact for any n.  The dense series (:meth:`Branching.series`) also serves
 whole ranges of levels.
 """
 
@@ -48,7 +48,7 @@ from .coxeter import (
 from .invariants import enforce
 from .mckay import McKayGraph, extended_graph
 from .rootsys import DiagramType, ReadOnly, Root, RootSystem, build_root_system
-from .seriescalc import PeriodTable, Poly, period_table, poly, read_level, series_div_geom
+from .seriescalc import PeriodTable, Poly, poly, series_div_geom
 
 
 class BranchParams(NamedTuple):
@@ -153,7 +153,7 @@ class Branching(ReadOnly):
         vars(self)["enforced"] = enforce(self)
         period = math.lcm(params.a, params.b)
         columns = (self.series(i, 2 * period - 1) for i in range(rs.rank + 1))
-        vars(self)["periods"] = period_table(list(zip(*columns)), period)
+        vars(self)["periods"] = PeriodTable.of(list(zip(*columns)), period)
 
     @classmethod
     def build(cls, dtype: DiagramType | str) -> "Branching":
@@ -230,4 +230,4 @@ class Branching(ReadOnly):
         for any n >= 0: one read of the period table, O(rank)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return read_level(self.periods, n)
+        return self.periods.level(n)

@@ -78,9 +78,11 @@ def cmd_branch(args: argparse.Namespace) -> tuple:
 
 
 def cmd_zpoly(args: argparse.Namespace) -> tuple:
-    bundle = Branching.build(args.type)
+    if args.all and args.node is not None:
+        raise ValueError("zpoly takes --node or --all, not both")
     if not args.all and args.node is None:
         raise ValueError("zpoly requires --node or --all")
+    bundle = Branching.build(args.type)
     nodes = range(bundle.rs.rank + 1) if args.all else [bundle.resolve_node(args.node)]
     records, lines = [], []
     for i in nodes:
@@ -96,9 +98,11 @@ def cmd_zpoly(args: argparse.Namespace) -> tuple:
 def cmd_series(args: argparse.Namespace) -> tuple:
     if args.order > MAX_ORDER:
         raise ValueError(f"order {args.order} exceeds the limit {MAX_ORDER}")
-    bundle = Branching.build(args.type)
     if args.node is None:
         raise ValueError("series requires --node")
+    if args.order < 0:
+        raise ValueError("order must be nonnegative")
+    bundle = Branching.build(args.type)
     node = bundle.resolve_node(args.node)
     coeffs = bundle.series(node, args.order)
     mark, dist = bundle.node_label(node)

@@ -25,8 +25,8 @@ and a predicate over the type's :class:`Session` that returns
 
 The range entries hold for every n: each compares the routes' proved
 period tables (:meth:`Session.periods`) over levels 0..2L-1 (:func:`_read`),
-which rests on the tables' build-time proofs and on their two readers,
-:func:`~.seriescalc.iter_levels` and :func:`~.seriescalc.read_level`.
+which rests on the tables' build-time proofs and on their one reader,
+:class:`~.seriescalc.PeriodTable`.
 Only the group entries and the character route import :mod:`~.binarygroups`.
 """
 
@@ -38,11 +38,11 @@ from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import mckay, seriescalc
+from . import mckay
 from .coxeter import perm_compose, perm_identity, perm_power
 from .errors import ConsistencyError
 from .rootsys import DiagramType, Root
-from .seriescalc import Poly, poly, poly_str, sparse_items
+from .seriescalc import PeriodTable, Poly, poly, poly_str, sparse_items
 
 if TYPE_CHECKING:
     from . import binarygroups
@@ -146,9 +146,11 @@ class Session:
         """sigma^g, which should act as the longest Weyl element."""
         return perm_power(self.bundle.cox.sigma, self.bundle.rs.coxeter_number // 2)
 
-    def periods(self, oracle: str) -> seriescalc.PeriodTable:
+    def periods(self, oracle: str) -> PeriodTable:
         """The period table of the oracle named from :data:`ORACLES`, proved
-        where it was built; only the characters build the group."""
+        where it was built; only the characters build the group.  Its
+        ``upto(order)`` gives the route's levels 0..order, ``level(n)`` any
+        one level."""
         if oracle == "coxeter":
             return self.bundle.periods
         if oracle == "recursion":
@@ -161,7 +163,7 @@ class Session:
         """Multiplicities at level n by the named oracle, for any n >= 0."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return seriescalc.read_level(self.periods(oracle), n)
+        return self.periods(oracle).level(n)
 
 
 Result = tuple[bool, str]
@@ -463,7 +465,8 @@ def _heisenberg(c: Session) -> Result:
 def _numerators(c: Session) -> Result:
     """Degree < h, value at 1, exponent parity and 0/1 coefficients (2 at
     most on the special node) per node; the special numerator equals its
-    closed form (so it is symmetric about t^g) and node 0 has 1 + t^h."""
+    closed form (so it is symmetric about t^g) and node 0 has 1 + t^h.
+    Last, each z_i is palindromic of degree h, t^h z_i(1/t) = z_i(t)."""
     b = c.bundle
     h, special = b.rs.coxeter_number, b.params.special
     for i in b.rs.nodes:
@@ -484,6 +487,10 @@ def _numerators(c: Session) -> Result:
         return False, "special numerator disagrees with its closed form"
     if sparse_items(b.zpolys[0]) != [(0, 1), (h, 1)]:
         return False, "affine numerator is not 1 + t^h"
+    for i, z in b.zpolys.items():
+        padded = z + (0,) * (h + 1 - len(z))
+        if padded != padded[::-1]:
+            return False, f"numerator {i} is not palindromic of degree h"
     return True, f"{b.rs.rank + 1} numerators within bounds; special node has {poly_str(z_star)}"
 
 
@@ -565,7 +572,7 @@ def _character_table(c: Session) -> Result:
     return dims == graph.marks_ext, f"{r} irreducibles; dims match marks; central signs match sides"
 
 
-def _read(tables: list[seriescalc.PeriodTable], *periods: int) -> tuple[int, Iterator]:
+def _read(tables: list[PeriodTable], *periods: int) -> tuple[int, Iterator]:
     """2L - 1 and the tables' levels 0..2L-1 side by side, L the lcm of
     their periods and ``periods`` (those of the other side compared).
 
@@ -573,8 +580,8 @@ def _read(tables: list[seriescalc.PeriodTable], *periods: int) -> tuple[int, Ite
     agree at every n >= 0 once they agree at levels 0..2L-1: on each
     residue class mod L both are affine in k, and two points fix an
     affine function."""
-    last = 2 * math.lcm(*periods, *(len(base) for base, _ in tables)) - 1
-    return last, zip(*(seriescalc.iter_levels(table, last) for table in tables))
+    last = 2 * math.lcm(*periods, *(table.period for table in tables)) - 1
+    return last, zip(*(table.upto(last) for table in tables))
 
 
 def _triple_oracle(c: Session) -> Result:

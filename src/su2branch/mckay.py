@@ -11,10 +11,9 @@ branching oracle that never touches the Coxeter element.
 The eigenvalues of A are 2 cos(2 pi k / m) for the element orders m,
 so v_n is a degree-1 quasi-polynomial in n.  Each graph certifies a
 period P of the recursion once, in exact integers (P <= 60 for every
-accepted type), as a period table (:func:`~.seriescalc.period_table`)
-whose levels and steps it checks once, and :func:`recursion_oracle`
-returns the :class:`~.seriescalc.Levels` view over it, whose level n
-costs O(size) for any n and checks nothing.
+accepted type), as a :class:`~.seriescalc.PeriodTable` whose levels
+and steps it checks once; :func:`recursion_oracle` returns it to the
+order asked, and its level n costs O(size) for any n and checks nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from functools import cached_property
 
 from .errors import ConsistencyError
 from .rootsys import DiagramType, ReadOnly, RootSystem
-from .seriescalc import Levels, PeriodTable, Vector, negative_step, period_table
+from .seriescalc import PeriodTable, Vector
 
 
 class McKayGraph(ReadOnly):
@@ -39,7 +38,7 @@ class McKayGraph(ReadOnly):
 
     @cached_property
     def certificate(self) -> PeriodTable:
-        """The certified period of the tensor recursion, as ``(base, step)``:
+        """The certified period of the tensor recursion, as a period table:
         base[r] = v_r and step[r] = v_(r+P) - v_r for 0 <= r < P.
 
         The recursion runs only until it certifies a period: the first P
@@ -84,9 +83,9 @@ class McKayGraph(ReadOnly):
                 for n in (0, 1)
                 for i in range(size)
             ):
-                table = period_table(levels, period)
-                if miss := negative_step(table):
-                    where = f"step {miss[0]} of period {period}: {table[1][miss[0]]}"
+                table = PeriodTable.of(levels, period)
+                if miss := table.negative_step():
+                    where = f"step {miss[0]} of period {period}: {table.step[miss[0]]}"
                     raise _failure(self, f"negative multiplicity at {where}")
                 return table
         raise _failure(self, f"tensor recursion has no period up to {cap}")
@@ -130,10 +129,7 @@ def _failure(graph: McKayGraph, problem: str) -> ConsistencyError:
     return ConsistencyError(f"{graph.dtype}: {problem}", dtype=str(graph.dtype), stage="oracles")
 
 
-def recursion_oracle(graph: McKayGraph, order: int) -> Levels:
-    """Multiplicity vectors v_0 .. v_order from the tensor recursion, as the
-    :class:`~.seriescalc.Levels` view over ``graph.certificate``: the first
-    call on a graph certifies its period, later calls cost O(1)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return Levels(graph.certificate, order)
+def recursion_oracle(graph: McKayGraph, order: int) -> PeriodTable:
+    """Multiplicity vectors v_0 .. v_order from the tensor recursion: the
+    first call on a graph certifies its period, later calls cost O(1)."""
+    return graph.certificate.upto(order)

@@ -7,11 +7,11 @@ Dense storage: every degree in play here is small.
 
 Each oracle's multiplicity vectors form a degree-1 quasi-polynomial in
 the level n: with a period P, a base ``base[r]`` and a step ``step[r]``
-for r = 0..P-1, level n = k P + r is ``base[r] + k step[r]``
-(:data:`PeriodTable`).  Every route builds its table with
-:func:`period_table` from its levels 0..2P-1 and proves it once, where
-it is built; :func:`read_level`, :func:`iter_levels` and the
-:class:`Levels` view read it and check nothing.
+for r = 0..P-1, level n = k P + r is ``base[r] + k step[r]``.  One
+read-only type holds it, :class:`PeriodTable`.  Every route builds its
+table with :meth:`PeriodTable.of` from its levels 0..2P-1 and proves it
+once, where it is built; every read (a level, an iteration, a view to
+another order) checks nothing.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from operator import add
 
+from .rootsys import ReadOnly
+
 Poly = tuple[int, ...]
 Vector = tuple[int, ...]
-#: ``(base, step)``: level k P + r is base[r] + k step[r], P = len(base).
-PeriodTable = tuple[tuple[Vector, ...], tuple[Vector, ...]]
 
 
 def poly(coeffs: Iterable[int]) -> Poly:
@@ -52,73 +52,69 @@ def series_div_geom(z: Poly, a: int, b: int, order: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-def period_table(levels: Sequence[Vector], period: int) -> PeriodTable:
-    """The table of levels 0..2P-1 for the period P: base[r] = levels[r]
-    and step[r] = levels[r + P] - levels[r].  The caller proves that the
-    steps repeat, i.e. that levels[n + 2P] - 2 levels[n + P] + levels[n]
-    vanishes for every n >= 0."""
-    base = tuple(levels[:period])
-    step = (tuple([y - x for x, y in zip(u, w)]) for u, w in zip(base, levels[period:]))
-    return base, tuple(step)
+class PeriodTable(ReadOnly, Sequence):
+    """A route's levels 0..order: level n = k P + r is ``base[r] + k step[r]``
+    for the period P = ``len(base)``.  Read-only: the routes cache and share it.
 
-
-def negative_step(table: PeriodTable) -> tuple[int, int] | None:
-    """The first (r, i) with step[r][i] < 0, or None: no level then falls below its base."""
-    pairs = ((r, i) for r, step in enumerate(table[1]) for i, d in enumerate(step) if d < 0)
-    return next(pairs, None)
-
-
-def read_level(table: PeriodTable, n: int) -> Vector:
-    """Level n of a period table, ``base[r] + k step[r]`` for n = k P + r
-    (floor division): O(size) for every integer n, the stored base itself for
-    0 <= n < P, and for n < 0 what chi_(-n-2) = -chi_n gives: minus level -n-2."""
-    base, step = table
-    k, r = divmod(n, len(base))
-    if not k:
-        return base[r]
-    return tuple([x + k * d for x, d in zip(base[r], step[r])])
-
-
-def iter_levels(table: PeriodTable, order: int) -> Iterator[Vector]:
-    """Levels 0..order of a period table in turn, each the level one
-    period back plus its step: one addition per entry."""
-    base, step = table
-    period, levels = len(base), list(base)
-    for n in range(order + 1):
-        r = n % period
-        if n >= period:
-            levels[r] = tuple(map(add, levels[r], step[r]))
-        yield levels[r]
-
-
-class Levels(Sequence):
-    """Read-only view of the levels 0..order of a period table.
-
-    Behaves like ``range``: ``len`` is order + 1, negative indices and
-    slices work, an index past ``order`` raises ``IndexError``, and it
-    compares equal, element by element, to any sequence of the same
-    vectors.  A level costs O(size) for any n (:func:`read_level`),
-    iteration one addition per entry (:func:`iter_levels`); ``period`` is
-    the table's period.
+    Built by :meth:`of`; :meth:`upto` shares ``base`` and ``step`` at another
+    order.  Like ``range``: ``len`` is order + 1, negative indices and slices
+    work, an index past ``order`` raises ``IndexError``, and it equals, element
+    by element, any sequence of the same vectors (so it is unhashable).  A
+    level costs O(size) for any n (:meth:`level`), iteration one addition per
+    entry.
     """
 
-    def __init__(self, table: PeriodTable, order: int) -> None:
-        self.table = table
-        self.order = order
-        self.period = len(table[0])
+    def __init__(self, base: tuple[Vector, ...], step: tuple[Vector, ...], order: int) -> None:
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        vars(self).update(base=base, step=step, order=order, period=len(base))
+
+    @classmethod
+    def of(cls, levels: Sequence[Vector], period: int) -> PeriodTable:
+        """The table of levels 0..2P-1 for the period P, to order 2P-1:
+        base[r] = levels[r] and step[r] = levels[r + P] - levels[r].  The
+        caller proves that the steps repeat, i.e. that levels[n + 2P] -
+        2 levels[n + P] + levels[n] vanishes for every n >= 0."""
+        base = tuple(levels[:period])
+        step = tuple(tuple([y - x for x, y in zip(u, w)]) for u, w in zip(base, levels[period:]))
+        return cls(base, step, 2 * period - 1)
+
+    def upto(self, order: int) -> PeriodTable:
+        """The levels 0..order, sharing this table's ``base`` and ``step``."""
+        return PeriodTable(self.base, self.step, order)
+
+    def negative_step(self) -> tuple[int, int] | None:
+        """The first (r, i) with step[r][i] < 0, or None: no level then falls below its base."""
+        pairs = ((r, i) for r, step in enumerate(self.step) for i, d in enumerate(step) if d < 0)
+        return next(pairs, None)
+
+    def level(self, n: int) -> Vector:
+        """Level n, ``base[r] + k step[r]`` for n = k P + r (floor division),
+        whatever ``order`` is: O(size) for every integer n, the stored base
+        itself for 0 <= n < P, and for n < 0 what chi_(-n-2) = -chi_n gives:
+        minus level -n-2."""
+        k, r = divmod(n, self.period)
+        if not k:
+            return self.base[r]
+        return tuple([x + k * d for x, d in zip(self.base[r], self.step[r])])
 
     def __len__(self) -> int:
         return self.order + 1
 
     def __getitem__(self, index):
         if type(index) is int and 0 <= index <= self.order:
-            return read_level(self.table, index)
+            return self.level(index)
         if isinstance(index, slice):
             return [self[n] for n in range(self.order + 1)[index]]
-        return read_level(self.table, range(self.order + 1)[index])
+        return self.level(range(self.order + 1)[index])
 
     def __iter__(self) -> Iterator[Vector]:
-        return iter_levels(self.table, self.order)
+        step, period, levels = self.step, self.period, list(self.base)
+        for n in range(self.order + 1):
+            r = n % period
+            if n >= period:
+                levels[r] = tuple(map(add, levels[r], step[r]))
+            yield levels[r]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):

@@ -170,7 +170,7 @@ def test_period_table_matches_popoviciu(name):
 def test_period_table_matches_the_dense_series(name):
     b = bundle(name)
     period = math.lcm(b.params.a, b.params.b)
-    assert len(b.periods[0]) == len(b.periods[1]) == period
+    assert len(b.periods.base) == len(b.periods.step) == b.periods.period == period
     columns = [b.series(i, 3 * period) for i in range(b.rs.rank + 1)]
     assert [b.vector(n) for n in range(3 * period + 1)] == list(zip(*columns))
 

@@ -304,6 +304,22 @@ def test_branch_negative_n_exits_2_before_build(monkeypatch, capsys):
     assert err == "usage error: --n must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv,problem",
+    [
+        (["zpoly", "--type", "E8", "--node", "3", "--all"], "zpoly takes --node or --all, not both"),
+        (["zpoly", "--type", "E8"], "zpoly requires --node or --all"),
+        (["series", "--type", "E8"], "series requires --node"),
+        (["series", "--type", "E8", "--node", "3", "--order", "-1"], "order must be nonnegative"),
+    ],
+    ids=["zpoly-both", "zpoly-neither", "series-no-node", "series-negative-order"],
+)
+def test_node_and_order_errors_exit_2_before_build(monkeypatch, capsys, argv, problem):
+    _forbid_work(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"usage error: {problem}\n")
+
+
 #: One command line per subcommand, for the up-front ``--out`` checks.
 EVERY_SUBCOMMAND = pytest.mark.parametrize(
     "argv",

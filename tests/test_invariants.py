@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from su2branch import binarygroups, branching, invariants, mckay, seriescalc
+from su2branch import binarygroups, branching, invariants, mckay
 from su2branch.branching import Branching
 from su2branch.coxeter import Bipartition, perm_compose
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Invariant, Session, registry
 from su2branch.rootsys import build_root_system
+from su2branch.seriescalc import PeriodTable
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
 from conftest import audit, bundle, replace
@@ -94,6 +95,20 @@ def test_corrupted_numerator_fails_construction():
     assert err.dtype == "E8"
     assert err.stage == "z_polynomial"
     assert str(err) == "E8 numerator polynomials: numerator 7 sums to 5"
+
+
+@pytest.mark.parametrize("name,node,old,new", [("E8", 7, 11, 13), ("E6", 1, 4, 6)])
+def test_a_numerator_that_breaks_weyl_reciprocity_fails_construction(name, node, old, new):
+    # Moving one term by two keeps the sum, the parity, the bounds and the
+    # degree, so only the palindrome t^h z(1/t) = z(t) catches it.
+    b = bundle(name)
+    z = list(b.zpolys[node])
+    z[old], z[new] = 0, 1
+    with pytest.raises(ConsistencyError) as info:
+        replace(b, zpolys={**b.zpolys, node: tuple(z)})
+    err = info.value
+    assert (err.dtype, err.stage, err.invariant) == (name, "z_polynomial", "numerator polynomials")
+    assert str(err) == f"{name} numerator polynomials: numerator {node} is not palindromic of degree h"
 
 
 def test_broken_stage_is_reported_under_its_invariant(monkeypatch, capsys):
@@ -207,10 +222,11 @@ def test_each_entry_is_evaluated_once_per_run(monkeypatch):
 
 def _bump_entry(table, r, node=0, part=1):
     """The period table with one more at step[r][node] (``part`` 0: base)."""
-    rows = table[part]
+    rows = (table.base, table.step)[part]
     row = rows[r][:node] + (rows[r][node] + 1,) + rows[r][node + 1 :]
     bumped = rows[:r] + (row,) + rows[r + 1 :]
-    return (bumped, table[1]) if part == 0 else (table[0], bumped)
+    base, step = (bumped, table.step) if part == 0 else (table.base, bumped)
+    return PeriodTable(base, step, table.order)
 
 
 def _corrupt_group_tables(monkeypatch, molien, r):
@@ -249,7 +265,7 @@ def test_the_last_residue_is_checked_in_base_and_step(monkeypatch, oracle, part,
 
     def corrupted(self, name):
         table = periods(self, name)
-        return _bump_entry(table, len(table[0]) - 1, node=8, part=part) if name == oracle else table
+        return _bump_entry(table, table.period - 1, node=8, part=part) if name == oracle else table
 
     monkeypatch.setattr(Session, "periods", corrupted)
     triple = {c.name: c for c in run_type_checks("E8")}["E8 triple oracle"]
@@ -260,22 +276,23 @@ def test_the_last_residue_is_checked_in_base_and_step(monkeypatch, oracle, part,
 def test_range_entries_expand_each_route_once(monkeypatch):
     """Each range entry expands each table it compares once, to 2L - 1,
     from the route's proved table, never through a route's range API."""
-    reads, iter_levels = [], seriescalc.iter_levels
+    reads, iterate = [], PeriodTable.__iter__
 
-    def counted(table, order):
-        reads.append((len(table[0]), order))
-        return iter_levels(table, order)
+    def counted(table):
+        reads.append((table.period, table.order))
+        return iterate(table)
 
     def boom(*args):
         raise AssertionError("a range API was called")
 
-    monkeypatch.setattr(seriescalc, "iter_levels", counted)
+    monkeypatch.setattr(PeriodTable, "__iter__", counted)
     monkeypatch.setattr(binarygroups, "character_multiplicities", boom)
     monkeypatch.setattr(mckay, "recursion_oracle", boom)
     checks = {c.name: c for c in run_type_checks("E6")}
     assert all(c.passed for c in checks.values())
-    # triple oracle (coxeter, recursion, characters), molien, sum rule, parity
-    assert reads == [(24, 47), (12, 47), (12, 47), (24, 47), (24, 47), (24, 47)]
+    # triple oracle (coxeter, recursion, characters), molien (coxeter, the
+    # group average's own table of period E), sum rule, parity
+    assert reads == [(24, 47), (12, 47), (12, 47), (24, 47), (12, 47), (24, 47), (24, 47)]
     assert checks["E6 triple oracle"].detail.endswith("for all n (levels 0..47)")
 
 

@@ -10,7 +10,6 @@ from su2branch.cli import main
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import ORACLES
 from su2branch.mckay import McKayGraph, extended_graph, recursion_oracle
-from su2branch.seriescalc import Levels
 from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import bundle, graph_for, group_for, session, table_for
@@ -132,8 +131,8 @@ def test_three_oracles_agree_at_huge_levels(name):
 @pytest.mark.parametrize("oracle", ORACLES)
 def test_view_behaves_like_range(oracle):
     # Every route's table (bundle.periods, graph.certificate, table.periods)
-    # through the one view, against the eager recursion.
-    levels = Levels(session("D5").periods(oracle), 40)
+    # to order 40, against the eager recursion.
+    levels = session("D5").periods(oracle).upto(40)
     eager = eager_recursion(graph_for("D5"), 40)
     assert len(levels) == 41
     assert levels[-1] == levels[40] == eager[40]
@@ -189,7 +188,7 @@ def test_levels_are_read_without_a_check(monkeypatch, name):
 def test_calls_on_one_graph_share_one_certificate():
     g = extended_graph(bundle("D7").rs)  # a fresh graph: nothing certified yet
     first, second = recursion_oracle(g, 10), recursion_oracle(g, 10**6)
-    assert first.table is second.table
+    assert first.base is second.base and first.step is second.step
     assert first.period == second.period == PERIODS["D7"]
 
 

@@ -1,6 +1,7 @@
 """The library's records, one case each, built from E8: the read-only ones
 refuse assignment and deletion, the value records equal and hash like a
-copy rebuilt by their constructor, and the others equal only themselves."""
+copy rebuilt by their constructor, and the others equal only themselves.
+A period table equals any sequence of its levels and does not hash."""
 
 import pytest
 
@@ -10,7 +11,8 @@ from su2branch.verify import run_type_checks
 from conftest import replace, session
 
 
-#: class -> (its E8 instance from a session, one of its fields, read-only, compared by value)
+#: class -> (its E8 instance from a session, one of its fields, read-only, compared by
+#: value: True, False, or None for the period table's own case)
 RECORDS = {
     "DiagramType": (lambda s: s.bundle.dtype, "rank", True, True),
     "RootSystem": (lambda s: s.bundle.rs, "roots", True, False),
@@ -20,6 +22,7 @@ RECORDS = {
     "BranchParams": (lambda s: s.bundle.params, "a", True, True),
     "HeisenbergSubsystem": (lambda s: s.bundle.heisenberg, "indices", True, False),
     "Branching": (lambda s: s.bundle, "zpolys", True, False),
+    "PeriodTable": (lambda s: s.periods("recursion"), "step", True, None),
     "McKayGraph": (lambda s: s.graph, "adjacency", True, False),
     "FiniteGroup": (lambda s: s.group, "elements", False, False),
     "CharacterTable": (lambda s: s.table, "rows", False, False),
@@ -37,7 +40,7 @@ def _build(name):
 
 READ_ONLY = [(name, field) for name, (_, field, read_only, _) in RECORDS.items() if read_only]
 BY_VALUE = [(name, field) for name, (_, field, _, by_value) in RECORDS.items() if by_value]
-BY_IDENTITY = [(name, field) for name, (_, field, _, by_value) in RECORDS.items() if not by_value]
+BY_IDENTITY = [(name, field) for name, (_, field, _, by_value) in RECORDS.items() if by_value is False]
 
 
 @pytest.mark.parametrize("name, field", READ_ONLY)
@@ -69,3 +72,14 @@ def test_identity_records_do_not_equal_a_rebuilt_copy(name, field):
     assert type(copy) is type(obj) and getattr(copy, field) is getattr(obj, field)
     assert copy != obj and not copy == obj
     assert obj == obj and hash(obj) == hash(obj)
+
+
+def test_period_table_compares_by_its_levels_and_is_unhashable():
+    table = _build("PeriodTable")
+    copy = replace(table)
+    assert copy is not table and copy.base is table.base and copy.step is table.step
+    assert copy == table and not copy != table
+    assert table == list(table) and table != list(table)[:-1]
+    assert table != table.upto(table.order + 1)
+    with pytest.raises(TypeError):
+        hash(table)

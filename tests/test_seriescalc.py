@@ -5,15 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from su2branch.invariants import ORACLES
-from su2branch.seriescalc import (
-    negative_step,
-    period_table,
-    poly,
-    poly_str,
-    read_level,
-    series_div_geom,
-    sparse_items,
-)
+from su2branch.seriescalc import PeriodTable, poly, poly_str, series_div_geom, sparse_items
 from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import (
@@ -116,10 +108,54 @@ def test_poly_str():
 def test_negative_step_is_the_first_in_level_order():
     # Period 2, two columns: step 0 is (1, 0), step 1 is (0, -1), so the
     # only negative entry is residue 1, column 1.
-    table = period_table([(1, 0), (2, 3), (2, 0), (2, 2)], 2)
-    assert negative_step(table) == (1, 1)
-    assert negative_step(period_table([(1, 0), (2, 3), (2, 0), (2, 3)], 2)) is None
-    assert negative_step(((), ())) is None
+    table = PeriodTable.of([(1, 0), (2, 3), (2, 0), (2, 2)], 2)
+    assert table.negative_step() == (1, 1)
+    assert PeriodTable.of([(1, 0), (2, 3), (2, 0), (2, 3)], 2).negative_step() is None
+    assert PeriodTable((), (), 0).negative_step() is None
+
+
+@st.composite
+def levels_and_period(draw):
+    size, period = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(-9, 9)] * size)
+    return draw(st.lists(vector, min_size=2 * period, max_size=2 * period + 3)), period
+
+
+@given(levels_and_period())
+def test_a_table_reads_back_the_levels_it_was_built_from(case):
+    levels, period = case
+    table = PeriodTable.of(levels, period)
+    assert (table.period, table.order) == (period, 2 * period - 1)
+    assert list(table) == levels[: 2 * period]
+    assert [table.level(n) for n in range(2 * period)] == levels[: 2 * period]
+
+
+def test_upto_shares_base_and_step():
+    table = PeriodTable.of([(1, 0), (2, 3), (2, 0), (2, 2)], 2)
+    longer = table.upto(10)
+    assert longer.base is table.base and longer.step is table.step
+    assert (longer.period, longer.order, len(longer)) == (2, 10, 11)
+    assert longer[:4] == list(table)
+    assert longer[-1] == table.level(10) == (6, 0)
+    assert longer[9] == table.level(9) == (2, -1)
+
+
+def test_a_table_slices_and_compares_like_the_list_of_its_levels():
+    table = PeriodTable.of([(1, 0), (2, 3), (2, 0), (2, 2)], 2).upto(6)
+    levels = [table.level(n) for n in range(7)]
+    assert table[::-1] == levels[::-1] and table[5:] == levels[5:]
+    assert table == levels and levels == table and table == tuple(levels)
+    assert table != levels[:-1] and table != levels[:-1] + [levels[0]]
+    assert table != levels + [levels[0]]
+
+
+def test_a_negative_order_is_refused_at_construction():
+    table = PeriodTable.of([(1,), (2,)], 1)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        table.upto(-1)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        PeriodTable(table.base, table.step, -1)
+    assert list(table.upto(0)) == [(1,)]
 
 
 @pytest.mark.parametrize("oracle", ORACLES)
@@ -129,6 +165,5 @@ def test_read_level_keeps_weyl_reciprocity(name, oracle):
     # satisfy q(-n-2) = -q(n); n = -1 reads the zero level.  q(n) + q(-n-2)
     # is affine in k on each residue class, so two periods prove it for all n.
     table = session(name).periods(oracle)
-    period = len(table[0])
-    for n in range(-1, 2 * period + 3):
-        assert read_level(table, -n - 2) == tuple(-x for x in read_level(table, n)), n
+    for n in range(-1, 2 * table.period + 3):
+        assert table.level(-n - 2) == tuple(-x for x in table.level(n)), n
