@@ -31,10 +31,11 @@ whole ranges of levels.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import cached_property
 from itertools import repeat
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coxeter import (
     Bipartition,
@@ -43,12 +44,16 @@ from .coxeter import (
     bipartition,
     coxeter_element,
     orbit_table,
+    perm_power,
     special_index,
 )
-from .invariants import enforce
+from .invariants import ORACLES, enforce
 from .mckay import McKayGraph, extended_graph
 from .rootsys import DiagramType, ReadOnly, Root, RootSystem, build_root_system
 from .seriescalc import PeriodTable, Poly, poly, series_div_geom
+
+if TYPE_CHECKING:
+    from . import binarygroups
 
 
 class BranchParams(NamedTuple):
@@ -132,6 +137,25 @@ def z_polynomial(
     return poly(coeffs)
 
 
+def _built_once(build: Callable[[Branching], object]) -> property:
+    """A property that runs ``build`` on first read and keeps its value,
+    or the exception it raised, which every later read raises again."""
+    key = f"_{build.__name__}_outcome"
+
+    def get(self: Branching) -> object:
+        if key not in self.__dict__:
+            try:
+                self.__dict__[key] = (build(self), None)
+            except Exception as exc:  # noqa: BLE001 - kept for the entries that read it
+                self.__dict__[key] = (None, exc)
+        value, exc = self.__dict__[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    return property(get)
+
+
 class Branching(ReadOnly):
     """Everything derived from one diagram type, bundled.
 
@@ -139,8 +163,10 @@ class Branching(ReadOnly):
     Constructing one runs the registry's enforced entries
     (:func:`~.invariants.enforce`) and raises ``ConsistencyError`` at
     the first that fails; their results are kept in ``enforced``, by
-    entry name, for verify to report.  Then it builds ``periods``, the
-    period table every level is read from (module docstring).
+    entry name, for verify to report.  Then it builds the Coxeter period
+    table every level is read from (module docstring).  The McKay graph,
+    sigma^g, the group and its character table are built on first use; only
+    the last two load ``binarygroups``, at most once even when that fails.
     """
 
     def __init__(
@@ -153,7 +179,7 @@ class Branching(ReadOnly):
         vars(self)["enforced"] = enforce(self)
         period = math.lcm(params.a, params.b)
         columns = (self.series(i, 2 * period - 1) for i in range(rs.rank + 1))
-        vars(self)["periods"] = PeriodTable.of(list(zip(*columns)), period)
+        vars(self)["_coxeter"] = PeriodTable.of(list(zip(*columns)), period)
 
     @classmethod
     def build(cls, dtype: DiagramType | str) -> "Branching":
@@ -185,9 +211,24 @@ class Branching(ReadOnly):
     @cached_property
     def graph(self) -> McKayGraph:
         """The extended diagram, built once per bundle: the enforced
-        "extended graph" entry checks this object, and every
-        :class:`~.invariants.Session` over the bundle reads it."""
+        "extended graph" entry checks this object, and the recursion
+        route and the character table read it."""
         return extended_graph(self.rs)
+
+    @_built_once
+    def group(self) -> binarygroups.FiniteGroup:
+        from . import binarygroups
+        return binarygroups.build_group(self.dtype, self.params)
+
+    @_built_once
+    def character_table(self) -> binarygroups.CharacterTable:
+        from . import binarygroups
+        return binarygroups.character_table(self.group, self.graph)
+
+    @cached_property
+    def kappa(self) -> tuple[int, ...]:
+        """sigma^g, which should act as the longest Weyl element."""
+        return perm_power(self.cox.sigma, self.rs.coxeter_number // 2)
 
     @cached_property
     def _attachment_distances(self) -> dict[int, int]:
@@ -225,9 +266,21 @@ class Branching(ReadOnly):
             raise ValueError(f"node index {node} out of range for {self.dtype}")
         return self.vector(n)[node]
 
-    def vector(self, n: int) -> tuple[int, ...]:
-        """Multiplicities at level n across all extended nodes (0..rank), exact
-        for any n >= 0: one read of the period table, O(rank)."""
+    def periods(self, oracle: str = "coxeter") -> PeriodTable:
+        """The proved period table of the oracle named from :data:`~.invariants.ORACLES`;
+        only the characters build the group.  Its ``upto(order)`` gives the
+        route's levels 0..order, ``level(n)`` any one level."""
+        if oracle == "coxeter":
+            return self._coxeter
+        if oracle == "recursion":
+            return self.graph.certificate
+        if oracle == "characters":
+            return self.character_table.periods
+        raise ValueError(f"unknown oracle {oracle!r}: expected one of {', '.join(ORACLES)}")
+
+    def vector(self, n: int, oracle: str = "coxeter") -> tuple[int, ...]:
+        """Multiplicities at level n across all extended nodes (0..rank) by the
+        named oracle, exact for any n >= 0: one read of its period table."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return self.periods.level(n)
+        return self.periods(oracle).level(n)

@@ -17,13 +17,18 @@ import sys
 from . import verify
 from .branching import Branching
 from .errors import ConsistencyError
-from .invariants import ORACLES, Session
+from .invariants import ORACLES
 from .rootsys import NODE_CONVENTION, DiagramType
 from .seriescalc import poly_str, sparse_items
 
 #: Largest ``--order`` that ``series`` accepts; on E8 it peaks near 120 MB
 #: at the limit.  ``Branching.series`` takes any order.
 MAX_ORDER = 10**6
+
+#: Largest rank that ``--type`` accepts, checked before any build; ``verify
+#: --type D71``, the costliest command there, takes 1.4 s and 42 MB on two
+#: vCPUs, and D101 already 4 s.  ``Branching.build`` takes any rank.
+MAX_RANK = 71
 
 
 def _envelope(dtype: DiagramType, **fields) -> dict:
@@ -66,8 +71,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 def cmd_branch(args: argparse.Namespace) -> tuple:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    session = Session(Branching.build(args.type))
-    bundle, vec = session.bundle, session.vector(args.n, args.oracle)
+    bundle = Branching.build(args.type)
+    vec = bundle.vector(args.n, args.oracle)
     doc = _envelope(bundle.dtype, n=args.n, oracle=args.oracle, multiplicities=list(vec))
     lines = [f"{bundle.dtype}  n = {args.n}  oracle = {args.oracle}"]
     lines.append(f"{'node':>4} {'mark':>4} {'dist':>4} {'mult':>6}")
@@ -134,8 +139,8 @@ def cmd_orbits(args: argparse.Namespace) -> tuple:
 
 
 def cmd_mckay(args: argparse.Namespace) -> tuple:
-    session = Session(Branching.build(args.type))
-    bundle, graph = session.bundle, session.graph
+    bundle = Branching.build(args.type)
+    graph = bundle.graph
     adjacency = [list(row) for row in graph.adjacency]
     marks = list(graph.marks_ext)
     doc = _envelope(bundle.dtype, adjacency=adjacency, marks=marks)
@@ -149,10 +154,10 @@ def cmd_mckay(args: argparse.Namespace) -> tuple:
 
 
 def cmd_group(args: argparse.Namespace) -> tuple:
-    session = Session(Branching.build(args.type))
-    bundle, group, table = session.bundle, session.group, session.table
+    bundle = Branching.build(args.type)
+    group, table = bundle.group, bundle.character_table
     sizes = list(group.class_sizes)
-    dims = [table.dims[table.node_map[i]] for i in range(session.graph.size)]
+    dims = [table.dims[table.node_map[i]] for i in range(bundle.graph.size)]
     doc = _envelope(bundle.dtype, order=group.order, class_sizes=sizes, character_dims=dims)
     cover = verify.rotation_group_name(bundle.dtype)
     return doc, [
@@ -224,6 +229,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
         if args.out and os.path.isdir(args.out):
             raise ValueError(f"cannot write --out {args.out}: it is a directory")
+        if getattr(args, "type", None):
+            args.type = DiagramType.parse(args.type)
+            if args.type.rank > MAX_RANK:
+                raise ValueError(f"type {args.type} exceeds the rank limit {MAX_RANK}")
         doc, lines, *status = args.fn(args)
         if args.json:
             import json

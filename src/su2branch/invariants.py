@@ -1,10 +1,9 @@
-"""The per-type :class:`Session` and the invariant registry: every
-structural identity, stated once.
+"""The invariant registry: every structural identity, stated once.
 
 :data:`INVARIANTS` is one ordered tuple of entries.  Each entry has the
 name verify reports it under, the build stage whose output it checks,
-and a predicate over the type's :class:`Session` that returns
-``(passed, detail)``.  The registry is walked in two places:
+and a predicate over the type's :class:`~.branching.Branching` that
+returns ``(passed, detail)``.  The registry is walked in two places:
 
 * **Construction enforces.**  Constructing a :class:`~.branching.Branching`
   runs the ``enforced`` entries (root counts, bipartition, special node
@@ -24,7 +23,7 @@ and a predicate over the type's :class:`Session` that returns
   character table and the cross-oracle checks), which run only there.
 
 The range entries hold for every n: each compares the routes' proved
-period tables (:meth:`Session.periods`) over levels 0..2L-1 (:func:`_read`),
+period tables (:meth:`Branching.periods`) over levels 0..2L-1 (:func:`_read`),
 which rests on the tables' build-time proofs and on their one reader,
 :class:`~.seriescalc.PeriodTable`.
 Only the group entries and the character route import :mod:`~.binarygroups`.
@@ -34,18 +33,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import mckay
 from .coxeter import perm_compose, perm_identity, perm_power
 from .errors import ConsistencyError
 from .rootsys import DiagramType, Root
 from .seriescalc import PeriodTable, Poly, poly, poly_str, sparse_items
 
 if TYPE_CHECKING:
-    from . import binarygroups
     from .branching import Branching, BranchParams
 
 #: E8 numerator polynomials keyed by (mark, distance to the affine
@@ -94,78 +90,6 @@ def special_z_closed_form(params: BranchParams) -> Poly:
     return poly(coeffs)
 
 
-def _built_once(build: Callable[[Session], object]) -> property:
-    """A property that runs ``build`` on first read and keeps its value,
-    or the exception it raised, which every later read raises again."""
-    key = f"_{build.__name__}_outcome"
-
-    def get(self: Session) -> object:
-        if key not in self.__dict__:
-            try:
-                self.__dict__[key] = (build(self), None)
-            except Exception as exc:  # noqa: BLE001 - kept for the entries that read it
-                self.__dict__[key] = (None, exc)
-        value, exc = self.__dict__[key]
-        if exc is not None:
-            raise exc
-        return value
-
-    return property(get)
-
-
-class Session:
-    """One diagram type's objects, as ``Session(Branching.build(dtype))``.
-
-    Derived objects, and the ``binarygroups`` module, are loaded on first
-    use, so the enforced entries, which read only the bundle and the McKay
-    graph, never build the group; the group and its character table are built
-    at most once even when that fails.  The McKay graph is the bundle's own
-    (``bundle.graph``), the one the enforced "extended graph" entry checked.
-    Each oracle reads its levels from its route's proved table (:meth:`periods`).
-    """
-
-    def __init__(self, bundle: Branching) -> None:
-        self.bundle = bundle
-
-    @property
-    def graph(self) -> mckay.McKayGraph:
-        return self.bundle.graph
-
-    @_built_once
-    def group(self) -> binarygroups.FiniteGroup:
-        from . import binarygroups
-        return binarygroups.build_group(self.bundle.dtype, self.bundle.params)
-
-    @_built_once
-    def table(self) -> binarygroups.CharacterTable:
-        from . import binarygroups
-        return binarygroups.character_table(self.group, self.graph)
-
-    @cached_property
-    def kappa(self) -> tuple[int, ...]:
-        """sigma^g, which should act as the longest Weyl element."""
-        return perm_power(self.bundle.cox.sigma, self.bundle.rs.coxeter_number // 2)
-
-    def periods(self, oracle: str) -> PeriodTable:
-        """The period table of the oracle named from :data:`ORACLES`, proved
-        where it was built; only the characters build the group.  Its
-        ``upto(order)`` gives the route's levels 0..order, ``level(n)`` any
-        one level."""
-        if oracle == "coxeter":
-            return self.bundle.periods
-        if oracle == "recursion":
-            return self.graph.certificate
-        if oracle == "characters":
-            return self.table.periods
-        raise ValueError(f"unknown oracle {oracle!r}: expected one of {', '.join(ORACLES)}")
-
-    def vector(self, n: int, oracle: str) -> tuple[int, ...]:
-        """Multiplicities at level n by the named oracle, for any n >= 0."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        return self.periods(oracle).level(n)
-
-
 Result = tuple[bool, str]
 
 
@@ -174,19 +98,19 @@ class Invariant(NamedTuple):
 
     name: str
     stage: str
-    predicate: Callable[[Session], Result]
+    predicate: Callable[[Branching], Result]
     enforced: bool = False
     only: str | None = None
 
-    def evaluate(self, session: Session) -> Result:
+    def evaluate(self, bundle: Branching) -> Result:
         try:
-            return self.predicate(session)
+            return self.predicate(bundle)
         except Exception as exc:  # noqa: BLE001 - a predicate that crashes has failed
             return False, f"exception: {exc}"
 
 
-def _root_counts(c: Session) -> Result:
-    rs = c.bundle.rs
+def _root_counts(c: Branching) -> Result:
+    rs = c.rs
     rank, h, num_pos, psi = rs.rank, rs.coxeter_number, rs.num_positive, rs.highest_root
     ok = (
         num_pos == h // 2 * rank
@@ -214,7 +138,7 @@ def _leading_minors(m: Sequence[Sequence[int]]) -> Iterator[int]:
         prev = pivot
 
 
-def _cartan_pairing(c: Session) -> Result:
+def _cartan_pairing(c: Branching) -> Result:
     """Every pairing (r_p, r_q), q >= p, lies in [-2, 2] and (r_p, r_p) = 2.
 
     Proved in O(R rank), not walked over all R^2 pairs: when the Cartan
@@ -223,7 +147,7 @@ def _cartan_pairing(c: Session) -> Result:
     x C y is an inner product and Cauchy-Schwarz gives |(r_p, r_q)| <=
     sqrt((r_p, r_p)(r_q, r_q)) = 2.  Otherwise (a corrupted system) the
     plain per-pair loop finds the first miss."""
-    rs = c.bundle.rs
+    rs = c.rs
     cartan, rank, roots = rs.cartan, rs.rank, rs.roots
     for i in range(rank):
         if cartan[i][i] != 2:
@@ -253,8 +177,8 @@ def _pairing_miss(cartan: Sequence[Sequence[int]], roots: Sequence[Root]) -> str
     return None
 
 
-def _reachability(c: Session) -> Result:
-    rs = c.bundle.rs
+def _reachability(c: Branching) -> Result:
+    rs = c.rs
     for r in rs.positive_roots:
         if sum(r) == 1:
             continue
@@ -266,13 +190,13 @@ def _reachability(c: Session) -> Result:
     return True, "every positive root steps down to a simple root"
 
 
-def _reflections(c: Session) -> Result:
+def _reflections(c: Branching) -> Result:
     """The index numbers the root list in order, so no root is listed
     twice; then each simple reflection s_i(r) = r - (r, alpha_i) alpha_i,
     read from ``rs.pairings``, sends every root to a root.  s_i is linear
     and its own inverse, as (alpha_i, alpha_i) = C_ii = 2 ("cartan
     pairing"), so it permutes the finite root set."""
-    rs = c.bundle.rs
+    rs = c.rs
     if len(rs._index) != len(rs.roots) or rs._index != {r: k for k, r in enumerate(rs.roots)}:
         return False, "the index does not number the root list in order"
     for i, pairings in enumerate(rs.pairings):
@@ -285,8 +209,8 @@ def _reflections(c: Session) -> Result:
     return True, f"{rs.rank} reflections permute all {len(rs.roots)} roots"
 
 
-def _bipartition(c: Session) -> Result:
-    rs, bp = c.bundle.rs, c.bundle.bp
+def _bipartition(c: Branching) -> Result:
+    rs, bp = c.rs, c.bp
     for part in (bp.part1, bp.part2):
         for i in part:
             for j in part:
@@ -302,18 +226,17 @@ def _bipartition(c: Session) -> Result:
     return True, f"sides {list(bp.part1)} | {list(bp.part2)}"
 
 
-def _special_side(c: Session) -> Result:
-    b = c.bundle
-    g, special = b.rs.coxeter_number // 2, b.params.special
-    side = b.bp.side(special)
+def _special_side(c: Branching) -> Result:
+    g, special = c.rs.coxeter_number // 2, c.params.special
+    side = c.bp.side(special)
     return (side == 2) == (g % 2 == 0), f"special node {special} on side {side}, g = {g}"
 
 
-def _coxeter_order(c: Session) -> Result:
+def _coxeter_order(c: Branching) -> Result:
     """tau1 and tau2 square to one, and sigma's order, the lcm of its cycle
     lengths, is h.  A sigma that is not a permutation has no order and
     fails with the "exactly" detail."""
-    cox, h = c.bundle.cox, c.bundle.rs.coxeter_number
+    cox, h = c.cox, c.rs.coxeter_number
     ident = perm_identity(len(cox.sigma))
     if perm_compose(cox.tau1, cox.tau1) != ident or perm_compose(cox.tau2, cox.tau2) != ident:
         return False, "a color-class involution fails to square to one"
@@ -332,8 +255,8 @@ def _coxeter_order(c: Session) -> Result:
     return order == h, f"sigma has order exactly {h}"
 
 
-def _orbit_partition(c: Session) -> Result:
-    rs, table = c.bundle.rs, c.bundle.table
+def _orbit_partition(c: Branching) -> Result:
+    rs, table = c.rs, c.table
     h, num_pos = rs.coxeter_number, rs.num_positive
     betas = {rs.index_of(beta) for beta in table.signed_simples}
     seen: set[int] = set()
@@ -353,8 +276,8 @@ def _orbit_partition(c: Session) -> Result:
     return ok, f"{rs.rank} disjoint orbits of size {h} cover {len(rs.roots)} roots"
 
 
-def _orbit_exponents(c: Session) -> Result:
-    rs, bp, table = c.bundle.rs, c.bundle.bp, c.bundle.table
+def _orbit_exponents(c: Branching) -> Result:
+    rs, bp, table = c.rs, c.bp, c.table
     h = rs.coxeter_number
     g = h // 2
     for i in rs.nodes:
@@ -375,18 +298,18 @@ def _orbit_exponents(c: Session) -> Result:
     return psi_n == g, f"bijections hold; highest root has exponent {psi_n} = g"
 
 
-def _negates_positives(c: Session) -> Result:
-    rs = c.bundle.rs
+def _negates_positives(c: Branching) -> Result:
+    rs = c.rs
     num_pos = rs.num_positive
     bad = [rs.root_at(x) for x in range(num_pos) if c.kappa[x] < num_pos]
     offenders = f"; offenders {bad[:3]}" if bad else ""
     return not bad, f"{num_pos - len(bad)}/{num_pos} positive roots negated{offenders}"
 
 
-def _negates_class(k: int) -> Callable[[Session], Result]:
-    def predicate(c: Session) -> Result:
-        rs = c.bundle.rs
-        part = c.bundle.bp.part1 if k == 1 else c.bundle.bp.part2
+def _negates_class(k: int) -> Callable[[Branching], Result]:
+    def predicate(c: Branching) -> Result:
+        rs = c.rs
+        part = c.bp.part1 if k == 1 else c.bp.part2
         simples = [rs.index_of(rs.simple_root(i)) for i in part]
         ok = {c.kappa[x] for x in simples} == {rs.negation(x) for x in simples}
         return ok, f"{len(part)} simple roots checked"
@@ -394,35 +317,35 @@ def _negates_class(k: int) -> Callable[[Session], Result]:
     return predicate
 
 
-def _negates_special(c: Session) -> Result:
-    rs, special = c.bundle.rs, c.bundle.params.special
+def _negates_special(c: Branching) -> Result:
+    rs, special = c.rs, c.params.special
     alpha = rs.index_of(rs.simple_root(special))
     ok = c.kappa[alpha] == rs.negation(alpha)
     return ok, f"node {special}" + ("" if ok else f"; image {rs.root_at(c.kappa[alpha])}")
 
 
-def _reaches_special(c: Session) -> Result:
-    rs, table, special = c.bundle.rs, c.bundle.table, c.bundle.params.special
+def _reaches_special(c: Branching) -> Result:
+    rs, table, special = c.rs, c.table, c.params.special
     g = rs.coxeter_number // 2
     steps = (g - 1) // 2 if g % 2 == 1 else g // 2
-    reached = perm_power(c.bundle.cox.sigma, steps)[rs.index_of(rs.highest_root)]
+    reached = perm_power(c.cox.sigma, steps)[rs.index_of(rs.highest_root)]
     ok = reached == rs.index_of(table.signed_simples[special - 1])
     return ok, f"g = {g}, steps = {steps}" + ("" if ok else f"; landed on {rs.root_at(reached)}")
 
 
-def _shares_orbit(c: Session) -> Result:
-    rs = c.bundle.rs
-    node = c.bundle.table.orbit_node[rs.index_of(rs.highest_root)]
-    return node == c.bundle.params.special, f"orbit of highest root: node {node}"
+def _shares_orbit(c: Branching) -> Result:
+    rs = c.rs
+    node = c.table.orbit_node[rs.index_of(rs.highest_root)]
+    return node == c.params.special, f"orbit of highest root: node {node}"
 
 
-def _kappa_involution(c: Session) -> Result:
-    g = c.bundle.rs.coxeter_number // 2
+def _kappa_involution(c: Branching) -> Result:
+    g = c.rs.coxeter_number // 2
     return perm_compose(c.kappa, c.kappa) == perm_identity(len(c.kappa)), f"2g = {2 * g}"
 
 
-def _kappa_commutes(c: Session) -> Result:
-    kappa, cox = c.kappa, c.bundle.cox
+def _kappa_commutes(c: Branching) -> Result:
+    kappa, cox = c.kappa, c.cox
     ok = all(perm_compose(kappa, tau) == perm_compose(tau, kappa) for tau in (cox.tau1, cox.tau2))
     return ok, "both factors"
 
@@ -446,66 +369,64 @@ LONGEST_ELEMENT: tuple[Invariant, ...] = tuple(
 )
 
 
-def _heisenberg(c: Session) -> Result:
-    b = c.bundle
-    hs, h = b.heisenberg, b.rs.coxeter_number
+def _heisenberg(c: Branching) -> Result:
+    hs, h = c.heisenberg, c.rs.coxeter_number
     if len(hs.roots) != 2 * h - 3:
         return False, f"{len(hs.roots)} roots, expected {2 * h - 3}"
     if any(any(x < 0 for x in r) for r in hs.roots):
         return False, "subsystem contains a negative root"
-    if sorted(b.rs.roots[k] for ks in hs.indices.values() for k in ks) != sorted(hs.roots):
+    if sorted(c.rs.roots[k] for ks in hs.indices.values() for k in ks) != sorted(hs.roots):
         return False, "slices do not partition the subsystem"
-    for i in b.rs.nodes:
-        want = 2 * b.rs.mark(i) if i != b.params.special else b.params.a - 1
+    for i in c.rs.nodes:
+        want = 2 * c.rs.mark(i) if i != c.params.special else c.params.a - 1
         if len(hs.indices[i]) != want:
             return False, f"slice {i} has {len(hs.indices[i])} roots, expected {want}"
     return True, f"{2 * h - 3} roots, slice sizes as required"
 
 
-def _numerators(c: Session) -> Result:
+def _numerators(c: Branching) -> Result:
     """Degree < h, value at 1, exponent parity and 0/1 coefficients (2 at
     most on the special node) per node; the special numerator equals its
     closed form (so it is symmetric about t^g) and node 0 has 1 + t^h.
     Last, each z_i is palindromic of degree h, t^h z_i(1/t) = z_i(t)."""
-    b = c.bundle
-    h, special = b.rs.coxeter_number, b.params.special
-    for i in b.rs.nodes:
-        z = b.zpolys[i]
+    h, special = c.rs.coxeter_number, c.params.special
+    for i in c.rs.nodes:
+        z = c.zpolys[i]
         if len(z) > h:
             return False, f"numerator {i} has degree >= h"
-        want = b.params.a if i == special else 2 * b.rs.mark(i)
+        want = c.params.a if i == special else 2 * c.rs.mark(i)
         if sum(z) != want:
             return False, f"numerator {i} sums to {sum(z)}"
-        side = b.bp.side(i)
+        side = c.bp.side(i)
         if any(x and e % 2 != side % 2 for e, x in enumerate(z)):
             return False, f"numerator {i} breaks exponent parity"
         bound = 2 if i == special else 1
         if any(x < 0 or x > bound for x in z):
             return False, f"numerator {i} violates coefficient bounds"
-    z_star = b.zpolys[special]
-    if z_star != special_z_closed_form(b.params):
+    z_star = c.zpolys[special]
+    if z_star != special_z_closed_form(c.params):
         return False, "special numerator disagrees with its closed form"
-    if sparse_items(b.zpolys[0]) != [(0, 1), (h, 1)]:
+    if sparse_items(c.zpolys[0]) != [(0, 1), (h, 1)]:
         return False, "affine numerator is not 1 + t^h"
-    for i, z in b.zpolys.items():
+    for i, z in c.zpolys.items():
         padded = z + (0,) * (h + 1 - len(z))
         if padded != padded[::-1]:
             return False, f"numerator {i} is not palindromic of degree h"
-    return True, f"{b.rs.rank + 1} numerators within bounds; special node has {poly_str(z_star)}"
+    return True, f"{c.rs.rank + 1} numerators within bounds; special node has {poly_str(z_star)}"
 
 
-def _golden_e8(c: Session) -> Result:
-    for i in c.bundle.rs.nodes:
-        if dict(sparse_items(c.bundle.zpolys[i])) != GOLDEN_E8_Z[c.bundle.node_label(i)]:
+def _golden_e8(c: Branching) -> Result:
+    for i in c.rs.nodes:
+        if dict(sparse_items(c.zpolys[i])) != GOLDEN_E8_Z[c.node_label(i)]:
             return False, f"node {i} differs from the golden numerator"
     return True, "8/8 golden numerators match exactly"
 
 
-def _branch_parameters(c: Session) -> Result:
+def _branch_parameters(c: Branching) -> Result:
     """The closed form (a, b, h, g), which has a <= b, both even and
     4 | ab; "group sanity" confirms |F*| = a * b / 2 on the built group."""
-    p = c.bundle.params
-    got, want = (p.a, p.b, p.h, p.g), expected_params(c.bundle.dtype)
+    p = c.params
+    got, want = (p.a, p.b, p.h, p.g), expected_params(c.dtype)
     if got != want:
         return False, f"computed {got}, closed form {want}"
     if p.b != p.h + 2 - p.a:
@@ -513,8 +434,8 @@ def _branch_parameters(c: Session) -> Result:
     return True, f"(a, b, h, g) = {want}; |F*| = {p.order_fstar}"
 
 
-def _group_sanity(c: Session) -> Result:
-    group, p = c.group, c.bundle.params
+def _group_sanity(c: Branching) -> Result:
+    group, p = c.group, c.params
     n = group.order
     if p.a * p.b != 2 * n:
         return False, f"a*b = {p.a * p.b} but group order is {n}"
@@ -534,11 +455,11 @@ def _group_sanity(c: Session) -> Result:
     return True, f"order {n}; associativity sampled, inverses total"
 
 
-def _extended_graph(c: Session) -> Result:
+def _extended_graph(c: Branching) -> Result:
     """Symmetric; the affine row is the attachment (so no node pairs
     negatively with the highest root); the extended marks span the
     kernel of 2 - A."""
-    graph, rs = c.graph, c.bundle.rs
+    graph, rs = c.graph, c.rs
     adj = graph.adjacency
     for i in range(graph.size):
         for j in range(graph.size):
@@ -554,8 +475,8 @@ def _extended_graph(c: Session) -> Result:
     return True, f"size {graph.size}; marks {list(graph.marks_ext)}"
 
 
-def _character_table(c: Session) -> Result:
-    group, table, graph = c.group, c.table, c.graph
+def _character_table(c: Branching) -> Result:
+    group, table, graph = c.group, c.character_table, c.graph
     r = len(group.classes)
     p = group.p
     sizes, inverse = group.class_sizes, group.class_inverse
@@ -565,7 +486,7 @@ def _character_table(c: Session) -> Result:
             if (val - (group.order if c1 == c2 else 0)) % p:
                 return False, f"column orthogonality fails at ({c1}, {c2})"
     for node, (_, at_minus) in enumerate(table.central):
-        sign = -1 if c.bundle.node_parity(node) == 1 else 1
+        sign = -1 if c.node_parity(node) == 1 else 1
         if at_minus != sign * graph.marks_ext[node]:
             return False, f"central value at node {node} is {at_minus}"
     dims = tuple(table.dims[table.node_map[i]] for i in range(graph.size))
@@ -584,7 +505,7 @@ def _read(tables: list[PeriodTable], *periods: int) -> tuple[int, Iterator]:
     return last, zip(*(table.upto(last) for table in tables))
 
 
-def _triple_oracle(c: Session) -> Result:
+def _triple_oracle(c: Branching) -> Result:
     last, levels = _read([c.periods(oracle) for oracle in ORACLES])
     for n, (s, r, ch) in enumerate(levels):
         if s == r == ch:
@@ -597,7 +518,7 @@ def _triple_oracle(c: Session) -> Result:
     return True, f"series == recursion == characters for all n (levels 0..{last})"
 
 
-def _huge_level(c: Session) -> Result:
+def _huge_level(c: Branching) -> Result:
     n = HUGE_LEVEL
     cox, rec, chars = (c.vector(n, oracle) for oracle in ORACLES)
     if not cox == rec == chars:
@@ -605,17 +526,17 @@ def _huge_level(c: Session) -> Result:
     return True, f"coxeter == recursion == characters at n={n}"
 
 
-def _molien(c: Session) -> Result:
+def _molien(c: Branching) -> Result:
     from . import binarygroups
     # Molien's own table has the group's period E; it never reads the character table.
-    last, levels = _read([c.periods("coxeter")], binarygroups.exponent(c.bundle.dtype))
+    last, levels = _read([c.periods("coxeter")], binarygroups.exponent(c.dtype))
     for n, (m, (v,)) in enumerate(zip(binarygroups.molien_series(c.group, last), levels)):
         if m != v[0]:
             return False, f"group average {m} != invariant series {v[0]} at n={n}"
     return True, f"group average matches invariant series for all n (levels 0..{last})"
 
 
-def _sum_rule(c: Session) -> Result:
+def _sum_rule(c: Branching) -> Result:
     marks = c.graph.marks_ext
     last, levels = _read([c.periods("coxeter")])  # n + 1 has period 1
     for n, (v,) in enumerate(levels):
@@ -624,11 +545,11 @@ def _sum_rule(c: Session) -> Result:
     return True, f"sum of mark * multiplicity is n + 1 for all n (levels 0..{last})"
 
 
-def _parity_vanishing(c: Session) -> Result:
+def _parity_vanishing(c: Branching) -> Result:
     last, levels = _read([c.periods("coxeter")], 2)  # the parity has period 2
     for n, (v,) in enumerate(levels):
         for i, m in enumerate(v):
-            if m and n % 2 != c.bundle.node_parity(i) % 2:
+            if m and n % 2 != c.node_parity(i) % 2:
                 return False, f"node {i} has multiplicity {m} at parity-breaking n={n}"
     return True, f"multiplicities vanish off-parity for all n (levels 0..{last})"
 
@@ -668,10 +589,10 @@ def registry(dtype: DiagramType | str) -> tuple[Invariant, ...]:
 def enforce(bundle: Branching) -> dict[str, Result]:
     """Evaluate the enforced entries in order; raise at the first failure,
     else return every entry's ``(passed, detail)`` by name."""
-    session, results = Session(bundle), {}
+    results = {}
     for inv in INVARIANTS:
         if inv.enforced:
-            passed, detail = results[inv.name] = inv.evaluate(session)
+            passed, detail = results[inv.name] = inv.evaluate(bundle)
             if not passed:
                 raise ConsistencyError(
                     f"{bundle.dtype} {inv.name}: {detail}",

@@ -3,7 +3,7 @@
 :func:`run_type_checks` builds one diagram type and reports every entry
 of :data:`~.invariants.INVARIANTS` that applies to it, in registry
 order, one :class:`Check` per entry, all read from one
-:class:`~.invariants.Session`; every range check holds for all n, with
+:class:`~.branching.Branching`; every range check holds for all n, with
 no depth to set.  The enforced entries ran when the bundle was built, and
 their results (``Branching.enforced``) are the ones reported; if one
 failed there, the report is that entry's FAIL line.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .branching import Branching
-from .invariants import Session, registry
+from .invariants import registry
 from .rootsys import DiagramType
 
 #: Diagram types the verification and acceptance sweeps run over.
@@ -71,14 +71,14 @@ def run_type_checks(dtype: DiagramType | str) -> list[Check]:
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
     try:
-        session = Session(Branching.build(dtype))
+        bundle = Branching.build(dtype)
     except Exception as exc:  # noqa: BLE001 - report the failed entry or stage
         stage, invariant = getattr(exc, "stage", None), getattr(exc, "invariant", None)
         name = f"{dtype} {invariant or 'construction'}"
         return [Check(name, False, f"exception: {exc}", stage, invariant)]
-    checks, enforced = [], session.bundle.enforced
+    checks = []
     for inv in registry(dtype):
-        passed, detail = enforced[inv.name] if inv.enforced else inv.evaluate(session)
+        passed, detail = bundle.enforced[inv.name] if inv.enforced else inv.evaluate(bundle)
         checks.append(Check(f"{dtype} {inv.name}", passed, detail, inv.stage, inv.name))
     return checks
 

@@ -1,4 +1,4 @@
-"""One cached session per diagram type, so each type is constructed once
+"""One cached bundle per diagram type, so each type is constructed once
 per run, a copy-with-changes helper for the library's records, and
 polynomial, counting and root-system helpers used only by tests."""
 
@@ -7,31 +7,27 @@ import math
 from functools import lru_cache
 from types import SimpleNamespace
 
-from su2branch import Branching, Session
+from su2branch import Branching
 from su2branch.invariants import INVARIANTS
 from su2branch.rootsys import DiagramType, cartan_matrix
 from su2branch.seriescalc import poly
 
 
 @lru_cache(maxsize=None)
-def session(type_str: str) -> Session:
-    return Session(Branching.build(type_str))
-
-
 def bundle(type_str: str) -> Branching:
-    return session(type_str).bundle
+    return Branching.build(type_str)
 
 
 def graph_for(type_str: str):
-    return session(type_str).graph
+    return bundle(type_str).graph
 
 
 def group_for(type_str: str):
-    return session(type_str).group
+    return bundle(type_str).group
 
 
 def table_for(type_str: str):
-    return session(type_str).table
+    return bundle(type_str).character_table
 
 
 def replace(obj, **changes):
@@ -168,4 +164,4 @@ def reflection_miss(rs):
 def audit(name, rs):
     """One registry entry evaluated on a root system alone."""
     (inv,) = (inv for inv in INVARIANTS if inv.name == name)
-    return inv.evaluate(SimpleNamespace(bundle=SimpleNamespace(rs=rs)))
+    return inv.evaluate(SimpleNamespace(rs=rs))

@@ -170,7 +170,8 @@ def test_period_table_matches_popoviciu(name):
 def test_period_table_matches_the_dense_series(name):
     b = bundle(name)
     period = math.lcm(b.params.a, b.params.b)
-    assert len(b.periods.base) == len(b.periods.step) == b.periods.period == period
+    table = b.periods()
+    assert len(table.base) == len(table.step) == table.period == period
     columns = [b.series(i, 3 * period) for i in range(b.rs.rank + 1)]
     assert [b.vector(n) for n in range(3 * period + 1)] == list(zip(*columns))
 

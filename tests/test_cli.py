@@ -11,7 +11,7 @@ import pytest
 
 from su2branch import verify
 from su2branch.branching import Branching
-from su2branch.cli import MAX_ORDER, _build_parser, main
+from su2branch.cli import MAX_ORDER, MAX_RANK, _build_parser, main
 from su2branch.invariants import ORACLES
 
 
@@ -320,6 +320,25 @@ def test_node_and_order_errors_exit_2_before_build(monkeypatch, capsys, argv, pr
     assert (code, out, err) == (2, "", f"usage error: {problem}\n")
 
 
+@pytest.mark.parametrize("dtype", [f"D{MAX_RANK + 1}", f"A{MAX_RANK + 2}", "A100001"])
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["branch", "--n", "1"], ["zpoly", "--all"], ["series", "--node", "0"],
+     ["orbits"], ["mckay"], ["group"]],
+    ids=lambda argv: argv[0],
+)
+def test_rank_above_the_limit_exits_2_before_build(monkeypatch, capsys, command, dtype):
+    _forbid_work(monkeypatch)
+    code, out, err = run(capsys, *command, "--type", dtype)
+    assert (code, out, err) == (2, "", f"usage error: type {dtype} exceeds the rank limit 71\n")
+
+
+def test_rank_at_the_limit_is_accepted(capsys):
+    assert MAX_RANK % 2 == 1  # so A and D both reach it
+    code, out, _ = run(capsys, "branch", "--type", f"A{MAX_RANK}", "--n", "1")
+    assert code == 0 and out.startswith(f"A{MAX_RANK}  n = 1")
+
+
 #: One command line per subcommand, for the up-front ``--out`` checks.
 EVERY_SUBCOMMAND = pytest.mark.parametrize(
     "argv",
@@ -402,8 +421,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 )
 def test_only_the_group_routes_load_binarygroups_and_only_json_output_loads_json(argv, loaded):
     # The paper's route needs no group: binarygroups (a quarter of what a
-    # start compiles) is loaded by the first Session.group, Session.table or
-    # Molien check, and json by --json.  -S keeps site's own imports out.
+    # start compiles) is loaded by the first Branching.group,
+    # Branching.character_table or Molien check, and json by --json.  -S
+    # keeps site's own imports out.
     env = {**os.environ, "PYTHONPATH": SRC}
     code = (
         "import sys, su2branch\n"

@@ -11,7 +11,7 @@ from su2branch.coxeter import (
     perm_power,
     special_index,
 )
-from su2branch.invariants import LONGEST_ELEMENT, Session
+from su2branch.invariants import LONGEST_ELEMENT
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
@@ -159,10 +159,10 @@ def test_special_index_marks():
 
 @pytest.mark.parametrize("name", ["A3", "A7", "D5", "D8", "E6", "E7", "E8"])
 def test_longest_element_suite(name):
-    session = Session(bundle(name))
+    b = bundle(name)
     assert len(LONGEST_ELEMENT) == 8
     for inv in LONGEST_ELEMENT:
-        passed, detail = inv.evaluate(session)
+        passed, detail = inv.evaluate(b)
         assert passed, f"{name} {inv.name}: {detail}"
 
 

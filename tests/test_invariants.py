@@ -11,7 +11,7 @@ from su2branch.branching import Branching
 from su2branch.coxeter import Bipartition, perm_compose
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
-from su2branch.invariants import HUGE_LEVEL, INVARIANTS, Invariant, Session, registry
+from su2branch.invariants import HUGE_LEVEL, INVARIANTS, ORACLES, Invariant, registry
 from su2branch.rootsys import build_root_system
 from su2branch.seriescalc import PeriodTable
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
@@ -59,21 +59,35 @@ def test_construction_never_builds_the_group(monkeypatch):
 
 def test_coxeter_and_recursion_never_build_the_group(monkeypatch):
     _forbid_group_build(monkeypatch)
-    session = Session(Branching.build("E7"))
+    b = Branching.build("E7")
     for n in (0, 17, HUGE_LEVEL):
-        assert session.vector(n, "coxeter") == session.vector(n, "recursion")
+        assert b.vector(n, "coxeter") == b.vector(n, "recursion")
+
+
+def test_the_default_oracle_is_coxeter(monkeypatch):
+    # ORACLES[0] is the CLI's default too; neither default builds the group.
+    _forbid_group_build(monkeypatch)
+    b = Branching.build("E7")
+    assert ORACLES[0] == "coxeter"
+    assert b.periods() is b.periods("coxeter")
+    for n in (0, 17, HUGE_LEVEL):
+        assert b.vector(n) == b.vector(n, "coxeter")
 
 
 @pytest.mark.parametrize("oracle", ["characters", "recursion", "coxeter"])
 def test_negative_level_is_rejected_before_any_build(monkeypatch, oracle):
     _forbid_group_build(monkeypatch)
+    b = Branching.build("E8")
     with pytest.raises(ValueError, match="n must be nonnegative"):
-        Session(Branching.build("E8")).vector(-1, oracle)
+        b.vector(-1, oracle)
 
 
-def test_unknown_oracle_is_a_value_error():
-    with pytest.raises(ValueError, match="unknown oracle 'bogus'"):
-        Session(bundle("A3")).vector(5, "bogus")
+def test_unknown_oracle_is_a_value_error(monkeypatch):
+    _forbid_group_build(monkeypatch)
+    b = Branching.build("A3")
+    for read in (lambda: b.periods("bogus"), lambda: b.vector(5, "bogus")):
+        with pytest.raises(ValueError, match="unknown oracle 'bogus'"):
+            read()
 
 
 def test_corrupted_numerator_fails_construction():
@@ -138,7 +152,7 @@ def test_short_group_closure_is_reported_by_group_sanity(monkeypatch):
     problem = "E8: 4 classes but 9 extended nodes"
     assert checks["E8 character table"].detail == f"exception: {problem}"
     with pytest.raises(ConsistencyError) as info:
-        Session(bundle("E8")).table
+        Branching.build("E8").character_table  # a fresh bundle, under the patch
     err = info.value
     assert (str(err), err.dtype, err.stage, err.invariant) == (problem, "E8", "character_table", None)
 
@@ -161,10 +175,13 @@ def test_failed_group_build_runs_once(monkeypatch, stage, failing):
         raise ConsistencyError("boom")
 
     monkeypatch.setattr(binarygroups, stage, boom)
-    checks = run_type_checks("E8")
+    b = Branching.build("E8")
+    results = [(inv.name, inv.evaluate(b)) for inv in registry("E8")]
+    with pytest.raises(ConsistencyError, match="boom"):
+        b.character_table  # the kept failure, raised again
     assert len(calls) == 1
-    assert [(c.name, c.detail) for c in checks if not c.passed] == [
-        (f"E8 {name}", "exception: boom") for name in failing
+    assert [(name, detail) for name, (passed, detail) in results if not passed] == [
+        (name, "exception: boom") for name in failing
     ]
 
 
@@ -211,9 +228,9 @@ def test_failed_construction_record_carries_the_errors_fields(monkeypatch, capsy
 def test_each_entry_is_evaluated_once_per_run(monkeypatch):
     calls, evaluate = [], Invariant.evaluate
 
-    def counted(self, session):
+    def counted(self, b):
         calls.append(self.name)
-        return evaluate(self, session)
+        return evaluate(self, b)
 
     monkeypatch.setattr(Invariant, "evaluate", counted)
     assert all(c.passed for c in run_type_checks("E8"))
@@ -261,13 +278,13 @@ def test_molien_average_is_checked_at_the_full_depth(monkeypatch):
 def test_the_last_residue_is_checked_in_base_and_step(monkeypatch, oracle, part, level):
     # Every E8 table has period L = 60: base[L - 1] is level L - 1, and
     # step[L - 1] first shows at level 2L - 1, the last one read.
-    periods = Session.periods
+    periods = Branching.periods
 
     def corrupted(self, name):
         table = periods(self, name)
         return _bump_entry(table, table.period - 1, node=8, part=part) if name == oracle else table
 
-    monkeypatch.setattr(Session, "periods", corrupted)
+    monkeypatch.setattr(Branching, "periods", corrupted)
     triple = {c.name: c for c in run_type_checks("E8")}["E8 triple oracle"]
     assert not triple.passed
     assert triple.detail.endswith(f"at n={level}, node 8")
@@ -591,8 +608,7 @@ def test_one_extended_graph_per_bundle(monkeypatch):
     monkeypatch.setattr(mckay, "extended_graph", boom)
     b = Branching.build("E6")
     assert built == [b.graph]  # the enforced "extended graph" entry read it
-    session = Session(b)
-    assert session.graph is b.graph
-    assert all(inv.evaluate(session)[0] for inv in registry("E6"))
+    assert all(inv.evaluate(b)[0] for inv in registry("E6"))
+    assert built == [b.graph]  # the audit entries read the same graph
     assert main(["mckay", "--type", "E6"]) == 0
     assert len(built) == 2  # the CLI built its own bundle, and one graph for it

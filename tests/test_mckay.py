@@ -12,7 +12,7 @@ from su2branch.invariants import ORACLES
 from su2branch.mckay import McKayGraph, extended_graph, recursion_oracle
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, graph_for, group_for, session, table_for
+from conftest import bundle, graph_for, group_for, table_for
 
 #: Minimal certified period of the recursion per type.
 PERIODS = {
@@ -130,9 +130,9 @@ def test_three_oracles_agree_at_huge_levels(name):
 
 @pytest.mark.parametrize("oracle", ORACLES)
 def test_view_behaves_like_range(oracle):
-    # Every route's table (bundle.periods, graph.certificate, table.periods)
-    # to order 40, against the eager recursion.
-    levels = session("D5").periods(oracle).upto(40)
+    # Every route's table (Branching.periods) to order 40, against the
+    # eager recursion.
+    levels = bundle("D5").periods(oracle).upto(40)
     eager = eager_recursion(graph_for("D5"), 40)
     assert len(levels) == 41
     assert levels[-1] == levels[40] == eager[40]

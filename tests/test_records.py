@@ -8,32 +8,31 @@ import pytest
 from su2branch.invariants import registry
 from su2branch.verify import run_type_checks
 
-from conftest import replace, session
+from conftest import bundle, replace
 
 
-#: class -> (its E8 instance from a session, one of its fields, read-only, compared by
+#: class -> (its E8 instance from the bundle, one of its fields, read-only, compared by
 #: value: True, False, or None for the period table's own case)
 RECORDS = {
-    "DiagramType": (lambda s: s.bundle.dtype, "rank", True, True),
-    "RootSystem": (lambda s: s.bundle.rs, "roots", True, False),
-    "Bipartition": (lambda s: s.bundle.bp, "part1", True, True),
-    "CoxeterAction": (lambda s: s.bundle.cox, "sigma", True, False),
-    "OrbitTable": (lambda s: s.bundle.table, "exponent", True, False),
-    "BranchParams": (lambda s: s.bundle.params, "a", True, True),
-    "HeisenbergSubsystem": (lambda s: s.bundle.heisenberg, "indices", True, False),
-    "Branching": (lambda s: s.bundle, "zpolys", True, False),
-    "PeriodTable": (lambda s: s.periods("recursion"), "step", True, None),
-    "McKayGraph": (lambda s: s.graph, "adjacency", True, False),
-    "FiniteGroup": (lambda s: s.group, "elements", False, False),
-    "CharacterTable": (lambda s: s.table, "rows", False, False),
-    "Session": (lambda s: s, "bundle", False, False),
-    "Invariant": (lambda s: registry("E8")[0], "predicate", True, True),
-    "Check": (lambda s: run_type_checks("E8")[0], "passed", True, True),
+    "DiagramType": (lambda b: b.dtype, "rank", True, True),
+    "RootSystem": (lambda b: b.rs, "roots", True, False),
+    "Bipartition": (lambda b: b.bp, "part1", True, True),
+    "CoxeterAction": (lambda b: b.cox, "sigma", True, False),
+    "OrbitTable": (lambda b: b.table, "exponent", True, False),
+    "BranchParams": (lambda b: b.params, "a", True, True),
+    "HeisenbergSubsystem": (lambda b: b.heisenberg, "indices", True, False),
+    "Branching": (lambda b: b, "zpolys", True, False),
+    "PeriodTable": (lambda b: b.periods("recursion"), "step", True, None),
+    "McKayGraph": (lambda b: b.graph, "adjacency", True, False),
+    "FiniteGroup": (lambda b: b.group, "elements", False, False),
+    "CharacterTable": (lambda b: b.character_table, "rows", False, False),
+    "Invariant": (lambda b: registry("E8")[0], "predicate", True, True),
+    "Check": (lambda b: run_type_checks("E8")[0], "passed", True, True),
 }
 
 
 def _build(name):
-    obj = RECORDS[name][0](session("E8"))
+    obj = RECORDS[name][0](bundle("E8"))
     assert type(obj).__name__ == name
     return obj
 

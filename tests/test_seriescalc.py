@@ -10,13 +10,13 @@ from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import (
     ZERO,
+    bundle,
     degree,
     monomial,
     pair_counter,
     poly_add,
     poly_mul,
     poly_truncate,
-    session,
 )
 
 small_polys = st.lists(st.integers(-9, 9), max_size=12).map(poly)
@@ -164,6 +164,6 @@ def test_read_level_keeps_weyl_reciprocity(name, oracle):
     # chi_(-n-2) = -chi_n, so each route's levels, read for every integer n,
     # satisfy q(-n-2) = -q(n); n = -1 reads the zero level.  q(n) + q(-n-2)
     # is affine in k on each residue class, so two periods prove it for all n.
-    table = session(name).periods(oracle)
+    table = bundle(name).periods(oracle)
     for n in range(-1, 2 * table.period + 3):
         assert table.level(-n - 2) == tuple(-x for x in table.level(n)), n
