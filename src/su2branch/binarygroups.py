@@ -19,13 +19,14 @@ forms only the n * |gens| products; the multiplication table is filled
 in exact indices from the generator word of each element
 (:func:`build_group`).
 
-Characters are exact in the same F_p (Dixon's modular method): each
-class's eigenvalue zeta is a root of x^2 - t x + 1, t the trace of its
-representative (:attr:`FiniteGroup.roots_mod_p`), every character
-identity holds mod p, and each integer the oracles need lifts from its
-residue.  The central characters are the common eigenvectors of the
-class-sum structure constants; rows are matched to extended-diagram
-nodes by the tensor-with-defining-representation adjacency.
+Characters are exact in the same F_p: each class's eigenvalue zeta is a
+root of x^2 - t x + 1, t the trace of its representative
+(:attr:`FiniteGroup.roots_mod_p`), every character identity holds mod
+p, and each integer the oracles need lifts from its residue.  The
+irreducibles are peeled off the SU(2) characters chi_n, and those that
+chi_n meets first together are split by one class sum at a time
+(:func:`_irreducibles`); rows are matched to extended-diagram nodes by
+the tensor-with-defining-representation adjacency.
 
 The character oracles and the Molien average share one inner product
 <chi_n, chi>.  At +-identity chi_n is the integer (+-1)^n (n + 1); at an
@@ -57,9 +58,7 @@ A and D need no i: 4 need not divide E for A.
 from __future__ import annotations
 
 import math
-import random
 from functools import cached_property
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError
@@ -72,8 +71,6 @@ if TYPE_CHECKING:
 
 #: Largest irreducible degree of a binary polyhedral group (E8 has 6).
 MAX_DEGREE = 6
-
-_EIG_SEED = 20240801
 
 #: A 2x2 matrix over F_p as its entries (a, b, c, d), row by row.
 Matrix = tuple[int, int, int, int]
@@ -429,43 +426,6 @@ class CharacterTable:
         return _period_table(self.group, self.central, self.residues, nodes)
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder over F_p of polynomials as coefficient lists,
-    constant term first; ``b`` has a nonzero leading coefficient."""
-    a, lead, q = [x % p for x in a], pow(b[-1], -1, p), []
-    for i in reversed(range(len(a) - len(b) + 1)):
-        q.append(a[i + len(b) - 1] * lead % p)
-        a[i : i + len(b)] = [(x - q[-1] * y) % p for x, y in zip(a[i : i + len(b)], b)]
-    return q[::-1], _trim(a[: len(b) - 1])
-
-
-def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """base^e modulo the monic f of degree n > deg base over F_p, with w
-    bits per coefficient packed into an integer (Kronecker substitution):
-    a product is one multiplication, and x^(n+j) folds back as x^(n+j) mod f."""
-    n = len(f) - 1
-    w = (2 * n * p * p).bit_length()
-    low, mask = (1 << (w * n)) - 1, (1 << w) - 1
-    folds, power = [], [-c % p for c in f[:n]]
-    for _ in range(n - 1):
-        folds.append(sum(c << (w * i) for i, c in enumerate(power)))
-        power = [(a - power[-1] * c) % p for a, c in zip([0] + power[:-1], f)]
-    out, packed = 1, sum(c << (w * i) for i, c in enumerate(base))
-    for bit in bin(e)[2:]:
-        for factor in (out, packed) if bit == "1" else (out,):
-            prod = out * factor
-            high = (((prod >> (w * j)) & mask) % p * fold for j, fold in enumerate(folds, n))
-            prod = (prod & low) + sum(high)
-            out = sum(((prod >> (w * i)) & mask) % p << (w * i) for i in range(n))
-    return [(out >> (w * i)) & mask for i in range(n)]
-
-
 def _non_residue(p: int) -> int:
     """The least quadratic non-residue modulo the odd prime p."""
     return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
@@ -494,90 +454,98 @@ def _sqrt_mod(a: int, p: int, z: int | None = None) -> int | None:
     return root
 
 
-def _roots(f: list[int], p: int, rng: random.Random) -> list[int]:
-    """The roots of the monic f over F_p when it is a product of distinct
-    linear factors (otherwise fewer).  A quadratic x^2 + b x + c splits in
-    closed form, (-b +- sqrt(b^2 - 4c)) / 2; higher degrees by Cantor-
-    Zassenhaus: gcd(f, (x + a)^((p-1)/2) - 1) splits such an f for about
-    half of all a."""
-    if len(f) == 2:
-        return [-f[0] % p]
-    if len(f) == 3:
-        c, b, _ = f
-        root = _sqrt_mod(b * b - 4 * c, p)
-        if not root:  # a repeated root, or none in F_p
-            return []
-        half = pow(2, -1, p)
-        return [(-b + root) * half % p, (-b - root) * half % p]
-    for _ in range(64):
-        h = _poly_powmod([rng.randrange(p), 1], (p - 1) // 2, f, p)
-        g, rem = f, _trim([(h[0] - 1) % p] + h[1:])
-        while rem:
-            g, rem = rem, _poly_divmod(g, rem, p)[1]
-        if 1 < len(g) < len(f):
-            g = [x * pow(g[-1], -1, p) % p for x in g]
-            return _roots(g, p, rng) + _roots(_poly_divmod(f, g, p)[0], p, rng)
-    return []
+def _class_sum(group: FiniteGroup, c: int, f: list[int]) -> list[int]:
+    """T f mod p, T the sum of class c: (T f)(g) = sum_(x in C) f(xg) at
+    each class's representative g.  On an irreducible chi, T is the scalar
+    |C| chi(C) / chi(1) (Schur)."""
+    mult, class_of, members = group.mult, group.class_of, group.classes[c]
+    reps, p = group.representatives(), group.p
+    return [sum(f[class_of[mult[x][g]]] for x in members) % p for g in reps]
 
 
-def _solve(columns: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
-    """c with sum_i c_i columns[i] = rhs over F_p, or None if the columns
-    are dependent."""
-    n, rows = len(columns), [[*row, b] for row, b in zip(zip(*columns), rhs)]
-    for i in range(n):
-        k = next((k for k in range(i, n) if rows[k][i]), None)
-        if k is None:
-            return None
-        rows[i], rows[k] = rows[k], rows[i]
-        lead = pow(rows[i][i], -1, p)
-        rows[i] = [x * lead % p for x in rows[i]]
-        for j in range(n):
-            if j != i:
-                rows[j] = [(a - rows[j][i] * b) % p for a, b in zip(rows[j], rows[i])]
-    return [row[n] for row in rows]
+def _split(group: FiniteGroup, psi: list[int]) -> list[tuple[int, ...]]:
+    """The irreducibles chi of psi = sum m_chi chi mod p, the m_chi integers;
+    every m_chi must be positive, or abort.
 
-
-def _central_characters(group: FiniteGroup) -> list[list[int]]:
-    """Each irreducible chi's central character |C| chi(C) / chi(1) mod p.
-
-    These are the common eigenvectors w_chi, 1 at the identity class, of
-    the class-sum matrices M_C[j][k] = #{x in C : x^-1 z_k in class j}
-    (z_k represents class k).  e_0 = sum_chi (chi(1)^2 / |F*|) w_chi is
-    cyclic for a seeded random combination M of them whose r eigenvalues
-    are distinct; then the Krylov basis K = [e_0, ..., M^(r-1) e_0] gives
-    M's characteristic polynomial f, and the eigenvector of its root
-    lambda is K times the coefficients of f / (x - lambda).
+    A psi of norm <psi, psi> = 1 is +-chi, so no class sum moves its line.
+    Otherwise the first class sum T that moves psi's line and satisfies
+    T^2 psi = s T psi - q psi has two eigenvalues on psi, lambda and mu,
+    the roots of x^2 - s x + q: psi is (T psi - mu psi) / (lambda - mu)
+    plus the rest, and each part is split again.  Where the relation fails
+    (more than two eigenvalues) the next class is tried, and if none is
+    left, abort.  If no class moves psi's line, psi = m chi with m^2 =
+    <psi, psi> and chi(1) in 1..MAX_DEGREE.
     """
-    p = group.p
-    r, reps = len(group.classes), group.representatives()
-    rng = random.Random(_EIG_SEED)
-    for _ in range(32):
-        coeffs = [rng.randrange(p) for _ in range(r)]
-        combo = [[0] * r for _ in range(r)]
-        for x, cls in enumerate(group.class_of):
-            row = group.mult[group.inverse[x]]
-            for k, z in enumerate(reps):
-                combo[group.class_of[row[z]]][k] += coeffs[cls]
-        krylov = [[int(i == 0) for i in range(r)]]
-        for _ in range(r):
-            krylov.append([sum(map(int.__mul__, row, krylov[-1])) % p for row in combo])
-        solution = _solve(krylov[:r], krylov[r], p)
-        f = [-c % p for c in solution or ()] + [1]
-        roots = _roots(f, p, rng) if solution else []
-        if len(roots) == r:
-            columns = list(zip(*reversed(krylov[:r])))
-            qs = [list(accumulate(f[:0:-1], lambda q, c, t=t: (q * t + c) % p)) for t in roots]
-            vectors = [[sum(map(int.__mul__, q, col)) for col in columns] for q in qs]
-            return [[x * pow(v[0], -1, p) % p for x in v] for v in vectors]
-    raise _failure(group.dtype, "character_table", "class-sum diagonalization failed")
+    p, half, inverse = group.p, pow(2, -1, group.p), group.class_inverse
+    norm = sum(n * x * psi[inverse[c]] for c, (n, x) in enumerate(zip(group.class_sizes, psi)))
+    norm = _lift(norm * pow(group.order, -1, p), p)
+    i, problem = next((i for i, x in enumerate(psi) if x), 0), None
+    for c in range(1, len(group.classes)) if norm != 1 else ():
+        t_psi = _class_sum(group, c, psi)
+        u_i, v_i = psi[i], t_psi[i]
+        j = next((j for j, (u, v) in enumerate(zip(psi, t_psi)) if (v * u_i - u * v_i) % p), None)
+        if j is None:  # T psi is a multiple of psi
+            continue
+        tt_psi = _class_sum(group, c, t_psi)
+        u_j, v_j, w_i, w_j = psi[j], t_psi[j], tt_psi[i], tt_psi[j]
+        det = pow(u_i * v_j - u_j * v_i, -1, p)
+        s, q = (u_i * w_j - u_j * w_i) * det % p, (v_i * w_j - v_j * w_i) * det % p
+        root = _sqrt_mod(s * s - 4 * q, p)
+        if root and not any((w - s * v + q * u) % p for u, v, w in zip(psi, t_psi, tt_psi)):
+            mu, scale = (s - root) * half, pow(root, -1, p)
+            part = [(v - mu * u) * scale % p for u, v in zip(psi, t_psi)]
+            return _split(group, part) + _split(group, [(u - a) % p for u, a in zip(psi, part)])
+        problem = f"no class sum has two eigenvalues on a class function of norm {norm}"
+    m = math.isqrt(max(norm, 0))
+    dim, rest = divmod(_lift(psi[0], p), m or 1)
+    if problem is None and m and m * m == norm and not rest and 1 <= dim <= MAX_DEGREE:
+        return [tuple(x * pow(m, -1, p) % p for x in psi)]
+    problem = problem or f"a class function of norm {norm} is not a nonnegative sum of irreducibles"
+    raise _failure(group.dtype, "character_table", problem)
+
+
+def _irreducibles(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every irreducible character mod p, sorted, peeled off the SU(2)
+    characters chi_n restricted to the group.
+
+    chi_0 = 1, chi_1 = zeta + zeta^-1 at each class
+    (:attr:`FiniteGroup.roots_mod_p`) and chi_(n+1) = chi_1 chi_n -
+    chi_(n-1).  Less <chi_n, chi> chi for each row chi found so far, chi_n
+    leaves the sum, with multiplicities, of the irreducibles it meets
+    first, which :func:`_split` separates.  chi_1 is faithful and takes at
+    most r values (r classes), so every irreducible is met by level r - 1
+    (Burnside-Brauer), or abort.
+    """
+    p, zetas = group.roots_mod_p
+    r, inverse, scale = len(group.classes), group.class_inverse, pow(group.order, -1, p)
+    weights = [size * scale % p for size in group.class_sizes]
+    chi_1 = [(z + pow(z, -1, p)) % p for z in zetas]
+    rows, duals = [], []  # a row chi's dual is |C| chi(C^-1) / |F*|: <f, chi> = f . dual
+    before, chi = [0] * r, [1] * r
+    for _ in range(r):
+        psi = chi
+        for row, dual in zip(rows, duals):
+            if m := sum(map(int.__mul__, chi, dual)) % p:
+                psi = [(a - m * b) % p for a, b in zip(psi, row)]
+        if any(psi):
+            for row in _split(group, psi):
+                rows.append(row)
+                duals.append([w * row[k] % p for w, k in zip(weights, inverse)])
+        if len(rows) >= r:
+            break
+        before, chi = chi, [(a * b - c) % p for a, b, c in zip(chi_1, chi, before)]
+    if len(rows) != r:
+        problem = f"{len(rows)} irreducibles by level {r - 1}, not {r}"
+        raise _failure(group.dtype, "character_table", problem)
+    return sorted(rows)
 
 
 def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
     """Compute all irreducible characters mod p and match them to nodes.
 
-    A central character w (:func:`_central_characters`) gives the row
-    d w_C / |C|, with d^2 = |F*| / sum_C w_C w_(C^-1) / |C| lifted over
-    1..MAX_DEGREE.  The node matching (:func:`_match_nodes`, no search) is
+    The rows are peeled off the SU(2) characters (:func:`_irreducibles`)
+    and sorted, so by degree first, row[0] being chi(1).  There is no
+    randomness.  The node matching (:func:`_match_nodes`, no search) is
     forced by the trivial character at node 0, equal dimensions and marks,
     and the tensor adjacency; choices left open by diagram automorphisms
     are resolved deterministically and affect no multiplicity.  The table also
@@ -591,17 +559,8 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
         )
     p, zetas = group.roots_mod_p
     sizes, inverse, order = group.class_sizes, group.class_inverse, group.order
-    per_size = [pow(size, -1, p) for size in sizes]
-    rows_dims = []
-    for w in _central_characters(group):
-        u = [x * y % p for x, y in zip(w, per_size)]
-        weight = sum(size * u[c] * u[inverse[c]] for c, size in enumerate(sizes))
-        d = next((d for d in range(1, MAX_DEGREE + 1) if (d * d * weight - order) % p == 0), 0)
-        if not d:
-            raise _failure(group.dtype, "character_table", f"a degree is not in 1..{MAX_DEGREE}")
-        rows_dims.append((d, tuple(d * x % p for x in u)))
-    dims, rows = zip(*sorted(rows_dims))
-
+    rows = tuple(_irreducibles(group))
+    dims = tuple(row[0] for row in rows)
     scale = pow(order, -1, p)
     defining = [(z + pow(z, -1, p)) * size * scale for z, size in zip(zetas, sizes)]
     conj = [[row[i] for i in inverse] for row in rows]

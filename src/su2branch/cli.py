@@ -61,7 +61,7 @@ def cmd_table(args: argparse.Namespace) -> tuple:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
-    types = (args.type,) if args.type else verify.ACCEPTED_TYPES
+    types = verify.ACCEPTED_TYPES if args.type is None else (args.type,)
     checks = verify.run_all(types)
     all_pass = all(c.passed for c in checks)
     doc = {"checks": [c.record() for c in checks], "all_pass": all_pass}
@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
         if args.out and os.path.isdir(args.out):
             raise ValueError(f"cannot write --out {args.out}: it is a directory")
-        if getattr(args, "type", None):
+        if getattr(args, "type", None) is not None:
             args.type = DiagramType.parse(args.type)
             if args.type.rank > MAX_RANK:
                 raise ValueError(f"type {args.type} exceeds the rank limit {MAX_RANK}")

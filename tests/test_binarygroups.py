@@ -1,6 +1,7 @@
 """Quaternion groups, conjugacy classes, character tables, multiplicities."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -15,7 +16,7 @@ from su2branch.binarygroups import (
     oracle_multiplicity,
 )
 from su2branch.errors import ConsistencyError
-from su2branch.invariants import HUGE_LEVEL
+from su2branch.invariants import HUGE_LEVEL, _character_table
 from su2branch.mckay import recursion_oracle
 from su2branch.verify import ACCEPTED_TYPES
 
@@ -507,14 +508,97 @@ def test_eigenvalues_search_for_one_non_residue_per_group(monkeypatch):
     assert calls == [p]
 
 
-def test_quadratic_factors_split_in_closed_form():
-    p, rng = 86461, random.Random(7)
-    for _ in range(50):
-        u, v = rng.randrange(p), rng.randrange(p)
-        f = [u * v % p, -(u + v) % p, 1]  # (x - u)(x - v)
-        assert sorted(binarygroups._roots(f, p, rng)) == sorted({u, v} if u != v else ())
-    non_residue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
-    assert binarygroups._roots([-non_residue % p, 0, 1], p, rng) == []
+def _scaled(group, *terms):
+    """sum_k m_k row_k mod p for the (m_k, row_k) in ``terms``."""
+    return [sum(m * row[c] for m, row in terms) % group.p for c in range(len(group.classes))]
+
+
+def test_split_separates_every_pair_of_e8_irreducibles():
+    group, rows = group_for("E8"), table_for("E8").rows
+    for a, chi_a in enumerate(rows):
+        for chi_b in rows[a:]:
+            parts = binarygroups._split(group, _scaled(group, (1, chi_a), (1, chi_b)))
+            assert sorted(parts) == sorted({chi_a, chi_b})
+
+
+def test_split_of_e8_triples_needs_a_class_with_two_eigenvalues():
+    # A class sum C acts on chi as w(C) = |C| chi(C) / chi(1).  A triple splits
+    # when some class has exactly two eigenvalues on it; a class with three is
+    # passed over, and a triple with no class of two is refused.
+    group, rows = group_for("E8"), table_for("E8").rows
+    p, sizes = group.p, group.class_sizes
+    passed_over = 0
+    for triple in itertools.combinations(rows, 3):
+        counts = [
+            len({n * chi[c] * pow(chi[0], -1, p) % p for chi in triple})
+            for c, n in enumerate(sizes)
+        ]
+        psi = _scaled(group, *((1, chi) for chi in triple))
+        if 2 in counts:
+            assert sorted(binarygroups._split(group, psi)) == sorted(triple)
+            passed_over += next(k for k in counts if k > 1) == 3
+        else:
+            with pytest.raises(ConsistencyError, match="no class sum has two eigenvalues"):
+                binarygroups._split(group, psi)
+    assert passed_over
+    # No class splits this sum either; its norm 4 and degree 12 are those of
+    # 2 chi with chi(1) = 6, and it is refused all the same.
+    assert [rows[k][0] for k in (0, 3, 4, 7)] == [1, 3, 3, 5]
+    with pytest.raises(ConsistencyError, match="no class sum has two eigenvalues"):
+        binarygroups._split(group, _scaled(group, *((1, rows[k]) for k in (0, 3, 4, 7))))
+
+
+def test_split_needs_two_classes_for_the_three_d4_linear_characters():
+    group, rows = group_for("D4"), table_for("D4").rows
+    linear = [row for row in rows if row[0] == 1 and row != (1,) * len(row)]
+    assert len(linear) == 3
+    psi = _scaled(group, *((1, row) for row in linear))
+    assert sorted(binarygroups._split(group, psi)) == linear
+
+
+@pytest.mark.parametrize("row", range(14))
+def test_split_returns_chi_from_twice_chi(row):
+    # 2 chi has norm 4: no class sum moves its line, and m = 2.
+    group, chi = group_for("A13"), table_for("A13").rows[row]
+    assert binarygroups._split(group, _scaled(group, (2, chi))) == [chi]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [((1, 1), (-1, 2)), ((-1, 4),), ((2, 5), (-1, 8)), ((3, 3), (1, 6), (-1, 7))],
+    ids=["a-b", "-a", "2a-b", "3a+b-c"],
+)
+def test_split_refuses_a_virtual_character_with_a_negative_part(terms):
+    group, rows = group_for("E8"), table_for("E8").rows
+    psi = _scaled(group, *((m, rows[k]) for m, k in terms))
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._split(group, psi)
+    assert (info.value.dtype, info.value.stage) == ("E8", "character_table")
+    assert "not a nonnegative sum of irreducibles" in str(info.value)
+
+
+def test_split_refuses_a_class_function_that_is_no_virtual_character():
+    # The identity class's indicator is sum chi(1) chi / |F*|.
+    group = group_for("E8")
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._split(group, [1] + [0] * (len(group.classes) - 1))
+    assert (info.value.dtype, info.value.stage) == ("E8", "character_table")
+
+
+def test_a_peel_short_of_rows_aborts(monkeypatch):
+    group = binarygroups.build_group("E7", bundle("E7").params)
+    split = binarygroups._split
+    monkeypatch.setattr(binarygroups, "_split", lambda g, psi: split(g, psi)[:1])
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._irreducibles(group)
+    assert (info.value.dtype, info.value.stage) == ("E7", "character_table")
+    assert "by level 7, not 8" in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["A71", "D71"])
+def test_rows_at_the_rank_cap_pass_the_registry_check(name):
+    passed, detail = _character_table(bundle(name))
+    assert passed, detail
 
 
 def _tensor_of(name):

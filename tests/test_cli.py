@@ -320,17 +320,29 @@ def test_node_and_order_errors_exit_2_before_build(monkeypatch, capsys, argv, pr
     assert (code, out, err) == (2, "", f"usage error: {problem}\n")
 
 
-@pytest.mark.parametrize("dtype", [f"D{MAX_RANK + 1}", f"A{MAX_RANK + 2}", "A100001"])
-@pytest.mark.parametrize(
+#: Every subcommand that takes ``--type``, with the other arguments it needs.
+TYPED_COMMANDS = pytest.mark.parametrize(
     "command",
     [["verify"], ["branch", "--n", "1"], ["zpoly", "--all"], ["series", "--node", "0"],
      ["orbits"], ["mckay"], ["group"]],
     ids=lambda argv: argv[0],
 )
+
+
+@pytest.mark.parametrize("dtype", [f"D{MAX_RANK + 1}", f"A{MAX_RANK + 2}", "A100001"])
+@TYPED_COMMANDS
 def test_rank_above_the_limit_exits_2_before_build(monkeypatch, capsys, command, dtype):
     _forbid_work(monkeypatch)
     code, out, err = run(capsys, *command, "--type", dtype)
     assert (code, out, err) == (2, "", f"usage error: type {dtype} exceeds the rank limit 71\n")
+
+
+@TYPED_COMMANDS
+def test_empty_type_exits_2_before_build(monkeypatch, capsys, command):
+    _forbid_work(monkeypatch)
+    code, out, err = run(capsys, *command, "--type", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_rank_at_the_limit_is_accepted(capsys):
