@@ -23,10 +23,12 @@ Characters are exact in the same F_p: each class's eigenvalue zeta is a
 root of x^2 - t x + 1, t the trace of its representative
 (:attr:`FiniteGroup.roots_mod_p`), every character identity holds mod
 p, and each integer the oracles need lifts from its residue.  The
-irreducibles are peeled off the SU(2) characters chi_n, and those that
-chi_n meets first together are split by one class sum at a time
-(:func:`_irreducibles`); rows are matched to extended-diagram nodes by
-the tensor-with-defining-representation adjacency.
+irreducibles are walked off the extended diagram, breadth first from the
+trivial character at node 0, by McKay's identity chi_1 chi_x = sum_y
+adj[x][y] chi_y (chi_1 the defining character): the part of chi_1 chi_x
+not yet named is split by one class sum at a time into the rows of x's
+new neighbours, and the walk checks the identity once at every node
+(:func:`_irreducibles`).
 
 The character oracles and the Molien average share one inner product
 <chi_n, chi>.  At +-identity chi_n is the integer (+-1)^n (n + 1); at an
@@ -250,16 +252,7 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
             raise _failure(dtype, "build_group", "-identity is not central")
 
     classes, class_of = conjugacy_classes(mult, inverse)
-    return FiniteGroup(
-        dtype=dtype,
-        p=p,
-        elements=tuple(elements),
-        mult=mult,
-        inverse=inverse,
-        classes=classes,
-        class_of=class_of,
-        minus_identity=minus_identity,
-    )
+    return FiniteGroup(dtype, p, tuple(elements), mult, inverse, classes, class_of, minus_identity)
 
 
 def conjugacy_classes(
@@ -504,123 +497,84 @@ def _split(group: FiniteGroup, psi: list[int]) -> list[tuple[int, ...]]:
     raise _failure(group.dtype, "character_table", problem)
 
 
-def _irreducibles(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every irreducible character mod p, sorted, peeled off the SU(2)
-    characters chi_n restricted to the group.
+def _irreducibles(group: FiniteGroup, graph: McKayGraph) -> list[tuple[int, ...]]:
+    """Each extended-diagram node's irreducible character mod p, walked
+    breadth first by McKay's identity chi_1 chi_x = sum_y adj[x][y] chi_y,
+    chi_1 = zeta + zeta^-1 the defining character (:attr:`FiniteGroup.roots_mod_p`).
 
-    chi_0 = 1, chi_1 = zeta + zeta^-1 at each class
-    (:attr:`FiniteGroup.roots_mod_p`) and chi_(n+1) = chi_1 chi_n -
-    chi_(n-1).  Less <chi_n, chi> chi for each row chi found so far, chi_n
-    leaves the sum, with multiplicities, of the irreducibles it meets
-    first, which :func:`_split` separates.  chi_1 is faithful and takes at
-    most r values (r classes), so every irreducible is met by level r - 1
-    (Burnside-Brauer), or abort.
+    Node 0 takes the trivial row.  At node x, chi_1 chi_x less adj[x][y]
+    chi_y for each neighbour y with a row is psi, which :func:`_split`
+    separates; each neighbour u without a row, in ascending order, takes
+    the first sorted part of degree marks_ext[u].  Less adj[x][u] chi_u
+    for each u, psi must be 0 with no part unused, so the walk checks the
+    identity once at every node, and the r rows must be distinct, or
+    abort.  No search is needed: a diagram automorphism fixing node 0 and
+    every node with a row swaps siblings of equal mark, so any choice
+    among them extends, and no multiplicity depends on it.
     """
     p, zetas = group.roots_mod_p
-    r, inverse, scale = len(group.classes), group.class_inverse, pow(group.order, -1, p)
-    weights = [size * scale % p for size in group.class_sizes]
+    adj, marks, size = graph.adjacency, graph.marks_ext, graph.size
+    walk = [0]
+    for x in walk:  # grows while it is walked: breadth first
+        walk += [y for y, k in enumerate(adj[x]) if k and y not in walk]
+    if len(walk) != size:
+        raise _failure(graph.dtype, "character_table", "extended diagram is not connected")
+
     chi_1 = [(z + pow(z, -1, p)) % p for z in zetas]
-    rows, duals = [], []  # a row chi's dual is |C| chi(C^-1) / |F*|: <f, chi> = f . dual
-    before, chi = [0] * r, [1] * r
-    for _ in range(r):
-        psi = chi
-        for row, dual in zip(rows, duals):
-            if m := sum(map(int.__mul__, chi, dual)) % p:
-                psi = [(a - m * b) % p for a, b in zip(psi, row)]
-        if any(psi):
-            for row in _split(group, psi):
-                rows.append(row)
-                duals.append([w * row[k] % p for w, k in zip(weights, inverse)])
-        if len(rows) >= r:
-            break
-        before, chi = chi, [(a * b - c) % p for a, b, c in zip(chi_1, chi, before)]
-    if len(rows) != r:
-        problem = f"{len(rows)} irreducibles by level {r - 1}, not {r}"
-        raise _failure(group.dtype, "character_table", problem)
-    return sorted(rows)
+    rows: list[tuple[int, ...]] = [(1,) * len(zetas)] + [()] * (size - 1)  # () until walked to
+    for x in walk:
+        psi, new = [a * b for a, b in zip(chi_1, rows[x])], []
+        for y, k in enumerate(adj[x]):
+            if k and rows[y]:
+                psi = [a - k * b for a, b in zip(psi, rows[y])]
+            elif k:
+                new.append(y)
+        psi = [a % p for a in psi]
+        parts = sorted(_split(group, psi)) if any(psi) else []
+        for u in new:
+            rows[u] = next((row for row in parts if row[0] == marks[u]), ())
+            if rows[u]:
+                parts.remove(rows[u])
+                psi = [(a - adj[x][u] * b) % p for a, b in zip(psi, rows[u])]
+        if not all(rows[u] for u in new) or parts or any(psi):
+            problem = "tensor adjacency does not match the extended diagram"
+            raise _failure(graph.dtype, "character_table", problem)
+    if len(set(rows)) != size:
+        problem = f"{size} nodes but {len(set(rows))} distinct rows"
+        raise _failure(graph.dtype, "character_table", problem)
+    return rows
 
 
 def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
-    """Compute all irreducible characters mod p and match them to nodes.
+    """Compute all irreducible characters mod p, one per extended node.
 
-    The rows are peeled off the SU(2) characters (:func:`_irreducibles`)
-    and sorted, so by degree first, row[0] being chi(1).  There is no
-    randomness.  The node matching (:func:`_match_nodes`, no search) is
-    forced by the trivial character at node 0, equal dimensions and marks,
-    and the tensor adjacency; choices left open by diagram automorphisms
-    are resolved deterministically and affect no multiplicity.  The table also
-    carries each node's integer values at +-identity and the residue table,
-    and its period table is built and proved here.
+    The rows are walked off the extended diagram by the McKay identity
+    (:func:`_irreducibles`) and sorted, so by degree first, row[0] being
+    chi(1); ``node_map`` gives each node's index in the sorted rows.
+    There is no randomness.  The table also carries each node's integer
+    values at +-identity and the residue table, and its period table is
+    built and proved here.
     """
-    r = len(group.classes)
-    if r != graph.size:
-        raise _failure(
-            group.dtype, "character_table", f"{r} classes but {graph.size} extended nodes"
-        )
-    p, zetas = group.roots_mod_p
-    sizes, inverse, order = group.class_sizes, group.class_inverse, group.order
-    rows = tuple(_irreducibles(group))
-    dims = tuple(row[0] for row in rows)
-    scale = pow(order, -1, p)
-    defining = [(z + pow(z, -1, p)) * size * scale for z, size in zip(zetas, sizes)]
-    conj = [[row[i] for i in inverse] for row in rows]
-    tensor = [
-        [_lift(sum(map(int.__mul__, chi, row)), p) for row in conj]
-        for chi in ([x * y for x, y in zip(defining, row)] for row in rows)
-    ]
-    trivial = [idx for idx, row in enumerate(rows) if row == (1,) * r]
-    if len(trivial) != 1:
-        raise _failure(group.dtype, "character_table", "trivial character not unique")
-
-    node_map = _match_nodes(graph, tensor, dims, trivial[0])
+    if (r := len(group.classes)) != graph.size:
+        problem = f"{r} classes but {graph.size} extended nodes"
+        raise _failure(group.dtype, "character_table", problem)
+    p, sizes, inverse = group.p, group.class_sizes, group.class_inverse
+    nodes = _irreducibles(group, graph)
+    rows = tuple(sorted(nodes))
+    index = {row: k for k, row in enumerate(rows)}
     minus = group.class_of[group.minus_identity]
     table = CharacterTable(
         group=group,
         rows=rows,
-        dims=dims,
-        node_map=node_map,
-        central=tuple((rows[row][0], _lift(rows[row][minus], p)) for row in node_map),
+        dims=tuple(row[0] for row in rows),
+        node_map=tuple(index[row] for row in nodes),
+        central=tuple((row[0], _lift(row[minus], p)) for row in nodes),
         residues=_residue_sums(
-            group, [tuple(size * conj[row][c] for row in node_map) for c, size in enumerate(sizes)]
+            group, [tuple(size * row[inverse[c]] for row in nodes) for c, size in enumerate(sizes)]
         ),
     )
     table.periods  # noqa: B018 - proved once, here, rather than at the first level read
     return table
-
-
-def _match_nodes(
-    graph: McKayGraph, tensor: list[list[int]], dims: tuple[int, ...], trivial_row: int
-) -> tuple[int, ...]:
-    """Node 0 takes the trivial row; each later node, breadth first, the
-    first unused row of its mark's dimension whose tensor entries with the
-    rows assigned so far equal its adjacency to their nodes.  No choice is
-    undone, and none needs to be: if the rows so far extend to a matching
-    M and node x takes M(y), y unassigned, then x and y are siblings with
-    equal marks.  A diagram automorphism swaps them and fixes node 0 and
-    every node assigned before them, so M composed with it extends x's
-    choice."""
-    size = graph.size
-    adj = graph.adjacency
-
-    bfs = [0]
-    for node in bfs:
-        for j in range(size):
-            if adj[node][j] and j not in bfs:
-                bfs.append(j)
-    if len(bfs) != size:
-        raise _failure(graph.dtype, "character_table", "extended diagram is not connected")
-
-    assign: dict[int, int] = {}
-    for node in bfs:
-        for row in range(size) if assign else (trivial_row,):  # node 0: the trivial row
-            if row not in assign.values() and dims[row] == graph.marks_ext[node]:
-                if all(tensor[row][assign[m]] == adj[node][m] for m in assign):
-                    assign[node] = row
-                    break
-        else:
-            problem = "tensor adjacency does not match the extended diagram"
-            raise _failure(graph.dtype, "character_table", problem)
-    return tuple(assign[node] for node in range(size))
 
 
 def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node: int) -> int:

@@ -10,8 +10,9 @@ branching oracle that never touches the Coxeter element.
 
 The eigenvalues of A are 2 cos(2 pi k / m) for the element orders m,
 so v_n is a degree-1 quasi-polynomial in n.  Each graph certifies a
-period P of the recursion once, in exact integers (P <= 60 for every
-accepted type), as a :class:`~.seriescalc.PeriodTable` whose levels
+period P of the recursion once, in exact integers (P <= |F*| <= 4
+size^2: at most 60 on the 18 verify types, 72 for A71 and 276 for D71
+at the rank cap), as a :class:`~.seriescalc.PeriodTable` whose levels
 and steps it checks once; :func:`recursion_oracle` returns it to the
 order asked, and its level n costs O(size) for any n and checks nothing.
 """

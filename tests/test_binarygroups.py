@@ -586,13 +586,13 @@ def test_split_refuses_a_class_function_that_is_no_virtual_character():
 
 
 def test_a_peel_short_of_rows_aborts(monkeypatch):
-    group = binarygroups.build_group("E7", bundle("E7").params)
+    # A _split that drops a part leaves some node without its row.
+    group, graph = group_for("E7"), graph_for("E7")
     split = binarygroups._split
     monkeypatch.setattr(binarygroups, "_split", lambda g, psi: split(g, psi)[:1])
     with pytest.raises(ConsistencyError) as info:
-        binarygroups._irreducibles(group)
+        binarygroups.character_table(group, graph)
     assert (info.value.dtype, info.value.stage) == ("E7", "character_table")
-    assert "by level 7, not 8" in str(info.value)
 
 
 @pytest.mark.parametrize("name", ["A71", "D71"])
@@ -601,42 +601,42 @@ def test_rows_at_the_rank_cap_pass_the_registry_check(name):
     assert passed, detail
 
 
-def _tensor_of(name):
-    """The tensor-with-defining-representation matrix over the table's rows,
-    read back from the matched nodes' adjacency."""
-    graph, table = graph_for(name), table_for(name)
-    tensor = [[0] * graph.size for _ in range(graph.size)]
-    for a, row in enumerate(graph.adjacency):
-        for b, entry in enumerate(row):
-            tensor[table.node_map[a]][table.node_map[b]] = entry
-    return graph, table, tensor
-
-
 @pytest.mark.parametrize("name", CHARACTER_TYPES)
 def test_match_nodes_rebuilds_the_node_map(name):
-    graph, table, tensor = _tensor_of(name)
-    got = binarygroups._match_nodes(graph, tensor, table.dims, table.node_map[0])
-    assert got == table.node_map
+    # McKay's identity at every node, read through the node map:
+    # chi_1 chi_x = sum_y adj[x][y] chi_y mod p, chi_1 the trace of each
+    # class's representative.
+    group, graph, table = group_for(name), graph_for(name), table_for(name)
+    p = group.p
+    chi_1 = [(a + d) % p for a, _, _, d in (group.elements[k] for k in group.representatives())]
+    chi = [table.rows[row] for row in table.node_map]
+    for x, line in enumerate(graph.adjacency):
+        for c, t in enumerate(chi_1):
+            assert (t * chi[x][c] - sum(k * chi[y][c] for y, k in enumerate(line))) % p == 0
+
+
+def _doctored(name, *edges):
+    """The type's extended diagram with each edge (i, j, k) set to k both
+    ways."""
+    graph = graph_for(name)
+    adjacency = [list(row) for row in graph.adjacency]
+    for i, j, k in edges:
+        adjacency[i][j] = adjacency[j][i] = k
+    return replace(graph, adjacency=tuple(map(tuple, adjacency)))
 
 
 def test_match_nodes_refuses_a_flipped_tensor_entry():
-    graph, table, tensor = _tensor_of("E8")
-    neighbor = graph.adjacency[0].index(1)  # node 0's one neighbor
-    row, trivial = table.node_map[neighbor], table.node_map[0]
-    tensor[row][trivial] = 1 - tensor[row][trivial]
+    graph = graph_for("E8")
+    far = graph.adjacency[0].index(0, 1)  # a node not next to node 0
     with pytest.raises(ConsistencyError) as info:
-        binarygroups._match_nodes(graph, tensor, table.dims, trivial)
+        binarygroups.character_table(group_for("E8"), _doctored("E8", (0, far, 1)))
     assert info.value.stage == "character_table"
     assert str(info.value) == "E8: tensor adjacency does not match the extended diagram"
 
 
 def test_match_nodes_refuses_a_disconnected_diagram():
-    graph, table, tensor = _tensor_of("E8")
-    adjacency = [list(row) for row in graph.adjacency]
-    for j in range(graph.size):  # cut node 0 off
-        adjacency[0][j] = adjacency[j][0] = 0
-    cut = replace(graph, adjacency=tuple(map(tuple, adjacency)))
+    cut = _doctored("E8", *((0, j, 0) for j in range(graph_for("E8").size)))  # cut node 0 off
     with pytest.raises(ConsistencyError) as info:
-        binarygroups._match_nodes(cut, tensor, table.dims, table.node_map[0])
+        binarygroups.character_table(group_for("E8"), cut)
     assert info.value.stage == "character_table"
     assert str(info.value) == "E8: extended diagram is not connected"

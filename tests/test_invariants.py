@@ -1,8 +1,10 @@
 """The invariant registry: enforced at construction, reported by verify."""
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -155,6 +157,22 @@ def test_short_group_closure_is_reported_by_group_sanity(monkeypatch):
         Branching.build("E8").character_table  # a fresh bundle, under the patch
     err = info.value
     assert (str(err), err.dtype, err.stage, err.invariant) == (problem, "E8", "character_table", None)
+
+
+@pytest.mark.parametrize("name", ["A13", "D12", "E8"])
+def test_every_swap_in_one_row_of_the_group_table_fails_group_sanity(name):
+    # Two entries of the middle row of mult swapped, the inverses read from
+    # the swapped table: no such table passes the proof of associativity.
+    b = bundle(name)
+    group, (sanity,) = b.group, (inv for inv in INVARIANTS if inv.name == "group sanity")
+    x = group.order // 2
+    for i, j in itertools.combinations(range(group.order), 2):
+        line = list(group.mult[x])
+        line[i], line[j] = line[j], line[i]
+        mult = (*group.mult[:x], tuple(line), *group.mult[x + 1 :])
+        swapped = replace(group, mult=mult, inverse=tuple(row.index(0) for row in mult))
+        passed, detail = sanity.evaluate(SimpleNamespace(group=swapped, params=b.params))
+        assert not passed and not detail.startswith("exception"), (i, j, detail)
 
 
 TABLE_READERS = ["character table", "triple oracle", "huge-level triple oracle"]
