@@ -287,12 +287,6 @@ def _lift(x: int, p: int) -> int:
     return (x + p // 2) % p - p // 2
 
 
-def _su2_character(zeta: int, n: int, p: int) -> int:
-    """chi_n mod p at an element with eigenvalues zeta^(+-1) != +-1, in
-    O(log n): (zeta^(n+1) - zeta^-(n+1)) / (zeta - zeta^-1)."""
-    return (pow(zeta, n + 1, p) - pow(zeta, -n - 1, p)) * pow(zeta - pow(zeta, -1, p), -1, p) % p
-
-
 def _residue_sums(
     group: FiniteGroup, weights: list[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
@@ -301,15 +295,24 @@ def _residue_sums(
     ``weights[c]`` is class c's weight in each column, mod p.  Entry
     ``[r][k]`` is sum_c weights[c][k] chi_r(c) over the non-central
     classes c, for r = 0..E-1; chi_n has period m_c at a class of order
-    m_c, so this covers every n.  As |chi_r| <= E and a weight is at most
-    |C| MAX_DEGREE, the sum is below p/2 in absolute value and lifts
-    exactly.  With no non-central class (A1) every entry is 0.
+    m_c, so this covers every n.  chi_0 .. chi_(m_c - 1) come from the
+    recurrence chi_(k+1) = t chi_k - chi_(k-1) mod p, from chi_0 = 1 and
+    chi_1 = t = zeta + zeta^-1, the class trace.  As |chi_r| <= E and a
+    weight is at most |C| MAX_DEGREE, the sum is below p/2 in absolute
+    value and lifts exactly.  With no non-central class (A1) every entry
+    is 0.
     """
     minus = group.class_of[group.minus_identity]
     noncentral = [c for c in range(len(group.classes)) if c not in (0, minus)]
     p, zetas = group.roots_mod_p
     orders = group.class_orders
-    periods = [[_su2_character(zetas[c], k, p) for k in range(orders[c])] for c in noncentral]
+    periods = []
+    for c in noncentral:
+        t = (zetas[c] + pow(zetas[c], -1, p)) % p
+        chi = [1, t]
+        while len(chi) < orders[c]:
+            chi.append((t * chi[-1] - chi[-2]) % p)
+        periods.append(chi)
     e = exponent(group.dtype)
     columns = [[weights[c][k] for c in noncentral] for k in range(len(weights[0]))]
     half = [

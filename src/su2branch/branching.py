@@ -280,7 +280,10 @@ class Branching(ReadOnly):
 
     def vector(self, n: int, oracle: str = "coxeter") -> tuple[int, ...]:
         """Multiplicities at level n across all extended nodes (0..rank) by the
-        named oracle, exact for any n >= 0: one read of its period table."""
+        named oracle, exact for any n >= 0: one read of its period table of
+        period P, one multiply-add of packed 64-bit fields for n < 2^64 - P
+        once n's residue has been read twice, exact int arithmetic entry by
+        entry otherwise (:meth:`~.seriescalc.PeriodTable.level`)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return self.periods(oracle).level(n)
+        return (self._coxeter if oracle == "coxeter" else self.periods(oracle)).level(n)

@@ -12,17 +12,54 @@ read-only type holds it, :class:`PeriodTable`.  Every route builds its
 table with :meth:`PeriodTable.of` from its levels 0..2P-1 and proves it
 once, where it is built; every read (a level, an iteration, a view to
 another order) checks nothing.
+
+Read cost.  On the third read of residue r past the base levels, or when
+an iteration reads every residue at least three times past them, residue
+r's base row and step row are each packed into one int of ``size``
+unsigned 64-bit fields, and kept with kmax, the largest k with
+(k + 1) M < 2^64 for the largest entry M of the two rows.
+base[r] + k step[r] is at most (k + 1) M entry by entry, so no field
+carries into its neighbour for 1 <= k <= kmax (``to_bytes`` would catch
+only a carry out of the top field: kmax is what keeps the fields apart),
+and level kP + r then costs one int multiply-add and one unpack of its
+fields.  On a route's table each base and step entry is at most P (their
+dimension sums are r + 1 and P), so every level n < 2^64 - P reads this
+way once its residue is packed.  Every other level is read exactly,
+entry by entry, as ``base[r] + k step[r]``: the first two reads of a
+residue (so a point query, which reads a residue once or twice, packs
+nothing), k < 0, k > kmax, and every level of a residue that does not
+pack, one with a negative entry or with M >= 2^63.  A long iteration
+keeps one packed running sum per residue: one int addition and one
+unpack per level; a shorter one, such as verify's two periods, one exact
+running sum.  Every view of a table shares its packed residues.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 from operator import add
 
 from .rootsys import ReadOnly
 
 Poly = tuple[int, ...]
 Vector = tuple[int, ...]
+
+#: Each packed field holds an unsigned 64-bit entry, so every entry stays below this.
+_FIELD = 1 << 64
+#: The packed form of a residue that does not pack: kmax 0 sends its reads to the exact path.
+_UNPACKED = (0, 0, 0, None, 0)
+#: Exact reads of a residue before its next read packs it.  Packing costs
+#: about two and a half exact reads (E8: 1.8 against 0.7 us), so a residue
+#: read once or twice, as a point query reads, never pays for it.
+_EXACT_READS = 2
+
+
+@lru_cache(maxsize=128)
+def _fields(size: int) -> struct.Struct:
+    """``size`` unsigned 64-bit fields, little-endian: one packed row."""
+    return struct.Struct(f"<{size}Q")
 
 
 def poly(coeffs: Iterable[int]) -> Poly:
@@ -56,18 +93,24 @@ class PeriodTable(ReadOnly, Sequence):
     """A route's levels 0..order: level n = k P + r is ``base[r] + k step[r]``
     for the period P = ``len(base)``.  Read-only: the routes cache and share it.
 
-    Built by :meth:`of`; :meth:`upto` shares ``base`` and ``step`` at another
-    order.  Like ``range``: ``len`` is order + 1, negative indices and slices
-    work, an index past ``order`` raises ``IndexError``, and it equals, element
-    by element, any sequence of the same vectors (so it is unhashable).  A
-    level costs O(size) for any n (:meth:`level`), iteration one addition per
-    entry.
+    Built by :meth:`of`; :meth:`upto` shares ``base``, ``step`` and the packed
+    residues at another order.  Like ``range``: ``len`` is order + 1, negative
+    indices and slices work, an index past ``order`` raises ``IndexError``,
+    and it equals, element by element, any sequence of the same vectors (so
+    it is unhashable).  A level costs one multiply-add of packed 64-bit
+    fields once its residue is packed and 1 <= k <= kmax, the residue's
+    bound, and O(size) exact int operations otherwise (module docstring);
+    iteration one packed or exact running addition per level.
     """
 
     def __init__(self, base: tuple[Vector, ...], step: tuple[Vector, ...], order: int) -> None:
         if order < 0:
             raise ValueError("order must be nonnegative")
-        vars(self).update(base=base, step=step, order=order, period=len(base))
+        # _packed holds each residue's packed form (:meth:`_pack`) or, until
+        # it packs, the number of its exact reads past the base levels; every
+        # upto view shares its table's list.
+        period = len(base)
+        vars(self).update(base=base, step=step, order=order, period=period, _packed=[0] * period)
 
     @classmethod
     def of(cls, levels: Sequence[Vector], period: int) -> PeriodTable:
@@ -80,8 +123,35 @@ class PeriodTable(ReadOnly, Sequence):
         return cls(base, step, 2 * period - 1)
 
     def upto(self, order: int) -> PeriodTable:
-        """The levels 0..order, sharing this table's ``base`` and ``step``."""
-        return PeriodTable(self.base, self.step, order)
+        """The levels 0..order, sharing this table's ``base``, ``step`` and
+        packed residues."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        view = object.__new__(PeriodTable)
+        vars(view).update(vars(self), order=order)
+        return view
+
+    def _pack(self, r: int) -> tuple:
+        """Pack residue r and keep it for later reads: (kmax, packed base row,
+        packed step row, unpack, bytes per row), kmax 0 when the residue does
+        not pack (module docstring)."""
+        base, step = self.base[r], self.step[r]
+        kmax = (_FIELD - 1) // max(*base, *step, 1) - 1
+        packed = _UNPACKED
+        if kmax > 0:
+            fields = _fields(len(base))
+            try:
+                packed = (
+                    kmax,
+                    int.from_bytes(fields.pack(*base), "little"),
+                    int.from_bytes(fields.pack(*step), "little"),
+                    fields.unpack,
+                    fields.size,
+                )
+            except struct.error:  # a negative entry
+                pass
+        self._packed[r] = packed
+        return packed
 
     def negative_step(self) -> tuple[int, int] | None:
         """The first (r, i) with step[r][i] < 0, or None: no level then falls below its base."""
@@ -90,12 +160,23 @@ class PeriodTable(ReadOnly, Sequence):
 
     def level(self, n: int) -> Vector:
         """Level n, ``base[r] + k step[r]`` for n = k P + r (floor division),
-        whatever ``order`` is: O(size) for every integer n, the stored base
-        itself for 0 <= n < P, and for n < 0 what chi_(-n-2) = -chi_n gives:
-        minus level -n-2."""
-        k, r = divmod(n, self.period)
+        whatever ``order`` is: the stored base itself for 0 <= n < P, one
+        packed multiply-add for 1 <= k <= kmax once residue r is packed (on
+        its third read), O(size) exact for any other integer n, and for
+        n < 0 what chi_(-n-2) = -chi_n gives: minus level -n-2."""
+        period = self.period
+        k = n // period
         if not k:
-            return self.base[r]
+            return self.base[n]
+        r = n - k * period
+        slots = self._packed
+        slot = slots[r]
+        if type(slot) is int and slot < _EXACT_READS:
+            slots[r] = slot + 1
+        else:
+            kmax, base, step, unpack, width = slot if type(slot) is tuple else self._pack(r)
+            if 0 < k <= kmax:
+                return unpack((base + k * step).to_bytes(width, "little"))
         return tuple([x + k * d for x, d in zip(self.base[r], self.step[r])])
 
     def __len__(self) -> int:
@@ -103,18 +184,36 @@ class PeriodTable(ReadOnly, Sequence):
 
     def __getitem__(self, index):
         if type(index) is int and 0 <= index <= self.order:
+            # level(index)'s packed read, inlined: a sweep reads every level by index
+            packed = self._packed[index % self.period]
+            if type(packed) is tuple and 0 < (k := index // self.period) <= packed[0]:
+                _, base, step, unpack, width = packed
+                return unpack((base + k * step).to_bytes(width, "little"))
             return self.level(index)
         if isinstance(index, slice):
             return [self[n] for n in range(self.order + 1)[index]]
         return self.level(range(self.order + 1)[index])
 
     def __iter__(self) -> Iterator[Vector]:
-        step, period, levels = self.step, self.period, list(self.base)
-        for n in range(self.order + 1):
-            r = n % period
-            if n >= period:
+        period, order = self.period, self.order
+        yield from self.base[: order + 1]
+        if order + 1 < (_EXACT_READS + 2) * period:  # too few levels per residue to pay for packing
+            levels, step = list(self.base), self.step
+            for n in range(period, order + 1):
+                r = n % period
                 levels[r] = tuple(map(add, levels[r], step[r]))
-            yield levels[r]
+                yield levels[r]
+            return
+        rows = [slot if type(slot) is tuple else self._pack(r) for r, slot in enumerate(self._packed)]
+        kmax, sums, step, unpack, width = zip(*rows)
+        packed = min(order + 1, (min(kmax) + 1) * period)
+        sums, unpack, width = list(sums), unpack[0], width[0]
+        for n in range(period, packed):
+            r = n % period
+            sums[r] += step[r]
+            yield unpack(sums[r].to_bytes(width, "little"))
+        for n in range(packed, order + 1):
+            yield self.level(n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):

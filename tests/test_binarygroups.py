@@ -12,8 +12,8 @@ from su2branch.binarygroups import (
     character_multiplicities,
     exponent,
     molien_series,
-    _su2_character,
     oracle_multiplicity,
+    _residue_sums,
 )
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, _character_table
@@ -184,20 +184,29 @@ def _noncentral_roots(group):
     return [pair for c, pair in enumerate(pairs) if c not in (0, minus)]
 
 
+def _su2_character(zeta, n, p):
+    """chi_n mod p at eigenvalues zeta^(+-1) != +-1, in closed form:
+    (zeta^(n+1) - zeta^-(n+1)) / (zeta - zeta^-1)."""
+    return (pow(zeta, n + 1, p) - pow(zeta, -n - 1, p)) * pow(zeta - pow(zeta, -1, p), -1, p) % p
+
+
 def test_su2_characters():
-    # The closed form against the Chebyshev recursion chi_(n+1) = t chi_n -
-    # chi_(n-1), t = zeta + zeta^-1, exactly mod p, at every non-central class.
-    for name in ("E6", "E8", "A13", "D7"):
-        p, _ = group_for(name).roots_mod_p
-        for zeta, m in _noncentral_roots(group_for(name)):
-            t = (zeta + pow(zeta, -1, p)) % p
-            prev, cur = 1, t
-            assert _su2_character(zeta, 0, p) == 1
-            for n in range(1, 3 * m):
-                assert _su2_character(zeta, n, p) == cur
-                prev, cur = cur, (t * cur - prev) % p
-            huge = _su2_character(zeta, HUGE_LEVEL, p)
-            assert huge == _su2_character(zeta, HUGE_LEVEL % m, p)
+    # The recurrence _residue_sums runs against the closed form: with weight
+    # 1 on one non-central class per column, entry [r][k] is chi_r at that
+    # class, lifted, for every residue r; and chi_(n + m) = chi_n.
+    for name in CHARACTER_TYPES:
+        group = group_for(name)
+        p, zetas = group.roots_mod_p
+        minus = group.class_of[group.minus_identity]
+        noncentral = [c for c in range(len(group.classes)) if c not in (0, minus)]
+        weights = [tuple(int(c == d) for d in noncentral) for c in range(len(group.classes))]
+        residues = _residue_sums(group, weights)
+        assert len(residues) == exponent(group.dtype)
+        for r, row in enumerate(residues):
+            want = [_su2_character(zetas[c], r, p) for c in noncentral]
+            assert row == tuple((x + p // 2) % p - p // 2 for x in want), (name, r)
+        for zeta, m in _noncentral_roots(group):
+            assert _su2_character(zeta, HUGE_LEVEL, p) == _su2_character(zeta, HUGE_LEVEL % m, p)
 
 
 def test_e8_character_dims():
@@ -338,10 +347,10 @@ def test_residue_table_is_the_class_sum(name):
 def test_point_oracle_runs_no_chebyshev_step(monkeypatch, name):
     group, t = group_for(name), table_for(name)
 
-    def boom(zeta, n, p):
+    def boom(group, weights):
         raise AssertionError("per-class character evaluated after the table was built")
 
-    monkeypatch.setattr(binarygroups, "_su2_character", boom)
+    monkeypatch.setattr(binarygroups, "_residue_sums", boom)
     n = 10**18 + 1
     vec = tuple(oracle_multiplicity(group, t, n, i) for i in range(graph_for(name).size))
     assert sum(m * d for m, d in zip(vec, graph_for(name).marks_ext)) == n + 1

@@ -308,6 +308,36 @@ def test_the_last_residue_is_checked_in_base_and_step(monkeypatch, oracle, part,
     assert triple.detail.endswith(f"at n={level}, node 8")
 
 
+def _misread(shift):
+    """A level reader that reads base[r] + (k + shift) step[r], or base[r]
+    alone when ``shift`` is None."""
+
+    def level(table, n):
+        k, r = divmod(n, table.period)
+        k = 0 if shift is None else k + shift
+        return tuple(x + k * d for x, d in zip(table.base[r], table.step[r]))
+
+    return level
+
+
+@pytest.mark.parametrize("shift", [1, -1, None], ids=["k+1", "k-1", "no-step"])
+def test_a_misread_level_fails_the_huge_level_entry(monkeypatch, shift):
+    # All three routes read through PeriodTable.level, so a faulty reader
+    # agrees with itself at HUGE_LEVEL wherever the routes' periods agree
+    # (every type but E6); the dimension sum must catch it there.
+    entry = next(inv for inv in INVARIANTS if inv.name == "huge-level triple oracle")
+    bundles = [bundle(name) for name in ACCEPTED_TYPES]
+    for b in bundles:
+        assert entry.evaluate(b) == (True, f"coxeter == recursion == characters at n={HUGE_LEVEL}")
+    monkeypatch.setattr(PeriodTable, "level", _misread(shift))
+    failed = {}
+    for b in bundles:
+        passed, detail = entry.evaluate(b)
+        assert not passed and detail.endswith(f" at n={HUGE_LEVEL}"), b.dtype
+        failed[str(b.dtype)] = detail.split()[0]
+    assert failed == {name: "coxeter" if name == "E6" else "dimension" for name in ACCEPTED_TYPES}
+
+
 def test_range_entries_expand_each_route_once(monkeypatch):
     """Each range entry expands each table it compares once, to 2L - 1,
     from the route's proved table, never through a route's range API."""

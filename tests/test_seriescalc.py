@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from su2branch.invariants import ORACLES
+from su2branch import seriescalc
+from su2branch.invariants import HUGE_LEVEL, ORACLES
 from su2branch.seriescalc import PeriodTable, poly, poly_str, series_div_geom, sparse_items
 from su2branch.verify import ACCEPTED_TYPES
 
@@ -167,3 +168,112 @@ def test_read_level_keeps_weyl_reciprocity(name, oracle):
     table = bundle(name).periods(oracle)
     for n in range(-1, 2 * table.period + 3):
         assert table.level(-n - 2) == tuple(-x for x in table.level(n)), n
+
+
+def _exact(table, n):
+    """Level n entry by entry, the reference every read is compared with."""
+    k, r = divmod(n, table.period)
+    return tuple(x + k * d for x, d in zip(table.base[r], table.step[r]))
+
+
+def _kmax(table, r):
+    """Residue r's packed bound, packing the residue now if it is not yet."""
+    slot = table._packed[r]
+    return (slot if type(slot) is tuple else table._pack(r))[0]
+
+
+@st.composite
+def wide_tables(draw):
+    """Tables with entries up to 2^62 and one step entry 2^62 in every
+    residue, so kmax is 2 and a few periods cross from the packed reads to
+    the exact ones."""
+    size, period = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = st.lists(st.tuples(*[st.integers(0, 2**62)] * size), min_size=period, max_size=period)
+    base, step = draw(rows), draw(rows)
+    return PeriodTable(tuple(base), tuple((2**62,) + row[1:] for row in step), 0)
+
+
+@given(wide_tables(), st.integers(0, 3))
+def test_packed_and_exact_reads_agree_on_both_sides_of_kmax(table, r):
+    period, r = table.period, r % table.period
+    kmax = _kmax(table, r)
+    assert kmax == 2
+    assert max(_exact(table, kmax * period + r)) < 2**64
+    for k in (0, 1, kmax, kmax + 1, -1, -2):
+        assert table.level(k * period + r) == _exact(table, k * period + r), k
+    for n in (-1, 10**100, -(10**100)):
+        assert table.level(n) == _exact(table, n), n
+
+
+@given(wide_tables())
+def test_iteration_across_kmax_reads_every_level(table):
+    period, kmax = table.period, 2
+    for top in (kmax * period - 1, kmax * period, (kmax + 1) * period, (kmax + 2) * period + 1):
+        levels = [_exact(table, n) for n in range(top + 1)]
+        view = table.upto(top)
+        assert list(view) == [view.level(n) for n in range(top + 1)] == levels
+        assert [view[n] for n in range(top + 1)] == levels
+
+
+def test_a_residue_with_a_negative_or_wide_entry_never_packs():
+    # The last table's level P already needs a field of 65 bits.
+    cases = [(((1, -1),), ((2, 3),)), (((1, 2),), ((0, -3),)), (((2**64 - 1, 0),), ((1, 1),))]
+    for base, step in cases:
+        table = PeriodTable(base, step, 0)
+        view = table.upto(9)
+        assert list(view) == [_exact(table, n) for n in range(10)]
+        assert table.level(10**18) == _exact(table, 10**18)
+        assert table._packed == [seriescalc._UNPACKED]
+    # Residue 1 packs although residue 0 does not; iteration reads both exactly.
+    table = PeriodTable(((1,), (2,)), ((-1,), (3,)), 0)
+    assert [table.level(n) for n in (2, 3)] == [(0,), (5,)]
+    assert [_kmax(table, r) for r in (0, 1)] == [0, (2**64 - 1) // 3 - 1]
+    assert list(table.upto(6)) == [_exact(table, n) for n in range(7)]
+
+
+def test_kmax_is_the_last_k_whose_fields_fit():
+    # M = 2^63 - 1: level P, 2M in its first field, is the last that fits.
+    top = 2**63 - 1
+    table = PeriodTable(((top, 5),), ((top, 7),), 0)
+    assert _kmax(table, 0) == 1
+    assert [table.level(n) for n in range(4)] == [(top, 5), (2 * top, 12), (3 * top, 19), (4 * top, 26)]
+    assert list(table.upto(3)) == [table.level(n) for n in range(4)]
+
+
+def test_a_residue_packs_on_its_third_read_and_every_view_shares_it(monkeypatch):
+    table = PeriodTable.of([(1, 0), (2, 3), (2, 0), (2, 5)], 2)
+    # An iteration that reads a residue under three times past the base
+    # levels packs nothing and counts nothing.
+    assert list(table.upto(6)) == [_exact(table, n) for n in range(7)]
+    view = table.upto(10**6)
+    assert view._packed is table._packed == [0, 0]
+    assert view[10**6] == _exact(table, 10**6) and table._packed == [1, 0]
+    assert table.level(10**6 - 2) == _exact(table, 10**6 - 2) and table._packed == [2, 0]
+    assert view[4] == _exact(table, 4)
+    assert table._packed[0][0] > 0 and table._packed[1] == 0
+    # Four periods read every residue three times past the base: all pack.
+    assert list(table.upto(7)) == [_exact(table, n) for n in range(8)]
+    packed = list(table._packed)
+    assert all(type(slot) is tuple for slot in packed)
+
+    def boom(*args):
+        raise AssertionError("a residue packed again")
+
+    monkeypatch.setattr(seriescalc, "_fields", boom)
+    view = table.upto(10**6)
+    assert view._packed == packed and view[10**6 - 1] == _exact(table, 10**6 - 1)
+    assert list(view.upto(9)) == list(table.upto(9))
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+@pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
+def test_every_route_table_reads_exactly_around_kmax(name, oracle):
+    # Each base and step entry is at most P, so every n < 2^64 - P is packed.
+    table = bundle(name).periods(oracle)
+    period = table.period
+    for r in range(period):
+        kmax = _kmax(table, r)
+        assert (kmax + 1) * period >= 2**64 - period > HUGE_LEVEL
+        for k in (kmax - 1, kmax, kmax + 1):
+            assert table.level(k * period + r) == _exact(table, k * period + r), (r, k)
+    assert table.level(HUGE_LEVEL) == _exact(table, HUGE_LEVEL)
