@@ -19,21 +19,22 @@ forms only the n * |gens| products; the multiplication table is filled
 in exact indices from the generator word of each element
 (:func:`build_group`).
 
-Characters are exact in the same F_p: each class's eigenvalue zeta is a
-root of x^2 - t x + 1, t the trace of its representative
-(:attr:`FiniteGroup.roots_mod_p`), every character identity holds mod
-p, and each integer the oracles need lifts from its residue.  The
-irreducibles are walked off the extended diagram, breadth first from the
-trivial character at node 0, by McKay's identity chi_1 chi_x = sum_y
-adj[x][y] chi_y (chi_1 the defining character): the part of chi_1 chi_x
-not yet named is split by one class sum at a time into the rows of x's
-new neighbours, and the walk checks the identity once at every node
-(:func:`_irreducibles`).
+Characters are exact in the same F_p: chi_n at a class depends only on
+the trace t of its representative (:attr:`FiniteGroup.class_traces`),
+through chi_0 = 1, chi_1 = t and chi_(k+1) = t chi_k - chi_(k-1), every
+character identity holds mod p, and each integer the oracles need lifts
+from its residue.  The irreducibles are walked off the extended diagram,
+breadth first from the trivial character at node 0, by McKay's identity
+chi_1 chi_x = sum_y adj[x][y] chi_y (chi_1 the defining character): the
+part of chi_1 chi_x not yet named is split by one class sum at a time
+into the rows of x's new neighbours, and the walk checks the identity
+once at every node (:func:`_irreducibles`).
 
 The character oracles and the Molien average share one inner product
 <chi_n, chi>.  At +-identity chi_n is the integer (+-1)^n (n + 1); at an
-element of order m it has period m in n, so the rest of the sum depends
-on n only modulo E.  :func:`character_table` forms that rest once for
+element of order m it has period m in n, m dividing E (checked where it
+is used, :func:`_residue_sums`), so the rest of the sum depends on n
+only modulo E.  :func:`character_table` forms that rest once for
 each residue r = 0..E-1 and each node (the residue table, in integers).
 One period table of period E (:func:`_period_table`) is built from the
 levels 0..2E-1 by :meth:`~.seriescalc.PeriodTable.of`: each level is
@@ -173,26 +174,11 @@ class FiniteGroup:
         return tuple(self.class_of[self.inverse[rep]] for rep in self.representatives())
 
     @cached_property
-    def roots_mod_p(self) -> tuple[int, tuple[int, ...]]:
-        """The prime p and, per class, an eigenvalue zeta mod p.
-
-        zeta is a root of x^2 - t x + 1, t the trace of the class's
-        representative; either root serves, chi_n being symmetric in zeta
-        and zeta^-1.  It must have the class's exact order m, and m must
-        divide the exponent E, or abort.
-        """
-        p, e, half = self.p, exponent(self.dtype), pow(2, -1, self.p)
-        z, zetas = _non_residue(p), []
-        for c, (rep, m) in enumerate(zip(self.representatives(), self.class_orders)):
-            a, _, _, d = self.elements[rep]
-            t = (a + d) % p
-            root = _sqrt_mod(t * t - 4, p, z)
-            zeta = None if root is None else (t + root) * half % p
-            if zeta is None or e % m or not _has_order(zeta, m, p):
-                problem = f"class {c}: trace {t} has no eigenvalue of order {m} dividing {e}"
-                raise _failure(self.dtype, "build_group", problem)
-            zetas.append(zeta)
-        return p, tuple(zetas)
+    def class_traces(self) -> tuple[int, ...]:
+        """The trace a + d mod p of each class's representative: chi_1, the
+        defining character, which fixes every chi_n (module docstring)."""
+        p, elements = self.p, self.elements
+        return tuple((elements[rep][0] + elements[rep][3]) % p for rep in self.representatives())
 
 
 def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
@@ -294,26 +280,30 @@ def _residue_sums(
 
     ``weights[c]`` is class c's weight in each column, mod p.  Entry
     ``[r][k]`` is sum_c weights[c][k] chi_r(c) over the non-central
-    classes c, for r = 0..E-1; chi_n has period m_c at a class of order
-    m_c, so this covers every n.  chi_0 .. chi_(m_c - 1) come from the
+    classes c, for r = 0..E-1.  At class c, of order m and trace t
+    (:attr:`FiniteGroup.class_traces`), chi_0 .. chi_m come from the
     recurrence chi_(k+1) = t chi_k - chi_(k-1) mod p, from chi_0 = 1 and
-    chi_1 = t = zeta + zeta^-1, the class trace.  As |chi_r| <= E and a
-    weight is at most |C| MAX_DEGREE, the sum is below p/2 in absolute
-    value and lifts exactly.  With no non-central class (A1) every entry
-    is 0.
+    chi_1 = t.  They must come back to (chi_(m-1), chi_m) = (0, 1), the
+    values at -1 and 0, and m must divide E, or abort.  Then chi_n has
+    period m, hence period E, so the E rows cover every n; and as
+    chi_(-2-r) = -chi_r for any t, rows E/2..E-1 are rows E/2-2..0
+    negated and a row of chi_(E-1) = 0.  As |chi_r| <= E and a weight is
+    at most |C| MAX_DEGREE, the sum is below p/2 in absolute value and
+    lifts exactly.  With no non-central class (A1) every entry is 0.
     """
     minus = group.class_of[group.minus_identity]
     noncentral = [c for c in range(len(group.classes)) if c not in (0, minus)]
-    p, zetas = group.roots_mod_p
-    orders = group.class_orders
+    p, e = group.p, exponent(group.dtype)
     periods = []
     for c in noncentral:
-        t = (zetas[c] + pow(zetas[c], -1, p)) % p
+        t, m = group.class_traces[c], group.class_orders[c]
         chi = [1, t]
-        while len(chi) < orders[c]:
+        while len(chi) <= m:
             chi.append((t * chi[-1] - chi[-2]) % p)
-        periods.append(chi)
-    e = exponent(group.dtype)
+        if e % m or chi[m - 1:] != [0, 1]:
+            problem = f"class {c}: chi_n at trace {t} does not have period {m} dividing {e}"
+            raise _failure(group.dtype, "build_group", problem)
+        periods.append(chi[:m])
     columns = [[weights[c][k] for c in noncentral] for k in range(len(weights[0]))]
     half = [
         tuple(_lift(sum(map(int.__mul__, chis, col)), p) for col in columns)
@@ -398,14 +388,15 @@ def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
 class CharacterTable:
     """Irreducible characters by conjugacy class, tied to diagram nodes.
 
-    ``rows[r][c]`` is the value of irreducible r on class c, mod the p of
-    ``group.roots_mod_p``; ``node_map`` sends each extended-diagram node to
-    its row.  The character oracles read only ``central[node]``, the
-    node's character at +identity and -identity as integers (dim, +-dim),
-    and ``residues[r][node]``, the non-central sum of |F*| <chi_n,
-    chi_node> for every n = r modulo the group exponent
-    (:func:`_residue_sums`).  Both feed ``periods``, the proved period
-    table every level is read from (:func:`_period_table`).
+    ``rows[r][c]`` is the value of irreducible r on class c, mod
+    ``group.p`` (the defining character's row is ``group.class_traces``);
+    ``node_map`` sends each extended-diagram node to its row.  The
+    character oracles read only ``central[node]``, the node's character
+    at +identity and -identity as integers (dim, +-dim), and
+    ``residues[r][node]``, the non-central sum of |F*| <chi_n, chi_node>
+    for every n = r modulo the group exponent (:func:`_residue_sums`).
+    Both feed ``periods``, the proved period table every level is read
+    from (:func:`_period_table`).
     """
 
     def __init__(
@@ -422,15 +413,11 @@ class CharacterTable:
         return _period_table(self.group, self.central, self.residues, nodes)
 
 
-def _non_residue(p: int) -> int:
-    """The least quadratic non-residue modulo the odd prime p."""
-    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-
-
-def _sqrt_mod(a: int, p: int, z: int | None = None) -> int | None:
+def _sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a modulo the odd prime p, or None if a is not a
-    square, by Tonelli-Shanks (p - 1 = q 2^s with q odd), with z a
-    quadratic non-residue mod p, :func:`_non_residue` when not given."""
+    square, by Tonelli-Shanks (p - 1 = q 2^s with q odd, z the least
+    quadratic non-residue mod p).  It gives the generators' i, sqrt(2)
+    and sqrt(5) and :func:`_split`'s eigenvalues."""
     a %= p
     if a == 0:
         return 0
@@ -439,7 +426,7 @@ def _sqrt_mod(a: int, p: int, z: int | None = None) -> int | None:
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    z = _non_residue(p) if z is None else z
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
     c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 1, t * t % p  # the least i with t^(2^i) = 1
@@ -503,7 +490,7 @@ def _split(group: FiniteGroup, psi: list[int]) -> list[tuple[int, ...]]:
 def _irreducibles(group: FiniteGroup, graph: McKayGraph) -> list[tuple[int, ...]]:
     """Each extended-diagram node's irreducible character mod p, walked
     breadth first by McKay's identity chi_1 chi_x = sum_y adj[x][y] chi_y,
-    chi_1 = zeta + zeta^-1 the defining character (:attr:`FiniteGroup.roots_mod_p`).
+    chi_1 the defining character (:attr:`FiniteGroup.class_traces`).
 
     Node 0 takes the trivial row.  At node x, chi_1 chi_x less adj[x][y]
     chi_y for each neighbour y with a row is psi, which :func:`_split`
@@ -515,7 +502,7 @@ def _irreducibles(group: FiniteGroup, graph: McKayGraph) -> list[tuple[int, ...]
     every node with a row swaps siblings of equal mark, so any choice
     among them extends, and no multiplicity depends on it.
     """
-    p, zetas = group.roots_mod_p
+    p, chi_1 = group.p, group.class_traces
     adj, marks, size = graph.adjacency, graph.marks_ext, graph.size
     walk = [0]
     for x in walk:  # grows while it is walked: breadth first
@@ -523,8 +510,7 @@ def _irreducibles(group: FiniteGroup, graph: McKayGraph) -> list[tuple[int, ...]
     if len(walk) != size:
         raise _failure(graph.dtype, "character_table", "extended diagram is not connected")
 
-    chi_1 = [(z + pow(z, -1, p)) % p for z in zetas]
-    rows: list[tuple[int, ...]] = [(1,) * len(zetas)] + [()] * (size - 1)  # () until walked to
+    rows: list[tuple[int, ...]] = [(1,) * len(chi_1)] + [()] * (size - 1)  # () until walked to
     for x in walk:
         psi, new = [a * b for a, b in zip(chi_1, rows[x])], []
         for y, k in enumerate(adj[x]):

@@ -531,11 +531,18 @@ def _triple_oracle(c: Branching) -> Result:
 
 def _huge_level(c: Branching) -> Result:
     # The three routes share one level reader, so a reader fault agrees with
-    # itself; the dimension sum catches it.
+    # itself; the characters' level read from the residue sums, without the
+    # period table, and the dimension sum catch it.
+    from . import binarygroups
     n = HUGE_LEVEL
     cox, rec, chars = (c.vector(n, oracle) for oracle in ORACLES)
     if not cox == rec == chars:
         return False, f"coxeter {cox}, recursion {rec}, characters {chars} at n={n}"
+    table = c.character_table
+    rests = zip(table.central, table.residues[n % len(table.residues)])
+    sums = tuple(binarygroups._multiplicity(c.group, n, *pair, i) for i, pair in enumerate(rests))
+    if chars != sums:
+        return False, f"characters {chars} != residue sums {sums} at n={n}"
     if (total := sum(map(mul, c.graph.marks_ext, cox))) != n + 1:
         return False, f"dimension sum {total} != {n + 1} at n={n}"
     return True, f"coxeter == recursion == characters at n={n}"

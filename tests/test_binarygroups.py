@@ -1,6 +1,7 @@
 """Quaternion groups, conjugacy classes, character tables, multiplicities."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -159,10 +160,17 @@ def test_class_counts(name, classes):
     assert len(g.classes[g.class_of[g.minus_identity]]) == 1
 
 
+def _eigenvalues(group):
+    """An eigenvalue zeta of each class's representative mod p: a root of
+    x^2 - t x + 1, t the class trace, either root serving."""
+    p, half = group.p, pow(2, -1, group.p)
+    return [(t + binarygroups._sqrt_mod(t * t - 4, p)) * half % p for t in group.class_traces]
+
+
 @pytest.mark.parametrize("name,prime", [("A1", 53), ("E8", 86461)])
 def test_prime_and_root_orders(name, prime):
     group = group_for(name)
-    p, zetas = group.roots_mod_p
+    p, zetas = group.p, _eigenvalues(group)
     exponent = math.lcm(*group.class_orders)
     assert p == prime and p % exponent == 1
     assert 2 * group.order * exponent * binarygroups.MAX_DEGREE < p
@@ -180,7 +188,7 @@ def test_exponent_is_the_lcm_of_the_class_orders(name):
 def _noncentral_roots(group):
     """(zeta, order) of every non-central class."""
     minus = group.class_of[group.minus_identity]
-    pairs = zip(group.roots_mod_p[1], group.class_orders)
+    pairs = zip(_eigenvalues(group), group.class_orders)
     return [pair for c, pair in enumerate(pairs) if c not in (0, minus)]
 
 
@@ -196,7 +204,7 @@ def test_su2_characters():
     # class, lifted, for every residue r; and chi_(n + m) = chi_n.
     for name in CHARACTER_TYPES:
         group = group_for(name)
-        p, zetas = group.roots_mod_p
+        p, zetas = group.p, _eigenvalues(group)
         minus = group.class_of[group.minus_identity]
         noncentral = [c for c in range(len(group.classes)) if c not in (0, minus)]
         weights = [tuple(int(c == d) for d in noncentral) for c in range(len(group.classes))]
@@ -233,7 +241,7 @@ def test_defining_representation_row():
     # zeta + zeta^-1, exactly mod p.
     for name in ("A1", "A5", "D6", "E7"):
         t, g, group = table_for(name), graph_for(name), group_for(name)
-        p, zetas = group.roots_mod_p
+        p, zetas = group.p, _eigenvalues(group)
         for cls, zeta in enumerate(zetas):
             total = sum(g.adjacency[0][i] * t.rows[t.node_map[i]][cls] for i in range(g.size))
             assert (total - zeta - pow(zeta, -1, p)) % p == 0
@@ -242,7 +250,7 @@ def test_defining_representation_row():
 def test_character_row_orthonormality():
     for name in ("A1", "A13", "D12", "E6", "E8"):
         t, group = table_for(name), group_for(name)
-        p, _ = group.roots_mod_p
+        p = group.p
         sizes, inverse = group.class_sizes, group.class_inverse
         r = len(sizes)
         for a in range(r):
@@ -254,7 +262,7 @@ def test_character_row_orthonormality():
 def test_central_parity_signs():
     for name in ("A1", "E7"):
         b, t, group, g = bundle(name), table_for(name), group_for(name), graph_for(name)
-        p, _ = group.roots_mod_p
+        p = group.p
         minus_class = group.class_of[group.minus_identity]
         for node in range(g.size):
             d = g.marks_ext[node]
@@ -327,7 +335,7 @@ def test_residue_table_is_the_class_sum(name):
     # Reference: the plain loop over classes, with chi_r unreduced, lifted
     # from (-p/2, p/2).
     group, t = group_for(name), table_for(name)
-    p, zetas = group.roots_mod_p
+    p, zetas = group.p, _eigenvalues(group)
     minus = group.class_of[group.minus_identity]
     inverse = group.class_inverse
     assert len(t.residues) == math.lcm(*group.class_orders)
@@ -434,23 +442,85 @@ def test_levels_are_read_without_a_check(monkeypatch, name):
 
 
 def test_a_class_with_no_eigenvalue_of_its_order_aborts():
-    # Add 1 to one class representative's top-left entry: the roots of
-    # x^2 - t x + 1 for its new trace t do not have the class's order 6.
-    group = group_for("E6")
+    # Add 1 to one class representative's top-left entry: its trace goes
+    # from 1 to 2, the roots of x^2 - t x + 1 do not have the class's order
+    # 6, and chi_n = n + 1 at t = 2 has no period.
+    group, graph = group_for("E6"), graph_for("E6")
     rep, p = group.classes[2][0], group.p
     a, b, c, d = group.elements[rep]
     elements = list(group.elements)
     elements[rep] = ((a + 1) % p, b, c, d)
     bent = replace(group, elements=tuple(elements))
-    assert group.class_orders[2] == 6
-    t = (a + d + 1) % p
+    assert group.class_orders[2] == 6 and group.class_traces[2] == 1
     with pytest.raises(ConsistencyError) as info:
-        bent.roots_mod_p
+        molien_series(bent, 0)
     err = info.value
     assert (err.dtype, err.stage) == ("E6", "build_group")
-    assert str(err) == (
-        f"E6: class 2: trace {t} has no eigenvalue of order 6 dividing 12"
-    )
+    assert str(err) == "E6: class 2: chi_n at trace 2 does not have period 6 dividing 12"
+    # The table's walk meets the bent trace before its residue sums do.
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups.character_table(bent, graph)
+    assert (info.value.dtype, info.value.stage) == ("E6", "character_table")
+
+
+def test_a_class_order_that_does_not_divide_the_exponent_aborts(monkeypatch):
+    # With E taken as 4, class 1 (order 4) passes and class 2 (order 6) fails.
+    group = group_for("E6")
+    monkeypatch.setattr(binarygroups, "exponent", lambda dtype: 4)
+    with pytest.raises(ConsistencyError) as info:
+        molien_series(group, 0)
+    err = info.value
+    assert (err.dtype, err.stage) == ("E6", "build_group")
+    assert str(err) == "E6: class 2: chi_n at trace 1 does not have period 6 dividing 4"
+
+
+def test_a_class_whose_characters_change_sign_at_its_order_aborts():
+    # Negate one representative of order 3: its trace goes from -1 to 1, the
+    # trace of an element of order 6, where chi_2 = 0 but chi_3 = -1.
+    group = group_for("E6")
+    rep, p = group.classes[4][0], group.p
+    elements = list(group.elements)
+    elements[rep] = tuple(-x % p for x in elements[rep])
+    bent = replace(group, elements=tuple(elements))
+    assert group.class_orders[4] == 3 and group.class_traces[4] == p - 1
+    with pytest.raises(ConsistencyError) as info:
+        molien_series(bent, 0)
+    assert (info.value.dtype, info.value.stage) == ("E6", "build_group")
+    assert str(info.value) == "E6: class 4: chi_n at trace 1 does not have period 3 dividing 12"
+
+
+#: sha256 of the character route's output per type, as written by the
+#: test below, so that a change to how the tables are computed is proved
+#: to change no table.
+CHARACTER_ROUTE_SHA256 = {
+    "A1": "2e76c6c1001ee3a6249d3d19f52a033c528ff35cec75ca36fa0af60a7becc763",
+    "A3": "ae3e600a317771ff4d42edeccec9a73c2ebd3faf5e9c078a84c8fb59aee249e2",
+    "A5": "457139c386463b04d45d2c7988cdc5526ddf8f6061f54a063c910046bd05a506",
+    "A7": "1b528aced8f23aee962d8721c0f69dcacbab5d587339c380b340990b56dd2199",
+    "A9": "845e41a304fa967c5116c665e9e7839abf2bbd7542353e136cf7d58db964dacb",
+    "A11": "f05c29d94ff7a76f1bc1a736b2a801eb3a23d1d2f8c9367af1bcd7f1375d3681",
+    "A13": "f9f4e200b2167996ed29c79af4bcf76af20ea77847598e98852dfba3270830b2",
+    "D4": "2fdf7c4cf265180a669d6ee264399b08766675aaf6111370d6ef593a80e79ecc",
+    "D5": "ecd1cf7aa0c517853338f92f9df8065f3c1df2e850b34df807233e6b94da6c88",
+    "D6": "a787b6fe8d120716c508ce24f41647efba04b9ac43e11c3a70fe1184d879debb",
+    "D7": "4872cc8832758e0ce5182b21a7389bf1fa67e78de06f0b5ea5607fc210c3aad4",
+    "D8": "06493130dc84618bf461e3ecbc8786a878d9cde34d8d269603f98d54c5dccf5f",
+    "D9": "4b0b21b56be5f2467c1c2aa8cedb1fe34098000d4ecddf292791012739b2975f",
+    "D10": "a3a878b0cf1469189dbf2eebebdd1e8739d652e38c45ce7dddf5d2cbfc6fedf2",
+    "D11": "623d5d931b87e2e3ca0dea4727d6930bc9edff30e67c0356e01896165d05d51c",
+    "D12": "0ad6a99d75649df24daabe06ad0c741ed290d4be221f2868a45449e51d409780",
+    "E6": "bf03a726f9aa87e55908aaddabf89cb6077ce86a499b1395fa4112b7a327db83",
+    "E7": "ee7b73dcfffaf069d519d700ef0e7e937c3bc27dcd5660240d3401351496b362",
+    "E8": "33e3cacc8eb8eaafc13a7655b422f2ac552920b7b791b9e92c7ffd3be1e385b4",
+}
+
+
+@pytest.mark.parametrize("name", CHARACTER_TYPES)
+def test_character_route_is_pinned_byte_for_byte(name):
+    group, t = group_for(name), table_for(name)
+    output = (t.rows, t.node_map, t.central, t.residues, t.periods.base, t.periods.step)
+    digest = hashlib.sha256(repr((*output, molien_series(group, 300))).encode()).hexdigest()
+    assert digest == CHARACTER_ROUTE_SHA256[name]
 
 
 def test_group_associativity_sampled():
@@ -498,23 +568,13 @@ def test_closure_forms_one_product_per_element_and_generator(monkeypatch):
 @pytest.mark.parametrize("p", [53, 7681, 65537, 86461])
 def test_sqrt_mod_finds_a_root_of_every_square(p):
     # 7681 - 1 = 15 * 2^9 and 65537 - 1 = 2^16 take several Tonelli-Shanks rounds.
-    rng, z = random.Random(p), binarygroups._non_residue(p)
-    assert pow(z, (p - 1) // 2, p) == p - 1
+    rng = random.Random(p)
     for a in (0, 1, p - 1, *(rng.randrange(p) for _ in range(200))):
         root = binarygroups._sqrt_mod(a, p)
-        assert binarygroups._sqrt_mod(a, p, z) == root
         if pow(a, (p - 1) // 2, p) == p - 1:
             assert root is None
         else:
             assert root * root % p == a
-
-
-def test_eigenvalues_search_for_one_non_residue_per_group(monkeypatch):
-    group = binarygroups.build_group("E8", bundle("E8").params)
-    calls, search = [], binarygroups._non_residue
-    monkeypatch.setattr(binarygroups, "_non_residue", lambda p: calls.append(p) or search(p))
-    p, _ = group.roots_mod_p
-    assert calls == [p]
 
 
 def _scaled(group, *terms):

@@ -324,7 +324,8 @@ def _misread(shift):
 def test_a_misread_level_fails_the_huge_level_entry(monkeypatch, shift):
     # All three routes read through PeriodTable.level, so a faulty reader
     # agrees with itself at HUGE_LEVEL wherever the routes' periods agree
-    # (every type but E6); the dimension sum must catch it there.
+    # (every type but E6); the characters read from the residue sums must
+    # catch it there.
     entry = next(inv for inv in INVARIANTS if inv.name == "huge-level triple oracle")
     bundles = [bundle(name) for name in ACCEPTED_TYPES]
     for b in bundles:
@@ -335,7 +336,7 @@ def test_a_misread_level_fails_the_huge_level_entry(monkeypatch, shift):
         passed, detail = entry.evaluate(b)
         assert not passed and detail.endswith(f" at n={HUGE_LEVEL}"), b.dtype
         failed[str(b.dtype)] = detail.split()[0]
-    assert failed == {name: "coxeter" if name == "E6" else "dimension" for name in ACCEPTED_TYPES}
+    assert failed == {name: "coxeter" if name == "E6" else "characters" for name in ACCEPTED_TYPES}
 
 
 def test_range_entries_expand_each_route_once(monkeypatch):
