@@ -16,6 +16,7 @@ from __future__ import annotations
 from operator import sub
 from typing import NamedTuple
 
+from .errors import ConsistencyError
 from .rootsys import ReadOnly, Root, RootSystem
 
 Perm = tuple[int, ...]
@@ -95,7 +96,11 @@ def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
     images = tuple(zip(*columns))
     out = tuple(map(rs._index.get, images))
     if None in out:  # an image off the root set, named as index_of would
-        raise ValueError(f"{images[out.index(None)]} is not a root of {rs.dtype}")
+        raise ConsistencyError(
+            f"{images[out.index(None)]} is not a root of {rs.dtype}",
+            dtype=str(rs.dtype),
+            stage="coxeter_element",
+        )
     return out
 
 
@@ -104,7 +109,8 @@ def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
 
     A class is orthogonal (enforced entry "bipartition"), so its tau is
     r -> r - sum (r, alpha_i) alpha_i over the class: one pass over
-    ``rs.pairings``, with no table of the single reflections."""
+    ``rs.pairings``, with no table of the single reflections.  An image
+    that is not a root raises :class:`~.errors.ConsistencyError`."""
     tau1 = _class_involution(rs, bp.part1)
     tau2 = _class_involution(rs, bp.part2)
     sigma = perm_compose(tau2, tau1)

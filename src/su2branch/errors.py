@@ -9,7 +9,8 @@ class ConsistencyError(RuntimeError):
     indicates a bug or a corrupted input, never a legitimate data case.
     When a registry entry (:mod:`.invariants`) fails at construction,
     ``dtype`` is the diagram type, ``stage`` the build stage whose output
-    it checks and ``invariant`` the entry's name; elsewhere they are None.
+    it checks and ``invariant`` the entry's name; a build stage that
+    cannot finish sets ``dtype`` and ``stage`` only.
     """
 
     def __init__(

@@ -18,9 +18,16 @@ returns ``(passed, detail)``.  The registry is walked in two places:
 * **Verify reports.**  :func:`~.verify.run_type_checks` reports every
   entry for the type in the same order, one PASS/FAIL line each: the
   enforced entries with construction's results, which it does not
-  evaluate again, and the audit-only entries (Cartan pairing, closure
-  reachability, reflections, the sigma^g lines, golden E8, group sanity,
-  character table and the cross-oracle checks), which run only there.
+  evaluate again, and the audit-only entries (the sigma^g lines, golden
+  E8, group sanity, character table and the cross-oracle checks), which
+  run only there.
+
+The root system itself has no audit-only entry.  ``build_root_system``
+adds alpha_i to a root r only when (r, alpha_i) = -1, so every root is
+reached from a simple root by construction; ``cartan_matrix`` is
+symmetric with diagonal 2 by construction; ``coxeter_element`` refuses a
+reflection image that is not a root; and "root counts" pins |Phi+| and h
+to their closed forms.
 
 The range entries hold for every n: each compares the routes' proved
 period tables (:meth:`Branching.periods`) over levels 0..2L-1 (:func:`_read`),
@@ -32,13 +39,13 @@ Only the group entries and the character route import :mod:`~.binarygroups`.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coxeter import perm_compose, perm_identity, perm_power
 from .errors import ConsistencyError
-from .rootsys import DiagramType, Root
+from .rootsys import DiagramType
 from .seriescalc import PeriodTable, Poly, poly, poly_str, sparse_items
 
 if TYPE_CHECKING:
@@ -123,90 +130,6 @@ def _root_counts(c: Branching) -> Result:
         and min(psi) >= 1
     )
     return ok, f"{num_pos} positive roots, h = {h}"
-
-
-def _leading_minors(m: Sequence[Sequence[int]]) -> Iterator[int]:
-    """The leading principal minors of the square integer matrix m, by exact
-    fraction-free (Bareiss) elimination, up to the first zero (no pivoting)."""
-    a, prev = [list(row) for row in m], 1
-    for k, row in enumerate(a):
-        yield (pivot := row[k])
-        if not pivot:
-            return
-        for r in a[k + 1 :]:
-            r[k + 1 :] = [(pivot * x - r[k] * y) // prev for x, y in zip(r[k + 1 :], row[k + 1 :])]
-        prev = pivot
-
-
-def _cartan_pairing(c: Branching) -> Result:
-    """Every pairing (r_p, r_q), q >= p, lies in [-2, 2] and (r_p, r_p) = 2.
-
-    Proved in O(R rank), not walked over all R^2 pairs: when the Cartan
-    matrix C is positive definite (every leading principal minor > 0) and
-    every root has (r, r) = 2 sum_i r_i^2 + 2 sum_{i<j} C_ij r_i r_j = 2,
-    x C y is an inner product and Cauchy-Schwarz gives |(r_p, r_q)| <=
-    sqrt((r_p, r_p)(r_q, r_q)) = 2.  Otherwise (a corrupted system) the
-    plain per-pair loop finds the first miss."""
-    rs = c.rs
-    cartan, rank, roots = rs.cartan, rs.rank, rs.roots
-    for i in range(rank):
-        if cartan[i][i] != 2:
-            return False, f"diagonal entry {cartan[i][i]} at node {i + 1}"
-        for j in range(rank):
-            if cartan[i][j] != cartan[j][i] or (i != j and cartan[i][j] not in (0, -1)):
-                return False, f"bad entry at ({i + 1}, {j + 1})"
-    edges = [(i, j) for i in range(rank) for j in range(i) if cartan[i][j]]  # C_ij = -1
-    proved = all(d > 0 for d in _leading_minors(cartan)) and all(
-        len(r) == rank and sum(map(mul, r, r)) - sum(r[i] * r[j] for i, j in edges) == 1
-        for r in roots
-    )
-    miss = None if proved else _pairing_miss(cartan, roots)
-    return not miss, miss or f"all {len(roots)}^2 pairings within [-2, 2], lengths 2"
-
-
-def _pairing_miss(cartan: Sequence[Sequence[int]], roots: Sequence[Root]) -> str | None:
-    """The first pairing outside [-2, 2] or length other than 2, or None."""
-    images = [tuple(sum(map(mul, row, r)) for row in cartan) for r in roots]
-    for p, rp in enumerate(roots):
-        for q in range(p, len(roots)):
-            val = sum(map(mul, rp, images[q]))
-            if not -2 <= val <= 2:
-                return f"pairing {val} between roots {p} and {q}"
-            if q == p and val != 2:
-                return f"root {rp} has squared length {val}"
-    return None
-
-
-def _reachability(c: Branching) -> Result:
-    rs = c.rs
-    for r in rs.positive_roots:
-        if sum(r) == 1:
-            continue
-        if not any(
-            r[i - 1] > 0 and rs.is_root(tuple(x - int(j == i - 1) for j, x in enumerate(r)))
-            for i in rs.nodes
-        ):
-            return False, f"{r} has no simple-root predecessor"
-    return True, "every positive root steps down to a simple root"
-
-
-def _reflections(c: Branching) -> Result:
-    """The index numbers the root list in order, so no root is listed
-    twice; then each simple reflection s_i(r) = r - (r, alpha_i) alpha_i,
-    read from ``rs.pairings``, sends every root to a root.  s_i is linear
-    and its own inverse, as (alpha_i, alpha_i) = C_ii = 2 ("cartan
-    pairing"), so it permutes the finite root set."""
-    rs = c.rs
-    if len(rs._index) != len(rs.roots) or rs._index != {r: k for k, r in enumerate(rs.roots)}:
-        return False, "the index does not number the root list in order"
-    for i, pairings in enumerate(rs.pairings):
-        for r, p in zip(rs.roots, pairings):
-            if p and not rs.is_root(image := r[:i] + (r[i] - p,) + r[i + 1 :]):
-                return False, (
-                    f"reflection {i + 1} does not permute the roots: {r} maps to {image}, "
-                    "not a root"
-                )
-    return True, f"{rs.rank} reflections permute all {len(rs.roots)} roots"
 
 
 def _bipartition(c: Branching) -> Result:
@@ -579,9 +502,6 @@ def _parity_vanishing(c: Branching) -> Result:
 #: Every structural identity, in report order.
 INVARIANTS: tuple[Invariant, ...] = (
     Invariant("root counts", "build_root_system", _root_counts, enforced=True),
-    Invariant("cartan pairing", "build_root_system", _cartan_pairing),
-    Invariant("closure reachability", "build_root_system", _reachability),
-    Invariant("reflections", "build_root_system", _reflections),
     Invariant("bipartition", "bipartition", _bipartition, enforced=True),
     Invariant("special node side", "special_index", _special_side, enforced=True),
     Invariant("coxeter order", "coxeter_element", _coxeter_order, enforced=True),

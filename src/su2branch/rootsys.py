@@ -163,9 +163,9 @@ class RootSystem(ReadOnly):
         """``pairings[i - 1][k]`` = (root k, alpha_i): row i of C times the root
         columns.  :func:`build_root_system` seeds it from its closure's Cartan
         images; a copy made by running the constructor again (``conftest.replace``)
-        computes its own.  Every simple reflection r - (r, alpha_i) alpha_i is
-        read from it, by ``coxeter_element`` and the "reflections" audit; none
-        is tabled."""
+        computes its own.  ``coxeter_element`` reads every simple reflection
+        r - (r, alpha_i) alpha_i from it, and refuses an image that is not a
+        root; none is tabled."""
         columns = tuple(zip(*self.roots))
         return tuple(
             tuple(map(sum, zip(*[map(mul, repeat(c), col) for c, col in zip(row, columns) if c])))

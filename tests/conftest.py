@@ -5,10 +5,8 @@ polynomial, counting and root-system helpers used only by tests."""
 import inspect
 import math
 from functools import lru_cache
-from types import SimpleNamespace
 
 from su2branch import Branching
-from su2branch.invariants import INVARIANTS
 from su2branch.rootsys import DiagramType, cartan_matrix
 from su2branch.seriescalc import poly
 
@@ -149,19 +147,12 @@ def reflect(rs, i, x):
     return tuple(out)
 
 
-def reflection_miss(rs):
-    """The "reflections" audit's failure detail by definition, on a system
-    whose index matches its root list: the first root that a simple
-    reflection sends off the index, or None."""
-    for i in rs.nodes:
-        for r in rs.roots:
-            image = reflect(rs, i, r)
-            if image != r and image not in rs._index:
-                return f"reflection {i} does not permute the roots: {r} maps to {image}, not a root"
-    return None
-
-
-def audit(name, rs):
-    """One registry entry evaluated on a root system alone."""
-    (inv,) = (inv for inv in INVARIANTS if inv.name == name)
-    return inv.evaluate(SimpleNamespace(rs=rs))
+#: The affine D4 Cartan matrix (node 2 joined to 1, 3, 4 and 5), which is
+#: not of finite type: put in place of D5's, the root closure still ends.
+AFFINE_D4 = (
+    (2, -1, 0, 0, 0),
+    (-1, 2, -1, -1, -1),
+    (0, -1, 2, 0, 0),
+    (0, -1, 0, 2, 0),
+    (0, -1, 0, 0, 2),
+)

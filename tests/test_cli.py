@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from su2branch import verify
+from su2branch import rootsys, verify
 from su2branch.branching import Branching
 from su2branch.cli import MAX_ORDER, MAX_RANK, _build_parser, main
 from su2branch.invariants import ORACLES
 
+from conftest import AFFINE_D4
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -194,6 +195,14 @@ def test_bad_type_exits_2(capsys):
     code, _, err = run(capsys, "orbits", "--type", "Q3")
     assert code == 2
     assert "usage error" in err
+
+
+def test_a_construction_fault_exits_1(monkeypatch, capsys):
+    # A failed build is an internal check failure, not a usage error.
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda dtype: AFFINE_D4)
+    code, out, err = run(capsys, "branch", "--type", "D5", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "internal check failure: (1, 3, 1, 1, 1) is not a root of D5\n"
 
 
 def test_bad_node_exits_2(capsys):

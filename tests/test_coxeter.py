@@ -2,7 +2,7 @@
 
 import pytest
 
-from su2branch import Branching
+from su2branch import Branching, rootsys
 from su2branch.coxeter import (
     bipartition,
     coxeter_element,
@@ -11,11 +11,12 @@ from su2branch.coxeter import (
     perm_power,
     special_index,
 )
+from su2branch.errors import ConsistencyError
 from su2branch.invariants import LONGEST_ELEMENT
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import audit, bundle, reflect, replace
+from conftest import AFFINE_D4, bundle, reflect, replace
 
 
 def test_a3_bipartition():
@@ -192,7 +193,38 @@ def test_a_reflection_off_the_root_set_is_refused():
         for image in (reflect(bad, i, r) for r in bad.roots)
         if not bad.is_root(image)
     )
-    assert not audit("reflections", bad)[0]
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ConsistencyError) as info:
         coxeter_element(bad, bp)
-    assert str(info.value) == f"{image} is not a root of A3"
+    err = info.value
+    assert (str(err), err.dtype, err.stage, err.invariant) == (
+        f"{image} is not a root of A3",
+        "A3",
+        "coxeter_element",
+        None,
+    )
+
+
+def _e10(dtype):
+    """The hyperbolic E10 Cartan matrix: a path of 9 nodes, node 10 joined to node 3."""
+    edges = [(i, i + 1) for i in range(8)] + [(2, 9)]
+    return tuple(
+        tuple(2 if i == j else -((i, j) in edges or (j, i) in edges) for j in range(10))
+        for i in range(10)
+    )
+
+
+@pytest.mark.parametrize(
+    "name,cartan,image",
+    [
+        pytest.param("D5", lambda dtype: AFFINE_D4, (1, 3, 1, 1, 1), id="affine-D4-on-D5"),
+        pytest.param("D10", _e10, (2, 5, 6, 5, 4, 3, 2, 1, 0, 3), id="E10-on-D10"),
+    ],
+)
+def test_a_cartan_matrix_of_infinite_type_fails_the_build(monkeypatch, name, cartan, image):
+    # The closure ends on both (it adds a root only at pairing -1), but
+    # a reflection then leaves the root set.
+    monkeypatch.setattr(rootsys, "cartan_matrix", cartan)
+    with pytest.raises(ConsistencyError) as info:
+        Branching.build(name)
+    err = info.value
+    assert (str(err), err.dtype, err.stage) == (f"{image} is not a root of {name}", name, "coxeter_element")

@@ -2,10 +2,12 @@
 
 import pytest
 
+from su2branch import coxeter
+from su2branch.errors import ConsistencyError
 from su2branch.rootsys import DiagramType, build_root_system, dynkin_edges
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import audit, bundle, inner, plain_closure_roots, reflect, reflection_miss, replace
+from conftest import bundle, inner, plain_closure_roots, reflect, replace
 
 
 def rs_for(name):
@@ -74,8 +76,9 @@ def test_reflections():
         reflect(rs, 4, a1)
 
 
-def test_reflection_involution_permutes_roots():
-    rs = rs_for("D5")
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_reflection_involution_permutes_roots(name):
+    rs = rs_for(name)
     for i in rs.nodes:
         images = [reflect(rs, i, r) for r in rs.roots]
         assert sorted(images) == sorted(rs.roots)
@@ -84,20 +87,12 @@ def test_reflection_involution_permutes_roots():
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)
 def test_reflection_table_is_reflect(name):
-    # The "reflections" audit reflects through the pairings: with the
-    # highest root gone from list and index it reports reflect's first
-    # miss; gone from the index alone, the index's disagreement.
+    # A one-node class's involution, read from the pairings as
+    # coxeter_element reads each class's, is that node's simple reflection.
     rs = build_root_system(name)
-    assert audit("reflections", rs) == (
-        True,
-        f"{rs.rank} reflections permute all {len(rs.roots)} roots",
-    )
-    bad = _without_highest_root(rs)
-    miss = reflection_miss(bad)
-    assert miss is not None
-    assert audit("reflections", bad) == (False, miss)
-    del rs._index[rs.highest_root]
-    assert audit("reflections", rs) == (False, "the index does not number the root list in order")
+    for i in rs.nodes:
+        table = coxeter._class_involution(rs, (i,))
+        assert [rs.roots[k] for k in table] == [reflect(rs, i, r) for r in rs.roots], i
 
 
 def _without_highest_root(rs):
@@ -197,8 +192,10 @@ def test_closure_matches_the_plain_closure(name):
 
 def test_reflection_table_off_the_root_set_is_reflect():
     # A3 without its highest root: s_1 sends (0, 1, 1) to the missing
-    # (1, 1, 1), the first image off the root set.
+    # (1, 1, 1), the first image off the root set, and the table refuses it.
     bad = _without_highest_root(build_root_system("A3"))
-    detail = "reflection 1 does not permute the roots: (0, 1, 1) maps to (1, 1, 1), not a root"
-    assert reflection_miss(bad) == detail
-    assert audit("reflections", bad) == (False, detail)
+    assert reflect(bad, 1, (0, 1, 1)) == (1, 1, 1)
+    with pytest.raises(ConsistencyError) as info:
+        coxeter._class_involution(bad, (1,))
+    err = info.value
+    assert (str(err), err.dtype, err.stage) == ("(1, 1, 1) is not a root of A3", "A3", "coxeter_element")

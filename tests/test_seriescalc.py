@@ -277,3 +277,12 @@ def test_every_route_table_reads_exactly_around_kmax(name, oracle):
         for k in (kmax - 1, kmax, kmax + 1):
             assert table.level(k * period + r) == _exact(table, k * period + r), (r, k)
     assert table.level(HUGE_LEVEL) == _exact(table, HUGE_LEVEL)
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_short_views_yield_their_length(oracle):
+    # A view of fewer than P levels yields only the base levels it holds.
+    table = bundle("E8").periods(oracle)
+    for k in range(2 * table.period):
+        view = table.upto(k)
+        assert len(list(view)) == len(view) == k + 1, k
