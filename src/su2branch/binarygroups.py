@@ -16,8 +16,8 @@ torsion (Minkowski-Serre).  Any choice of the roots below gives such a
 map, Q(zeta_E) being abelian.  An element is the residue 4-tuple
 (a, b, c, d) of the matrix [[a, b], [c, d]].  The breadth-first closure
 forms only the n * |gens| products; the multiplication table is filled
-in exact indices from the generator word of each element
-(:func:`build_group`).
+in exact indices from the generator word of each element, one column at
+a time, each gathered from its parent's column (:func:`build_group`).
 
 Characters are exact in the same F_p: chi_n at a class depends only on
 the trace t of its representative (:attr:`FiniteGroup.class_traces`),
@@ -35,12 +35,14 @@ The character oracles and the Molien average share one inner product
 element of order m it has period m in n, m dividing E (checked where it
 is used, :func:`_residue_sums`), so the rest of the sum depends on n
 only modulo E.  :func:`character_table` forms that rest once for
-each residue r = 0..E-1 and each node (the residue table, in integers).
-One period table of period E (:func:`_period_table`) is built from the
-levels 0..2E-1 by :meth:`~.seriescalc.PeriodTable.of`: each level is
-checked once to be a nonnegative integer and each step once to have no
-negative entry, so a level is base[r] + k step[r] for any n, checked no
-more.
+each residue r = 0..E-1 and each node (the residue table, in integers),
+one multiply-add of packed weights per class and residue
+(:func:`_residue_sums`).  One period table of period E
+(:func:`_period_table`) is written down in closed form: base[r] =
+((r + 1) c + rest[r]) / |F*| and step[r] = E c / |F*|, c = chi(1) +-
+chi(-1) by the parity of r.  Each base entry and each entry of the two
+distinct step rows is checked once to be a nonnegative integer, so a
+level is base[r] + k step[r] for any n, checked no more.
 
 Generator conventions, as quaternions (fixed for reproducibility) and
 their matrices mod p, with i a square root of -1, 1/2 the inverse of 2
@@ -61,7 +63,9 @@ A and D need no i: 4 need not divide E for A.
 from __future__ import annotations
 
 import math
+import struct
 from functools import cached_property
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError
@@ -74,6 +78,9 @@ if TYPE_CHECKING:
 
 #: Largest irreducible degree of a binary polyhedral group (E8 has 6).
 MAX_DEGREE = 6
+
+#: Candidates past the first that :func:`build_group`'s prime search tries.
+PRIME_STEPS = 1000
 
 #: A 2x2 matrix over F_p as its entries (a, b, c, d), row by row.
 Matrix = tuple[int, int, int, int]
@@ -149,7 +156,7 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
@@ -158,11 +165,15 @@ class FiniteGroup:
 
     @cached_property
     def class_orders(self) -> tuple[int, ...]:
-        """Element order of each class, read off the multiplication table."""
-        out = []
-        for rep in self.representatives():
+        """Element order of each class, read off the multiplication table.
+        It divides the exponent E, so a walk that passes E aborts."""
+        e, out = exponent(self.dtype), []
+        for c, rep in enumerate(self.representatives()):
             k, x = 1, rep
             while x != 0:
+                if k == e:
+                    problem = f"class {c}: no power up to {e} of its representative is the identity"
+                    raise _failure(self.dtype, "build_group", problem)
                 x = self.mult[x][rep]
                 k += 1
             out.append(k)
@@ -184,24 +195,34 @@ class FiniteGroup:
 def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     """Close the generators mod p and compute tables and conjugacy classes.
 
-    p is the smallest prime p = 1 (mod E) above 2 |F*| E MAX_DEGREE, with
-    |F*| = a*b/2 from the denominator exponents.  The breadth-first
-    closure records, for every element i and generator k, the index
-    ``right[k][i]`` of ``elements[i] * gens[k]``, and for every new
-    element j its parent (i, k) with ``elements[j] = elements[i] *
-    gens[k]``.  The table is then filled from these words in exact
-    indices: ``mult[i][j] = right[k][mult[i][i_j]]`` for j's parent
-    (i_j, k), so only the n * |gens| closure products are ever formed.
-    Overshooting |F*| during closure aborts, as does a non-central
-    -identity.  A closure that stops short is returned as is: the
-    registry's "group sanity" entry compares the order with a*b/2.
+    p is the first prime among p0, p0 + E, p0 + 2E, ..., p0 = 2 |F*| E
+    MAX_DEGREE + 1 and |F*| = a*b/2 from the denominator exponents, all
+    = 1 (mod E).  Such primes exist (Dirichlet), and the search tries at
+    most :data:`PRIME_STEPS` steps past p0, or aborts: the 18 verify types
+    need at most 7 (D10; D11 3, the others 2 or fewer), A1 2, A71 4
+    and D71 3, about the ln p that the prime number theorem predicts.
+
+    The breadth-first closure records, for every element i and generator
+    k, the index ``right[k][i]`` of ``elements[i] * gens[k]``, and for
+    every new element j its parent (i, k) with ``elements[j] =
+    elements[i] * gens[k]``.  The table is then filled from these words in
+    exact indices, one column at a time: ``mult[i][j] =
+    right[k][mult[i][i_j]]`` for j's parent (i_j, k), so column j is
+    column i_j gathered from ``right[k]``, and only the n * |gens|
+    closure products are ever formed.  Overshooting |F*| during closure
+    aborts, as does a non-central -identity.  A closure that stops short
+    is returned as is: the registry's "group sanity" entry compares the
+    order with a*b/2.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
     expected, e = params.order_fstar, exponent(dtype)
-    p = 2 * expected * e * MAX_DEGREE + 1
-    while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        p += e
+    start = 2 * expected * e * MAX_DEGREE + 1
+    candidates = range(start, start + PRIME_STEPS * e + 1, e)
+    p = next((p for p in candidates if all(p % q for q in range(2, math.isqrt(p) + 1))), None)
+    if p is None:
+        problem = f"no prime p = 1 (mod {e}) within {PRIME_STEPS} steps of {start}"
+        raise _failure(dtype, "build_group", problem)
 
     gens = generators(dtype, p)
     elements: list[Matrix] = [(1, 0, 0, 1)]
@@ -222,20 +243,16 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
             right[k].append(index[key])
     n = len(elements)
 
-    def row(i: int) -> tuple[int, ...]:
-        out = [i]
-        for parent, k in parents[1:]:
-            out.append(right[k][out[parent]])
-        return tuple(out)
-
-    mult = tuple(row(i) for i in range(n))
+    columns = [tuple(range(n))]  # columns[j][i] = mult[i][j]
+    for parent, k in parents[1:]:
+        columns.append(itemgetter(*columns[parent])(right[k]))
+    mult = tuple(zip(*columns))
     inverse = tuple(line.index(0) for line in mult)
     minus_identity = index.get((p - 1, 0, 0, p - 1))
     if minus_identity is None:
         raise _failure(dtype, "build_group", "-identity is not in the closure")
-    for g in range(n):
-        if mult[minus_identity][g] != mult[g][minus_identity]:
-            raise _failure(dtype, "build_group", "-identity is not central")
+    if mult[minus_identity] != columns[minus_identity]:
+        raise _failure(dtype, "build_group", "-identity is not central")
 
     classes, class_of = conjugacy_classes(mult, inverse)
     return FiniteGroup(dtype, p, tuple(elements), mult, inverse, classes, class_of, minus_identity)
@@ -278,9 +295,9 @@ def _residue_sums(
 ) -> tuple[tuple[int, ...], ...]:
     """The non-central part of |F*| <chi_n, chi>, for every n, in integers.
 
-    ``weights[c]`` is class c's weight in each column, mod p.  Entry
-    ``[r][k]`` is sum_c weights[c][k] chi_r(c) over the non-central
-    classes c, for r = 0..E-1.  At class c, of order m and trace t
+    ``weights[c]`` is class c's weight in each column.  Entry ``[r][k]``
+    is sum_c weights[c][k] chi_r(c) over the non-central classes c, for
+    r = 0..E-1.  At class c, of order m and trace t
     (:attr:`FiniteGroup.class_traces`), chi_0 .. chi_m come from the
     recurrence chi_(k+1) = t chi_k - chi_(k-1) mod p, from chi_0 = 1 and
     chi_1 = t.  They must come back to (chi_(m-1), chi_m) = (0, 1), the
@@ -290,10 +307,17 @@ def _residue_sums(
     negated and a row of chi_(E-1) = 0.  As |chi_r| <= E and a weight is
     at most |C| MAX_DEGREE, the sum is below p/2 in absolute value and
     lifts exactly.  With no non-central class (A1) every entry is 0.
+
+    Each class's weights, reduced mod p, are packed into one int of fixed
+    fields, one per column, so row r is one multiply-add per class, then
+    one unpack, and one reduction mod p and one lift per entry.  A field
+    holds a sum of at most #classes products below p^2 and is a whole
+    number of 64-bit words of at least 2 bits(p) + bits(#classes) + 1
+    bits, so no field carries into the next.
     """
     minus = group.class_of[group.minus_identity]
     noncentral = [c for c in range(len(group.classes)) if c not in (0, minus)]
-    p, e = group.p, exponent(group.dtype)
+    p, e, size = group.p, exponent(group.dtype), len(weights[0])
     periods = []
     for c in noncentral:
         t, m = group.class_traces[c], group.class_orders[c]
@@ -303,15 +327,23 @@ def _residue_sums(
         if e % m or chi[m - 1:] != [0, 1]:
             problem = f"class {c}: chi_n at trace {t} does not have period {m} dividing {e}"
             raise _failure(group.dtype, "build_group", problem)
-        periods.append(chi[:m])
-    columns = [[weights[c][k] for c in noncentral] for k in range(len(weights[0]))]
-    half = [
-        tuple(_lift(sum(map(int.__mul__, chis, col)), p) for col in columns)
-        for chis in ([chi[r % len(chi)] for chi in periods] for r in range(e // 2))
-    ]
+        periods.append(chi[:m] * (e // 2 // m + 1))  # chi_0 .. chi_(E/2) at least
+    words = -(-(2 * p.bit_length() + len(noncentral).bit_length() + 1) // 64)  # per field
+    fields, packed = struct.Struct(f"<{size * words}Q"), []
+    for c in noncentral:
+        low = [0] * (size * words)  # each weight in its field's lowest word
+        low[::words] = [w % p for w in weights[c]]
+        packed.append(int.from_bytes(fields.pack(*low), "little"))
+    half, lift, width = [], p // 2, 8 * words
+    for r in range(e // 2):
+        raw = sum(map(mul, map(itemgetter(r), periods), packed)).to_bytes(fields.size, "little")
+        sums = fields.unpack(raw) if words == 1 else [
+            int.from_bytes(raw[i : i + width], "little") for i in range(0, fields.size, width)
+        ]
+        half.append(tuple([(x + lift) % p - lift for x in sums]))
     # chi_(E-2-r) = -chi_r and chi_(E-1) = 0 at a non-central class
-    negated = [tuple(-x for x in half[e - 2 - r]) for r in range(e // 2, e - 1)]
-    return tuple(half + negated + [(0,) * len(columns)])
+    negated = [tuple([-x for x in half[e - 2 - r]]) for r in range(e // 2, e - 1)]
+    return tuple(half + negated + [(0,) * size])
 
 
 def _multiplicity(
@@ -349,25 +381,41 @@ def _period_table(
     +-identity (``central``) and non-central sums (``residues``, period
     E), as a period table of period E, proved once.
 
-    The levels 0..2E-1, each checked by :func:`_multiplicity`, give the
-    table through :meth:`~.seriescalc.PeriodTable.of`.  E is even (the
-    exponent of a group holding -identity), so n = r + kE has the parity
-    of r and the total at n is total(r) + kE c, c = chi(1) +- chi(-1) by
-    that parity: every level is base[r] + k step[r], and step[r], the
-    difference of two checked integers, is an integer.  A negative step
-    entry aborts; then every level is a nonnegative integer.  ``names``
-    labels the columns in errors (:func:`_column`).
+    E is even (the exponent of a group holding -identity), so n = r + kE
+    has the parity of r and the total at n is (n + 1) c + rest[r], c =
+    chi(1) +- chi(-1) by that parity (:func:`_multiplicity`): base[r] =
+    ((r + 1) c + rest[r]) / |F*| and step[r] = E c / |F*|, one step row
+    per parity.  Every base entry and both step rows must be nonnegative
+    integers; then so is every level base[r] + k step[r], and the table is
+    the one :meth:`~.seriescalc.PeriodTable.of` gives from the levels
+    0..2E-1.  Otherwise those levels are checked in turn by
+    :func:`_multiplicity`, whose first failure, or else the first negative
+    step, names the fault.  ``names`` labels the columns in errors
+    (:func:`_column`).
     """
-    e = len(residues)
-    levels = [
-        tuple(_multiplicity(group, n, c, rest, name) for c, rest, name in zip(central, row, names))
-        for n, row in enumerate(residues + residues)
-    ]
-    table = PeriodTable.of(levels, e)
-    if miss := table.negative_step():
-        r, i = miss
-        problem = f"{_column(names[i])} has a negative step {table.step[r][i]} at residue {r}"
-        raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
+    e, order = len(residues), group.order
+    signs = ([a + b for a, b in central], [a - b for a, b in central])  # c at even r, at odd r
+    base = []
+    for r, rest in enumerate(residues):
+        totals = [(r + 1) * c + x for c, x in zip(signs[r % 2], rest)]
+        row = tuple([t // order for t in totals])
+        if min(row) < 0 or [m * order for m in row] != totals:
+            break
+        base.append(row)
+    steps = [tuple([e * c // order for c in cs]) for cs in signs]
+    proved = len(base) == e and all(
+        min(step) >= 0 and [d * order for d in step] == [e * c for c in cs]
+        for step, cs in zip(steps, signs)
+    )
+    table = PeriodTable(tuple(base), tuple(steps[r % 2] for r in range(e)), 2 * e - 1)
+    if proved:
+        return table
+    for n, row in enumerate(residues + residues):
+        for c, rest, name in zip(central, row, names):
+            _multiplicity(group, n, c, rest, name)
+    r, i = table.negative_step()  # every level passed, so a step is negative
+    problem = f"{_column(names[i])} has a negative step {table.step[r][i]} at residue {r}"
+    raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
     return table
 
 

@@ -378,9 +378,11 @@ def _group_sanity(c: Branching) -> Result:
         for x, line in enumerate(mult):
             if itemgetter(*line)(col) != x_yg(line):
                 return False, f"(x y) g != x (y g) at x = {x}, g = {g}"
-    walk = [0]
+    walk, seen = [0], {0}
     for y in walk:  # grows while it is walked
-        walk += [z for z in {mult[y][g] for g in gens} if z not in walk]
+        new = {mult[y][g] for g in gens} - seen
+        walk += new
+        seen |= new
     if len(walk) != n:
         return False, f"{n - len(walk)} elements are not words in the generators"
     for x in range(n):
@@ -414,9 +416,10 @@ def _character_table(c: Branching) -> Result:
     r = len(group.classes)
     p = group.p
     sizes, inverse = group.class_sizes, group.class_inverse
-    for c1 in range(r):
+    columns = list(zip(*table.rows))
+    for c1, (col, size) in enumerate(zip(columns, sizes)):
         for c2 in range(r):
-            val = sum(row[c1] * row[inverse[c2]] for row in table.rows) * sizes[c1]
+            val = sum(map(mul, col, columns[inverse[c2]])) * size
             if (val - (group.order if c1 == c2 else 0)) % p:
                 return False, f"column orthogonality fails at ({c1}, {c2})"
     for node, (_, at_minus) in enumerate(table.central):
@@ -492,9 +495,10 @@ def _sum_rule(c: Branching) -> Result:
 
 def _parity_vanishing(c: Branching) -> Result:
     last, levels = _read([c.periods("coxeter")], 2)  # the parity has period 2
+    parity = [c.node_parity(i) % 2 for i in range(c.graph.size)]
     for n, (v,) in enumerate(levels):
         for i, m in enumerate(v):
-            if m and n % 2 != c.node_parity(i) % 2:
+            if m and n % 2 != parity[i]:
                 return False, f"node {i} has multiplicity {m} at parity-breaking n={n}"
     return True, f"multiplicities vanish off-parity for all n (levels 0..{last})"
 

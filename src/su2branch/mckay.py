@@ -20,6 +20,7 @@ order asked, and its level n costs O(size) for any n and checks nothing.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add, itemgetter, mul, neg
 
 from .errors import ConsistencyError
 from .rootsys import DiagramType, ReadOnly, RootSystem
@@ -70,19 +71,28 @@ class McKayGraph(ReadOnly):
         """
         size = self.size
         cap = 4 * size * size
-        nbrs = [tuple((j, c) for j, c in enumerate(row) if c) for row in self.adjacency]
+        # A v as whole-row gathers: slot k reads each node's k-th neighbour
+        # (node `size`, a padded 0, when it has fewer) times their entry.
+        nbrs = [[(j, c) for j, c in enumerate(row) if c] for row in self.adjacency]
+        slots = [
+            (itemgetter(*[row[k][0] if k < len(row) else size for row in nbrs]),
+             [row[k][1] if k < len(row) else 0 for row in nbrs])
+            for k in range(max(map(len, nbrs)))
+        ]
         levels = [_check_level(self, tuple(int(i == 0) for i in range(size)), 0)]
         prev = (0,) * size
         for period in range(1, cap + 1):
             while len(levels) < 2 * period + 2:
-                cur = levels[-1]
-                nxt = tuple([sum([c * cur[j] for j, c in row]) - p for row, p in zip(nbrs, prev)])
-                prev = cur
-                levels.append(_check_level(self, nxt, len(levels)))
+                cur = levels[-1] + (0,)
+                total = map(neg, prev)
+                for gather, coefficients in slots:
+                    total = map(add, total, map(mul, gather(cur), coefficients))
+                prev = levels[-1]
+                levels.append(_check_level(self, tuple(total), len(levels)))
             if all(
-                levels[n + 2 * period][i] - 2 * levels[n + period][i] + levels[n][i] == 0
+                list(map(add, levels[n], levels[n + 2 * period]))
+                == list(map(add, levels[n + period], levels[n + period]))
                 for n in (0, 1)
-                for i in range(size)
             ):
                 table = PeriodTable.of(levels, period)
                 if miss := table.negative_step():
@@ -120,7 +130,7 @@ def _check_level(graph: McKayGraph, v: Vector, n: int) -> Vector:
     other than n + 1 means the graph is not the McKay graph of anything."""
     if min(v) < 0:
         raise _failure(graph, f"negative multiplicity at level {n}: {v}")
-    total = sum([m * c for m, c in zip(graph.marks_ext, v)])
+    total = sum(map(mul, graph.marks_ext, v))
     if total != n + 1:
         raise _failure(graph, f"dimension sum {total} != {n + 1} at level {n}")
     return v

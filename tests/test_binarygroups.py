@@ -19,6 +19,7 @@ from su2branch.binarygroups import (
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, _character_table
 from su2branch.mckay import recursion_oracle
+from su2branch.seriescalc import PeriodTable
 from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import bundle, graph_for, group_for, replace, table_for
@@ -420,6 +421,149 @@ def test_a_negative_step_is_refused():
     err = info.value
     assert (err.dtype, err.stage) == ("E8", "oracles")
     assert str(err) == "E8: invariant dimension has a negative step -1 at residue 0 of period 60"
+
+
+def _checked_levels(group, central, residues, names):
+    """Reference for the closed form: the period table of the levels
+    0..2E-1, each checked by ``_multiplicity``, refused at its first
+    negative step."""
+    check = binarygroups._multiplicity
+    levels = [
+        tuple(check(group, n, c, rest, name) for c, rest, name in zip(central, row, names))
+        for n, row in enumerate(residues + residues)
+    ]
+    table = PeriodTable.of(levels, len(residues))
+    if miss := table.negative_step():
+        r, i = miss
+        problem = f"{binarygroups._column(names[i])} has a negative step {table.step[r][i]}"
+        raise ConsistencyError(f"{group.dtype}: {problem} at residue {r} of period {len(residues)}")
+    return table
+
+
+@pytest.mark.parametrize("name", (*CHARACTER_TYPES, "A71", "D71"))
+def test_closed_form_tables_are_the_checked_levels(name):
+    group, t = group_for(name), table_for(name)
+    want = _checked_levels(group, t.central, t.residues, tuple(range(len(t.central))))
+    assert (t.periods.base, t.periods.step, t.periods.order) == (want.base, want.step, want.order)
+    rest = _residue_sums(group, [(size,) for size in group.class_sizes])
+    molien = binarygroups._period_table(group, ((1, 1),), rest, (None,))
+    want = _checked_levels(group, ((1, 1),), rest, (None,))
+    assert (molien.base, molien.step, molien.order) == (want.base, want.step, want.order)
+    assert molien_series(group, 2 * len(rest) - 1) == tuple(v[0] for v in want)
+
+
+#: E8 node 0's values at +-identity, doctored: each breaks a step row of
+#: one parity or a level past the base, or keeps every level.
+_DOCTORED_CENTRAL = [(2, 1), (0, 1), (1, 0), (1, 3), (-1, -1), (-3, 1), (3, -5), (1, 1), (0, 0)]
+
+
+@pytest.mark.parametrize("central", _DOCTORED_CENTRAL)
+@pytest.mark.parametrize("bump", [{}, {7: 1}, {5: -120}])
+def test_the_closed_form_refuses_as_the_checked_levels_do(central, bump):
+    # Node 0 of E8 with doctored values at +-identity, its residue sums
+    # shifted so that every level below E keeps its multiplicity: only a
+    # step or a level past the base can fail.  A bump adds to one residue
+    # sum as well, so that its level fails first: level 7 does not divide,
+    # and level 5 (multiplicity 0) becomes -1.  The closed form must pass
+    # exactly when the checked levels do, and else raise their error.
+    group, t = group_for("E8"), table_for("E8")
+    (plus, minus), (p0, m0) = central, t.central[0]
+    shift = [(r + 1) * (plus - p0 + (-1) ** r * (minus - m0)) - bump.get(r, 0) for r in range(60)]
+    residues = tuple((row[0] - d,) + row[1:] for row, d in zip(t.residues, shift))
+    args = (group, (central,) + t.central[1:], residues, tuple(range(len(t.central))))
+    try:
+        want = _checked_levels(*args)
+    except ConsistencyError as err:
+        with pytest.raises(ConsistencyError) as info:
+            binarygroups._period_table(*args)
+        assert str(info.value) == str(err)
+        assert (info.value.dtype, info.value.stage) == ("E8", "oracles")
+    else:
+        got = binarygroups._period_table(*args)
+        assert (got.base, got.step) == (want.base, want.step)
+
+
+@pytest.mark.parametrize("name", ["A71", "D71"])
+def test_packed_residue_sums_are_the_plain_sums(name):
+    # Reference: the plain sum over classes per entry, chi_r(c) from the
+    # recurrence, for the table's weights and Molien's.
+    group, graph = group_for(name), graph_for(name)
+    p, minus, inverse = group.p, group.class_of[group.minus_identity], group.class_inverse
+    nodes = binarygroups._irreducibles(group, graph)
+    sizes = group.class_sizes
+    for weights in (
+        [tuple(size * row[inverse[c]] for row in nodes) for c, size in enumerate(sizes)],
+        [(size,) for size in sizes],
+    ):
+        want = []
+        for r in range(exponent(group.dtype)):
+            chis = {}
+            for c, t in enumerate(group.class_traces):
+                a, b = 1, t
+                for _ in range(r):
+                    a, b = b, (t * b - a) % p
+                chis[c] = a
+            noncentral = [c for c in range(len(group.classes)) if c not in (0, minus)]
+            want.append(tuple(
+                (sum(chis[c] * weights[c][k] for c in noncentral) + p // 2) % p - p // 2
+                for k in range(len(weights[0]))
+            ))
+        assert _residue_sums(group, weights) == tuple(want)
+
+
+def test_residue_sums_in_fields_of_two_words():
+    # A modulus near 2^61 needs fields of 2 * 61 + bits(5) + 1 = 126 bits,
+    # two 64-bit words.  E6's traces are the integers 2, -2, 0 and +-1, so
+    # its sums are the same integers under either modulus.
+    group = group_for("E6")
+    big = replace(group, p=2**61 - 1)
+    vars(big)["class_traces"] = tuple(
+        binarygroups._lift(t, group.p) % big.p for t in group.class_traces
+    )
+    weights = [(size, -3 * size, 7) for size in group.class_sizes]
+    assert _residue_sums(big, weights) == _residue_sums(group, weights)
+
+
+def test_a_class_whose_powers_never_reach_the_identity_aborts():
+    # E6's class 2 has order 6; with its representative squared to itself
+    # the walk passes the exponent 12 without reaching the identity.
+    group = group_for("E6")
+    rep = group.classes[2][0]
+    mult = [list(line) for line in group.mult]
+    mult[rep][rep] = rep
+    bent = replace(group, mult=tuple(map(tuple, mult)))
+    with pytest.raises(ConsistencyError) as info:
+        bent.class_orders
+    assert (info.value.dtype, info.value.stage) == ("E6", "build_group")
+    assert str(info.value) == "E6: class 2: no power up to 12 of its representative is the identity"
+
+
+#: Steps of E past p0 = 2 |F*| E MAX_DEGREE + 1 that the prime search takes.
+PRIME_SEARCH_STEPS = {
+    "A1": 2, "A3": 0, "A5": 0, "A7": 0, "A9": 0, "A11": 1, "A13": 2,
+    "D4": 1, "D5": 1, "D6": 2, "D7": 0, "D8": 0, "D9": 1, "D10": 7, "D11": 3, "D12": 0,
+    "E6": 0, "E7": 2, "E8": 1, "A71": 4, "D71": 3,
+}  # fmt: skip
+
+
+def test_the_prime_search_steps_are_the_documented_ones():
+    for name, steps in PRIME_SEARCH_STEPS.items():
+        group, e = group_for(name), exponent(group_for(name).dtype)
+        start = 2 * group.order * e * binarygroups.MAX_DEGREE + 1
+        assert divmod(group.p - start, e) == (steps, 0), name
+    assert max(PRIME_SEARCH_STEPS.values()) < binarygroups.PRIME_STEPS
+
+
+def test_the_prime_search_gives_up_past_its_cap(monkeypatch):
+    # D10 starts at p0 = 2 * 32 * 16 * 6 + 1 = 6145 and needs 7 steps of 16.
+    params = bundle("D10").params
+    monkeypatch.setattr(binarygroups, "PRIME_STEPS", 7)
+    assert binarygroups.build_group("D10", params).p == 6257
+    monkeypatch.setattr(binarygroups, "PRIME_STEPS", 6)
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups.build_group("D10", params)
+    assert (info.value.dtype, info.value.stage) == ("D10", "build_group")
+    assert str(info.value) == "D10: no prime p = 1 (mod 16) within 6 steps of 6145"
 
 
 @pytest.mark.parametrize("name", CHARACTER_TYPES)

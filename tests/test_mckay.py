@@ -14,9 +14,10 @@ from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import bundle, graph_for, group_for, table_for
 
-#: Minimal certified period of the recursion per type.
+#: Minimal certified period of the recursion per type; A1's extended
+#: diagram is a double bond, an adjacency entry 2.
 PERIODS = {
-    "A3": 4, "A5": 6, "A7": 8, "A9": 10, "A11": 12, "A13": 14,
+    "A1": 2, "A3": 4, "A5": 6, "A7": 8, "A9": 10, "A11": 12, "A13": 14,
     "D4": 4, "D5": 12, "D6": 8, "D7": 20, "D8": 12, "D9": 28, "D10": 16, "D11": 36, "D12": 20,
     "E6": 12, "E7": 24, "E8": 60,
 }  # fmt: skip
@@ -110,7 +111,7 @@ def test_recursion_rejects_negative_order():
         recursion_oracle(graph_for("A3"), -1)
 
 
-@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A1"))
 def test_view_matches_eager_recursion(name):
     g = graph_for(name)
     levels = recursion_oracle(g, 3 * PERIODS[name] + 5)
@@ -171,7 +172,7 @@ def test_a_negative_step_is_refused_at_certification(monkeypatch):
     assert (info.value.dtype, info.value.stage) == ("A3", "oracles")
 
 
-@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A1"))
 def test_levels_are_read_without_a_check(monkeypatch, name):
     g = extended_graph(bundle(name).rs)  # certified below, with the checks on
     g.certificate
