@@ -138,19 +138,23 @@ class FiniteGroup:
     """A closed binary polyhedral group with index-based tables.
 
     ``elements`` are matrices mod ``p`` (:data:`Matrix`), ``elements[0]``
-    the identity.  ``classes`` are conjugacy classes as sorted index
-    tuples, ordered by their smallest member, so the identity class is
-    first.
+    the identity, and ``generator_indices[k]`` is the index of
+    ``generators(dtype, p)[k]``, recorded by the closure.  ``classes`` are
+    conjugacy classes as sorted index tuples, ordered by their smallest
+    member, so the identity class is first.  Facts read more than once
+    per build, such as each class's characters over one period
+    (:attr:`chi_periods`), are cached properties of the one group.
     """
 
     def __init__(
         self, dtype: DiagramType, p: int, elements: tuple[Matrix, ...],
         mult: tuple[tuple[int, ...], ...], inverse: tuple[int, ...],
         classes: tuple[tuple[int, ...], ...], class_of: tuple[int, ...], minus_identity: int,
+        generator_indices: tuple[int, ...],
     ) -> None:
         self.dtype, self.p, self.elements, self.mult = dtype, p, elements, mult
         self.inverse, self.classes, self.class_of = inverse, classes, class_of
-        self.minus_identity = minus_identity
+        self.minus_identity, self.generator_indices = minus_identity, generator_indices
 
     @property
     def order(self) -> int:
@@ -190,6 +194,37 @@ class FiniteGroup:
         defining character, which fixes every chi_n (module docstring)."""
         p, elements = self.p, self.elements
         return tuple((elements[rep][0] + elements[rep][3]) % p for rep in self.representatives())
+
+    @cached_property
+    def chi_periods(self) -> dict[int, list[int]]:
+        """chi_0, chi_1, .. mod p over at least 0..E/2 at each non-central
+        class, keyed by class in class order; both :func:`_residue_sums`
+        calls of a build read it.
+
+        At class c, of order m and trace t (:attr:`class_traces`), chi_0 ..
+        chi_m come from the recurrence chi_(k+1) = t chi_k - chi_(k-1) mod
+        p, from chi_0 = 1 and chi_1 = t.  They must come back to
+        (chi_(m-1), chi_m) = (0, 1), the values at -1 and 0, and m must
+        divide E, or abort.  Then chi_n has period m, hence period E, and
+        the entry is chi_0 .. chi_(m-1) repeated."""
+        p, e, minus = self.p, exponent(self.dtype), self.class_of[self.minus_identity]
+        out = {}
+        for c, (t, m) in enumerate(zip(self.class_traces, self.class_orders)):
+            if c in (0, minus):
+                continue
+            chi = [1, t]
+            while len(chi) <= m:
+                chi.append((t * chi[-1] - chi[-2]) % p)
+            if e % m or chi[m - 1:] != [0, 1]:
+                problem = f"class {c}: chi_n at trace {t} does not have period {m} dividing {e}"
+                raise _failure(self.dtype, "build_group", problem)
+            out[c] = chi[:m] * (e // 2 // m + 1)
+        return out
+
+    @cached_property
+    def non_residue(self) -> int:
+        """The least quadratic non-residue mod p, which :func:`_sqrt_mod` needs."""
+        return _non_residue(self.p)
 
 
 def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
@@ -255,7 +290,10 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
         raise _failure(dtype, "build_group", "-identity is not central")
 
     classes, class_of = conjugacy_classes(mult, inverse)
-    return FiniteGroup(dtype, p, tuple(elements), mult, inverse, classes, class_of, minus_identity)
+    gens_at = tuple(row[0] for row in right)  # identity * gens[k]
+    return FiniteGroup(
+        dtype, p, tuple(elements), mult, inverse, classes, class_of, minus_identity, gens_at
+    )
 
 
 def conjugacy_classes(
@@ -297,16 +335,12 @@ def _residue_sums(
 
     ``weights[c]`` is class c's weight in each column.  Entry ``[r][k]``
     is sum_c weights[c][k] chi_r(c) over the non-central classes c, for
-    r = 0..E-1.  At class c, of order m and trace t
-    (:attr:`FiniteGroup.class_traces`), chi_0 .. chi_m come from the
-    recurrence chi_(k+1) = t chi_k - chi_(k-1) mod p, from chi_0 = 1 and
-    chi_1 = t.  They must come back to (chi_(m-1), chi_m) = (0, 1), the
-    values at -1 and 0, and m must divide E, or abort.  Then chi_n has
-    period m, hence period E, so the E rows cover every n; and as
-    chi_(-2-r) = -chi_r for any t, rows E/2..E-1 are rows E/2-2..0
-    negated and a row of chi_(E-1) = 0.  As |chi_r| <= E and a weight is
-    at most |C| MAX_DEGREE, the sum is below p/2 in absolute value and
-    lifts exactly.  With no non-central class (A1) every entry is 0.
+    r = 0..E-1, read from :attr:`FiniteGroup.chi_periods`, which proves
+    that chi_n has period E at each of them.  So the E rows cover every
+    n; and as chi_(-2-r) = -chi_r for any t, rows E/2..E-1 are rows
+    E/2-2..0 negated and a row of chi_(E-1) = 0.  As |chi_r| <= E and a
+    weight is at most |C| MAX_DEGREE, the sum is below p/2 in absolute
+    value and lifts exactly.  With no non-central class (A1) every entry is 0.
 
     Each class's weights, reduced mod p, are packed into one int of fixed
     fields, one per column, so row r is one multiply-add per class, then
@@ -315,19 +349,9 @@ def _residue_sums(
     number of 64-bit words of at least 2 bits(p) + bits(#classes) + 1
     bits, so no field carries into the next.
     """
-    minus = group.class_of[group.minus_identity]
-    noncentral = [c for c in range(len(group.classes)) if c not in (0, minus)]
+    chi = group.chi_periods
+    noncentral, periods = list(chi), list(chi.values())
     p, e, size = group.p, exponent(group.dtype), len(weights[0])
-    periods = []
-    for c in noncentral:
-        t, m = group.class_traces[c], group.class_orders[c]
-        chi = [1, t]
-        while len(chi) <= m:
-            chi.append((t * chi[-1] - chi[-2]) % p)
-        if e % m or chi[m - 1:] != [0, 1]:
-            problem = f"class {c}: chi_n at trace {t} does not have period {m} dividing {e}"
-            raise _failure(group.dtype, "build_group", problem)
-        periods.append(chi[:m] * (e // 2 // m + 1))  # chi_0 .. chi_(E/2) at least
     words = -(-(2 * p.bit_length() + len(noncentral).bit_length() + 1) // 64)  # per field
     fields, packed = struct.Struct(f"<{size * words}Q"), []
     for c in noncentral:
@@ -461,11 +485,17 @@ class CharacterTable:
         return _period_table(self.group, self.central, self.residues, nodes)
 
 
-def _sqrt_mod(a: int, p: int) -> int | None:
+def _non_residue(p: int) -> int:
+    """The least quadratic non-residue modulo the odd prime p."""
+    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+
+
+def _sqrt_mod(a: int, p: int, z: int | None = None) -> int | None:
     """A square root of a modulo the odd prime p, or None if a is not a
-    square, by Tonelli-Shanks (p - 1 = q 2^s with q odd, z the least
-    quadratic non-residue mod p).  It gives the generators' i, sqrt(2)
-    and sqrt(5) and :func:`_split`'s eigenvalues."""
+    square, by Tonelli-Shanks (p - 1 = q 2^s with q odd, z a quadratic
+    non-residue mod p, the least one unless given).  It gives the
+    generators' i, sqrt(2) and sqrt(5) and :func:`_split`'s eigenvalues,
+    with the group's :attr:`FiniteGroup.non_residue`."""
     a %= p
     if a == 0:
         return 0
@@ -474,7 +504,7 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    z = _non_residue(p) if z is None else z
     c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 1, t * t % p  # the least i with t^(2^i) = 1
@@ -521,7 +551,7 @@ def _split(group: FiniteGroup, psi: list[int]) -> list[tuple[int, ...]]:
         u_j, v_j, w_i, w_j = psi[j], t_psi[j], tt_psi[i], tt_psi[j]
         det = pow(u_i * v_j - u_j * v_i, -1, p)
         s, q = (u_i * w_j - u_j * w_i) * det % p, (v_i * w_j - v_j * w_i) * det % p
-        root = _sqrt_mod(s * s - 4 * q, p)
+        root = _sqrt_mod(s * s - 4 * q, p, group.non_residue)
         if root and not any((w - s * v + q * u) % p for u, v, w in zip(psi, t_psi, tt_psi)):
             mu, scale = (s - root) * half, pow(root, -1, p)
             part = [(v - mu * u) * scale % p for u, v in zip(psi, t_psi)]
@@ -530,7 +560,8 @@ def _split(group: FiniteGroup, psi: list[int]) -> list[tuple[int, ...]]:
     m = math.isqrt(max(norm, 0))
     dim, rest = divmod(_lift(psi[0], p), m or 1)
     if problem is None and m and m * m == norm and not rest and 1 <= dim <= MAX_DEGREE:
-        return [tuple(x * pow(m, -1, p) % p for x in psi)]
+        scale = pow(m, -1, p)
+        return [tuple(x * scale % p for x in psi)]
     problem = problem or f"a class function of norm {norm} is not a nonnegative sum of irreducibles"
     raise _failure(group.dtype, "character_table", problem)
 
@@ -546,15 +577,20 @@ def _irreducibles(group: FiniteGroup, graph: McKayGraph) -> list[tuple[int, ...]
     the first sorted part of degree marks_ext[u].  Less adj[x][u] chi_u
     for each u, psi must be 0 with no part unused, so the walk checks the
     identity once at every node, and the r rows must be distinct, or
-    abort.  No search is needed: a diagram automorphism fixing node 0 and
-    every node with a row swaps siblings of equal mark, so any choice
-    among them extends, and no multiplicity depends on it.
+    abort, as a walk that passes ``graph.size`` nodes does.  No search is
+    needed: a diagram automorphism fixing node 0 and every node with a row
+    swaps siblings of equal mark, so any choice among them extends, and no
+    multiplicity depends on it.
     """
     p, chi_1 = group.p, group.class_traces
     adj, marks, size = graph.adjacency, graph.marks_ext, graph.size
-    walk = [0]
+    walk, seen = [0], {0}
     for x in walk:  # grows while it is walked: breadth first
-        walk += [y for y, k in enumerate(adj[x]) if k and y not in walk]
+        new = [y for y, k in enumerate(adj[x]) if k and y not in seen]
+        walk += new
+        seen.update(new)
+        if len(walk) > size:
+            raise _failure(graph.dtype, "character_table", f"the diagram walk passes {size} nodes")
     if len(walk) != size:
         raise _failure(graph.dtype, "character_table", "extended diagram is not connected")
 

@@ -96,12 +96,13 @@ def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
     images = tuple(zip(*columns))
     out = tuple(map(rs._index.get, images))
     if None in out:  # an image off the root set, named as index_of would
-        raise ConsistencyError(
-            f"{images[out.index(None)]} is not a root of {rs.dtype}",
-            dtype=str(rs.dtype),
-            stage="coxeter_element",
-        )
-    return out
+        problem = f"{images[out.index(None)]} is not a root of {rs.dtype}"
+    elif len(set(out)) < len(out):  # a reflection is injective, so two roots are equal
+        twice = next(k for k, x in enumerate(out) if out.index(x) < k)
+        problem = f"{rs.roots[twice]} is listed twice among the roots of {rs.dtype}"
+    else:
+        return out
+    raise ConsistencyError(problem, dtype=str(rs.dtype), stage="coxeter_element")
 
 
 def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
@@ -110,7 +111,8 @@ def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
     A class is orthogonal (enforced entry "bipartition"), so its tau is
     r -> r - sum (r, alpha_i) alpha_i over the class: one pass over
     ``rs.pairings``, with no table of the single reflections.  An image
-    that is not a root raises :class:`~.errors.ConsistencyError`."""
+    that is not a root, or two roots with one image (a root listed twice),
+    raises :class:`~.errors.ConsistencyError`."""
     tau1 = _class_involution(rs, bp.part1)
     tau2 = _class_involution(rs, bp.part2)
     sigma = perm_compose(tau2, tau1)

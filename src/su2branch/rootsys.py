@@ -16,6 +16,12 @@ output use it):
 Type A is only built for odd rank; even-rank A diagrams belong to the
 odd-order cyclic subgroups, which sit outside the binary polyhedral
 families handled by this package, so they are rejected up front.
+
+The root closure (:func:`build_root_system`) holds each positive root as
+one int with a byte per coefficient, coefficient 0 most significant, so
+adding alpha_i is one addition and, within one height, int order is the
+order ``roots`` lists them in.  No coefficient may pass :data:`MAX_MARK`,
+which keeps every byte exact.
 """
 
 from __future__ import annotations
@@ -25,12 +31,18 @@ from functools import cached_property
 from itertools import repeat
 from operator import add, mul, neg
 
+from .errors import ConsistencyError
+
 #: Version tag for the node-numbering convention, carried by JSON output.
 NODE_CONVENTION = "v1"
 
 Root = tuple[int, ...]
 
 _E_BRANCH = 3
+
+#: The largest mark of an ADE type (E8's branch node), so the largest
+#: coefficient of any root: a closure that passes it is not of finite type.
+MAX_MARK = 6
 
 
 class ReadOnly:
@@ -114,7 +126,9 @@ class RootSystem(ReadOnly):
     then lexicographically) and then their negatives in matching order,
     so root ``i`` and root ``i + num_positive`` are negatives of each
     other.  ``marks`` is ``highest_root`` and ``neighbors`` reads ``cartan``,
-    so each fact is stored once.  Instances are immutable and safe to share.
+    so each fact is stored once.  Instances are immutable and safe to share;
+    each keeps its own cached values, such as the per-node lists that
+    ``neighbors`` and ``simple_root`` read.
     """
 
     def __init__(
@@ -140,8 +154,14 @@ class RootSystem(ReadOnly):
         return self.roots[: self.num_positive]
 
     def simple_root(self, i: int) -> Root:
+        """alpha_i as a coefficient tuple, made once per system."""
         self._check_node(i)
-        return tuple(int(j == i - 1) for j in range(self.rank))
+        return self._simple_roots[i - 1]
+
+    @cached_property
+    def _simple_roots(self) -> list[Root]:
+        rank = self.rank
+        return [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
 
     @property
     def marks(self) -> tuple[int, ...]:
@@ -191,9 +211,14 @@ class RootSystem(ReadOnly):
         return idx + p if idx < p else idx - p
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        """Nodes joined to node i, ascending: the -1 entries of Cartan row i."""
+        """Nodes joined to node i, ascending: the -1 entries of Cartan row i,
+        read once per system."""
         self._check_node(i)
-        return tuple(j for j, c in enumerate(self.cartan[i - 1], 1) if c == -1)
+        return self._neighbor_rows[i - 1]
+
+    @cached_property
+    def _neighbor_rows(self) -> list[tuple[int, ...]]:
+        return [tuple(j for j, c in enumerate(row, 1) if c == -1) for row in self.cartan]
 
     def affine_attachment(self) -> tuple[int, ...]:
         """Nodes pairing strictly positively with the highest root.
@@ -226,33 +251,46 @@ class RootSystem(ReadOnly):
 def build_root_system(dtype: DiagramType | str) -> RootSystem:
     """Construct the root system for an accepted ADE diagram type.
 
-    Positive roots are generated by breadth-first closure from the
-    simple roots: a simple root alpha may be added to a known root r
-    exactly when (r, alpha) = -1, read from r's Cartan image (r + alpha_i
-    has image(r) + row i), which is kept as ``pairings``.  No Weyl-group
-    enumeration is used.  The Coxeter number is h = 2 |positive roots| /
-    rank; the registry entry "root counts" checks it and the highest root.
+    Positive roots are generated height by height from the simple roots:
+    a simple root alpha may be added to a known root r exactly when
+    (r, alpha) = -1, read from r's Cartan image (r + alpha_i has
+    image(r) + row i), which is kept as ``pairings``.  No Weyl-group
+    enumeration is used.  Each root is packed (module docstring), so each
+    height is sorted as ints and each tuple is made once, from the bytes;
+    a new root with a coefficient above :data:`MAX_MARK` raises
+    :class:`~.errors.ConsistencyError`.  The Coxeter number is h = 2
+    |positive roots| / rank; the registry entry "root counts" checks it
+    and the highest root.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
     rank = dtype.rank
     cartan = cartan_matrix(dtype)
 
-    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    pos: dict[Root, tuple[int, ...]] = dict(zip(simples, cartan))  # root -> Cartan image
-    frontier = list(pos.items())
-    while frontier:
-        nxt = []
-        for r, image in frontier:
-            for i, p in enumerate(image):
-                if p == -1:
-                    t = r[:i] + (r[i] + 1,) + r[i + 1 :]
-                    if t not in pos:
-                        pos[t] = tuple(map(add, image, cartan[i]))
-                        nxt.append((t, pos[t]))
-        frontier = nxt
+    units = [1 << 8 * (rank - 1 - i) for i in range(rank)]  # alpha_i, packed
+    level = dict(zip(units, cartan))  # packed root -> Cartan image, one height
+    positives: list[Root] = []
+    images: list[tuple[int, ...]] = []
+    while level:
+        packed = sorted(level)
+        height = [tuple(x.to_bytes(rank, "big")) for x in packed]
+        if max(map(max, height)) > MAX_MARK:
+            root = next(r for r in height if max(r) > MAX_MARK)
+            problem = f"{root} has a coefficient above {MAX_MARK}, the largest mark of any ADE type"
+            raise ConsistencyError(
+                f"{dtype}: {problem}", dtype=str(dtype), stage="build_root_system"
+            )
+        positives += height
+        images += map(level.get, packed)
+        nxt: dict[int, tuple[int, ...]] = {}
+        for x in packed:
+            image, i = level[x], -1
+            for _ in range(image.count(-1)):
+                i = image.index(-1, i + 1)
+                if (t := x + units[i]) not in nxt:
+                    nxt[t] = tuple(map(add, image, cartan[i]))
+        level = nxt
 
-    positives = sorted(pos, key=lambda r: (sum(r), r))
     num_positive = len(positives)
     psi = positives[-1]
     roots = tuple(positives) + tuple(tuple(map(neg, r)) for r in positives)
@@ -267,5 +305,5 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
         coxeter_number=2 * num_positive // rank,
         _index=index,
     )
-    vars(rs)["pairings"] = tuple(c + tuple(map(neg, c)) for c in zip(*map(pos.get, positives)))
+    vars(rs)["pairings"] = tuple(c + tuple(map(neg, c)) for c in zip(*images))
     return rs

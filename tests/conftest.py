@@ -7,7 +7,7 @@ import math
 from functools import lru_cache
 
 from su2branch import Branching
-from su2branch.rootsys import DiagramType, cartan_matrix
+from su2branch.rootsys import DiagramType, build_root_system, cartan_matrix
 from su2branch.seriescalc import poly
 
 
@@ -145,6 +145,15 @@ def reflect(rs, i, x):
     out = list(x)
     out[i - 1] -= sum(c * y for c, y in zip(rs.cartan[i - 1], x))
     return tuple(out)
+
+
+def e8_with_a_root_listed_twice():
+    """E8's root system with root 200, the negative of root 80, replaced by
+    root 80: a root listed twice, in a system that runs its constructor."""
+    rs = build_root_system("E8")
+    roots = list(rs.roots)
+    roots[200] = tuple(-c for c in roots[200])
+    return replace(rs, roots=tuple(roots))
 
 
 #: The affine D4 Cartan matrix (node 2 joined to 1, 3, 4 and 5), which is

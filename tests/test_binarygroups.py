@@ -609,7 +609,10 @@ def test_a_class_with_no_eigenvalue_of_its_order_aborts():
 
 def test_a_class_order_that_does_not_divide_the_exponent_aborts(monkeypatch):
     # With E taken as 4, class 1 (order 4) passes and class 2 (order 6) fails.
-    group = group_for("E6")
+    # A fresh group, since the shared one may already hold its chi periods;
+    # its class orders are read under the true E, as a build reads them.
+    group = binarygroups.build_group("E6", bundle("E6").params)
+    assert group.class_orders[1:3] == (4, 6)
     monkeypatch.setattr(binarygroups, "exponent", lambda dtype: 4)
     with pytest.raises(ConsistencyError) as info:
         molien_series(group, 0)
@@ -707,6 +710,25 @@ def test_closure_forms_one_product_per_element_and_generator(monkeypatch):
     group = binarygroups.build_group("E8", bundle("E8").params)
     assert group.order == 120
     assert 0 < len(calls) <= group.order * len(binarygroups.generators(group.dtype, group.p))
+
+
+@pytest.mark.parametrize("name", (*CHARACTER_TYPES, "A71", "D71"))
+def test_generator_indices_index_the_generators(name):
+    group = group_for(name)
+    gens = binarygroups.generators(group.dtype, group.p)
+    assert tuple(group.elements[k] for k in group.generator_indices) == gens
+
+
+def test_a_diagram_walk_past_its_size_aborts():
+    # Rows one longer than the size: the walk reaches size + 1 nodes.
+    group, graph = group_for("E6"), graph_for("E6")
+    short = replace(graph, size=graph.size - 1)
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._irreducibles(group, short)
+    err = info.value
+    assert (str(err), err.dtype, err.stage) == (
+        "E6: the diagram walk passes 6 nodes", "E6", "character_table"
+    )
 
 
 @pytest.mark.parametrize("p", [53, 7681, 65537, 86461])

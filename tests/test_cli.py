@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from su2branch import rootsys, verify
+from su2branch import branching, rootsys, verify
 from su2branch.branching import Branching
 from su2branch.cli import MAX_ORDER, MAX_RANK, _build_parser, main
 from su2branch.invariants import ORACLES
 
-from conftest import AFFINE_D4
+from conftest import AFFINE_D4, e8_with_a_root_listed_twice
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -203,6 +203,14 @@ def test_a_construction_fault_exits_1(monkeypatch, capsys):
     code, out, err = run(capsys, "branch", "--type", "D5", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "internal check failure: (1, 3, 1, 1, 1) is not a root of D5\n"
+
+
+def test_a_root_listed_twice_exits_1(monkeypatch, capsys):
+    bad = e8_with_a_root_listed_twice()
+    monkeypatch.setattr(branching, "build_root_system", lambda dtype: bad)
+    code, out, err = run(capsys, "branch", "--type", "E8", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "internal check failure: (1, 2, 3, 2, 1, 1, 1, 2) is listed twice among the roots of E8\n"
 
 
 def test_bad_node_exits_2(capsys):

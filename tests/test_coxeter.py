@@ -2,7 +2,7 @@
 
 import pytest
 
-from su2branch import Branching, rootsys
+from su2branch import Branching, branching, rootsys
 from su2branch.coxeter import (
     bipartition,
     coxeter_element,
@@ -16,7 +16,7 @@ from su2branch.invariants import LONGEST_ELEMENT
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import AFFINE_D4, bundle, reflect, replace
+from conftest import AFFINE_D4, bundle, e8_with_a_root_listed_twice, reflect, replace
 
 
 def test_a3_bipartition():
@@ -214,17 +214,43 @@ def _e10(dtype):
 
 
 @pytest.mark.parametrize(
-    "name,cartan,image",
+    "name,cartan,problem,stage",
     [
-        pytest.param("D5", lambda dtype: AFFINE_D4, (1, 3, 1, 1, 1), id="affine-D4-on-D5"),
-        pytest.param("D10", _e10, (2, 5, 6, 5, 4, 3, 2, 1, 0, 3), id="E10-on-D10"),
+        pytest.param(
+            "D5", lambda dtype: AFFINE_D4, "(1, 3, 1, 1, 1) is not a root of D5", "coxeter_element",
+            id="affine-D4-on-D5",
+        ),
+        pytest.param(
+            "D10",
+            _e10,
+            "D10: (1, 4, 7, 6, 5, 4, 3, 2, 1, 3) has a coefficient above 6, the largest mark of any ADE type",
+            "build_root_system",
+            id="E10-on-D10",
+        ),
     ],
 )
-def test_a_cartan_matrix_of_infinite_type_fails_the_build(monkeypatch, name, cartan, image):
-    # The closure ends on both (it adds a root only at pairing -1), but
-    # a reflection then leaves the root set.
+def test_a_cartan_matrix_of_infinite_type_fails_the_build(monkeypatch, name, cartan, problem, stage):
+    # The affine D4 closure ends (it adds a root only at pairing -1) with
+    # coefficients up to 2, and a reflection then leaves the root set; the
+    # hyperbolic E10 closure reaches a coefficient of 7 before it would end.
     monkeypatch.setattr(rootsys, "cartan_matrix", cartan)
     with pytest.raises(ConsistencyError) as info:
         Branching.build(name)
     err = info.value
-    assert (str(err), err.dtype, err.stage) == (f"{image} is not a root of {name}", name, "coxeter_element")
+    assert (str(err), err.dtype, err.stage) == (problem, name, stage)
+
+
+def test_a_root_listed_twice_fails_the_build(monkeypatch):
+    # Two equal roots have one reflection image, so tau_1 is not injective:
+    # the build stops there, naming the root, not later in a lookup.
+    bad = e8_with_a_root_listed_twice()
+    monkeypatch.setattr(branching, "build_root_system", lambda dtype: bad)
+    with pytest.raises(ConsistencyError) as info:
+        Branching.build("E8")
+    err = info.value
+    assert (str(err), err.dtype, err.stage, err.invariant) == (
+        "(1, 2, 3, 2, 1, 1, 1, 2) is listed twice among the roots of E8",
+        "E8",
+        "coxeter_element",
+        None,
+    )

@@ -175,6 +175,17 @@ def test_every_swap_in_one_row_of_the_group_table_fails_group_sanity(name):
         assert not passed and not detail.startswith("exception"), (i, j, detail)
 
 
+def test_a_generator_walk_past_the_group_order_fails_group_sanity():
+    # The last element dropped: the order reads 119, with a*b to match, but
+    # the full table's generators still reach 120 elements.
+    b = bundle("E8")
+    (sanity,) = (inv for inv in INVARIANTS if inv.name == "group sanity")
+    short = replace(b.group, elements=b.group.elements[:-1])
+    params = SimpleNamespace(a=2, b=short.order)
+    passed, detail = sanity.evaluate(SimpleNamespace(group=short, params=params))
+    assert (passed, detail) == (False, "the generator walk passes 119 elements")
+
+
 TABLE_READERS = ["character table", "triple oracle", "huge-level triple oracle"]
 
 

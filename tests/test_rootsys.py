@@ -2,7 +2,7 @@
 
 import pytest
 
-from su2branch import coxeter
+from su2branch import coxeter, rootsys
 from su2branch.errors import ConsistencyError
 from su2branch.rootsys import DiagramType, build_root_system, dynkin_edges
 from su2branch.verify import ACCEPTED_TYPES
@@ -182,12 +182,29 @@ def test_roots_negation_layout():
         assert rs.root_at(rs.negation(idx)) == tuple(-c for c in rs.root_at(idx))
 
 
-@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A71", "D71"))
 def test_closure_matches_the_plain_closure(name):
+    # A71 and D71 have heights up to 71 and 139: the packed closure at the rank cap.
     rs = build_root_system(name)
     assert rs.roots == plain_closure_roots(name)
     assert rs.highest_root == rs.roots[rs.num_positive - 1]
     assert rs._index == {r: k for k, r in enumerate(rs.roots)}
+
+
+def test_a_closure_past_the_largest_mark_fails_the_build(monkeypatch):
+    # E8's branch node has mark 6; under a bound of 5 its first root with a
+    # coefficient 6, in closure order, is refused with the type and stage.
+    rs = build_root_system("E8")
+    first = next(r for r in rs.positive_roots if max(r) == 6)
+    monkeypatch.setattr(rootsys, "MAX_MARK", 5)
+    with pytest.raises(ConsistencyError) as info:
+        build_root_system("E8")
+    err = info.value
+    assert (str(err), err.dtype, err.stage) == (
+        f"E8: {first} has a coefficient above 5, the largest mark of any ADE type",
+        "E8",
+        "build_root_system",
+    )
 
 
 def test_reflection_table_off_the_root_set_is_reflect():
