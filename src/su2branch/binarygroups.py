@@ -124,13 +124,18 @@ def generators(dtype: DiagramType, p: int) -> tuple[Matrix, ...]:
         r_n = (zeta, 0, 0, pow(zeta, -1, p))
         return (r_n,) if dtype.family == "A" else (r_n, (0, 1, p - 1, 0))
     i, half = _sqrt_mod(-1, p), pow(2, -1, p)
+    extra = {6: 1, 7: 2, 8: 5}[dtype.rank]  # sqrt(2) for E7, sqrt(5) for E8; E6 needs only i
+    root = _sqrt_mod(extra, p)
+    if i is None or root is None:
+        missing = -1 if i is None else extra
+        raise _failure(dtype, "build_group", f"{missing} has no square root mod {p}")
     units = (_quaternion(0, 1, 0, 0, i, p), _quaternion(half, half, half, half, i, p))
     if dtype.rank == 6:
         return units
     if dtype.rank == 7:
-        c = pow(_sqrt_mod(2, p), -1, p)
+        c = pow(root, -1, p)
         return (*units, _quaternion(c, c, 0, 0, i, p))
-    phi = (1 + _sqrt_mod(5, p)) * half
+    phi = (1 + root) * half
     return (units[0], _quaternion((phi - 1) * half, phi * half, half, 0, i, p))
 
 
@@ -440,7 +445,6 @@ def _period_table(
     r, i = table.negative_step()  # every level passed, so a step is negative
     problem = f"{_column(names[i])} has a negative step {table.step[r][i]} at residue {r}"
     raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
-    return table
 
 
 def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
@@ -493,9 +497,11 @@ def _non_residue(p: int) -> int:
 def _sqrt_mod(a: int, p: int, z: int | None = None) -> int | None:
     """A square root of a modulo the odd prime p, or None if a is not a
     square, by Tonelli-Shanks (p - 1 = q 2^s with q odd, z a quadratic
-    non-residue mod p, the least one unless given).  It gives the
-    generators' i, sqrt(2) and sqrt(5) and :func:`_split`'s eigenvalues,
-    with the group's :attr:`FiniteGroup.non_residue`."""
+    non-residue mod p, the least one unless given): at most s rounds, each
+    searching i below the last.  A z that is a residue after all gives a
+    true root or None, never a fault.  It gives the generators' i, sqrt(2)
+    and sqrt(5) and :func:`_split`'s eigenvalues, with the group's
+    :attr:`FiniteGroup.non_residue`."""
     a %= p
     if a == 0:
         return 0
@@ -505,14 +511,22 @@ def _sqrt_mod(a: int, p: int, z: int | None = None) -> int | None:
     while q % 2 == 0:
         q, s = q // 2, s + 1
     z = _non_residue(p) if z is None else z
-    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 1, t * t % p  # the least i with t^(2^i) = 1
-        while t2 != 1:
-            i, t2 = i + 1, t2 * t2 % p
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, root = i, b * b % p, t * b * b % p, root * b % p
-    return root
+    # root^2 = a t throughout, and t^(2^(m-1)) = 1 while z is a non-residue,
+    # so m falls every round and t = 1 within s rounds; past that, None.
+    m, c, t, root = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    for _ in range(s):
+        if t == 1:
+            return root
+        t2 = t * t % p
+        for i in range(1, m):  # the least i < m with t^(2^i) = 1
+            if t2 == 1:
+                break
+            t2 = t2 * t2 % p
+        else:
+            return None
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, root = i, b * b % p, t * b * b % p, root * b % p
+    return None
 
 
 def _class_sum(group: FiniteGroup, c: int, f: list[int]) -> list[int]:

@@ -90,18 +90,19 @@ def series_div_geom(z: Poly, a: int, b: int, order: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-class PeriodTable(ReadOnly, Sequence):
-    """A route's levels 0..order: level n = k P + r is ``base[r] + k step[r]``
-    for the period P = ``len(base)``.  Read-only: the routes cache and share it.
+class PeriodTable(ReadOnly):
+    """A route's levels: level n = k P + r is ``base[r] + k step[r]`` for the
+    period P = ``len(base)``.  Read-only: the routes cache and share it, and
+    it hashes by identity, like every other record.
 
     Built by :meth:`of`; :meth:`upto` shares ``base``, ``step`` and the packed
-    residues at another order.  Like ``range``: ``len`` is order + 1, negative
-    indices and slices work, an index past ``order`` raises ``IndexError``,
-    and it equals, element by element, any sequence of the same vectors (so
-    it is unhashable).  A level costs one multiply-add of packed 64-bit
-    fields once its residue is packed and 1 <= k <= kmax, the residue's
-    bound, and O(size) exact int operations otherwise (module docstring);
-    iteration one packed or exact running addition per level.
+    residues at another order.  Three reads: :meth:`level` (also
+    ``table[n]``) gives level n for any integer n, whatever ``order`` is;
+    iteration yields levels 0..order; ``upto`` gives a view to another
+    order.  A level costs one multiply-add of packed 64-bit fields once its
+    residue is packed and 1 <= k <= kmax, the residue's bound, and O(size)
+    exact int operations otherwise (module docstring); iteration one packed
+    or exact running addition per level.
     """
 
     def __init__(self, base: tuple[Vector, ...], step: tuple[Vector, ...], order: int) -> None:
@@ -161,39 +162,25 @@ class PeriodTable(ReadOnly, Sequence):
 
     def level(self, n: int) -> Vector:
         """Level n, ``base[r] + k step[r]`` for n = k P + r (floor division),
-        whatever ``order`` is: the stored base itself for 0 <= n < P, one
-        packed multiply-add for 1 <= k <= kmax once residue r is packed (on
-        its third read), O(size) exact for any other integer n, and for
-        n < 0 what chi_(-n-2) = -chi_n gives: minus level -n-2."""
-        period = self.period
-        k = n // period
+        whatever ``order`` is: one packed multiply-add for 1 <= k <= kmax once
+        residue r is packed (on its third read), the stored base itself for
+        0 <= n < P, O(size) exact for any other integer n, and for n < 0 what
+        chi_(-n-2) = -chi_n gives: minus level -n-2.  ``table[n]`` is this read."""
+        k, r = divmod(n, self.period)
+        slot = self._packed[r]
+        if type(slot) is tuple and 0 < k <= slot[0]:
+            _, base, step, unpack, width = slot
+            return unpack((base + k * step).to_bytes(width, "little"))
         if not k:
-            return self.base[n]
-        r = n - k * period
-        slots = self._packed
-        slot = slots[r]
-        if type(slot) is int and slot < _EXACT_READS:
-            slots[r] = slot + 1
-        else:
-            kmax, base, step, unpack, width = slot if type(slot) is tuple else self._pack(r)
-            if 0 < k <= kmax:
-                return unpack((base + k * step).to_bytes(width, "little"))
+            return self.base[r]
+        if type(slot) is int:
+            if slot >= _EXACT_READS:
+                self._pack(r)
+                return self.level(n)
+            self._packed[r] = slot + 1
         return tuple([x + k * d for x, d in zip(self.base[r], self.step[r])])
 
-    def __len__(self) -> int:
-        return self.order + 1
-
-    def __getitem__(self, index):
-        if type(index) is int and 0 <= index <= self.order:
-            # level(index)'s packed read, inlined: a sweep reads every level by index
-            packed = self._packed[index % self.period]
-            if type(packed) is tuple and 0 < (k := index // self.period) <= packed[0]:
-                _, base, step, unpack, width = packed
-                return unpack((base + k * step).to_bytes(width, "little"))
-            return self.level(index)
-        if isinstance(index, slice):
-            return [self[n] for n in range(self.order + 1)[index]]
-        return self.level(range(self.order + 1)[index])
+    __getitem__ = level
 
     def __iter__(self) -> Iterator[Vector]:
         period, order = self.period, self.order
@@ -215,11 +202,6 @@ class PeriodTable(ReadOnly, Sequence):
             yield unpack(sums[r].to_bytes(width, "little"))
         for n in range(packed, order + 1):
             yield self.level(n)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self.order + 1 == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def sparse_items(p: Poly) -> list[tuple[int, int]]:

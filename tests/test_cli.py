@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from su2branch import branching, rootsys, verify
+from su2branch import binarygroups, branching, rootsys, verify
 from su2branch.branching import Branching
 from su2branch.cli import MAX_ORDER, MAX_RANK, _build_parser, main
 from su2branch.invariants import ORACLES
@@ -203,6 +203,14 @@ def test_a_construction_fault_exits_1(monkeypatch, capsys):
     code, out, err = run(capsys, "branch", "--type", "D5", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "internal check failure: (1, 3, 1, 1, 1) is not a root of D5\n"
+
+
+def test_a_missing_generator_root_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(binarygroups, "_sqrt_mod", lambda *args: None)
+    code, out, err = run(capsys, "group", "--type", "E8")
+    assert (code, out) == (1, "")
+    assert err.startswith("internal check failure: E8: -1 has no square root mod ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_a_root_listed_twice_exits_1(monkeypatch, capsys):
