@@ -115,17 +115,17 @@ def _product(a: Matrix, b: Matrix, p: int) -> Matrix:
     return (c0 % p, c1 % p, c2 % p, c3 % p)
 
 
-def generators(dtype: DiagramType, p: int) -> tuple[Matrix, ...]:
-    """Fixed generator list per family, mod p (see module docstring)."""
+def generators(dtype: DiagramType, p: int, z: int) -> tuple[Matrix, ...]:
+    """Fixed generator list per family, mod p (module docstring); z is for :func:`_sqrt_mod`."""
     if dtype.family in ("A", "D"):
         n = (dtype.rank + 1) // 2 if dtype.family == "A" else dtype.rank - 2
         roots = (pow(a, (p - 1) // (2 * n), p) for a in range(2, p))
         zeta = next(z for z in roots if _has_order(z, 2 * n, p))
         r_n = (zeta, 0, 0, pow(zeta, -1, p))
         return (r_n,) if dtype.family == "A" else (r_n, (0, 1, p - 1, 0))
-    i, half = _sqrt_mod(-1, p), pow(2, -1, p)
+    i, half = _sqrt_mod(-1, p, z), pow(2, -1, p)
     extra = {6: 1, 7: 2, 8: 5}[dtype.rank]  # sqrt(2) for E7, sqrt(5) for E8; E6 needs only i
-    root = _sqrt_mod(extra, p)
+    root = _sqrt_mod(extra, p, z)
     if i is None or root is None:
         missing = -1 if i is None else extra
         raise _failure(dtype, "build_group", f"{missing} has no square root mod {p}")
@@ -144,7 +144,8 @@ class FiniteGroup:
 
     ``elements`` are matrices mod ``p`` (:data:`Matrix`), ``elements[0]``
     the identity, and ``generator_indices[k]`` is the index of
-    ``generators(dtype, p)[k]``, recorded by the closure.  ``classes`` are
+    ``generators(dtype, p, non_residue)[k]``, recorded by the closure, and
+    ``non_residue`` is the least quadratic non-residue mod p.  ``classes`` are
     conjugacy classes as sorted index tuples, ordered by their smallest
     member, so the identity class is first.  Facts read more than once
     per build, such as each class's characters over one period
@@ -155,10 +156,10 @@ class FiniteGroup:
         self, dtype: DiagramType, p: int, elements: tuple[Matrix, ...],
         mult: tuple[tuple[int, ...], ...], inverse: tuple[int, ...],
         classes: tuple[tuple[int, ...], ...], class_of: tuple[int, ...], minus_identity: int,
-        generator_indices: tuple[int, ...],
+        generator_indices: tuple[int, ...], non_residue: int,
     ) -> None:
-        self.dtype, self.p, self.elements, self.mult = dtype, p, elements, mult
-        self.inverse, self.classes, self.class_of = inverse, classes, class_of
+        self.dtype, self.p, self.non_residue, self.elements = dtype, p, non_residue, elements
+        self.mult, self.inverse, self.classes, self.class_of = mult, inverse, classes, class_of
         self.minus_identity, self.generator_indices = minus_identity, generator_indices
 
     @property
@@ -226,11 +227,6 @@ class FiniteGroup:
             out[c] = chi[:m] * (e // 2 // m + 1)
         return out
 
-    @cached_property
-    def non_residue(self) -> int:
-        """The least quadratic non-residue mod p, which :func:`_sqrt_mod` needs."""
-        return _non_residue(self.p)
-
 
 def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     """Close the generators mod p and compute tables and conjugacy classes.
@@ -264,7 +260,8 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
         problem = f"no prime p = 1 (mod {e}) within {PRIME_STEPS} steps of {start}"
         raise _failure(dtype, "build_group", problem)
 
-    gens = generators(dtype, p)
+    z = _non_residue(p)
+    gens = generators(dtype, p, z)
     elements: list[Matrix] = [(1, 0, 0, 1)]
     index: dict[Matrix, int] = {elements[0]: 0}
     right: list[list[int]] = [[] for _ in gens]
@@ -297,7 +294,7 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     classes, class_of = conjugacy_classes(mult, inverse)
     gens_at = tuple(row[0] for row in right)  # identity * gens[k]
     return FiniteGroup(
-        dtype, p, tuple(elements), mult, inverse, classes, class_of, minus_identity, gens_at
+        dtype, p, tuple(elements), mult, inverse, classes, class_of, minus_identity, gens_at, z
     )
 
 
@@ -494,13 +491,13 @@ def _non_residue(p: int) -> int:
     return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
 
 
-def _sqrt_mod(a: int, p: int, z: int | None = None) -> int | None:
+def _sqrt_mod(a: int, p: int, z: int) -> int | None:
     """A square root of a modulo the odd prime p, or None if a is not a
     square, by Tonelli-Shanks (p - 1 = q 2^s with q odd, z a quadratic
-    non-residue mod p, the least one unless given): at most s rounds, each
-    searching i below the last.  A z that is a residue after all gives a
-    true root or None, never a fault.  It gives the generators' i, sqrt(2)
-    and sqrt(5) and :func:`_split`'s eigenvalues, with the group's
+    non-residue mod p): at most s rounds, each searching i below the last.
+    A z that is a residue after all gives a true root or None, never a
+    fault.  It gives the generators' i, sqrt(2) and sqrt(5) and
+    :func:`_split`'s eigenvalues, each with the group's
     :attr:`FiniteGroup.non_residue`."""
     a %= p
     if a == 0:
@@ -510,7 +507,6 @@ def _sqrt_mod(a: int, p: int, z: int | None = None) -> int | None:
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    z = _non_residue(p) if z is None else z
     # root^2 = a t throughout, and t^(2^(m-1)) = 1 while z is a non-residue,
     # so m falls every round and t = 1 within s rounds; past that, None.
     m, c, t, root = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)

@@ -24,17 +24,22 @@ from t^(2L) on vanish: s[n + 2L] - 2 s[n + L] + s[n] = 0 for every
 n >= 0, where s is the node's series.  So the dense series to 2L - 1
 gives base[r] = s[r] and step[r] = s[r + L] - s[r] for r < L, and level
 kL + r is base[r] + k step[r] (:class:`~.seriescalc.PeriodTable`),
-exact for any n.  The dense series (:meth:`Branching.series`) also serves
+exact for any n.  The bundle expands all nodes at once, an unsigned
+64-bit field per node, so each running-sum step is one int addition: the
+enforced numerators are nonnegative with sums at most 12, so level n is
+at most 12 (n + 1), and step[r] >= 0 (L is a multiple of a and b): both
+fit a field.  The dense series (:meth:`Branching.series`) also serves
 whole ranges of levels.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Callable
 from functools import cached_property
 from itertools import repeat
-from operator import mul
+from operator import itemgetter, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coxeter import (
@@ -50,7 +55,7 @@ from .coxeter import (
 from .invariants import ORACLES, enforce
 from .mckay import McKayGraph, extended_graph
 from .rootsys import DiagramType, ReadOnly, Root, RootSystem, build_root_system
-from .seriescalc import PeriodTable, Poly, poly, series_div_geom
+from .seriescalc import PeriodTable, Poly, poly, series_div_geom, sparse_items
 
 if TYPE_CHECKING:
     from . import binarygroups
@@ -96,10 +101,10 @@ class HeisenbergSubsystem(ReadOnly):
 
 
 def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsystem:
-    """Members by root index: (r, psi) from the root columns at psi's pairings."""
+    """Members by root index: (r, psi) = sum r_i (psi, alpha_i) over psi's few nonzero pairings."""
     positives = rs.positive_roots
-    psi = zip(rs.highest_root_image, zip(*positives))
-    pairs = map(sum, zip(*[map(mul, repeat(p), column) for p, column in psi if p]))
+    psi = [(itemgetter(i - 1), p) for i, p in zip(rs.nodes, rs.highest_root_image) if p]
+    pairs = map(sum, zip(*[map(mul, repeat(p), map(column, positives)) for column, p in psi]))
     members = [k for k, pair in enumerate(pairs) if pair > 0]
     indices: dict[int, list[int]] = {i: [] for i in rs.nodes}
     for k in members:
@@ -128,7 +133,7 @@ def z_polynomial(
         return poly([1] + [0] * (h - 1) + [1])
     rs._check_node(node)
     coeffs = [0] * (h + 1)
-    psi = rs.index_of(rs.highest_root) if node == params.special else None
+    psi = rs.index_of(rs.highest_root, "z_polynomial") if node == params.special else None
     for k in hs.indices[node]:
         if k != psi:
             coeffs[table.exponent[k]] += 1
@@ -177,9 +182,15 @@ class Branching(ReadOnly):
             rs=rs, bp=bp, cox=cox, table=table, params=params, heisenberg=heisenberg, zpolys=zpolys
         )
         vars(self)["enforced"] = enforce(self)
-        period = math.lcm(params.a, params.b)
-        columns = (self.series(i, 2 * period - 1) for i in range(rs.rank + 1))
-        vars(self)["_coxeter"] = PeriodTable.of(list(zip(*columns)), period)
+        size, period = rs.rank + 1, math.lcm(params.a, params.b)
+        z = [0] * 2 * period  # z[n]: every node's coefficient of t^n, packed
+        for i in range(size):
+            for e, c in sparse_items(zpolys[i][: 2 * period]):
+                z[e] += c << 64 * i
+        s, width = series_div_geom(z, params.a, params.b, 2 * period - 1), 8 * size
+        read = struct.Struct(f"<{size}Q").unpack  # steps s[r + L] - s[r] are nonnegative too
+        rows = [read(x.to_bytes(width, "little")) for x in (*s[:period], *map(sub, s[period:], s))]
+        vars(self)["_coxeter"] = PeriodTable(tuple(rows[:period]), tuple(rows[period:]), len(s) - 1)
 
     @classmethod
     def build(cls, dtype: DiagramType | str) -> "Branching":

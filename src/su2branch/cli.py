@@ -26,8 +26,8 @@ from .seriescalc import poly_str, sparse_items
 MAX_ORDER = 10**6
 
 #: Largest rank that ``--type`` accepts, checked before any build; ``verify
-#: --type D71``, the costliest command there, takes about 0.5 s and 42 MB on
-#: two vCPUs, and D101 already 1.3 s and 92 MB.  ``Branching.build`` takes any rank.
+#: --type D71``, the costliest command there, takes 0.2-0.3 s and 28 MB on
+#: two vCPUs, and D101 already 0.47 s and 46 MB.  ``Branching.build`` takes any rank.
 MAX_RANK = 71
 
 

@@ -3,9 +3,9 @@
 The diagram is two-colored so that each color class consists of
 pairwise orthogonal simple roots; the products tau_1 and tau_2 of the
 reflections in each class are involutions, and sigma = tau_2 tau_1 is a
-Coxeter element of order h, each tau read from the root closure's
-pairings (:func:`coxeter_element`).  Negating the simple roots of the
-second class yields one representative per sigma-orbit; each orbit is
+Coxeter element of order h, each tau read from the root closure's packed
+roots and images (:func:`coxeter_element`).  Negating the simple roots of
+the second class yields one representative per sigma-orbit; each orbit is
 walked forward on sigma, and every positive root picks up an exponent n
 in [1, h] recording how far along its orbit it sits.  Permutations are
 index arrays over the fixed root enumeration of :class:`RootSystem`.
@@ -13,7 +13,6 @@ index arrays over the fixed root enumeration of :class:`RootSystem`.
 
 from __future__ import annotations
 
-from operator import sub
 from typing import NamedTuple
 
 from .errors import ConsistencyError
@@ -90,13 +89,14 @@ class CoxeterAction(ReadOnly):
 
 
 def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
-    columns = list(zip(*rs.roots))
-    for i in nodes:  # root column i minus node i's pairings
-        columns[i - 1] = tuple(map(sub, columns[i - 1], rs.pairings[i - 1]))
-    images = tuple(zip(*columns))
+    rank = rs.rank
+    mask = sum(0xFF << 8 * (rank - i) for i in nodes)  # the class's bytes
+    fix = mask // 0xFF * 8
+    images = [x - (q & mask) + fix for x, q in zip(*rs._forms)]
     out = tuple(map(rs._index.get, images))
     if None in out:  # an image off the root set, named as index_of would
-        problem = f"{images[out.index(None)]} is not a root of {rs.dtype}"
+        image = images[out.index(None)].to_bytes(rank, "big")
+        problem = f"{tuple([b - 8 for b in image])} is not a root of {rs.dtype}"
     elif len(set(out)) < len(out):  # a reflection is injective, so two roots are equal
         twice = next(k for k, x in enumerate(out) if out.index(x) < k)
         problem = f"{rs.roots[twice]} is listed twice among the roots of {rs.dtype}"
@@ -109,10 +109,12 @@ def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
     """Build tau_1, tau_2 and sigma = tau_2 tau_1, which has order h.
 
     A class is orthogonal (enforced entry "bipartition"), so its tau is
-    r -> r - sum (r, alpha_i) alpha_i over the class: one pass over
-    ``rs.pairings``, with no table of the single reflections.  An image
-    that is not a root, or two roots with one image (a root listed twice),
-    raises :class:`~.errors.ConsistencyError`."""
+    r -> r - sum (r, alpha_i) alpha_i over the class: on the packed forms
+    (``rootsys`` docstring), each root minus its image's bytes at the class
+    plus their bias, then one lookup, with no table of the single
+    reflections and no tuple.  An image that is not a root, or two roots
+    with one image (a root listed twice), raises
+    :class:`~.errors.ConsistencyError`."""
     tau1 = _class_involution(rs, bp.part1)
     tau2 = _class_involution(rs, bp.part2)
     sigma = perm_compose(tau2, tau1)
@@ -148,7 +150,8 @@ def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTab
     positive part of each orbit, (n-1)/2 runs bijectively over {0..g-1}
     on side 1 and n/2 over {1..g} on side 2 (registry entries "orbit
     partition" and "orbit exponents").  A walk stops after h + 1 roots,
-    so a wrong orbit shows as a wrong size there.
+    so a wrong orbit shows as a wrong size there.  A beta_i that is not a
+    root raises :class:`~.errors.ConsistencyError` with this stage.
     """
     h, num_pos = rs.coxeter_number, rs.num_positive
     betas: list[Root] = []
@@ -161,7 +164,7 @@ def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTab
     exponent: dict[int, int] = {}
     for i in rs.nodes:
         odd = bp.side(i) == 1
-        start = rs.index_of(betas[i - 1])
+        start = rs.index_of(betas[i - 1], "orbit_table")
         walk = [start]
         while len(walk) <= h and (cur := cox.sigma[walk[-1]]) != start:
             walk.append(cur)

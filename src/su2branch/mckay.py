@@ -19,8 +19,9 @@ order asked, and its level n costs O(size) for any n and checks nothing.
 
 from __future__ import annotations
 
+import struct
 from functools import cached_property
-from operator import add, itemgetter, mul, neg
+from operator import mul
 
 from .errors import ConsistencyError
 from .rootsys import DiagramType, ReadOnly, RootSystem
@@ -68,33 +69,44 @@ class McKayGraph(ReadOnly):
         checked base levels this proves every level: v_(r+kP) = v_r +
         k step[r] is nonnegative and has dimension sum (r + 1) + kP = n + 1,
         so no read checks again.
+
+        Packed levels.  Level n is one int, sum v_i 2^(64 i), a signed
+        64-bit field per node.  With 2^63 added to each field, A v is one
+        masked shift per edge offset and coefficient; the period test is int
+        equality.  Field bound: with R the largest absolute row sum of A, a
+        level in -2^E..2^E-1, E = 63 - bitlength(R + 2), has a next level
+        below (R + 1) 2^E, inside its fields, and one mask per level refuses
+        an entry past 2^E, so outgrown fields raise, never carry.
         """
         size = self.size
         cap = 4 * size * size
-        # A v as whole-row gathers: slot k reads each node's k-th neighbour
-        # (node `size`, a padded 0, when it has fewer) times their entry.
-        nbrs = [[(j, c) for j, c in enumerate(row) if c] for row in self.adjacency]
-        slots = [
-            (itemgetter(*[row[k][0] if k < len(row) else size for row in nbrs]),
-             [row[k][1] if k < len(row) else 0 for row in nbrs])
-            for k in range(max(map(len, nbrs)))
-        ]
-        levels = [_check_level(self, tuple(int(i == 0) for i in range(size)), 0)]
-        prev = (0,) * size
+        fields, high = struct.Struct(f"<{size}q"), sum(1 << 64 * i + 63 for i in range(size))
+        gathers: dict[tuple[int, int], int] = {}  # (offset, coefficient) -> its rows' fields
+        for i, row in enumerate(self.adjacency):
+            for j, c in enumerate(row):
+                if c:
+                    gathers[j - i, c] = gathers.get((j - i, c), 0) | (1 << 64) - 1 << 64 * i
+        shifts = [(64 * max(-d, 0), 64 * max(d, 0), c, mask) for (d, c), mask in gathers.items()]
+        unbias = sum(sum(row) << 64 * i + 63 for i, row in enumerate(self.adjacency))
+        bits = 63 - (max(sum(map(abs, row)) for row in self.adjacency) + 2).bit_length()
+        ones = high >> 63  # 1 in every field
+        half, outside = ones << bits, ones * ((1 << 64) - (2 << bits))  # 2^bits, bits above it
+        levels, biased, prev = [1], 1 + high, 0
+        vectors = [_check_level(self, (1,) + (0,) * (size - 1), 0)]
         for period in range(1, cap + 1):
-            while len(levels) < 2 * period + 2:
-                cur = levels[-1] + (0,)
-                total = map(neg, prev)
-                for gather, coefficients in slots:
-                    total = map(add, total, map(mul, gather(cur), coefficients))
-                prev = levels[-1]
-                levels.append(_check_level(self, tuple(total), len(levels)))
-            if all(
-                list(map(add, levels[n], levels[n + 2 * period]))
-                == list(map(add, levels[n + period], levels[n + period]))
-                for n in (0, 1)
-            ):
-                table = PeriodTable.of(levels, period)
+            while (n := len(levels)) < 2 * period + 2:
+                cur = -unbias - prev
+                for left, right, c, mask in shifts:
+                    cur += c * (biased << left >> right & mask)
+                prev, biased = levels[-1], cur + high
+                v = fields.unpack((biased ^ high).to_bytes(fields.size, "little"))
+                if (biased + half) & outside != high:  # an entry outside -2^bits..2^bits-1
+                    raise _failure(self, f"level {n} passes the field bound 2^{bits}: {v}")
+                levels.append(cur)
+                vectors.append(_check_level(self, v, n))
+            w = [levels[r] + levels[r + 2 * period] - 2 * levels[r + period] for r in (0, 1)]
+            if w == [0, 0]:
+                table = PeriodTable.of(vectors, period)
                 if miss := table.negative_step():
                     where = f"step {miss[0]} of period {period}: {table.step[miss[0]]}"
                     raise _failure(self, f"negative multiplicity at {where}")

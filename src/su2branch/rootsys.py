@@ -17,19 +17,23 @@ Type A is only built for odd rank; even-rank A diagrams belong to the
 odd-order cyclic subgroups, which sit outside the binary polyhedral
 families handled by this package, so they are rejected up front.
 
-The root closure (:func:`build_root_system`) holds each positive root as
-one int with a byte per coefficient, coefficient 0 most significant, so
-adding alpha_i is one addition and, within one height, int order is the
-order ``roots`` lists them in.  No coefficient may pass :data:`MAX_MARK`,
-which keeps every byte exact.
+Packed form.  The build keeps each root and its Cartan image (the
+pairings (r, alpha_i)) as one int, a byte per entry biased by 8, entry 1
+most significant: (c_1, .., c_l) is sum (c_i + 8) 256^(l - i).  Root
+coefficients lie in -6..6 (:data:`MAX_MARK`) and pairings in -2..2, so
+each byte is in 2..14, and each sum the build forms (root + alpha_i,
+image + Cartan row, root - masked image + bias in ``coxeter``) keeps
+every byte in 0..255: no byte borrows or carries, so int arithmetic is
+entrywise, and within one height int order is ``roots`` order.  The
+closure refuses a coefficient above 6 or a pairing below -2.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
-from itertools import repeat
-from operator import add, mul, neg
+import struct
+from functools import cached_property, reduce
+from operator import and_, mul, or_
 
 from .errors import ConsistencyError
 
@@ -43,6 +47,10 @@ _E_BRANCH = 3
 #: The largest mark of an ADE type (E8's branch node), so the largest
 #: coefficient of any root: a closure that passes it is not of finite type.
 MAX_MARK = 6
+
+
+#: Signed byte b packed (b + 8, or above 127 for b < -8: no root's byte), and negated.
+_BIASED, _NEGATED = bytes((b + 8) % 256 for b in range(256)), bytes(-b % 256 for b in range(256))
 
 
 class ReadOnly:
@@ -109,14 +117,10 @@ def dynkin_edges(dtype: DiagramType) -> tuple[tuple[int, int], ...]:
 
 
 def cartan_matrix(dtype: DiagramType) -> tuple[tuple[int, ...], ...]:
-    r = dtype.rank
-    c = [[0] * r for _ in range(r)]
-    for i in range(r):
-        c[i][i] = 2
-    for i, j in dynkin_edges(dtype):
-        c[i - 1][j - 1] = -1
-        c[j - 1][i - 1] = -1
-    return tuple(tuple(row) for row in c)
+    edges, nodes = set(dynkin_edges(dtype)), range(1, dtype.rank + 1)
+    return tuple(
+        tuple(2 if i == j else -((i, j) in edges or (j, i) in edges) for j in nodes) for i in nodes
+    )
 
 
 class RootSystem(ReadOnly):
@@ -125,19 +129,20 @@ class RootSystem(ReadOnly):
     ``roots`` lists all roots, positive roots first (ordered by height,
     then lexicographically) and then their negatives in matching order,
     so root ``i`` and root ``i + num_positive`` are negatives of each
-    other.  ``marks`` is ``highest_root`` and ``neighbors`` reads ``cartan``,
-    so each fact is stored once.  Instances are immutable and safe to share;
-    each keeps its own cached values, such as the per-node lists that
-    ``neighbors`` and ``simple_root`` read.
+    other; ``_index`` maps each packed root to its index.  ``marks`` is
+    ``highest_root`` and ``neighbors`` reads ``cartan``, so each fact is
+    stored once.  Instances are immutable and safe to share; each keeps its
+    own cached values, such as the lists ``neighbors`` and ``simple_root`` read.
     """
 
     def __init__(
         self, dtype: DiagramType, cartan: tuple[tuple[int, ...], ...], roots: tuple[Root, ...],
-        num_positive: int, highest_root: Root, coxeter_number: int, _index: dict[Root, int],
+        num_positive: int, highest_root: Root, coxeter_number: int, _index: dict[int, int],
     ) -> None:
         vars(self).update(
             dtype=dtype, cartan=cartan, roots=roots, num_positive=num_positive,
             highest_root=highest_root, coxeter_number=coxeter_number, _index=_index,
+            _signed=struct.Struct(f">{dtype.rank}b").pack,  # a root as signed bytes
         )
 
     @property
@@ -179,28 +184,40 @@ class RootSystem(ReadOnly):
         return tuple(sum(map(mul, row, self.highest_root)) for row in self.cartan)
 
     @cached_property
+    def _forms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The roots and their Cartan images, packed: seeded by the build; a
+        copy made by running the constructor again (``conftest.replace``)
+        packs its own."""
+        images = [[sum(map(mul, row, r)) for row in self.cartan] for r in self.roots]
+        return tuple(map(self._key, self.roots)), tuple(map(self._key, images))
+
+    @cached_property
     def pairings(self) -> tuple[tuple[int, ...], ...]:
-        """``pairings[i - 1][k]`` = (root k, alpha_i): row i of C times the root
-        columns.  :func:`build_root_system` seeds it from its closure's Cartan
-        images; a copy made by running the constructor again (``conftest.replace``)
-        computes its own.  ``coxeter_element`` reads every simple reflection
-        r - (r, alpha_i) alpha_i from it, and refuses an image that is not a
-        root; none is tabled."""
-        columns = tuple(zip(*self.roots))
-        return tuple(
-            tuple(map(sum, zip(*[map(mul, repeat(c), col) for c, col in zip(row, columns) if c])))
-            or (0,) * len(self.roots)
-            for row in self.cartan
-        )
+        """``pairings[i - 1][k]`` = (root k, alpha_i), from the packed images; no stage reads it."""
+        rows = zip(*[q.to_bytes(self.rank, "big") for q in self._forms[1]])
+        return tuple(tuple([b - 8 for b in row]) for row in rows)
 
     def is_root(self, x: Root) -> bool:
-        return x in self._index
+        return self._key(x) in self._index
 
-    def index_of(self, x: Root) -> int:
+    def index_of(self, x: Root, stage: str | None = None) -> int:
+        """The index of the root x.  Any other tuple raises ``ValueError``, a
+        caller's mistake, or with ``stage``, the build stage that derived x,
+        :class:`~.errors.ConsistencyError` naming it."""
+        k = self._index.get(self._key(x))
+        if k is None:
+            problem = f"{x} is not a root of {self.dtype}"
+            if stage is None:
+                raise ValueError(problem)
+            raise ConsistencyError(f"{stage}: {problem}", dtype=str(self.dtype), stage=stage)
+        return k
+
+    def _key(self, x: Root) -> int | None:
+        """x packed, or None for a tuple of another length or an entry outside -128..127."""
         try:
-            return self._index[x]
-        except KeyError:
-            raise ValueError(f"{x} is not a root of {self.dtype}") from None
+            return int.from_bytes(self._signed(*x).translate(_BIASED), "big")
+        except struct.error:
+            return None
 
     def root_at(self, idx: int) -> Root:
         return self.roots[idx]
@@ -251,59 +268,60 @@ class RootSystem(ReadOnly):
 def build_root_system(dtype: DiagramType | str) -> RootSystem:
     """Construct the root system for an accepted ADE diagram type.
 
-    Positive roots are generated height by height from the simple roots:
-    a simple root alpha may be added to a known root r exactly when
-    (r, alpha) = -1, read from r's Cartan image (r + alpha_i has
-    image(r) + row i), which is kept as ``pairings``.  No Weyl-group
-    enumeration is used.  Each root is packed (module docstring), so each
-    height is sorted as ints and each tuple is made once, from the bytes;
-    a new root with a coefficient above :data:`MAX_MARK` raises
-    :class:`~.errors.ConsistencyError`.  The Coxeter number is h = 2
-    |positive roots| / rank; the registry entry "root counts" checks it
-    and the highest root.
+    Positive roots are generated height by height from the simple roots,
+    with no Weyl-group enumeration: alpha_i is added to a root r exactly
+    when (r, alpha_i) = -1, a byte 7 of r's packed image, and r + alpha_i
+    has image(r) + Cartan row i (module docstring).  One mask per root
+    refuses a coefficient above :data:`MAX_MARK`, one per image a pairing
+    below -2 (:class:`~.errors.ConsistencyError`).  Each tuple is made
+    once.  h = 2 |positive roots| / rank; "root counts" checks it and psi.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
     rank = dtype.rank
     cartan = cartan_matrix(dtype)
 
-    units = [1 << 8 * (rank - 1 - i) for i in range(rank)]  # alpha_i, packed
-    level = dict(zip(units, cartan))  # packed root -> Cartan image, one height
-    positives: list[Root] = []
-    images: list[tuple[int, ...]] = []
+    ones = int.from_bytes(bytes([1] * rank), "big")
+    bias, high = 8 * ones, 128 * ones
+    over, under = (119 - MAX_MARK) * ones, 122 * ones  # top bit: c > MAX_MARK, pairing >= -2
+    units = [1 << 8 * (rank - 1 - i) for i in range(rank)]  # alpha_i, without the bias
+    rows = [sum(map(mul, row, units)) for row in cartan]  # Cartan row i, signed bytes
+    level = {bias + unit: bias + row for unit, row in zip(units, rows)}  # root -> image
+    packed, images = [], []  # the positive roots and their images, height by height
     while level:
-        packed = sorted(level)
-        height = [tuple(x.to_bytes(rank, "big")) for x in packed]
-        if max(map(max, height)) > MAX_MARK:
-            root = next(r for r in height if max(r) > MAX_MARK)
-            problem = f"{root} has a coefficient above {MAX_MARK}, the largest mark of any ADE type"
-            raise ConsistencyError(
-                f"{dtype}: {problem}", dtype=str(dtype), stage="build_root_system"
-            )
-        positives += height
-        images += map(level.get, packed)
-        nxt: dict[int, tuple[int, ...]] = {}
-        for x in packed:
-            image, i = level[x], -1
-            for _ in range(image.count(-1)):
-                i = image.index(-1, i + 1)
+        height = sorted(level)
+        shadows = list(map(level.get, height))
+        if reduce(or_, map(over.__add__, height)) & high or (
+            reduce(and_, map(under.__add__, shadows)) & high != high
+        ):  # a root past MAX_MARK or a pairing below -2: name the first
+            problem = f"has a coefficient above {MAX_MARK}, the largest mark of any ADE type"
+            bad = next((x for x in height if (x + over) & high), None)
+            if bad is None:
+                problem = "has a pairing below -2 with a simple root, which no ADE root has"
+                bad = next(x for x, q in zip(height, shadows) if (q + under) & high != high)
+            problem = f"{dtype}: {tuple((bad - bias).to_bytes(rank, 'big'))} {problem}"
+            raise ConsistencyError(problem, dtype=str(dtype), stage="build_root_system")
+        packed += height
+        images += shadows
+        nxt: dict[int, int] = {}
+        for x, q in zip(height, shadows):
+            image = q.to_bytes(rank, "big")
+            i = image.find(7)
+            while i >= 0:
                 if (t := x + units[i]) not in nxt:
-                    nxt[t] = tuple(map(add, image, cartan[i]))
+                    nxt[t] = q + rows[i]
+                i = image.find(7, i + 1)
         level = nxt
 
-    num_positive = len(positives)
-    psi = positives[-1]
-    roots = tuple(positives) + tuple(tuple(map(neg, r)) for r in positives)
-    index = {r: k for k, r in enumerate(roots)}
-
+    num_positive = len(packed)
+    coefficients = [(x - bias).to_bytes(rank, "big") for x in packed]
+    positives, signed = list(map(tuple, coefficients)), struct.Struct(f">{rank}b").unpack
+    negatives = [signed(c.translate(_NEGATED)) for c in coefficients]
+    packed += [2 * bias - x for x in packed]
+    images += [2 * bias - q for q in images]
     rs = RootSystem(
-        dtype=dtype,
-        cartan=cartan,
-        roots=roots,
-        num_positive=num_positive,
-        highest_root=psi,
-        coxeter_number=2 * num_positive // rank,
-        _index=index,
+        dtype, cartan, tuple(positives + negatives), num_positive, positives[-1],
+        2 * num_positive // rank, dict(zip(packed, range(len(packed)))),
     )
-    vars(rs)["pairings"] = tuple(c + tuple(map(neg, c)) for c in zip(*images))
+    vars(rs)["_forms"] = (tuple(packed), tuple(images))
     return rs

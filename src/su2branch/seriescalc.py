@@ -8,9 +8,9 @@ Dense storage: every degree in play here is small.
 Each oracle's multiplicity vectors form a degree-1 quasi-polynomial in
 the level n: with a period P, a base ``base[r]`` and a step ``step[r]``
 for r = 0..P-1, level n = k P + r is ``base[r] + k step[r]``.  One
-read-only type holds it, :class:`PeriodTable`.  The Coxeter and
-recursion routes build their tables with :meth:`PeriodTable.of` from
-their levels 0..2P-1, the characters theirs in closed form, and each
+read-only type holds it, :class:`PeriodTable`.  The recursion route
+builds its table with :meth:`PeriodTable.of` from its levels 0..2P-1,
+the Coxeter route from packed ones, the characters in closed form; each
 route proves its table once, where it is built; every read (a level, an
 iteration, a view to another order) checks nothing.
 

@@ -156,6 +156,14 @@ def e8_with_a_root_listed_twice():
     return replace(rs, roots=tuple(roots))
 
 
+def e8_with_doubled_simple_roots():
+    """E8's root system with ``simple_root(i)`` giving 2 alpha_i, so that
+    ``orbit_table``'s beta_i = +-2 alpha_i is not a root."""
+    rs = build_root_system("E8")
+    vars(rs)["_simple_roots"] = [tuple(2 * c for c in rs.simple_root(i)) for i in rs.nodes]
+    return rs
+
+
 #: The affine D4 Cartan matrix (node 2 joined to 1, 3, 4 and 5), which is
 #: not of finite type: put in place of D5's, the root closure still ends.
 AFFINE_D4 = (

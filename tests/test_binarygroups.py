@@ -133,7 +133,7 @@ def test_quaternion_matrices_mod_p_multiply_as_quaternions(name):
     # Integer quaternions: the matrix mod p of a product is the product of the
     # matrices, and the determinant is the norm.
     p = group_for(name).p
-    i = binarygroups._sqrt_mod(-1, p)
+    i = binarygroups._sqrt_mod(-1, p, group_for(name).non_residue)
     rng = random.Random(p)
     for _ in range(50):
         q1, q2 = (Quaternion(*(rng.randrange(-p, p) for _ in range(4))) for _ in range(2))
@@ -165,7 +165,8 @@ def _eigenvalues(group):
     """An eigenvalue zeta of each class's representative mod p: a root of
     x^2 - t x + 1, t the class trace, either root serving."""
     p, half = group.p, pow(2, -1, group.p)
-    return [(t + binarygroups._sqrt_mod(t * t - 4, p)) * half % p for t in group.class_traces]
+    z = group.non_residue
+    return [(t + binarygroups._sqrt_mod(t * t - 4, p, z)) * half % p for t in group.class_traces]
 
 
 @pytest.mark.parametrize("name,prime", [("A1", 53), ("E8", 86461)])
@@ -709,13 +710,14 @@ def test_closure_forms_one_product_per_element_and_generator(monkeypatch):
     monkeypatch.setattr(binarygroups, "_product", counted)
     group = binarygroups.build_group("E8", bundle("E8").params)
     assert group.order == 120
-    assert 0 < len(calls) <= group.order * len(binarygroups.generators(group.dtype, group.p))
+    gens = binarygroups.generators(group.dtype, group.p, group.non_residue)
+    assert 0 < len(calls) <= group.order * len(gens)
 
 
 @pytest.mark.parametrize("name", (*CHARACTER_TYPES, "A71", "D71"))
 def test_generator_indices_index_the_generators(name):
     group = group_for(name)
-    gens = binarygroups.generators(group.dtype, group.p)
+    gens = binarygroups.generators(group.dtype, group.p, group.non_residue)
     assert tuple(group.elements[k] for k in group.generator_indices) == gens
 
 
@@ -736,7 +738,7 @@ def test_sqrt_mod_finds_a_root_of_every_square(p):
     # 7681 - 1 = 15 * 2^9 and 65537 - 1 = 2^16 take several Tonelli-Shanks rounds.
     rng = random.Random(p)
     for a in (0, 1, p - 1, *(rng.randrange(p) for _ in range(200))):
-        root = binarygroups._sqrt_mod(a, p)
+        root = binarygroups._sqrt_mod(a, p, binarygroups._non_residue(p))
         if pow(a, (p - 1) // 2, p) == p - 1:
             assert root is None
         else:

@@ -166,7 +166,7 @@ def test_period_table_matches_popoviciu(name):
         assert b.vector(n) == want, n
 
 
-@pytest.mark.parametrize("name", ACCEPTED_TYPES)
+@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A1", "A71", "D71"))
 def test_period_table_matches_the_dense_series(name):
     b = bundle(name)
     period = math.lcm(b.params.a, b.params.b)
@@ -241,3 +241,4 @@ def test_resolve_node():
         b.resolve_node("2,9")
     with pytest.raises(ValueError):
         b.resolve_node("x")
+

@@ -14,7 +14,7 @@ from su2branch.branching import Branching
 from su2branch.cli import MAX_ORDER, MAX_RANK, _build_parser, main
 from su2branch.invariants import ORACLES
 
-from conftest import AFFINE_D4, e8_with_a_root_listed_twice
+from conftest import AFFINE_D4, e8_with_a_root_listed_twice, e8_with_doubled_simple_roots
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -219,6 +219,16 @@ def test_a_root_listed_twice_exits_1(monkeypatch, capsys):
     code, out, err = run(capsys, "branch", "--type", "E8", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "internal check failure: (1, 2, 3, 2, 1, 1, 1, 2) is listed twice among the roots of E8\n"
+
+
+def test_a_signed_simple_root_off_the_root_set_exits_1_naming_orbit_table(monkeypatch, capsys):
+    # beta_i = +-2 alpha_i: a failed lookup inside a build stage is an internal
+    # check failure that names the stage, not a usage error.
+    bad = e8_with_doubled_simple_roots()
+    monkeypatch.setattr(branching, "build_root_system", lambda dtype: bad)
+    code, out, err = run(capsys, "branch", "--type", "E8", "--n", "3")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"internal check failure: orbit_table: \(-?2, 0(, 0)*\) is not a root of E8\n", err)
 
 
 def test_bad_node_exits_2(capsys):

@@ -16,7 +16,14 @@ from su2branch.invariants import LONGEST_ELEMENT
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import AFFINE_D4, bundle, e8_with_a_root_listed_twice, reflect, replace
+from conftest import (
+    AFFINE_D4,
+    bundle,
+    e8_with_a_root_listed_twice,
+    e8_with_doubled_simple_roots,
+    reflect,
+    replace,
+)
 
 
 def test_a3_bipartition():
@@ -59,7 +66,7 @@ def test_taus_are_the_composed_class_reflections(name):
 
 def test_the_build_makes_no_reflection_table():
     b = Branching.build("E8")
-    assert "pairings" in vars(b.rs)
+    assert "_forms" in vars(b.rs) and "pairings" not in vars(b.rs)
     assert "reflections" not in vars(b.rs)
 
 
@@ -183,7 +190,7 @@ def test_a_reflection_off_the_root_set_is_refused():
         rs,
         roots=roots,
         num_positive=rs.num_positive - 1,
-        _index={r: k for k, r in enumerate(roots)},
+        _index={rs._key(r): k for k, r in enumerate(roots)},
     )
     bp = bipartition(bad)
     # The message index_of gives for the first image off the root set.
@@ -253,4 +260,51 @@ def test_a_root_listed_twice_fails_the_build(monkeypatch):
         "E8",
         "coxeter_element",
         None,
+    )
+
+
+def tuple_involution(rs, nodes):
+    """r -> r - sum (r, alpha_i) alpha_i over ``nodes`` in tuple arithmetic,
+    looked up in a tuple-keyed index: the reference for the packed tau."""
+    index = {r: k for k, r in enumerate(rs.roots)}
+    rows = {i: [(j, c) for j, c in enumerate(rs.cartan[i - 1]) if c] for i in nodes}
+    images = []
+    for r in rs.roots:
+        out = list(r)
+        for i, row in rows.items():
+            out[i - 1] -= sum(c * r[j] for j, c in row)
+        images.append(index[tuple(out)])
+    return tuple(images)
+
+
+@pytest.mark.parametrize("name", ("A1", *ACCEPTED_TYPES, "A71", "D71"))
+def test_packed_involutions_are_the_tuple_arithmetic(name):
+    b = bundle(name)
+    assert b.cox.tau1 == tuple_involution(b.rs, b.bp.part1)
+    assert b.cox.tau2 == tuple_involution(b.rs, b.bp.part2)
+    assert b.cox.sigma == perm_compose(b.cox.tau2, b.cox.tau1)
+
+
+def test_a_signed_simple_root_off_the_root_set_fails_orbit_table(monkeypatch):
+    rs = e8_with_doubled_simple_roots()
+    alpha = rs.simple_root(1)  # 2 alpha_1 here; node 1's beta is the first lookup
+    beta = alpha if bipartition(rs).side(1) == 1 else tuple(-c for c in alpha)
+    monkeypatch.setattr(branching, "build_root_system", lambda dtype: rs)
+    with pytest.raises(ConsistencyError) as info:
+        Branching.build("E8")
+    err = info.value
+    assert (str(err), err.dtype, err.stage, err.invariant) == (
+        f"orbit_table: {beta} is not a root of E8", "E8", "orbit_table", None
+    )
+
+
+def test_a_highest_root_off_the_root_set_fails_z_polynomial(monkeypatch):
+    rs = build_root_system("E8")
+    bad = replace(rs, highest_root=tuple(2 * c for c in rs.highest_root))
+    monkeypatch.setattr(branching, "build_root_system", lambda dtype: bad)
+    with pytest.raises(ConsistencyError) as info:
+        Branching.build("E8")
+    err = info.value
+    assert (str(err), err.dtype, err.stage) == (
+        f"z_polynomial: {bad.highest_root} is not a root of E8", "E8", "z_polynomial"
     )

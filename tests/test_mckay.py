@@ -18,7 +18,7 @@ from conftest import bundle, graph_for, group_for, table_for
 PERIODS = {
     "A1": 2, "A3": 4, "A5": 6, "A7": 8, "A9": 10, "A11": 12, "A13": 14,
     "D4": 4, "D5": 12, "D6": 8, "D7": 20, "D8": 12, "D9": 28, "D10": 16, "D11": 36, "D12": 20,
-    "E6": 12, "E7": 24, "E8": 60,
+    "E6": 12, "E7": 24, "E8": 60, "A71": 72, "D71": 276,
 }  # fmt: skip
 
 
@@ -110,7 +110,7 @@ def test_recursion_rejects_negative_order():
         recursion_oracle(graph_for("A3"), -1)
 
 
-@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A1"))
+@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A1", "A71", "D71"))
 def test_view_matches_eager_recursion(name):
     g = graph_for(name)
     levels = recursion_oracle(g, 3 * PERIODS[name] + 5)
@@ -197,3 +197,21 @@ def test_a13_range_oracles_past_the_old_drift():
     rec = list(recursion_oracle(graph_for("A13"), 6000))
     assert character_multiplicities(group_for("A13"), table_for("A13"), 6000) == rec
     assert molien_series(group_for("A13"), 6000) == tuple(v[0] for v in rec)
+
+
+def test_a_graph_that_outgrows_the_fields_raises_and_never_carries():
+    # Node 0 keeps every dimension sum; nodes 1..3 grow like 1.88^n, less
+    # than doubling per level, so some level lands between 2^59 and 2^60.
+    # Row sums up to 5 give the field bound 2^(63 - 3): the first level
+    # with an entry past it is refused, named with its exact entries.
+    adjacency = (
+        (2, 0, 0, 0, 0), (1, 1, 1, 0, 0), (0, 1, 1, 1, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 5),
+    )  # fmt: skip
+    g = McKayGraph(graph_for("A3").dtype, 5, adjacency, (1, 0, 0, 0, 0))
+    exact = eager_recursion(g, 100)
+    n = next(n for n, v in enumerate(exact) if max(v) >= 2**60)
+    assert min(map(min, exact[:n])) >= 0 and max(exact[n - 1]) >= 2**59
+    with pytest.raises(ConsistencyError) as info:
+        recursion_oracle(g, 10)
+    assert str(info.value) == f"A3: level {n} passes the field bound 2^60: {exact[n]}"
+    assert (info.value.dtype, info.value.stage) == ("A3", "oracles")

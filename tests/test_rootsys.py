@@ -99,17 +99,17 @@ def _without_highest_root(rs):
     """The system with +-highest root gone from its list and its index."""
     dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
     roots = tuple(r for r in rs.roots if r not in dropped)
-    return replace(
-        rs, roots=roots, num_positive=rs.num_positive - 1, _index={r: k for k, r in enumerate(roots)}
-    )
+    index = {rs._key(r): k for k, r in enumerate(roots)}
+    return replace(rs, roots=roots, num_positive=rs.num_positive - 1, _index=index)
 
 
 @pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
 def test_seeded_pairings_are_the_definition(name):
-    # conftest.replace runs the constructor again, so the copy computes its own.
+    # The build seeds the packed images that pairings reads; conftest.replace
+    # runs the constructor again, so the copy computes its own.
     rs = build_root_system(name)
     copy = replace(rs)
-    assert "pairings" in vars(rs) and "pairings" not in vars(copy)
+    assert "_forms" in vars(rs) and "_forms" not in vars(copy)
     assert copy.pairings == tuple(
         tuple(inner(rs, r, rs.simple_root(i)) for r in rs.roots) for i in rs.nodes
     )
@@ -182,13 +182,13 @@ def test_roots_negation_layout():
         assert rs.root_at(rs.negation(idx)) == tuple(-c for c in rs.root_at(idx))
 
 
-@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A71", "D71"))
+@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A71", "D71", "A1"))
 def test_closure_matches_the_plain_closure(name):
     # A71 and D71 have heights up to 71 and 139: the packed closure at the rank cap.
     rs = build_root_system(name)
     assert rs.roots == plain_closure_roots(name)
     assert rs.highest_root == rs.roots[rs.num_positive - 1]
-    assert rs._index == {r: k for k, r in enumerate(rs.roots)}
+    assert rs._index == {rs._key(r): k for k, r in enumerate(rs.roots)}
 
 
 def test_a_closure_past_the_largest_mark_fails_the_build(monkeypatch):
@@ -216,3 +216,64 @@ def test_reflection_table_off_the_root_set_is_reflect():
         coxeter._class_involution(bad, (1,))
     err = info.value
     assert (str(err), err.dtype, err.stage) == ("(1, 1, 1) is not a root of A3", "A3", "coxeter_element")
+
+
+def tuple_pairings(rs):
+    """(root k, alpha_i) for every root k, row i of C times the root columns:
+    the tuple arithmetic the packed images replace, kept as a reference."""
+    columns = list(zip(*rs.roots))
+    return tuple(
+        tuple(map(sum, zip(*[[c * x for x in col] for c, col in zip(row, columns) if c])))
+        for row in rs.cartan
+    )
+
+
+@pytest.mark.parametrize("name", ("A1", *ACCEPTED_TYPES, "A71", "D71"))
+def test_packed_build_is_the_tuple_arithmetic(name):
+    # Pairings and the highest root's image by tuple sums over the Cartan
+    # rows, and the packed forms from them: every type and the rank cap.  The
+    # roots are the plain closure's (test_closure_matches_the_plain_closure).
+    rs = bundle(name).rs
+    assert rs.pairings == tuple_pairings(rs)
+    psi = rs.highest_root
+    assert rs.highest_root_image == tuple(sum(c * x for c, x in zip(row, psi)) for row in rs.cartan)
+
+    def packed(x):  # sum (c_i + 8) 256^(l - i), the module docstring's layout
+        return sum((c + 8) << 8 * (rs.rank - i) for i, c in enumerate(x, 1))
+
+    assert rs._forms == (tuple(map(packed, rs.roots)), tuple(map(packed, zip(*rs.pairings))))
+
+
+@pytest.mark.parametrize(
+    "bad", [(0,) * 7, (0,) * 9, (-8, 1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 300), (-9,) + (0,) * 7]
+)
+def test_a_tuple_of_another_length_or_outside_the_bytes_is_not_a_root(bad):
+    # (-8, 1, 0, ..) packs to alpha_1's int with one more leading byte 0, so
+    # only the length check refuses it.
+    rs = bundle("E8").rs
+    assert not rs.is_root(bad)
+    with pytest.raises(ValueError, match=r"is not a root of E8$") as info:
+        rs.index_of(bad)
+    assert str(info.value) == f"{bad} is not a root of E8"
+    with pytest.raises(ConsistencyError) as info:
+        rs.index_of(bad, "orbit_table")
+    err = info.value
+    assert (str(err), err.dtype, err.stage) == (f"orbit_table: {bad} is not a root of E8", "E8", "orbit_table")
+
+
+def test_a_pairing_below_minus_two_fails_the_build(monkeypatch):
+    # A star of five leaves is not of finite type: (1, 1, 1, 1, 1, 1) pairs
+    # -3 with the centre while every coefficient is 1, and the closure
+    # refuses it before any byte could borrow.
+    star = tuple(
+        tuple(2 if i == j else -1 if (i == 0) != (j == 0) else 0 for j in range(6)) for i in range(6)
+    )
+    monkeypatch.setattr(rootsys, "cartan_matrix", lambda dtype: star)
+    with pytest.raises(ConsistencyError) as info:
+        build_root_system("D6")
+    err = info.value
+    assert (str(err), err.dtype, err.stage) == (
+        "D6: (1, 1, 1, 1, 1, 1) has a pairing below -2 with a simple root, which no ADE root has",
+        "D6",
+        "build_root_system",
+    )
