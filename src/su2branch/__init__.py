@@ -8,9 +8,15 @@ from .coxeter import bipartition, coxeter_element, orbit_table, special_index
 from .errors import ConsistencyError
 from .mckay import extended_graph, recursion_oracle
 from .rootsys import NODE_CONVENTION, DiagramType, RootSystem, build_root_system
-from .verify import ACCEPTED_TYPES, run_all, run_type_checks
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:  # verify's names, loaded at their first use
+    if name in ("ACCEPTED_TYPES", "run_all", "run_type_checks"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ACCEPTED_TYPES",

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from functools import cached_property
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING
@@ -195,6 +196,12 @@ class FiniteGroup:
         return tuple(self.class_of[self.inverse[rep]] for rep in self.representatives())
 
     @cached_property
+    def norm_form(self) -> tuple[list[int], itemgetter]:
+        """|C| / |F*| mod p per class C, and the gather f -> f(C^-1) per C."""
+        scale = pow(self.order, -1, self.p)
+        return [n * scale % self.p for n in self.class_sizes], itemgetter(*self.class_inverse)
+
+    @cached_property
     def class_traces(self) -> tuple[int, ...]:
         """The trace a + d mod p of each class's representative: chi_1, the
         defining character, which fixes every chi_n (module docstring)."""
@@ -254,8 +261,8 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
         dtype = DiagramType.parse(dtype)
     expected, e = params.order_fstar, exponent(dtype)
     start = 2 * expected * e * MAX_DEGREE + 1
-    candidates = range(start, start + PRIME_STEPS * e + 1, e)
-    p = next((p for p in candidates if all(p % q for q in range(2, math.isqrt(p) + 1))), None)
+    candidates = range(start, start + PRIME_STEPS * e + 1, e)  # odd: start is odd and E even
+    p = next((p for p in candidates if all(p % q for q in range(3, math.isqrt(p) + 1, 2))), None)
     if p is None:
         problem = f"no prime p = 1 (mod {e}) within {PRIME_STEPS} steps of {start}"
         raise _failure(dtype, "build_group", problem)
@@ -284,7 +291,10 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     for parent, k in parents[1:]:
         columns.append(itemgetter(*columns[parent])(right[k]))
     mult = tuple(zip(*columns))
-    inverse = tuple(line.index(0) for line in mult)
+    try:
+        inverse = tuple(line.index(0) for line in mult)
+    except ValueError:  # a row without the identity
+        raise _failure(dtype, "build_group", "a row of the table has no identity") from None
     minus_identity = index.get((p - 1, 0, 0, p - 1))
     if minus_identity is None:
         raise _failure(dtype, "build_group", "-identity is not in the closure")
@@ -344,32 +354,43 @@ def _residue_sums(
     weight is at most |C| MAX_DEGREE, the sum is below p/2 in absolute
     value and lifts exactly.  With no non-central class (A1) every entry is 0.
 
-    Each class's weights, reduced mod p, are packed into one int of fixed
-    fields, one per column, so row r is one multiply-add per class, then
-    one unpack, and one reduction mod p and one lift per entry.  A field
-    holds a sum of at most #classes products below p^2 and is a whole
-    number of 64-bit words of at least 2 bits(p) + bits(#classes) + 1
-    bits, so no field carries into the next.
+    Each class's weights, reduced mod p, are one int of fields, one per
+    column (:func:`_fields`), so row r is one multiply-add per class, one
+    unpack, and one reduction mod p and one lift per entry.
     """
     chi = group.chi_periods
     noncentral, periods = list(chi), list(chi.values())
     p, e, size = group.p, exponent(group.dtype), len(weights[0])
-    words = -(-(2 * p.bit_length() + len(noncentral).bit_length() + 1) // 64)  # per field
-    fields, packed = struct.Struct(f"<{size * words}Q"), []
-    for c in noncentral:
-        low = [0] * (size * words)  # each weight in its field's lowest word
-        low[::words] = [w % p for w in weights[c]]
-        packed.append(int.from_bytes(fields.pack(*low), "little"))
-    half, lift, width = [], p // 2, 8 * words
+    pack, unpack = _fields(p, len(noncentral), size)
+    packed = [pack([w % p for w in weights[c]]) for c in noncentral]
+    half, lift = [], p // 2
     for r in range(e // 2):
-        raw = sum(map(mul, map(itemgetter(r), periods), packed)).to_bytes(fields.size, "little")
-        sums = fields.unpack(raw) if words == 1 else [
-            int.from_bytes(raw[i : i + width], "little") for i in range(0, fields.size, width)
-        ]
+        sums = unpack(sum(map(mul, map(itemgetter(r), periods), packed)))
         half.append(tuple([(x + lift) % p - lift for x in sums]))
     # chi_(E-2-r) = -chi_r and chi_(E-1) = 0 at a non-central class
     negated = [tuple([-x for x in half[e - 2 - r]]) for r in range(e // 2, e - 1)]
     return tuple(half + negated + [(0,) * size])
+
+
+def _fields(p: int, terms: int, size: int) -> tuple[Callable, Callable]:
+    """(pack, unpack) of ``size`` fields, one residue mod p each, whose sums
+    of up to ``terms`` products stay apart: a field is whole 64-bit words, at
+    least 2 bits(p) + bits(terms) + 1 bits, so none carries into the next."""
+    words = -(-(2 * p.bit_length() + terms.bit_length() + 1) // 64)
+    fields, width = struct.Struct(f"<{size * words}Q"), 8 * words
+
+    def pack(values: list[int]) -> int:
+        low = [0] * (size * words)  # each value in its field's lowest word
+        low[::words] = values
+        return int.from_bytes(fields.pack(*low), "little")
+
+    def unpack(total: int) -> tuple[int, ...] | list[int]:
+        raw = total.to_bytes(fields.size, "little")
+        if words == 1:
+            return fields.unpack(raw)
+        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, fields.size, width)]
+
+    return pack, unpack
 
 
 def _multiplicity(
@@ -547,9 +568,8 @@ def _split(group: FiniteGroup, psi: list[int]) -> list[tuple[int, ...]]:
     left, abort.  If no class moves psi's line, psi = m chi with m^2 =
     <psi, psi> and chi(1) in 1..MAX_DEGREE.
     """
-    p, half, inverse = group.p, pow(2, -1, group.p), group.class_inverse
-    norm = sum(n * x * psi[inverse[c]] for c, (n, x) in enumerate(zip(group.class_sizes, psi)))
-    norm = _lift(norm * pow(group.order, -1, p), p)
+    p, (weights, conjugate) = group.p, group.norm_form
+    norm = _lift(sum(map(mul, weights, map(mul, psi, conjugate(psi)))) % p, p)
     i, problem = next((i for i, x in enumerate(psi) if x), 0), None
     for c in range(1, len(group.classes)) if norm != 1 else ():
         t_psi = _class_sum(group, c, psi)
@@ -563,15 +583,14 @@ def _split(group: FiniteGroup, psi: list[int]) -> list[tuple[int, ...]]:
         s, q = (u_i * w_j - u_j * w_i) * det % p, (v_i * w_j - v_j * w_i) * det % p
         root = _sqrt_mod(s * s - 4 * q, p, group.non_residue)
         if root and not any((w - s * v + q * u) % p for u, v, w in zip(psi, t_psi, tt_psi)):
-            mu, scale = (s - root) * half, pow(root, -1, p)
+            mu, scale = (s - root) * (p + 1) // 2, pow(root, -1, p)  # (s - root) / 2
             part = [(v - mu * u) * scale % p for u, v in zip(psi, t_psi)]
             return _split(group, part) + _split(group, [(u - a) % p for u, a in zip(psi, part)])
         problem = f"no class sum has two eigenvalues on a class function of norm {norm}"
     m = math.isqrt(max(norm, 0))
     dim, rest = divmod(_lift(psi[0], p), m or 1)
     if problem is None and m and m * m == norm and not rest and 1 <= dim <= MAX_DEGREE:
-        scale = pow(m, -1, p)
-        return [tuple(x * scale % p for x in psi)]
+        return [tuple(psi) if m == 1 else tuple([x * pow(m, -1, p) % p for x in psi])]
     problem = problem or f"a class function of norm {norm} is not a nonnegative sum of irreducibles"
     raise _failure(group.dtype, "character_table", problem)
 

@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 
-from . import verify
 from .branching import Branching
 from .errors import ConsistencyError
 from .invariants import ORACLES
@@ -36,6 +35,7 @@ def _envelope(dtype: DiagramType, **fields) -> dict:
 
 
 def cmd_table(args: argparse.Namespace) -> tuple:
+    from . import verify
     rows = []
     lines = [f"{'F':<8}{'type':<6}{'a':>4}{'b':>4}{'h':>4}{'g':>4}{'|F|':>6}{'|F*|':>6}  status"]
     for name in verify.ACCEPTED_TYPES:
@@ -61,6 +61,7 @@ def cmd_table(args: argparse.Namespace) -> tuple:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
+    from . import verify
     types = verify.ACCEPTED_TYPES if args.type is None else (args.type,)
     checks = verify.run_all(types)
     all_pass = all(c.passed for c in checks)
@@ -154,6 +155,7 @@ def cmd_mckay(args: argparse.Namespace) -> tuple:
 
 
 def cmd_group(args: argparse.Namespace) -> tuple:
+    from . import verify
     bundle = Branching.build(args.type)
     group, table = bundle.group, bundle.character_table
     sizes = list(group.class_sizes)

@@ -13,6 +13,7 @@ index arrays over the fixed root enumeration of :class:`RootSystem`.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConsistencyError
@@ -26,8 +27,8 @@ def perm_identity(n: int) -> Perm:
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)[x] = p[q[x]]: apply q first, then p."""
-    return tuple(map(p.__getitem__, q))
+    """(p o q)[x] = p[q[x]]: apply q first, then p; one gather (a pair at least)."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(map(p.__getitem__, q))
 
 
 def perm_power(p: Perm, k: int) -> Perm:

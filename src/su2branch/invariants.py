@@ -32,7 +32,13 @@ to their closed forms.
 The range entries hold for every n: each compares the routes' proved
 period tables (:meth:`Branching.periods`) over levels 0..2L-1 (:func:`_read`),
 which rests on the tables' build-time proofs and on their one reader,
-:class:`~.seriescalc.PeriodTable`.
+:class:`~.seriescalc.PeriodTable`.  A table of period P holds at levels
+0..2P-1 what its base and step rows hold, so "triple oracle" (tables of
+one period), "molien average" (the Coxeter rows' node 0 against the
+group average) and "parity vanishing" screen rows and walk levels only
+to name a failure.  "triple oracle" reads levels where the periods
+differ (E6): with E6's group average, the only reads through the
+reader's packed paths.  "dimension sum rule" always reads levels.
 Only the group entries and the character route import :mod:`~.binarygroups`.
 """
 
@@ -181,38 +187,37 @@ def _orbit_partition(c: Branching) -> Result:
     h, num_pos = rs.coxeter_number, rs.num_positive
     betas = {rs.index_of(beta) for beta in table.signed_simples}
     seen: set[int] = set()
-    for i in rs.nodes:
+    for i in rs.nodes:  # whole orbits, one set over them all
         orbit = table.orbits[i - 1]
-        if len(orbit) != h or len(set(orbit)) != h:
+        members = set(orbit)
+        if len(orbit) != h or len(members) != h:
             return False, f"orbit {i} has size {len(orbit)}"
-        if set(orbit) & seen:
+        if not seen.isdisjoint(members):
             return False, f"orbit {i} overlaps a previous orbit"
-        if len(set(orbit) & betas) != 1:
-            return False, f"orbit {i} meets the signed simple roots {len(set(orbit) & betas)} times"
-        seen.update(orbit)
-        positives = [x for x in orbit if x < num_pos]
-        if len(positives) != h // 2:
-            return False, f"orbit {i} has {len(positives)} positive roots"
+        if (meets := len(members & betas)) != 1:
+            return False, f"orbit {i} meets the signed simple roots {meets} times"
+        seen |= members
+        if (positives := len([x for x in orbit if x < num_pos])) != h // 2:
+            return False, f"orbit {i} has {positives} positive roots"
     ok = len(seen) == len(rs.roots)
     return ok, f"{rs.rank} disjoint orbits of size {h} cover {len(rs.roots)} roots"
 
 
 def _orbit_exponents(c: Branching) -> Result:
     rs, bp, table = c.rs, c.bp, c.table
-    h = rs.coxeter_number
+    h, num_pos = rs.coxeter_number, rs.num_positive
     g = h // 2
     for i in rs.nodes:
         k = bp.side(i)
-        halves = set()
-        for x in table.orbits[i - 1]:
-            if x >= rs.num_positive:
-                continue
-            n = table.exponent[x]
-            if n % 2 != k % 2 or not 1 <= n <= h:
-                return False, f"exponent {n} bad for side {k}"
-            halves.add((n - 1) // 2 if k == 1 else n // 2)
-        if halves != (set(range(g)) if k == 1 else set(range(1, g + 1))):
-            return False, f"orbit {i} exponent map is not a bijection"
+        exponents = [table.exponent[x] for x in table.orbits[i - 1] if x < num_pos]
+        if sorted(exponents) != list(range(k, h + 1, 2)):  # walk them, to name the fault
+            halves = set()
+            for n in exponents:
+                if n % 2 != k % 2 or not 1 <= n <= h:
+                    return False, f"exponent {n} bad for side {k}"
+                halves.add((n - 1) // 2 if k == 1 else n // 2)
+            if halves != (set(range(g)) if k == 1 else set(range(1, g + 1))):
+                return False, f"orbit {i} exponent map is not a bijection"
         if k == 1 and table.exponent[rs.index_of(table.signed_simples[i - 1])] != 1:
             return False, f"beta_{i} does not have exponent 1"
     psi_n = table.exponent[rs.index_of(rs.highest_root)]
@@ -370,24 +375,24 @@ def _group_sanity(c: Branching) -> Result:
     n, mult = group.order, group.mult
     if p.a * p.b != 2 * n:
         return False, f"a*b = {p.a * p.b} but group order is {n}"
-    gens = group.generator_indices
-    if any(line[0] != x for x, line in enumerate(mult)):
+    gens, columns = group.generator_indices, tuple(zip(*mult))
+    if columns[0] != tuple(range(len(mult))):
         return False, "element 0 is not a right identity"
+    gathers = [itemgetter(*col) for col in columns]  # screen: col g gathered by col y is col y g
     for g in gens:
-        col = [line[g] for line in mult]  # y -> y g
-        x_yg = itemgetter(*col)  # x's line -> x (y g) for every y
-        for x, line in enumerate(mult):
-            if itemgetter(*line)(col) != x_yg(line):
-                return False, f"(x y) g != x (y g) at x = {x}, g = {g}"
-    walk, seen = [0], {0}
-    for y in walk:  # grows while it is walked
-        new = {mult[y][g] for g in gens} - seen
-        walk += new
-        seen |= new
-        if len(walk) > n:
+        col, x_yg = columns[g], itemgetter(*columns[g])  # y -> y g; x's line -> x (y g) for every y
+        if any(gather(col) != columns[yg] for gather, yg in zip(gathers, col)):
+            for x, line in enumerate(mult):  # name the first x
+                if itemgetter(*line)(col) != x_yg(line):
+                    return False, f"(x y) g != x (y g) at x = {x}, g = {g}"
+    seen, layer = {0}, {0}
+    while layer:  # breadth first, a layer of new elements at a time
+        layer = {columns[g][y] for g in gens for y in layer} - seen
+        seen |= layer
+        if len(seen) > n:
             return False, f"the generator walk passes {n} elements"
-    if len(walk) != n:
-        return False, f"{n - len(walk)} elements are not words in the generators"
+    if len(seen) != n:
+        return False, f"{n - len(seen)} elements are not words in the generators"
     for x in range(n):
         if mult[x][group.inverse[x]] != 0 or mult[group.inverse[x]][x] != 0:
             return False, f"inverse fails at {x}"
@@ -416,16 +421,19 @@ def _extended_graph(c: Branching) -> Result:
 
 
 def _character_table(c: Branching) -> Result:
+    # Column orthogonality, one packed multiply-add per row and class (binarygroups._fields).
+    from . import binarygroups
     group, table, graph = c.group, c.character_table, c.graph
-    r = len(group.classes)
-    p = group.p
-    sizes, inverse = group.class_sizes, group.class_inverse
-    columns = list(zip(*table.rows))
-    for c1, (col, size) in enumerate(zip(columns, sizes)):
-        for c2 in range(r):
-            val = sum(map(mul, col, columns[inverse[c2]])) * size
-            if (val - (group.order if c1 == c2 else 0)) % p:
-                return False, f"column orthogonality fails at ({c1}, {c2})"
+    r, p, sizes = len(group.classes), group.p, group.class_sizes
+    pack, unpack = binarygroups._fields(p, len(table.rows), r)
+    rows = [[x % p for x in row] for row in table.rows]
+    conjugates = list(map(pack, map(itemgetter(*group.class_inverse), rows)))
+    for c1, (col, size) in enumerate(zip(zip(*rows), sizes)):
+        got = [s * size % p for s in unpack(sum(map(mul, col, conjugates)))]
+        got[c1] -= group.order % p
+        if any(got):
+            c2 = next(c2 for c2, x in enumerate(got) if x)
+            return False, f"column orthogonality fails at ({c1}, {c2})"
     for node, (_, at_minus) in enumerate(table.central):
         sign = -1 if c.node_parity(node) == 1 else 1
         if at_minus != sign * graph.marks_ext[node]:
@@ -447,15 +455,17 @@ def _read(tables: list[PeriodTable], *periods: int) -> tuple[int, Iterator]:
 
 
 def _triple_oracle(c: Branching) -> Result:
-    last, levels = _read([c.periods(oracle) for oracle in ORACLES])
-    for n, (s, r, ch) in enumerate(levels):
-        if s == r == ch:
-            continue
-        for i in range(c.graph.size):
-            if s[i] != r[i]:
-                return False, f"series {s[i]} != recursion {r[i]} at n={n}, node {i}"
-            if ch[i] != r[i]:
-                return False, f"characters {ch[i]} != recursion {r[i]} at n={n}, node {i}"
+    tables = [c.periods(oracle) for oracle in ORACLES]
+    last = 2 * math.lcm(*(table.period for table in tables)) - 1
+    # Tables of one period agree at every level once their rows agree; tables of
+    # different periods (E6) are read level by level, the reads that pack.
+    if len({(table.base, table.step) for table in tables}) > 1:
+        for n, (s, r, ch) in enumerate(_read(tables)[1]):
+            for i in range(c.graph.size):
+                if s[i] != r[i]:
+                    return False, f"series {s[i]} != recursion {r[i]} at n={n}, node {i}"
+                if ch[i] != r[i]:
+                    return False, f"characters {ch[i]} != recursion {r[i]} at n={n}, node {i}"
     return True, f"series == recursion == characters for all n (levels 0..{last})"
 
 
@@ -481,10 +491,15 @@ def _huge_level(c: Branching) -> Result:
 def _molien(c: Branching) -> Result:
     from . import binarygroups
     # Molien's own table has the group's period E; it never reads the character table.
-    last, levels = _read([c.periods("coxeter")], binarygroups.exponent(c.dtype))
-    for n, (m, (v,)) in enumerate(zip(binarygroups.molien_series(c.group, last), levels)):
-        if m != v[0]:
-            return False, f"group average {m} != invariant series {v[0]} at n={n}"
+    cox, e = c.periods("coxeter"), binarygroups.exponent(c.dtype)
+    last = 2 * math.lcm(cox.period, e) - 1
+    averages = binarygroups.molien_series(c.group, last)
+    series = [v[0] for v in cox.base]  # node 0 at levels 0..2P-1, from the rows
+    series += [x + d[0] for x, d in zip(series, cox.step)]
+    if tuple(series) != averages:  # too short when L > P: read the levels then, too
+        for n, (m, (v,)) in enumerate(zip(averages, _read([cox], e)[1])):
+            if m != v[0]:
+                return False, f"group average {m} != invariant series {v[0]} at n={n}"
     return True, f"group average matches invariant series for all n (levels 0..{last})"
 
 
@@ -498,12 +513,16 @@ def _sum_rule(c: Branching) -> Result:
 
 
 def _parity_vanishing(c: Branching) -> Result:
-    last, levels = _read([c.periods("coxeter")], 2)  # the parity has period 2
+    table = c.periods("coxeter")
+    last = 2 * math.lcm(table.period, 2) - 1  # the parity has period 2
     parity = [c.node_parity(i) % 2 for i in range(c.graph.size)]
-    for n, (v,) in enumerate(levels):
-        for i, m in enumerate(v):
-            if m and n % 2 != parity[i]:
-                return False, f"node {i} has multiplicity {m} at parity-breaking n={n}"
+    off = [[int(q != k) for q in parity] for k in (0, 1)]  # 1 where node i vanishes at n = k mod 2
+    rows = enumerate(table.base + table.step)  # with P even, level kP + r has the parity of r
+    if table.period % 2 or any(any(map(mul, v, off[r % 2])) for r, v in rows):  # read levels
+        for n, (v,) in enumerate(_read([table], 2)[1]):
+            for i, m in enumerate(v):
+                if m and n % 2 != parity[i]:
+                    return False, f"node {i} has multiplicity {m} at parity-breaking n={n}"
     return True, f"multiplicities vanish off-parity for all n (levels 0..{last})"
 
 

@@ -12,6 +12,7 @@ import pytest
 from su2branch import binarygroups, branching, rootsys, verify
 from su2branch.branching import Branching
 from su2branch.cli import MAX_ORDER, MAX_RANK, _build_parser, main
+from su2branch.errors import ConsistencyError
 from su2branch.invariants import ORACLES
 
 from conftest import AFFINE_D4, e8_with_a_root_listed_twice, e8_with_doubled_simple_roots
@@ -211,6 +212,19 @@ def test_a_missing_generator_root_exits_1(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("internal check failure: E8: -1 has no square root mod ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_a_table_row_without_the_identity_exits_1(monkeypatch, capsys):
+    # A singular generator closes to {identity, zero matrix}, and the zero
+    # matrix's row of the table has no identity: the inverse search inside
+    # build_group is an internal check failure, on one line, not a usage error.
+    monkeypatch.setattr(binarygroups, "generators", lambda dtype, p, z: ((0, 0, 0, 0),))
+    code, out, err = run(capsys, "group", "--type", "E8")
+    assert (code, out) == (1, "")
+    assert err == "internal check failure: E8: a row of the table has no identity\n"
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups.build_group("E8", Branching.build("E8").params)
+    assert (info.value.dtype, info.value.stage) == ("E8", "build_group")
 
 
 def test_a_root_listed_twice_exits_1(monkeypatch, capsys):
@@ -482,6 +496,47 @@ def test_only_the_group_routes_load_binarygroups_and_only_json_output_loads_json
     cmd = [sys.executable, "-S", "-c", code]
     out = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert (out.returncode, out.stderr) == (0, f"{loaded}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], False),
+        (["branch", "--type", "E8", "--n", "17"], False),
+        (["mckay", "--type", "A3"], False),
+        (["group", "--type", "E6"], True),
+        (["table"], True),
+    ],
+)
+def test_only_table_verify_and_group_load_verify(argv, loaded):
+    # The package and the cli name verify's exports without importing it.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    code = (
+        "import sys, su2branch\n"
+        f"if {argv!r}:\n"
+        "    from su2branch.cli import main\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print('su2branch.verify' in sys.modules, file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, f"{loaded}\n")
+
+
+def test_the_package_loads_verify_at_the_first_use_of_its_names():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    code = (
+        "import sys, su2branch\n"
+        "assert 'su2branch.verify' not in sys.modules\n"
+        "from su2branch import ACCEPTED_TYPES, run_all, run_type_checks\n"
+        "from su2branch.verify import run_all as direct\n"
+        "assert run_all is direct and len(ACCEPTED_TYPES) == 18\n"
+        "try:\n"
+        "    su2branch.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "module 'su2branch' has no attribute 'no_such_name'\n")
 
 
 def test_readme_cli_synopsis_parses():

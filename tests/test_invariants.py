@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import operator
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -173,6 +174,172 @@ def test_every_swap_in_one_row_of_the_group_table_fails_group_sanity(name):
         swapped = replace(group, mult=mult, inverse=tuple(row.index(0) for row in mult))
         passed, detail = sanity.evaluate(SimpleNamespace(group=swapped, params=b.params))
         assert not passed and not detail.startswith("exception"), (i, j, detail)
+
+
+def _entry(name):
+    return next(inv for inv in INVARIANTS if inv.name == name)
+
+
+def _associativity_by_elements(group):
+    """The first failure of group sanity's table checks, walked element by
+    element: a reference for the screened entry."""
+    mult = group.mult
+    if any(line[0] != x for x, line in enumerate(mult)):
+        return "element 0 is not a right identity"
+    for g in group.generator_indices:
+        for x, line in enumerate(mult):
+            if any(mult[xy][g] != line[mult[y][g]] for y, xy in enumerate(line)):
+                return f"(x y) g != x (y g) at x = {x}, g = {g}"
+    return None
+
+
+@pytest.mark.parametrize("name", ["A13", "D12", "E6"])
+def test_every_swap_in_one_column_of_the_group_table_fails_group_sanity_as_walked(name):
+    # Two entries of one column of mult swapped: the column screen fails,
+    # and the element walk names the same (x, g) as a walk over every element.
+    b = bundle(name)
+    group, sanity, j = b.group, _entry("group sanity"), b.group.order // 2
+    for x, y in itertools.combinations(range(group.order), 2):
+        rows = [list(line) for line in group.mult]
+        rows[x][j], rows[y][j] = rows[y][j], rows[x][j]
+        swapped = replace(group, mult=tuple(map(tuple, rows)))
+        want = _associativity_by_elements(swapped)
+        assert want is not None, (x, y)
+        passed, detail = sanity.evaluate(SimpleNamespace(group=swapped, params=b.params))
+        assert (passed, detail) == (False, want), (x, y)
+
+
+@pytest.mark.parametrize("name", ["D12", "E8"])
+def test_every_wrong_inverse_fails_group_sanity_at_its_element(name):
+    b = bundle(name)
+    group, sanity = b.group, _entry("group sanity")
+    for x in range(group.order):
+        inverse = list(group.inverse)
+        inverse[x] = (inverse[x] + 1) % group.order
+        wrong = replace(group, inverse=tuple(inverse))
+        passed, detail = sanity.evaluate(SimpleNamespace(group=wrong, params=b.params))
+        assert (passed, detail) == (False, f"inverse fails at {x}")
+
+
+def _orthogonality_by_pairs(group, rows):
+    """The first class pair where column orthogonality fails, one inner
+    product at a time: a reference for the packed entry."""
+    columns, p, inverse = list(zip(*rows)), group.p, group.class_inverse
+    for c1, (col, size) in enumerate(zip(columns, group.class_sizes)):
+        for c2 in range(len(group.classes)):
+            val = sum(map(operator.mul, col, columns[inverse[c2]])) * size
+            if (val - (group.order if c1 == c2 else 0)) % p:
+                return f"column orthogonality fails at ({c1}, {c2})"
+    return None
+
+
+@pytest.mark.parametrize("name", ["D5", "E7", "E8"])
+def test_every_bumped_entry_in_one_character_row_fails_the_character_table_as_walked(name):
+    b = bundle(name)
+    group, table, entry = b.group, b.character_table, _entry("character table")
+    k = len(table.rows) // 2
+    for c in range(len(group.classes)):
+        rows = [list(row) for row in table.rows]
+        rows[k][c] = (rows[k][c] + 1) % group.p
+        bent = replace(table, rows=tuple(map(tuple, rows)))
+        want = _orthogonality_by_pairs(group, bent.rows)
+        assert want is not None, c
+        fake = SimpleNamespace(group=group, character_table=bent, graph=b.graph)
+        assert entry.evaluate(fake) == (False, want), c
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["base", "step"])
+@pytest.mark.parametrize("oracle,label", [("coxeter", "series"), ("recursion", "recursion"),
+                                          ("characters", "characters")])
+def test_every_bumped_row_of_a_route_fails_the_triple_oracle_at_its_level(oracle, label, part):
+    # One entry of one row of one route's E8 table (period 60) bumped: the
+    # rows differ, and the walk names the first level, as it always did.
+    b = bundle("E8")
+    tables = {name: b.periods(name) for name in ORACLES}
+    entry, node = _entry("triple oracle"), 4
+    for r in range(60):
+        bumped = {**tables, oracle: _bump_entry(tables[oracle], r, node, part)}
+        fake = SimpleNamespace(periods=bumped.__getitem__, graph=b.graph)
+        n = r + 60 * part
+        v = tables["recursion"].level(n)[node]
+        if oracle == "recursion":
+            want = f"series {v} != recursion {v + 1}"
+        else:
+            want = f"{label} {v + 1} != recursion {v}"
+        assert entry.evaluate(fake) == (False, f"{want} at n={n}, node {node}"), r
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["base", "step"])
+@pytest.mark.parametrize("name", ["D4", "D7", "E8"])
+def test_every_bumped_row_of_the_molien_table_fails_the_molien_average_at_its_level(
+    monkeypatch, name, part
+):
+    b = bundle(name)
+    e, entry = binarygroups.exponent(b.dtype), _entry("molien average")
+    real = binarygroups._period_table
+    for r in range(e):
+        monkeypatch.setattr(
+            binarygroups, "_period_table",
+            lambda *args: _bump_entry(real(*args), r, 0, part),
+        )
+        n = r + e * part
+        v = b.vector(n)[0]
+        want = f"group average {v + 1} != invariant series {v} at n={n}"
+        assert entry.evaluate(b) == (False, want), r
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["base", "step"])
+@pytest.mark.parametrize("name", ["A7", "D5", "E6", "E8"])
+def test_every_off_parity_entry_fails_parity_vanishing_at_its_level(name, part):
+    b = bundle(name)
+    table, entry = b.periods("coxeter"), _entry("parity vanishing")
+    for r in range(table.period):
+        for node in range(b.graph.size):
+            if b.node_parity(node) % 2 == r % 2:
+                continue
+            fake = SimpleNamespace(
+                periods={"coxeter": _bump_entry(table, r, node, part)}.__getitem__,
+                graph=b.graph, node_parity=b.node_parity,
+            )
+            n = r + table.period * part
+            want = f"node {node} has multiplicity 1 at parity-breaking n={n}"
+            assert entry.evaluate(fake) == (False, want), (r, node)
+
+
+@pytest.mark.parametrize("name", ["A5", "D6", "E7"])
+def test_every_exponent_moved_in_one_orbit_fails_orbit_exponents(name):
+    # One positive root of the last orbit gets exponent n + 2: a repeat, or
+    # past h, which the orbit walk names.
+    b = bundle(name)
+    rs, table, entry = b.rs, b.table, _entry("orbit exponents")
+    i, h = rs.rank, rs.coxeter_number
+    for x in table.orbits[i - 1]:
+        if x >= rs.num_positive:
+            continue
+        n = table.exponent[x] + 2
+        moved = replace(table, exponent={**table.exponent, x: n})
+        k = b.bp.side(i)
+        want = f"exponent {n} bad for side {k}" if n > h else f"orbit {i} exponent map is not a bijection"
+        assert entry.evaluate(SimpleNamespace(rs=rs, bp=b.bp, table=moved)) == (False, want), x
+
+
+@pytest.mark.parametrize("name", ["A5", "D6", "E8"])
+def test_every_root_replaced_in_the_last_orbit_fails_orbit_partition(name):
+    # A root of the last orbit replaced by one of the first orbit overlaps,
+    # by one of its own orbit shrinks it; a dropped root shortens it.
+    b = bundle(name)
+    rs, table, entry = b.rs, b.table, _entry("orbit partition")
+    i, h = rs.rank, rs.coxeter_number
+    last = table.orbits[i - 1]
+    for m in range(h):
+        cases = [
+            (last[:m] + (table.orbits[0][0],) + last[m + 1 :], f"orbit {i} overlaps a previous orbit"),
+            (last[:m] + (last[m - 1],) + last[m + 1 :], f"orbit {i} has size {h}"),
+            (last[:m] + last[m + 1 :], f"orbit {i} has size {h - 1}"),
+        ]
+        for orbit, want in cases:
+            bent = replace(table, orbits=(*table.orbits[: i - 1], orbit))
+            assert entry.evaluate(SimpleNamespace(rs=rs, table=bent)) == (False, want), (m, want)
 
 
 def test_a_generator_walk_past_the_group_order_fails_group_sanity():
@@ -350,27 +517,57 @@ def test_a_misread_level_fails_the_huge_level_entry(monkeypatch, shift):
     assert failed == {name: "coxeter" if name == "E6" else "characters" for name in ACCEPTED_TYPES}
 
 
-def test_range_entries_expand_each_route_once(monkeypatch):
-    """Each range entry expands each table it compares once, to 2L - 1,
-    from the route's proved table, never through a route's range API."""
-    reads, iterate = [], PeriodTable.__iter__
+def _range_reads(monkeypatch, name):
+    """The (entry, period, order) of every table iterated by a run on one
+    type, and the run's checks; no entry may call a route's range API."""
+    reads, iterate, evaluate, entry = [], PeriodTable.__iter__, Invariant.evaluate, [None]
 
     def counted(table):
-        reads.append((table.period, table.order))
+        reads.append((entry[0], table.period, table.order))
         return iterate(table)
+
+    def named(self, b):
+        entry[0] = self.name
+        return evaluate(self, b)
 
     def boom(*args):
         raise AssertionError("a range API was called")
 
     monkeypatch.setattr(PeriodTable, "__iter__", counted)
+    monkeypatch.setattr(Invariant, "evaluate", named)
     monkeypatch.setattr(binarygroups, "character_multiplicities", boom)
     monkeypatch.setattr(mckay, "recursion_oracle", boom)
-    checks = {c.name: c for c in run_type_checks("E6")}
+    checks = {c.name: c for c in run_type_checks(name)}
     assert all(c.passed for c in checks.values())
-    # triple oracle (coxeter, recursion, characters), molien (coxeter, the
-    # group average's own table of period E), sum rule, parity
-    assert reads == [(24, 47), (12, 47), (12, 47), (24, 47), (12, 47), (24, 47), (24, 47)]
+    return reads, checks
+
+
+def test_range_entries_expand_each_route_once(monkeypatch):
+    """Each range entry that reads levels expands each table it compares
+    once, to 2L - 1, from the route's proved table.  On E6 the route
+    tables' periods differ, 24 (coxeter) and 12 (recursion, characters),
+    so "triple oracle" reads levels, as "dimension sum rule" always does;
+    "molien average" reads only the group average's own table (period E =
+    12), as the Coxeter rows give node 0 at levels 0..47; "parity
+    vanishing" compares rows."""
+    reads, checks = _range_reads(monkeypatch, "E6")
+    assert reads == [
+        *(("triple oracle", period, 47) for period in (24, 12, 12)),
+        ("molien average", 12, 47),
+        ("dimension sum rule", 24, 47),
+    ]
     assert checks["E6 triple oracle"].detail.endswith("for all n (levels 0..47)")
+
+
+@pytest.mark.parametrize("name", [t for t in ACCEPTED_TYPES if t != "E6"])
+def test_only_the_dimension_sum_rule_reads_a_route_where_the_periods_agree(monkeypatch, name):
+    # Every route's table has one period P, as has Molien's: the other range
+    # entries compare rows, and no route's level is read but by the sum rule.
+    reads, checks = _range_reads(monkeypatch, name)
+    (period,) = {bundle(name).periods(oracle).period for oracle in ORACLES}
+    last = 2 * period - 1
+    assert reads == [("molien average", period, last), ("dimension sum rule", period, last)]
+    assert checks[f"{name} triple oracle"].detail.endswith(f"(levels 0..{last})")
 
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)

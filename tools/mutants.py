@@ -4,10 +4,13 @@ Usage: python tools/mutants.py LABEL MODULE [MODULE ...] [--timeout S]
 
 Each mutant changes one site of ``src/su2branch/MODULE.py``: a swap of
 < and <=, > and >=, == and !=, or + and -; a * turned into //; or an int
-constant plus 1.  Two guards run on a copy of ``src/`` and ``tests/``:
-``verify.run_all()`` in a subprocess, which records the registry entries
-that fail, and ``pytest -x tests/test_MODULE.py``.  A guard that outlives
-the timeout kills the mutant and is recorded as "hang".  Writes
+constant plus 1.  Two guards run on a copy of ``src/``, ``tests/`` and
+``bench/``: ``verify.run_all()`` in a subprocess, which records the
+registry entries that fail, and the tests.  The tests run as
+``pytest -x tests/test_MODULE.py`` first; a mutant that survives them is
+run against the whole tier-1 suite before it is recorded as a survivor,
+since another module's tests may kill it ("killed by tier-1").  A guard
+that outlives the timeout kills the mutant and is recorded as "hang".  Writes
 ``MUTANTS_LABEL.json`` at the repository root, with each entry's kill
 count and the mutants it alone kills.  Not a test and not a workload.
 """
@@ -62,13 +65,16 @@ def guard(argv, cwd, timeout):
 def probe(module, work, timeout):
     path = work / "src" / "su2branch" / f"{module}.py"
     source = (ROOT / "src" / "su2branch" / f"{module}.py").read_text()
-    tests = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", f"tests/test_{module}.py"]
+    pytest = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     for k, (node, _, op) in enumerate(sites(ast.parse(source))):
         path.write_text(mutant(source, k))
         run = guard([sys.executable, "-c", VERIFY], work, timeout)
         verify = "hang" if run is None else json.loads(run.stdout) if run.returncode == 0 else "error"
-        run = guard(tests, work, timeout)
+        run = guard([*pytest, f"tests/test_{module}.py"], work, timeout)
         own = "hang" if run is None else "killed" if run.returncode else "survived"
+        if own == "survived":  # tier-1, as CI runs it
+            run = guard([sys.executable, "-W", "error", *pytest[1:]], work, timeout)
+            own = "hang" if run is None else "killed by tier-1" if run.returncode else "survived"
         print(f"{module}:{node.lineno} {op}: verify {verify}, tests {own}", file=sys.stderr)
         yield {"module": module, "line": node.lineno, "op": op, "verify": verify, "tests": own}
     path.write_text(source)
@@ -82,7 +88,7 @@ def main():
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         mutants = [m for module in args.modules for m in probe(module, work, args.timeout)]
     failed = [m["verify"] for m in mutants if isinstance(m["verify"], list)]
