@@ -253,9 +253,8 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     right[k][mult[i][i_j]]`` for j's parent (i_j, k), so column j is
     column i_j gathered from ``right[k]``, and only the n * |gens|
     closure products are ever formed.  Overshooting |F*| during closure
-    aborts, as does a non-central -identity.  A closure that stops short
-    is returned as is: the registry's "group sanity" entry compares the
-    order with a*b/2.
+    aborts.  A closure that stops short is returned as is: the registry's
+    "group sanity" entry compares the order with a*b/2.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
@@ -298,8 +297,6 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     minus_identity = index.get((p - 1, 0, 0, p - 1))
     if minus_identity is None:
         raise _failure(dtype, "build_group", "-identity is not in the closure")
-    if mult[minus_identity] != columns[minus_identity]:
-        raise _failure(dtype, "build_group", "-identity is not central")
 
     classes, class_of = conjugacy_classes(mult, inverse)
     gens_at = tuple(row[0] for row in right)  # identity * gens[k]

@@ -34,12 +34,15 @@ period tables (:meth:`Branching.periods`) over levels 0..2L-1 (:func:`_read`),
 which rests on the tables' build-time proofs and on their one reader,
 :class:`~.seriescalc.PeriodTable`.  A table of period P holds at levels
 0..2P-1 what its base and step rows hold, so "triple oracle" (tables of
-one period), "molien average" (the Coxeter rows' node 0 against the
-group average) and "parity vanishing" screen rows and walk levels only
-to name a failure.  "triple oracle" reads levels where the periods
-differ (E6): with E6's group average, the only reads through the
-reader's packed paths.  "dimension sum rule" always reads levels.
-Only the group entries and the character route import :mod:`~.binarygroups`.
+one period) and "parity vanishing" screen rows and walk levels only to
+name a failure.  "triple oracle" reads levels where the periods differ
+(E6): the only reads through the reader's packed paths.  "dimension sum
+rule" always reads levels.  The group average
+(:func:`~.binarygroups.molien_series`) has no entry: its period table is
+the character table's node-0 column, from the same residue sums with
+weight |C| and the same (1, 1) at +-identity, so "triple oracle" already
+compares it with the Coxeter route's node 0.  Only the group entries and
+the character route import :mod:`~.binarygroups`.
 """
 
 from __future__ import annotations
@@ -139,6 +142,7 @@ def _root_counts(c: Branching) -> Result:
 
 
 def _bipartition(c: Branching) -> Result:
+    """No stage mutant needs it; it alone checks a hand-built ``Bipartition``."""
     rs, bp = c.rs, c.bp
     for part in (bp.part1, bp.part2):
         for i in part:
@@ -162,7 +166,9 @@ def _special_side(c: Branching) -> Result:
 def _coxeter_order(c: Branching) -> Result:
     """tau1 and tau2 square to one, and sigma's order, the lcm of its cycle
     lengths, is h.  A sigma that is not a permutation has no order and
-    fails with the "exactly" detail."""
+    fails with the "exactly" detail.  No stage mutant needs it; it alone
+    checks a hand-built ``cox.sigma``, as "orbit partition" reads the orbit
+    table, not sigma."""
     cox, h = c.cox, c.rs.coxeter_number
     ident = perm_identity(len(cox.sigma))
     if perm_compose(cox.tau1, cox.tau1) != ident or perm_compose(cox.tau2, cox.tau2) != ident:
@@ -225,6 +231,7 @@ def _orbit_exponents(c: Branching) -> Result:
 
 
 def _negates_positives(c: Branching) -> Result:
+    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
     rs = c.rs
     num_pos = rs.num_positive
     bad = []
@@ -235,6 +242,8 @@ def _negates_positives(c: Branching) -> Result:
 
 
 def _negates_class(k: int) -> Callable[[Branching], Result]:
+    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
+
     def predicate(c: Branching) -> Result:
         rs = c.rs
         part = c.bp.part1 if k == 1 else c.bp.part2
@@ -246,6 +255,7 @@ def _negates_class(k: int) -> Callable[[Branching], Result]:
 
 
 def _negates_special(c: Branching) -> Result:
+    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
     rs, special = c.rs, c.params.special
     alpha = rs.index_of(rs.simple_root(special))
     ok = c.kappa[alpha] == rs.negation(alpha)
@@ -253,6 +263,7 @@ def _negates_special(c: Branching) -> Result:
 
 
 def _reaches_special(c: Branching) -> Result:
+    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
     rs, table, special = c.rs, c.table, c.params.special
     g = rs.coxeter_number // 2
     steps = (g - 1) // 2 if g % 2 == 1 else g // 2
@@ -263,24 +274,16 @@ def _reaches_special(c: Branching) -> Result:
     return ok, f"g = {g}, steps = {steps}" + ("" if ok else f"; landed on {rs.root_at(reached)}")
 
 
-def _shares_orbit(c: Branching) -> Result:
-    rs = c.rs
-    node = c.table.orbit_node[rs.index_of(rs.highest_root)]
-    return node == c.params.special, f"orbit of highest root: node {node}"
-
-
-def _kappa_involution(c: Branching) -> Result:
-    g = c.rs.coxeter_number // 2
-    return perm_compose(c.kappa, c.kappa) == perm_identity(len(c.kappa)), f"2g = {2 * g}"
-
-
 def _kappa_commutes(c: Branching) -> Result:
+    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
     kappa, cox = c.kappa, c.cox
     ok = all(perm_compose(kappa, tau) == perm_compose(tau, kappa) for tau in (cox.tau1, cox.tau2))
     return ok, "both factors"
 
 
-#: sigma^g as the longest Weyl element; audit-only.
+#: sigma^g as the longest Weyl element; audit-only.  No mutant of any module
+#: fails one of these alone outside its own predicate: they state Kostant's
+#: theorem (arXiv math/0411142), and no stage or output reads sigma^g.
 LONGEST_ELEMENT: tuple[Invariant, ...] = tuple(
     Invariant(name, "coxeter_element", predicate)
     for name, predicate in (
@@ -292,8 +295,6 @@ LONGEST_ELEMENT: tuple[Invariant, ...] = tuple(
             "highest root reaches the signed special root in (g-1)/2 or g/2 steps",
             _reaches_special,
         ),
-        ("highest root and special root share an orbit", _shares_orbit),
-        ("sigma^2g is the identity", _kappa_involution),
         ("sigma^g commutes with tau1 and tau2", _kappa_commutes),
     )
 )
@@ -488,22 +489,9 @@ def _huge_level(c: Branching) -> Result:
     return True, f"coxeter == recursion == characters at n={n}"
 
 
-def _molien(c: Branching) -> Result:
-    from . import binarygroups
-    # Molien's own table has the group's period E; it never reads the character table.
-    cox, e = c.periods("coxeter"), binarygroups.exponent(c.dtype)
-    last = 2 * math.lcm(cox.period, e) - 1
-    averages = binarygroups.molien_series(c.group, last)
-    series = [v[0] for v in cox.base]  # node 0 at levels 0..2P-1, from the rows
-    series += [x + d[0] for x, d in zip(series, cox.step)]
-    if tuple(series) != averages:  # too short when L > P: read the levels then, too
-        for n, (m, (v,)) in enumerate(zip(averages, _read([cox], e)[1])):
-            if m != v[0]:
-                return False, f"group average {m} != invariant series {v[0]} at n={n}"
-    return True, f"group average matches invariant series for all n (levels 0..{last})"
-
-
 def _sum_rule(c: Branching) -> Result:
+    """No mutant needs it alone; the one range check not between routes, so it
+    holds against a fault the three share (their one level reader)."""
     marks = c.graph.marks_ext
     last, levels = _read([c.periods("coxeter")])  # n + 1 has period 1
     for n, (v,) in enumerate(levels):
@@ -513,6 +501,8 @@ def _sum_rule(c: Branching) -> Result:
 
 
 def _parity_vanishing(c: Branching) -> Result:
+    """No mutant needs it alone; with a and b even it follows from the numerators'
+    exponent parity, and it stays as the one range check against the node parity."""
     table = c.periods("coxeter")
     last = 2 * math.lcm(table.period, 2) - 1  # the parity has period 2
     parity = [c.node_parity(i) % 2 for i in range(c.graph.size)]
@@ -544,7 +534,6 @@ INVARIANTS: tuple[Invariant, ...] = (
     Invariant("character table", "character_table", _character_table),
     Invariant("triple oracle", "oracles", _triple_oracle),
     Invariant("huge-level triple oracle", "oracles", _huge_level),
-    Invariant("molien average", "oracles", _molien),
     Invariant("dimension sum rule", "oracles", _sum_rule),
     Invariant("parity vanishing", "oracles", _parity_vanishing),
 )

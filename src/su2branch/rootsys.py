@@ -191,12 +191,6 @@ class RootSystem(ReadOnly):
         images = [[sum(map(mul, row, r)) for row in self.cartan] for r in self.roots]
         return tuple(map(self._key, self.roots)), tuple(map(self._key, images))
 
-    @cached_property
-    def pairings(self) -> tuple[tuple[int, ...], ...]:
-        """``pairings[i - 1][k]`` = (root k, alpha_i), from the packed images; no stage reads it."""
-        rows = zip(*[q.to_bytes(self.rank, "big") for q in self._forms[1]])
-        return tuple(tuple([b - 8 for b in row]) for row in rows)
-
     def is_root(self, x: Root) -> bool:
         return self._key(x) in self._index
 

@@ -271,21 +271,21 @@ def test_every_bumped_row_of_a_route_fails_the_triple_oracle_at_its_level(oracle
 
 @pytest.mark.parametrize("part", [0, 1], ids=["base", "step"])
 @pytest.mark.parametrize("name", ["D4", "D7", "E8"])
-def test_every_bumped_row_of_the_molien_table_fails_the_molien_average_at_its_level(
-    monkeypatch, name, part
+def test_every_bumped_node_0_entry_of_the_characters_fails_the_triple_oracle_at_its_level(
+    name, part
 ):
+    # The character route's node-0 column is the group average (molien_series):
+    # a wrong invariant dimension at any residue fails the three-way compare.
     b = bundle(name)
-    e, entry = binarygroups.exponent(b.dtype), _entry("molien average")
-    real = binarygroups._period_table
+    tables = {oracle: b.periods(oracle) for oracle in ORACLES}
+    e, entry = tables["characters"].period, _entry("triple oracle")
     for r in range(e):
-        monkeypatch.setattr(
-            binarygroups, "_period_table",
-            lambda *args: _bump_entry(real(*args), r, 0, part),
-        )
+        bumped = {**tables, "characters": _bump_entry(tables["characters"], r, 0, part)}
+        fake = SimpleNamespace(periods=bumped.__getitem__, graph=b.graph)
         n = r + e * part
-        v = b.vector(n)[0]
-        want = f"group average {v + 1} != invariant series {v} at n={n}"
-        assert entry.evaluate(b) == (False, want), r
+        v = tables["recursion"].level(n)[0]
+        want = f"characters {v + 1} != recursion {v} at n={n}, node 0"
+        assert entry.evaluate(fake) == (False, want), r
 
 
 @pytest.mark.parametrize("part", [0, 1], ids=["base", "step"])
@@ -359,7 +359,7 @@ TABLE_READERS = ["character table", "triple oracle", "huge-level triple oracle"]
 @pytest.mark.parametrize(
     "stage,failing",
     [
-        ("build_group", ["group sanity", *TABLE_READERS, "molien average"]),
+        ("build_group", ["group sanity", *TABLE_READERS]),
         ("character_table", TABLE_READERS),
     ],
 )
@@ -381,25 +381,37 @@ def test_failed_group_build_runs_once(monkeypatch, stage, failing):
     ]
 
 
+def _one_generator(monkeypatch):
+    """Groups that record only their first generator: "group sanity" alone
+    reads the generators, and D4's first, i, reaches 4 of the 8 elements."""
+    build = binarygroups.build_group
+
+    def short(*args):
+        group = build(*args)
+        return replace(group, generator_indices=group.generator_indices[:1])
+
+    monkeypatch.setattr(binarygroups, "build_group", short)
+
+
 def test_failed_audit_entry_is_one_fail_line(monkeypatch):
-    monkeypatch.setattr(binarygroups, "molien_series", lambda group, order: (0,) * (order + 1))
+    _one_generator(monkeypatch)
     checks = run_type_checks("D4")
-    assert [c.name for c in checks if not c.passed] == ["D4 molien average"]
+    assert [c.name for c in checks if not c.passed] == ["D4 group sanity"]
     assert len(checks) == len(registry("D4"))
 
 
 def test_failed_records_carry_stage_and_invariant(monkeypatch, capsys):
-    monkeypatch.setattr(binarygroups, "molien_series", lambda group, order: (0,) * (order + 1))
+    _one_generator(monkeypatch)
     assert main(["verify", "--type", "D4", "--json"]) == 1
     records = json.loads(capsys.readouterr().out)["checks"]
     failed = [r for r in records if not r["passed"]]
     assert failed == [
         {
-            "name": "D4 molien average",
+            "name": "D4 group sanity",
             "passed": False,
-            "detail": "group average 0 != invariant series 1 at n=0",
-            "stage": "oracles",
-            "invariant": "molien average",
+            "detail": "4 elements are not words in the generators",
+            "stage": "build_group",
+            "invariant": "group sanity",
         }
     ]
     assert all(set(r) == {"name", "passed", "detail"} for r in records if r["passed"])
@@ -442,31 +454,14 @@ def _bump_entry(table, r, node=0, part=1):
     return PeriodTable(base, step, table.order)
 
 
-def _corrupt_group_tables(monkeypatch, molien, r):
-    """Bump step r of Molien's table (``molien``) or of the character table's."""
-    real = binarygroups._period_table
-
-    def corrupted(group, central, residues, names):
-        table = real(group, central, residues, names)
-        return _bump_entry(table, r) if (names == (None,)) == molien else table
-
-    monkeypatch.setattr(binarygroups, "_period_table", corrupted)
-
-
 def test_characters_are_checked_at_the_full_depth(monkeypatch):
-    # D4 has 2L = 8: step 1 first shows at n = 1 + 4, below 8.
-    _corrupt_group_tables(monkeypatch, molien=False, r=1)
+    # Node 0's step 1 of the character table (the group average's) bumped:
+    # D4 has 2L = 8, and step 1 first shows at n = 1 + 4, below 8.
+    real = binarygroups._period_table
+    monkeypatch.setattr(binarygroups, "_period_table", lambda *args: _bump_entry(real(*args), 1))
     failed = {c.name: c.detail for c in run_type_checks("D4") if not c.passed}
     assert list(failed) == ["D4 triple oracle", "D4 huge-level triple oracle"]
     assert failed["D4 triple oracle"] == "characters 1 != recursion 0 at n=5, node 0"
-
-
-def test_molien_average_is_checked_at_the_full_depth(monkeypatch):
-    _corrupt_group_tables(monkeypatch, molien=True, r=2)
-    checks = run_type_checks("D4")
-    assert [(c.name, c.detail) for c in checks if not c.passed] == [
-        ("D4 molien average", "group average 2 != invariant series 1 at n=6")
-    ]
 
 
 @pytest.mark.parametrize("part,level", [(0, 59), (1, 119)])
@@ -546,14 +541,12 @@ def test_range_entries_expand_each_route_once(monkeypatch):
     """Each range entry that reads levels expands each table it compares
     once, to 2L - 1, from the route's proved table.  On E6 the route
     tables' periods differ, 24 (coxeter) and 12 (recursion, characters),
-    so "triple oracle" reads levels, as "dimension sum rule" always does;
-    "molien average" reads only the group average's own table (period E =
-    12), as the Coxeter rows give node 0 at levels 0..47; "parity
-    vanishing" compares rows."""
+    so "triple oracle" reads levels, as "dimension sum rule" always does:
+    E6's "triple oracle" makes verify's only reads through the reader's
+    packed paths.  "parity vanishing" compares rows."""
     reads, checks = _range_reads(monkeypatch, "E6")
     assert reads == [
         *(("triple oracle", period, 47) for period in (24, 12, 12)),
-        ("molien average", 12, 47),
         ("dimension sum rule", 24, 47),
     ]
     assert checks["E6 triple oracle"].detail.endswith("for all n (levels 0..47)")
@@ -561,12 +554,12 @@ def test_range_entries_expand_each_route_once(monkeypatch):
 
 @pytest.mark.parametrize("name", [t for t in ACCEPTED_TYPES if t != "E6"])
 def test_only_the_dimension_sum_rule_reads_a_route_where_the_periods_agree(monkeypatch, name):
-    # Every route's table has one period P, as has Molien's: the other range
-    # entries compare rows, and no route's level is read but by the sum rule.
+    # Every route's table has one period P: the other range entries compare
+    # rows, and no route's level is read but by the sum rule.
     reads, checks = _range_reads(monkeypatch, name)
     (period,) = {bundle(name).periods(oracle).period for oracle in ORACLES}
     last = 2 * period - 1
-    assert reads == [("molien average", period, last), ("dimension sum rule", period, last)]
+    assert reads == [("dimension sum rule", period, last)]
     assert checks[f"{name} triple oracle"].detail.endswith(f"(levels 0..{last})")
 
 

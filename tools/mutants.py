@@ -12,7 +12,8 @@ run against the whole tier-1 suite before it is recorded as a survivor,
 since another module's tests may kill it ("killed by tier-1").  A guard
 that outlives the timeout kills the mutant and is recorded as "hang".  Writes
 ``MUTANTS_LABEL.json`` at the repository root, with each entry's kill
-count and the mutants it alone kills.  Not a test and not a workload.
+count and the mutants it alone kills, and each mutant's line and
+enclosing function.  Not a test and not a workload.
 """
 
 import argparse, ast, json, os, shutil, subprocess, sys, tempfile  # noqa: E401
@@ -29,22 +30,28 @@ VERIFY = ("import json; from su2branch.verify import run_all; "
 
 
 def sites(tree):
-    """(node, slot, description) per mutable site, in ast.walk order."""
+    """(node, slot, description, function) per mutable site, in ast.walk
+    order; ``function`` is the innermost enclosing def, or "<module>"."""
+    owner = {}
+    for node in ast.walk(tree):  # breadth first, so an inner def overwrites its outer one
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(node), node.name))
     for node in ast.walk(tree):
+        function = owner.get(node, "<module>")
         if isinstance(node, ast.Compare):
             for j, op in enumerate(node.ops):
                 if type(op) in SWAP:
-                    yield node, j, f"{SYMBOL[type(op)]} -> {SYMBOL[SWAP[type(op)]]}"
+                    yield node, j, f"{SYMBOL[type(op)]} -> {SYMBOL[SWAP[type(op)]]}", function
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAP:
-            yield node, None, f"{SYMBOL[type(node.op)]} -> {SYMBOL[SWAP[type(node.op)]]}"
+            yield node, None, f"{SYMBOL[type(node.op)]} -> {SYMBOL[SWAP[type(node.op)]]}", function
         elif isinstance(node, ast.Constant) and type(node.value) is int:
-            yield node, None, f"{node.value} -> {node.value + 1}"
+            yield node, None, f"{node.value} -> {node.value + 1}", function
 
 
 def mutant(source, k):
     """The source with site k changed."""
     tree = ast.parse(source)
-    node, j, _ = list(sites(tree))[k]
+    node, j, _, _ = list(sites(tree))[k]
     if isinstance(node, ast.Compare):
         node.ops[j] = SWAP[type(node.ops[j])]()
     elif isinstance(node, ast.Constant):
@@ -66,7 +73,7 @@ def probe(module, work, timeout):
     path = work / "src" / "su2branch" / f"{module}.py"
     source = (ROOT / "src" / "su2branch" / f"{module}.py").read_text()
     pytest = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-    for k, (node, _, op) in enumerate(sites(ast.parse(source))):
+    for k, (node, _, op, function) in enumerate(sites(ast.parse(source))):
         path.write_text(mutant(source, k))
         run = guard([sys.executable, "-c", VERIFY], work, timeout)
         verify = "hang" if run is None else json.loads(run.stdout) if run.returncode == 0 else "error"
@@ -76,7 +83,8 @@ def probe(module, work, timeout):
             run = guard([sys.executable, "-W", "error", *pytest[1:]], work, timeout)
             own = "hang" if run is None else "killed by tier-1" if run.returncode else "survived"
         print(f"{module}:{node.lineno} {op}: verify {verify}, tests {own}", file=sys.stderr)
-        yield {"module": module, "line": node.lineno, "op": op, "verify": verify, "tests": own}
+        yield {"module": module, "line": node.lineno, "function": function, "op": op,
+               "verify": verify, "tests": own}
     path.write_text(source)
 
 
