@@ -172,6 +172,10 @@ class FiniteGroup:
         return tuple(len(c) for c in self.classes)
 
     def representatives(self) -> tuple[int, ...]:
+        return self._representatives
+
+    @cached_property
+    def _representatives(self) -> tuple[int, ...]:  # each class's smallest member, made once
         return tuple(c[0] for c in self.classes)
 
     @cached_property
@@ -430,12 +434,11 @@ def _period_table(
     chi(1) +- chi(-1) by that parity (:func:`_multiplicity`): base[r] =
     ((r + 1) c + rest[r]) / |F*| and step[r] = E c / |F*|, one step row
     per parity.  Every base entry and both step rows must be nonnegative
-    integers; then so is every level base[r] + k step[r], and the table is
-    the one :meth:`~.seriescalc.PeriodTable.of` gives from the levels
-    0..2E-1.  Otherwise those levels are checked in turn by
-    :func:`_multiplicity`, whose first failure, or else the first negative
-    step, names the fault.  ``names`` labels the columns in errors
-    (:func:`_column`).
+    integers; then so is every level base[r] + k step[r], and base[r] and
+    step[r] are level r and level r + E minus level r.  Otherwise those
+    levels are checked in turn by :func:`_multiplicity`, whose first
+    failure, or else the first negative step, names the fault.  ``names``
+    labels the columns in errors (:func:`_column`).
     """
     e, order = len(residues), group.order
     signs = ([a + b for a, b in central], [a - b for a, b in central])  # c at even r, at odd r
@@ -457,7 +460,8 @@ def _period_table(
     for n, row in enumerate(residues + residues):
         for c, rest, name in zip(central, row, names):
             _multiplicity(group, n, c, rest, name)
-    r, i = table.negative_step()  # every level passed, so a step is negative
+    # every level passed, so a step is negative: name the first in level order
+    r, i = next((r, i) for r, step in enumerate(table.step) for i, d in enumerate(step) if d < 0)
     problem = f"{_column(names[i])} has a negative step {table.step[r][i]} at residue {r}"
     raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
 

@@ -12,15 +12,17 @@ The eigenvalues of A are 2 cos(2 pi k / m) for the element orders m,
 so v_n is a degree-1 quasi-polynomial in n.  Each graph certifies a
 period P of the recursion once, in exact integers (P <= |F*| <= 4
 size^2: at most 60 on the 18 verify types, 72 for A71 and 276 for D71
-at the rank cap), as a :class:`~.seriescalc.PeriodTable` whose levels
-and steps it checks once; :func:`recursion_oracle` returns it to the
-order asked, and its level n costs O(size) for any n and checks nothing.
+at the rank cap), as a :class:`~.seriescalc.PeriodTable`: every dimension
+sum follows from marks_ext A = 2 marks_ext, a level costs one packed A v
+and one mask.  :func:`recursion_oracle` returns it to the order asked; its
+level n costs O(size) for any n and checks nothing.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import cached_property
+from itertools import chain, compress, repeat
 from operator import mul
 
 from .errors import ConsistencyError
@@ -63,54 +65,84 @@ class McKayGraph(ReadOnly):
         bound is not a McKay graph and aborts, as does any computed level
         with a negative entry or a wrong dimension sum.
 
-        Each step is then checked once to have no negative entry.  Its
-        dimension sum sum_i marks_ext[i] step[r][i] is P, the difference of
-        the checked levels r + P and r, (r + P + 1) - (r + 1).  With the
-        checked base levels this proves every level: v_(r+kP) = v_r +
-        k step[r] is nonnegative and has dimension sum (r + 1) + kP = n + 1,
-        so no read checks again.
+        Dimension sums, proved once.  With d_n = sum_i marks_ext[i] v_n[i],
+        level 0's check gives d_0 = marks_ext[0] = 1, and d_(-1) = 0.  If
+        sum_i marks_ext[i] A[i][j] = 2 marks_ext[j] for every column j, then
+        d_(n+1) = 2 d_n - d_(n-1), so d_n = n + 1 at every level; on a graph
+        that fails this column test, each level's sum is checked instead.
+        Each step is checked once to have no negative entry; its dimension
+        sum is (r + P + 1) - (r + 1) = P.  So every level v_r + k step[r] is
+        nonnegative with dimension sum n + 1, and no read checks again.
 
         Packed levels.  Level n is one int, sum v_i 2^(64 i), a signed
         64-bit field per node.  With 2^63 added to each field, A v is one
         masked shift per edge offset and coefficient; the period test is int
         equality.  Field bound: with R the largest absolute row sum of A, a
         level in -2^E..2^E-1, E = 63 - bitlength(R + 2), has a next level
-        below (R + 1) 2^E, inside its fields, and one mask per level refuses
-        an entry past 2^E, so outgrown fields raise, never carry.
+        below (R + 1) 2^E, inside its fields.  One mask per level passes
+        exactly when every entry lies in 0..2^E-1, so outgrown fields raise,
+        never carry.  A level is unpacked and checked, which names the fault,
+        only when it fails the mask or the graph fails the column test.
+        Otherwise only the P base levels and the P steps are unpacked; a step
+        is a packed difference, its sign the top bit of each biased field.
         """
-        size = self.size
-        cap = 4 * size * size
-        fields, high = struct.Struct(f"<{size}q"), sum(1 << 64 * i + 63 for i in range(size))
+        size, adjacency, marks = self.size, self.adjacency, self.marks_ext
+        cap, nodes = 4 * size * size, range(size)
+        fields, ones = struct.Struct(f"<{size}q"), ((1 << 64 * size) - 1) // ((1 << 64) - 1)
+        high = ones << 63  # ones: 1 in every field
         gathers: dict[tuple[int, int], int] = {}  # (offset, coefficient) -> its rows' fields
-        for i, row in enumerate(self.adjacency):
-            for j, c in enumerate(row):
-                if c:
-                    gathers[j - i, c] = gathers.get((j - i, c), 0) | (1 << 64) - 1 << 64 * i
-        shifts = [(64 * max(-d, 0), 64 * max(d, 0), c, mask) for (d, c), mask in gathers.items()]
-        unbias = sum(sum(row) << 64 * i + 63 for i, row in enumerate(self.adjacency))
-        bits = 63 - (max(sum(map(abs, row)) for row in self.adjacency) + 2).bit_length()
-        ones = high >> 63  # 1 in every field
+        column, bound = [0] * size, 0  # marks_ext A; R, the largest absolute row sum
+        for i, row, m in zip(nodes, adjacency, chain(marks, repeat(0))):
+            total = 0
+            for j in compress(nodes, row):
+                c = row[j]
+                gathers[j - i, c] = gathers.get((j - i, c), 0) | (1 << 64) - 1 << 64 * i
+                column[j] += m * c
+                total += abs(c)
+            bound = max(bound, total)
+        terms = [(64 * d, c, mask) for (d, c), mask in gathers.items()]
+        down = [(s, mask) for s, c, mask in terms if c == 1 and s >= 0]  # one shift, no multiply
+        up = [(-s, mask) for s, c, mask in terms if c == 1 and s < 0]
+        scaled = [(max(-s, 0), max(s, 0), c, mask) for s, c, mask in terms if c != 1]
+        unbias = sum(c * (mask & ones) for (_, c), mask in gathers.items()) << 63  # A's 2^63 row sums
+        bits = 63 - (bound + 2).bit_length()
         half, outside = ones << bits, ones * ((1 << 64) - (2 << bits))  # 2^bits, bits above it
-        levels, biased, prev = [1], 1 + high, 0
-        vectors = [_check_level(self, (1,) + (0,) * (size - 1), 0)]
+        screen = ones * ((1 << 64) - (1 << bits))  # bits bits..63: high exactly on 0..2^bits-1
+        _check_level(self, (1,) + (0,) * (size - 1), 0)
+        proved = column == [2 * m for m in marks]  # the column test
+
+        def unpack(biased: int) -> Vector:
+            return fields.unpack((biased ^ high).to_bytes(fields.size, "little"))
+
+        levels, biased, prev, start = [1], 1 + high, 0, -unbias
         for period in range(1, cap + 1):
             while (n := len(levels)) < 2 * period + 2:
-                cur = -unbias - prev
-                for left, right, c, mask in shifts:
+                cur = start - prev
+                for s, mask in down:
+                    cur += biased >> s & mask
+                for s, mask in up:
+                    cur += biased << s & mask
+                for left, right, c, mask in scaled:
                     cur += c * (biased << left >> right & mask)
                 prev, biased = levels[-1], cur + high
-                v = fields.unpack((biased ^ high).to_bytes(fields.size, "little"))
-                if (biased + half) & outside != high:  # an entry outside -2^bits..2^bits-1
-                    raise _failure(self, f"level {n} passes the field bound 2^{bits}: {v}")
+                if not proved or biased & screen != high:
+                    v = unpack(biased)
+                    if (biased + half) & outside != high:  # an entry outside -2^bits..2^bits-1
+                        raise _failure(self, f"level {n} passes the field bound 2^{bits}: {v}")
+                    _check_level(self, v, n)
                 levels.append(cur)
-                vectors.append(_check_level(self, v, n))
-            w = [levels[r] + levels[r + 2 * period] - 2 * levels[r + period] for r in (0, 1)]
-            if w == [0, 0]:
-                table = PeriodTable.of(vectors, period)
-                if miss := table.negative_step():
-                    where = f"step {miss[0]} of period {period}: {table.step[miss[0]]}"
-                    raise _failure(self, f"negative multiplicity at {where}")
-                return table
+            if levels[0] + levels[2 * period] == 2 * levels[period] and (
+                levels[1] + levels[2 * period + 1] == 2 * levels[period + 1]
+            ):
+                step = []
+                for r in range(period):
+                    d = levels[r + period] - levels[r] + high  # step r, biased
+                    step.append(unpack(d))
+                    if d & high != high:  # a top bit clear: a negative entry
+                        where = f"step {r} of period {period}: {step[r]}"
+                        raise _failure(self, f"negative multiplicity at {where}")
+                base = tuple([unpack(x + high) for x in levels[:period]])
+                return PeriodTable(base, tuple(step), 2 * period - 1)
         raise _failure(self, f"tensor recursion has no period up to {cap}")
 
 

@@ -8,11 +8,10 @@ Dense storage: every degree in play here is small.
 Each oracle's multiplicity vectors form a degree-1 quasi-polynomial in
 the level n: with a period P, a base ``base[r]`` and a step ``step[r]``
 for r = 0..P-1, level n = k P + r is ``base[r] + k step[r]``.  One
-read-only type holds it, :class:`PeriodTable`.  The recursion route
-builds its table with :meth:`PeriodTable.of` from its levels 0..2P-1,
-the Coxeter route from packed ones, the characters in closed form; each
-route proves its table once, where it is built; every read (a level, an
-iteration, a view to another order) checks nothing.
+read-only type holds it, :class:`PeriodTable`.  The recursion and
+Coxeter routes build their tables from packed levels, the characters in
+closed form; each route proves its table once, where it is built; every
+read (a level, an iteration, a view to another order) checks nothing.
 
 Read cost.  On the third read of residue r past the base levels, or when
 an iteration reads every residue at least three times past them, residue
@@ -38,7 +37,7 @@ running sum.  Every view of a table shares its packed residues.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from operator import add
 
@@ -95,11 +94,11 @@ class PeriodTable(ReadOnly):
     period P = ``len(base)``.  Read-only: the routes cache and share it, and
     it hashes by identity, like every other record.
 
-    Built by :meth:`of`; :meth:`upto` shares ``base``, ``step`` and the packed
-    residues at another order.  Three reads: :meth:`level` (also
-    ``table[n]``) gives level n for any integer n, whatever ``order`` is;
-    iteration yields levels 0..order; ``upto`` gives a view to another
-    order.  A level costs one multiply-add of packed 64-bit fields once its
+    Built from its base and step rows; :meth:`upto` shares ``base``,
+    ``step`` and the packed residues at another order.  Three reads:
+    :meth:`level` (also ``table[n]``) gives level n for any integer n,
+    whatever ``order`` is; iteration yields levels 0..order; ``upto`` gives
+    a view to another order.  A level costs one multiply-add of packed 64-bit fields once its
     residue is packed and 1 <= k <= kmax, the residue's bound, and O(size)
     exact int operations otherwise (module docstring); iteration one packed
     or exact running addition per level.
@@ -113,16 +112,6 @@ class PeriodTable(ReadOnly):
         # upto view shares its table's list.
         period = len(base)
         vars(self).update(base=base, step=step, order=order, period=period, _packed=[0] * period)
-
-    @classmethod
-    def of(cls, levels: Sequence[Vector], period: int) -> PeriodTable:
-        """The table of levels 0..2P-1 for the period P, to order 2P-1:
-        base[r] = levels[r] and step[r] = levels[r + P] - levels[r].  The
-        caller proves that the steps repeat, i.e. that levels[n + 2P] -
-        2 levels[n + P] + levels[n] vanishes for every n >= 0."""
-        base = tuple(levels[:period])
-        step = tuple(tuple([y - x for x, y in zip(u, w)]) for u, w in zip(base, levels[period:]))
-        return cls(base, step, 2 * period - 1)
 
     def upto(self, order: int) -> PeriodTable:
         """The levels 0..order, sharing this table's ``base``, ``step`` and
@@ -154,11 +143,6 @@ class PeriodTable(ReadOnly):
                 pass
         self._packed[r] = packed
         return packed
-
-    def negative_step(self) -> tuple[int, int] | None:
-        """The first (r, i) with step[r][i] < 0, or None: no level then falls below its base."""
-        pairs = ((r, i) for r, step in enumerate(self.step) for i, d in enumerate(step) if d < 0)
-        return next(pairs, None)
 
     def level(self, n: int) -> Vector:
         """Level n, ``base[r] + k step[r]`` for n = k P + r (floor division),

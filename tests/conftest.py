@@ -8,7 +8,7 @@ from functools import lru_cache
 
 from su2branch import Branching
 from su2branch.rootsys import DiagramType, build_root_system, cartan_matrix
-from su2branch.seriescalc import poly
+from su2branch.seriescalc import PeriodTable, poly
 
 
 @lru_cache(maxsize=None)
@@ -26,6 +26,14 @@ def group_for(type_str: str):
 
 def table_for(type_str: str):
     return bundle(type_str).character_table
+
+
+def table_of(levels, period):
+    """The period table of levels 0..2P-1 for the period P, to order 2P-1:
+    base[r] = levels[r] and step[r] = levels[r + P] - levels[r]."""
+    base = tuple(levels[:period])
+    step = tuple(tuple(y - x for x, y in zip(u, w)) for u, w in zip(base, levels[period:]))
+    return PeriodTable(base, step, 2 * period - 1)
 
 
 def replace(obj, **changes):

@@ -19,10 +19,9 @@ from su2branch.binarygroups import (
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, _character_table
 from su2branch.mckay import recursion_oracle
-from su2branch.seriescalc import PeriodTable
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, graph_for, group_for, replace, table_for
+from conftest import bundle, graph_for, group_for, replace, table_for, table_of
 
 #: Every type the character route accepts: A1 is not in ACCEPTED_TYPES.
 CHARACTER_TYPES = (*ACCEPTED_TYPES, "A1")
@@ -439,8 +438,9 @@ def _checked_levels(group, central, residues, names):
         tuple(check(group, n, c, rest, name) for c, rest, name in zip(central, row, names))
         for n, row in enumerate(residues + residues)
     ]
-    table = PeriodTable.of(levels, len(residues))
-    if miss := table.negative_step():
+    table = table_of(levels, len(residues))
+    negative = ((r, i) for r, step in enumerate(table.step) for i, d in enumerate(step) if d < 0)
+    if miss := next(negative, None):
         r, i = miss
         problem = f"{binarygroups._column(names[i])} has a negative step {table.step[r][i]}"
         raise ConsistencyError(f"{group.dtype}: {problem} at residue {r} of period {len(residues)}")

@@ -18,6 +18,7 @@ from conftest import (
     poly_add,
     poly_mul,
     poly_truncate,
+    table_of,
 )
 
 small_polys = st.lists(st.integers(-9, 9), max_size=12).map(poly)
@@ -106,15 +107,6 @@ def test_poly_str():
     assert poly_str((3,)) == "3"
 
 
-def test_negative_step_is_the_first_in_level_order():
-    # Period 2, two columns: step 0 is (1, 0), step 1 is (0, -1), so the
-    # only negative entry is residue 1, column 1.
-    table = PeriodTable.of([(1, 0), (2, 3), (2, 0), (2, 2)], 2)
-    assert table.negative_step() == (1, 1)
-    assert PeriodTable.of([(1, 0), (2, 3), (2, 0), (2, 3)], 2).negative_step() is None
-    assert PeriodTable((), (), 0).negative_step() is None
-
-
 @st.composite
 def levels_and_period(draw):
     size, period = draw(st.integers(1, 3)), draw(st.integers(1, 6))
@@ -125,14 +117,14 @@ def levels_and_period(draw):
 @given(levels_and_period())
 def test_a_table_reads_back_the_levels_it_was_built_from(case):
     levels, period = case
-    table = PeriodTable.of(levels, period)
+    table = table_of(levels, period)
     assert (table.period, table.order) == (period, 2 * period - 1)
     assert list(table) == levels[: 2 * period]
     assert [table.level(n) for n in range(2 * period)] == levels[: 2 * period]
 
 
 def test_upto_shares_base_and_step():
-    table = PeriodTable.of([(1, 0), (2, 3), (2, 0), (2, 2)], 2)
+    table = table_of([(1, 0), (2, 3), (2, 0), (2, 2)], 2)
     longer = table.upto(10)
     assert longer.base is table.base and longer.step is table.step
     assert (longer.period, longer.order) == (2, 10)
@@ -142,7 +134,7 @@ def test_upto_shares_base_and_step():
 
 
 def test_a_negative_order_is_refused_at_construction():
-    table = PeriodTable.of([(1,), (2,)], 1)
+    table = table_of([(1,), (2,)], 1)
     with pytest.raises(ValueError, match="order must be nonnegative"):
         table.upto(-1)
     with pytest.raises(ValueError, match="order must be nonnegative"):
@@ -232,7 +224,7 @@ def test_kmax_is_the_last_k_whose_fields_fit():
 
 
 def test_a_residue_packs_on_its_third_read_and_every_view_shares_it(monkeypatch):
-    table = PeriodTable.of([(1, 0), (2, 3), (2, 0), (2, 5)], 2)
+    table = table_of([(1, 0), (2, 3), (2, 0), (2, 5)], 2)
     # An iteration that reads a residue under three times past the base
     # levels packs nothing and counts nothing.
     assert list(table.upto(6)) == [_exact(table, n) for n in range(7)]

@@ -4,9 +4,10 @@ Usage: python tools/mutants.py LABEL MODULE [MODULE ...] [--timeout S]
 
 Each mutant changes one site of ``src/su2branch/MODULE.py``: a swap of
 < and <=, > and >=, == and !=, or + and -; a * turned into //; or an int
-constant plus 1.  Two guards run on a copy of ``src/``, ``tests/`` and
-``bench/``: ``verify.run_all()`` in a subprocess, which records the
-registry entries that fail, and the tests.  The tests run as
+constant plus 1.  Two guards run on a copy of the repository without
+``.git``, which must first pass tier-1 unmutated: ``verify.run_all()`` in
+a subprocess, which records the registry entries that fail, and the
+tests.  The tests run as
 ``pytest -x tests/test_MODULE.py`` first; a mutant that survives them is
 run against the whole tier-1 suite before it is recorded as a survivor,
 since another module's tests may kill it ("killed by tier-1").  A guard
@@ -96,8 +97,13 @@ def main():
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for part in ("src", "tests", "bench"):
-            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        skip = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_out")
+        shutil.copytree(ROOT, work, ignore=skip, dirs_exist_ok=True)  # tier-1 reads README, tools/, ...
+        # Unless the unmutated copy passes tier-1, "killed by tier-1" would be the copy's fault.
+        tier1 = [sys.executable, "-W", "error", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        clean = guard(tier1, work, None)
+        if clean.returncode:
+            sys.exit(f"tier-1 fails on the unmutated copy:\n{clean.stdout[-2000:]}")
         mutants = [m for module in args.modules for m in probe(module, work, args.timeout)]
     failed = [m["verify"] for m in mutants if isinstance(m["verify"], list)]
     sys.path.insert(0, str(ROOT / "src"))
