@@ -171,11 +171,9 @@ class FiniteGroup:
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
-    def representatives(self) -> tuple[int, ...]:
-        return self._representatives
-
     @cached_property
-    def _representatives(self) -> tuple[int, ...]:  # each class's smallest member, made once
+    def representatives(self) -> tuple[int, ...]:
+        """Each class's smallest member, made once."""
         return tuple(c[0] for c in self.classes)
 
     @cached_property
@@ -183,7 +181,7 @@ class FiniteGroup:
         """Element order of each class, read off the multiplication table.
         It divides the exponent E, so a walk that passes E aborts."""
         e, out = exponent(self.dtype), []
-        for c, rep in enumerate(self.representatives()):
+        for c, rep in enumerate(self.representatives):
             k, x = 1, rep
             while x != 0:
                 if k == e:
@@ -197,7 +195,7 @@ class FiniteGroup:
     @cached_property
     def class_inverse(self) -> tuple[int, ...]:
         """The class of the inverses of each class, where chi is conjugated."""
-        return tuple(self.class_of[self.inverse[rep]] for rep in self.representatives())
+        return tuple(self.class_of[self.inverse[rep]] for rep in self.representatives)
 
     @cached_property
     def norm_form(self) -> tuple[list[int], itemgetter]:
@@ -210,7 +208,7 @@ class FiniteGroup:
         """The trace a + d mod p of each class's representative: chi_1, the
         defining character, which fixes every chi_n (module docstring)."""
         p, elements = self.p, self.elements
-        return tuple((elements[rep][0] + elements[rep][3]) % p for rep in self.representatives())
+        return tuple((elements[rep][0] + elements[rep][3]) % p for rep in self.representatives)
 
     @cached_property
     def chi_periods(self) -> dict[int, list[int]]:
@@ -552,7 +550,7 @@ def _class_sum(group: FiniteGroup, c: int, f: list[int]) -> list[int]:
     each class's representative g.  On an irreducible chi, T is the scalar
     |C| chi(C) / chi(1) (Schur)."""
     mult, class_of, members = group.mult, group.class_of, group.classes[c]
-    reps, p = group.representatives(), group.p
+    reps, p = group.representatives, group.p
     return [sum(f[class_of[mult[x][g]]] for x in members) % p for g in reps]
 
 

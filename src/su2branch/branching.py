@@ -49,7 +49,6 @@ from .coxeter import (
     bipartition,
     coxeter_element,
     orbit_table,
-    perm_power,
     special_index,
 )
 from .invariants import ORACLES, enforce
@@ -170,8 +169,8 @@ class Branching(ReadOnly):
     the first that fails; their results are kept in ``enforced``, by
     entry name, for verify to report.  Then it builds the Coxeter period
     table every level is read from (module docstring).  The McKay graph,
-    sigma^g, the group and its character table are built on first use; only
-    the last two load ``binarygroups``, at most once even when that fails.
+    the group and its character table are built on first use; only the
+    last two load ``binarygroups``, at most once even when that fails.
     """
 
     def __init__(
@@ -235,11 +234,6 @@ class Branching(ReadOnly):
     def character_table(self) -> binarygroups.CharacterTable:
         from . import binarygroups
         return binarygroups.character_table(self.group, self.graph)
-
-    @cached_property
-    def kappa(self) -> tuple[int, ...]:
-        """sigma^g, which should act as the longest Weyl element."""
-        return perm_power(self.cox.sigma, self.rs.coxeter_number // 2)
 
     @cached_property
     def _attachment_distances(self) -> dict[int, int]:

@@ -31,20 +31,6 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
     return itemgetter(*q)(p) if len(q) > 1 else tuple(map(p.__getitem__, q))
 
 
-def perm_power(p: Perm, k: int) -> Perm:
-    """p^k for k >= 0, by repeated squaring."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = perm_identity(len(p))
-    base = p
-    while k:
-        if k & 1:
-            out = perm_compose(base, out)
-        base = perm_compose(base, base)
-        k >>= 1
-    return out
-
-
 class Bipartition(NamedTuple):
     """The unique two-coloring with the highest-root side labeled 1.
 

@@ -18,9 +18,15 @@ returns ``(passed, detail)``.  The registry is walked in two places:
 * **Verify reports.**  :func:`~.verify.run_type_checks` reports every
   entry for the type in the same order, one PASS/FAIL line each: the
   enforced entries with construction's results, which it does not
-  evaluate again, and the audit-only entries (the sigma^g lines, golden
-  E8, group sanity, character table and the cross-oracle checks), which
-  run only there.
+  evaluate again, and the audit-only entries (golden E8, group sanity,
+  character table and the cross-oracle checks), which run only there.
+
+An entry checks what a build stage or an output relies on.  Kostant's
+lemma that sigma^g acts as the longest Weyl element (arXiv
+math/0411142) is read by neither, so tier-1 acceptance criterion 4
+states it, not the registry.  Parity vanishing needs no entry either:
+with a and b even it follows from the exponent parity that "numerator
+polynomials" enforces.
 
 The root system itself has no audit-only entry.  ``build_root_system``
 adds alpha_i to a root r only when (r, alpha_i) = -1, so every root is
@@ -33,11 +39,11 @@ The range entries hold for every n: each compares the routes' proved
 period tables (:meth:`Branching.periods`) over levels 0..2L-1 (:func:`_read`),
 which rests on the tables' build-time proofs and on their one reader,
 :class:`~.seriescalc.PeriodTable`.  A table of period P holds at levels
-0..2P-1 what its base and step rows hold, so "triple oracle" (tables of
-one period) and "parity vanishing" screen rows and walk levels only to
-name a failure.  "triple oracle" reads levels where the periods differ
-(E6): the only reads through the reader's packed paths.  "dimension sum
-rule" always reads levels.  The group average
+0..2P-1 what its base and step rows hold, so "triple oracle" screens
+the rows of tables of one period and walks levels only to name a
+failure.  It reads levels where the periods differ (E6): the only reads
+through the reader's packed paths.  "dimension sum rule" always reads
+levels.  The group average
 (:func:`~.binarygroups.molien_series`) has no entry: its period table is
 the character table's node-0 column, from the same residue sums with
 weight |C| and the same (1, 1) at +-identity, so "triple oracle" already
@@ -230,76 +236,6 @@ def _orbit_exponents(c: Branching) -> Result:
     return psi_n == g, f"bijections hold; highest root has exponent {psi_n} = g"
 
 
-def _negates_positives(c: Branching) -> Result:
-    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
-    rs = c.rs
-    num_pos = rs.num_positive
-    bad = []
-    if min(c.kappa[:num_pos]) < num_pos:  # the offenders are listed only on a failure
-        bad = [rs.root_at(x) for x in range(num_pos) if c.kappa[x] < num_pos]
-    offenders = f"; offenders {bad[:3]}" if bad else ""
-    return not bad, f"{num_pos - len(bad)}/{num_pos} positive roots negated{offenders}"
-
-
-def _negates_class(k: int) -> Callable[[Branching], Result]:
-    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
-
-    def predicate(c: Branching) -> Result:
-        rs = c.rs
-        part = c.bp.part1 if k == 1 else c.bp.part2
-        simples = [rs.index_of(rs.simple_root(i)) for i in part]
-        ok = {c.kappa[x] for x in simples} == {rs.negation(x) for x in simples}
-        return ok, f"{len(part)} simple roots checked"
-
-    return predicate
-
-
-def _negates_special(c: Branching) -> Result:
-    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
-    rs, special = c.rs, c.params.special
-    alpha = rs.index_of(rs.simple_root(special))
-    ok = c.kappa[alpha] == rs.negation(alpha)
-    return ok, f"node {special}" + ("" if ok else f"; image {rs.root_at(c.kappa[alpha])}")
-
-
-def _reaches_special(c: Branching) -> Result:
-    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
-    rs, table, special = c.rs, c.table, c.params.special
-    g = rs.coxeter_number // 2
-    steps = (g - 1) // 2 if g % 2 == 1 else g // 2
-    sigma, reached = c.cox.sigma, rs.index_of(rs.highest_root)
-    for _ in range(steps):
-        reached = sigma[reached]
-    ok = reached == rs.index_of(table.signed_simples[special - 1])
-    return ok, f"g = {g}, steps = {steps}" + ("" if ok else f"; landed on {rs.root_at(reached)}")
-
-
-def _kappa_commutes(c: Branching) -> Result:
-    """Kostant's statement, not a guard (:data:`LONGEST_ELEMENT`)."""
-    kappa, cox = c.kappa, c.cox
-    ok = all(perm_compose(kappa, tau) == perm_compose(tau, kappa) for tau in (cox.tau1, cox.tau2))
-    return ok, "both factors"
-
-
-#: sigma^g as the longest Weyl element; audit-only.  No mutant of any module
-#: fails one of these alone outside its own predicate: they state Kostant's
-#: theorem (arXiv math/0411142), and no stage or output reads sigma^g.
-LONGEST_ELEMENT: tuple[Invariant, ...] = tuple(
-    Invariant(name, "coxeter_element", predicate)
-    for name, predicate in (
-        ("sigma^g sends every positive root to a negative root", _negates_positives),
-        ("sigma^g negates color class 1 setwise", _negates_class(1)),
-        ("sigma^g negates color class 2 setwise", _negates_class(2)),
-        ("sigma^g negates the special simple root", _negates_special),
-        (
-            "highest root reaches the signed special root in (g-1)/2 or g/2 steps",
-            _reaches_special,
-        ),
-        ("sigma^g commutes with tau1 and tau2", _kappa_commutes),
-    )
-)
-
-
 def _heisenberg(c: Branching) -> Result:
     hs, h = c.heisenberg, c.rs.coxeter_number
     if len(hs.roots) != 2 * h - 3:
@@ -371,7 +307,9 @@ def _group_sanity(c: Branching) -> Result:
     induction on k, with z = z' g, (x y) z = ((x y) z') g = (x (y z')) g
     = x ((y z') g) = x (y z).  The generators are the closure's own
     (``generator_indices``); the walk that proves they generate fails once
-    it holds more than n elements.  Inverses are checked on both sides."""
+    it holds more than n elements.  Right inverses are checked: a
+    semigroup with a right identity and right inverses is a group, so the
+    left half follows."""
     group, p = c.group, c.params
     n, mult = group.order, group.mult
     if p.a * p.b != 2 * n:
@@ -395,7 +333,7 @@ def _group_sanity(c: Branching) -> Result:
     if len(seen) != n:
         return False, f"{n - len(seen)} elements are not words in the generators"
     for x in range(n):
-        if mult[x][group.inverse[x]] != 0 or mult[group.inverse[x]][x] != 0:
+        if mult[x][group.inverse[x]] != 0:
             return False, f"inverse fails at {x}"
     return True, f"order {n}; associativity proved from the generators, inverses total"
 
@@ -443,15 +381,15 @@ def _character_table(c: Branching) -> Result:
     return dims == graph.marks_ext, f"{r} irreducibles; dims match marks; central signs match sides"
 
 
-def _read(tables: list[PeriodTable], *periods: int) -> tuple[int, Iterator]:
+def _read(tables: list[PeriodTable]) -> tuple[int, Iterator]:
     """2L - 1 and the tables' levels 0..2L-1 side by side, L the lcm of
-    their periods and ``periods`` (those of the other side compared).
+    their periods.
 
     Every table's levels form a degree-1 quasi-polynomial in n.  Two such
     agree at every n >= 0 once they agree at levels 0..2L-1: on each
     residue class mod L both are affine in k, and two points fix an
     affine function."""
-    last = 2 * math.lcm(*periods, *(table.period for table in tables)) - 1
+    last = 2 * math.lcm(*(table.period for table in tables)) - 1
     return last, zip(*(table.upto(last) for table in tables))
 
 
@@ -473,7 +411,7 @@ def _triple_oracle(c: Branching) -> Result:
 def _huge_level(c: Branching) -> Result:
     # The three routes share one level reader, so a reader fault agrees with
     # itself; the characters' level read from the residue sums, without the
-    # period table, and the dimension sum catch it.
+    # period table, catches it.
     from . import binarygroups
     n = HUGE_LEVEL
     cox, rec, chars = (c.vector(n, oracle) for oracle in ORACLES)
@@ -484,8 +422,6 @@ def _huge_level(c: Branching) -> Result:
     sums = tuple(binarygroups._multiplicity(c.group, n, *pair, i) for i, pair in enumerate(rests))
     if chars != sums:
         return False, f"characters {chars} != residue sums {sums} at n={n}"
-    if (total := sum(map(mul, c.graph.marks_ext, cox))) != n + 1:
-        return False, f"dimension sum {total} != {n + 1} at n={n}"
     return True, f"coxeter == recursion == characters at n={n}"
 
 
@@ -500,22 +436,6 @@ def _sum_rule(c: Branching) -> Result:
     return True, f"sum of mark * multiplicity is n + 1 for all n (levels 0..{last})"
 
 
-def _parity_vanishing(c: Branching) -> Result:
-    """No mutant needs it alone; with a and b even it follows from the numerators'
-    exponent parity, and it stays as the one range check against the node parity."""
-    table = c.periods("coxeter")
-    last = 2 * math.lcm(table.period, 2) - 1  # the parity has period 2
-    parity = [c.node_parity(i) % 2 for i in range(c.graph.size)]
-    off = [[int(q != k) for q in parity] for k in (0, 1)]  # 1 where node i vanishes at n = k mod 2
-    rows = enumerate(table.base + table.step)  # with P even, level kP + r has the parity of r
-    if table.period % 2 or any(any(map(mul, v, off[r % 2])) for r, v in rows):  # read levels
-        for n, (v,) in enumerate(_read([table], 2)[1]):
-            for i, m in enumerate(v):
-                if m and n % 2 != parity[i]:
-                    return False, f"node {i} has multiplicity {m} at parity-breaking n={n}"
-    return True, f"multiplicities vanish off-parity for all n (levels 0..{last})"
-
-
 #: Every structural identity, in report order.
 INVARIANTS: tuple[Invariant, ...] = (
     Invariant("root counts", "build_root_system", _root_counts, enforced=True),
@@ -524,7 +444,6 @@ INVARIANTS: tuple[Invariant, ...] = (
     Invariant("coxeter order", "coxeter_element", _coxeter_order, enforced=True),
     Invariant("orbit partition", "orbit_table", _orbit_partition, enforced=True),
     Invariant("orbit exponents", "orbit_table", _orbit_exponents, enforced=True),
-    *LONGEST_ELEMENT,
     Invariant("heisenberg subsystem", "heisenberg_subsystem", _heisenberg, enforced=True),
     Invariant("numerator polynomials", "z_polynomial", _numerators, enforced=True),
     Invariant("golden E8 numerators", "z_polynomial", _golden_e8, only="E8"),
@@ -535,7 +454,6 @@ INVARIANTS: tuple[Invariant, ...] = (
     Invariant("triple oracle", "oracles", _triple_oracle),
     Invariant("huge-level triple oracle", "oracles", _huge_level),
     Invariant("dimension sum rule", "oracles", _sum_rule),
-    Invariant("parity vanishing", "oracles", _parity_vanishing),
 )
 
 

@@ -216,11 +216,6 @@ class RootSystem(ReadOnly):
     def root_at(self, idx: int) -> Root:
         return self.roots[idx]
 
-    def negation(self, idx: int) -> int:
-        """Index of the negative of the root at ``idx``."""
-        p = self.num_positive
-        return idx + p if idx < p else idx - p
-
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes joined to node i, ascending: the -1 entries of Cartan row i,
         read once per system."""

@@ -7,6 +7,7 @@ import math
 from functools import lru_cache
 
 from su2branch import Branching
+from su2branch.coxeter import perm_compose
 from su2branch.rootsys import DiagramType, build_root_system, cartan_matrix
 from su2branch.seriescalc import PeriodTable, poly
 
@@ -153,6 +154,41 @@ def reflect(rs, i, x):
     out = list(x)
     out[i - 1] -= sum(c * y for c, y in zip(rs.cartan[i - 1], x))
     return tuple(out)
+
+
+def perm_power(p, k):
+    """The permutation p^k (k >= 0) as an index tuple, by k gathers."""
+    out = tuple(range(len(p)))
+    for _ in range(k):
+        out = tuple(p[x] for x in out)
+    return out
+
+
+def longest_element_failures(b, sigma):
+    """The facts of Kostant's lemma (sigma^g acts as the longest Weyl
+    element) that fail for the root permutation ``sigma`` of bundle ``b``,
+    in order; [] when all six hold.  Root x + P is the negative of positive
+    root x, P = num_positive."""
+    rs, special = b.rs, b.params.special
+    p, g = rs.num_positive, rs.coxeter_number // 2
+    kappa = perm_power(sigma, g)
+    simple = {i: rs.index_of(rs.simple_root(i)) for i in rs.nodes}
+    steps = (g - 1) // 2 if g % 2 == 1 else g // 2
+    reached = perm_power(sigma, steps)[rs.index_of(rs.highest_root)]
+    facts = {
+        "a positive root stays positive": all(kappa[x] >= p for x in range(p)),
+        **{
+            f"color class {k}": {kappa[simple[i]] for i in part} == {simple[i] + p for i in part}
+            for k, part in ((1, b.bp.part1), (2, b.bp.part2))
+        },
+        "special simple root": kappa[simple[special]] == simple[special] + p,
+        f"highest root after {steps} steps":
+            reached == rs.index_of(b.table.signed_simples[special - 1]),
+        "commutes": all(
+            perm_compose(kappa, tau) == perm_compose(tau, kappa) for tau in (b.cox.tau1, b.cox.tau2)
+        ),
+    }
+    return [fact for fact, held in facts.items() if not held]
 
 
 def e8_with_a_root_listed_twice():

@@ -873,7 +873,7 @@ def test_match_nodes_rebuilds_the_node_map(name):
     # class's representative.
     group, graph, table = group_for(name), graph_for(name), table_for(name)
     p = group.p
-    chi_1 = [(a + d) % p for a, _, _, d in (group.elements[k] for k in group.representatives())]
+    chi_1 = [(a + d) % p for a, _, _, d in (group.elements[k] for k in group.representatives)]
     chi = [table.rows[row] for row in table.node_map]
     for x, line in enumerate(graph.adjacency):
         for c, t in enumerate(chi_1):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from su2branch.binarygroups import oracle_multiplicity
-from su2branch.invariants import special_z_closed_form
+from su2branch.invariants import ORACLES, special_z_closed_form
 from su2branch.mckay import recursion_oracle
 from su2branch.seriescalc import sparse_items
 from su2branch.verify import ACCEPTED_TYPES
@@ -177,6 +177,18 @@ def test_period_table_matches_the_dense_series(name):
 
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)
+def test_each_route_table_iterates_its_levels_to_twice_its_period(name):
+    # Every route's table is built to order 2P - 1: iteration yields
+    # exactly levels 0..2P-1, the ones its proof compared.
+    b = bundle(name)
+    for oracle in ORACLES:
+        table = b.periods(oracle)
+        levels = list(table)
+        assert len(levels) == 2 * table.period, oracle
+        assert levels == [b.vector(n, oracle) for n in range(2 * table.period)], oracle
+
+
+@pytest.mark.parametrize("name", ACCEPTED_TYPES)
 def test_huge_levels_sum_rule_and_parity(name):
     b = bundle(name)
     marks = (1,) + b.rs.marks
@@ -235,6 +247,7 @@ def test_resolve_node():
     assert b.resolve_node("7") == 7
     assert b.resolve_node("2,0") == 7
     assert b.resolve_node("6,4") == 3
+    assert b.resolve_node("8") == 8  # the last node
     with pytest.raises(ValueError):
         b.resolve_node("9")
     with pytest.raises(ValueError):

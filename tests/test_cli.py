@@ -55,7 +55,7 @@ def test_verify_single_type(capsys):
     assert out.strip().endswith("checks passed")
     code, out, _ = run(capsys, "verify", "--type", "D4")
     assert code == 0
-    ranged = ("triple oracle", "dimension sum rule", "parity vanishing")
+    ranged = ("triple oracle", "dimension sum rule")
     details = [line for line in out.splitlines() if any(f"D4 {name} " in line for name in ranged)]
     assert len(details) == len(ranged)
     # every D4 table has period 4, so 2L - 1 = 7

@@ -8,11 +8,9 @@ from su2branch.coxeter import (
     coxeter_element,
     perm_compose,
     perm_identity,
-    perm_power,
     special_index,
 )
 from su2branch.errors import ConsistencyError
-from su2branch.invariants import LONGEST_ELEMENT
 from su2branch.rootsys import build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
@@ -21,6 +19,8 @@ from conftest import (
     bundle,
     e8_with_a_root_listed_twice,
     e8_with_doubled_simple_roots,
+    longest_element_failures,
+    perm_power,
     reflect,
     replace,
 )
@@ -50,7 +50,7 @@ def test_tau1_negates_own_simples():
     b = bundle("E6")
     for i in b.bp.part1:
         idx = b.rs.index_of(b.rs.simple_root(i))
-        assert b.cox.tau1[idx] == b.rs.negation(idx)
+        assert b.cox.tau1[idx] == idx + b.rs.num_positive  # the negative of root idx
 
 
 @pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
@@ -167,11 +167,11 @@ def test_special_index_marks():
 
 @pytest.mark.parametrize("name", ["A3", "A7", "D5", "D8", "E6", "E7", "E8"])
 def test_longest_element_suite(name):
+    # Acceptance criterion 4 states the six facts on every type; here they
+    # also tell sigma from tau1, which is not the Coxeter element.
     b = bundle(name)
-    assert len(LONGEST_ELEMENT) == 6
-    for inv in LONGEST_ELEMENT:
-        passed, detail = inv.evaluate(b)
-        assert passed, f"{name} {inv.name}: {detail}"
+    assert longest_element_failures(b, b.cox.sigma) == []
+    assert "a positive root stays positive" in longest_element_failures(b, b.cox.tau1)
 
 
 def test_sigma_g_negates_positives_a3():

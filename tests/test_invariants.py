@@ -16,7 +16,7 @@ from su2branch.cli import main
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, INVARIANTS, ORACLES, Invariant, registry
 from su2branch.rootsys import build_root_system
-from su2branch.seriescalc import PeriodTable
+from su2branch.seriescalc import PeriodTable, poly
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
 from conftest import bundle, inner, replace
@@ -112,6 +112,23 @@ def test_corrupted_numerator_fails_construction():
     assert err.dtype == "E8"
     assert err.stage == "z_polynomial"
     assert str(err) == "E8 numerator polynomials: numerator 7 sums to 5"
+
+
+@pytest.mark.parametrize("name", ["A7", "D5", "E6", "E8"])
+def test_a_wrong_parity_term_in_any_numerator_fails_construction(name):
+    # One term moved up by one exponent keeps the sum, so the exponent
+    # parity fails first.  With a and b even, it is what makes every
+    # multiplicity vanish at levels of the other parity.
+    b = bundle(name)
+    for node in b.rs.nodes:
+        z = [*b.zpolys[node], 0]
+        e = next(e for e, c in enumerate(z) if c)
+        z[e], z[e + 1] = z[e] - 1, z[e + 1] + 1
+        with pytest.raises(ConsistencyError) as info:
+            replace(b, zpolys={**b.zpolys, node: poly(z)})
+        err = info.value
+        assert (err.dtype, err.stage, err.invariant) == (name, "z_polynomial", "numerator polynomials")
+        assert str(err) == f"{name} numerator polynomials: numerator {node} breaks exponent parity"
 
 
 @pytest.mark.parametrize("name,node,old,new", [("E8", 7, 11, 13), ("E6", 1, 4, 6)])
@@ -291,18 +308,22 @@ def test_every_bumped_node_0_entry_of_the_characters_fails_the_triple_oracle_at_
 @pytest.mark.parametrize("part", [0, 1], ids=["base", "step"])
 @pytest.mark.parametrize("name", ["A7", "D5", "E6", "E8"])
 def test_every_off_parity_entry_fails_parity_vanishing_at_its_level(name, part):
+    # Parity vanishing is no verify entry of its own (acceptance criterion 7
+    # states it): a multiplicity 1 at a level of the wrong parity in the
+    # Coxeter route fails the triple oracle at that level, where the
+    # recursion reads 0.
     b = bundle(name)
-    table, entry = b.periods("coxeter"), _entry("parity vanishing")
+    tables = {oracle: b.periods(oracle) for oracle in ORACLES}
+    table, entry = tables["coxeter"], _entry("triple oracle")
     for r in range(table.period):
         for node in range(b.graph.size):
             if b.node_parity(node) % 2 == r % 2:
                 continue
-            fake = SimpleNamespace(
-                periods={"coxeter": _bump_entry(table, r, node, part)}.__getitem__,
-                graph=b.graph, node_parity=b.node_parity,
-            )
+            bumped = {**tables, "coxeter": _bump_entry(table, r, node, part)}
+            fake = SimpleNamespace(periods=bumped.__getitem__, graph=b.graph)
             n = r + table.period * part
-            want = f"node {node} has multiplicity 1 at parity-breaking n={n}"
+            assert bumped["coxeter"].level(n)[node] == 1, (r, node)
+            want = f"series 1 != recursion 0 at n={n}, node {node}"
             assert entry.evaluate(fake) == (False, want), (r, node)
 
 
@@ -543,7 +564,7 @@ def test_range_entries_expand_each_route_once(monkeypatch):
     tables' periods differ, 24 (coxeter) and 12 (recursion, characters),
     so "triple oracle" reads levels, as "dimension sum rule" always does:
     E6's "triple oracle" makes verify's only reads through the reader's
-    packed paths.  "parity vanishing" compares rows."""
+    packed paths."""
     reads, checks = _range_reads(monkeypatch, "E6")
     assert reads == [
         *(("triple oracle", period, 47) for period in (24, 12, 12)),
