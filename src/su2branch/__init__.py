@@ -6,7 +6,7 @@ quaternionic character theory."""
 from .branching import Branching, BranchParams, branch_params
 from .coxeter import bipartition, coxeter_element, orbit_table, special_index
 from .errors import ConsistencyError
-from .mckay import extended_graph, recursion_oracle
+from .mckay import extended_graph
 from .rootsys import NODE_CONVENTION, DiagramType, RootSystem, build_root_system
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "coxeter_element",
     "extended_graph",
     "orbit_table",
-    "recursion_oracle",
     "run_all",
     "run_type_checks",
     "special_index",

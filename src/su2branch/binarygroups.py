@@ -30,11 +30,11 @@ part of chi_1 chi_x not yet named is split by one class sum at a time
 into the rows of x's new neighbours, and the walk checks the identity
 once at every node (:func:`_irreducibles`).
 
-The character oracles and the Molien average share one inner product
-<chi_n, chi>.  At +-identity chi_n is the integer (+-1)^n (n + 1); at an
-element of order m it has period m in n, m dividing E (checked where it
-is used, :func:`_residue_sums`), so the rest of the sum depends on n
-only modulo E.  :func:`character_table` forms that rest once for
+The character oracles read one inner product <chi_n, chi>.  At
++-identity chi_n is the integer (+-1)^n (n + 1); at an element of order
+m it has period m in n, m dividing E (checked where it is used,
+:func:`_residue_sums`), so the rest of the sum depends on n only modulo
+E.  :func:`character_table` forms that rest once for
 each residue r = 0..E-1 and each node (the residue table, in integers),
 one multiply-add of packed weights per class and residue
 (:func:`_residue_sums`).  One period table of period E
@@ -213,8 +213,8 @@ class FiniteGroup:
     @cached_property
     def chi_periods(self) -> dict[int, list[int]]:
         """chi_0, chi_1, .. mod p over at least 0..E/2 at each non-central
-        class, keyed by class in class order; both :func:`_residue_sums`
-        calls of a build read it.
+        class, keyed by class in class order; the character table's
+        :func:`_residue_sums` reads it.
 
         At class c, of order m and trace t (:attr:`class_traces`), chi_0 ..
         chi_m come from the recurrence chi_(k+1) = t chi_k - chi_(k-1) mod
@@ -393,35 +393,28 @@ def _fields(p: int, terms: int, size: int) -> tuple[Callable, Callable]:
 
 
 def _multiplicity(
-    group: FiniteGroup, n: int, central: tuple[int, int], rest: int, node: int | None
+    group: FiniteGroup, n: int, central: tuple[int, int], rest: int, node: int
 ) -> int:
     """<chi_n, chi> from chi's integer values at +identity and -identity
     and the non-central sum ``rest`` (:func:`_residue_sums`).
 
     At +-identity chi_n is the integer (+-1)^n (n + 1), so the total is
     exact; it must be |F*| times a nonnegative integer, or abort.  ``node``
-    names chi in the error (:func:`_column`).
+    names chi in the error.
     """
     plus, minus = central
     total = (n + 1) * (plus - minus if n % 2 else plus + minus) + rest
     m, part = divmod(total, group.order)
     if part or m < 0:
-        problem = f"{_column(node)} at n={n} is {total}/{group.order}, not a nonnegative integer"
-        raise _failure(group.dtype, "oracles", problem)
+        problem = f"multiplicity of node {node} at n={n} is {total}/{group.order}"
+        raise _failure(group.dtype, "oracles", f"{problem}, not a nonnegative integer")
     return m
-
-
-def _column(node: int | None) -> str:
-    """A character's name in errors; None is the trivial character of the
-    Molien average."""
-    return "invariant dimension" if node is None else f"multiplicity of node {node}"
 
 
 def _period_table(
     group: FiniteGroup,
     central: tuple[tuple[int, int], ...],
     residues: tuple[tuple[int, ...], ...],
-    names: tuple[int | None, ...],
 ) -> PeriodTable:
     """The multiplicities of the characters with the given values at
     +-identity (``central``) and non-central sums (``residues``, period
@@ -435,8 +428,8 @@ def _period_table(
     integers; then so is every level base[r] + k step[r], and base[r] and
     step[r] are level r and level r + E minus level r.  Otherwise those
     levels are checked in turn by :func:`_multiplicity`, whose first
-    failure, or else the first negative step, names the fault.  ``names``
-    labels the columns in errors (:func:`_column`).
+    failure, or else the first negative step, names the fault, column i
+    as node i.
     """
     e, order = len(residues), group.order
     signs = ([a + b for a, b in central], [a - b for a, b in central])  # c at even r, at odd r
@@ -456,26 +449,12 @@ def _period_table(
     if proved:
         return table
     for n, row in enumerate(residues + residues):
-        for c, rest, name in zip(central, row, names):
-            _multiplicity(group, n, c, rest, name)
+        for node, (c, rest) in enumerate(zip(central, row)):
+            _multiplicity(group, n, c, rest, node)
     # every level passed, so a step is negative: name the first in level order
     r, i = next((r, i) for r, step in enumerate(table.step) for i, d in enumerate(step) if d < 0)
-    problem = f"{_column(names[i])} has a negative step {table.step[r][i]} at residue {r}"
+    problem = f"multiplicity of node {i} has a negative step {table.step[r][i]} at residue {r}"
     raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
-
-
-def molien_series(group: FiniteGroup, order: int) -> tuple[int, ...]:
-    """Invariant dimensions by direct group averaging of SU(2) traces.
-
-    Independent of the character table: the average of chi_n over every
-    element is <chi_n, 1>, with the trivial character's (1, 1) at
-    +-identity and weight 1 on each other element (:func:`_residue_sums`),
-    read from its own period table (:func:`_period_table`); any order is
-    safe.
-    """
-    rest = _residue_sums(group, [(size,) for size in group.class_sizes])
-    table = _period_table(group, ((1, 1),), rest, (None,))
-    return tuple(v[0] for v in table.upto(order))
 
 
 class CharacterTable:
@@ -502,8 +481,7 @@ class CharacterTable:
 
     @cached_property
     def periods(self) -> PeriodTable:
-        nodes = tuple(range(len(self.central)))
-        return _period_table(self.group, self.central, self.residues, nodes)
+        return _period_table(self.group, self.central, self.residues)
 
 
 def _non_residue(p: int) -> int:

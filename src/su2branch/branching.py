@@ -28,8 +28,8 @@ exact for any n.  The bundle expands all nodes at once, an unsigned
 64-bit field per node, so each running-sum step is one int addition: the
 enforced numerators are nonnegative with sums at most 12, so level n is
 at most 12 (n + 1), and step[r] >= 0 (L is a multiple of a and b): both
-fit a field.  The dense series (:meth:`Branching.series`) also serves
-whole ranges of levels.
+fit a field.  :meth:`Branching.series` reads one node's column of the
+table, levels 0..order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import math
 import struct
 from collections.abc import Callable
 from functools import cached_property
-from itertools import repeat
+from itertools import count, islice, repeat
 from operator import itemgetter, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -261,15 +261,18 @@ class Branching(ReadOnly):
         return node
 
     def series(self, node: int, order: int) -> tuple[int, ...]:
-        """Multiplicities of the node at levels 0..order (dense expansion);
-        nonnegative, as the enforced numerators are."""
-        return series_div_geom(self.zpolys[node], self.params.a, self.params.b, order)
-
-    def multiplicity(self, n: int, node: int) -> int:
-        """Coefficient of t^n in m(t) for the given extended node."""
+        """Multiplicities of the node at levels 0..order: its column of the
+        proved Coxeter table, base[r][node] + k step[r][node] at n = kL + r,
+        one arithmetic progression per residue r."""
         if not 0 <= node <= self.rs.rank:
             raise ValueError(f"node index {node} out of range for {self.dtype}")
-        return self.vector(n)[node]
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        table, levels = self._coxeter, [0] * (order + 1)
+        period = table.period
+        for r, (base, step) in enumerate(zip(table.base[: order + 1], table.step)):
+            levels[r::period] = islice(count(base[node], step[node]), (order - r) // period + 1)
+        return tuple(levels)
 
     def periods(self, oracle: str = "coxeter") -> PeriodTable:
         """The proved period table of the oracle named from :data:`~.invariants.ORACLES`;

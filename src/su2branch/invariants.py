@@ -43,12 +43,8 @@ which rests on the tables' build-time proofs and on their one reader,
 the rows of tables of one period and walks levels only to name a
 failure.  It reads levels where the periods differ (E6): the only reads
 through the reader's packed paths.  "dimension sum rule" always reads
-levels.  The group average
-(:func:`~.binarygroups.molien_series`) has no entry: its period table is
-the character table's node-0 column, from the same residue sums with
-weight |C| and the same (1, 1) at +-identity, so "triple oracle" already
-compares it with the Coxeter route's node 0.  Only the group entries and
-the character route import :mod:`~.binarygroups`.
+levels.  Only the group entries and the character route import
+:mod:`~.binarygroups`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .branching import Branching
-from .invariants import registry
+from .invariants import INVARIANTS, registry
 from .rootsys import DiagramType
 
 #: Diagram types the verification and acceptance sweeps run over.
@@ -88,7 +88,10 @@ def run_all(types: tuple[str, ...] = ACCEPTED_TYPES) -> list[Check]:
 
 
 def format_report(checks: list[Check]) -> str:
-    width = max(len(c.name) for c in checks) if checks else 0
+    """One line per check, names padded to the longest type ``--type``
+    accepts and the longest registry name, whatever the report holds."""
+    from .cli import MAX_RANK
+    width = len(f"D{MAX_RANK} ") + max(len(inv.name) for inv in INVARIANTS)
     lines = [
         f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}" for c in checks
     ]

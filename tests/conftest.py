@@ -5,11 +5,12 @@ polynomial, counting and root-system helpers used only by tests."""
 import inspect
 import math
 from functools import lru_cache
+from operator import mul
 
 from su2branch import Branching
 from su2branch.coxeter import perm_compose
 from su2branch.rootsys import DiagramType, build_root_system, cartan_matrix
-from su2branch.seriescalc import PeriodTable, poly
+from su2branch.seriescalc import PeriodTable, poly, series_div_geom
 
 
 @lru_cache(maxsize=None)
@@ -35,6 +36,34 @@ def table_of(levels, period):
     base = tuple(levels[:period])
     step = tuple(tuple(y - x for x, y in zip(u, w)) for u, w in zip(base, levels[period:]))
     return PeriodTable(base, step, 2 * period - 1)
+
+
+def dense_series(b, node, order):
+    """Levels 0..order of one node by the dense expansion of
+    z_node / ((1 - t^a)(1 - t^b)), apart from the period table."""
+    return series_div_geom(b.zpolys[node], b.params.a, b.params.b, order)
+
+
+def group_average(group, order):
+    """Invariant dimensions <chi_n, 1> for n = 0..order: chi_n averaged over
+    the group class by class, weight |C|, apart from every route's table.
+
+    chi_n is (+-1)^n (n + 1) at +-identity.  At another class of trace t
+    it runs chi_(k+1) = t chi_k - chi_(k-1) mod p from chi_(-1) = 0 and
+    chi_0 = 1, and |chi_n| <= 1 / sin(pi / m) <= m / 2 for the class order
+    m, so the weighted sum over those classes is below |F*| E / 2 < p / 2
+    in absolute value and lifts exactly."""
+    p, minus = group.p, group.class_of[group.minus_identity]
+    classes = [c for c in range(len(group.classes)) if c not in (0, minus)]
+    sizes, traces = [group.class_sizes[c] for c in classes], [group.class_traces[c] for c in classes]
+    before, chi, averages = [0] * len(classes), [1] * len(classes), []
+    for n in range(order + 1):
+        rest = (sum(map(mul, sizes, chi)) + p // 2) % p - p // 2
+        average, part = divmod((n + 1) * (1 + (-1) ** n) + rest, group.order)
+        assert part == 0 and average >= 0, (group.dtype, n)
+        averages.append(average)
+        before, chi = chi, [(t * x - y) % p for t, x, y in zip(traces, chi, before)]
+    return tuple(averages)
 
 
 def replace(obj, **changes):

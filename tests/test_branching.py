@@ -1,16 +1,18 @@
 """Parameters, Heisenberg subsystem, numerators, multiplicity series."""
 
 import math
+from collections import Counter
 
 import pytest
 
 from su2branch.binarygroups import oracle_multiplicity
+from su2branch.cli import MAX_RANK
 from su2branch.invariants import ORACLES, special_z_closed_form
 from su2branch.mckay import recursion_oracle
 from su2branch.seriescalc import sparse_items
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, graph_for, group_for, inner, pair_counter, table_for
+from conftest import bundle, dense_series, graph_for, group_for, inner, pair_counter, table_for
 
 HUGE_LEVELS = (10**6, 10**18 + 1)
 
@@ -109,7 +111,7 @@ def test_a3_middle_node_series():
     # middle-node character twice: the recursion v2 = A v1 - v0 on the
     # extended 4-cycle gives (1, 0, 2, 0), and the dimension sum
     # 1 + 2*1 = 3 = n + 1 confirms it.
-    assert bundle("A3").multiplicity(2, 2) == 2
+    assert bundle("A3").vector(2)[2] == 2
 
 
 def test_a3_invariant_series():
@@ -122,9 +124,7 @@ def test_a3_invariant_series():
 def test_multiplicity_level_zero():
     for name in ("A3", "D5", "E7"):
         b = bundle(name)
-        assert b.multiplicity(0, 0) == 1
-        for i in b.rs.nodes:
-            assert b.multiplicity(0, i) == 0
+        assert b.vector(0) == (1,) + (0,) * b.rs.rank
 
 
 def test_e8_level_one():
@@ -146,10 +146,35 @@ def test_closed_form_matches_series_and_recursion(name):
     b = bundle(name)
     order = 2000
     rec = recursion_oracle(graph_for(name), order)
+    vectors = [b.vector(n) for n in range(order + 1)]
     for i in range(b.rs.rank + 1):
         series = b.series(i, order)
         for n in range(order + 1):
-            assert b.multiplicity(n, i) == series[n] == rec[n][i], (n, i)
+            assert vectors[n][i] == series[n] == rec[n][i], (n, i)
+
+
+def _weights_in_class(n, k, m):
+    """#{0 <= l <= n : n - 2l = k (mod m)} for even m, in closed form: n - k
+    must be even, and then l runs over one class modulo m / 2."""
+    c = (n - k) % m
+    if c % 2:
+        return 0
+    return (n - c // 2) // (m // 2) + 1 if c // 2 <= n else 0
+
+
+@pytest.mark.parametrize("r", range(1, MAX_RANK + 1, 2))
+def test_type_a_is_the_weight_count_of_its_cyclic_group(r):
+    # The group of A_r is cyclic of order m = r + 1, and node k of the
+    # extended diagram, the cycle 0, 1, .., r, is its character g -> zeta^k
+    # (either way round: V_n is self-dual).  V_n has the weights n - 2l for
+    # l = 0..n, so node k's multiplicity is #{l : n - 2l = k (mod m)}.
+    b, m = bundle(f"A{r}"), r + 1
+    for n in range(2 * m + 2):
+        weights = Counter((n - 2 * l) % m for l in range(n + 1))
+        assert b.vector(n) == tuple(weights[k] for k in range(m)), n
+        assert [_weights_in_class(n, k, m) for k in range(m)] == [weights[k] for k in range(m)]
+    n = 10**18 + r
+    assert b.vector(n) == tuple(_weights_in_class(n, k, m) for k in range(m))
 
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)
@@ -172,7 +197,7 @@ def test_period_table_matches_the_dense_series(name):
     period = math.lcm(b.params.a, b.params.b)
     table = b.periods()
     assert len(table.base) == len(table.step) == table.period == period
-    columns = [b.series(i, 3 * period) for i in range(b.rs.rank + 1)]
+    columns = [dense_series(b, i, 3 * period) for i in range(b.rs.rank + 1)]
     assert [b.vector(n) for n in range(3 * period + 1)] == list(zip(*columns))
 
 
@@ -203,15 +228,21 @@ def test_huge_levels_sum_rule_and_parity(name):
 def test_negative_level_rejected():
     b = bundle("E8")
     with pytest.raises(ValueError):
-        b.multiplicity(-1, 0)
-    with pytest.raises(ValueError):
         b.vector(-1)
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        b.series(0, -1)
 
 
-@pytest.mark.parametrize("node", [-1, 9])
+@pytest.mark.parametrize("node", [-1, 9, 99])
 def test_multiplicity_rejects_a_node_out_of_range(node):
-    with pytest.raises(ValueError, match="out of range"):
-        bundle("E8").multiplicity(5, node)
+    # A node's multiplicities are read by series, which raises resolve_node's
+    # error: -1 must not read node 8's, nor 99 raise a bare KeyError.
+    b = bundle("E8")
+    with pytest.raises(ValueError) as spec:
+        b.resolve_node(str(node))
+    with pytest.raises(ValueError) as read:
+        b.series(node, 5)
+    assert str(read.value) == str(spec.value) == f"node index {node} out of range for E8"
 
 
 @pytest.mark.parametrize(

@@ -482,8 +482,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 )
 def test_only_the_group_routes_load_binarygroups_and_only_json_output_loads_json(argv, loaded):
     # The paper's route needs no group: binarygroups (a quarter of what a
-    # start compiles) is loaded by the first Branching.group,
-    # Branching.character_table or Molien check, and json by --json.  -S
+    # start compiles) is loaded by the first Branching.group or
+    # Branching.character_table, and json by --json.  -S
     # keeps site's own imports out.
     env = {**os.environ, "PYTHONPATH": SRC}
     code = (

@@ -12,10 +12,10 @@ import pytest
 from su2branch import binarygroups, branching, invariants, mckay
 from su2branch.branching import Branching
 from su2branch.coxeter import Bipartition, perm_compose
-from su2branch.cli import main
+from su2branch.cli import MAX_RANK, main
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import HUGE_LEVEL, INVARIANTS, ORACLES, Invariant, registry
-from su2branch.rootsys import build_root_system
+from su2branch.rootsys import DiagramType, build_root_system
 from su2branch.seriescalc import PeriodTable, poly
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
@@ -291,7 +291,7 @@ def test_every_bumped_row_of_a_route_fails_the_triple_oracle_at_its_level(oracle
 def test_every_bumped_node_0_entry_of_the_characters_fails_the_triple_oracle_at_its_level(
     name, part
 ):
-    # The character route's node-0 column is the group average (molien_series):
+    # The character route's node-0 column is the group average:
     # a wrong invariant dimension at any residue fails the three-way compare.
     b = bundle(name)
     tables = {oracle: b.periods(oracle) for oracle in ORACLES}
@@ -589,6 +589,22 @@ def test_reported_names_are_the_registry(name):
     checks = run_type_checks(name)
     assert [c.name for c in checks] == [f"{name} {inv.name}" for inv in registry(name)]
     assert all(c.passed for c in checks)
+
+
+def test_every_type_the_cli_accepts_passes_verify():
+    # A1..A71 odd, D4..D71 and E6..E8: every family and rank up to the rank
+    # limit that parses.  A bound can first bite outside ACCEPTED_TYPES: the
+    # prime search needs 17 steps on A49 and 15 on D18, 7 at most on those.
+    types = []
+    for family, rank in itertools.product("ADE", range(1, MAX_RANK + 1)):
+        try:
+            types.append(DiagramType.parse(f"{family}{rank}"))
+        except ValueError:
+            continue
+    assert len(types) == 36 + 68 + 3
+    checks = [check for t in types for check in run_type_checks(t)]
+    assert [c.name for c in checks if not c.passed] == []
+    print(f"ALL TYPES PASS: {len(types)} types, {len(checks)}/{len(checks)} checks passed")
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from su2branch import mckay
-from su2branch.binarygroups import character_multiplicities, molien_series, oracle_multiplicity
+from su2branch.binarygroups import character_multiplicities, oracle_multiplicity
 from su2branch.cli import main
 from su2branch.errors import ConsistencyError
 from su2branch.mckay import McKayGraph, extended_graph, recursion_oracle
 from su2branch.rootsys import DiagramType
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, graph_for, group_for, table_for, table_of
+from conftest import bundle, dense_series, graph_for, group_average, group_for, table_for, table_of
 
 #: Minimal certified period of the recursion per type; A1's extended
 #: diagram is a double bond, an adjacency entry 2.
@@ -105,7 +105,7 @@ def test_recursion_a3_level_two():
 
 def test_e8_invariants_match_series():
     vecs = recursion_oracle(graph_for("E8"), 200)
-    series = bundle("E8").series(0, 200)
+    series = dense_series(bundle("E8"), 0, 200)
     assert tuple(v[0] for v in vecs) == series
 
 
@@ -216,7 +216,7 @@ def test_a13_range_oracles_past_the_old_drift():
     # rounding tolerance on A13 from n = 5815 on.
     rec = list(recursion_oracle(graph_for("A13"), 6000))
     assert character_multiplicities(group_for("A13"), table_for("A13"), 6000) == rec
-    assert molien_series(group_for("A13"), 6000) == tuple(v[0] for v in rec)
+    assert group_average(group_for("A13"), 6000) == tuple(v[0] for v in rec)
 
 
 def test_a_graph_that_outgrows_the_fields_raises_and_never_carries():
