@@ -17,7 +17,11 @@ map, Q(zeta_E) being abelian.  An element is the residue 4-tuple
 (a, b, c, d) of the matrix [[a, b], [c, d]].  The breadth-first closure
 forms only the n * |gens| products; the multiplication table is filled
 in exact indices from the generator word of each element, one column at
-a time, each gathered from its parent's column (:func:`build_group`).
+a time, each gathered from its parent's column (:func:`build_group`).  Up
+to 256 elements a column is ``bytes`` and each gather one
+``bytes.translate``; beyond, a tuple and an ``itemgetter``
+(:func:`_gather`).  The group keeps its columns
+(:attr:`FiniteGroup.columns`), which the "group sanity" entry screens.
 
 Characters are exact in the same F_p: chi_n at a class depends only on
 the trace t of its representative (:attr:`FiniteGroup.class_traces`),
@@ -66,7 +70,7 @@ import math
 import struct
 from collections.abc import Callable
 from functools import cached_property
-from operator import itemgetter, mul
+from operator import itemgetter, methodcaller, mul
 from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError
@@ -146,11 +150,13 @@ class FiniteGroup:
     ``elements`` are matrices mod ``p`` (:data:`Matrix`), ``elements[0]``
     the identity, and ``generator_indices[k]`` is the index of
     ``generators(dtype, p, non_residue)[k]``, recorded by the closure, and
-    ``non_residue`` is the least quadratic non-residue mod p.  ``classes`` are
-    conjugacy classes as sorted index tuples, ordered by their smallest
-    member, so the identity class is first.  Facts read more than once
-    per build, such as each class's characters over one period
-    (:attr:`chi_periods`), are cached properties of the one group.
+    ``non_residue`` is the least quadratic non-residue mod p.  ``mult`` is
+    the table by rows, and :attr:`columns` by columns, ``bytes`` up to 256
+    elements and tuples beyond.  ``classes`` are conjugacy classes as sorted
+    index tuples, ordered by their smallest member, so the identity class is
+    first.  Facts read more than once per build, such as each class's
+    characters over one period (:attr:`chi_periods`), are cached properties
+    of the one group.
     """
 
     def __init__(
@@ -166,6 +172,14 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def columns(self) -> tuple[bytes | tuple[int, ...], ...]:
+        """The table by columns, ``columns[j][i] = mult[i][j]``, each of
+        :func:`_column_type`: seeded by :func:`build_group`; a copy made by
+        running the constructor again (``conftest.replace``) transposes its
+        own ``mult``."""
+        return tuple(map(_column_type(len(self.mult)), zip(*self.mult)))
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
@@ -254,9 +268,13 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     exact indices, one column at a time: ``mult[i][j] =
     right[k][mult[i][i_j]]`` for j's parent (i_j, k), so column j is
     column i_j gathered from ``right[k]``, and only the n * |gens|
-    closure products are ever formed.  Overshooting |F*| during closure
-    aborts.  A closure that stops short is returned as is: the registry's
-    "group sanity" entry compares the order with a*b/2.
+    closure products are ever formed.  Up to 256 elements the columns are
+    ``bytes`` and each gather is one ``bytes.translate`` through
+    ``right[k]``; beyond, tuples gathered by ``itemgetter`` (:func:`_gather`).
+    The group keeps the columns it was filled by (:attr:`FiniteGroup.columns`).
+    Overshooting |F*| during closure aborts.  A closure that stops short is
+    returned as is: the registry's "group sanity" entry compares the order
+    with a*b/2.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
@@ -288,9 +306,11 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
             right[k].append(index[key])
     n = len(elements)
 
-    columns = [tuple(range(n))]  # columns[j][i] = mult[i][j]
+    column = _column_type(n)
+    gathers = [_gather(column(row)) for row in right]
+    columns = [column(range(n))]  # columns[j][i] = mult[i][j]
     for parent, k in parents[1:]:
-        columns.append(itemgetter(*columns[parent])(right[k]))
+        columns.append(gathers[k](columns[parent]))
     mult = tuple(zip(*columns))
     try:
         inverse = tuple(line.index(0) for line in mult)
@@ -302,9 +322,29 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
 
     classes, class_of = conjugacy_classes(mult, inverse)
     gens_at = tuple(row[0] for row in right)  # identity * gens[k]
-    return FiniteGroup(
+    group = FiniteGroup(
         dtype, p, tuple(elements), mult, inverse, classes, class_of, minus_identity, gens_at, z
     )
+    vars(group)["columns"] = tuple(columns)
+    return group
+
+
+def _column_type(n: int) -> type:
+    """The type of an n-element table's columns: ``bytes`` while a byte
+    holds every index (n <= 256: every type the CLI accepts but D67..D71),
+    else ``tuple``."""
+    return bytes if n <= 256 else tuple
+
+
+def _gather(table: bytes | tuple[int, ...]) -> Callable:
+    """col -> the column (table[i] for i in col), of ``table``'s type.  On
+    bytes it is one ``bytes.translate`` through ``table`` padded to 256
+    entries from its own length by byte 255, which is then no index, so a
+    stray index in col reads no entry of ``table``; on tuples, an
+    ``itemgetter``."""
+    if isinstance(table, bytes):
+        return methodcaller("translate", table.ljust(256, b"\xff"))
+    return lambda col: itemgetter(*col)(table)
 
 
 def conjugacy_classes(

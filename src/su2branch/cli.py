@@ -34,6 +34,15 @@ def _envelope(dtype: DiagramType, **fields) -> dict:
     return {"type": str(dtype), "convention": NODE_CONVENTION, **fields}
 
 
+def rotation_group_name(dtype: DiagramType) -> str:
+    """Name of the rotation group attached to the diagram family."""
+    if dtype.family == "A":
+        return f"Z_{(dtype.rank + 1) // 2}"
+    if dtype.family == "D":
+        return f"Dih_{dtype.rank - 2}"
+    return {6: "Alt_4", 7: "Sym_4", 8: "Alt_5"}[dtype.rank]
+
+
 def cmd_table(args: argparse.Namespace) -> tuple:
     from . import verify
     rows = []
@@ -43,7 +52,7 @@ def cmd_table(args: argparse.Namespace) -> tuple:
         p = Branching.build(dtype).params
         row = _envelope(
             dtype,
-            F=verify.rotation_group_name(dtype),
+            F=rotation_group_name(dtype),
             a=p.a,
             b=p.b,
             h=p.h,
@@ -155,13 +164,12 @@ def cmd_mckay(args: argparse.Namespace) -> tuple:
 
 
 def cmd_group(args: argparse.Namespace) -> tuple:
-    from . import verify
     bundle = Branching.build(args.type)
     group, table = bundle.group, bundle.character_table
     sizes = list(group.class_sizes)
     dims = [table.dims[table.node_map[i]] for i in range(bundle.graph.size)]
     doc = _envelope(bundle.dtype, order=group.order, class_sizes=sizes, character_dims=dims)
-    cover = verify.rotation_group_name(bundle.dtype)
+    cover = rotation_group_name(bundle.dtype)
     return doc, [
         f"{bundle.dtype}  |F*| = {group.order}  ({cover} cover)",
         "class sizes: " + " ".join(str(s) for s in sizes),

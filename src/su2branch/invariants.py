@@ -305,18 +305,28 @@ def _group_sanity(c: Branching) -> Result:
     (``generator_indices``); the walk that proves they generate fails once
     it holds more than n elements.  Right inverses are checked: a
     semigroup with a right identity and right inverses is a group, so the
-    left half follows."""
+    left half follows.
+
+    The screen reads the group's own columns (``FiniteGroup.columns``):
+    for each generator g and element y, column g gathered by column y
+    (``binarygroups._gather``, one ``bytes.translate`` up to 256 elements)
+    must be column y g.  Only a generator whose screen fails is walked
+    element by element, with ``itemgetter``, to name the first x.  A
+    table entry that is no element fails the entry: from 256 on no byte
+    column holds it, and below, the screen gathers it to the pad byte 255,
+    which no column holds, and the walk cannot index by it."""
+    from . import binarygroups
     group, p = c.group, c.params
     n, mult = group.order, group.mult
     if p.a * p.b != 2 * n:
         return False, f"a*b = {p.a * p.b} but group order is {n}"
-    gens, columns = group.generator_indices, tuple(zip(*mult))
-    if columns[0] != tuple(range(len(mult))):
+    gens, columns = group.generator_indices, group.columns
+    if tuple(columns[0]) != tuple(range(len(mult))):
         return False, "element 0 is not a right identity"
-    gathers = [itemgetter(*col) for col in columns]  # screen: col g gathered by col y is col y g
-    for g in gens:
-        col, x_yg = columns[g], itemgetter(*columns[g])  # y -> y g; x's line -> x (y g) for every y
-        if any(gather(col) != columns[yg] for gather, yg in zip(gathers, col)):
+    for g in gens:  # screen: column g gathered by column y is column y g
+        col, gather = columns[g], binarygroups._gather(columns[g])  # col: y -> y g
+        if any(gather(y) != columns[yg] for y, yg in zip(columns, col)):
+            x_yg = itemgetter(*col)  # x's line -> x (y g) for every y
             for x, line in enumerate(mult):  # name the first x
                 if itemgetter(*line)(col) != x_yg(line):
                     return False, f"(x y) g != x (y g) at x = {x}, g = {g}"

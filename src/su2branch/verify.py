@@ -56,15 +56,6 @@ class Check(NamedTuple):
         return {k: getattr(self, k) for k in fields}
 
 
-def rotation_group_name(dtype: DiagramType) -> str:
-    """Name of the rotation group attached to the diagram family."""
-    if dtype.family == "A":
-        return f"Z_{(dtype.rank + 1) // 2}"
-    if dtype.family == "D":
-        return f"Dih_{dtype.rank - 2}"
-    return {6: "Alt_4", 7: "Sym_4", 8: "Alt_5"}[dtype.rank]
-
-
 def run_type_checks(dtype: DiagramType | str) -> list[Check]:
     """All checks for one diagram type.  A failed build is reported, never
     raised; an unknown type is a usage error, raised before any build."""

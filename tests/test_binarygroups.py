@@ -697,14 +697,17 @@ def test_inverses_total():
         assert g.mult[g.inverse[x]][x] == 0
 
 
-@pytest.mark.parametrize("name", CHARACTER_TYPES)
+@pytest.mark.parametrize("name", (*CHARACTER_TYPES, "D66", "D67"))
 def test_table_is_the_float_product(name):
     # The float quaternion group, closed from the same generators in the same
     # breadth-first order: every all-pairs product, inverse and -identity,
-    # looked up by key, is the table's entry.
+    # looked up by key, is the table's entry.  D66 (256 elements) is the
+    # largest table with byte columns, D67 (260) the smallest with tuples.
     g = group_for(name)
     elements, index = _float_closure(g.dtype)
     assert len(elements) == g.order
+    assert {type(col) for col in g.columns} == {bytes if g.order <= 256 else tuple}
+    assert list(map(tuple, g.columns)) == list(zip(*g.mult))
     for i, a in enumerate(elements):
         assert g.mult[i] == tuple(index[(a * b).key()] for b in elements)
         assert g.inverse[i] == index[a.conjugate().key()]

@@ -238,6 +238,25 @@ def test_every_wrong_inverse_fails_group_sanity_at_its_element(name):
         assert (passed, detail) == (False, f"inverse fails at {x}")
 
 
+def test_an_entry_outside_the_group_fails_group_sanity():
+    # One entry of E8's middle column set past the 120 elements: below 256 a
+    # byte column holds it, and the walk that names a failure cannot read it;
+    # from 256 on no byte column can.
+    b = bundle("E8")
+    group, sanity, j = b.group, _entry("group sanity"), b.group.order // 2
+    assert j not in group.generator_indices
+    details = {}
+    for stray in (group.order, 255, 256, 1000):
+        rows = [list(line) for line in group.mult]
+        rows[7][j] = stray
+        doctored = replace(group, mult=tuple(map(tuple, rows)))
+        details[stray] = sanity.evaluate(SimpleNamespace(group=doctored, params=b.params))
+    index, byte = "exception: index out of range", "exception: bytes must be in range(0, 256)"
+    assert details == {
+        120: (False, index), 255: (False, index), 256: (False, byte), 1000: (False, byte)
+    }
+
+
 def _orthogonality_by_pairs(group, rows):
     """The first class pair where column orthogonality fails, one inner
     product at a time: a reference for the packed entry."""
