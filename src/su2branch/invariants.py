@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from operator import itemgetter, mul
+from operator import getitem, itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coxeter import perm_compose, perm_identity
@@ -307,28 +307,41 @@ def _group_sanity(c: Branching) -> Result:
     semigroup with a right identity and right inverses is a group, so the
     left half follows.
 
-    The screen reads the group's own columns (``FiniteGroup.columns``):
-    for each generator g and element y, column g gathered by column y
-    (``binarygroups._gather``, one ``bytes.translate`` up to 256 elements)
-    must be column y g.  Only a generator whose screen fails is walked
-    element by element, with ``itemgetter``, to name the first x.  A
-    table entry that is no element fails the entry: from 256 on no byte
-    column holds it, and below, the screen gathers it to the pad byte 255,
-    which no column holds, and the walk cannot index by it."""
+    Every check reads the table as the group stores it, by columns
+    (``FiniteGroup.columns``, ``mult[x][y] = columns[y][x]``).  First every
+    entry must index a column, x y in range(len(columns)): byte columns are
+    joined and those indices deleted by one ``bytes.translate``, and
+    otherwise each column is a subset of the indices; an entry outside
+    names its row and column.  Then for each generator g and element y, column g gathered by
+    column y (``binarygroups._gather``, one ``bytes.translate`` up to 256
+    elements) must be column y g.  Only a generator whose screen fails is
+    walked element by element, on the rows (``FiniteGroup.mult``, derived
+    on that first read) and at the y whose screen failed, to name the first
+    x.  The inverse check reads x x^-1 as entry x of column x^-1."""
     from . import binarygroups
     group, p = c.group, c.params
-    n, mult = group.order, group.mult
+    n, columns = group.order, group.columns
     if p.a * p.b != 2 * n:
         return False, f"a*b = {p.a * p.b} but group order is {n}"
-    gens, columns = group.generator_indices, group.columns
-    if tuple(columns[0]) != tuple(range(len(mult))):
+    indices = range(len(columns))
+    if len(indices) <= 256 and set(map(type, columns)) == {bytes}:
+        stray = b"".join(columns).translate(None, bytes(indices))
+    else:
+        stray = not all(map(set(indices).issuperset, columns))
+    if stray:
+        y, col = next((y, col) for y, col in enumerate(columns) if not set(indices).issuperset(col))
+        x = next(x for x, xy in enumerate(col) if xy not in indices)
+        return False, f"x y = {col[x]} is no element at x = {x}, y = {y}"
+    gens = group.generator_indices
+    if tuple(columns[0]) != tuple(indices):
         return False, "element 0 is not a right identity"
     for g in gens:  # screen: column g gathered by column y is column y g
         col, gather = columns[g], binarygroups._gather(columns[g])  # col: y -> y g
         if any(gather(y) != columns[yg] for y, yg in zip(columns, col)):
-            x_yg = itemgetter(*col)  # x's line -> x (y g) for every y
-            for x, line in enumerate(mult):  # name the first x
-                if itemgetter(*line)(col) != x_yg(line):
+            bad = [y for y, yg in enumerate(col) if gather(columns[y]) != columns[yg]]
+            mult = group.mult
+            for x, line in enumerate(mult):  # name the first x, at a y the screen failed
+                if any(mult[line[y]][g] != line[col[y]] for y in bad):
                     return False, f"(x y) g != x (y g) at x = {x}, g = {g}"
     seen, layer = {0}, {0}
     while layer:  # breadth first, a layer of new elements at a time
@@ -338,9 +351,9 @@ def _group_sanity(c: Branching) -> Result:
             return False, f"the generator walk passes {n} elements"
     if len(seen) != n:
         return False, f"{n - len(seen)} elements are not words in the generators"
-    for x in range(n):
-        if mult[x][group.inverse[x]] != 0:
-            return False, f"inverse fails at {x}"
+    if any(map(getitem, map(columns.__getitem__, group.inverse), range(n))):
+        x = next(x for x, ix in enumerate(group.inverse) if columns[ix][x])
+        return False, f"inverse fails at {x}"
     return True, f"order {n}; associativity proved from the generators, inverses total"
 
 

@@ -1,5 +1,6 @@
 """One cached bundle per diagram type, so each type is constructed once
-per run, a copy-with-changes helper for the library's records, and
+per run, a copy-with-changes helper for the library's records and one
+for a group table's columns, and
 polynomial, counting and root-system helpers used only by tests."""
 
 import inspect
@@ -71,8 +72,26 @@ def replace(obj, **changes):
     constructor runs again on the old values and the changes, so the copy
     runs its checks and computes its own cached values.  An argument the
     constructor does not take raises ``TypeError``."""
-    names = inspect.signature(type(obj)).parameters
+    names = _parameters(type(obj))
     return type(obj)(**{**{name: getattr(obj, name) for name in names}, **changes})
+
+
+@lru_cache(maxsize=None)
+def _parameters(cls):
+    """The names of ``cls``'s constructor arguments, read once per class."""
+    return tuple(inspect.signature(cls).parameters)
+
+
+def doctored_columns(group, entries):
+    """The columns of ``group``'s table with ``mult[x][y] = v`` for each
+    ``(x, y): v`` of ``entries``: only the columns y are rebuilt, each of its
+    old type, or a tuple where a byte cannot hold v; the others are shared."""
+    columns = list(group.columns)
+    for (x, y), v in entries.items():
+        col = [*columns[y]]
+        col[x] = v
+        columns[y] = bytes(col) if isinstance(columns[y], bytes) and 0 <= v < 256 else tuple(col)
+    return tuple(columns)
 
 
 # Polynomial helpers the tests use to multiply a series back by its

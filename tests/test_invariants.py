@@ -19,7 +19,7 @@ from su2branch.rootsys import DiagramType, build_root_system
 from su2branch.seriescalc import PeriodTable, poly
 from su2branch.verify import ACCEPTED_TYPES, run_type_checks
 
-from conftest import bundle, inner, replace
+from conftest import bundle, doctored_columns, inner, replace
 
 FIXTURES = Path(__file__).with_name("fixtures")
 
@@ -180,15 +180,17 @@ def test_short_group_closure_is_reported_by_group_sanity(monkeypatch):
 @pytest.mark.parametrize("name", ["A13", "D12", "E8"])
 def test_every_swap_in_one_row_of_the_group_table_fails_group_sanity(name):
     # Two entries of the middle row of mult swapped, the inverses read from
-    # the swapped table: no such table passes the proof of associativity.
+    # the swapped rows: no such table passes the proof of associativity.
+    # Only the two columns the swap touches are rebuilt, and only row x's
+    # inverse can move, with the identity in it.
     b = bundle(name)
     group, (sanity,) = b.group, (inv for inv in INVARIANTS if inv.name == "group sanity")
     x = group.order // 2
+    line, k = group.mult[x], group.inverse[x]
     for i, j in itertools.combinations(range(group.order), 2):
-        line = list(group.mult[x])
-        line[i], line[j] = line[j], line[i]
-        mult = (*group.mult[:x], tuple(line), *group.mult[x + 1 :])
-        swapped = replace(group, mult=mult, inverse=tuple(row.index(0) for row in mult))
+        columns = doctored_columns(group, {(x, i): line[j], (x, j): line[i]})
+        inverse = (*group.inverse[:x], {i: j, j: i}.get(k, k), *group.inverse[x + 1 :])
+        swapped = replace(group, columns=columns, inverse=inverse)
         passed, detail = sanity.evaluate(SimpleNamespace(group=swapped, params=b.params))
         assert not passed and not detail.startswith("exception"), (i, j, detail)
 
@@ -216,10 +218,9 @@ def test_every_swap_in_one_column_of_the_group_table_fails_group_sanity_as_walke
     # and the element walk names the same (x, g) as a walk over every element.
     b = bundle(name)
     group, sanity, j = b.group, _entry("group sanity"), b.group.order // 2
+    col = group.columns[j]
     for x, y in itertools.combinations(range(group.order), 2):
-        rows = [list(line) for line in group.mult]
-        rows[x][j], rows[y][j] = rows[y][j], rows[x][j]
-        swapped = replace(group, mult=tuple(map(tuple, rows)))
+        swapped = replace(group, columns=doctored_columns(group, {(x, j): col[y], (y, j): col[x]}))
         want = _associativity_by_elements(swapped)
         assert want is not None, (x, y)
         passed, detail = sanity.evaluate(SimpleNamespace(group=swapped, params=b.params))
@@ -239,22 +240,21 @@ def test_every_wrong_inverse_fails_group_sanity_at_its_element(name):
 
 
 def test_an_entry_outside_the_group_fails_group_sanity():
-    # One entry of E8's middle column set past the 120 elements: below 256 a
-    # byte column holds it, and the walk that names a failure cannot read it;
-    # from 256 on no byte column can.
-    b = bundle("E8")
-    group, sanity, j = b.group, _entry("group sanity"), b.group.order // 2
-    assert j not in group.generator_indices
-    details = {}
-    for stray in (group.order, 255, 256, 1000):
-        rows = [list(line) for line in group.mult]
-        rows[7][j] = stray
-        doctored = replace(group, mult=tuple(map(tuple, rows)))
-        details[stray] = sanity.evaluate(SimpleNamespace(group=doctored, params=b.params))
-    index, byte = "exception: index out of range", "exception: bytes must be in range(0, 256)"
-    assert details == {
-        120: (False, index), 255: (False, index), 256: (False, byte), 1000: (False, byte)
-    }
+    # One entry of the middle column set outside the n elements.  In E8 (byte
+    # columns) 120 and 255 stay in a byte column, and 256, 1000 and -1 make
+    # it a tuple among bytes; in D67 every column is a tuple.  The range
+    # screen names the entry before any gather reads it.
+    for name in ("E8", "D67"):
+        b = bundle(name)
+        group, sanity, j = b.group, _entry("group sanity"), b.group.order // 2
+        assert j not in group.generator_indices
+        strays = [v for v in (group.order, 255, 256, 1000, -1) if v not in range(group.order)]
+        details = {}
+        for stray in strays:
+            doctored = replace(group, columns=doctored_columns(group, {(7, j): stray}))
+            details[stray] = sanity.evaluate(SimpleNamespace(group=doctored, params=b.params))
+        want = {v: (False, f"x y = {v} is no element at x = 7, y = {j}") for v in strays}
+        assert details == want, name
 
 
 def _orthogonality_by_pairs(group, rows):
