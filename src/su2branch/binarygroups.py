@@ -17,11 +17,12 @@ map, Q(zeta_E) being abelian.  An element is the residue 4-tuple
 (a, b, c, d) of the matrix [[a, b], [c, d]].  The breadth-first closure
 forms only the n * |gens| products; the multiplication table is filled
 in exact indices from the generator word of each element, one column at
-a time, each gathered from its parent's column (:func:`build_group`):
-``bytes`` and one ``bytes.translate`` up to 256 elements, beyond a tuple
-and an ``itemgetter`` (:func:`_gather`).  The table is stored once, as
-these columns (:attr:`FiniteGroup.columns`), which every build stage and
-"group sanity" read; the rows (:attr:`FiniteGroup.mult`) are derived.
+a time, each gathered from its parent's column (:func:`build_group`).  Up
+to 256 elements a column is ``bytes`` and each gather one
+``bytes.translate``; beyond, a tuple and an ``itemgetter``
+(:func:`_gather`).  The table is stored once, as these columns
+(:attr:`FiniteGroup.columns`), which every build stage and the "group
+sanity" entry read; the rows (:attr:`FiniteGroup.mult`) are derived.
 
 Characters are exact in the same F_p: chi_n at a class depends only on
 the trace t of its representative (:attr:`FiniteGroup.class_traces`),
@@ -38,13 +39,15 @@ The character oracles read one inner product <chi_n, chi>.  At
 +-identity chi_n is the integer (+-1)^n (n + 1); at an element of order
 m it has period m in n, m dividing E (checked where it is used,
 :func:`_residue_sums`), so the rest of the sum depends on n only modulo
-E.  :func:`character_table` forms that rest once for each residue r =
-0..E-1 and each node, in integers (:func:`_residue_sums`).  One period
-table of period E (:func:`_period_table`) is written down in closed form:
-base[r] = ((r + 1) c + rest[r]) / |F*| and step[r] = E c / |F*|, c =
-chi(1) +- chi(-1) by the parity of r.  Its base rows, packed two to an
-int, and two step rows are proved nonnegative integers once, so a level
-is base[r] + k step[r] for any n.
+E.  :func:`character_table` forms that rest once for
+each residue r = 0..E-1 and each node (the residue table, in integers),
+one multiply-add of packed weights per class and residue
+(:func:`_residue_sums`).  One period table of period E
+(:func:`_period_table`) is written down in closed form: base[r] =
+((r + 1) c + rest[r]) / |F*| and step[r] = E c / |F*|, c = chi(1) +-
+chi(-1) by the parity of r.  Each base entry and each entry of the two
+distinct step rows is checked once to be a nonnegative integer, so a
+level is base[r] + k step[r] for any n, checked no more.
 
 Generator conventions, as quaternions (fixed for reproducibility) and
 their matrices mod p, with i a square root of -1, 1/2 the inverse of 2
@@ -64,7 +67,6 @@ A and D need no i: 4 need not divide E for A.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
 from collections.abc import Callable
@@ -225,14 +227,15 @@ class FiniteGroup:
     @cached_property
     def chi_periods(self) -> dict[int, list[int]]:
         """chi_0, chi_1, .. mod p over at least 0..E/2 at each non-central
-        class, keyed by class in class order, for :func:`_residue_sums`.
+        class, keyed by class in class order; the character table's
+        :func:`_residue_sums` reads it.
 
         At class c, of order m and trace t (:attr:`class_traces`), chi_0 ..
         chi_m come from the recurrence chi_(k+1) = t chi_k - chi_(k-1) mod
         p, from chi_0 = 1 and chi_1 = t.  They must come back to
         (chi_(m-1), chi_m) = (0, 1), the values at -1 and 0, and m must
-        divide E, or abort.  Then chi_n has period m, hence E: chi_0 ..
-        chi_(m-1) repeated."""
+        divide E, or abort.  Then chi_n has period m, hence period E, and
+        the entry is chi_0 .. chi_(m-1) repeated."""
         p, e, minus = self.p, exponent(self.dtype), self.class_of[self.minus_identity]
         out = {}
         for c, (t, m) in enumerate(zip(self.class_traces, self.class_orders)):
@@ -252,25 +255,29 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     """Close the generators mod p and compute tables and conjugacy classes.
 
     p is the first prime among p0, p0 + E, p0 + 2E, ..., p0 = 2 |F*| E
-    MAX_DEGREE + 1 and |F*| = a*b/2 from the denominator exponents, all =
-    1 (mod E).  Such primes exist (Dirichlet), and the search tries at most
-    :data:`PRIME_STEPS` steps past p0, or aborts: the 18 verify types need
-    at most 7 (D10; D11 3, the others 2 or fewer), A1 2, A71 4 and D71 3,
-    about the ln p that the prime number theorem predicts.
+    MAX_DEGREE + 1 and |F*| = a*b/2 from the denominator exponents, all
+    = 1 (mod E).  Such primes exist (Dirichlet), and the search tries at
+    most :data:`PRIME_STEPS` steps past p0, or aborts: the 18 verify types
+    need at most 7 (D10; D11 3, the others 2 or fewer), A1 2, A71 4
+    and D71 3, about the ln p that the prime number theorem predicts.
 
     The breadth-first closure records, for every element i and generator
     k, the index ``right[k][i]`` of ``elements[i] * gens[k]``, and for
     every new element j its parent (i, k) with ``elements[j] =
     elements[i] * gens[k]``.  The table is then filled from these words in
     exact indices, one column at a time: ``mult[i][j] =
-    right[k][mult[i][i_j]]`` for j's parent (i_j, k), so column j is column
-    i_j gathered from ``right[k]`` (:func:`_gather`), and only the n *
-    |gens| closure products are ever formed.  The group stores these
-    columns and no rows.  Column j holds the identity at row j^-1 alone, so
-    each inverse is one ``index``, on bytes one ``memchr``; a column without
-    it is a row without it, a finite monoid's left inverses being its right
-    ones.  Overshooting |F*| during closure aborts.  A closure that stops
-    short is returned as is: "group sanity" compares the order with a*b/2.
+    right[k][mult[i][i_j]]`` for j's parent (i_j, k), so column j is
+    column i_j gathered from ``right[k]``, and only the n * |gens|
+    closure products are ever formed.  Up to 256 elements the columns are
+    ``bytes`` and each gather is one ``bytes.translate`` through
+    ``right[k]``; beyond, tuples gathered by ``itemgetter`` (:func:`_gather`).
+    The group stores these columns and no rows (:attr:`FiniteGroup.columns`).
+    Column j holds the identity at row j^-1 alone, so each inverse is one
+    ``index``, on bytes one ``memchr``; a column without it is a row
+    without it, a finite monoid's left inverses being its right ones.
+    Overshooting |F*| during closure aborts.  A closure that stops short is
+    returned as is: the registry's "group sanity" entry compares the order
+    with a*b/2.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
@@ -293,8 +300,9 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
             key = _product(a, gen, p)
             if key not in index:
                 if len(elements) >= expected:
-                    problem = f"closure exceeds the expected order {expected}"
-                    raise _failure(dtype, "build_group", problem)
+                    raise _failure(
+                        dtype, "build_group", f"closure exceeds the expected order {expected}"
+                    )
                 index[key] = len(elements)
                 elements.append(key)
                 parents.append((i, k))
@@ -316,15 +324,18 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
 
     classes, class_of = conjugacy_classes(columns, inverse)
     gens_at = tuple(row[0] for row in right)  # identity * gens[k]
-    group = tuple(elements), tuple(columns), inverse, classes, class_of, minus_identity
-    return FiniteGroup(dtype, p, *group, gens_at, z)
+    return FiniteGroup(
+        dtype, p, tuple(elements), tuple(columns), inverse, classes, class_of, minus_identity,
+        gens_at, z,
+    )
 
 
 def _gather(table: bytes | tuple[int, ...]) -> Callable:
     """col -> the column (table[i] for i in col), of ``table``'s type.  On
     bytes it is one ``bytes.translate`` through ``table`` padded to 256
-    entries by byte 255, then no index, so a stray index in col reads no
-    entry of ``table``; on tuples, an ``itemgetter``."""
+    entries from its own length by byte 255, which is then no index, so a
+    stray index in col reads no entry of ``table``; on tuples, an
+    ``itemgetter``."""
     if isinstance(table, bytes):
         return methodcaller("translate", table.ljust(256, b"\xff"))
     return lambda col: itemgetter(*col)(table)
@@ -333,9 +344,11 @@ def _gather(table: bytes | tuple[int, ...]) -> Callable:
 def conjugacy_classes(
     columns: tuple[bytes | tuple[int, ...], ...], inverse: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Partition element indices into conjugation orbits: g e g^-1 is entry
-    g of column e read in column g^-1, one ``map`` per orbit.  The class
-    count is checked against the extended diagram by :func:`character_table`.
+    """Partition element indices into conjugation orbits.
+
+    g e g^-1 is entry g of column e read in column g^-1, so an orbit is one
+    ``map`` over column e.  The class count is checked against the extended
+    diagram by :func:`character_table`.
     """
     n = len(inverse)
     class_of_list = [-1] * n
@@ -344,9 +357,12 @@ def conjugacy_classes(
     for e in range(n):
         if class_of_list[e] >= 0:
             continue
-        classes.append(tuple(sorted(set(map(getitem, times_inverse, columns[e])))))
-        for m in classes[-1]:
-            class_of_list[m] = len(classes) - 1
+        orbit = set(map(getitem, times_inverse, columns[e]))
+        members = tuple(sorted(orbit))
+        cid = len(classes)
+        for m in members:
+            class_of_list[m] = cid
+        classes.append(members)
     return tuple(classes), tuple(class_of_list)
 
 
@@ -364,17 +380,18 @@ def _residue_sums(
 ) -> tuple[tuple[int, ...], ...]:
     """The non-central part of |F*| <chi_n, chi>, for every n, in integers.
 
-    ``weights[c]`` is class c's weight in each column.  Entry ``[r][k]`` is
-    sum_c weights[c][k] chi_r(c) over the non-central classes c, for r =
-    0..E-1, read from :attr:`FiniteGroup.chi_periods`, which proves that
-    chi_n has period E at each of them, so the E rows cover every n; and as
-    chi_(-2-r) = -chi_r for any t, rows E/2..E-1 are rows E/2-2..0 negated
-    and a row of chi_(E-1) = 0.  As |chi_r| <= E and a weight is at most |C|
-    MAX_DEGREE, the sum is below p/2 in absolute value and lifts exactly.
-    With no non-central class (A1) every entry is 0.  Each class's weights,
-    reduced mod p, are one int of fields, one per column (:func:`_fields`),
-    so row r is one multiply-add per class, one unpack, and one reduction
-    mod p and one lift per entry.
+    ``weights[c]`` is class c's weight in each column.  Entry ``[r][k]``
+    is sum_c weights[c][k] chi_r(c) over the non-central classes c, for
+    r = 0..E-1, read from :attr:`FiniteGroup.chi_periods`, which proves
+    that chi_n has period E at each of them.  So the E rows cover every
+    n; and as chi_(-2-r) = -chi_r for any t, rows E/2..E-1 are rows
+    E/2-2..0 negated and a row of chi_(E-1) = 0.  As |chi_r| <= E and a
+    weight is at most |C| MAX_DEGREE, the sum is below p/2 in absolute
+    value and lifts exactly.  With no non-central class (A1) every entry is 0.
+
+    Each class's weights, reduced mod p, are one int of fields, one per
+    column (:func:`_fields`), so row r is one multiply-add per class, one
+    unpack, and one reduction mod p and one lift per entry.
     """
     chi = group.chi_periods
     noncentral, periods = list(chi), list(chi.values())
@@ -431,7 +448,9 @@ def _multiplicity(
 
 
 def _period_table(
-    group: FiniteGroup, central: tuple[tuple[int, int], ...], residues: tuple[tuple[int, ...], ...]
+    group: FiniteGroup,
+    central: tuple[tuple[int, int], ...],
+    residues: tuple[tuple[int, ...], ...],
 ) -> PeriodTable:
     """The multiplicities of the characters with the given values at
     +-identity (``central``) and non-central sums (``residues``, period
@@ -440,81 +459,52 @@ def _period_table(
     E is even (the exponent of a group holding -identity), so n = r + kE
     has the parity of r and the total at n is (n + 1) c + rest[r], c =
     chi(1) +- chi(-1) by that parity (:func:`_multiplicity`): base[r] =
-    ((r + 1) c + rest[r]) / |F*| and step[r] = E c / |F*|.  Every base
-    entry (proved packed, :func:`_proved_rows`) and both step rows must be
-    nonnegative integers.  Otherwise the levels 0..2E-1 are checked in turn
-    by :func:`_multiplicity`, whose first failure, or else the first
-    negative step, names the fault, column i as node i; if none fails
-    (values past the packed fields), those levels are the table.
+    ((r + 1) c + rest[r]) / |F*| and step[r] = E c / |F*|, one step row
+    per parity.  Every base entry and both step rows must be nonnegative
+    integers; then so is every level base[r] + k step[r], and base[r] and
+    step[r] are level r and level r + E minus level r.  Otherwise those
+    levels are checked in turn by :func:`_multiplicity`, whose first
+    failure, or else the first negative step, names the fault, column i
+    as node i.
     """
     e, order = len(residues), group.order
     signs = ([a + b for a, b in central], [a - b for a, b in central])  # c at even r, at odd r
-    steps = [tuple([e * c // order for c in cs]) for cs in signs]
-    step, base = tuple(steps[r % 2] for r in range(e)), []
-    if e * max(map(abs, signs[0] + signs[1])) >> 63 == 0:  # every |(r + 1) c| < 2^63
-        with contextlib.suppress(struct.error):  # a rest past 63 bits
-            base = _proved_rows(order, signs, residues)
-    if len(base) < e or not all(
-        min(s) >= 0 and [d * order for d in s] == [e * c for c in cs] for s, cs in zip(steps, signs)
-    ):
-        base = [
-            tuple([_multiplicity(group, n, c, x, i) for i, (c, x) in enumerate(zip(central, row))])
-            for n, row in enumerate(residues + residues)
-        ][:e]
-        # every level passed: a step is negative (name the first in level
-        # order), or the values passed the packed fields and base is proved
-        if negative := [(r, i) for r, s in enumerate(step) for i, d in enumerate(s) if d < 0]:
-            r, i = negative[0]
-            problem = f"multiplicity of node {i} has a negative step {step[r][i]} at residue {r}"
-            raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
-    return PeriodTable(tuple(base), step, 2 * e - 1)
-
-
-def _proved_rows(
-    order: int, signs: tuple[list[int], list[int]], residues: tuple[tuple[int, ...], ...]
-) -> list[tuple[int, ...]]:
-    """Base rows ((r + 1) c + rest[r]) / |F*|, c = ``signs[r % 2]``, up to
-    the first pair of rows that are not all nonnegative integers; every
-    |(r + 1) c| and |rest| must be below 2^63 (``struct`` refuses a rest).
-
-    Rows r and r + 1 (r even) are one int t of 128-bit fields, each a total
-    plus |F*| 2^64, in [0, 2^128) as the total is within 2^64 of 0; 'q'
-    packs two's complement, so each field's sign bit is flipped and its
-    2^63 taken back.  With q = t // |F*|, the pair is proved exactly when q
-    |F*| = t and one mask finds every field of q in [2^64, 2^65): then
-    |F*| times each field of q is a field of t, so each total divides field
-    by field, and the bias puts a negative total below that band.  The
-    fields' low words are the multiplicities, unpacked once per pair."""
-    size = len(signs[0])
-    pack = struct.Struct("<" + "q8x" * 2 * size).pack
-    unpack = struct.Struct("<" + "Q8x" * 2 * size).unpack
-    one = int.from_bytes(pack(*[1] * 2 * size), "little")  # 1 in each field
-    flip, band = one << 63, one << 64  # each field's sign bit, and its band bit
-    even = (int.from_bytes(pack(*signs[0], *[0] * size), "little") ^ flip) - flip
-    odd = (int.from_bytes(pack(*[0] * size, *signs[1]), "little") ^ flip) - flip
-    twice, outside = 2 * (even + odd), ~(band - one)  # rows r, r + 1: (r + 1) c_even, (r + 2) c_odd
-    total, rows = even + 2 * odd + order * band - flip, []
-    for a, b in zip(residues[::2], residues[1::2]):
-        q, left = divmod(total + (int.from_bytes(pack(*a, *b), "little") ^ flip), order)
-        if left or q & outside != band:
+    base = []
+    for r, rest in enumerate(residues):
+        totals = [(r + 1) * c + x for c, x in zip(signs[r % 2], rest)]
+        row = tuple([t // order for t in totals])
+        if min(row) < 0 or [m * order for m in row] != totals:
             break
-        levels = unpack(q.to_bytes(32 * size, "little"))
-        rows += levels[:size], levels[size:]
-        total += twice
-    return rows
+        base.append(row)
+    steps = [tuple([e * c // order for c in cs]) for cs in signs]
+    proved = len(base) == e and all(
+        min(step) >= 0 and [d * order for d in step] == [e * c for c in cs]
+        for step, cs in zip(steps, signs)
+    )
+    table = PeriodTable(tuple(base), tuple(steps[r % 2] for r in range(e)), 2 * e - 1)
+    if proved:
+        return table
+    for n, row in enumerate(residues + residues):
+        for node, (c, rest) in enumerate(zip(central, row)):
+            _multiplicity(group, n, c, rest, node)
+    # every level passed, so a step is negative: name the first in level order
+    r, i = next((r, i) for r, step in enumerate(table.step) for i, d in enumerate(step) if d < 0)
+    problem = f"multiplicity of node {i} has a negative step {table.step[r][i]} at residue {r}"
+    raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
 
 
 class CharacterTable:
     """Irreducible characters by conjugacy class, tied to diagram nodes.
 
-    ``rows[r][c]`` is the value of irreducible r on class c, mod ``group.p``
-    (the defining character's row is ``group.class_traces``); ``node_map``
-    sends each extended-diagram node to its row.  The character oracles
-    read only ``central[node]``, the node's character at +identity and
-    -identity as integers (dim, +-dim), and ``residues[r][node]``, the
-    non-central sum of |F*| <chi_n, chi_node> for every n = r modulo the
-    group exponent (:func:`_residue_sums`), through ``periods``, the
-    proved period table (:func:`_period_table`).
+    ``rows[r][c]`` is the value of irreducible r on class c, mod
+    ``group.p`` (the defining character's row is ``group.class_traces``);
+    ``node_map`` sends each extended-diagram node to its row.  The
+    character oracles read only ``central[node]``, the node's character
+    at +identity and -identity as integers (dim, +-dim), and
+    ``residues[r][node]``, the non-central sum of |F*| <chi_n, chi_node>
+    for every n = r modulo the group exponent (:func:`_residue_sums`).
+    Both feed ``periods``, the proved period table every level is read
+    from (:func:`_period_table`).
     """
 
     def __init__(
@@ -541,7 +531,8 @@ def _sqrt_mod(a: int, p: int, z: int) -> int | None:
     non-residue mod p): at most s rounds, each searching i below the last.
     A z that is a residue after all gives a true root or None, never a
     fault.  It gives the generators' i, sqrt(2) and sqrt(5) and
-    :func:`_split`'s eigenvalues, with :attr:`FiniteGroup.non_residue`."""
+    :func:`_split`'s eigenvalues, each with the group's
+    :attr:`FiniteGroup.non_residue`."""
     a %= p
     if a == 0:
         return 0
@@ -569,8 +560,9 @@ def _sqrt_mod(a: int, p: int, z: int) -> int | None:
 
 
 def _class_sum(group: FiniteGroup, c: int, f: list[int]) -> list[int]:
-    """T f mod p, T the sum of class c: (T f)(g) = sum_(x in C) f(xg) at each
-    class's representative g; on an irreducible chi, |C| chi(C) / chi(1) (Schur)."""
+    """T f mod p, T the sum of class c: (T f)(g) = sum_(x in C) f(xg) at
+    each class's representative g.  On an irreducible chi, T is the scalar
+    |C| chi(C) / chi(1) (Schur)."""
     class_of, members, p = group.class_of, group.classes[c], group.p
     times = map(group.columns.__getitem__, group.representatives)  # x -> x g, per g
     return [sum([f[class_of[col[x]]] for x in members]) % p for col in times]
@@ -581,13 +573,13 @@ def _split(group: FiniteGroup, psi: list[int]) -> list[tuple[int, ...]]:
     every m_chi must be positive, or abort.
 
     A psi of norm <psi, psi> = 1 is +-chi, so no class sum moves its line.
-    Otherwise the first class sum T that moves psi's line and satisfies T^2
-    psi = s T psi - q psi has two eigenvalues on psi, lambda and mu, the
-    roots of x^2 - s x + q: psi is (T psi - mu psi) / (lambda - mu) plus
-    the rest, and each part is split again.  Where the relation fails (more
-    than two eigenvalues) the next class is tried, and if none is left,
-    abort.  If no class moves psi's line, psi = m chi with m^2 = <psi,
-    psi> and chi(1) in 1..MAX_DEGREE.
+    Otherwise the first class sum T that moves psi's line and satisfies
+    T^2 psi = s T psi - q psi has two eigenvalues on psi, lambda and mu,
+    the roots of x^2 - s x + q: psi is (T psi - mu psi) / (lambda - mu)
+    plus the rest, and each part is split again.  Where the relation fails
+    (more than two eigenvalues) the next class is tried, and if none is
+    left, abort.  If no class moves psi's line, psi = m chi with m^2 =
+    <psi, psi> and chi(1) in 1..MAX_DEGREE.
     """
     p, (weights, conjugate) = group.p, group.norm_form
     norm = _lift(sum(map(mul, weights, map(mul, psi, conjugate(psi)))) % p, p)
@@ -621,19 +613,20 @@ def _irreducibles(group: FiniteGroup, graph: McKayGraph) -> list[tuple[int, ...]
     breadth first by McKay's identity chi_1 chi_x = sum_y adj[x][y] chi_y,
     chi_1 the defining character (:attr:`FiniteGroup.class_traces`).
 
-    Both walks read each node's (neighbour, weight) pairs, listed once.
     Node 0 takes the trivial row.  At node x, chi_1 chi_x less adj[x][y]
     chi_y for each neighbour y with a row is psi, which :func:`_split`
     separates; each neighbour u without a row, in ascending order, takes
-    the first sorted part of degree marks_ext[u].  Less adj[x][u] chi_u for
-    each u, psi must be 0 with no part unused (at once where x has one such
-    u, of weight 1, and psi is its one part): the identity is checked once
-    at every node.  The r rows must be distinct, or abort, as a walk past
-    ``graph.size`` nodes does.  No search is needed: a diagram automorphism
-    fixing node 0 and every node with a row swaps siblings of equal mark,
-    so any choice among them extends, and no multiplicity depends on it.
+    the first sorted part of degree marks_ext[u].  Less adj[x][u] chi_u
+    for each u, psi must be 0 with no part unused, so the walk checks the
+    identity once at every node, and the r rows must be distinct, or
+    abort, as a walk that passes ``graph.size`` nodes does.  No search is
+    needed: a diagram automorphism fixing node 0 and every node with a row
+    swaps siblings of equal mark, so any choice among them extends, and no
+    multiplicity depends on it.  Both walks read each node's (neighbour,
+    weight) pairs, listed once.
     """
-    p, chi_1, marks, size = group.p, group.class_traces, graph.marks_ext, graph.size
+    p, chi_1 = group.p, group.class_traces
+    marks, size = graph.marks_ext, graph.size
     links = [[(y, k) for y, k in enumerate(row) if k] for row in graph.adjacency]
     walk, seen = [0], {0}
     for x in walk:  # grows while it is walked: breadth first
@@ -655,9 +648,6 @@ def _irreducibles(group: FiniteGroup, graph: McKayGraph) -> list[tuple[int, ...]
                 new.append((y, k))
         psi = [a % p for a in psi]
         parts = sorted(_split(group, psi)) if any(psi) else []
-        if [k for _, k in new] == [1] and parts == [tuple(psi)] and psi[0] == marks[new[0][0]]:
-            rows[new[0][0]] = parts[0]  # psi is chi_u itself, so psi - chi_u is 0
-            continue
         for u, k in new:
             rows[u] = next((row for row in parts if row[0] == marks[u]), ())
             if rows[u]:
@@ -677,9 +667,10 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
 
     The rows are walked off the extended diagram by the McKay identity
     (:func:`_irreducibles`) and sorted, so by degree first, row[0] being
-    chi(1); ``node_map`` gives each node's index in the sorted rows.  There
-    is no randomness.  The table also carries each node's integer values at
-    +-identity and the residue table; its period table is proved here.
+    chi(1); ``node_map`` gives each node's index in the sorted rows.
+    There is no randomness.  The table also carries each node's integer
+    values at +-identity and the residue table, and its period table is
+    built and proved here.
     """
     if (r := len(group.classes)) != graph.size:
         problem = f"{r} classes but {graph.size} extended nodes"
@@ -687,11 +678,17 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
     p, sizes, inverse = group.p, group.class_sizes, group.class_inverse
     nodes = _irreducibles(group, graph)
     rows = tuple(sorted(nodes))
-    index, minus = {row: k for k, row in enumerate(rows)}, group.class_of[group.minus_identity]
-    weights = [tuple(size * row[inverse[c]] for row in nodes) for c, size in enumerate(sizes)]
+    index = {row: k for k, row in enumerate(rows)}
+    minus = group.class_of[group.minus_identity]
     table = CharacterTable(
-        group, rows, tuple(row[0] for row in rows), tuple(index[row] for row in nodes),
-        tuple((row[0], _lift(row[minus], p)) for row in nodes), _residue_sums(group, weights),
+        group=group,
+        rows=rows,
+        dims=tuple(row[0] for row in rows),
+        node_map=tuple(index[row] for row in nodes),
+        central=tuple((row[0], _lift(row[minus], p)) for row in nodes),
+        residues=_residue_sums(
+            group, [tuple(size * row[inverse[c]] for row in nodes) for c, size in enumerate(sizes)]
+        ),
     )
     table.periods  # noqa: B018 - proved once, here, rather than at the first level read
     return table
@@ -701,9 +698,10 @@ def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node:
     """Multiplicity of the node's irreducible in the level-n restriction,
     by the character inner product in exact integers.
 
-    Safe for any n in O(1): the node's entry base[r] + k step[r], n = kE +
-    r, of the table's proved period table (:func:`_period_table`), not a
-    whole level, because a point query asks for each node in turn.
+    Safe for any n in O(1): the node's entry of the table's proved period
+    table (:func:`_period_table`), base[r] + k step[r] for n = kE + r.  It
+    reads that one entry, not a whole level, because a point query asks
+    for each node in turn.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

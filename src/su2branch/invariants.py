@@ -312,12 +312,13 @@ def _group_sanity(c: Branching) -> Result:
     entry must index a column, x y in range(len(columns)): byte columns are
     joined and those indices deleted by one ``bytes.translate``, and
     otherwise each column is a subset of the indices; an entry outside
-    names its row and column.  Then for each generator g and element y, column g gathered by
-    column y (``binarygroups._gather``, one ``bytes.translate`` up to 256
-    elements) must be column y g.  Only a generator whose screen fails is
-    walked element by element, on the rows (``FiniteGroup.mult``, derived
-    on that first read) and at the y whose screen failed, to name the first
-    x.  The inverse check reads x x^-1 as entry x of column x^-1."""
+    names its row and column.  Then for each generator g and element y,
+    column g gathered by column y (``binarygroups._gather``, one
+    ``bytes.translate`` up to 256 elements) must be column y g.  Only a
+    generator whose screen fails is walked element by element, on the rows
+    (``FiniteGroup.mult``, derived on that first read) and at the y whose
+    screen failed, to name the first x.  The inverse check reads x x^-1 as
+    entry x of column x^-1."""
     from . import binarygroups
     group, p = c.group, c.params
     n, columns = group.order, group.columns

@@ -1,7 +1,7 @@
 """One cached bundle per diagram type, so each type is constructed once
 per run, a copy-with-changes helper for the library's records and one
-for a group table's columns, and
-polynomial, counting and root-system helpers used only by tests."""
+for a group table's columns, and polynomial, counting and root-system
+helpers used only by tests."""
 
 import inspect
 import math

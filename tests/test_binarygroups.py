@@ -453,9 +453,8 @@ def _checked_levels(group, central, residues):
     return table
 
 
-@pytest.mark.parametrize("name", (*CHARACTER_TYPES, "A71", "D66", "D67", "D71"))
+@pytest.mark.parametrize("name", (*CHARACTER_TYPES, "A71", "D71"))
 def test_closed_form_tables_are_the_checked_levels(name):
-    # The packed proof against levels 0..2E-1 checked one entry at a time.
     group, t = group_for(name), table_for(name)
     want = _checked_levels(group, t.central, t.residues)
     assert (t.periods.base, t.periods.step, t.periods.order) == (want.base, want.step, want.order)
@@ -464,27 +463,6 @@ def test_closed_form_tables_are_the_checked_levels(name):
     want = _checked_levels(group, ((1, 1),), rest)
     assert (molien.base, molien.step, molien.order) == (want.base, want.step, want.order)
     assert group_average(group, 2 * len(rest) - 1) == tuple(v[0] for v in want)
-
-
-@pytest.mark.parametrize(
-    "central, rest",
-    [((120 << 61, 120 << 61), 0), ((-(120 << 61), 120 << 61), 0), ((0, 0), 120 << 63)],
-    ids=["large-c", "large-negative-step", "large-rest"],
-)
-def test_values_past_the_packed_fields_are_proved_level_by_level(central, rest):
-    # |(r + 1) c| or a residue sum past 2^63 does not fit the packed fields:
-    # the levels checked one at a time prove the table, or refuse it (the
-    # second: c = 0 at even r, and a negative step at odd r).
-    group, residues = group_for("E8"), ((rest,),) * 60
-    try:
-        want = _checked_levels(group, (central,), residues)
-    except ConsistencyError as err:
-        with pytest.raises(ConsistencyError) as info:
-            binarygroups._period_table(group, (central,), residues)
-        assert str(info.value) == str(err)
-    else:
-        got = binarygroups._period_table(group, (central,), residues)
-        assert (got.base, got.step, got.order) == (want.base, want.step, want.order)
 
 
 #: E8 node 0's values at +-identity, doctored: each breaks a step row of
@@ -925,18 +903,6 @@ def test_match_nodes_refuses_a_flipped_tensor_entry():
         binarygroups.character_table(group_for("E8"), _doctored("E8", (0, far, 1)))
     assert info.value.stage == "character_table"
     assert str(info.value) == "E8: tensor adjacency does not match the extended diagram"
-
-
-def test_one_new_neighbour_whose_psi_is_a_multiple_is_refused():
-    # A1's double edge set to 1: at node 0, psi = chi_1 = 2 chi, chi the sign
-    # character.  Node 0 has one new neighbour, of weight 1, but psi is not
-    # its one part, so the full check runs: psi - chi = chi is not 0.
-    group = group_for("A1")
-    assert binarygroups._split(group, list(group.class_traces)) == [(1, group.p - 1)]
-    with pytest.raises(ConsistencyError) as info:
-        binarygroups.character_table(group, _doctored("A1", (0, 1, 1)))
-    assert info.value.stage == "character_table"
-    assert str(info.value) == "A1: tensor adjacency does not match the extended diagram"
 
 
 def test_match_nodes_refuses_a_disconnected_diagram():
