@@ -5,7 +5,7 @@ quaternionic character theory."""
 
 from .branching import Branching, BranchParams, branch_params
 from .coxeter import bipartition, coxeter_element, orbit_table, special_index
-from .errors import ConsistencyError
+from .errors import ConsistencyError, UsageError
 from .mckay import extended_graph
 from .rootsys import NODE_CONVENTION, DiagramType, RootSystem, build_root_system
 
@@ -26,6 +26,7 @@ __all__ = [
     "DiagramType",
     "NODE_CONVENTION",
     "RootSystem",
+    "UsageError",
     "bipartition",
     "branch_params",
     "build_root_system",

@@ -21,8 +21,8 @@ a time, each gathered from its parent's column (:func:`build_group`).  Up
 to 256 elements a column is ``bytes`` and each gather one
 ``bytes.translate``; beyond, a tuple and an ``itemgetter``
 (:func:`_gather`).  The table is stored once, as these columns
-(:attr:`FiniteGroup.columns`), which every build stage and the "group
-sanity" entry read; the rows (:attr:`FiniteGroup.mult`) are derived.
+(:attr:`FiniteGroup.columns`), and never as rows: every build stage and
+the "group sanity" entry read the columns.
 
 Characters are exact in the same F_p: chi_n at a class depends only on
 the trace t of its representative (:attr:`FiniteGroup.class_traces`),
@@ -74,7 +74,7 @@ from functools import cached_property
 from operator import getitem, itemgetter, methodcaller, mul
 from typing import TYPE_CHECKING
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, UsageError
 from .mckay import McKayGraph
 from .rootsys import DiagramType
 from .seriescalc import PeriodTable
@@ -154,7 +154,7 @@ class FiniteGroup:
     ``non_residue`` is the least quadratic non-residue mod p.  The table is
     stored once, by columns: ``columns[j][i]`` is the index of element i
     times element j, ``bytes`` up to 256 elements (every type the CLI
-    accepts but D67..D71) and tuples beyond; :attr:`mult` derives the rows.
+    accepts but D67..D71) and tuples beyond; there are no rows.
     ``classes`` are conjugacy classes as sorted index tuples, ordered by
     their smallest member, so the identity class is first.  Facts read more
     than once per build, such as each class's characters over one period
@@ -174,12 +174,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def mult(self) -> tuple[tuple[int, ...], ...]:
-        """The rows, ``mult[i][j] = columns[j][i]``, derived on first read, as
-        only the walk of "group sanity" that names a failing x reads them."""
-        return tuple(zip(*self.columns))
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
@@ -265,8 +259,8 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     k, the index ``right[k][i]`` of ``elements[i] * gens[k]``, and for
     every new element j its parent (i, k) with ``elements[j] =
     elements[i] * gens[k]``.  The table is then filled from these words in
-    exact indices, one column at a time: ``mult[i][j] =
-    right[k][mult[i][i_j]]`` for j's parent (i_j, k), so column j is
+    exact indices, one column at a time: ``columns[j][i] =
+    right[k][columns[i_j][i]]`` for j's parent (i_j, k), so column j is
     column i_j gathered from ``right[k]``, and only the n * |gens|
     closure products are ever formed.  Up to 256 elements the columns are
     ``bytes`` and each gather is one ``bytes.translate`` through
@@ -311,7 +305,7 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
 
     column = bytes if n <= 256 else tuple  # bytes while a byte holds every index
     gathers = [_gather(column(row)) for row in right]
-    columns = [column(range(n))]  # columns[j][i] = mult[i][j]
+    columns = [column(range(n))]  # columns[j][i]: element i times element j
     for parent, k in parents[1:]:
         columns.append(gathers[k](columns[parent]))
     try:
@@ -498,7 +492,8 @@ class CharacterTable:
 
     ``rows[r][c]`` is the value of irreducible r on class c, mod
     ``group.p`` (the defining character's row is ``group.class_traces``);
-    ``node_map`` sends each extended-diagram node to its row.  The
+    ``node_map`` sends each extended-diagram node to its row, and
+    ``dims``, the degrees chi(1), are the rows' first column.  The
     character oracles read only ``central[node]``, the node's character
     at +identity and -identity as integers (dim, +-dim), and
     ``residues[r][node]``, the non-central sum of |F*| <chi_n, chi_node>
@@ -508,11 +503,11 @@ class CharacterTable:
     """
 
     def __init__(
-        self, group: FiniteGroup, rows: tuple[tuple[int, ...], ...], dims: tuple[int, ...],
-        node_map: tuple[int, ...], central: tuple[tuple[int, int], ...],
-        residues: tuple[tuple[int, ...], ...],
+        self, group: FiniteGroup, rows: tuple[tuple[int, ...], ...], node_map: tuple[int, ...],
+        central: tuple[tuple[int, int], ...], residues: tuple[tuple[int, ...], ...],
     ) -> None:
-        self.group, self.rows, self.dims, self.node_map = group, rows, dims, node_map
+        self.group, self.rows, self.node_map = group, rows, node_map
+        self.dims = tuple(row[0] for row in rows)
         self.central, self.residues = central, residues
 
     @cached_property
@@ -630,11 +625,11 @@ def _irreducibles(group: FiniteGroup, graph: McKayGraph) -> list[tuple[int, ...]
     links = [[(y, k) for y, k in enumerate(row) if k] for row in graph.adjacency]
     walk, seen = [0], {0}
     for x in walk:  # grows while it is walked: breadth first
+        if x >= size:  # a node with no adjacency row
+            raise _failure(graph.dtype, "character_table", f"the diagram walk passes {size} nodes")
         new = [y for y, _ in links[x] if y not in seen]
         walk += new
         seen.update(new)
-        if len(walk) > size:
-            raise _failure(graph.dtype, "character_table", f"the diagram walk passes {size} nodes")
     if len(walk) != size:
         raise _failure(graph.dtype, "character_table", "extended diagram is not connected")
 
@@ -683,7 +678,6 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
     table = CharacterTable(
         group=group,
         rows=rows,
-        dims=tuple(row[0] for row in rows),
         node_map=tuple(index[row] for row in nodes),
         central=tuple((row[0], _lift(row[minus], p)) for row in nodes),
         residues=_residue_sums(
@@ -704,9 +698,9 @@ def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node:
     for each node in turn.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise UsageError("n must be nonnegative")
     if not 0 <= node < len(table.central):
-        raise ValueError(f"node index {node} out of range for {group.dtype}")
+        raise UsageError(f"node index {node} out of range for {group.dtype}")
     t = table.periods
     k, r = divmod(n, t.period)
     return t.base[r][node] + k * t.step[r][node]

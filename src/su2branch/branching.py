@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable
 from functools import cached_property
 from itertools import count, islice, repeat
 from operator import itemgetter, mul, sub
@@ -51,9 +50,10 @@ from .coxeter import (
     orbit_table,
     special_index,
 )
+from .errors import UsageError
 from .invariants import ORACLES, enforce
 from .mckay import McKayGraph, extended_graph
-from .rootsys import DiagramType, ReadOnly, Root, RootSystem, build_root_system
+from .rootsys import DiagramType, ReadOnly, RootSystem, build_root_system
 from .seriescalc import PeriodTable, Poly, poly, series_div_geom, sparse_items
 
 if TYPE_CHECKING:
@@ -91,12 +91,12 @@ def branch_params(rs: RootSystem) -> BranchParams:
 class HeisenbergSubsystem(ReadOnly):
     """Positive roots pairing strictly positively with the highest root.
 
-    There are exactly 2h - 3 of them; ``indices`` splits their root indices
-    into slices by the node of their Coxeter orbit.
+    There are exactly 2h - 3 of them, held as their root indices only:
+    ``indices`` splits them into slices by the node of their Coxeter orbit.
     """
 
-    def __init__(self, roots: tuple[Root, ...], indices: dict[int, tuple[int, ...]]) -> None:
-        vars(self).update(roots=roots, indices=indices)
+    def __init__(self, indices: dict[int, tuple[int, ...]]) -> None:
+        vars(self).update(indices=indices)
 
 
 def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsystem:
@@ -104,13 +104,10 @@ def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsyst
     positives = rs.positive_roots
     psi = [(itemgetter(i - 1), p) for i, p in zip(rs.nodes, rs.highest_root_image) if p]
     pairs = map(sum, zip(*[map(mul, repeat(p), map(column, positives)) for column, p in psi]))
-    members = [k for k, pair in enumerate(pairs) if pair > 0]
     indices: dict[int, list[int]] = {i: [] for i in rs.nodes}
-    for k in members:
+    for k in (k for k, pair in enumerate(pairs) if pair > 0):
         indices[table.orbit_node[k]].append(k)
-    return HeisenbergSubsystem(
-        tuple(positives[k] for k in members), {i: tuple(ks) for i, ks in indices.items()}
-    )
+    return HeisenbergSubsystem({i: tuple(ks) for i, ks in indices.items()})
 
 
 def z_polynomial(
@@ -141,25 +138,6 @@ def z_polynomial(
     return poly(coeffs)
 
 
-def _built_once(build: Callable[[Branching], object]) -> property:
-    """A property that runs ``build`` on first read and keeps its value,
-    or the exception it raised, which every later read raises again."""
-    key = f"_{build.__name__}_outcome"
-
-    def get(self: Branching) -> object:
-        if key not in self.__dict__:
-            try:
-                self.__dict__[key] = (build(self), None)
-            except Exception as exc:  # noqa: BLE001 - kept for the entries that read it
-                self.__dict__[key] = (None, exc)
-        value, exc = self.__dict__[key]
-        if exc is not None:
-            raise exc
-        return value
-
-    return property(get)
-
-
 class Branching(ReadOnly):
     """Everything derived from one diagram type, bundled.
 
@@ -169,8 +147,8 @@ class Branching(ReadOnly):
     the first that fails; their results are kept in ``enforced``, by
     entry name, for verify to report.  Then it builds the Coxeter period
     table every level is read from (module docstring).  The McKay graph,
-    the group and its character table are built on first use; only the
-    last two load ``binarygroups``, at most once even when that fails.
+    the group and its character table are cached properties, and a failed
+    build runs again at each read; only the last two load ``binarygroups``.
     """
 
     def __init__(
@@ -225,12 +203,12 @@ class Branching(ReadOnly):
         route and the character table read it."""
         return extended_graph(self.rs)
 
-    @_built_once
+    @cached_property
     def group(self) -> binarygroups.FiniteGroup:
         from . import binarygroups
         return binarygroups.build_group(self.dtype, self.params)
 
-    @_built_once
+    @cached_property
     def character_table(self) -> binarygroups.CharacterTable:
         from . import binarygroups
         return binarygroups.character_table(self.group, self.graph)
@@ -247,17 +225,17 @@ class Branching(ReadOnly):
                 mark_s, dist_s = text.split(",")
                 want = (int(mark_s), int(dist_s))
             except ValueError:
-                raise ValueError(f"bad node spec {spec!r}: expected 'mark,distance'") from None
+                raise UsageError(f"bad node spec {spec!r}: expected 'mark,distance'") from None
             for i in range(self.rs.rank + 1):
                 if self.node_label(i) == want:
                     return i
-            raise ValueError(f"no node labeled (mark, distance) = {want} in {self.dtype}")
+            raise UsageError(f"no node labeled (mark, distance) = {want} in {self.dtype}")
         try:
             node = int(text)
         except ValueError:
-            raise ValueError(f"bad node spec {spec!r}") from None
+            raise UsageError(f"bad node spec {spec!r}") from None
         if not 0 <= node <= self.rs.rank:
-            raise ValueError(f"node index {node} out of range for {self.dtype}")
+            raise UsageError(f"node index {node} out of range for {self.dtype}")
         return node
 
     def series(self, node: int, order: int) -> tuple[int, ...]:
@@ -265,9 +243,9 @@ class Branching(ReadOnly):
         proved Coxeter table, base[r][node] + k step[r][node] at n = kL + r,
         one arithmetic progression per residue r."""
         if not 0 <= node <= self.rs.rank:
-            raise ValueError(f"node index {node} out of range for {self.dtype}")
+            raise UsageError(f"node index {node} out of range for {self.dtype}")
         if order < 0:
-            raise ValueError("order must be nonnegative")
+            raise UsageError("order must be nonnegative")
         table, levels = self._coxeter, [0] * (order + 1)
         period = table.period
         for r, (base, step) in enumerate(zip(table.base[: order + 1], table.step)):
@@ -284,7 +262,7 @@ class Branching(ReadOnly):
             return self.graph.certificate
         if oracle == "characters":
             return self.character_table.periods
-        raise ValueError(f"unknown oracle {oracle!r}: expected one of {', '.join(ORACLES)}")
+        raise UsageError(f"unknown oracle {oracle!r}: expected one of {', '.join(ORACLES)}")
 
     def vector(self, n: int, oracle: str = "coxeter") -> tuple[int, ...]:
         """Multiplicities at level n across all extended nodes (0..rank) by the
@@ -293,5 +271,5 @@ class Branching(ReadOnly):
         once n's residue has been read twice, exact int arithmetic entry by
         entry otherwise (:meth:`~.seriescalc.PeriodTable.level`)."""
         if n < 0:
-            raise ValueError("n must be nonnegative")
+            raise UsageError("n must be nonnegative")
         return (self._coxeter if oracle == "coxeter" else self.periods(oracle)).level(n)

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .branching import Branching
-from .errors import ConsistencyError
+from .errors import ConsistencyError, UsageError
 from .invariants import ORACLES
 from .rootsys import NODE_CONVENTION, DiagramType
 from .seriescalc import poly_str, sparse_items
@@ -80,7 +80,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
 
 def cmd_branch(args: argparse.Namespace) -> tuple:
     if args.n < 0:
-        raise ValueError("--n must be nonnegative")
+        raise UsageError("--n must be nonnegative")
     bundle = Branching.build(args.type)
     vec = bundle.vector(args.n, args.oracle)
     doc = _envelope(bundle.dtype, n=args.n, oracle=args.oracle, multiplicities=list(vec))
@@ -94,9 +94,9 @@ def cmd_branch(args: argparse.Namespace) -> tuple:
 
 def cmd_zpoly(args: argparse.Namespace) -> tuple:
     if args.all and args.node is not None:
-        raise ValueError("zpoly takes --node or --all, not both")
+        raise UsageError("zpoly takes --node or --all, not both")
     if not args.all and args.node is None:
-        raise ValueError("zpoly requires --node or --all")
+        raise UsageError("zpoly requires --node or --all")
     bundle = Branching.build(args.type)
     nodes = range(bundle.rs.rank + 1) if args.all else [bundle.resolve_node(args.node)]
     records, lines = [], []
@@ -112,11 +112,11 @@ def cmd_zpoly(args: argparse.Namespace) -> tuple:
 
 def cmd_series(args: argparse.Namespace) -> tuple:
     if args.order > MAX_ORDER:
-        raise ValueError(f"order {args.order} exceeds the limit {MAX_ORDER}")
+        raise UsageError(f"order {args.order} exceeds the limit {MAX_ORDER}")
     if args.node is None:
-        raise ValueError("series requires --node")
+        raise UsageError("series requires --node")
     if args.order < 0:
-        raise ValueError("order must be nonnegative")
+        raise UsageError("order must be nonnegative")
     bundle = Branching.build(args.type)
     node = bundle.resolve_node(args.node)
     coeffs = bundle.series(node, args.order)
@@ -234,15 +234,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.out == "":
-            raise ValueError("cannot write --out '': the path is empty")
+            raise UsageError("cannot write --out '': the path is empty")
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-            raise ValueError(f"cannot write --out {args.out}: its directory does not exist")
+            raise UsageError(f"cannot write --out {args.out}: its directory does not exist")
         if args.out and os.path.isdir(args.out):
-            raise ValueError(f"cannot write --out {args.out}: it is a directory")
+            raise UsageError(f"cannot write --out {args.out}: it is a directory")
         if getattr(args, "type", None) is not None:
             args.type = DiagramType.parse(args.type)
             if args.type.rank > MAX_RANK:
-                raise ValueError(f"type {args.type} exceeds the rank limit {MAX_RANK}")
+                raise UsageError(f"type {args.type} exceeds the rank limit {MAX_RANK}")
         doc, lines, *status = args.fn(args)
         if args.json:
             import json
@@ -257,19 +257,22 @@ def main(argv: list[str] | None = None) -> int:
                 # the unwritten bytes stay buffered: let the flush at exit drop them
                 with open(os.devnull, "wb") as devnull:
                     os.dup2(devnull.fileno(), sys.stdout.fileno())
-                raise ValueError(f"cannot write output: {exc.strerror}") from None
+                raise UsageError(f"cannot write output: {exc.strerror}") from None
         else:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text + "\n")
             except OSError as exc:
-                raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+                raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
         return status[0] if status else 0
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, IndexError) as exc:
+    except ConsistencyError as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # noqa: BLE001 - a fault in the program, not in its input
+        print(f"internal check failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -25,3 +25,7 @@ class ConsistencyError(RuntimeError):
         self.dtype = dtype
         self.stage = stage
         self.invariant = invariant
+
+
+class UsageError(ValueError):
+    """Bad input from the caller, or output that cannot be written: exit 2."""

@@ -50,8 +50,8 @@ levels.  Only the group entries and the character route import
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
-from operator import getitem, itemgetter, mul
+from collections.abc import Callable
+from operator import getitem, itemgetter, mul, ne
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coxeter import perm_compose, perm_identity
@@ -234,11 +234,12 @@ def _orbit_exponents(c: Branching) -> Result:
 
 def _heisenberg(c: Branching) -> Result:
     hs, h = c.heisenberg, c.rs.coxeter_number
-    if len(hs.roots) != 2 * h - 3:
-        return False, f"{len(hs.roots)} roots, expected {2 * h - 3}"
-    if min(map(min, hs.roots)) < 0:
+    members = [k for ks in hs.indices.values() for k in ks]
+    if len(members) != 2 * h - 3:
+        return False, f"{len(members)} roots, expected {2 * h - 3}"
+    if not set(members) <= set(range(c.rs.num_positive)):
         return False, "subsystem contains a negative root"
-    if sorted(c.rs.roots[k] for ks in hs.indices.values() for k in ks) != sorted(hs.roots):
+    if len(set(members)) != len(members):
         return False, "slices do not partition the subsystem"
     for i in c.rs.nodes:
         want = 2 * c.rs.mark(i) if i != c.params.special else c.params.a - 1
@@ -285,14 +286,12 @@ def _golden_e8(c: Branching) -> Result:
 
 
 def _branch_parameters(c: Branching) -> Result:
-    """The closed form (a, b, h, g), which has a <= b, both even and
-    4 | ab; "group sanity" confirms |F*| = a * b / 2 on the built group."""
+    """The closed form (a, b, h, g): a <= b, both even, 4 | ab and b = h +
+    2 - a; "group sanity" confirms |F*| = a * b / 2 on the built group."""
     p = c.params
     got, want = (p.a, p.b, p.h, p.g), expected_params(c.dtype)
     if got != want:
         return False, f"computed {got}, closed form {want}"
-    if p.b != p.h + 2 - p.a:
-        return False, "b != h + 2 - a"
     return True, f"(a, b, h, g) = {want}; |F*| = {p.order_fstar}"
 
 
@@ -308,17 +307,17 @@ def _group_sanity(c: Branching) -> Result:
     left half follows.
 
     Every check reads the table as the group stores it, by columns
-    (``FiniteGroup.columns``, ``mult[x][y] = columns[y][x]``).  First every
+    (``FiniteGroup.columns``, ``columns[y][x]`` the index of x y).  First every
     entry must index a column, x y in range(len(columns)): byte columns are
     joined and those indices deleted by one ``bytes.translate``, and
     otherwise each column is a subset of the indices; an entry outside
     names its row and column.  Then for each generator g and element y,
     column g gathered by column y (``binarygroups._gather``, one
-    ``bytes.translate`` up to 256 elements) must be column y g.  Only a
-    generator whose screen fails is walked element by element, on the rows
-    (``FiniteGroup.mult``, derived on that first read) and at the y whose
-    screen failed, to name the first x.  The inverse check reads x x^-1 as
-    entry x of column x^-1."""
+    ``bytes.translate`` up to 256 elements) must be column y g: entry x
+    of each is (x y) g and x (y g).  Only a generator whose screen fails
+    names a failure, the least x where those two columns differ at any y
+    whose screen failed.  The inverse check reads x x^-1 as entry x of
+    column x^-1."""
     from . import binarygroups
     group, p = c.group, c.params
     n, columns = group.order, group.columns
@@ -338,12 +337,10 @@ def _group_sanity(c: Branching) -> Result:
         return False, "element 0 is not a right identity"
     for g in gens:  # screen: column g gathered by column y is column y g
         col, gather = columns[g], binarygroups._gather(columns[g])  # col: y -> y g
-        if any(gather(y) != columns[yg] for y, yg in zip(columns, col)):
-            bad = [y for y, yg in enumerate(col) if gather(columns[y]) != columns[yg]]
-            mult = group.mult
-            for x, line in enumerate(mult):  # name the first x, at a y the screen failed
-                if any(mult[line[y]][g] != line[col[y]] for y in bad):
-                    return False, f"(x y) g != x (y g) at x = {x}, g = {g}"
+        bad = [(u, v) for u, v in zip(map(gather, columns), map(columns.__getitem__, col)) if u != v]
+        if bad:  # name the least x where (x y) g != x (y g) at a y the screen failed
+            x = min(list(map(ne, u, v)).index(True) for u, v in bad)
+            return False, f"(x y) g != x (y g) at x = {x}, g = {g}"
     seen, layer = {0}, {0}
     while layer:  # breadth first, a layer of new elements at a time
         layer = {columns[g][y] for g in gens for y in layer} - seen
@@ -401,25 +398,25 @@ def _character_table(c: Branching) -> Result:
     return dims == graph.marks_ext, f"{r} irreducibles; dims match marks; central signs match sides"
 
 
-def _read(tables: list[PeriodTable]) -> tuple[int, Iterator]:
-    """2L - 1 and the tables' levels 0..2L-1 side by side, L the lcm of
-    their periods.
+def _read(tables: list[PeriodTable]) -> tuple[int, list[PeriodTable]]:
+    """2L - 1 and each table's levels 0..2L-1 (:meth:`PeriodTable.upto`,
+    read only when iterated), L the lcm of their periods.
 
     Every table's levels form a degree-1 quasi-polynomial in n.  Two such
     agree at every n >= 0 once they agree at levels 0..2L-1: on each
     residue class mod L both are affine in k, and two points fix an
     affine function."""
     last = 2 * math.lcm(*(table.period for table in tables)) - 1
-    return last, zip(*(table.upto(last) for table in tables))
+    return last, [table.upto(last) for table in tables]
 
 
 def _triple_oracle(c: Branching) -> Result:
     tables = [c.periods(oracle) for oracle in ORACLES]
-    last = 2 * math.lcm(*(table.period for table in tables)) - 1
+    last, views = _read(tables)
     # Tables of one period agree at every level once their rows agree; tables of
     # different periods (E6) are read level by level, the reads that pack.
     if len({(table.base, table.step) for table in tables}) > 1:
-        for n, (s, r, ch) in enumerate(_read(tables)[1]):
+        for n, (s, r, ch) in enumerate(zip(*views)):
             for i in range(c.graph.size):
                 if s[i] != r[i]:
                     return False, f"series {s[i]} != recursion {r[i]} at n={n}, node {i}"
@@ -449,8 +446,8 @@ def _sum_rule(c: Branching) -> Result:
     """No mutant needs it alone; the one range check not between routes, so it
     holds against a fault the three share (their one level reader)."""
     marks = c.graph.marks_ext
-    last, levels = _read([c.periods("coxeter")])  # n + 1 has period 1
-    for n, (v,) in enumerate(levels):
+    last, (levels,) = _read([c.periods("coxeter")])  # n + 1 has period 1
+    for n, v in enumerate(levels):
         if sum(map(mul, marks, v)) != n + 1:
             return False, f"dimension sum fails at n={n}"
     return True, f"sum of mark * multiplicity is n + 1 for all n (levels 0..{last})"

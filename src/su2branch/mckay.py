@@ -32,14 +32,13 @@ from .seriescalc import PeriodTable, Vector
 
 class McKayGraph(ReadOnly):
     """Extended diagram: node 0 is the affine node, nodes 1..rank as in
-    the root system.  ``adjacency`` doubles as the tensor-decomposition
-    matrix; ``marks_ext`` is its eigenvector with eigenvalue 2."""
+    the root system, ``size`` = len(adjacency) in all.  ``adjacency`` is
+    also the tensor-decomposition matrix; ``marks_ext`` its eigenvalue-2 eigenvector."""
 
     def __init__(
-        self, dtype: DiagramType, size: int, adjacency: tuple[tuple[int, ...], ...],
-        marks_ext: tuple[int, ...],
+        self, dtype: DiagramType, adjacency: tuple[tuple[int, ...], ...], marks_ext: tuple[int, ...]
     ) -> None:
-        vars(self).update(dtype=dtype, size=size, adjacency=adjacency, marks_ext=marks_ext)
+        vars(self).update(dtype=dtype, size=len(adjacency), adjacency=adjacency, marks_ext=marks_ext)
 
     @cached_property
     def certificate(self) -> PeriodTable:
@@ -163,7 +162,6 @@ def extended_graph(rs: RootSystem) -> McKayGraph:
         adj[0][i] = adj[i][0] = c
     return McKayGraph(
         dtype=rs.dtype,
-        size=size,
         adjacency=tuple(tuple(row) for row in adj),
         marks_ext=(1,) + rs.marks,
     )

@@ -35,7 +35,7 @@ import struct
 from functools import cached_property, reduce
 from operator import and_, mul, or_
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, UsageError
 
 #: Version tag for the node-numbering convention, carried by JSON output.
 NODE_CONVENTION = "v1"
@@ -70,14 +70,14 @@ class DiagramType(ReadOnly):
 
     def __init__(self, family: str, rank: int) -> None:
         if family not in ("A", "D", "E"):
-            raise ValueError(f"unknown family {family!r}; expected A, D or E")
+            raise UsageError(f"unknown family {family!r}; expected A, D or E")
         r = rank
         if family == "A" and (r < 1 or r % 2 == 0):
-            raise ValueError(f"A{r} is not supported: type A requires odd rank >= 1")
+            raise UsageError(f"A{r} is not supported: type A requires odd rank >= 1")
         if family == "D" and r < 4:
-            raise ValueError(f"D{r} is not supported: type D requires rank >= 4")
+            raise UsageError(f"D{r} is not supported: type D requires rank >= 4")
         if family == "E" and r not in (6, 7, 8):
-            raise ValueError(f"E{r} is not supported: type E requires rank 6, 7 or 8")
+            raise UsageError(f"E{r} is not supported: type E requires rank 6, 7 or 8")
         vars(self).update(family=family, rank=rank)
 
     def __eq__(self, other: object) -> bool:
@@ -95,7 +95,7 @@ class DiagramType(ReadOnly):
     def parse(cls, text: str) -> "DiagramType":
         m = re.fullmatch(r"\s*([ADEade])\s*(\d+)\s*", text)
         if not m:
-            raise ValueError(
+            raise UsageError(
                 f"cannot parse diagram type {text!r} (expected e.g. 'A7', 'D5', 'E8')"
             )
         return cls(m.group(1).upper(), int(m.group(2)))
@@ -195,14 +195,14 @@ class RootSystem(ReadOnly):
         return self._key(x) in self._index
 
     def index_of(self, x: Root, stage: str | None = None) -> int:
-        """The index of the root x.  Any other tuple raises ``ValueError``, a
+        """The index of the root x.  Any other tuple raises ``UsageError``, a
         caller's mistake, or with ``stage``, the build stage that derived x,
         :class:`~.errors.ConsistencyError` naming it."""
         k = self._index.get(self._key(x))
         if k is None:
             problem = f"{x} is not a root of {self.dtype}"
             if stage is None:
-                raise ValueError(problem)
+                raise UsageError(problem)
             raise ConsistencyError(f"{stage}: {problem}", dtype=str(self.dtype), stage=stage)
         return k
 

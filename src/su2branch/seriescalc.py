@@ -41,6 +41,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from operator import add
 
+from .errors import UsageError
 from .rootsys import ReadOnly
 
 Poly = tuple[int, ...]
@@ -78,9 +79,9 @@ def series_div_geom(z: Poly, a: int, b: int, order: int) -> tuple[int, ...]:
     Exact integer arithmetic.
     """
     if a < 1 or b < 1:
-        raise ValueError("denominator exponents must be >= 1")
+        raise UsageError("denominator exponents must be >= 1")
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise UsageError("order must be nonnegative")
     c = list(z[: order + 1]) + [0] * (order + 1 - len(z))
     for n in range(a, order + 1):
         c[n] += c[n - a]
@@ -106,7 +107,7 @@ class PeriodTable(ReadOnly):
 
     def __init__(self, base: tuple[Vector, ...], step: tuple[Vector, ...], order: int) -> None:
         if order < 0:
-            raise ValueError("order must be nonnegative")
+            raise UsageError("order must be nonnegative")
         # _packed holds each residue's packed form (:meth:`_pack`) or, until
         # it packs, the number of its exact reads past the base levels; every
         # upto view shares its table's list.
@@ -117,7 +118,7 @@ class PeriodTable(ReadOnly):
         """The levels 0..order, sharing this table's ``base``, ``step`` and
         packed residues."""
         if order < 0:
-            raise ValueError("order must be nonnegative")
+            raise UsageError("order must be nonnegative")
         view = object.__new__(PeriodTable)
         vars(view).update(vars(self), order=order)
         return view

@@ -1,7 +1,7 @@
 """One cached bundle per diagram type, so each type is constructed once
-per run, a copy-with-changes helper for the library's records and one
-for a group table's columns, and polynomial, counting and root-system
-helpers used only by tests."""
+per run, a copy-with-changes helper for the library's records, a group
+table's rows and a helper for its columns, and polynomial, counting and
+root-system helpers used only by tests."""
 
 import inspect
 import math
@@ -80,6 +80,12 @@ def replace(obj, **changes):
 def _parameters(cls):
     """The names of ``cls``'s constructor arguments, read once per class."""
     return tuple(inspect.signature(cls).parameters)
+
+
+def rows(group):
+    """The rows of ``group``'s table, which stores only its columns:
+    ``rows(group)[x][y] = group.columns[y][x]``, the index of x y."""
+    return tuple(zip(*group.columns))
 
 
 def doctored_columns(group, entries):

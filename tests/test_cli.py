@@ -245,6 +245,29 @@ def test_a_signed_simple_root_off_the_root_set_exits_1_naming_orbit_table(monkey
     assert re.fullmatch(r"internal check failure: orbit_table: \(-?2, 0(, 0)*\) is not a root of E8\n", err)
 
 
+#: A build stage per command, patched to fail as a fault in the program would.
+STAGES = {
+    "branch": (branching, "heisenberg_subsystem", ("branch", "--type", "E8", "--n", "3")),
+    "group": (binarygroups, "build_group", ("group", "--type", "E8")),
+}
+
+
+#: Faults by the exception they raise.
+FAULTS = {"KeyError": lambda: {}[8], "ValueError": lambda: int("x"), "ZeroDivisionError": lambda: 1 // 0}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+@pytest.mark.parametrize("command", STAGES)
+def test_a_fault_in_a_build_stage_exits_1_on_one_line(monkeypatch, capsys, command, name):
+    # Only bad input is a usage error: any other exception, a ValueError too,
+    # is an internal check failure that names its type, with no traceback.
+    module, stage, argv = STAGES[command]
+    monkeypatch.setattr(module, stage, lambda *args: FAULTS[name]())
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"internal check failure: {name}: ") and err.count("\n") == 1
+
+
 def test_bad_node_exits_2(capsys):
     code, _, err = run(capsys, "series", "--type", "A3", "--node", "17")
     assert code == 2

@@ -51,10 +51,10 @@ def hand_built_graphs():
         (2, 0, 0, 0, 0), (1, 1, 1, 0, 0), (0, 1, 1, 1, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 5),
     )  # fmt: skip
     return {
-        "E8 triangle": McKayGraph(e8.dtype, e8.size, tuple(map(tuple, adj)), e8.marks_ext),
-        "A1 negated": McKayGraph(a3, 2, ((0, -2), (-2, 0)), (1, -1)),
-        "aperiodic": McKayGraph(a3, 2, ((2, 0), (1, 3)), (1, 0)),
-        "outgrows": McKayGraph(a3, 5, outgrows, (1, 0, 0, 0, 0)),
+        "E8 triangle": McKayGraph(e8.dtype, tuple(map(tuple, adj)), e8.marks_ext),
+        "A1 negated": McKayGraph(a3, ((0, -2), (-2, 0)), (1, -1)),
+        "aperiodic": McKayGraph(a3, ((2, 0), (1, 3)), (1, 0)),
+        "outgrows": McKayGraph(a3, outgrows, (1, 0, 0, 0, 0)),
     }
 
 
@@ -287,7 +287,7 @@ def outcome(certify, graph):
 
 def fresh_certificate(graph):
     """``graph.certificate`` computed on a copy, so nothing cached is read."""
-    return McKayGraph(graph.dtype, graph.size, graph.adjacency, graph.marks_ext).certificate
+    return McKayGraph(graph.dtype, graph.adjacency, graph.marks_ext).certificate
 
 
 @pytest.fixture
@@ -342,7 +342,7 @@ def small_graphs(draw):
         row = st.lists(entry, min_size=size, max_size=size)
         adjacency = draw(st.lists(row, min_size=size, max_size=size))
         marks = [draw(first_mark), *draw(st.lists(entry, min_size=size - 1, max_size=size - 1))]
-        return McKayGraph(DiagramType("A", 3), size, tuple(map(tuple, adjacency)), tuple(marks))
+        return McKayGraph(DiagramType("A", 3), tuple(map(tuple, adjacency)), tuple(marks))
     g = graph_for(draw(st.sampled_from(SMALL_TYPES)))
     adjacency, marks = [list(row) for row in g.adjacency], list(g.marks_ext)
     node = st.integers(0, g.size - 1)
@@ -359,7 +359,7 @@ def small_graphs(draw):
             k = draw(st.sampled_from(twins or [i]))
             adjacency[i][j] += d
             adjacency[k][j] -= d
-    return McKayGraph(g.dtype, g.size, tuple(map(tuple, adjacency)), tuple(marks))
+    return McKayGraph(g.dtype, tuple(map(tuple, adjacency)), tuple(marks))
 
 
 @given(small_graphs())
@@ -408,7 +408,7 @@ UNPROVED = {
 @pytest.mark.parametrize("name", UNPROVED)
 def test_unproved_sums_check_each_level_the_recursion_computes(checked_levels, name):
     (adjacency, marks), expected, top = UNPROVED[name]
-    g = McKayGraph(graph_for("A3").dtype, 3, adjacency, marks)
+    g = McKayGraph(graph_for("A3").dtype, adjacency, marks)
     assert outcome(reference_certificate, g) == expected
     checked_levels.clear()
     assert outcome(fresh_certificate, g) == expected
@@ -418,7 +418,7 @@ def test_unproved_sums_check_each_level_the_recursion_computes(checked_levels, n
 def test_a_graph_of_period_1_certifies_it():
     # One node with a loop of weight 2: v_n = (n + 1,), so every dimension
     # sum holds, the step is constant from the start, and P = 1.
-    g = McKayGraph(graph_for("A3").dtype, 1, ((2,),), (1,))
+    g = McKayGraph(graph_for("A3").dtype, ((2,),), (1,))
     expected = outcome(reference_certificate, g)
     assert expected == (1, ((1,),), ((1,),), 1)
     assert outcome(fresh_certificate, g) == expected
