@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING
 from .errors import ConsistencyError, UsageError
 from .mckay import McKayGraph
 from .rootsys import DiagramType
-from .seriescalc import PeriodTable
+from .seriescalc import PeriodTable, fields
 
 if TYPE_CHECKING:
     from .branching import BranchParams
@@ -390,7 +390,7 @@ def _residue_sums(
     chi = group.chi_periods
     noncentral, periods = list(chi), list(chi.values())
     p, e, size = group.p, exponent(group.dtype), len(weights[0])
-    pack, unpack = _fields(p, len(noncentral), size)
+    pack, unpack = _fields(group, len(noncentral), size)
     packed = [pack([w % p for w in weights[c]]) for c in noncentral]
     half, lift = [], p // 2
     for r in range(e // 2):
@@ -401,23 +401,22 @@ def _residue_sums(
     return tuple(half + negated + [(0,) * size])
 
 
-def _fields(p: int, terms: int, size: int) -> tuple[Callable, Callable]:
+def _fields(group: FiniteGroup, terms: int, size: int) -> tuple[Callable, Callable]:
     """(pack, unpack) of ``size`` fields, one residue mod p each, whose sums
-    of up to ``terms`` products stay apart: a field is whole 64-bit words, at
-    least 2 bits(p) + bits(terms) + 1 bits, so none carries into the next."""
-    words = -(-(2 * p.bit_length() + terms.bit_length() + 1) // 64)
-    fields, width = struct.Struct(f"<{size * words}Q"), 8 * words
+    of up to ``terms`` products stay apart: a field is one unsigned 64-bit
+    word (:func:`~.seriescalc.fields`), and a sum needs 2 bits(p) +
+    bits(terms) + 1 bits, at most 48 over the types the CLI accepts (D65).
+    A modulus whose sums need more aborts, at stage ``character_table``."""
+    if (bits := 2 * group.p.bit_length() + terms.bit_length() + 1) > 64:
+        problem = f"sums of {terms} products mod {group.p} need {bits}-bit fields, past 64"
+        raise _failure(group.dtype, "character_table", problem)
+    row = fields(size)
 
     def pack(values: list[int]) -> int:
-        low = [0] * (size * words)  # each value in its field's lowest word
-        low[::words] = values
-        return int.from_bytes(fields.pack(*low), "little")
+        return int.from_bytes(row.pack(*values), "little")
 
-    def unpack(total: int) -> tuple[int, ...] | list[int]:
-        raw = total.to_bytes(fields.size, "little")
-        if words == 1:
-            return fields.unpack(raw)
-        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, fields.size, width)]
+    def unpack(total: int) -> tuple[int, ...]:
+        return row.unpack(total.to_bytes(row.size, "little"))
 
     return pack, unpack
 
@@ -460,30 +459,52 @@ def _period_table(
     levels are checked in turn by :func:`_multiplicity`, whose first
     failure, or else the first negative step, names the fault, column i
     as node i.
+
+    The rows are proved packed, one 64-bit field per node, X = 2^64
+    (:func:`~.seriescalc.fields`), and handed to the table as they are.
+    The values c and each row of residue sums pack as signed 32-bit values
+    (a value past them aborts), as sums x_i X^i, C and R.  So the totals of
+    the step rows, E C, and of base row r, T = (r + 1) C + R, are sums t_i
+    X^i with every t_i within +-2^63, E being far below 2^32.  If |F*|
+    divides T with a quotient Q >= 0 whose fields q_i all have |F*| q_i <
+    2^63 (checked once, at the largest), then t_i and |F*| q_i are both T's
+    digits in base X within +-2^63, which are unique: t_i = |F*| q_i, and
+    Q is the row packed.  A real table passes: its residue sums lie within
+    +-p/2 (:func:`_residue_sums`) and its multiplicities are small.
     """
-    e, order = len(residues), group.order
+    e, order, size = len(residues), group.order, len(central)
     signs = ([a + b for a, b in central], [a - b for a, b in central])  # c at even r, at odd r
-    base = []
-    for r, rest in enumerate(residues):
-        totals = [(r + 1) * c + x for c, x in zip(signs[r % 2], rest)]
-        row = tuple([t // order for t in totals])
-        if min(row) < 0 or [m * order for m in row] != totals:
+    low = ((1 << 64 * size) - 1) // ((1 << 64) - 1) << 31  # bit 31 of every field
+    row, small = fields(size), fields(size, "i4x")  # i4x: a signed 32-bit value
+    try:
+        even, odd, *rests = [
+            (int.from_bytes(small.pack(*v), "little") ^ low) - low for v in (*signs, *residues)
+        ]
+        totals = [e * even, e * odd] + [(r + 1) * (even, odd)[r % 2] + x for r, x in enumerate(rests)]
+    except struct.error:  # a value past 32 bits
+        totals = []
+    packed: list[int] = []  # the step rows at even and odd r, then base rows 0..E-1
+    for t in totals:
+        q, m = divmod(t, order)
+        if m or q < 0:
             break
-        base.append(row)
-    steps = [tuple([e * c // order for c in cs]) for cs in signs]
-    proved = len(base) == e and all(
-        min(step) >= 0 and [d * order for d in step] == [e * c for c in cs]
-        for step, cs in zip(steps, signs)
-    )
-    table = PeriodTable(tuple(base), tuple(steps[r % 2] for r in range(e)), 2 * e - 1)
-    if proved:
-        return table
-    for n, row in enumerate(residues + residues):
-        for node, (c, rest) in enumerate(zip(central, row)):
+        packed.append(q)
+    if len(packed) == e + 2:
+        rows = tuple([row.unpack(q.to_bytes(row.size, "little")) for q in packed])
+        step, base = rows[:2], rows[2:]
+        if (bound := max(map(max, rows))) * order < 1 << 63:
+            packed_rows = (tuple(packed[2:]), tuple(packed[:2]) * (e // 2))
+            return PeriodTable(base, step * (e // 2), 2 * e - 1, packed_rows, bound)
+    for n, sums in enumerate(residues + residues):
+        for node, (c, rest) in enumerate(zip(central, sums)):
             _multiplicity(group, n, c, rest, node)
-    # every level passed, so a step is negative: name the first in level order
-    r, i = next((r, i) for r, step in enumerate(table.step) for i, d in enumerate(step) if d < 0)
-    problem = f"multiplicity of node {i} has a negative step {table.step[r][i]} at residue {r}"
+    # every level passed: a step is negative, or a value passes the packed fields
+    steps = [[e * c // order for c in cs] for cs in signs]
+    negative = ((r, i) for r in range(e) for i, d in enumerate(steps[r % 2]) if d < 0)
+    if (miss := next(negative, None)) is None:
+        raise _failure(group.dtype, "oracles", f"values past the packed fields at period {e}")
+    r, i = miss
+    problem = f"multiplicity of node {i} has a negative step {steps[r % 2][i]} at residue {r}"
     raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
 
 

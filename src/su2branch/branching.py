@@ -25,17 +25,17 @@ n >= 0, where s is the node's series.  So the dense series to 2L - 1
 gives base[r] = s[r] and step[r] = s[r + L] - s[r] for r < L, and level
 kL + r is base[r] + k step[r] (:class:`~.seriescalc.PeriodTable`),
 exact for any n.  The bundle expands all nodes at once, an unsigned
-64-bit field per node, so each running-sum step is one int addition: the
-enforced numerators are nonnegative with sums at most 12, so level n is
-at most 12 (n + 1), and step[r] >= 0 (L is a multiple of a and b): both
-fit a field.  :meth:`Branching.series` reads one node's column of the
-table, levels 0..order.
+64-bit field per node, so each running-sum step is one int addition, and
+hands the table those packed rows with the bound max_i z_i(1) (at most
+12): s[n] = sum_e z_e c(n - e) over the enforced nonnegative z_e, where
+c(m), the number of (i, j) >= 0 with a i + b j = m, is at most 1 for m <
+L and grows by 0 or 1 from m to m + L.  :meth:`Branching.series` reads
+one node's column of the table, levels 0..order.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from functools import cached_property
 from itertools import count, islice, repeat
 from operator import itemgetter, mul, sub
@@ -54,7 +54,7 @@ from .errors import UsageError
 from .invariants import ORACLES, enforce
 from .mckay import McKayGraph, extended_graph
 from .rootsys import DiagramType, ReadOnly, RootSystem, build_root_system
-from .seriescalc import PeriodTable, Poly, poly, series_div_geom, sparse_items
+from .seriescalc import PeriodTable, Poly, fields, poly, series_div_geom, sparse_items
 
 if TYPE_CHECKING:
     from . import binarygroups
@@ -164,10 +164,12 @@ class Branching(ReadOnly):
         for i in range(size):
             for e, c in sparse_items(zpolys[i][: 2 * period]):
                 z[e] += c << 64 * i
-        s, width = series_div_geom(z, params.a, params.b, 2 * period - 1), 8 * size
-        read = struct.Struct(f"<{size}Q").unpack  # steps s[r + L] - s[r] are nonnegative too
-        rows = [read(x.to_bytes(width, "little")) for x in (*s[:period], *map(sub, s[period:], s))]
-        vars(self)["_coxeter"] = PeriodTable(tuple(rows[:period]), tuple(rows[period:]), len(s) - 1)
+        s = series_div_geom(z, params.a, params.b, 2 * period - 1)
+        packed = (s[:period], tuple(map(sub, s[period:], s)))  # steps are nonnegative too
+        row = fields(size)
+        base, step = (tuple([row.unpack(x.to_bytes(row.size, "little")) for x in xs]) for xs in packed)
+        bound = max(map(sum, zpolys.values()))  # each entry <= z_i(1) (module docstring)
+        vars(self)["_coxeter"] = PeriodTable(base, step, len(s) - 1, packed, bound)
 
     @classmethod
     def build(cls, dtype: DiagramType | str) -> "Branching":
@@ -267,9 +269,9 @@ class Branching(ReadOnly):
     def vector(self, n: int, oracle: str = "coxeter") -> tuple[int, ...]:
         """Multiplicities at level n across all extended nodes (0..rank) by the
         named oracle, exact for any n >= 0: one read of its period table of
-        period P, one multiply-add of packed 64-bit fields for n < 2^64 - P
-        once n's residue has been read twice, exact int arithmetic entry by
-        entry otherwise (:meth:`~.seriescalc.PeriodTable.level`)."""
+        period P, one multiply-add of packed 64-bit fields for P <= n < 2^64 -
+        P from the first read, exact int arithmetic entry by entry beyond
+        (:meth:`~.seriescalc.PeriodTable.level`)."""
         if n < 0:
             raise UsageError("n must be nonnegative")
         return (self._coxeter if oracle == "coxeter" else self.periods(oracle)).level(n)

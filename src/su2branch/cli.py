@@ -264,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
                     fh.write(text + "\n")
             except OSError as exc:
                 raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
+            except ValueError as exc:  # a path open refuses, such as one with a NUL byte
+                raise UsageError(f"cannot write --out {args.out!r}: {exc}") from None
         return status[0] if status else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -381,7 +381,7 @@ def _character_table(c: Branching) -> Result:
     from . import binarygroups
     group, table, graph = c.group, c.character_table, c.graph
     r, p, sizes = len(group.classes), group.p, group.class_sizes
-    pack, unpack = binarygroups._fields(p, len(table.rows), r)
+    pack, unpack = binarygroups._fields(group, len(table.rows), r)
     rows = [[x % p for x in row] for row in table.rows]
     conjugates = list(map(pack, map(itemgetter(*group.class_inverse), rows)))
     for c1, (col, size) in enumerate(zip(zip(*rows), sizes)):

@@ -20,14 +20,13 @@ level n costs O(size) for any n and checks nothing.
 
 from __future__ import annotations
 
-import struct
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import mul
+from operator import mul, sub
 
 from .errors import ConsistencyError
 from .rootsys import DiagramType, ReadOnly, RootSystem
-from .seriescalc import PeriodTable, Vector
+from .seriescalc import PeriodTable, Vector, fields
 
 
 class McKayGraph(ReadOnly):
@@ -84,10 +83,12 @@ class McKayGraph(ReadOnly):
         only when it fails the mask or the graph fails the column test.
         Otherwise only the P base levels and the P steps are unpacked; a step
         is a packed difference, its sign the top bit of each biased field.
+        The table takes them as its packed rows, with the bound P: an entry
+        is at most its row's dimension sum, r + 1 or P, if no mark is below 1.
         """
         size, adjacency, marks = self.size, self.adjacency, self.marks_ext
         cap, nodes = 4 * size * size, range(size)
-        fields, ones = struct.Struct(f"<{size}q"), ((1 << 64 * size) - 1) // ((1 << 64) - 1)
+        signed, ones = fields(size, "q"), ((1 << 64 * size) - 1) // ((1 << 64) - 1)
         high = ones << 63  # ones: 1 in every field
         gathers: dict[tuple[int, int], int] = {}  # (offset, coefficient) -> its rows' fields
         column, bound = [0] * size, 0  # marks_ext A; R, the largest absolute row sum
@@ -110,8 +111,10 @@ class McKayGraph(ReadOnly):
         _check_level(self, (1,) + (0,) * (size - 1), 0)
         proved = column == [2 * m for m in marks]  # the column test
 
+        read, width = signed.unpack, signed.size
+
         def unpack(biased: int) -> Vector:
-            return fields.unpack((biased ^ high).to_bytes(fields.size, "little"))
+            return read((biased ^ high).to_bytes(width, "little"))
 
         levels, biased, prev, start = [1], 1 + high, 0, -unbias
         for period in range(1, cap + 1):
@@ -133,15 +136,15 @@ class McKayGraph(ReadOnly):
             if levels[0] + levels[2 * period] == 2 * levels[period] and (
                 levels[1] + levels[2 * period + 1] == 2 * levels[period + 1]
             ):
-                step = []
-                for r in range(period):
-                    d = levels[r + period] - levels[r] + high  # step r, biased
-                    step.append(unpack(d))
-                    if d & high != high:  # a top bit clear: a negative entry
-                        where = f"step {r} of period {period}: {step[r]}"
+                packed = (tuple(levels[:period]), tuple(map(sub, levels[period : 2 * period], levels)))
+                for r, d in enumerate(packed[1]):
+                    if (d + high) & high != high:  # a top bit clear: a negative entry
+                        where = f"step {r} of period {period}: {unpack(d + high)}"
                         raise _failure(self, f"negative multiplicity at {where}")
-                base = tuple([unpack(x + high) for x in levels[:period]])
-                return PeriodTable(base, tuple(step), 2 * period - 1)
+                # every field is nonnegative now, so the rows unpack without the bias
+                base, step = (tuple([read(x.to_bytes(width, "little")) for x in xs]) for xs in packed)
+                bound = period if min(marks) > 0 else None  # else the table scans its rows
+                return PeriodTable(base, step, 2 * period - 1, packed, bound)
         raise _failure(self, f"tensor recursion has no period up to {cap}")
 
 

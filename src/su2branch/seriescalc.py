@@ -13,25 +13,19 @@ Coxeter routes build their tables from packed levels, the characters in
 closed form; each route proves its table once, where it is built; every
 read (a level, an iteration, a view to another order) checks nothing.
 
-Read cost.  On the third read of residue r past the base levels, or when
-an iteration reads every residue at least three times past them, residue
-r's base row and step row are each packed into one int of ``size``
-unsigned 64-bit fields, and kept with kmax, the largest k with
-(k + 1) M < 2^64 for the largest entry M of the two rows.
-base[r] + k step[r] is at most (k + 1) M entry by entry, so no field
-carries into its neighbour for 1 <= k <= kmax (``to_bytes`` would catch
-only a carry out of the top field: kmax is what keeps the fields apart),
-and level kP + r then costs one int multiply-add and one unpack of its
-fields.  On a route's table each base and step entry is at most P (their
-dimension sums are r + 1 and P), so every level n < 2^64 - P reads this
-way once its residue is packed.  Every other level is read exactly,
-entry by entry, as ``base[r] + k step[r]``: the first two reads of a
-residue (so a point query, which reads a residue once or twice, packs
-nothing), k < 0, k > kmax, and every level of a residue that does not
-pack, one with a negative entry or with M >= 2^63.  A long iteration
-keeps one packed running sum per residue: one int addition and one
-unpack per level; a shorter one, such as verify's two periods, one exact
-running sum.  Every view of a table shares its packed residues.
+Read cost.  A table also holds each base and step row packed, one int of
+``size`` unsigned 64-bit fields (:func:`fields`), and a bound M on every
+entry.  Each route hands over the packed rows it already holds and a
+bound it has proved; a table built from plain rows packs them and scans
+them for M itself.  base[r] + k step[r] is at most (k + 1) M entry by
+entry, so for 1 <= k <= kmax, the largest k with (k + 1) M < 2^64, no
+field carries into its neighbour (``to_bytes`` would catch only a carry
+out of the top one), and level kP + r costs one int multiply-add and one
+unpack, from the first read; an iteration keeps one packed running sum
+per residue.  Every other level is read exactly, entry by entry: k < 0,
+k > kmax, and past the base every level of a table with a negative entry
+or with M >= 2^63 (kmax 0).  No read writes to the table: kmax is fixed
+when it is built, and its views share every row.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from operator import add
 
 from .errors import UsageError
 from .rootsys import ReadOnly
@@ -49,18 +42,13 @@ Vector = tuple[int, ...]
 
 #: Each packed field holds an unsigned 64-bit entry, so every entry stays below this.
 _FIELD = 1 << 64
-#: The packed form of a residue that does not pack: kmax 0 sends its reads to the exact path.
-_UNPACKED = (0, 0, 0, None, 0)
-#: Exact reads of a residue before its next read packs it.  Packing costs
-#: about two and a half exact reads (E8: 1.8 against 0.7 us), so a residue
-#: read once or twice, as a point query reads, never pays for it.
-_EXACT_READS = 2
 
 
-@lru_cache(maxsize=128)
-def _fields(size: int) -> struct.Struct:
-    """``size`` unsigned 64-bit fields, little-endian: one packed row."""
-    return struct.Struct(f"<{size}Q")
+@lru_cache(maxsize=256)
+def fields(size: int, form: str = "Q") -> struct.Struct:
+    """``size`` fields of 64 bits, little-endian, each of the ``struct``
+    format ``form``: unsigned by default, one packed row of a table."""
+    return struct.Struct("<" + form * size)
 
 
 def poly(coeffs: Iterable[int]) -> Poly:
@@ -76,12 +64,14 @@ def series_div_geom(z: Poly, a: int, b: int, order: int) -> tuple[int, ...]:
 
     Dividing by 1 - t^a is a running sum with stride a,
     c[n] += c[n - a] in ascending n; the same with stride b follows.
-    Exact integer arithmetic.
+    Exact integer arithmetic.  The routes call it with exponents and
+    orders of their own, so a bad one is a fault (``ValueError``), not
+    bad input.
     """
     if a < 1 or b < 1:
-        raise UsageError("denominator exponents must be >= 1")
+        raise ValueError("denominator exponents must be >= 1")
     if order < 0:
-        raise UsageError("order must be nonnegative")
+        raise ValueError("order must be nonnegative")
     c = list(z[: order + 1]) + [0] * (order + 1 - len(z))
     for n in range(a, order + 1):
         c[n] += c[n - a]
@@ -95,74 +85,58 @@ class PeriodTable(ReadOnly):
     period P = ``len(base)``.  Read-only: the routes cache and share it, and
     it hashes by identity, like every other record.
 
-    Built from its base and step rows; :meth:`upto` shares ``base``,
-    ``step`` and the packed residues at another order.  Three reads:
-    :meth:`level` (also ``table[n]``) gives level n for any integer n,
-    whatever ``order`` is; iteration yields levels 0..order; ``upto`` gives
-    a view to another order.  A level costs one multiply-add of packed 64-bit fields once its
-    residue is packed and 1 <= k <= kmax, the residue's bound, and O(size)
-    exact int operations otherwise (module docstring); iteration one packed
-    or exact running addition per level.
+    Built from the base and step rows and, when the route has them, the
+    same rows ``packed`` (base rows, step rows) with ``bound``, at least
+    every entry; else the table packs and scans its rows itself, and a
+    negative entry leaves both None.  The routes build their tables at
+    orders of their own, so a negative order is a fault (``ValueError``).
+    :meth:`level` (also ``table[n]``) reads level n for any integer n,
+    iteration yields levels 0..order, and :meth:`upto` a view to another
+    order (module docstring).
     """
 
-    def __init__(self, base: tuple[Vector, ...], step: tuple[Vector, ...], order: int) -> None:
+    def __init__(
+        self, base: tuple[Vector, ...], step: tuple[Vector, ...], order: int,
+        packed: tuple[tuple[int, ...], tuple[int, ...]] | None = None, bound: int | None = None,
+    ) -> None:
         if order < 0:
-            raise UsageError("order must be nonnegative")
-        # _packed holds each residue's packed form (:meth:`_pack`) or, until
-        # it packs, the number of its exact reads past the base levels; every
-        # upto view shares its table's list.
-        period = len(base)
-        vars(self).update(base=base, step=step, order=order, period=period, _packed=[0] * period)
+            raise ValueError("order must be nonnegative")
+        row = fields(len(base[0]))
+        if bound is None:  # one scan of plain rows: a negative entry reads exactly
+            entries = [x for rows in (base, step) for v in rows for x in v]
+            bound = max(entries) if min(entries) >= 0 else None
+        kmax = 0 if bound is None else (_FIELD - 1) // max(bound, 1) - 1
+        if kmax < 1:  # a negative entry, or M >= 2^63: every level past the base reads exactly
+            kmax, packed = 0, None
+        elif packed is None:
+            packed = tuple(
+                tuple([int.from_bytes(row.pack(*v), "little") for v in rows]) for rows in (base, step)
+            )
+        vars(self).update(
+            base=base, step=step, order=order, packed=packed, bound=bound,
+            period=len(base), kmax=kmax, _unpack=row.unpack, _width=row.size,
+        )
 
     def upto(self, order: int) -> PeriodTable:
-        """The levels 0..order, sharing this table's ``base``, ``step`` and
-        packed residues."""
+        """The levels 0..order, sharing this table's rows."""
         if order < 0:
             raise UsageError("order must be nonnegative")
         view = object.__new__(PeriodTable)
         vars(view).update(vars(self), order=order)
         return view
 
-    def _pack(self, r: int) -> tuple:
-        """Pack residue r and keep it for later reads: (kmax, packed base row,
-        packed step row, unpack, bytes per row), kmax 0 when the residue does
-        not pack (module docstring)."""
-        base, step = self.base[r], self.step[r]
-        kmax = (_FIELD - 1) // max(*base, *step, 1) - 1
-        packed = _UNPACKED
-        if kmax > 0:
-            fields = _fields(len(base))
-            try:
-                packed = (
-                    kmax,
-                    int.from_bytes(fields.pack(*base), "little"),
-                    int.from_bytes(fields.pack(*step), "little"),
-                    fields.unpack,
-                    fields.size,
-                )
-            except struct.error:  # a negative entry
-                pass
-        self._packed[r] = packed
-        return packed
-
     def level(self, n: int) -> Vector:
         """Level n, ``base[r] + k step[r]`` for n = k P + r (floor division),
-        whatever ``order`` is: one packed multiply-add for 1 <= k <= kmax once
-        residue r is packed (on its third read), the stored base itself for
-        0 <= n < P, O(size) exact for any other integer n, and for n < 0 what
-        chi_(-n-2) = -chi_n gives: minus level -n-2.  ``table[n]`` is this read."""
+        whatever ``order`` is: one packed multiply-add for 1 <= k <= kmax,
+        the stored base itself for 0 <= n < P, O(size) exact for any other
+        integer n, and for n < 0 what chi_(-n-2) = -chi_n gives: minus level
+        -n-2.  ``table[n]`` is this read."""
         k, r = divmod(n, self.period)
-        slot = self._packed[r]
-        if type(slot) is tuple and 0 < k <= slot[0]:
-            _, base, step, unpack, width = slot
-            return unpack((base + k * step).to_bytes(width, "little"))
+        if 0 < k <= self.kmax:
+            base, step = self.packed
+            return self._unpack((base[r] + k * step[r]).to_bytes(self._width, "little"))
         if not k:
             return self.base[r]
-        if type(slot) is int:
-            if slot >= _EXACT_READS:
-                self._pack(r)
-                return self.level(n)
-            self._packed[r] = slot + 1
         return tuple([x + k * d for x, d in zip(self.base[r], self.step[r])])
 
     __getitem__ = level
@@ -170,22 +144,15 @@ class PeriodTable(ReadOnly):
     def __iter__(self) -> Iterator[Vector]:
         period, order = self.period, self.order
         yield from self.base[: order + 1]
-        if order + 1 < (_EXACT_READS + 2) * period:  # too few levels per residue to pay for packing
-            levels, step = list(self.base), self.step
-            for n in range(period, order + 1):
+        packed = min(order + 1, (self.kmax + 1) * period)  # the levels read packed end here
+        if packed > period:
+            sums, step = list(self.packed[0]), self.packed[1]
+            unpack, width = self._unpack, self._width
+            for n in range(period, packed):
                 r = n % period
-                levels[r] = tuple(map(add, levels[r], step[r]))
-                yield levels[r]
-            return
-        rows = [slot if type(slot) is tuple else self._pack(r) for r, slot in enumerate(self._packed)]
-        kmax, sums, step, unpack, width = zip(*rows)
-        packed = min(order + 1, (min(kmax) + 1) * period)
-        sums, unpack, width = list(sums), unpack[0], width[0]
-        for n in range(period, packed):
-            r = n % period
-            sums[r] += step[r]
-            yield unpack(sums[r].to_bytes(width, "little"))
-        for n in range(packed, order + 1):
+                sums[r] += step[r]
+                yield unpack(sums[r].to_bytes(width, "little"))
+        for n in range(max(packed, period), order + 1):
             yield self.level(n)
 
 

@@ -437,6 +437,37 @@ def test_a_negative_step_is_refused():
     assert str(err) == "E8: multiplicity of node 0 has a negative step -1 at residue 0 of period 60"
 
 
+def test_values_past_the_packed_proof_abort():
+    # Residue sums of 2^32 |F*| give node 0 the level 2^32 at every n (steps
+    # 0): nonnegative integers, but past the signed 32-bit values the proof
+    # packs residue sums in.  Real residue sums lie within p/2.
+    residues = tuple((120 * 2**32,) for r in range(60))
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._period_table(group_for("E8"), ((0, 0),), residues)
+    assert (info.value.dtype, info.value.stage) == ("E8", "oracles")
+    assert str(info.value) == "E8: values past the packed fields at period 60"
+
+
+def test_a_carry_between_packed_fields_is_refused():
+    # D6 has |F*| = 16, which divides 2^64: totals (0, 1) at n = 3 pack to
+    # 2^64, whose quotient 2^60 sits in the first field although neither
+    # total is a multiple of 16.  Only the check that 16 times every
+    # quotient field stays below 2^63 tells the two apart.
+    residues = tuple((0, 1 if r == 3 else 0) for r in range(8))
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._period_table(group_for("D6"), ((0, 0), (0, 0)), residues)
+    assert str(info.value) == "D6: multiplicity of node 1 at n=3 is 1/16, not a nonnegative integer"
+
+
+def test_central_values_that_cancel_across_packed_fields_are_refused():
+    # Values 2^64 and -1 at +identity pack to 2^64 - 2^64 = 0: every packed
+    # total would be 0 and divide.  But 2^64 / 120 is no multiplicity, so
+    # values with E |c| of 2^62 or more skip the packed proof.
+    with pytest.raises(ConsistencyError) as info:
+        binarygroups._period_table(group_for("E8"), ((2**64, 0), (-1, 0)), ((0, 0),) * 60)
+    assert str(info.value) == f"E8: multiplicity of node 0 at n=0 is {2**64}/120, not a nonnegative integer"
+
+
 def _checked_levels(group, central, residues):
     """Reference for the closed form: the period table of the levels
     0..2E-1, each checked by ``_multiplicity``, refused at its first
@@ -526,17 +557,21 @@ def test_packed_residue_sums_are_the_plain_sums(name):
         assert _residue_sums(group, weights) == tuple(want)
 
 
-def test_residue_sums_in_fields_of_two_words():
-    # A modulus near 2^61 needs fields of 2 * 61 + bits(5) + 1 = 126 bits,
-    # two 64-bit words.  E6's traces are the integers 2, -2, 0 and +-1, so
-    # its sums are the same integers under either modulus.
+def test_a_modulus_whose_sums_pass_one_word_aborts():
+    # A modulus near 2^61 needs fields of 2 * 61 + bits(5) + 1 = 126 bits
+    # for E6's five non-central classes: past one 64-bit word, so the
+    # residue sums refuse it rather than let a field carry.  E6's traces are
+    # the integers 2, -2, 0 and +-1, the same under either modulus.
     group = group_for("E6")
     big = replace(group, p=2**61 - 1)
     vars(big)["class_traces"] = tuple(
         binarygroups._lift(t, group.p) % big.p for t in group.class_traces
     )
     weights = [(size, -3 * size, 7) for size in group.class_sizes]
-    assert _residue_sums(big, weights) == _residue_sums(group, weights)
+    with pytest.raises(ConsistencyError) as info:
+        _residue_sums(big, weights)
+    assert (info.value.dtype, info.value.stage) == ("E6", "character_table")
+    assert str(info.value) == f"E6: sums of 5 products mod {2**61 - 1} need 126-bit fields, past 64"
 
 
 def test_a_class_whose_powers_never_reach_the_identity_aborts():

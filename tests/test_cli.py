@@ -14,6 +14,7 @@ from su2branch.branching import Branching
 from su2branch.cli import MAX_ORDER, MAX_RANK, _build_parser, main
 from su2branch.errors import ConsistencyError
 from su2branch.invariants import ORACLES
+from su2branch.seriescalc import PeriodTable
 
 from conftest import AFFINE_D4, e8_with_a_root_listed_twice, e8_with_doubled_simple_roots
 
@@ -319,6 +320,27 @@ def test_out_write_failure_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "usage error: cannot write --out /dev/full: No space left on device\n"
+
+
+def test_out_with_a_nul_byte_exits_2(capsys):
+    code, out, err = run(capsys, "table", "--out", "a\x00b")
+    assert (code, out) == (2, "")
+    assert err == "usage error: cannot write --out 'a\\x00b': embedded null byte\n"
+
+
+def test_a_route_table_built_at_a_negative_order_exits_1_on_one_line(monkeypatch, capsys):
+    # The routes build their period tables at orders of their own: a negative
+    # one is a fault of the program, not bad input, so it exits 1, not 2.
+    real = binarygroups._period_table
+
+    def faulty(*args):
+        table = real(*args)
+        return PeriodTable(table.base, table.step, -1, table.packed, table.bound)
+
+    monkeypatch.setattr(binarygroups, "_period_table", faulty)
+    code, out, err = run(capsys, "branch", "--type", "E8", "--n", "3", "--oracle", "characters")
+    assert (code, out) == (1, "")
+    assert err == "internal check failure: ValueError: order must be nonnegative\n"
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

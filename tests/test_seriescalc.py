@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from su2branch import seriescalc
+from su2branch.errors import UsageError
 from su2branch.invariants import HUGE_LEVEL, ORACLES
 from su2branch.seriescalc import PeriodTable, poly, poly_str, series_div_geom, sparse_items
 from su2branch.verify import ACCEPTED_TYPES
@@ -134,11 +134,15 @@ def test_upto_shares_base_and_step():
 
 
 def test_a_negative_order_is_refused_at_construction():
+    # A caller's order reaches upto, bad input; the routes build their tables
+    # and series at orders they computed, so a negative one there is a fault.
     table = table_of([(1,), (2,)], 1)
-    with pytest.raises(ValueError, match="order must be nonnegative"):
+    with pytest.raises(UsageError, match="order must be nonnegative"):
         table.upto(-1)
-    with pytest.raises(ValueError, match="order must be nonnegative"):
-        PeriodTable(table.base, table.step, -1)
+    for build in (lambda: PeriodTable(table.base, table.step, -1), lambda: series_div_geom((1,), 2, 2, -1)):
+        with pytest.raises(ValueError, match="order must be nonnegative") as info:
+            build()
+        assert type(info.value) is ValueError
     assert list(table.upto(0)) == [(1,)]
 
 
@@ -159,10 +163,11 @@ def _exact(table, n):
     return tuple(x + k * d for x, d in zip(table.base[r], table.step[r]))
 
 
-def _kmax(table, r):
-    """Residue r's packed bound, packing the residue now if it is not yet."""
-    slot = table._packed[r]
-    return (slot if type(slot) is tuple else table._pack(r))[0]
+def _packed_rows(table):
+    """The table's base and step rows packed afresh, one int of 64-bit fields each."""
+    return tuple(
+        tuple(sum(x << 64 * i for i, x in enumerate(v)) for v in rows) for rows in (table.base, table.step)
+    )
 
 
 @st.composite
@@ -179,10 +184,10 @@ def wide_tables(draw):
 @given(wide_tables(), st.integers(0, 3))
 def test_packed_and_exact_reads_agree_on_both_sides_of_kmax(table, r):
     period, r = table.period, r % table.period
-    kmax = _kmax(table, r)
-    assert kmax == 2
-    assert max(_exact(table, kmax * period + r)) < 2**64
-    for k in (0, 1, kmax, kmax + 1, -1, -2):
+    assert (table.bound, table.kmax) == (2**62, 2)
+    assert table.packed == _packed_rows(table)
+    assert max(_exact(table, table.kmax * period + r)) < 2**64
+    for k in (0, 1, table.kmax, table.kmax + 1, -1, -2):
         assert table.level(k * period + r) == _exact(table, k * period + r), k
     for n in (-1, 10**100, -(10**100)):
         assert table.level(n) == _exact(table, n), n
@@ -198,66 +203,67 @@ def test_iteration_across_kmax_reads_every_level(table):
         assert [view[n] for n in range(top + 1)] == levels
 
 
-def test_a_residue_with_a_negative_or_wide_entry_never_packs():
-    # The last table's level P already needs a field of 65 bits.
-    cases = [(((1, -1),), ((2, 3),)), (((1, 2),), ((0, -3),)), (((2**64 - 1, 0),), ((1, 1),))]
-    for base, step in cases:
+def test_a_table_with_a_negative_or_wide_entry_reads_exactly():
+    # A negative entry, or one of 2^64 or more, fits no unsigned 64-bit
+    # field; an entry of 2^63 or more leaves no k whose level fits.
+    negative = [(((1, -1),), ((2, 3),)), (((1, 2),), ((0, -3),)), (((1,), (2,)), ((-1,), (3,)))]
+    wide = [(((2**64, 0),), ((1, 1),)), (((2**64 - 1, 0),), ((1, 1),)), (((1, 2**63),), ((0, 0),))]
+    for base, step in negative + wide:
         table = PeriodTable(base, step, 0)
+        entries = [x for rows in (base, step) for v in rows for x in v]
+        assert (table.packed, table.kmax) == (None, 0)
+        assert table.bound == (None if min(entries) < 0 else max(entries))
         view = table.upto(9)
         assert list(view) == [_exact(table, n) for n in range(10)]
-        assert table.level(10**18) == _exact(table, 10**18)
-        assert table._packed == [seriescalc._UNPACKED]
-    # Residue 1 packs although residue 0 does not; iteration reads both exactly.
-    table = PeriodTable(((1,), (2,)), ((-1,), (3,)), 0)
-    assert [table.level(n) for n in (2, 3)] == [(0,), (5,)]
-    assert [_kmax(table, r) for r in (0, 1)] == [0, (2**64 - 1) // 3 - 1]
-    assert list(table.upto(6)) == [_exact(table, n) for n in range(7)]
+        for n in (1, 10**18, -(10**18), 10**100):
+            assert table.level(n) == _exact(table, n), n
 
 
 def test_kmax_is_the_last_k_whose_fields_fit():
     # M = 2^63 - 1: level P, 2M in its first field, is the last that fits.
     top = 2**63 - 1
     table = PeriodTable(((top, 5),), ((top, 7),), 0)
-    assert _kmax(table, 0) == 1
+    assert (table.bound, table.kmax) == (top, 1)
     assert [table.level(n) for n in range(4)] == [(top, 5), (2 * top, 12), (3 * top, 19), (4 * top, 26)]
     assert list(table.upto(3)) == [table.level(n) for n in range(4)]
 
 
-def test_a_residue_packs_on_its_third_read_and_every_view_shares_it(monkeypatch):
-    table = table_of([(1, 0), (2, 3), (2, 0), (2, 5)], 2)
-    # An iteration that reads a residue under three times past the base
-    # levels packs nothing and counts nothing.
-    assert list(table.upto(6)) == [_exact(table, n) for n in range(7)]
-    view = table.upto(10**6)
-    assert view._packed is table._packed == [0, 0]
-    assert view[10**6] == _exact(table, 10**6) and table._packed == [1, 0]
-    assert table.level(10**6 - 2) == _exact(table, 10**6 - 2) and table._packed == [2, 0]
-    assert view[4] == _exact(table, 4)
-    assert table._packed[0][0] > 0 and table._packed[1] == 0
-    # Four periods read every residue three times past the base: all pack.
-    assert list(table.upto(7)) == [_exact(table, n) for n in range(8)]
-    packed = list(table._packed)
-    assert all(type(slot) is tuple for slot in packed)
-
-    def boom(*args):
-        raise AssertionError("a residue packed again")
-
-    monkeypatch.setattr(seriescalc, "_fields", boom)
-    view = table.upto(10**6)
-    assert view._packed == packed and view[10**6 - 1] == _exact(table, 10**6 - 1)
-    assert list(view.upto(9)) == list(table.upto(9))
+@pytest.mark.parametrize("oracle", ORACLES)
+@pytest.mark.parametrize("name", ("A1", "E8", "D71"))
+def test_no_read_writes_to_the_table(name, oracle):
+    # Level reads on both paths, iterations and views leave the table's
+    # attributes as they were, the same objects; a view shares each of them
+    # but its order.
+    table = bundle(name).periods(oracle)
+    before = dict(vars(table))
+    period, kmax = table.period, table.kmax
+    for n in (0, period - 1, period, 7 * period + 3, kmax * period, (kmax + 1) * period, 10**100, -5):
+        assert table.level(n) == table[n] == _exact(table, n)
+    view = table.upto((kmax + 1) * period + 1)
+    assert view[(kmax + 1) * period + 1] == _exact(table, (kmax + 1) * period + 1)
+    assert list(table.upto(4 * period + 1)) == [_exact(table, n) for n in range(4 * period + 2)]
+    assert list(table) == [_exact(table, n) for n in range(table.order + 1)]
+    assert vars(table) == before and all(vars(table)[key] is value for key, value in before.items())
+    assert vars(view).keys() == before.keys() and view.order == (kmax + 1) * period + 1
+    assert all(vars(view)[key] is value for key, value in before.items() if key != "order")
 
 
 @pytest.mark.parametrize("oracle", ORACLES)
-@pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
+@pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES + ("A71", "D71"))
 def test_every_route_table_reads_exactly_around_kmax(name, oracle):
-    # Each base and step entry is at most P, so every n < 2^64 - P is packed.
+    # Each route hands over its packed rows and a bound it has proved: the
+    # rows must be its table's rows packed, the bound at least every entry
+    # (a bound too low would let a field carry silently), and every n <
+    # 2^64 - P reads packed.  Packed and exact reads agree at k = 1, kmax and
+    # kmax + 1 in every residue.
     table = bundle(name).periods(oracle)
-    period = table.period
+    period, kmax = table.period, table.kmax
+    assert table.packed == _packed_rows(table)
+    assert table.bound >= max(x for rows in (table.base, table.step) for v in rows for x in v)
+    assert kmax == (2**64 - 1) // table.bound - 1
+    assert (kmax + 1) * period >= 2**64 - period > HUGE_LEVEL
     for r in range(period):
-        kmax = _kmax(table, r)
-        assert (kmax + 1) * period >= 2**64 - period > HUGE_LEVEL
-        for k in (kmax - 1, kmax, kmax + 1):
+        for k in (1, kmax, kmax + 1):
             assert table.level(k * period + r) == _exact(table, k * period + r), (r, k)
     assert table.level(HUGE_LEVEL) == _exact(table, HUGE_LEVEL)
 
