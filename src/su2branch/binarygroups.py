@@ -22,7 +22,9 @@ to 256 elements a column is ``bytes`` and each gather one
 ``bytes.translate``; beyond, a tuple and an ``itemgetter``
 (:func:`_gather`).  The table is stored once, as these columns
 (:attr:`FiniteGroup.columns`), and never as rows: every build stage and
-the "group sanity" entry read the columns.
+the "group sanity" entry read the columns.  Each group fact is held
+once: the group is read-only and derives its inverses, class map and
+-identity from its columns, classes and elements on first read.
 
 Characters are exact in the same F_p: chi_n at a class depends only on
 the trace t of its representative (:attr:`FiniteGroup.class_traces`),
@@ -76,7 +78,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, UsageError
 from .mckay import McKayGraph
-from .rootsys import DiagramType
+from .rootsys import DiagramType, ReadOnly
 from .seriescalc import PeriodTable, fields
 
 if TYPE_CHECKING:
@@ -145,8 +147,8 @@ def generators(dtype: DiagramType, p: int, z: int) -> tuple[Matrix, ...]:
     return (units[0], _quaternion((phi - 1) * half, phi * half, half, 0, i, p))
 
 
-class FiniteGroup:
-    """A closed binary polyhedral group with index-based tables.
+class FiniteGroup(ReadOnly):
+    """A closed binary polyhedral group with index-based tables; read-only.
 
     ``elements`` are matrices mod ``p`` (:data:`Matrix`), ``elements[0]``
     the identity, and ``generator_indices[k]`` is the index of
@@ -156,20 +158,34 @@ class FiniteGroup:
     times element j, ``bytes`` up to 256 elements (every type the CLI
     accepts but D67..D71) and tuples beyond; there are no rows.
     ``classes`` are conjugacy classes as sorted index tuples, ordered by
-    their smallest member, so the identity class is first.  Facts read more
-    than once per build, such as each class's characters over one period
-    (:attr:`chi_periods`), are cached properties of the one group.
+    their smallest member, so the identity class is first.  Every other
+    fact, :attr:`inverse`, :attr:`class_of` and :attr:`minus_identity`
+    included, is derived from these once, a cached property of the group.
     """
 
     def __init__(
         self, dtype: DiagramType, p: int, elements: tuple[Matrix, ...],
-        columns: tuple[bytes | tuple[int, ...], ...], inverse: tuple[int, ...],
-        classes: tuple[tuple[int, ...], ...], class_of: tuple[int, ...], minus_identity: int,
+        columns: tuple[bytes | tuple[int, ...], ...], classes: tuple[tuple[int, ...], ...],
         generator_indices: tuple[int, ...], non_residue: int,
     ) -> None:
-        self.dtype, self.p, self.non_residue, self.elements = dtype, p, non_residue, elements
-        self.columns, self.inverse, self.minus_identity = columns, inverse, minus_identity
-        self.classes, self.class_of, self.generator_indices = classes, class_of, generator_indices
+        vars(self).update(dtype=dtype, p=p, elements=elements, columns=columns, classes=classes)
+        vars(self).update(generator_indices=generator_indices, non_residue=non_residue)
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        """x^-1 at x: the row where column x holds the identity (else ``ValueError``)."""
+        return tuple([col.index(0) for col in self.columns])
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """The class of each element: the inverse map of :attr:`classes`."""
+        where = {x: c for c, members in enumerate(self.classes) for x in members}
+        return tuple([where[x] for x in range(self.order)])
+
+    @cached_property
+    def minus_identity(self) -> int:
+        """The index of -identity, (p-1, 0, 0, p-1)."""
+        return self.elements.index((self.p - 1, 0, 0, self.p - 1))
 
     @property
     def order(self) -> int:
@@ -266,9 +282,10 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     ``bytes`` and each gather is one ``bytes.translate`` through
     ``right[k]``; beyond, tuples gathered by ``itemgetter`` (:func:`_gather`).
     The group stores these columns and no rows (:attr:`FiniteGroup.columns`).
-    Column j holds the identity at row j^-1 alone, so each inverse is one
-    ``index``, on bytes one ``memchr``; a column without it is a row
-    without it, a finite monoid's left inverses being its right ones.
+    Column j holds the identity at row j^-1 alone, so each inverse the
+    class walk reads is one ``index``, on bytes one ``memchr``; a column
+    without it is a row without it, a finite monoid's left inverses being
+    its right ones.  The group derives its own (:attr:`FiniteGroup.inverse`).
     Overshooting |F*| during closure aborts.  A closure that stops short is
     returned as is: the registry's "group sanity" entry compares the order
     with a*b/2.
@@ -309,19 +326,14 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     for parent, k in parents[1:]:
         columns.append(gathers[k](columns[parent]))
     try:
-        inverse = tuple(col.index(0) for col in columns)
+        classes = conjugacy_classes(columns)
     except ValueError:  # a column, hence a row, without the identity
         raise _failure(dtype, "build_group", "a row of the table has no identity") from None
-    minus_identity = index.get((p - 1, 0, 0, p - 1))
-    if minus_identity is None:
+    if (p - 1, 0, 0, p - 1) not in index:
         raise _failure(dtype, "build_group", "-identity is not in the closure")
 
-    classes, class_of = conjugacy_classes(columns, inverse)
     gens_at = tuple(row[0] for row in right)  # identity * gens[k]
-    return FiniteGroup(
-        dtype, p, tuple(elements), tuple(columns), inverse, classes, class_of, minus_identity,
-        gens_at, z,
-    )
+    return FiniteGroup(dtype, p, tuple(elements), tuple(columns), classes, gens_at, z)
 
 
 def _gather(table: bytes | tuple[int, ...]) -> Callable:
@@ -335,29 +347,23 @@ def _gather(table: bytes | tuple[int, ...]) -> Callable:
     return lambda col: itemgetter(*col)(table)
 
 
-def conjugacy_classes(
-    columns: tuple[bytes | tuple[int, ...], ...], inverse: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Partition element indices into conjugation orbits.
+def conjugacy_classes(columns: list[bytes | tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Partition element indices into conjugation orbits, ordered by least member.
 
-    g e g^-1 is entry g of column e read in column g^-1, so an orbit is one
-    ``map`` over column e.  The class count is checked against the extended
-    diagram by :func:`character_table`.
+    g e g^-1 is entry g of column e read in column g^-1, the column at the
+    row where column g holds the identity (else ``ValueError``), so an
+    orbit is one ``map`` over column e.  The class count is checked
+    against the extended diagram by :func:`character_table`.
     """
-    n = len(inverse)
-    class_of_list = [-1] * n
     classes: list[tuple[int, ...]] = []
-    times_inverse = [columns[g] for g in inverse]  # column g^-1 at g
-    for e in range(n):
-        if class_of_list[e] >= 0:
-            continue
-        orbit = set(map(getitem, times_inverse, columns[e]))
-        members = tuple(sorted(orbit))
-        cid = len(classes)
-        for m in members:
-            class_of_list[m] = cid
-        classes.append(members)
-    return tuple(classes), tuple(class_of_list)
+    seen: set[int] = set()
+    times_inverse = [columns[col.index(0)] for col in columns]  # column g^-1 at g
+    for e in range(len(columns)):
+        if e not in seen:
+            orbit = set(map(getitem, times_inverse, columns[e]))
+            seen |= orbit
+            classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
 
 
 def _failure(dtype: DiagramType, stage: str, problem: str) -> ConsistencyError:
@@ -390,35 +396,27 @@ def _residue_sums(
     chi = group.chi_periods
     noncentral, periods = list(chi), list(chi.values())
     p, e, size = group.p, exponent(group.dtype), len(weights[0])
-    pack, unpack = _fields(group, len(noncentral), size)
-    packed = [pack([w % p for w in weights[c]]) for c in noncentral]
+    row = _fields(group, len(noncentral), size)
+    packed = [int.from_bytes(row.pack(*[w % p for w in weights[c]]), "little") for c in noncentral]
     half, lift = [], p // 2
     for r in range(e // 2):
-        sums = unpack(sum(map(mul, map(itemgetter(r), periods), packed)))
-        half.append(tuple([(x + lift) % p - lift for x in sums]))
+        total = sum(map(mul, map(itemgetter(r), periods), packed)).to_bytes(row.size, "little")
+        half.append(tuple([(x + lift) % p - lift for x in row.unpack(total)]))
     # chi_(E-2-r) = -chi_r and chi_(E-1) = 0 at a non-central class
     negated = [tuple([-x for x in half[e - 2 - r]]) for r in range(e // 2, e - 1)]
     return tuple(half + negated + [(0,) * size])
 
 
-def _fields(group: FiniteGroup, terms: int, size: int) -> tuple[Callable, Callable]:
-    """(pack, unpack) of ``size`` fields, one residue mod p each, whose sums
-    of up to ``terms`` products stay apart: a field is one unsigned 64-bit
-    word (:func:`~.seriescalc.fields`), and a sum needs 2 bits(p) +
-    bits(terms) + 1 bits, at most 48 over the types the CLI accepts (D65).
-    A modulus whose sums need more aborts, at stage ``character_table``."""
+def _fields(group: FiniteGroup, terms: int, size: int) -> struct.Struct:
+    """The row of ``size`` fields, one residue mod p each, whose sums of up
+    to ``terms`` products stay apart: a field is one unsigned 64-bit word
+    (:func:`~.seriescalc.fields`), and a sum needs 2 bits(p) + bits(terms)
+    + 1 bits, at most 48 over the types the CLI accepts (D65).  A modulus
+    whose sums need more aborts, at stage ``character_table``."""
     if (bits := 2 * group.p.bit_length() + terms.bit_length() + 1) > 64:
         problem = f"sums of {terms} products mod {group.p} need {bits}-bit fields, past 64"
         raise _failure(group.dtype, "character_table", problem)
-    row = fields(size)
-
-    def pack(values: list[int]) -> int:
-        return int.from_bytes(row.pack(*values), "little")
-
-    def unpack(total: int) -> tuple[int, ...]:
-        return row.unpack(total.to_bytes(row.size, "little"))
-
-    return pack, unpack
+    return fields(size)
 
 
 def _multiplicity(
@@ -508,13 +506,13 @@ def _period_table(
     raise _failure(group.dtype, "oracles", f"{problem} of period {e}")
 
 
-class CharacterTable:
-    """Irreducible characters by conjugacy class, tied to diagram nodes.
+class CharacterTable(ReadOnly):
+    """Irreducible characters by conjugacy class, tied to diagram nodes; read-only.
 
     ``rows[r][c]`` is the value of irreducible r on class c, mod
     ``group.p`` (the defining character's row is ``group.class_traces``);
     ``node_map`` sends each extended-diagram node to its row, and
-    ``dims``, the degrees chi(1), are the rows' first column.  The
+    ``dims``, the degrees chi(1), are derived as the rows' first column.  The
     character oracles read only ``central[node]``, the node's character
     at +identity and -identity as integers (dim, +-dim), and
     ``residues[r][node]``, the non-central sum of |F*| <chi_n, chi_node>
@@ -527,9 +525,8 @@ class CharacterTable:
         self, group: FiniteGroup, rows: tuple[tuple[int, ...], ...], node_map: tuple[int, ...],
         central: tuple[tuple[int, int], ...], residues: tuple[tuple[int, ...], ...],
     ) -> None:
-        self.group, self.rows, self.node_map = group, rows, node_map
-        self.dims = tuple(row[0] for row in rows)
-        self.central, self.residues = central, residues
+        vars(self).update(group=group, rows=rows, node_map=node_map, central=central)
+        vars(self).update(residues=residues, dims=tuple(row[0] for row in rows))
 
     @cached_property
     def periods(self) -> PeriodTable:
@@ -694,17 +691,11 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
     p, sizes, inverse = group.p, group.class_sizes, group.class_inverse
     nodes = _irreducibles(group, graph)
     rows = tuple(sorted(nodes))
-    index = {row: k for k, row in enumerate(rows)}
     minus = group.class_of[group.minus_identity]
-    table = CharacterTable(
-        group=group,
-        rows=rows,
-        node_map=tuple(index[row] for row in nodes),
-        central=tuple((row[0], _lift(row[minus], p)) for row in nodes),
-        residues=_residue_sums(
-            group, [tuple(size * row[inverse[c]] for row in nodes) for c, size in enumerate(sizes)]
-        ),
-    )
+    node_map = tuple(map({row: k for k, row in enumerate(rows)}.__getitem__, nodes))
+    central = tuple((row[0], _lift(row[minus], p)) for row in nodes)
+    weights = [tuple(size * row[inverse[c]] for row in nodes) for c, size in enumerate(sizes)]
+    table = CharacterTable(group, rows, node_map, central, _residue_sums(group, weights))
     table.periods  # noqa: B018 - proved once, here, rather than at the first level read
     return table
 

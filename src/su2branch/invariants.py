@@ -316,8 +316,10 @@ def _group_sanity(c: Branching) -> Result:
     ``bytes.translate`` up to 256 elements) must be column y g: entry x
     of each is (x y) g and x (y g).  Only a generator whose screen fails
     names a failure, the least x where those two columns differ at any y
-    whose screen failed.  The inverse check reads x x^-1 as entry x of
-    column x^-1."""
+    whose screen failed.  Right inverses are a fact about the columns:
+    column x holds the identity at row x^-1 (``FiniteGroup.inverse``) and
+    column x^-1 holds it at row x.  The least x that fails is named, also
+    where column x holds no identity at all."""
     from . import binarygroups
     group, p = c.group, c.params
     n, columns = group.order, group.columns
@@ -349,8 +351,12 @@ def _group_sanity(c: Branching) -> Result:
             return False, f"the generator walk passes {n} elements"
     if len(seen) != n:
         return False, f"{n - len(seen)} elements are not words in the generators"
-    if any(map(getitem, map(columns.__getitem__, group.inverse), range(n))):
-        x = next(x for x, ix in enumerate(group.inverse) if columns[ix][x])
+    try:
+        total = not any(map(getitem, map(columns.__getitem__, group.inverse), range(n)))
+    except ValueError:  # a column without the identity
+        total = False
+    if not total:
+        x = next(x for x, col in enumerate(columns) if 0 not in col or columns[col.index(0)][x])
         return False, f"inverse fails at {x}"
     return True, f"order {n}; associativity proved from the generators, inverses total"
 
@@ -381,11 +387,13 @@ def _character_table(c: Branching) -> Result:
     from . import binarygroups
     group, table, graph = c.group, c.character_table, c.graph
     r, p, sizes = len(group.classes), group.p, group.class_sizes
-    pack, unpack = binarygroups._fields(group, len(table.rows), r)
+    fields = binarygroups._fields(group, len(table.rows), r)
     rows = [[x % p for x in row] for row in table.rows]
-    conjugates = list(map(pack, map(itemgetter(*group.class_inverse), rows)))
+    conjugate = itemgetter(*group.class_inverse)
+    conjugates = [int.from_bytes(fields.pack(*conjugate(row)), "little") for row in rows]
     for c1, (col, size) in enumerate(zip(zip(*rows), sizes)):
-        got = [s * size % p for s in unpack(sum(map(mul, col, conjugates)))]
+        total = sum(map(mul, col, conjugates)).to_bytes(fields.size, "little")
+        got = [s * size % p for s in fields.unpack(total)]
         got[c1] -= group.order % p
         if any(got):
             c2 = next(c2 for c2, x in enumerate(got) if x)

@@ -172,6 +172,38 @@ def pair_counter(a, b):
     return count
 
 
+def binary_dihedral_levels(b, n):
+    """Level n of type D_r by its closed form, apart from every route:
+    {node label: the sorted multiplicities of the nodes with that label},
+    the label being ``b.node_label(i)``, (mark, distance to the affine
+    attachment).
+
+    The group is binary dihedral, <a, j> of order 4 n0 with n0 = r - 2 and
+    a of order 2 n0.  V_n has the weights k = n, n - 2, .., -n, and a acts
+    on weight k by zeta^k.  The 2-dimensional rho_l, l = 1..n0-1, takes
+    #{k = l (mod 2 n0)}.  The two characters with a = 1 take #{k > 0 :
+    k = 0 (mod 2 n0)} each, and the zero weight (n even) goes to the
+    trivial one if n/2 is even, to the other if odd.  The two with a = -1
+    take #{k > 0 : k = n0 (mod 2 n0)} each.  Each count is two floor
+    divisions, so a level costs O(n0) at any n, 10^18 included.
+
+    By label: node 0, (1, -1), is trivial; the mark-2 node at distance d
+    is rho_(d+1); the other mark-1 node at distance 1 has a = 1, and the
+    far mark-1 pair, at distance n0 - 1, has a = -1.  On D4 (n0 = 2) these
+    three leaves share the label (1, 1)."""
+    n0 = b.rs.rank - 2
+    m = 2 * n0
+
+    def count(low, res):  # #{k in low..n : k = res (mod 2 n0), k = n (mod 2)}
+        return (n - res) // m - (low - 1 - res) // m if (n - res) % 2 == 0 else 0
+
+    plus, quarter = count(1, 0), n % 4  # the zero weight goes by the parity of n/2
+    levels = {(2, l - 1): (count(-n, l),) for l in range(1, n0)}
+    levels[1, -1], levels[1, 1] = (plus + (quarter == 0),), (plus + (quarter == 2),)
+    levels[1, n0 - 1] = tuple(sorted(levels.get((1, n0 - 1), ()) + (count(1, n0),) * 2))
+    return levels
+
+
 def plain_closure_roots(type_str):
     """All roots in ``RootSystem.roots`` order, by the plain breadth-first
     closure that recomputes every pairing (r, alpha_i) from Cartan row i:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -561,11 +562,14 @@ def test_a_modulus_whose_sums_pass_one_word_aborts():
     # A modulus near 2^61 needs fields of 2 * 61 + bits(5) + 1 = 126 bits
     # for E6's five non-central classes: past one 64-bit word, so the
     # residue sums refuse it rather than let a field carry.  E6's traces are
-    # the integers 2, -2, 0 and +-1, the same under either modulus.
+    # the integers 2, -2, 0 and +-1, the same under either modulus.  The
+    # copy's elements hold no (p-1, 0, 0, p-1) for the new p, so -identity
+    # is seeded beside the traces.
     group = group_for("E6")
     big = replace(group, p=2**61 - 1)
-    vars(big)["class_traces"] = tuple(
-        binarygroups._lift(t, group.p) % big.p for t in group.class_traces
+    vars(big).update(
+        class_traces=tuple(binarygroups._lift(t, group.p) % big.p for t in group.class_traces),
+        minus_identity=group.minus_identity,
     )
     weights = [(size, -3 * size, 7) for size in group.class_sizes]
     with pytest.raises(ConsistencyError) as info:
@@ -732,6 +736,21 @@ def test_inverses_total():
     for x in range(g.order):
         assert mult[x][g.inverse[x]] == 0
         assert mult[g.inverse[x]][x] == 0
+
+
+@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A71", "D71"))
+def test_derived_facts_meet_their_definitions(name):
+    # The group stores its seven constructor arguments and derives the rest
+    # on first read: a fresh build holds nothing else.  A71's columns are
+    # bytes, D71's tuples.
+    b = bundle(name)
+    g = binarygroups.build_group(name, b.params)
+    stored = ("dtype", "p", "elements", "columns", "classes", "generator_indices", "non_residue")
+    assert tuple(inspect.signature(type(g)).parameters) == stored and tuple(vars(g)) == stored
+    for x in range(g.order):
+        assert g.columns[g.inverse[x]][x] == g.columns[x][g.inverse[x]] == 0
+        assert x in g.classes[g.class_of[x]]
+    assert g.elements[g.minus_identity] == (g.p - 1, 0, 0, g.p - 1)
 
 
 @pytest.mark.parametrize("name", (*CHARACTER_TYPES, "D66", "D67"))

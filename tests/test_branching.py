@@ -1,18 +1,31 @@
 """Parameters, Heisenberg subsystem, numerators, multiplicity series."""
 
 import math
+import random
 from collections import Counter
+from functools import partial
+from operator import itemgetter
 
 import pytest
 
+from su2branch import Branching
 from su2branch.binarygroups import oracle_multiplicity
 from su2branch.cli import MAX_RANK
 from su2branch.invariants import ORACLES, special_z_closed_form
 from su2branch.mckay import recursion_oracle
-from su2branch.seriescalc import sparse_items
+from su2branch.seriescalc import PeriodTable, sparse_items
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, dense_series, graph_for, group_for, inner, pair_counter, table_for
+from conftest import (
+    binary_dihedral_levels,
+    bundle,
+    dense_series,
+    graph_for,
+    group_for,
+    inner,
+    pair_counter,
+    table_for,
+)
 
 HUGE_LEVELS = (10**6, 10**18 + 1)
 
@@ -176,6 +189,55 @@ def test_type_a_is_the_weight_count_of_its_cyclic_group(r):
         assert [_weights_in_class(n, k, m) for k in range(m)] == [weights[k] for k in range(m)]
     n = 10**18 + r
     assert b.vector(n) == tuple(_weights_in_class(n, k, m) for k in range(m))
+
+
+def _dihedral_check(b):
+    """miss(level): the first of levels 0..2P+1, 10^18 + r and 10^18 + r +
+    1 (P the period) where ``level(n)`` is not the closed form of
+    ``conftest.binary_dihedral_levels``, or None.  Each node is named by
+    its label; the nodes that share one (D4's three leaves, the far pair
+    beyond) are compared as a multiset."""
+    r = b.rs.rank
+    labels = [b.node_label(i) for i in range(r + 1)]
+    shared = [i for i, label in enumerate(labels) if labels.count(label) > 1]
+    alone = itemgetter(*[i for i in range(r + 1) if i not in shared])
+    want = []
+    for n in (*range(2 * b.periods().period + 2), 10**18 + r, 10**18 + r + 1):
+        form = binary_dihedral_levels(b, n)
+        want.append((n, alone([form[label][0] for label in labels]), list(form[labels[shared[0]]])))
+
+    def miss(level):
+        for n, one, many in want:
+            got = level(n)
+            if alone(got) != one or sorted(got[i] for i in shared) != many:
+                return n
+        return None
+
+    return miss
+
+
+@pytest.mark.parametrize("r", range(4, MAX_RANK + 1))
+def test_type_d_is_the_weight_count_of_its_binary_dihedral_group(r):
+    # Every route's levels against the closed form, node by node from the
+    # labels.  A table with one step entry bumped, or with the columns of two
+    # mark-2 nodes swapped, fails it (one seeded pick of each per type).
+    # The types other tests build come from the shared cache; the rest are
+    # built here and dropped, so the suite does not keep 68 bundles alive.
+    name, rng = f"D{r}", random.Random(r)
+    b = bundle(name) if name in (*ACCEPTED_TYPES, "D67", "D71") else Branching.build(name)
+    miss, table = _dihedral_check(b), b.periods()
+    for oracle in ORACLES:
+        assert miss(partial(b.vector, oracle=oracle)) is None, oracle
+    step = [list(row) for row in table.step]
+    step[rng.randrange(table.period)][rng.randrange(r + 1)] += 1
+    assert miss(PeriodTable(table.base, tuple(map(tuple, step)), table.order).level) is not None
+    if r >= 5:
+        nodes = list(range(r + 1))
+        i, j = rng.sample([i for i in nodes if b.node_label(i)[0] == 2], 2)
+        nodes[i], nodes[j] = j, i
+        swap = itemgetter(*nodes)
+        swapped = PeriodTable(tuple(map(swap, table.base)), tuple(map(swap, table.step)), table.order)
+        assert miss(swapped.level) is not None
 
 
 @pytest.mark.parametrize("name", ACCEPTED_TYPES)

@@ -1,5 +1,5 @@
-"""The library's records, one case each, built from E8: the read-only ones
-refuse assignment and deletion, the value records equal and hash like a
+"""The library's records, one case each, built from E8: every record
+refuses assignment and deletion, the value records equal and hash like a
 copy rebuilt by their constructor, and the others equal only themselves.
 A period table copy reads the same levels."""
 
@@ -11,22 +11,22 @@ from su2branch.verify import run_type_checks
 from conftest import bundle, replace
 
 
-#: class -> (its E8 instance from the bundle, one of its fields, read-only, compared by value)
+#: class -> (its E8 instance from the bundle, one of its fields, compared by value)
 RECORDS = {
-    "DiagramType": (lambda b: b.dtype, "rank", True, True),
-    "RootSystem": (lambda b: b.rs, "roots", True, False),
-    "Bipartition": (lambda b: b.bp, "part1", True, True),
-    "CoxeterAction": (lambda b: b.cox, "sigma", True, False),
-    "OrbitTable": (lambda b: b.table, "exponent", True, False),
-    "BranchParams": (lambda b: b.params, "a", True, True),
-    "HeisenbergSubsystem": (lambda b: b.heisenberg, "indices", True, False),
-    "Branching": (lambda b: b, "zpolys", True, False),
-    "PeriodTable": (lambda b: b.periods("recursion"), "step", True, False),
-    "McKayGraph": (lambda b: b.graph, "adjacency", True, False),
-    "FiniteGroup": (lambda b: b.group, "elements", False, False),
-    "CharacterTable": (lambda b: b.character_table, "rows", False, False),
-    "Invariant": (lambda b: registry("E8")[0], "predicate", True, True),
-    "Check": (lambda b: run_type_checks("E8")[0], "passed", True, True),
+    "DiagramType": (lambda b: b.dtype, "rank", True),
+    "RootSystem": (lambda b: b.rs, "roots", False),
+    "Bipartition": (lambda b: b.bp, "part1", True),
+    "CoxeterAction": (lambda b: b.cox, "sigma", False),
+    "OrbitTable": (lambda b: b.table, "exponent", False),
+    "BranchParams": (lambda b: b.params, "a", True),
+    "HeisenbergSubsystem": (lambda b: b.heisenberg, "indices", False),
+    "Branching": (lambda b: b, "zpolys", False),
+    "PeriodTable": (lambda b: b.periods("recursion"), "step", False),
+    "McKayGraph": (lambda b: b.graph, "adjacency", False),
+    "FiniteGroup": (lambda b: b.group, "elements", False),
+    "CharacterTable": (lambda b: b.character_table, "rows", False),
+    "Invariant": (lambda b: registry("E8")[0], "predicate", True),
+    "Check": (lambda b: run_type_checks("E8")[0], "passed", True),
 }
 
 
@@ -36,12 +36,12 @@ def _build(name):
     return obj
 
 
-READ_ONLY = [(name, field) for name, (_, field, read_only, _) in RECORDS.items() if read_only]
-BY_VALUE = [(name, field) for name, (_, field, _, by_value) in RECORDS.items() if by_value]
-BY_IDENTITY = [(name, field) for name, (_, field, _, by_value) in RECORDS.items() if not by_value]
+FIELDS = [(name, field) for name, (_, field, _) in RECORDS.items()]
+BY_VALUE = [(name, field) for name, (_, field, by_value) in RECORDS.items() if by_value]
+BY_IDENTITY = [(name, field) for name, (_, field, by_value) in RECORDS.items() if not by_value]
 
 
-@pytest.mark.parametrize("name, field", READ_ONLY)
+@pytest.mark.parametrize("name, field", FIELDS)
 def test_read_only_records_refuse_assignment_and_deletion(name, field):
     obj = _build(name)
     value = getattr(obj, field)
