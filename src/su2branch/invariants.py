@@ -316,10 +316,11 @@ def _group_sanity(c: Branching) -> Result:
     ``bytes.translate`` up to 256 elements) must be column y g: entry x
     of each is (x y) g and x (y g).  Only a generator whose screen fails
     names a failure, the least x where those two columns differ at any y
-    whose screen failed.  Right inverses are a fact about the columns:
-    column x holds the identity at row x^-1 (``FiniteGroup.inverse``) and
-    column x^-1 holds it at row x.  The least x that fails is named, also
-    where column x holds no identity at all."""
+    whose screen failed.  Right inverses are checked on the inverse the
+    group holds (``FiniteGroup.inverse``, which the later entries read):
+    column x^-1 must hold the identity at row x.  The least x that fails is
+    named, by that same inverse, also where column x holds no identity at
+    all."""
     from . import binarygroups
     group, p = c.group, c.params
     n, columns = group.order, group.columns
@@ -352,11 +353,11 @@ def _group_sanity(c: Branching) -> Result:
     if len(seen) != n:
         return False, f"{n - len(seen)} elements are not words in the generators"
     try:
-        total = not any(map(getitem, map(columns.__getitem__, group.inverse), range(n)))
-    except ValueError:  # a column without the identity
-        total = False
-    if not total:
-        x = next(x for x, col in enumerate(columns) if 0 not in col or columns[col.index(0)][x])
+        inverse = group.inverse
+    except ValueError:  # a column without the identity: None at its element
+        inverse = [col.index(0) if 0 in col else None for col in columns]
+    if None in inverse or any(map(getitem, map(columns.__getitem__, inverse), range(n))):
+        x = next(x for x, y in enumerate(inverse) if y is None or columns[y][x])
         return False, f"inverse fails at {x}"
     return True, f"order {n}; associativity proved from the generators, inverses total"
 

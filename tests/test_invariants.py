@@ -248,6 +248,22 @@ def test_an_element_without_a_right_inverse_fails_group_sanity_at_its_element():
     assert (passed, detail) == (False, "inverse fails at 1")
 
 
+@pytest.mark.parametrize("name", ["D12", "E8"])
+def test_every_wrong_inverse_fails_group_sanity_at_its_element(name):
+    # The group derives its inverse from the columns, so a wrong one can
+    # only be seeded into the copy's cache; the later entries read that
+    # inverse, so group sanity must refuse it and name its element.
+    b = bundle(name)
+    group, sanity = b.group, _entry("group sanity")
+    for x in range(group.order):
+        inverse = list(group.inverse)
+        inverse[x] = (inverse[x] + 1) % group.order
+        wrong = replace(group)
+        vars(wrong)["inverse"] = tuple(inverse)
+        passed, detail = sanity.evaluate(SimpleNamespace(group=wrong, params=b.params))
+        assert (passed, detail) == (False, f"inverse fails at {x}")
+
+
 def test_an_entry_outside_the_group_fails_group_sanity():
     # One entry of the middle column set outside the n elements.  In E8 (byte
     # columns) 120 and 255 stay in a byte column, and 256, 1000 and -1 make
