@@ -23,8 +23,8 @@ to 256 elements a column is ``bytes`` and each gather one
 (:func:`_gather`).  The table is stored once, as these columns
 (:attr:`FiniteGroup.columns`), and never as rows: every build stage and
 the "group sanity" entry read the columns.  Each group fact is held
-once: the group is read-only and derives its inverses, class map and
--identity from its columns, classes and elements on first read.
+once: the group is read-only and derives its inverses, classes, class map
+and -identity from its columns and elements on first read.
 
 Characters are exact in the same F_p: chi_n at a class depends only on
 the trace t of its representative (:attr:`FiniteGroup.class_traces`),
@@ -35,7 +35,8 @@ breadth first from the trivial character at node 0, by McKay's identity
 chi_1 chi_x = sum_y adj[x][y] chi_y (chi_1 the defining character): the
 part of chi_1 chi_x not yet named is split by one class sum at a time
 into the rows of x's new neighbours, and the walk checks the identity
-once at every node (:func:`_irreducibles`).
+once at every node (:func:`_irreducibles`); the table's row i is node
+i's character (:class:`CharacterTable`).
 
 The character oracles read one inner product <chi_n, chi>.  At
 +-identity chi_n is the integer (+-1)^n (n + 1); at an element of order
@@ -156,25 +157,39 @@ class FiniteGroup(ReadOnly):
     ``non_residue`` is the least quadratic non-residue mod p.  The table is
     stored once, by columns: ``columns[j][i]`` is the index of element i
     times element j, ``bytes`` up to 256 elements (every type the CLI
-    accepts but D67..D71) and tuples beyond; there are no rows.
-    ``classes`` are conjugacy classes as sorted index tuples, ordered by
-    their smallest member, so the identity class is first.  Every other
-    fact, :attr:`inverse`, :attr:`class_of` and :attr:`minus_identity`
-    included, is derived from these once, a cached property of the group.
+    accepts but D67..D71) and tuples beyond; there are no rows.  Every
+    other fact, :attr:`inverse`, :attr:`classes`, :attr:`class_of` and
+    :attr:`minus_identity` included, is derived from these once, a cached
+    property of the group.
     """
 
     def __init__(
         self, dtype: DiagramType, p: int, elements: tuple[Matrix, ...],
-        columns: tuple[bytes | tuple[int, ...], ...], classes: tuple[tuple[int, ...], ...],
-        generator_indices: tuple[int, ...], non_residue: int,
+        columns: tuple[bytes | tuple[int, ...], ...], generator_indices: tuple[int, ...],
+        non_residue: int,
     ) -> None:
-        vars(self).update(dtype=dtype, p=p, elements=elements, columns=columns, classes=classes)
+        vars(self).update(dtype=dtype, p=p, elements=elements, columns=columns)
         vars(self).update(generator_indices=generator_indices, non_residue=non_residue)
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
         """x^-1 at x: the row where column x holds the identity (else ``ValueError``)."""
         return tuple([col.index(0) for col in self.columns])
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Conjugacy classes as sorted index tuples, ordered by their least
+        member, so the identity class is first.  g e g^-1 is entry g of column
+        e read in column g^-1 (:attr:`inverse`), so an orbit is one ``map``
+        over column e; :func:`character_table` checks the class count."""
+        columns, classes, seen = self.columns, [], set()
+        times_inverse = list(map(columns.__getitem__, self.inverse))  # column g^-1 at g
+        for e in range(len(columns)):
+            if e not in seen:
+                orbit = set(map(getitem, times_inverse, columns[e]))
+                seen |= orbit
+                classes.append(tuple(sorted(orbit)))
+        return tuple(classes)
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:
@@ -262,7 +277,7 @@ class FiniteGroup(ReadOnly):
 
 
 def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
-    """Close the generators mod p and compute tables and conjugacy classes.
+    """Close the generators mod p and fill the multiplication table.
 
     p is the first prime among p0, p0 + E, p0 + 2E, ..., p0 = 2 |F*| E
     MAX_DEGREE + 1 and |F*| = a*b/2 from the denominator exponents, all
@@ -281,14 +296,13 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     closure products are ever formed.  Up to 256 elements the columns are
     ``bytes`` and each gather is one ``bytes.translate`` through
     ``right[k]``; beyond, tuples gathered by ``itemgetter`` (:func:`_gather`).
-    The group stores these columns and no rows (:attr:`FiniteGroup.columns`).
-    Column j holds the identity at row j^-1 alone, so each inverse the
-    class walk reads is one ``index``, on bytes one ``memchr``; a column
-    without it is a row without it, a finite monoid's left inverses being
-    its right ones.  The group derives its own (:attr:`FiniteGroup.inverse`).
-    Overshooting |F*| during closure aborts.  A closure that stops short is
-    returned as is: the registry's "group sanity" entry compares the order
-    with a*b/2.
+    The group stores these columns and no rows (:attr:`FiniteGroup.columns`)
+    and derives the rest on first read, its classes included.  Its inverses
+    are read here, one ``index`` per column (on bytes a ``memchr``): a
+    column without the identity is a row without it, a finite monoid's left
+    inverses being its right ones, and aborts.  Overshooting |F*| during
+    closure aborts.  A closure that stops short is returned as is: the
+    registry's "group sanity" entry compares the order with a*b/2.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
@@ -325,15 +339,15 @@ def build_group(dtype: DiagramType | str, params: BranchParams) -> FiniteGroup:
     columns = [column(range(n))]  # columns[j][i]: element i times element j
     for parent, k in parents[1:]:
         columns.append(gathers[k](columns[parent]))
+    gens_at = tuple(row[0] for row in right)  # identity * gens[k]
+    group = FiniteGroup(dtype, p, tuple(elements), tuple(columns), gens_at, z)
     try:
-        classes = conjugacy_classes(columns)
+        group.inverse  # noqa: B018 - read once, here, where a fault names the build
     except ValueError:  # a column, hence a row, without the identity
         raise _failure(dtype, "build_group", "a row of the table has no identity") from None
     if (p - 1, 0, 0, p - 1) not in index:
         raise _failure(dtype, "build_group", "-identity is not in the closure")
-
-    gens_at = tuple(row[0] for row in right)  # identity * gens[k]
-    return FiniteGroup(dtype, p, tuple(elements), tuple(columns), classes, gens_at, z)
+    return group
 
 
 def _gather(table: bytes | tuple[int, ...]) -> Callable:
@@ -345,25 +359,6 @@ def _gather(table: bytes | tuple[int, ...]) -> Callable:
     if isinstance(table, bytes):
         return methodcaller("translate", table.ljust(256, b"\xff"))
     return lambda col: itemgetter(*col)(table)
-
-
-def conjugacy_classes(columns: list[bytes | tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Partition element indices into conjugation orbits, ordered by least member.
-
-    g e g^-1 is entry g of column e read in column g^-1, the column at the
-    row where column g holds the identity (else ``ValueError``), so an
-    orbit is one ``map`` over column e.  The class count is checked
-    against the extended diagram by :func:`character_table`.
-    """
-    classes: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    times_inverse = [columns[col.index(0)] for col in columns]  # column g^-1 at g
-    for e in range(len(columns)):
-        if e not in seen:
-            orbit = set(map(getitem, times_inverse, columns[e]))
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-    return tuple(classes)
 
 
 def _failure(dtype: DiagramType, stage: str, problem: str) -> ConsistencyError:
@@ -507,30 +502,39 @@ def _period_table(
 
 
 class CharacterTable(ReadOnly):
-    """Irreducible characters by conjugacy class, tied to diagram nodes; read-only.
+    """Irreducible characters by conjugacy class, indexed by diagram node; read-only.
 
-    ``rows[r][c]`` is the value of irreducible r on class c, mod
-    ``group.p`` (the defining character's row is ``group.class_traces``);
-    ``node_map`` sends each extended-diagram node to its row, and
-    ``dims``, the degrees chi(1), are derived as the rows' first column.  The
-    character oracles read only ``central[node]``, the node's character
-    at +identity and -identity as integers (dim, +-dim), and
-    ``residues[r][node]``, the non-central sum of |F*| <chi_n, chi_node>
-    for every n = r modulo the group exponent (:func:`_residue_sums`).
-    Both feed ``periods``, the proved period table every level is read
-    from (:func:`_period_table`).
+    ``rows[i][c]`` is the value of node i's irreducible on class c, mod
+    ``group.p`` (the defining character's row is ``group.class_traces``),
+    and ``dims``, the degrees chi(1), are the rows' first column.  The
+    rest is derived from the rows on first read: the character oracles
+    read :attr:`periods`, the proved period table of :attr:`central` and
+    :attr:`residues` (:func:`_period_table`).
     """
 
-    def __init__(
-        self, group: FiniteGroup, rows: tuple[tuple[int, ...], ...], node_map: tuple[int, ...],
-        central: tuple[tuple[int, int], ...], residues: tuple[tuple[int, ...], ...],
-    ) -> None:
-        vars(self).update(group=group, rows=rows, node_map=node_map, central=central)
-        vars(self).update(residues=residues, dims=tuple(row[0] for row in rows))
+    def __init__(self, group: FiniteGroup, rows: tuple[tuple[int, ...], ...]) -> None:
+        vars(self).update(group=group, rows=rows, dims=tuple(row[0] for row in rows))
+
+    @cached_property
+    def central(self) -> tuple[tuple[int, int], ...]:
+        """Each node's character at +identity and -identity, as integers (dim, +-dim)."""
+        p, minus = self.group.p, self.group.class_of[self.group.minus_identity]
+        return tuple((row[0], _lift(row[minus], p)) for row in self.rows)
+
+    @cached_property
+    def residues(self) -> tuple[tuple[int, ...], ...]:
+        """``residues[r][i]``: the non-central sum of |F*| <chi_n, chi_i>, n = r
+        mod E, over the class weights |C| chi_i(C^-1) (:func:`_residue_sums`)."""
+        sizes, inverse = self.group.class_sizes, self.group.class_inverse
+        weights = [tuple(n * row[inverse[c]] for row in self.rows) for c, n in enumerate(sizes)]
+        return _residue_sums(self.group, weights)
 
     @cached_property
     def periods(self) -> PeriodTable:
         return _period_table(self.group, self.central, self.residues)
+
+    # Node i's row is row i; ``bench/workloads.py`` still reads this map.
+    node_map = property(lambda self: range(len(self.rows)))
 
 
 def _non_residue(p: int) -> int:
@@ -679,23 +683,14 @@ def character_table(group: FiniteGroup, graph: McKayGraph) -> CharacterTable:
     """Compute all irreducible characters mod p, one per extended node.
 
     The rows are walked off the extended diagram by the McKay identity
-    (:func:`_irreducibles`) and sorted, so by degree first, row[0] being
-    chi(1); ``node_map`` gives each node's index in the sorted rows.
-    There is no randomness.  The table also carries each node's integer
-    values at +-identity and the residue table, and its period table is
-    built and proved here.
+    (:func:`_irreducibles`), row i node i's.  There is no randomness.  The
+    table derives each node's integer values at +-identity and the residue
+    table from them, and its period table is built and proved here.
     """
     if (r := len(group.classes)) != graph.size:
         problem = f"{r} classes but {graph.size} extended nodes"
         raise _failure(group.dtype, "character_table", problem)
-    p, sizes, inverse = group.p, group.class_sizes, group.class_inverse
-    nodes = _irreducibles(group, graph)
-    rows = tuple(sorted(nodes))
-    minus = group.class_of[group.minus_identity]
-    node_map = tuple(map({row: k for k, row in enumerate(rows)}.__getitem__, nodes))
-    central = tuple((row[0], _lift(row[minus], p)) for row in nodes)
-    weights = [tuple(size * row[inverse[c]] for row in nodes) for c, size in enumerate(sizes)]
-    table = CharacterTable(group, rows, node_map, central, _residue_sums(group, weights))
+    table = CharacterTable(group, tuple(_irreducibles(group, graph)))
     table.periods  # noqa: B018 - proved once, here, rather than at the first level read
     return table
 
@@ -711,7 +706,7 @@ def oracle_multiplicity(group: FiniteGroup, table: CharacterTable, n: int, node:
     """
     if n < 0:
         raise UsageError("n must be nonnegative")
-    if not 0 <= node < len(table.central):
+    if not 0 <= node < len(table.rows):
         raise UsageError(f"node index {node} out of range for {group.dtype}")
     t = table.periods
     k, r = divmod(n, t.period)

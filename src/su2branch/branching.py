@@ -88,34 +88,23 @@ def branch_params(rs: RootSystem) -> BranchParams:
     )
 
 
-class HeisenbergSubsystem(ReadOnly):
-    """Positive roots pairing strictly positively with the highest root.
-
-    There are exactly 2h - 3 of them, held as their root indices only:
-    ``indices`` splits them into slices by the node of their Coxeter orbit.
-    """
-
-    def __init__(self, indices: dict[int, tuple[int, ...]]) -> None:
-        vars(self).update(indices=indices)
-
-
-def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> HeisenbergSubsystem:
-    """Members by root index: (r, psi) = sum r_i (psi, alpha_i) over psi's few nonzero pairings."""
+def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> dict[int, tuple[int, ...]]:
+    """The positive roots pairing strictly positively with the highest root,
+    2h - 3 of them, as root indices in slices by the node of their Coxeter
+    orbit.  Members by root index: (r, psi) = sum r_i (psi, alpha_i) over
+    psi's few nonzero pairings."""
     positives = rs.positive_roots
     psi = [(itemgetter(i - 1), p) for i, p in zip(rs.nodes, rs.highest_root_image) if p]
     pairs = map(sum, zip(*[map(mul, repeat(p), map(column, positives)) for column, p in psi]))
     indices: dict[int, list[int]] = {i: [] for i in rs.nodes}
     for k in (k for k, pair in enumerate(pairs) if pair > 0):
         indices[table.orbit_node[k]].append(k)
-    return HeisenbergSubsystem({i: tuple(ks) for i, ks in indices.items()})
+    return {i: tuple(ks) for i, ks in indices.items()}
 
 
 def z_polynomial(
-    rs: RootSystem,
-    table: OrbitTable,
-    hs: HeisenbergSubsystem,
-    params: BranchParams,
-    node: int,
+    rs: RootSystem, table: OrbitTable, hs: dict[int, tuple[int, ...]],
+    params: BranchParams, node: int,
 ) -> Poly:
     """Numerator polynomial for one extended-diagram node.
 
@@ -130,7 +119,7 @@ def z_polynomial(
     rs._check_node(node)
     coeffs = [0] * (h + 1)
     psi = rs.index_of(rs.highest_root, "z_polynomial") if node == params.special else None
-    for k in hs.indices[node]:
+    for k in hs[node]:
         if k != psi:
             coeffs[table.exponent[k]] += 1
     if node == params.special:
@@ -153,7 +142,7 @@ class Branching(ReadOnly):
 
     def __init__(
         self, rs: RootSystem, bp: Bipartition, cox: CoxeterAction, table: OrbitTable,
-        params: BranchParams, heisenberg: HeisenbergSubsystem, zpolys: dict[int, Poly],
+        params: BranchParams, heisenberg: dict[int, tuple[int, ...]], zpolys: dict[int, Poly],
     ) -> None:
         vars(self).update(
             rs=rs, bp=bp, cox=cox, table=table, params=params, heisenberg=heisenberg, zpolys=zpolys

@@ -167,7 +167,7 @@ def cmd_group(args: argparse.Namespace) -> tuple:
     bundle = Branching.build(args.type)
     group, table = bundle.group, bundle.character_table
     sizes = list(group.class_sizes)
-    dims = [table.dims[table.node_map[i]] for i in range(bundle.graph.size)]
+    dims = list(table.dims)
     doc = _envelope(bundle.dtype, order=group.order, class_sizes=sizes, character_dims=dims)
     cover = rotation_group_name(bundle.dtype)
     return doc, [

@@ -234,7 +234,7 @@ def _orbit_exponents(c: Branching) -> Result:
 
 def _heisenberg(c: Branching) -> Result:
     hs, h = c.heisenberg, c.rs.coxeter_number
-    members = [k for ks in hs.indices.values() for k in ks]
+    members = [k for ks in hs.values() for k in ks]
     if len(members) != 2 * h - 3:
         return False, f"{len(members)} roots, expected {2 * h - 3}"
     if not set(members) <= set(range(c.rs.num_positive)):
@@ -243,8 +243,8 @@ def _heisenberg(c: Branching) -> Result:
         return False, "slices do not partition the subsystem"
     for i in c.rs.nodes:
         want = 2 * c.rs.mark(i) if i != c.params.special else c.params.a - 1
-        if len(hs.indices[i]) != want:
-            return False, f"slice {i} has {len(hs.indices[i])} roots, expected {want}"
+        if len(hs[i]) != want:
+            return False, f"slice {i} has {len(hs[i])} roots, expected {want}"
     return True, f"{2 * h - 3} roots, slice sizes as required"
 
 
@@ -403,8 +403,8 @@ def _character_table(c: Branching) -> Result:
         sign = -1 if c.node_parity(node) == 1 else 1
         if at_minus != sign * graph.marks_ext[node]:
             return False, f"central value at node {node} is {at_minus}"
-    dims = tuple(table.dims[table.node_map[i]] for i in range(graph.size))
-    return dims == graph.marks_ext, f"{r} irreducibles; dims match marks; central signs match sides"
+    detail = f"{r} irreducibles; dims match marks; central signs match sides"
+    return table.dims == graph.marks_ext, detail
 
 
 def _read(tables: list[PeriodTable]) -> tuple[int, list[PeriodTable]]:

@@ -11,6 +11,7 @@ import pytest
 
 from su2branch import binarygroups
 from su2branch.binarygroups import (
+    CharacterTable,
     character_multiplicities,
     exponent,
     oracle_multiplicity,
@@ -239,12 +240,12 @@ def test_e8_character_dims():
 def test_dims_match_marks(name, ):
     t = table_for(name)
     g = graph_for(name)
-    assert tuple(t.dims[t.node_map[i]] for i in range(g.size)) == g.marks_ext
+    assert t.dims == g.marks_ext
 
 
 def test_trivial_character_at_node_zero():
     t = table_for("D5")
-    assert t.rows[t.node_map[0]] == (1,) * len(group_for("D5").classes)
+    assert t.rows[0] == (1,) * len(group_for("D5").classes)
 
 
 def test_defining_representation_row():
@@ -256,7 +257,7 @@ def test_defining_representation_row():
         t, g, group = table_for(name), graph_for(name), group_for(name)
         p, zetas = group.p, _eigenvalues(group)
         for cls, zeta in enumerate(zetas):
-            total = sum(g.adjacency[0][i] * t.rows[t.node_map[i]][cls] for i in range(g.size))
+            total = sum(g.adjacency[0][i] * t.rows[i][cls] for i in range(g.size))
             assert (total - zeta - pow(zeta, -1, p)) % p == 0
 
 
@@ -280,7 +281,7 @@ def test_central_parity_signs():
         for node in range(g.size):
             d = g.marks_ext[node]
             sign = -1 if node != 0 and b.bp.side(node) == 1 else 1
-            assert (t.rows[t.node_map[node]][minus_class] - sign * d) % p == 0
+            assert (t.rows[node][minus_class] - sign * d) % p == 0
             assert t.central[node] == (d, sign * d)
 
 
@@ -351,7 +352,7 @@ def test_residue_table_is_the_class_sum(name):
     assert len(t.residues) == math.lcm(*group.class_orders)
     for r, sums in enumerate(t.residues):
         for node, got in enumerate(sums):
-            row = t.rows[t.node_map[node]]
+            row = t.rows[node]
             want = sum(
                 group.class_sizes[c] * _su2_character(zetas[c], r, p) * row[inverse[c]]
                 for c in range(len(group.classes))
@@ -400,8 +401,11 @@ def test_molien_matches_character_path():
 
 def test_a_sum_that_does_not_divide_aborts_with_its_stage():
     # Off by one in one residue entry: |F*| no longer divides the total.
+    # The table derives its residue sums from its rows, so the doctored ones
+    # are seeded into a fresh copy's cache.
     group, t = group_for("E8"), table_for("E8")
-    broken = replace(t, residues=((t.residues[0][0] + 1,) + t.residues[0][1:],))
+    broken = CharacterTable(group, t.rows)
+    vars(broken)["residues"] = ((t.residues[0][0] + 1,) + t.residues[0][1:],)
     with pytest.raises(ConsistencyError) as info:
         oracle_multiplicity(group, broken, 0, 0)
     err = info.value
@@ -413,11 +417,14 @@ def test_a_step_that_does_not_divide_is_refused():
     # Node 0 at +identity doctored from 1 to 2, and its residue sums shifted
     # by -(r + 1) so that every level below E keeps its multiplicity: the
     # step E (chi(1) + chi(-1)) / |F*| = 60 * 3 / 120 is not an integer, so
-    # level E, the first one past the base, does not divide.
+    # level E, the first one past the base, does not divide.  Both are
+    # seeded into a fresh copy's cache, as the table derives them.
     group, t = group_for("E8"), table_for("E8")
-    central = ((2, 1),) + t.central[1:]
-    residues = tuple((row[0] - (r + 1),) + row[1:] for r, row in enumerate(t.residues))
-    broken = replace(t, central=central, residues=residues)
+    broken = CharacterTable(group, t.rows)
+    vars(broken).update(
+        central=((2, 1),) + t.central[1:],
+        residues=tuple((row[0] - (r + 1),) + row[1:] for r, row in enumerate(t.residues)),
+    )
     with pytest.raises(ConsistencyError) as info:
         oracle_multiplicity(group, broken, 0, 0)
     err = info.value
@@ -580,10 +587,13 @@ def test_a_modulus_whose_sums_pass_one_word_aborts():
 
 def test_a_class_whose_powers_never_reach_the_identity_aborts():
     # E6's class 2 has order 6; with its representative squared to itself
-    # the walk passes the exponent 12 without reaching the identity.
+    # the walk passes the exponent 12 without reaching the identity.  The
+    # copy would derive its classes from the doctored columns, so the
+    # group's own are seeded into its cache.
     group = group_for("E6")
     rep = group.classes[2][0]
     bent = replace(group, columns=doctored_columns(group, {(rep, rep): rep}))
+    vars(bent)["classes"] = group.classes
     with pytest.raises(ConsistencyError) as info:
         bent.class_orders
     assert (info.value.dtype, info.value.stage) == ("E6", "build_group")
@@ -716,8 +726,12 @@ CHARACTER_ROUTE_SHA256 = {
 
 @pytest.mark.parametrize("name", CHARACTER_TYPES)
 def test_character_route_is_pinned_byte_for_byte(name):
+    # The digests were taken when the rows were sorted, with a map from each
+    # node to its sorted row; both are rebuilt here from the rows by node.
     group, t = group_for(name), table_for(name)
-    output = (t.rows, t.node_map, t.central, t.residues, t.periods.base, t.periods.step)
+    rows = tuple(sorted(t.rows))
+    node_map = tuple(map({row: k for k, row in enumerate(rows)}.__getitem__, t.rows))
+    output = (rows, node_map, t.central, t.residues, t.periods.base, t.periods.step)
     digest = hashlib.sha256(repr((*output, group_average(group, 300))).encode()).hexdigest()
     assert digest == CHARACTER_ROUTE_SHA256[name]
 
@@ -740,17 +754,42 @@ def test_inverses_total():
 
 @pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A71", "D71"))
 def test_derived_facts_meet_their_definitions(name):
-    # The group stores its seven constructor arguments and derives the rest
-    # on first read: a fresh build holds nothing else.  A71's columns are
-    # bytes, D71's tuples.
+    # The group stores its six constructor arguments and derives the rest
+    # on first read: a fresh build holds nothing else but the inverses its
+    # build reads.  A71's columns are bytes, D71's tuples.
     b = bundle(name)
     g = binarygroups.build_group(name, b.params)
-    stored = ("dtype", "p", "elements", "columns", "classes", "generator_indices", "non_residue")
-    assert tuple(inspect.signature(type(g)).parameters) == stored and tuple(vars(g)) == stored
+    stored = ("dtype", "p", "elements", "columns", "generator_indices", "non_residue")
+    assert tuple(inspect.signature(type(g)).parameters) == stored
+    assert tuple(vars(g)) == (*stored, "inverse")
+    assert sorted(x for c in g.classes for x in c) == list(range(g.order))
     for x in range(g.order):
         assert g.columns[g.inverse[x]][x] == g.columns[x][g.inverse[x]] == 0
         assert x in g.classes[g.class_of[x]]
+        members = set(g.classes[g.class_of[x]])
+        assert all(g.columns[g.inverse[y]][g.columns[x][y]] in members for y in range(g.order))
     assert g.elements[g.minus_identity] == (g.p - 1, 0, 0, g.p - 1)
+
+
+@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A71", "D71"))
+def test_character_table_derives_all_but_its_rows(name):
+    # A fresh table stores its group and rows, and the degrees read off the
+    # rows, which are the extended marks node by node; the central values
+    # and residue sums are derived from the rows on first read.  Node i's
+    # row is row i, so the node map is the identity.
+    b = bundle(name)
+    group, rows = b.group, b.character_table.rows
+    t = CharacterTable(group, rows)
+    assert tuple(inspect.signature(CharacterTable).parameters) == ("group", "rows")
+    assert tuple(vars(t)) == ("group", "rows", "dims")
+    assert t.dims == b.graph.marks_ext and list(t.node_map) == list(range(len(rows)))
+    minus, p = group.class_of[group.minus_identity], group.p
+    for i, row in enumerate(rows):
+        assert t.central[i] == (row[0], binarygroups._lift(row[minus], p))
+    inverse = group.class_inverse
+    weights = [tuple(n * row[inverse[c]] for row in rows) for c, n in enumerate(group.class_sizes)]
+    assert t.residues == _residue_sums(group, weights)
+    assert t.periods.base == b.character_table.periods.base
 
 
 @pytest.mark.parametrize("name", (*CHARACTER_TYPES, "D66", "D67"))
@@ -854,7 +893,7 @@ def test_split_of_e8_triples_needs_a_class_with_two_eigenvalues():
     # A class sum C acts on chi as w(C) = |C| chi(C) / chi(1).  A triple splits
     # when some class has exactly two eigenvalues on it; a class with three is
     # passed over, and a triple with no class of two is refused.
-    group, rows = group_for("E8"), table_for("E8").rows
+    group, rows = group_for("E8"), sorted(table_for("E8").rows)
     p, sizes = group.p, group.class_sizes
     passed_over = 0
     for triple in itertools.combinations(rows, 3):
@@ -932,13 +971,13 @@ def test_rows_at_the_rank_cap_pass_the_registry_check(name):
 
 @pytest.mark.parametrize("name", CHARACTER_TYPES)
 def test_match_nodes_rebuilds_the_node_map(name):
-    # McKay's identity at every node, read through the node map:
+    # McKay's identity at every node, row x being node x's character:
     # chi_1 chi_x = sum_y adj[x][y] chi_y mod p, chi_1 the trace of each
     # class's representative.
     group, graph, table = group_for(name), graph_for(name), table_for(name)
     p = group.p
     chi_1 = [(a + d) % p for a, _, _, d in (group.elements[k] for k in group.representatives)]
-    chi = [table.rows[row] for row in table.node_map]
+    chi = table.rows
     for x, line in enumerate(graph.adjacency):
         for c, t in enumerate(chi_1):
             assert (t * chi[x][c] - sum(k * chi[y][c] for y, k in enumerate(line))) % p == 0

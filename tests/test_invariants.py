@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from su2branch import binarygroups, branching, invariants, mckay
-from su2branch.branching import Branching, HeisenbergSubsystem
+from su2branch.branching import Branching
 from su2branch.coxeter import Bipartition, perm_compose
 from su2branch.cli import MAX_RANK, main
 from su2branch.errors import ConsistencyError
@@ -239,9 +239,7 @@ def test_an_element_without_a_right_inverse_fails_group_sanity_at_its_element():
     # e is a right identity, z generates, and the table is associative, so
     # every earlier screen passes; z's column holds no identity at all.
     b = bundle("A1")
-    monoid = replace(
-        b.group, columns=(b"\x00\x01", b"\x01\x01"), classes=((0,), (1,)), generator_indices=(1,)
-    )
+    monoid = replace(b.group, columns=(b"\x00\x01", b"\x01\x01"), generator_indices=(1,))
     with pytest.raises(ValueError):
         monoid.inverse
     passed, detail = _entry("group sanity").evaluate(SimpleNamespace(group=monoid, params=b.params))
@@ -411,7 +409,7 @@ def test_each_doctored_heisenberg_subsystem_fails_at_its_fact():
     # E8's slices with one member dropped, made negative, listed twice or moved:
     # each breaks one fact of the entry, which names it.
     b = bundle("E8")
-    slices, entry = b.heisenberg.indices, _entry("heisenberg subsystem")
+    slices, entry = b.heisenberg, _entry("heisenberg subsystem")
     first, second = slices[1], slices[2]
     cases = {
         "56 roots, expected 57": {1: first[1:]},
@@ -422,8 +420,7 @@ def test_each_doctored_heisenberg_subsystem_fails_at_its_fact():
         },
     }
     for want, changed in cases.items():
-        doctored = HeisenbergSubsystem({**slices, **changed})
-        bent = SimpleNamespace(heisenberg=doctored, rs=b.rs, params=b.params)
+        bent = SimpleNamespace(heisenberg={**slices, **changed}, rs=b.rs, params=b.params)
         assert entry.evaluate(bent) == (False, want)
 
 

@@ -19,7 +19,6 @@ RECORDS = {
     "CoxeterAction": (lambda b: b.cox, "sigma", False),
     "OrbitTable": (lambda b: b.table, "exponent", False),
     "BranchParams": (lambda b: b.params, "a", True),
-    "HeisenbergSubsystem": (lambda b: b.heisenberg, "indices", False),
     "Branching": (lambda b: b, "zpolys", False),
     "PeriodTable": (lambda b: b.periods("recursion"), "step", False),
     "McKayGraph": (lambda b: b.graph, "adjacency", False),
