@@ -63,29 +63,25 @@ if TYPE_CHECKING:
 class BranchParams(NamedTuple):
     """Denominator exponents and the group orders they encode.
 
-    a = 2 * mark(special node), b = h + 2 - a, and a * b is twice the
-    order of the binary group (four times the rotation group order).
-    a = b happens for A1 and D4; otherwise a < b.
+    a = 2 * mark(special node) and h are stored; b = h + 2 - a, g = h / 2,
+    and a * b, twice the order |F*| of the binary group (four times the
+    rotation group order |F|), are derived.  a = b happens for A1 and D4;
+    otherwise a < b.
     """
 
     a: int
-    b: int
     h: int
-    g: int
     special: int
-    order_f: int
-    order_fstar: int
+
+    b = property(lambda self: self.h + 2 - self.a)
+    g = property(lambda self: self.h // 2)
+    order_f = property(lambda self: self.a * self.b // 4)
+    order_fstar = property(lambda self: self.a * self.b // 2)
 
 
 def branch_params(rs: RootSystem) -> BranchParams:
     i_star = special_index(rs)
-    h = rs.coxeter_number
-    a = 2 * rs.mark(i_star)
-    b = h + 2 - a
-    ab = a * b
-    return BranchParams(
-        a=a, b=b, h=h, g=h // 2, special=i_star, order_f=ab // 4, order_fstar=ab // 2
-    )
+    return BranchParams(a=2 * rs.mark(i_star), h=rs.coxeter_number, special=i_star)
 
 
 def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> dict[int, tuple[int, ...]]:
@@ -93,7 +89,7 @@ def heisenberg_subsystem(rs: RootSystem, table: OrbitTable) -> dict[int, tuple[i
     2h - 3 of them, as root indices in slices by the node of their Coxeter
     orbit.  Members by root index: (r, psi) = sum r_i (psi, alpha_i) over
     psi's few nonzero pairings."""
-    positives = rs.positive_roots
+    positives = rs.roots[: rs.num_positive]
     psi = [(itemgetter(i - 1), p) for i, p in zip(rs.nodes, rs.highest_root_image) if p]
     pairs = map(sum, zip(*[map(mul, repeat(p), map(column, positives)) for column, p in psi]))
     indices: dict[int, list[int]] = {i: [] for i in rs.nodes}

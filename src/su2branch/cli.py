@@ -134,7 +134,7 @@ def cmd_orbits(args: argparse.Namespace) -> tuple:
     records = [
         _envelope(
             bundle.dtype,
-            root=list(rs.root_at(idx)),
+            root=list(rs.roots[idx]),
             orbit=table.orbit_node[idx],
             k=bundle.bp.side(table.orbit_node[idx]),
             n=table.exponent[idx],

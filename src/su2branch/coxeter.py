@@ -13,6 +13,7 @@ index arrays over the fixed root enumeration of :class:`RootSystem`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -20,10 +21,6 @@ from .errors import ConsistencyError
 from .rootsys import ReadOnly, Root, RootSystem
 
 Perm = tuple[int, ...]
-
-
-def perm_identity(n: int) -> Perm:
-    return tuple(range(n))
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
@@ -67,12 +64,14 @@ def special_index(rs: RootSystem) -> int:
 
 
 class CoxeterAction(ReadOnly):
-    """sigma = tau_2 tau_1 acting on the full root list, plus its factors
-    and no inverse; its order is ``rs.coxeter_number`` (registry entry
-    "coxeter order")."""
+    """The involutions tau_1 and tau_2 on the full root list, and sigma =
+    tau_2 tau_1, derived on first read, with no inverse; its order is
+    ``rs.coxeter_number`` (registry entry "coxeter order")."""
 
-    def __init__(self, tau1: Perm, tau2: Perm, sigma: Perm) -> None:
-        vars(self).update(tau1=tau1, tau2=tau2, sigma=sigma)
+    def __init__(self, tau1: Perm, tau2: Perm) -> None:
+        vars(self).update(tau1=tau1, tau2=tau2)
+
+    sigma = cached_property(lambda self: perm_compose(self.tau2, self.tau1))
 
 
 def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
@@ -93,19 +92,17 @@ def _class_involution(rs: RootSystem, nodes: tuple[int, ...]) -> Perm:
 
 
 def coxeter_element(rs: RootSystem, bp: Bipartition) -> CoxeterAction:
-    """Build tau_1, tau_2 and sigma = tau_2 tau_1, which has order h.
+    """Build tau_1 and tau_2, whose product sigma = tau_2 tau_1 has order h.
 
     A class is orthogonal (enforced entry "bipartition"), so its tau is
     r -> r - sum (r, alpha_i) alpha_i over the class: on the packed forms
     (``rootsys`` docstring), each root minus its image's bytes at the class
     plus their bias, then one lookup, with no table of the single
-    reflections and no tuple.  An image that is not a root, or two roots
+    reflections and no tuple; the first lookup numbers the packed roots
+    (``RootSystem._index``).  An image that is not a root, or two roots
     with one image (a root listed twice), raises
     :class:`~.errors.ConsistencyError`."""
-    tau1 = _class_involution(rs, bp.part1)
-    tau2 = _class_involution(rs, bp.part2)
-    sigma = perm_compose(tau2, tau1)
-    return CoxeterAction(tau1=tau1, tau2=tau2, sigma=sigma)
+    return CoxeterAction(_class_involution(rs, bp.part1), _class_involution(rs, bp.part2))
 
 
 class OrbitTable(ReadOnly):
@@ -113,18 +110,21 @@ class OrbitTable(ReadOnly):
 
     ``signed_simples[i-1]`` is beta_i: alpha_i on side 1, -alpha_i on
     side 2.  ``orbits[i-1][m]`` is the root index sent to beta_i by the
-    m-th power of sigma.  For each positive root index: ``orbit_node``
-    gives the node i of its orbit and ``exponent`` the exponent n, odd
-    when ``bp.side(i)`` is 1 and even when it is 2.
+    m-th power of sigma.  ``exponent`` gives each positive root index its
+    exponent n, odd when ``bp.side(i)`` is 1 and even when it is 2, for i
+    the node of its orbit; ``orbit_node``, the inverse map of ``orbits``,
+    gives that node for every root index, derived on first read.
     """
 
     def __init__(
         self, signed_simples: tuple[Root, ...], orbits: tuple[tuple[int, ...], ...],
-        orbit_node: dict[int, int], exponent: dict[int, int],
+        exponent: dict[int, int],
     ) -> None:
-        vars(self).update(
-            signed_simples=signed_simples, orbits=orbits, orbit_node=orbit_node, exponent=exponent
-        )
+        vars(self).update(signed_simples=signed_simples, orbits=orbits, exponent=exponent)
+
+    orbit_node = cached_property(
+        lambda self: {x: i for i, orbit in enumerate(self.orbits, 1) for x in orbit}
+    )
 
 
 def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTable:
@@ -147,7 +147,6 @@ def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTab
         betas.append(alpha if bp.side(i) == 1 else tuple(-c for c in alpha))
 
     orbits: list[tuple[int, ...]] = []
-    orbit_node: dict[int, int] = {}
     exponent: dict[int, int] = {}
     for i in rs.nodes:
         odd = bp.side(i) == 1
@@ -157,10 +156,7 @@ def orbit_table(rs: RootSystem, cox: CoxeterAction, bp: Bipartition) -> OrbitTab
             walk.append(cur)
         walk[1:] = walk[:0:-1]
         for m, idx in enumerate(walk):
-            orbit_node[idx] = i
             if idx < num_pos:
                 exponent[idx] = 2 * m + odd
         orbits.append(tuple(walk))
-    return OrbitTable(
-        signed_simples=tuple(betas), orbits=tuple(orbits), orbit_node=orbit_node, exponent=exponent
-    )
+    return OrbitTable(signed_simples=tuple(betas), orbits=tuple(orbits), exponent=exponent)

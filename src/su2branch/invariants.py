@@ -51,10 +51,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from operator import getitem, itemgetter, mul, ne
+from operator import getitem, mul, ne
 from typing import TYPE_CHECKING, NamedTuple
 
-from .coxeter import perm_compose, perm_identity
+from .coxeter import perm_compose
 from .errors import ConsistencyError
 from .rootsys import DiagramType
 from .seriescalc import PeriodTable, Poly, poly, poly_str, sparse_items
@@ -128,11 +128,13 @@ class Invariant(NamedTuple):
 
 
 def _root_counts(c: Branching) -> Result:
+    """h = |roots| / rank is even and of its closed form, so half the roots,
+    h rank / 2, are positive; psi, the last positive root, is the only one
+    of greatest height, no simple root raises it and its marks are positive."""
     rs = c.rs
     rank, h, num_pos, psi = rs.rank, rs.coxeter_number, rs.num_positive, rs.highest_root
     ok = (
-        num_pos == h // 2 * rank
-        and len(rs.roots) == h * rank
+        len(rs.roots) == h * rank
         and h % 2 == 0
         and h == expected_params(rs.dtype)[2]
         # the highest root is unique, maximal and has positive marks
@@ -166,26 +168,23 @@ def _special_side(c: Branching) -> Result:
 
 
 def _coxeter_order(c: Branching) -> Result:
-    """tau1 and tau2 square to one, and sigma's order, the lcm of its cycle
-    lengths, is h.  A sigma that is not a permutation has no order and
-    fails with the "exactly" detail.  No stage mutant needs it; it alone
-    checks a hand-built ``cox.sigma``, as "orbit partition" reads the orbit
-    table, not sigma."""
+    """tau1 and tau2 square to one, so sigma = tau2 tau1 is a permutation,
+    and sigma's order, the lcm of its cycle lengths, is h.  No stage mutant
+    needs it; it alone checks hand-built ``cox.tau1`` and ``cox.tau2``, as
+    "orbit partition" reads the orbit table, not sigma."""
     cox, h = c.cox, c.rs.coxeter_number
-    ident = perm_identity(len(cox.sigma))
+    ident = tuple(range(len(cox.tau1)))
     if perm_compose(cox.tau1, cox.tau1) != ident or perm_compose(cox.tau2, cox.tau2) != ident:
         return False, "a color-class involution fails to square to one"
-    order = 0  # none: sigma is not a permutation
-    if sorted(cox.sigma) == list(ident):
-        order, unseen = 1, set(ident)
-        while unseen:
-            x = start = unseen.pop()
-            length = 1
-            while (x := cox.sigma[x]) != start:
-                unseen.remove(x)
-                length += 1
-            order = math.lcm(order, length)
-    if 0 < order < h:
+    order, unseen = 1, set(ident)
+    while unseen:
+        x = start = unseen.pop()
+        length = 1
+        while (x := cox.sigma[x]) != start:
+            unseen.remove(x)
+            length += 1
+        order = math.lcm(order, length)
+    if order < h:
         return False, f"sigma has order {order} < h"
     return order == h, f"sigma has order exactly {h}"
 
@@ -390,7 +389,7 @@ def _character_table(c: Branching) -> Result:
     r, p, sizes = len(group.classes), group.p, group.class_sizes
     fields = binarygroups._fields(group, len(table.rows), r)
     rows = [[x % p for x in row] for row in table.rows]
-    conjugate = itemgetter(*group.class_inverse)
+    _, conjugate = group.norm_form
     conjugates = [int.from_bytes(fields.pack(*conjugate(row)), "little") for row in rows]
     for c1, (col, size) in enumerate(zip(zip(*rows), sizes)):
         total = sum(map(mul, col, conjugates)).to_bytes(fields.size, "little")

@@ -94,11 +94,13 @@ class DiagramType(ReadOnly):
     @classmethod
     def parse(cls, text: str) -> "DiagramType":
         m = re.fullmatch(r"\s*([ADEade])\s*(\d+)\s*", text)
-        if not m:
+        try:
+            family, rank = m[1].upper(), int(m[2])
+        except (TypeError, ValueError):  # no match, or more digits than int() converts
             raise UsageError(
                 f"cannot parse diagram type {text!r} (expected e.g. 'A7', 'D5', 'E8')"
-            )
-        return cls(m.group(1).upper(), int(m.group(2)))
+            ) from None
+        return cls(family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -129,19 +131,18 @@ class RootSystem(ReadOnly):
     ``roots`` lists all roots, positive roots first (ordered by height,
     then lexicographically) and then their negatives in matching order,
     so root ``i`` and root ``i + num_positive`` are negatives of each
-    other; ``_index`` maps each packed root to its index.  ``marks`` is
-    ``highest_root`` and ``neighbors`` reads ``cartan``, so each fact is
-    stored once.  Instances are immutable and safe to share; each keeps its
-    own cached values, such as the lists ``neighbors`` and ``simple_root`` read.
+    other.  It stores ``dtype``, ``cartan`` and ``roots``, and derives the
+    rest on first read: ``num_positive`` is half the roots, ``highest_root``
+    (``marks``) the last positive one, ``coxeter_number`` h = |roots| / rank,
+    ``_index`` numbers the packed roots in order and ``neighbors`` reads
+    ``cartan``.  Instances are immutable and safe to share.
     """
 
     def __init__(
-        self, dtype: DiagramType, cartan: tuple[tuple[int, ...], ...], roots: tuple[Root, ...],
-        num_positive: int, highest_root: Root, coxeter_number: int, _index: dict[int, int],
+        self, dtype: DiagramType, cartan: tuple[tuple[int, ...], ...], roots: tuple[Root, ...]
     ) -> None:
         vars(self).update(
-            dtype=dtype, cartan=cartan, roots=roots, num_positive=num_positive,
-            highest_root=highest_root, coxeter_number=coxeter_number, _index=_index,
+            dtype=dtype, cartan=cartan, roots=roots,
             _signed=struct.Struct(f">{dtype.rank}b").pack,  # a root as signed bytes
         )
 
@@ -154,9 +155,9 @@ class RootSystem(ReadOnly):
         """Node indices 1 .. rank."""
         return range(1, self.rank + 1)
 
-    @property
-    def positive_roots(self) -> tuple[Root, ...]:
-        return self.roots[: self.num_positive]
+    num_positive = cached_property(lambda self: len(self.roots) // 2)
+    highest_root = cached_property(lambda self: self.roots[self.num_positive - 1])
+    coxeter_number = cached_property(lambda self: len(self.roots) // self.rank)
 
     def simple_root(self, i: int) -> Root:
         """alpha_i as a coefficient tuple, made once per system."""
@@ -191,6 +192,8 @@ class RootSystem(ReadOnly):
         images = [[sum(map(mul, row, r)) for row in self.cartan] for r in self.roots]
         return tuple(map(self._key, self.roots)), tuple(map(self._key, images))
 
+    _index = cached_property(lambda self: {x: k for k, x in enumerate(self._forms[0])})
+
     def is_root(self, x: Root) -> bool:
         return self._key(x) in self._index
 
@@ -212,9 +215,6 @@ class RootSystem(ReadOnly):
             return int.from_bytes(self._signed(*x).translate(_BIASED), "big")
         except struct.error:
             return None
-
-    def root_at(self, idx: int) -> Root:
-        return self.roots[idx]
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes joined to node i, ascending: the -1 entries of Cartan row i,
@@ -263,7 +263,8 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
     has image(r) + Cartan row i (module docstring).  One mask per root
     refuses a coefficient above :data:`MAX_MARK`, one per image a pairing
     below -2 (:class:`~.errors.ConsistencyError`).  Each tuple is made
-    once.  h = 2 |positive roots| / rank; "root counts" checks it and psi.
+    once.  The build seeds the packed forms; "root counts" checks the h
+    and psi the system derives.
     """
     if isinstance(dtype, str):
         dtype = DiagramType.parse(dtype)
@@ -302,15 +303,11 @@ def build_root_system(dtype: DiagramType | str) -> RootSystem:
                 i = image.find(7, i + 1)
         level = nxt
 
-    num_positive = len(packed)
     coefficients = [(x - bias).to_bytes(rank, "big") for x in packed]
     positives, signed = list(map(tuple, coefficients)), struct.Struct(f">{rank}b").unpack
     negatives = [signed(c.translate(_NEGATED)) for c in coefficients]
     packed += [2 * bias - x for x in packed]
     images += [2 * bias - q for q in images]
-    rs = RootSystem(
-        dtype, cartan, tuple(positives + negatives), num_positive, positives[-1],
-        2 * num_positive // rank, dict(zip(packed, range(len(packed)))),
-    )
+    rs = RootSystem(dtype, cartan, tuple(positives + negatives))
     vars(rs)["_forms"] = (tuple(packed), tuple(images))
     return rs

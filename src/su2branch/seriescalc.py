@@ -161,7 +161,7 @@ def sparse_items(p: Poly) -> list[tuple[int, int]]:
     return [(e, c) for e, c in enumerate(p) if c]
 
 
-def poly_str(p: Poly, var: str = "t") -> str:
+def poly_str(p: Poly) -> str:
     """Human-readable sum such as ``t + 2*t^15 + t^29``."""
     if not p:
         return "0"
@@ -170,6 +170,6 @@ def poly_str(p: Poly, var: str = "t") -> str:
         if e == 0:
             parts.append(str(c))
         else:
-            term = var if e == 1 else f"{var}^{e}"
+            term = "t" if e == 1 else f"t^{e}"
             parts.append(term if c == 1 else f"{c}*{term}")
     return " + ".join(parts)

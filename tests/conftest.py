@@ -279,11 +279,24 @@ def longest_element_failures(b, sigma):
 
 def e8_with_a_root_listed_twice():
     """E8's root system with root 200, the negative of root 80, replaced by
-    root 80: a root listed twice, in a system that runs its constructor."""
+    root 80: a root listed twice, in a system that runs its constructor.
+    The copy is seeded with E8's own index, as a build that numbered the
+    roots before the list went wrong would hold; numbering the doctored list
+    would drop -root 80 from the index, so the first reflection onto it
+    would fail as "not a root" before any root is seen twice."""
     rs = build_root_system("E8")
     roots = list(rs.roots)
     roots[200] = tuple(-c for c in roots[200])
-    return replace(rs, roots=tuple(roots))
+    bad = replace(rs, roots=tuple(roots))
+    vars(bad)["_index"] = rs._index
+    return bad
+
+
+def without_highest_root(rs):
+    """The system with +-highest root gone from its roots; the copy numbers
+    and counts its own roots."""
+    dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
+    return replace(rs, roots=tuple(r for r in rs.roots if r not in dropped))
 
 
 def e8_with_doubled_simple_roots():

@@ -431,6 +431,17 @@ def test_rank_above_the_limit_exits_2_before_build(monkeypatch, capsys, command,
     assert (code, out, err) == (2, "", f"usage error: type {dtype} exceeds the rank limit 71\n")
 
 
+@pytest.mark.parametrize("dtype", ["A" + "9" * 5000, "E" + "0" * 5000], ids=["A9x5000", "E0x5000"])
+@TYPED_COMMANDS
+def test_a_rank_with_more_digits_than_int_reads_exits_2(monkeypatch, capsys, command, dtype):
+    # int() refuses more than 4300 digits with a ValueError; the parse turns
+    # it into its own one-line message.
+    _forbid_work(monkeypatch)
+    code, out, err = run(capsys, *command, "--type", dtype)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: cannot parse diagram type {dtype!r} (expected e.g. 'A7', 'D5', 'E8')\n"
+
+
 @TYPED_COMMANDS
 def test_empty_type_exits_2_before_build(monkeypatch, capsys, command):
     _forbid_work(monkeypatch)

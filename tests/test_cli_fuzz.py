@@ -20,7 +20,10 @@ from su2branch.invariants import ORACLES
 
 COMMANDS = ("table", "verify", "branch", "zpoly", "series", "orbits", "mckay", "group")
 
-TYPES = ("A1", "A3", "D4", "E6", "E8", " e8 ", "d5", "A2", "A4", "D3", "E9", "F4", "x", "", "A-1")
+TYPES = (
+    "A1", "A3", "D4", "E6", "E8", " e8 ", "d5", "A2", "A4", "D3", "E9", "F4", "x", "", "A-1",
+    "A" + "9" * 5000,  # more digits than int() reads
+)
 
 #: Integer spellings int() accepts and rejects: signs, spaces, non-ASCII
 #: digits, floats, hex, thousands separators.

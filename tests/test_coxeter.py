@@ -1,17 +1,22 @@
 """Bipartition, Coxeter element order, orbits, exponents, longest element."""
 
+import inspect
+
 import pytest
 
 from su2branch import Branching, branching, rootsys
+from su2branch.branching import BranchParams, branch_params
 from su2branch.coxeter import (
+    CoxeterAction,
+    OrbitTable,
     bipartition,
     coxeter_element,
+    orbit_table,
     perm_compose,
-    perm_identity,
     special_index,
 )
 from su2branch.errors import ConsistencyError
-from su2branch.rootsys import build_root_system
+from su2branch.rootsys import RootSystem, build_root_system
 from su2branch.verify import ACCEPTED_TYPES
 
 from conftest import (
@@ -23,6 +28,7 @@ from conftest import (
     perm_power,
     reflect,
     replace,
+    without_highest_root,
 )
 
 
@@ -58,7 +64,7 @@ def test_taus_are_the_composed_class_reflections(name):
     b = bundle(name)
     table = [tuple(b.rs.index_of(reflect(b.rs, i, r)) for r in b.rs.roots) for i in b.rs.nodes]
     for tau, part in ((b.cox.tau1, b.bp.part1), (b.cox.tau2, b.bp.part2)):
-        want = perm_identity(len(b.rs.roots))
+        want = tuple(range(len(b.rs.roots)))
         for i in part:
             want = perm_compose(table[i - 1], want)
         assert tau == want
@@ -74,9 +80,9 @@ def test_sigma_order_a3():
     b = bundle("A3")
     assert len(b.rs.roots) == 12
     assert b.rs.coxeter_number == 4
-    assert perm_power(b.cox.sigma, 4) == perm_identity(12)
+    assert perm_power(b.cox.sigma, 4) == tuple(range(12))
     for k in (1, 2, 3):
-        assert perm_power(b.cox.sigma, k) != perm_identity(12)
+        assert perm_power(b.cox.sigma, k) != tuple(range(12))
 
 
 def test_e8_orbit_partition():
@@ -118,7 +124,7 @@ def test_a3_exponents_hand_computed():
     #   orbit of -alpha2: psi -> n=2,      alpha2 -> n=4
     #   orbit of alpha3:  alpha3 -> n=1,   alpha1+alpha2 -> n=3
     b = bundle("A3")
-    expo = {b.rs.root_at(i): n for i, n in b.table.exponent.items()}
+    expo = {b.rs.roots[i]: n for i, n in b.table.exponent.items()}
     assert expo == {
         (1, 0, 0): 1,
         (0, 1, 1): 3,
@@ -127,7 +133,7 @@ def test_a3_exponents_hand_computed():
         (0, 0, 1): 1,
         (1, 1, 0): 3,
     }
-    node = {b.rs.root_at(i): t for i, t in b.table.orbit_node.items() if i < 6}
+    node = {b.rs.roots[i]: t for i, t in b.table.orbit_node.items() if i < 6}
     assert node == {
         (1, 0, 0): 1,
         (0, 1, 1): 1,
@@ -183,15 +189,7 @@ def test_sigma_g_negates_positives_a3():
 
 def test_a_reflection_off_the_root_set_is_refused():
     # A3 without its highest root: s_1 sends (0, 1, 1) to the missing (1, 1, 1).
-    rs = build_root_system("A3")
-    dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
-    roots = tuple(r for r in rs.roots if r not in dropped)
-    bad = replace(
-        rs,
-        roots=roots,
-        num_positive=rs.num_positive - 1,
-        _index={rs._key(r): k for k, r in enumerate(roots)},
-    )
+    bad = without_highest_root(build_root_system("A3"))
     bp = bipartition(bad)
     # The message index_of gives for the first image off the root set.
     image = next(
@@ -300,7 +298,8 @@ def test_a_signed_simple_root_off_the_root_set_fails_orbit_table(monkeypatch):
 
 def test_a_highest_root_off_the_root_set_fails_z_polynomial(monkeypatch):
     rs = build_root_system("E8")
-    bad = replace(rs, highest_root=tuple(2 * c for c in rs.highest_root))
+    bad = replace(rs)
+    vars(bad)["highest_root"] = tuple(2 * c for c in rs.highest_root)
     monkeypatch.setattr(branching, "build_root_system", lambda dtype: bad)
     with pytest.raises(ConsistencyError) as info:
         Branching.build("E8")
@@ -308,3 +307,40 @@ def test_a_highest_root_off_the_root_set_fails_z_polynomial(monkeypatch):
     assert (str(err), err.dtype, err.stage) == (
         f"z_polynomial: {bad.highest_root} is not a root of E8", "E8", "z_polynomial"
     )
+
+
+@pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A1", "A71", "D71"))
+def test_lie_side_records_derive_their_facts(name):
+    # Each record stores the facts its constructor takes and derives the
+    # rest on first read: a fresh root system holds nothing else but the
+    # packed forms the build seeds (and the packer its constructor makes).
+    signatures = {
+        RootSystem: ("dtype", "cartan", "roots"),
+        CoxeterAction: ("tau1", "tau2"),
+        OrbitTable: ("signed_simples", "orbits", "exponent"),
+        BranchParams: ("a", "h", "special"),
+    }
+    for cls, names in signatures.items():
+        assert tuple(inspect.signature(cls).parameters) == names, cls
+    rs = build_root_system(name)
+    assert tuple(vars(rs)) == ("dtype", "cartan", "roots", "_signed", "_forms")
+    p = rs.num_positive
+    assert len(rs.roots) == 2 * p == rs.coxeter_number * rs.rank
+    heights = list(map(sum, rs.roots[:p]))
+    assert rs.highest_root == rs.roots[p - 1] and heights.count(max(heights)) == 1
+    assert sum(rs.highest_root) == max(heights)
+    assert rs._index == {rs._key(r): k for k, r in enumerate(rs.roots)}
+    bp = bipartition(rs)
+    cox = coxeter_element(rs, bp)
+    assert tuple(vars(cox)) == ("tau1", "tau2")
+    assert cox.sigma == perm_compose(cox.tau2, cox.tau1)
+    table = orbit_table(rs, cox, bp)
+    assert tuple(vars(table)) == ("signed_simples", "orbits", "exponent")
+    assert len(table.orbit_node) == len(rs.roots)
+    for i, orbit in enumerate(table.orbits, 1):
+        assert all(table.orbit_node[x] == i for x in orbit), (name, i)
+    params = branch_params(rs)
+    a, h = params.a, params.h
+    assert params == (a, h, special_index(rs)) and h == rs.coxeter_number
+    assert (params.b, params.g) == (h + 2 - a, h // 2)
+    assert (params.order_f, params.order_fstar) == (a * (h + 2 - a) // 4, a * (h + 2 - a) // 2)

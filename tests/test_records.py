@@ -16,7 +16,7 @@ RECORDS = {
     "DiagramType": (lambda b: b.dtype, "rank", True),
     "RootSystem": (lambda b: b.rs, "roots", False),
     "Bipartition": (lambda b: b.bp, "part1", True),
-    "CoxeterAction": (lambda b: b.cox, "sigma", False),
+    "CoxeterAction": (lambda b: b.cox, "tau1", False),
     "OrbitTable": (lambda b: b.table, "exponent", False),
     "BranchParams": (lambda b: b.params, "a", True),
     "Branching": (lambda b: b, "zpolys", False),

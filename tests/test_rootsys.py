@@ -7,7 +7,7 @@ from su2branch.errors import ConsistencyError
 from su2branch.rootsys import DiagramType, build_root_system, dynkin_edges
 from su2branch.verify import ACCEPTED_TYPES
 
-from conftest import bundle, inner, plain_closure_roots, reflect, replace
+from conftest import bundle, inner, plain_closure_roots, reflect, replace, without_highest_root
 
 
 def rs_for(name):
@@ -95,14 +95,6 @@ def test_reflection_table_is_reflect(name):
         assert [rs.roots[k] for k in table] == [reflect(rs, i, r) for r in rs.roots], i
 
 
-def _without_highest_root(rs):
-    """The system with +-highest root gone from its list and its index."""
-    dropped = {rs.highest_root, tuple(-x for x in rs.highest_root)}
-    roots = tuple(r for r in rs.roots if r not in dropped)
-    index = {rs._key(r): k for k, r in enumerate(roots)}
-    return replace(rs, roots=roots, num_positive=rs.num_positive - 1, _index=index)
-
-
 @pytest.mark.parametrize("name", ("A1",) + ACCEPTED_TYPES)
 def test_seeded_pairings_are_the_definition(name):
     # The build seeds the packed images that pairings reads; conftest.replace
@@ -167,10 +159,12 @@ def test_highest_root_image_is_its_pairings(name):
 
 
 def test_a_replaced_highest_root_gets_its_own_image():
-    # conftest.replace runs the constructor again, so the cached image is not copied.
+    # conftest.replace runs the constructor again, so the cached image is not
+    # copied; the copy is seeded with another highest root before its first read.
     rs = build_root_system("E8")
     assert rs.highest_root_image == (0, 0, 0, 0, 0, 0, 1, 0)
-    bad = replace(rs, highest_root=rs.simple_root(1))
+    bad = replace(rs)
+    vars(bad)["highest_root"] = rs.simple_root(1)
     assert bad.highest_root_image == (2, -1, 0, 0, 0, 0, 0, 0)
     assert bad.affine_attachment() == (1,)
 
@@ -179,7 +173,7 @@ def test_roots_negation_layout():
     rs = rs_for("A5")
     p = rs.num_positive
     for idx in range(p):
-        assert rs.root_at(idx + p) == tuple(-c for c in rs.root_at(idx))
+        assert rs.roots[idx + p] == tuple(-c for c in rs.roots[idx])
 
 
 @pytest.mark.parametrize("name", (*ACCEPTED_TYPES, "A71", "D71", "A1"))
@@ -195,7 +189,7 @@ def test_a_closure_past_the_largest_mark_fails_the_build(monkeypatch):
     # E8's branch node has mark 6; under a bound of 5 its first root with a
     # coefficient 6, in closure order, is refused with the type and stage.
     rs = build_root_system("E8")
-    first = next(r for r in rs.positive_roots if max(r) == 6)
+    first = next(r for r in rs.roots[: rs.num_positive] if max(r) == 6)
     monkeypatch.setattr(rootsys, "MAX_MARK", 5)
     with pytest.raises(ConsistencyError) as info:
         build_root_system("E8")
@@ -210,7 +204,7 @@ def test_a_closure_past_the_largest_mark_fails_the_build(monkeypatch):
 def test_reflection_table_off_the_root_set_is_reflect():
     # A3 without its highest root: s_1 sends (0, 1, 1) to the missing
     # (1, 1, 1), the first image off the root set, and the table refuses it.
-    bad = _without_highest_root(build_root_system("A3"))
+    bad = without_highest_root(build_root_system("A3"))
     assert reflect(bad, 1, (0, 1, 1)) == (1, 1, 1)
     with pytest.raises(ConsistencyError) as info:
         coxeter._class_involution(bad, (1,))
